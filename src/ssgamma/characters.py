@@ -42,27 +42,31 @@ class NotInIPlus(CharacterError):
 PSI_MAX_POWER = 2
 
 
+def psi_exponent(x, p: int) -> tuple:
+    """(m, a) with psi(x) = zeta_(p^m)^a, where m = max(0, -v_p(x/p)) and a
+    is a unit mod p^m; (0, 0) when psi(x) = 1.  Exact, and depends only on
+    x mod p."""
+    y = Fraction(x) / p
+    if y == 0:
+        return 0, 0
+    v = rational_valuation(y, p)
+    if v >= 0:
+        return 0, 0
+    m = -v
+    if m > PSI_MAX_POWER:
+        raise OrderOverflow(f"psi needs a root of unity of order {p}^{m}")
+    mod = p**m
+    d = y.denominator // mod  # prime-to-p part of the denominator
+    return m, y.numerator * pow(d, -1, mod) % mod
+
+
 def psi_eval(x, prime: int = None) -> CyclotomicNumber:
     """psi(x) = e^(2 pi i frac(x/p)), exact; depends only on x mod p."""
     if isinstance(x, PAdicNumber):
         prime = x.prime
         x = x.value
-    x = Fraction(x)
-    p = prime
-    y = x / p
-    if y == 0:
-        return CyclotomicNumber.one()
-    v = rational_valuation(y, p)
-    if v >= 0:
-        return CyclotomicNumber.one()
-    m = -v
-    if m > PSI_MAX_POWER:
-        raise OrderOverflow(f"psi needs a root of unity of order {p}^{m}")
-    mod = p**m
-    num, den = y.numerator, y.denominator
-    d = den // p**m  # prime-to-p part of the denominator
-    a = (num * pow(d, -1, mod)) % mod
-    return CyclotomicNumber.root_of_unity(mod, a)
+    m, a = psi_exponent(x, prime)
+    return CyclotomicNumber.root_of_unity(prime**m, a)
 
 
 @lru_cache(maxsize=None)

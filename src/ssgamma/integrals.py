@@ -9,10 +9,21 @@ Two evaluation modes:
   * brute-force: enumerate a truncated window of the full domain with a
     padding shell; any nonzero term on the padding shell raises
     BoundaryNonvanishing instead of silently truncating.
+
+The SO integrals come from one enumeration kernel (_so_buckets).  Each
+domain point is a sparse map of the entries where its integrand matrix
+differs from the identity; two I+ box tests on that map, with the
+generic coset solver as the fallback, give its Whittaker value as plain
+ints (i, m, a), meaning zeta^i * zeta_(p^m)^a.  The kernel counts these
+in a histogram keyed by (i, z, m, a).  The measure weight is the same
+at every point off the padding shell (checked per window), so it
+multiplies each (i, z) bucket once, at the end.  Brute-force mode and
+scan_support use the same evaluator.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -28,22 +39,16 @@ from .matrices import (
     mat_transpose,
     coset_decompose,
     coset_decompose_gl,
-    g_chi_so,
-    g_chi_gl,
-    c_hat,
-    delta_o,
-    omega_prime,
     w_element,
     b_element,
     torus_so2,
     w_long,
-    embed_j,
-    xbar,
 )
-from .characters import TameCharacter, tame_eval, psi_eval, affine_chi
+from .characters import TameCharacter, tame_eval, psi_eval, psi_exponent, affine_chi
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+FM1 = Fraction(-1)
 
 
 class IntegralError(Exception):
@@ -122,6 +127,8 @@ class IntegralConfig:
     measure_scale: Fraction = Fraction(1)
 
     def __post_init__(self):
+        if self.ell < 1:
+            raise IntegralError(f"need l >= 1, got {self.ell}")
         if self.level < 2 or self.cutoff < 1:
             raise IntegralError("need N >= 2 and V >= 1")
         if self.mode not in ("support-aware", "brute-force"):
@@ -141,158 +148,142 @@ class GammaResult:
 
 
 # ---------------------------------------------------------------------------
-# fast structured Whittaker evaluation
+# sparse integrand entries and the per-point Whittaker evaluator
 #
-# The integrand matrices have a rigid shape, so instead of generic matrix
-# products we build them entrywise and first try the cheap membership
-# boxes (g in I+, or g g_chi^(-1) in I+); the generic double-coset solver
-# is the fallback that settles everything else (mostly vanishing points).
+# A point is the map {(row, col): Fraction} of the entries where its
+# integrand matrix differs from the identity.  The cheap membership boxes
+# (g in I+, or g g_chi^(-1) in I+) run on that map; the generic
+# double-coset solver settles everything else (mostly vanishing points).
 
 
-def _iplus_box(rows, p):
-    n = len(rows)
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            v = rational_valuation(ri[j], p)
-            if v < 0 or (i > j and v < 1):
-                return False
-        if rational_valuation(ri[i] - 1, p) < 1:
-            return False
-    return True
-
-
-def _nonident_positions(rows):
-    """(off-diagonal, diagonal) index sets where rows differs from I.
-
-    The integrand builders fill each position with a fixed monomial in
-    (z, y), so positions computed from generic values are exhaustive."""
-    n = len(rows)
-    off = [(i, j) for i in range(n) for j in range(n) if i != j and rows[i][j] != 0]
-    diag = [i for i in range(n) if rows[i][i] != 1]
-    return off, diag
-
-
-def _iplus_box_sparse(rows, p, pos):
-    off, diag = pos
-    for i, j in off:
-        v = rational_valuation(rows[i][j], p)
-        if v < 0 or (i > j and v < 1):
-            return False
-    for i in diag:
-        if rational_valuation(rows[i][i] - 1, p) < 1:
-            return False
-    return True
-
-
-def _chi_of_rows(rows, t, p):
-    """affine_chi without the GroupMatrix wrapper (rows already boxed)."""
-    n = len(rows)
-    ell = (n - 1) // 2
-    s = sum(t[a] * rows[a][a + 1] for a in range(ell))
-    s += t[ell] * rows[n - 2][0] / p
-    return psi_eval(s, p)
-
-
-def _gchi_colmap(rows, p):
-    """Right multiplication by g_chi^(-1) = g_chi: col 1 <- p * col N,
-    col N <- col 1 / p, middle columns negated."""
-    n = len(rows)
-    return [
-        [p * r[n - 1]] + [-r[j] for j in range(1, n - 1)] + [r[0] / p]
-        for r in rows
-    ]
-
-
-def _chi_from_m(m, t, p):
-    """chi(g_chi m g_chi) read off m directly (middle-row sign and the
-    outer row/column swaps folded in)."""
-    n = len(m)
-    ell = (n - 1) // 2
-    s = -t[0] * m[n - 1][1] / p
-    s += sum(t[a] * m[a][a + 1] for a in range(1, ell))
-    s += -t[ell] * m[n - 2][n - 1]
-    return psi_eval(s, p)
-
-
-def _so_whittaker_parts(rows, p, ell, t, pos=None):
-    """(i, psi_U(u) * chi(k)) for g in the Whittaker double coset, else None.
-
-    The zeta-power i is kept separate so one enumeration serves every
-    central sign.  pos optionally carries precomputed sparsity patterns
-    (for g and for g g_chi) so the membership boxes skip known zeros.
-    """
+def _phi_entries(z, y, ell):
+    """x_bar(y) j(h(z)): column 1 scaled by z, the last column by 1/z."""
     n = 2 * ell + 1
-    if pos is not None:
-        if _iplus_box_sparse(rows, p, pos[0]):
-            return 0, _chi_of_rows(rows, t, p)
-        m = _gchi_colmap(rows, p)
-        if _iplus_box_sparse(m, p, pos[1]):
-            return 1, _chi_from_m(m, t, p)
-    else:
-        if _iplus_box(rows, p):
-            return 0, _chi_of_rows(rows, t, p)
-        m = _gchi_colmap(rows, p)
-        if _iplus_box(m, p):
-            return 1, _chi_from_m(m, t, p)
-    g = GroupMatrix(tuple(tuple(r) for r in rows), p, "SO_odd")
-    wit = coset_decompose(g, ell)
-    if wit is None:
-        return None
-    pu = psi_eval(sum(t[a] * wit.u.rows[a][a + 1] for a in range(ell)), p)
-    return wit.i, pu * _chi_of_rows([list(r) for r in wit.k.rows], t, p)
+    g = {(0, 0): z, (n - 1, n - 1): 1 / z}
+    for i, c in enumerate(y):
+        g[(1 + i, 0)] = c * z
+        g[(n - 1, n - 2 - i)] = -c
+    return g
+
+
+def _phi_star_entries(z, y, ell):
+    """c_hat x_bar(y) j(h(z)) delta_o omega' from the Phi entries.
+
+    c_hat negates the middle rows other than row l, delta_o negates
+    column l and omega' swaps the outer columns.  So the middle diagonal
+    turns into -1, the outer diagonal into 0, and the Phi entries (none
+    of them on the middle diagonal) move with their column."""
+    n = 2 * ell + 1
+    g = {(0, 0): F0, (n - 1, n - 1): F0}
+    for r in range(1, n - 1):
+        g[(r, r)] = FM1
+    for (r, c), x in _phi_entries(z, y, ell).items():
+        if (0 < r < n - 1 and r != ell) != (c == ell):
+            x = -x
+        g[(r, n - 1 - c if c in (0, n - 1) else c)] = x
+    return g
+
+
+def _dense(g, n):
+    """The rows of the matrix with entries g (identity elsewhere)."""
+    rows = mat_identity(n)
+    for (r, c), x in g.items():
+        rows[r][c] = x
+    return tuple(map(tuple, rows))
+
+
+def _in_iplus(g, p):
+    """I+ box on entries: integral, in p below the diagonal, in 1 + p on it."""
+    for (r, c), x in g.items():
+        den = x.denominator
+        if not den % p:
+            return False
+        if r > c:
+            if x.numerator % p:
+                return False
+        elif r == c and (x.numerator - den) % p:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
-def _side_positions(side: str, ell: int):
-    """Sparsity patterns of the integrand matrix and its g_chi column map."""
-    z = Fraction(7, 5)
-    y = tuple(Fraction(3 * (i + 2), 11) for i in range(ell - 1))
-    build = _phi_matrix if side == "phi" else _phi_star_matrix
-    rows = build(z, y, ell)
-    return _nonident_positions(rows), _nonident_positions(_gchi_colmap(rows, 2))
+def _gchi_entries(n, p):
+    """g_chi as entries: pi^(-1) and pi in the outer corners, -1 between."""
+    g = {(0, 0): F0, (0, n - 1): Fraction(1, p), (n - 1, 0): Fraction(p), (n - 1, n - 1): F0}
+    for r in range(1, n - 1):
+        g[(r, r)] = FM1
+    return g
 
 
-def _conj_by_gchi(m, p):
-    """g_chi m g_chi for the SO corner element (an involution).
-
-    Row map: row 0 <- row N-1 / p, row N-1 <- row 0 * p, middle negated;
-    then the same column map as in _so_whittaker_parts."""
-    n = len(m)
-    rows = [None] * n
-    rows[0] = [x / p for x in m[n - 1]]
-    rows[n - 1] = [x * p for x in m[0]]
-    for i in range(1, n - 1):
-        rows[i] = [-x for x in m[i]]
-    return [
-        [p * r[n - 1]] + [-r[j] for j in range(1, n - 1)] + [r[0] / p]
-        for r in rows
-    ]
+def _times_gchi(g, p, n):
+    """g g_chi^(-1) = g g_chi: column 1 <- p * column N, column N <- column
+    1 / p, middle columns negated.  It starts from the image of the
+    identity, g_chi itself, which each entry of g then overwrites."""
+    m = dict(_gchi_entries(n, p))
+    for (r, c), x in g.items():
+        if c == 0:
+            m[(r, n - 1)] = x / p
+        elif c == n - 1:
+            m[(r, 0)] = p * x
+        else:
+            m[(r, c)] = -x
+    return m
 
 
-def _phi_matrix(z, y, ell):
-    """x_bar(y) j(h(z)) as raw rows: column 1 scaled by z, last by 1/z."""
+def _chi_arg(k, t, ell, p):
+    """x with chi(k) = psi(x) for k in I+: the weighted simple affine entries."""
     n = 2 * ell + 1
-    rows = mat_identity(n)
-    rows[0][0] = z
-    rows[n - 1][n - 1] = 1 / z
-    for i, c in enumerate(y):
-        rows[1 + i][0] = c * z
-    for kk in range(1, ell):
-        rows[n - 1][ell + kk] = -y[ell - kk - 1]
-    return rows
+    s = F0
+    for a in range(ell):
+        x = k.get((a, a + 1))
+        if x:
+            s += t[a] * x
+    x = k.get((n - 2, 0))
+    if x:
+        s += t[ell] * x / p
+    return s
 
 
-def _phi_star_matrix(z, y, ell):
-    """c_hat x_bar(y) j(h(z)) delta_o omega' as raw rows."""
+def _chi_arg_conj(m, t, ell, p):
+    """_chi_arg of g_chi m g_chi, read off m directly (the middle-row sign
+    and the outer row and column swaps folded in)."""
     n = 2 * ell + 1
-    rows = _phi_matrix(z, y, ell)
-    for i in list(range(1, ell)) + list(range(ell + 1, n - 1)):
-        rows[i] = [-x for x in rows[i]]  # c_hat on the left
-    for r in rows:
-        r[ell] = -r[ell]  # delta_o on the right
-        r[0], r[n - 1] = r[n - 1], r[0]  # omega' swaps the outer columns
-    return rows
+    s = F0
+    x = m.get((n - 1, 1))
+    if x:
+        s -= t[0] * x / p
+    for a in range(1, ell):
+        x = m.get((a, a + 1))
+        if x:
+            s += t[a] * x
+    x = m.get((n - 2, n - 1))
+    if x:
+        s -= t[ell] * x
+    return s
+
+
+def _so_whittaker_parts(g, p, ell, t):
+    """(i, m, a) with W(g) = zeta^i * zeta_(p^m)^a, or None off the support.
+
+    g is the entry map of a point.  The zeta power i is kept separate so
+    one enumeration serves every central sign.  zeta_(p^m)^a is
+    psi_U(u) * chi(k) at the larger order of the two psi values, the
+    order their CyclotomicNumber product has; so a need not be a unit."""
+    if _in_iplus(g, p):
+        return (0,) + psi_exponent(_chi_arg(g, t, ell, p), p)
+    n = 2 * ell + 1
+    m = _times_gchi(g, p, n)
+    if _in_iplus(m, p):
+        return (1,) + psi_exponent(_chi_arg_conj(m, t, ell, p), p)
+    wit = coset_decompose(GroupMatrix(_dense(g, n), p, "SO_odd"), ell)
+    if wit is None:
+        return None
+    u = wit.u.rows
+    mu, au = psi_exponent(sum(t[a] * u[a][a + 1] for a in range(ell)), p)
+    k = {(r, c): x for r, row in enumerate(wit.k.rows) for c, x in enumerate(row)}
+    mk, ak = psi_exponent(_chi_arg(k, t, ell, p), p)
+    top = max(mu, mk)
+    return wit.i, top, (au * p ** (top - mu) + ak * p ** (top - mk)) % p**top
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +291,10 @@ def _phi_star_matrix(z, y, ell):
 #
 # Buckets collect, per (zeta-power i, z-class), the full y-sum of
 # measure-weighted psi_U(u) chi(k) values.  They are independent of zeta
-# and tau, so one enumeration serves the whole (zeta, tau) grid.
+# and tau, so one enumeration serves the whole (zeta, tau) grid.  A
+# bucket sums its (m, a) counts in the order the points first produced
+# them, so its cyclotomic order and terms are those of a point-by-point
+# sum (one in which no partial sum vanishes).
 
 _SO_BUCKETS: dict = {}
 
@@ -350,6 +344,14 @@ def _z_windows(p, level, cutoff, mode, side):
     return out
 
 
+def _window_weight(window):
+    """The measure weight shared by every non-padding point of a window."""
+    weights = [w for _, w, pad in window if not pad]
+    if any(w != weights[0] for w in weights[1:]):
+        raise IntegralError("window weights differ off the padding shell")
+    return weights[0]
+
+
 def _so_buckets(cfg: IntegralConfig, side: str):
     p, ell = cfg.prime, cfg.ell
     key = (p, ell, cfg.level, cfg.cutoff, cfg.mode, side, cfg.t)
@@ -358,48 +360,40 @@ def _so_buckets(cfg: IntegralConfig, side: str):
         if isinstance(hit, BoundaryNonvanishing):
             raise hit
         return hit
-    build = _phi_matrix if side == "phi" else _phi_star_matrix
-    pos = _side_positions(side, ell)
+    build = _phi_entries if side == "phi" else _phi_star_entries
     ys = _y_windows(ell, p, cfg.level, cfg.cutoff, cfg.mode)
     zs = _z_windows(p, cfg.level, cfg.cutoff, cfg.mode, side)
-    buckets: dict = {}
-    one = ExactScalar.one(p)
+    weight = _window_weight(zs) * _window_weight(ys) ** (ell - 1)
+    sums: dict = {}  # (i, z) -> sum of the point values, without the weight
     try:
-        for z, zw, zpad in zs:
-            for y, yw, ypad in _iter_y(ys, ell, p):
-                rows = build(z, y, ell)
-                parts = _so_whittaker_parts(rows, p, ell, cfg.t, pos)
+        for z, _, zpad in zs:
+            counts: dict = {}  # (i, m, a) -> number of points at this z
+            for y, ypad in _iter_y(ys, ell):
+                parts = _so_whittaker_parts(build(z, y, ell), p, ell, cfg.t)
                 if parts is None:
                     continue
-                i, val = parts
                 if zpad or ypad:
                     raise BoundaryNonvanishing(
                         f"nonzero {side} integrand at the padding shell: z={z}, y={y}"
                     )
-                w = zw * yw if yw is not None else zw
-                term = w * ExactScalar.from_coeff(p, val)
-                acc = buckets.get((i, z))
-                buckets[(i, z)] = term if acc is None else acc + term
+                counts[parts] = counts.get(parts, 0) + 1
+            for (i, m, a), count in counts.items():
+                # count * zeta_(p^m)^a at order p^m, the order of the psi product
+                term = CyclotomicNumber(p**m, {a: count})
+                acc = sums.get((i, z))
+                sums[(i, z)] = term if acc is None else acc + term
     except BoundaryNonvanishing as e:
         _SO_BUCKETS[key] = e
         raise
+    buckets = {iz: weight * ExactScalar.from_coeff(p, c) for iz, c in sums.items()}
     _SO_BUCKETS[key] = buckets
     return buckets
 
 
-def _iter_y(ys, ell, p):
-    import itertools
-
-    count = ell - 1
-    if count == 0:
-        yield (), None, False
-        return
-    for combo in itertools.product(ys, repeat=count):
-        reps = tuple(c[0] for c in combo)
-        w = combo[0][1]
-        for c in combo[1:]:
-            w = w * c[1]
-        yield reps, w, any(c[2] for c in combo)
+def _iter_y(ys, ell):
+    """(y, is_padding) over the (l-1)-fold product of the y window."""
+    for combo in itertools.product(ys, repeat=ell - 1):
+        yield tuple(c[0] for c in combo), any(c[2] for c in combo)
 
 
 def _fs_phi(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
@@ -566,8 +560,6 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int):
 
 
 def _iter_x(xs, n):
-    import itertools
-
     if n <= 2:
         yield (), Fraction(1), False
         return
@@ -677,16 +669,14 @@ def scan_support(
         t = tuple(Fraction(1) for _ in range(ell + 1))
     if predicate is None:
         predicate = _phi_predicate if side == "phi" else _phi_star_predicate
-    build = _phi_matrix if side == "phi" else _phi_star_matrix
-    pos = _side_positions(side, ell)
+    build = _phi_entries if side == "phi" else _phi_star_entries
     ys = _y_windows(ell, p, level, cutoff, "brute-force")
     zs = _z_windows(p, level, cutoff, "brute-force", side)
     points = []
     verdict = True
     for z, _, _ in zs:
-        for y, _, _ in _iter_y(ys, ell, p):
-            parts = _so_whittaker_parts(build(z, y, ell), p, ell, t, pos)
-            nonzero = parts is not None and not parts[1].is_zero()
+        for y, _ in _iter_y(ys, ell):
+            nonzero = _so_whittaker_parts(build(z, y, ell), p, ell, t) is not None
             pred = predicate(z, y, p)
             if nonzero != pred:
                 verdict = False

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ssgamma.characters import (
+    PSI_MAX_POWER,
     CharacterError,
     OrderOverflow,
     TameCharacter,
@@ -15,6 +16,7 @@ from ssgamma.characters import (
     orbit_conjugator,
     primitive_root,
     psi_eval,
+    psi_exponent,
     whittaker_eval,
 )
 from ssgamma.cyclotomic import CyclotomicNumber as C
@@ -63,6 +65,33 @@ def test_psi_prime_to_p_denominator():
 def test_psi_order_overflow():
     with pytest.raises(OrderOverflow):
         psi_eval(Fraction(1, 9), 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.integers(-10**6, 10**6),
+    st.integers(1, 10**4),
+    st.integers(0, PSI_MAX_POWER - 1),
+)
+def test_psi_exponent_agrees_with_psi_eval(p, num, den, extra):
+    x = Fraction(num, den * p**extra)
+    assume(x.denominator % p**PSI_MAX_POWER)  # else psi(x) overflows
+    m, a = psi_exponent(x, p)
+    assert psi_eval(x, p) == C.root_of_unity(p**m, a)
+    # a / p^m is the p-adic fractional part of x / p, a unit unless m = 0
+    assert 0 <= m <= PSI_MAX_POWER and 0 <= a < p**m
+    assert (x / p - Fraction(a, p**m)).denominator % p
+    assert m == 0 or a % p
+
+
+def test_psi_exponent_order_overflow():
+    for p in (3, 5, 7):
+        top = Fraction(1, p ** (PSI_MAX_POWER - 1))  # x / p has valuation -PSI_MAX_POWER
+        assert psi_exponent(top, p) == (PSI_MAX_POWER, 1)
+        for f in (psi_exponent, psi_eval):
+            with pytest.raises(OrderOverflow):
+                f(top / p, p)
 
 
 def test_psi_all_pth_roots_sum_to_zero():

@@ -57,6 +57,15 @@ def test_config_errors(capsys):
     assert run(capsys, "param", "--p", "3", "--ell", "3")[0] == EXIT_CONFIG
 
 
+def test_ell_below_one_is_a_config_error(capsys):
+    for ell in ("0", "-1"):
+        code = main(["gamma-so", "--p", "3", "--ell", ell, "--zeta", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+
+
 def test_scan_support(capsys):
     code, out = run(capsys, "scan-support", "--p", "3", "--ell", "1", "--side", "phi")
     assert code == EXIT_OK

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ssgamma.characters import TameCharacter
+from ssgamma.cli import scalar_str
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
@@ -131,6 +132,29 @@ def test_brute_force_agrees():
         assert phi_star_eval(fast) == phi_star_eval(slow)
 
 
+@pytest.mark.parametrize(
+    "mode,cells",
+    [
+        ("support-aware", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)]),
+        ("brute-force", [(3, 1), (3, 2)]),
+    ],
+)
+def test_serialized_records_match_closed_forms(mode, cells):
+    """Equal values can still serialize differently: the records carry the
+    cyclotomic order of a coefficient, which depends on how a sum was
+    built.  So the output bytes are pinned, not just ==."""
+    for p, ell in cells:
+        for zeta in (C.one(), -C.one()):
+            for j in range(p - 1):
+                for tp in (1, -1, Fraction(3, 7), Fraction(-25, 9)):
+                    tau = TameCharacter(p, j, ES(p, tp))
+                    cfg = IntegralConfig(p, ell, zeta, tau, level=2, cutoff=1, mode=mode)
+                    got, want = gamma_so(cfg).computed, predicted_gamma_so(cfg)
+                    assert got.to_records() == want.to_records()
+                    assert scalar_str(got) == scalar_str(want)
+                    assert phi_eval(cfg).to_records() == vol_phi(p, ell).to_records()
+
+
 def test_stabilization_in_cutoffs():
     p = 3
     cfg21 = IntegralConfig(p, 1, C.one(), trivial_tau(p), level=2, cutoff=1)
@@ -158,6 +182,9 @@ def test_config_validation():
         IntegralConfig(p, 1, C.one(), trivial_tau(p), level=2, cutoff=0)
     with pytest.raises(IntegralError):
         IntegralConfig(p, 1, C.one(), trivial_tau(p), mode="monte-carlo")
+    for ell in (0, -1):
+        with pytest.raises(IntegralError):
+            IntegralConfig(p, ell, C.one(), trivial_tau(p))
 
 
 # --- GL cross-check -----------------------------------------------------------
