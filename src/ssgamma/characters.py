@@ -122,19 +122,24 @@ class TameCharacter:
         return TameCharacter(p, (-self.unit_exponent) % (p - 1), inv_pi)
 
 
-def tame_eval(tau: TameCharacter, x) -> ExactScalar:
-    if isinstance(x, PAdicNumber):
-        x = x.value
+def tame_class(x, p: int) -> tuple:
+    """(v, r) with v = v_p(x) and r the residue mod p of the unit x / p^v.
+    A tame character reads x only through this pair."""
     x = Fraction(x)
     if x == 0:
         raise CharacterError("tame character at 0")
-    p = tau.prime
     v = rational_valuation(x, p)
     unit = x / Fraction(p) ** v
-    num, den = unit.numerator, unit.denominator
-    res = num * pow(den, -1, p) % p
-    out = ExactScalar.from_coeff(p, tau.unit_value(res))
-    return out * tau.value_at_uniformizer**v
+    return v, unit.numerator * pow(unit.denominator, -1, p) % p
+
+
+def tame_eval(tau: TameCharacter, x) -> ExactScalar:
+    """tau(x) = unit_value(r) * tau(pi)^v for (v, r) = tame_class(x)."""
+    if isinstance(x, PAdicNumber):
+        x = x.value
+    p = tau.prime
+    v, r = tame_class(x, p)
+    return ExactScalar.from_coeff(p, tau.unit_value(r)) * tau.value_at_uniformizer**v
 
 
 @dataclass(frozen=True)

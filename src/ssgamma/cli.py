@@ -31,7 +31,7 @@ from .integrals import (
     BoundaryNonvanishing,
     IntegralError,
 )
-from .parameter import param_summary, BadResidueChar
+from .parameter import param_summary, ParameterError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -190,9 +190,12 @@ def cmd_scan_support(args) -> int:
             from .padic import rational_valuation
 
             return rational_valuation(z, pp) == 0
-    points, verdict = scan_support(
-        p, args.ell, side, level=args.level, cutoff=args.cutoff, predicate=predicate
-    )
+    try:
+        points, verdict = scan_support(
+            p, args.ell, side, level=args.level, cutoff=args.cutoff, predicate=predicate
+        )
+    except IntegralError as e:
+        raise ConfigError(str(e))
     nonvanishing = [
         {"z": str(pt.z), "y": [str(c) for c in pt.y]} for pt in points if pt.nonzero
     ]
@@ -257,7 +260,7 @@ def cmd_param(args) -> int:
     zeta = _parse_zeta(args.zeta)
     try:
         pd = param_summary(p, args.ell, zeta)
-    except BadResidueChar as e:
+    except ParameterError as e:
         raise ConfigError(str(e))
     doc = {
         "command": "param",

@@ -17,8 +17,16 @@ generic coset solver as the fallback, give its Whittaker value as plain
 ints (i, m, a), meaning zeta^i * zeta_(p^m)^a.  The kernel counts these
 in a histogram keyed by (i, z, m, a).  The measure weight is the same
 at every point off the padding shell (checked per window), so it
-multiplies each (i, z) bucket once, at the end.  Brute-force mode and
+multiplies each bucket once, at the end.  Brute-force mode and
 scan_support use the same evaluator.
+
+A bucket holds the sum over one tame class of z: the pair tame_class(z)
+= (v_p(z), unit residue mod p).  This merge is exact, because the
+section f_s reads z only through that pair: |z| through v, and the tame
+character tau through (v, r), on both sides (Phi* reads b/z, whose
+class the class of z fixes).  So each (zeta, tau) cell evaluates f_s
+once per class instead of once per z.  The GL buckets merge the same
+way on tame_class(a).
 """
 
 from __future__ import annotations
@@ -44,7 +52,14 @@ from .matrices import (
     torus_so2,
     w_long,
 )
-from .characters import TameCharacter, tame_eval, psi_eval, psi_exponent, affine_chi
+from .characters import (
+    TameCharacter,
+    affine_chi,
+    psi_eval,
+    psi_exponent,
+    tame_class,
+    tame_eval,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -114,6 +129,14 @@ def intertwine_M(sec: SectionSpec, h, a, n: int = 1) -> ExactScalar:
 # configuration
 
 
+def check_domain(ell: int, level: int, cutoff: int) -> None:
+    """The truncation every SO domain needs: l >= 1, N >= 2 and V >= 1."""
+    if ell < 1:
+        raise IntegralError(f"need l >= 1, got {ell}")
+    if level < 2 or cutoff < 1:
+        raise IntegralError("need N >= 2 and V >= 1")
+
+
 @dataclass(frozen=True)
 class IntegralConfig:
     prime: int
@@ -127,10 +150,7 @@ class IntegralConfig:
     measure_scale: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.ell < 1:
-            raise IntegralError(f"need l >= 1, got {self.ell}")
-        if self.level < 2 or self.cutoff < 1:
-            raise IntegralError("need N >= 2 and V >= 1")
+        check_domain(self.ell, self.level, self.cutoff)
         if self.mode not in ("support-aware", "brute-force"):
             raise IntegralError("mode must be support-aware or brute-force")
         if self.t is None:
@@ -289,12 +309,18 @@ def _so_whittaker_parts(g, p, ell, t):
 # ---------------------------------------------------------------------------
 # domain enumeration and bucket cache
 #
-# Buckets collect, per (zeta-power i, z-class), the full y-sum of
-# measure-weighted psi_U(u) chi(k) values.  They are independent of zeta
-# and tau, so one enumeration serves the whole (zeta, tau) grid.  A
-# bucket sums its (m, a) counts in the order the points first produced
-# them, so its cyclotomic order and terms are those of a point-by-point
-# sum (one in which no partial sum vanishes).
+# Buckets collect, per zeta-power i and tame class of z, the full sum of
+# measure-weighted psi_U(u) chi(k) values over the y domain and over the
+# z of that class.  They are independent of zeta and tau, so one
+# enumeration serves the whole (zeta, tau) grid.  Merging the z of a
+# class is exact because tau is tame: f_s(z) depends on z only through
+# tame_class(z), so sum_z part(z) f_s(z) = f_s(z0) sum_z part(z) for any
+# z0 of the class.  A bucket is keyed by (i, z0), z0 the first z of its
+# class in sorted order, and the merge runs once per enumeration, after
+# every padding-shell check.  The (m, a) counts at one z are summed in
+# the order the points first produced them, so a bucket's cyclotomic
+# order and terms are those of a point-by-point sum (one in which no
+# partial sum vanishes).
 
 _SO_BUCKETS: dict = {}
 
@@ -385,9 +411,24 @@ def _so_buckets(cfg: IntegralConfig, side: str):
     except BoundaryNonvanishing as e:
         _SO_BUCKETS[key] = e
         raise
-    buckets = {iz: weight * ExactScalar.from_coeff(p, c) for iz, c in sums.items()}
+    merged = _merge_tame_classes(sums, p)
+    buckets = {iz: weight * ExactScalar.from_coeff(p, c) for iz, c in merged.items()}
     _SO_BUCKETS[key] = buckets
     return buckets
+
+
+def _merge_tame_classes(sums, p):
+    """{(*tag, x): value} -> one entry per (*tag, tame_class(x)), keyed by
+    the first (*tag, x) of that class in sorted order."""
+    merged: dict = {}  # (*tag, v, r) -> [first key, running sum]
+    for key in sorted(sums):
+        cls = key[:-1] + tame_class(key[-1], p)
+        hit = merged.get(cls)
+        if hit is None:
+            merged[cls] = [key, sums[key]]
+        else:
+            hit[1] = hit[1] + sums[key]
+    return dict(merged.values())
 
 
 def _iter_y(ys, ell):
@@ -397,14 +438,15 @@ def _iter_y(ys, ell):
 
 
 def _fs_phi(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
-    """f_s(h, 1) = |z|^(s-1/2) tau(z)."""
+    """f_s(h, 1) = |z|^(s-1/2) tau(z); a function of tame_class(z)."""
     p = cfg.prime
     v = rational_valuation(z, p)
     return ExactScalar.from_coeff(p, F1, q_half=v, s_power=v) * tame_eval(cfg.tau, z)
 
 
 def _fs_phi_star(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
-    """M(tau,s) f_s(h^(-1), b_1^*) = |z^(-1)|^(s-1/2) tau(b_1^* z^(-1))."""
+    """M(tau,s) f_s(h^(-1), b_1^*) = |z^(-1)|^(s-1/2) tau(b_1^* z^(-1)); a
+    function of tame_class(z), since b_1^* is fixed."""
     p = cfg.prime
     b = b_element(1, p).star().rows[0][0]
     v = rational_valuation(1 / z, p)
@@ -491,7 +533,9 @@ def _gl_whittaker_parts(rows, p, n):
 
 
 def _gl_buckets(n: int, p: int, level: int, cutoff: int):
-    """For both JPSS sides: (side, j, a-class) -> x-summed weighted values."""
+    """For both JPSS sides: (side, j, a0) -> the weighted values summed
+    over x and over the a of tame_class(a0) (the sections read a only
+    through that class)."""
     key = (n, p, level, cutoff)
     hit = _GL_BUCKETS.get(key)
     if hit is not None:
@@ -555,6 +599,7 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int):
     except BoundaryNonvanishing as e:
         _GL_BUCKETS[key] = e
         raise
+    buckets = _merge_tame_classes(buckets, p)
     _GL_BUCKETS[key] = buckets
     return buckets
 
@@ -665,6 +710,7 @@ def scan_support(
     """Brute-force enumeration of the integrand support versus the lemma
     predicate.  Returns (points, verdict); verdict is True when the
     nonvanishing set matches the predicate exactly."""
+    check_domain(ell, level, cutoff)
     if t is None:
         t = tuple(Fraction(1) for _ in range(ell + 1))
     if predicate is None:

@@ -191,6 +191,8 @@ def _partition_attains(parts: dict, two_ell: int) -> bool:
 
 
 def param_summary(p: int, ell: int, zeta: CyclotomicNumber) -> ParamData:
+    if ell < 1:
+        raise ParameterError(f"need l >= 1, got {ell}")
     two_ell = 2 * ell
     if two_ell % p == 0:
         raise BadResidueChar(f"p = {p} divides 2l = {two_ell}")

@@ -17,6 +17,8 @@ from ssgamma.characters import (
     primitive_root,
     psi_eval,
     psi_exponent,
+    tame_class,
+    tame_eval,
     whittaker_eval,
 )
 from ssgamma.cyclotomic import CyclotomicNumber as C
@@ -143,6 +145,29 @@ def test_tame_rejects_zero_and_nonmonomial():
         tau(0)
     with pytest.raises(CharacterError):
         TameCharacter(p, 0, ExactScalar.one(p) + ExactScalar.one(p) * ExactScalar.from_coeff(p, 1, 1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7, 11)),
+    st.integers(-3, 3),
+    st.integers(1, 10**4),
+    st.integers(-(10**3), 10**3),
+    st.integers(1, 10**3),
+    st.data(),
+)
+def test_tame_eval_reads_only_the_tame_class(p, v, num, k_num, k_den, data):
+    """tau(x) = tau(x (1 + p k)) for p-integral k, and tame_class(p^v u)
+    = (v, u mod p) for a unit u."""
+    assume(num % p and k_den % p)
+    u = Fraction(num * data.draw(st.sampled_from((1, -1))), data.draw(st.integers(1, 50).filter(lambda d: d % p)))
+    x = Fraction(p) ** v * u
+    k = Fraction(k_num, k_den)
+    j = data.draw(st.integers(0, p - 2))
+    pi_val = Fraction(data.draw(st.integers(-9, 9).filter(bool)), data.draw(st.integers(1, 9)))
+    tau = TameCharacter(p, j, ExactScalar.from_coeff(p, pi_val, q_half=data.draw(st.integers(-2, 2))))
+    assert tame_eval(tau, x) == tame_eval(tau, x * (1 + p * k))
+    assert tame_class(x, p) == (v, u.numerator * pow(u.denominator, -1, p) % p)
 
 
 # --- affine generic character ----------------------------------------------

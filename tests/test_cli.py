@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -117,3 +118,63 @@ def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     data = (tmp_path / "g.json").read_bytes()
     assert b"\r" not in data
     assert json.loads(data)["matches"] is True
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--ell", "0"), ("--ell", "1", "--level", "1"), ("--ell", "1", "--cutoff", "0")],
+)
+def test_scan_support_domain_is_a_config_error(capsys, extra):
+    code = main(["scan-support", "--p", "3", "--side", "phi", *extra])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("p,ell", [("5", "-1"), ("3", "0"), ("5", "0")])
+def test_param_rank_below_one_is_a_config_error(capsys, p, ell):
+    code = main(["param", "--p", p, "--ell", ell])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == f"config error: need l >= 1, got {ell}\n"
+
+
+# sha256 of the standard output of fixed invocations, recorded before the
+# SO and GL buckets were merged over tame classes; every exit code is 0
+CLI_DIGESTS = [
+    (
+        ["gamma-so", "--p", "3", "--ell", "1", "--zeta", "-1", "--tau-j", "1", "--tau-pi=-2/3"],
+        "d367c75919559b4f780fd4d5fc370feda202d182b71768556dd42db15a9e100f",
+    ),
+    (
+        ["gamma-so", "--p", "3", "--ell", "1", "--zeta", "1", "--tau-j", "1", "--tau-pi=-2/3", "--mode", "brute"],
+        "4970bf54e09f28cbdd07056d3b829bba2cd52d09229ded7c7d1ca443f50d0fd3",
+    ),
+    (
+        ["gamma-so", "--p", "3", "--ell", "2", "--zeta", "1", "--tau-j", "0", "--tau-pi", "5"],
+        "6684a40a2bad326374586d13c48ae8d48293e3cccd30c34f02cf30b3e8c32175",
+    ),
+    (
+        ["gamma-so", "--p", "3", "--ell", "2", "--zeta", "-1", "--tau-j", "1", "--tau-pi", "5", "--mode", "brute"],
+        "7de5de24410afaafe67e1ca60ca5518f7b8af32ed09dd6b667cd54e7e84e6e18",
+    ),
+    (["table", "--p", "3,5", "--ell", "1"], "af7396732c5760c6f71905953596c642a35edc314f46fa07b55aa85733fca7a6"),
+    (
+        ["scan-support", "--p", "3", "--ell", "1", "--side", "phi"],
+        "e43bf9d059785b353c19b3d930a7dbfd6d0801d022fa72f7da9ee2c4070746ae",
+    ),
+    (
+        ["scan-support", "--p", "3", "--ell", "1", "--side", "phi-star"],
+        "5e1c149680e52f6a588e51737f84d57f68fa33c587932959fb9ffa7c745e16fc",
+    ),
+    (["param", "--p", "5", "--ell", "2", "--zeta", "-1"], "b32025f2015a1db4eac6cfee99428feeb5f82a40b2c57604098d4a85a807af66"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CLI_DIGESTS, ids=[" ".join(a) for a, _ in CLI_DIGESTS])
+def test_cli_output_bytes_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,26 +5,46 @@ its Whittaker value off cheap I+ box tests.  These tests check both
 against the generic code in matrices.py and characters.py, which shares
 none of that path: the sparse builders against the group-element
 product, and the evaluator against whittaker_eval (the generic double
-coset decomposition).
+coset decomposition).  The last tests check the bucket assembly: Phi
+and Phi* rebuilt point by point, with no buckets and no merge over tame
+classes, and the merge itself on buckets that span many tame classes
+(on the real domains only one class per side is nonzero).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ssgamma.characters import PSI_MAX_POWER, WhittakerSpec, whittaker_eval
+from ssgamma.characters import (
+    PSI_MAX_POWER,
+    TameCharacter,
+    WhittakerSpec,
+    tame_class,
+    whittaker_eval,
+)
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
+    IntegralConfig,
+    SectionSpec,
     _dense,
     _in_iplus,
+    _merge_tame_classes,
     _phi_entries,
     _phi_star_entries,
     _so_whittaker_parts,
     _times_gchi,
+    _y_windows,
+    _z_windows,
+    phi_eval,
+    phi_star_eval,
+    section_eval,
 )
 from ssgamma.matrices import (
     GroupMatrix,
+    b_element,
     c_hat,
     delta_o,
     embed_j,
@@ -153,3 +173,96 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral,
     assert parts is not None and parts[0] == i
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix(g.rows, p, "SO_odd"))
+
+
+# --- an oracle for the bucket assembly ------------------------------------------
+
+
+def nonzero_points(p, ell, level, mode, side):
+    """(z, weight, parts) for every point of the domain with W != 0; the
+    weight is the product of the point's own window weights."""
+    ys = _y_windows(ell, p, level, 1, mode)
+    out = []
+    for z, wz, _ in _z_windows(p, level, 1, mode, side):
+        for combo in itertools.product(ys, repeat=ell - 1):
+            y = tuple(c[0] for c in combo)
+            parts = _so_whittaker_parts(entries(side, z, y, ell), p, ell, (1,) * (ell + 1))
+            if parts is not None:
+                w = wz
+                for c in combo:
+                    w = w * c[1]
+                out.append((z, w, parts))
+    return out
+
+
+def pointwise_integral(cfg, side, points):
+    """Phi or Phi* summed point by point: each nonzero point contributes
+    its own window weights times zeta^i zeta_(p^m)^a times f_s(z), with
+    f_s from section_eval.  No buckets and no merge over tame classes."""
+    p = cfg.prime
+    sec = SectionSpec(cfg.tau)
+    b = Fraction(-1)  # b_1^* at n = 1
+    assert b_element(1, p).star().rows == ((b,),)
+    total = ExactScalar.zero(p)
+    for z, w, parts in points:
+        # f_s(h, 1) for Phi, M(tau, s) f_s(h^(-1), b_1^*) for Phi*
+        fs = section_eval(sec, z, 1) if side == "phi" else section_eval(sec, 1 / z, b)
+        total = total + w * kernel_value(p, cfg.zeta, parts) * fs
+    return total
+
+
+@pytest.mark.parametrize(
+    "p,ell,mode",
+    [
+        (3, 1, "support-aware"),
+        (3, 1, "brute-force"),
+        (3, 2, "support-aware"),
+        (3, 2, "brute-force"),
+        (5, 2, "support-aware"),
+    ],
+)
+def test_bucket_assembly_matches_pointwise_sum(p, ell, mode):
+    level = 3 if mode == "support-aware" else 2
+    for side, fast in (("phi", phi_eval), ("phi_star", phi_star_eval)):
+        points = nonzero_points(p, ell, level, mode, side)
+        for j, tau_pi, zsign in ((1, Fraction(2, 3), -1), (p - 2, Fraction(-5), 1)):
+            tau = TameCharacter(p, j, ExactScalar.from_coeff(p, tau_pi))
+            zeta = C.from_rational(zsign)
+            cfg = IntegralConfig(p, ell, zeta, tau, level=level, cutoff=1, mode=mode)
+            want = pointwise_integral(cfg, side, points)
+            got = fast(cfg)
+            assert not want.is_zero()
+            assert got == want
+            assert got.to_records() == want.to_records()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.data())
+def test_tame_class_merge_keeps_every_tame_sum(p, data):
+    """sum part(z) zeta^i tau(z) is the same before and after the merge,
+    for every tame tau, on buckets spread over many classes."""
+    zs = data.draw(
+        st.lists(
+            st.builds(lambda v, u: Fraction(p) ** v * u, st.integers(-2, 2), units(p)),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    sums = {
+        (data.draw(st.integers(0, 1)), z): C(p ** data.draw(st.integers(0, 2)), {data.draw(st.integers(0, 8)): 1})
+        for z in zs
+    }
+    merged = _merge_tame_classes(sums, p)
+    assert set(merged) <= set(sums)
+    assert len(merged) == len({(i,) + tame_class(z, p) for i, z in sums})
+    zeta = -C.one()
+    tau = TameCharacter(p, data.draw(st.integers(0, p - 2)), ExactScalar.from_coeff(p, data.draw(units(p))))
+
+    def total(buckets):
+        out = ExactScalar.zero(p)
+        for (i, z), c in buckets.items():
+            out = out + ExactScalar.from_coeff(p, c * zeta**i) * tau(z)
+        return out
+
+    assert total(merged) == total(sums)

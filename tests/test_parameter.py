@@ -7,6 +7,7 @@ from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.matrices import g_chi_gl
 from ssgamma.parameter import (
     BadResidueChar,
+    ParameterError,
     EisensteinElement,
     UnsupportedElement,
     ZeroElement,
@@ -141,3 +142,68 @@ def test_kappa_table_matches_legendre():
     pd = param_summary(7, 1, C.one())
     assert pd.kappa_table == tuple(legendre(x, 7) for x in range(1, 7))
     assert pd.xi_unit_table == pd.kappa_table
+
+
+def test_rank_below_one_is_rejected_first():
+    for p, ell in ((5, -1), (3, 0), (5, 0)):
+        with pytest.raises(ParameterError, match="need l >= 1"):
+            param_summary(p, ell, C.one())
+
+
+# --- kappa_units against a computed Hilbert symbol ------------------------------
+
+
+def euler_legendre(u, p):
+    """(u/p) by Euler's criterion, for u prime to p."""
+    r = pow(u % p, (p - 1) // 2, p)
+    assert r in (1, p - 1)
+    return 1 if r == 1 else -1
+
+
+def split_p(a, p):
+    """(alpha, u) with a = p^alpha u, u an integer prime to p."""
+    alpha = 0
+    while a % p == 0:
+        a //= p
+        alpha += 1
+    return alpha, a
+
+
+def hilbert_symbol(a, b, p):
+    """(a, b)_p for odd p and nonzero integers a, b (Serre, A Course in
+    Arithmetic, III.1, Thm 1): with a = p^alpha u and b = p^beta v,
+    (a, b) = (-1)^(alpha beta eps(p)) (u/p)^beta (v/p)^alpha, where
+    eps(p) = (p - 1)/2 mod 2."""
+    alpha, u = split_p(a, p)
+    beta, v = split_p(b, p)
+    eps = (p - 1) // 2 % 2
+    return (-1) ** (alpha * beta * eps) * euler_legendre(u, p) ** beta * euler_legendre(v, p) ** alpha
+
+
+def disc_eisenstein(ell, p):
+    """disc(x^(2l) - p) = (-1)^(l(2l-1)) (2l)^(2l) (-p)^(2l-1), from
+    disc(x^n + a) = (-1)^(n(n-1)/2) n^n a^(n-1) at n = 2l, a = -p."""
+    n = 2 * ell
+    return (-1) ** (ell * (n - 1)) * n**n * (-p) ** (n - 1)
+
+
+def test_disc_formula_matches_sympy():
+    import sympy
+
+    x = sympy.Symbol("x")
+    for ell in (1, 2, 3):
+        for p in (3, 5, 7):
+            assert disc_eisenstein(ell, p) == sympy.discriminant(x ** (2 * ell) - p, x)
+
+
+def test_kappa_units_is_the_hilbert_symbol_against_the_discriminant():
+    checked = 0
+    for p in (3, 5, 7, 11, 13):
+        for ell in (1, 2, 3, 4):
+            if (2 * ell) % p == 0:
+                continue
+            d = disc_eisenstein(ell, p)
+            for u in range(1, p):
+                assert kappa_units(u, p) == hilbert_symbol(u, d, p)
+                checked += 1
+    assert checked == 4 * (2 + 4 + 6 + 10 + 12) - 2  # (p, l) = (3, 3) is skipped
