@@ -8,7 +8,7 @@ verified against the closed form and against an independent GL_(2l)
 computation.
 """
 
-from .padic import PAdicNumber, RepSet, rational_valuation
+from .padic import PAdicNumber, rational_valuation
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar, NonMonomialDivisor, ZeroDivisor
 from .matrices import (
@@ -17,8 +17,7 @@ from .matrices import (
     GLCosetWitness,
     coset_decompose,
     coset_decompose_gl,
-    iwahori_test,
-    named_element,
+    in_iplus,
     embed_j,
     xbar,
 )

@@ -21,8 +21,7 @@ from .matrices import (
     CosetWitness,
     coset_decompose,
     coset_decompose_gl,
-    iwahori_test,
-    iwahori_test_gl,
+    in_iplus,
 )
 
 
@@ -179,21 +178,15 @@ def affine_chi(h: GroupMatrix, t=None, flavor: str = "SO") -> CyclotomicNumber:
     affine entries (superdiagonal run plus the corner over pi)."""
     p = h.prime
     n = h.size
-    if flavor == "SO":
-        if not iwahori_test(h, "I+"):
-            raise NotInIPlus("affine_chi needs h in I+")
-        ell = (n - 1) // 2
-        if t is None:
-            t = (1,) * (ell + 1)
-        s = sum(Fraction(t[a]) * h.rows[a][a + 1] for a in range(ell))
-        s += Fraction(t[ell]) * h.rows[n - 2][0] / p
-    else:
-        if not iwahori_test_gl(h):
-            raise NotInIPlus("affine_chi needs h in I+")
-        if t is None:
-            t = (1,) * n
-        s = sum(Fraction(t[a]) * h.rows[a][a + 1] for a in range(n - 1))
-        s += Fraction(t[n - 1]) * h.rows[n - 1][0] / p
+    if not in_iplus(h.items(), p):
+        raise NotInIPlus("affine_chi needs h in I+")
+    # SO_(2l+1): l superdiagonal entries and the corner in row 2l;
+    # GL_n: n - 1 superdiagonal entries and the corner in row n
+    count, corner = ((n - 1) // 2, n - 2) if flavor == "SO" else (n - 1, n - 1)
+    if t is None:
+        t = (1,) * (count + 1)
+    s = sum(Fraction(t[a]) * h.rows[a][a + 1] for a in range(count))
+    s += Fraction(t[count]) * h.rows[corner][0] / p
     return psi_eval(s, p)
 
 

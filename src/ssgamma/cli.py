@@ -30,6 +30,7 @@ from .integrals import (
     scan_support,
     BoundaryNonvanishing,
     IntegralError,
+    check_domain,
 )
 from .parameter import param_summary, ParameterError
 
@@ -222,8 +223,11 @@ def cmd_scan_support(args) -> int:
 def cmd_table(args) -> int:
     ps = [_check_prime(p) for p in _int_list(args.p)]
     ells = _int_list(args.ell)
-    if any(e < 1 for e in ells):
-        raise ConfigError("ell must be >= 1")
+    for ell in ells:
+        try:
+            check_domain(ell, args.level, args.cutoff)
+        except IntegralError as e:
+            raise ConfigError(str(e))
     header = "p,ell,zeta,tau_j,tau_pi,gamma_so,gamma_gl_closed,match,error"
     rows = []
     any_fail = False

@@ -10,7 +10,6 @@ character values) cheap while equality stays exactly decidable.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -265,11 +264,6 @@ class CyclotomicNumber:
         return a.reduced() == b.reduced()
 
     __hash__ = None
-
-    def evaluate(self, embedding: int = 1) -> complex:
-        """Numerical value with zeta_m -> exp(2*pi*i*embedding/m). Sanity tool only."""
-        z = cmath.exp(2j * cmath.pi * embedding / self.order)
-        return sum(complex(c) * z**e for e, c in self.coeffs.items()) if self.coeffs else 0j
 
     def __repr__(self):
         if not self.coeffs:

@@ -47,6 +47,8 @@ from .matrices import (
     mat_transpose,
     coset_decompose,
     coset_decompose_gl,
+    g_chi_so,
+    in_iplus,
     w_element,
     b_element,
     torus_so2,
@@ -212,27 +214,11 @@ def _dense(g, n):
     return tuple(map(tuple, rows))
 
 
-def _in_iplus(g, p):
-    """I+ box on entries: integral, in p below the diagonal, in 1 + p on it."""
-    for (r, c), x in g.items():
-        den = x.denominator
-        if not den % p:
-            return False
-        if r > c:
-            if x.numerator % p:
-                return False
-        elif r == c and (x.numerator - den) % p:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _gchi_entries(n, p):
-    """g_chi as entries: pi^(-1) and pi in the outer corners, -1 between."""
-    g = {(0, 0): F0, (0, n - 1): Fraction(1, p), (n - 1, 0): Fraction(p), (n - 1, n - 1): F0}
-    for r in range(1, n - 1):
-        g[(r, r)] = FM1
-    return g
+    """g_chi_so as entries where it differs from the identity: pi^(-1) and
+    pi in the outer corners, 0 on the outer diagonal, -1 between."""
+    return {(r, c): x for (r, c), x in g_chi_so(n // 2, p).items() if x != (F1 if r == c else F0)}
 
 
 def _times_gchi(g, p, n):
@@ -289,11 +275,11 @@ def _so_whittaker_parts(g, p, ell, t):
     one enumeration serves every central sign.  zeta_(p^m)^a is
     psi_U(u) * chi(k) at the larger order of the two psi values, the
     order their CyclotomicNumber product has; so a need not be a unit."""
-    if _in_iplus(g, p):
+    if in_iplus(g.items(), p):
         return (0,) + psi_exponent(_chi_arg(g, t, ell, p), p)
     n = 2 * ell + 1
     m = _times_gchi(g, p, n)
-    if _in_iplus(m, p):
+    if in_iplus(m.items(), p):
         return (1,) + psi_exponent(_chi_arg_conj(m, t, ell, p), p)
     wit = coset_decompose(GroupMatrix(_dense(g, n), p, "SO_odd"), ell)
     if wit is None:
@@ -323,6 +309,21 @@ def _so_whittaker_parts(g, p, ell, t):
 # partial sum vanishes).
 
 _SO_BUCKETS: dict = {}
+
+
+def _memo(cache, key, build):
+    """cache[key], from build() on a miss.  A BoundaryNonvanishing from
+    build is stored too, and raised again on every later call."""
+    hit = cache.get(key)
+    if hit is None:
+        try:
+            hit = build()
+        except BoundaryNonvanishing as e:
+            hit = e
+        cache[key] = hit
+    if isinstance(hit, BoundaryNonvanishing):
+        raise hit
+    return hit
 
 
 def _y_windows(ell, p, level, cutoff, mode):
@@ -380,41 +381,29 @@ def _window_weight(window):
 
 def _so_buckets(cfg: IntegralConfig, side: str):
     p, ell = cfg.prime, cfg.ell
-    key = (p, ell, cfg.level, cfg.cutoff, cfg.mode, side, cfg.t)
-    hit = _SO_BUCKETS.get(key)
-    if hit is not None:
-        if isinstance(hit, BoundaryNonvanishing):
-            raise hit
-        return hit
     build = _phi_entries if side == "phi" else _phi_star_entries
     ys = _y_windows(ell, p, cfg.level, cfg.cutoff, cfg.mode)
     zs = _z_windows(p, cfg.level, cfg.cutoff, cfg.mode, side)
     weight = _window_weight(zs) * _window_weight(ys) ** (ell - 1)
     sums: dict = {}  # (i, z) -> sum of the point values, without the weight
-    try:
-        for z, _, zpad in zs:
-            counts: dict = {}  # (i, m, a) -> number of points at this z
-            for y, ypad in _iter_y(ys, ell):
-                parts = _so_whittaker_parts(build(z, y, ell), p, ell, cfg.t)
-                if parts is None:
-                    continue
-                if zpad or ypad:
-                    raise BoundaryNonvanishing(
-                        f"nonzero {side} integrand at the padding shell: z={z}, y={y}"
-                    )
-                counts[parts] = counts.get(parts, 0) + 1
-            for (i, m, a), count in counts.items():
-                # count * zeta_(p^m)^a at order p^m, the order of the psi product
-                term = CyclotomicNumber(p**m, {a: count})
-                acc = sums.get((i, z))
-                sums[(i, z)] = term if acc is None else acc + term
-    except BoundaryNonvanishing as e:
-        _SO_BUCKETS[key] = e
-        raise
+    for z, _, zpad in zs:
+        counts: dict = {}  # (i, m, a) -> number of points at this z
+        for y, ypad in _iter_y(ys, ell):
+            parts = _so_whittaker_parts(build(z, y, ell), p, ell, cfg.t)
+            if parts is None:
+                continue
+            if zpad or ypad:
+                raise BoundaryNonvanishing(
+                    f"nonzero {side} integrand at the padding shell: z={z}, y={y}"
+                )
+            counts[parts] = counts.get(parts, 0) + 1
+        for (i, m, a), count in counts.items():
+            # count * zeta_(p^m)^a at order p^m, the order of the psi product
+            term = CyclotomicNumber(p**m, {a: count})
+            acc = sums.get((i, z))
+            sums[(i, z)] = term if acc is None else acc + term
     merged = _merge_tame_classes(sums, p)
-    buckets = {iz: weight * ExactScalar.from_coeff(p, c) for iz, c in merged.items()}
-    _SO_BUCKETS[key] = buckets
-    return buckets
+    return {iz: weight * ExactScalar.from_coeff(p, c) for iz, c in merged.items()}
 
 
 def _merge_tame_classes(sums, p):
@@ -454,7 +443,8 @@ def _fs_phi_star(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
 
 
 def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
-    buckets = _so_buckets(cfg, side)
+    key = (cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side, cfg.t)
+    buckets = _memo(_SO_BUCKETS, key, lambda: _so_buckets(cfg, side))
     fs = _fs_phi if side == "phi" else _fs_phi_star
     total = ExactScalar.zero(cfg.prime)
     for (i, z), part in sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[0][1])):
@@ -473,11 +463,12 @@ def phi_star_eval(cfg: IntegralConfig) -> ExactScalar:
     return _assemble(cfg, "phi_star")
 
 
-def predicted_gamma_so(cfg: IntegralConfig) -> ExactScalar:
-    p = cfg.prime
+def predicted_gamma_so(tau: TameCharacter, zeta: CyclotomicNumber) -> ExactScalar:
+    """The closed form zeta * tau(-pi) * q^(1/2 - s)."""
+    p = tau.prime
     return (
-        ExactScalar.from_coeff(p, cfg.zeta)
-        * tame_eval(cfg.tau, -p)
+        ExactScalar.from_coeff(p, zeta)
+        * tame_eval(tau, -p)
         * ExactScalar.from_coeff(p, F1, q_half=1, s_power=1)
     )
 
@@ -491,7 +482,7 @@ def gamma_so(cfg: IntegralConfig) -> GammaResult:
         computed = num / den
     except ZeroDivisor:  # pragma: no cover - den checked above
         raise ZeroDenominator("Phi vanished; support or measure bug")
-    predicted = predicted_gamma_so(cfg)
+    predicted = predicted_gamma_so(cfg.tau, cfg.zeta)
     meta = {
         "p": cfg.prime,
         "ell": cfg.ell,
@@ -536,12 +527,6 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int):
     """For both JPSS sides: (side, j, a0) -> the weighted values summed
     over x and over the a of tame_class(a0) (the sections read a only
     through that class)."""
-    key = (n, p, level, cutoff)
-    hit = _GL_BUCKETS.get(key)
-    if hit is not None:
-        if isinstance(hit, BoundaryNonvanishing):
-            raise hit
-        return hit
     wl = w_long(n, p).lists()
     wn1 = mat_identity(n)
     if n >= 3:  # diag(1, w_(n-1))
@@ -562,46 +547,40 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int):
         acc = buckets.get((side, j, a))
         buckets[(side, j, a)] = term if acc is None else acc + term
 
-    try:
-        for v in range(-cutoff - 1, cutoff + 2):
-            pad_a = abs(v) > cutoff
-            for ua in range(p**level):
-                if ua % p == 0:
+    for v in range(-cutoff - 1, cutoff + 2):
+        pad_a = abs(v) > cutoff
+        for ua in range(p**level):
+            if ua % p == 0:
+                continue
+            a = Fraction(p) ** v * ua
+            # plain side: W(diag(a, I_(n-1)))
+            rows = mat_identity(n)
+            rows[0][0] = a
+            parts = _gl_whittaker_parts(rows, p, n)
+            if parts is not None:
+                if pad_a:
+                    raise BoundaryNonvanishing(f"JPSS plain side at shell: a={a}")
+                j, val = parts
+                add("plain", j, a, ExactScalar.from_coeff(p, aw * val))
+            # dual side: W(w_long t(g)^(-1) w_(n,1)) over the x column
+            for xcombo, xw, pad_x in _iter_x(xs, n):
+                m = mat_identity(n)
+                m[0][0] = a
+                for r, xv in enumerate(xcombo):
+                    m[1 + r][0] = xv
+                arg = mat_mul(mat_mul(wl, mat_inv(mat_transpose(m))), wn1)
+                parts = _gl_whittaker_parts(arg, p, n)
+                if parts is None:
                     continue
-                a = Fraction(p) ** v * ua
-                # plain side: W(diag(a, I_(n-1)))
-                rows = mat_identity(n)
-                rows[0][0] = a
-                parts = _gl_whittaker_parts(rows, p, n)
-                if parts is not None:
-                    if pad_a:
-                        raise BoundaryNonvanishing(f"JPSS plain side at shell: a={a}")
-                    j, val = parts
-                    add("plain", j, a, ExactScalar.from_coeff(p, aw * val))
-                # dual side: W(w_long t(g)^(-1) w_(n,1)) over the x column
-                for xcombo, xw, pad_x in _iter_x(xs, n):
-                    m = mat_identity(n)
-                    m[0][0] = a
-                    for r, xv in enumerate(xcombo):
-                        m[1 + r][0] = xv
-                    arg = mat_mul(mat_mul(wl, mat_inv(mat_transpose(m))), wn1)
-                    parts = _gl_whittaker_parts(arg, p, n)
-                    if parts is None:
-                        continue
-                    if pad_a or pad_x:
-                        raise BoundaryNonvanishing(
-                            f"JPSS dual side at shell: a={a}, x={xcombo}"
-                        )
-                    j, val = parts
-                    # each x coordinate carries vol(o) = q^(1/2)
-                    wgt = ExactScalar.from_coeff(p, aw * xw * val, q_half=n - 2)
-                    add("dual", j, a, wgt)
-    except BoundaryNonvanishing as e:
-        _GL_BUCKETS[key] = e
-        raise
-    buckets = _merge_tame_classes(buckets, p)
-    _GL_BUCKETS[key] = buckets
-    return buckets
+                if pad_a or pad_x:
+                    raise BoundaryNonvanishing(
+                        f"JPSS dual side at shell: a={a}, x={xcombo}"
+                    )
+                j, val = parts
+                # each x coordinate carries vol(o) = q^(1/2)
+                wgt = ExactScalar.from_coeff(p, aw * xw * val, q_half=n - 2)
+                add("dual", j, a, wgt)
+    return _merge_tame_classes(buckets, p)
 
 
 def _iter_x(xs, n):
@@ -629,7 +608,7 @@ def jpss_gl_gamma(
     if zeta**n != CyclotomicNumber.one():
         raise BadRoot("zeta must satisfy zeta^n = 1")
     p = tau.prime
-    buckets = _gl_buckets(n, p, level, cutoff)
+    buckets = _memo(_GL_BUCKETS, (n, p, level, cutoff), lambda: _gl_buckets(n, p, level, cutoff))
     tau_inv = tau.inverse()
     plain = ExactScalar.zero(p)
     dual = ExactScalar.zero(p)
@@ -659,13 +638,7 @@ def match_so_gl(ell: int, tau: TameCharacter, zeta: CyclotomicNumber, cfg: Integ
     computed pipelines when a config is supplied)."""
     if zeta * zeta != CyclotomicNumber.one():
         raise BadRoot("the orthogonal side needs zeta^2 = 1")
-    so_pred = (
-        ExactScalar.from_coeff(tau.prime, zeta)
-        * tame_eval(tau, -tau.prime)
-        * ExactScalar.from_coeff(tau.prime, F1, q_half=1, s_power=1)
-    )
-    gl_pred = gamma_gl_closed(2 * ell, tau, zeta)
-    if so_pred != gl_pred:
+    if predicted_gamma_so(tau, zeta) != gamma_gl_closed(2 * ell, tau, zeta):
         return False
     if cfg is not None:
         so = gamma_so(cfg)

@@ -1,15 +1,11 @@
-"""Matrices over Q_p: split odd orthogonal groups, named elements,
-Iwahori filtration predicates, and the double-coset solver behind the
-explicit Whittaker functions.
+"""Matrices over Q_p: split odd orthogonal groups, named elements, the
+I+ membership test, and the double-coset solver behind the explicit
+Whittaker functions.
 
 Conventions: SO_m is defined by det = 1 and tg J g = J with J the
-antidiagonal of ones.  The Iwahori predicates are concrete
-entry-valuation tests:
-
-  I    : integral, upper triangular with unit diagonal mod p
-  I+   : integral, unipotent upper triangular mod p
-  I++  : I+ and additionally g[i][i+1] in p for i = 1..l and
-         g[2l][1] in p^2 (the simple affine entries, 1-indexed)
+antidiagonal of ones.  I+ (the pro-unipotent radical of the standard
+Iwahori) is the entry test in_iplus: integral, in p below the diagonal
+and in 1 + p on it; the same predicate serves SO_(2l+1) and GL_n.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PAdicNumber, rational_valuation, INF
+from .padic import PAdicNumber
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -67,43 +63,71 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_det(a):
-    """Determinant by fraction Gaussian elimination, exact."""
-    n = len(a)
-    m = [row[:] for row in a]
+def _gauss_jordan(m, n):
+    """Reduce the rows m = [B | C] (B the first n columns) in place to
+    [I | B^(-1) C] by exact Gauss-Jordan elimination; returns det B.
+    Raises SingularMatrix when B is singular."""
     det = F1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            return F0
+            raise SingularMatrix("matrix is singular")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = -det
         det *= m[col][col]
-        inv = F1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def mat_inv(a):
-    n = len(a)
-    m = [row[:] + ident_row for row, ident_row in zip([r[:] for r in a], mat_identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
         inv = F1 / m[col][col]
         m[col] = [x * inv for x in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def mat_det(a):
+    """Exact determinant; 0 for a singular matrix."""
+    try:
+        return _gauss_jordan([list(row) for row in a], len(a))
+    except SingularMatrix:
+        return F0
+
+
+def mat_inv(a):
+    n = len(a)
+    m = [list(row) + e for row, e in zip(a, mat_identity(n))]
+    _gauss_jordan(m, n)
     return [row[n:] for row in m]
+
+
+def _solve_row(bmat, v):
+    """The row c with c . B = v, exactly (the system B^T c^T = v^T)."""
+    n = len(bmat)
+    m = [[bmat[r][c] for r in range(n)] + [v[c]] for c in range(n)]
+    _gauss_jordan(m, n)
+    return [row[n] for row in m]
+
+
+def mat_star(a):
+    """The outer form involution g -> g* = J tg^(-1) J."""
+    return [row[::-1] for row in reversed(mat_inv(mat_transpose(a)))]
+
+
+def in_iplus(entries, p) -> bool:
+    """The I+ test on ((row, col), x) pairs: x integral, in p below the
+    diagonal, in 1 + p on it.  Entries not listed are those of the
+    identity.  Integer checks on the reduced fraction, so v_p(x) >= 0 is
+    p not dividing the denominator."""
+    for (r, c), x in entries:
+        den = x.denominator
+        if not den % p:
+            return False
+        if r > c:
+            if x.numerator % p:
+                return False
+        elif r == c and (x.numerator - den) % p:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +168,9 @@ class GroupMatrix:
     def lists(self):
         return [list(r) for r in self.rows]
 
-    def entry(self, i, j) -> PAdicNumber:
-        return PAdicNumber(self.rows[i][j], self.prime)
+    def items(self):
+        """((row, col), entry) for every entry, the pairs in_iplus reads."""
+        return (((r, c), x) for r, row in enumerate(self.rows) for c, x in enumerate(row))
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.size != other.size or self.prime != other.prime:
@@ -158,18 +183,9 @@ class GroupMatrix:
     def inv(self) -> "GroupMatrix":
         return GroupMatrix(tuple(tuple(r) for r in mat_inv(self.lists())), self.prime, self.ambient)
 
-    def transpose(self) -> "GroupMatrix":
-        return GroupMatrix(tuple(zip(*self.rows)), self.prime, self.ambient)
-
-    def det(self) -> Fraction:
-        return mat_det(self.lists())
-
     def star(self) -> "GroupMatrix":
         """g* = J tg^(-1) J."""
-        n = self.size
-        ti = mat_inv(mat_transpose(self.lists()))
-        rows = tuple(tuple(ti[n - 1 - i][n - 1 - j] for j in range(n)) for i in range(n))
-        return GroupMatrix(rows, self.prime, self.ambient)
+        return GroupMatrix(tuple(map(tuple, mat_star(self.lists()))), self.prime, self.ambient)
 
     def is_identity(self) -> bool:
         return self.rows == tuple(tuple(mat_identity(self.size)[i]) for i in range(self.size))
@@ -219,9 +235,11 @@ def _ell_of_size(n):
     return (n - 1) // 2
 
 
+@lru_cache(maxsize=None)
 def g_chi_so(ell: int, prime: int) -> GroupMatrix:
     """The normalizer of I+ attached to the affine generic character: the
-    antidiagonal-corner element with pi^(-1), -1 block, pi; squares to 1."""
+    antidiagonal-corner element with pi^(-1), -1 block, pi; squares to 1.
+    Built and verified once per (l, p); GroupMatrix is immutable."""
     n = 2 * ell + 1
     rows = [[F0] * n for _ in range(n)]
     rows[0][n - 1] = Fraction(1, prime)
@@ -231,8 +249,9 @@ def g_chi_so(ell: int, prime: int) -> GroupMatrix:
     return GroupMatrix.make(rows, prime, "SO_odd")
 
 
+@lru_cache(maxsize=None)
 def g_chi_gl(n: int, prime: int) -> GroupMatrix:
-    """Superdiagonal ones with pi in the lower-left corner."""
+    """Superdiagonal ones with pi in the lower-left corner (memoized)."""
     rows = [[F0] * n for _ in range(n)]
     for i in range(n - 1):
         rows[i][i + 1] = F1
@@ -266,16 +285,6 @@ def omega_prime(n: int, ell: int, prime: int) -> GroupMatrix:
     size = 2 * ell + 1
     rows = mat_identity(size)
     i, j = n - 1, size - n
-    rows[i][i] = rows[j][j] = F0
-    rows[i][j] = rows[j][i] = F1
-    return GroupMatrix.make(rows, prime, "GL")
-
-
-def omega_swap(n: int, prime: int) -> GroupMatrix:
-    """The 2n x 2n permutation swapping the two middle slots."""
-    size = 2 * n
-    rows = mat_identity(size)
-    i, j = n - 1, n
     rows[i][i] = rows[j][j] = F0
     rows[i][j] = rows[j][i] = F1
     return GroupMatrix.make(rows, prime, "GL")
@@ -319,25 +328,6 @@ def w_long(n: int, prime: int) -> GroupMatrix:
     return GroupMatrix.make(rows, prime, "GL")
 
 
-NAMED = {
-    "g_chi_so": g_chi_so,
-    "g_chi_gl": g_chi_gl,
-    "delta_o": delta_o,
-    "c_hat": c_hat,
-    "omega_prime": omega_prime,
-    "omega": omega_swap,
-    "w_n": w_element,
-    "b_n": b_element,
-    "torus_so2": torus_so2,
-}
-
-
-def named_element(name: str, prime: int, **params) -> GroupMatrix:
-    if name not in NAMED:
-        raise ValueError(f"unknown named element {name!r}")
-    return NAMED[name](prime=prime, **params)
-
-
 def embed_j(h: GroupMatrix, ell: int) -> GroupMatrix:
     """Block embedding SO_2n -> SO_(2l+1): corners around a middle identity."""
     if h.size % 2:
@@ -376,89 +366,7 @@ def xbar(y, ell: int, prime: int, verify: bool = False) -> GroupMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Iwahori filtration predicates
-
-
-def _val(x: Fraction, p: int):
-    return rational_valuation(x, p)
-
-
-def iwahori_test(g: GroupMatrix, level: str) -> bool:
-    """Entry-valuation test for I, I+ or I++ (odd size; l from the size)."""
-    n = g.size
-    p = g.prime
-    a = g.rows
-    for i in range(n):
-        for j in range(n):
-            v = _val(a[i][j], p)
-            if v < 0:
-                return False
-            if i > j and v < 1:
-                return False
-        dv = _val(a[i][i] - 1, p)
-        if level in ("I+", "I++"):
-            if dv < 1:
-                return False
-        else:
-            if _val(a[i][i], p) != 0:
-                return False
-    if level == "I++":
-        ell = _ell_of_size(n)
-        for i in range(ell):
-            if _val(a[i][i + 1], p) < 1:
-                return False
-        if _val(a[2 * ell - 1][0], p) < 2:
-            return False
-    return True
-
-
-def iwahori_test_gl(g: GroupMatrix) -> bool:
-    """The I+ predicate for GL_n (integral, unipotent upper mod p)."""
-    n, p, a = g.size, g.prime, g.rows
-    for i in range(n):
-        if _val(a[i][i] - 1, p) < 1:
-            return False
-        for j in range(n):
-            v = _val(a[i][j], p)
-            if v < 0 or (i > j and v < 1):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # the U * I+ elimination
-
-
-def _in_iplus_row(row, r, p):
-    """Row r of an I+ candidate: p below the diagonal, unit 1+p on it, o above."""
-    for j, x in enumerate(row):
-        v = _val(x, p)
-        if v < 0:
-            return False
-        if j < r and v < 1:
-            return False
-        if j == r and _val(x - 1, p) < 1:
-            return False
-    return True
-
-
-def _solve_row(bmat, v):
-    """Solve c . B = v exactly (B invertible over o by construction)."""
-    n = len(bmat)
-    # transpose to a standard linear solve B^T c^T = v^T
-    m = [[bmat[r][c] for r in range(n)] + [v[c]] for c in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise SingularMatrix("elimination block unexpectedly singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = F1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 def eliminate_u_iplus(m_rows, p):
@@ -482,7 +390,7 @@ def eliminate_u_iplus(m_rows, p):
                     if coef:
                         src = k[r + 1 + t]
                         k[r] = [x + coef * y for x, y in zip(k[r], src)]
-        if not _in_iplus_row(k[r], r, p):
+        if not in_iplus((((r, j), x) for j, x in enumerate(k[r])), p):
             return None
     u = mat_mul([list(r) for r in m_rows], mat_inv(k))
     return u, k
@@ -507,13 +415,6 @@ def unipotent_sqrt(w_rows):
     return out
 
 
-def _sigma(rows):
-    """The outer form involution g -> J tg^(-1) J on GL_N."""
-    n = len(rows)
-    ti = mat_inv(mat_transpose(rows))
-    return [[ti[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class CosetWitness:
     u: GroupMatrix
@@ -534,15 +435,15 @@ def coset_decompose(g: GroupMatrix, ell: int = None) -> CosetWitness | None:
     Since g_chi normalizes I+, membership in U g_chi^i I+ is equivalent to
     g g_chi^(-i) in U I+, decided by eliminate_u_iplus.  The GL witness is
     then symmetrized into SO by the square-root twist u -> u w^(1/2),
-    w = u^(-1) sigma(u), which lands u in U_SO and keeps k in I+.
+    w = u^(-1) u*, which lands u in U_SO and keeps k in I+.
     """
     p = g.prime
     if ell is None:
         ell = _ell_of_size(g.size)
-    gchi = g_chi_so(ell, p)
-    fast = iwahori_test(g, "I+")
+    gchi = g_chi_so(ell, p).lists()  # an involution: g_chi^(-1) = g_chi
+    fast = in_iplus(g.items(), p)
     for i in (0, 1):
-        m = g.lists() if i == 0 else mat_mul(g.lists(), mat_inv(gchi.lists()))
+        m = g.lists() if i == 0 else mat_mul(g.lists(), gchi)
         if i == 0 and fast:
             res = (mat_identity(g.size), m)
         else:
@@ -550,7 +451,7 @@ def coset_decompose(g: GroupMatrix, ell: int = None) -> CosetWitness | None:
         if res is None:
             continue
         u, kp = res
-        sig = _sigma(u)
+        sig = mat_star(u)
         if sig != u:
             w = mat_mul(mat_inv(u), sig)
             x = unipotent_sqrt(w)
@@ -558,12 +459,12 @@ def coset_decompose(g: GroupMatrix, ell: int = None) -> CosetWitness | None:
             kp = mat_mul(mat_inv(x), kp)
         if i:
             # g = u kp g_chi, rewrite with k = g_chi^(-1) kp g_chi in I+
-            k = mat_mul(mat_inv(gchi.lists()), mat_mul(kp, gchi.lists()))
+            k = mat_mul(gchi, mat_mul(kp, gchi))
         else:
             k = kp
         um = GroupMatrix.make(u, p, "SO_odd", verify=False)
         km = GroupMatrix.make(k, p, "SO_odd", verify=False)
-        if not iwahori_test(km, "I+"):
+        if not in_iplus(km.items(), p):
             return None
         return CosetWitness(um, i, km)
     return None
@@ -671,7 +572,7 @@ def random_so_iplus(rng, ell: int, prime: int) -> GroupMatrix:
                 out = out * so_root_element(ell, p, a, b, c)
             except BadDimension:
                 continue
-    if not iwahori_test(out, "I+"):
+    if not in_iplus(out.items(), p):
         raise MatrixError("sampler left I+; adjust parameters")
     return out
 
@@ -687,6 +588,6 @@ def random_gl_iplus(rng, n: int, prime: int) -> GroupMatrix:
             elif i > j:
                 rows[i][j] = p * Fraction(rng.randint(-p, p))
     g = GroupMatrix.make(rows, prime, "GL")
-    if not iwahori_test_gl(g):
+    if not in_iplus(g.items(), p):
         raise MatrixError("GL I+ sampler failed")
     return g

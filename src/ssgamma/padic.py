@@ -6,8 +6,7 @@ exactly from the fraction, so no truncation or rounding ever happens.
 The uniformizer is p itself and the residue field has q = p elements.
 
 Measures follow vol(o) = q^(1/2) (additive) and vol(o^x) = 1
-(multiplicative); RepSet.enumerate realizes compact(-ly truncated) sets
-as finite lists of representatives with exact measure weights.
+(multiplicative).
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .scalars import ExactScalar
 
 INF = math.inf
 
@@ -101,13 +98,6 @@ class PAdicNumber:
     def valuation(self):
         return rational_valuation(self.value, self.prime)
 
-    def unit_part(self) -> Fraction:
-        """x * p^(-v(x)); x must be nonzero."""
-        v = self.valuation()
-        if v is INF:
-            raise PAdicError("unit part of zero")
-        return self.value * Fraction(self.prime) ** (-v)
-
     def residue(self, k: int = 1) -> int:
         """The class of x in o/p^k as an integer in [0, p^k)."""
         if k < 1:
@@ -138,95 +128,3 @@ class PAdicNumber:
 
     def __repr__(self):
         return f"PAdic({self.value}, p={self.prime})"
-
-
-# ---------------------------------------------------------------------------
-# finite sets of representatives with measure weights
-
-
-@dataclass(frozen=True)
-class RepSet:
-    """A compact piece of F or F^x, cut into classes at level N.
-
-    kinds (additive measure dv, vol(o) = q^(1/2)):
-      "o_mod_pN"       o modulo p^N
-      "p_mod_pN"       p modulo p^N
-      "p-V_o_mod_pN"   p^(-V) o modulo p^N
-    kinds (multiplicative measure, vol(o^x) = 1):
-      "units_mod"      o^x modulo 1 + p^N
-      "1+p_mod"        1 + p modulo 1 + p^N
-      "piv_units_mod"  pi^V o^x modulo 1 + p^N   (V may be negative)
-    """
-
-    prime: int
-    kind: str
-    level: int
-    shift: int = 0
-    scale: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level N must be >= 1")
-
-    def volume(self) -> ExactScalar:
-        p, N, V = self.prime, self.level, self.shift
-        s = Fraction(self.scale)
-        if self.kind == "o_mod_pN":
-            return ExactScalar.from_coeff(p, s, q_half=1)
-        if self.kind == "p_mod_pN":
-            return ExactScalar.from_coeff(p, s, q_half=-1)
-        if self.kind == "p-V_o_mod_pN":
-            return ExactScalar.from_coeff(p, s, q_half=1 + 2 * V)
-        if self.kind == "units_mod":
-            return ExactScalar.from_coeff(p, s)
-        if self.kind == "1+p_mod":
-            return ExactScalar.from_coeff(p, s / (p - 1))
-        if self.kind == "piv_units_mod":
-            return ExactScalar.from_coeff(p, s)
-        raise ValueError(f"unknown RepSet kind {self.kind!r}")
-
-    def count(self) -> int:
-        p, N, V = self.prime, self.level, self.shift
-        if self.kind == "o_mod_pN":
-            return p**N
-        if self.kind == "p_mod_pN":
-            return p ** (N - 1)
-        if self.kind == "p-V_o_mod_pN":
-            return p ** (N + V)
-        if self.kind == "units_mod":
-            return (p - 1) * p ** (N - 1)
-        if self.kind == "1+p_mod":
-            return p ** (N - 1)
-        if self.kind == "piv_units_mod":
-            return (p - 1) * p ** (N - 1)
-        raise ValueError(f"unknown RepSet kind {self.kind!r}")
-
-    def weight(self) -> ExactScalar:
-        return self.volume() / ExactScalar.from_coeff(self.prime, self.count())
-
-    def representatives(self):
-        p, N, V = self.prime, self.level, self.shift
-        F = Fraction
-        if self.kind == "o_mod_pN":
-            vals = (F(a) for a in range(p**N))
-        elif self.kind == "p_mod_pN":
-            vals = (F(p * a) for a in range(p ** (N - 1)))
-        elif self.kind == "p-V_o_mod_pN":
-            vals = (F(a, p**V) for a in range(p ** (N + V)))
-        elif self.kind == "units_mod":
-            vals = (F(a) for a in range(1, p**N) if a % p)
-        elif self.kind == "1+p_mod":
-            vals = (F(1 + p * a) for a in range(p ** (N - 1)))
-        elif self.kind == "piv_units_mod":
-            piv = F(p) ** V
-            vals = (piv * a for a in range(1, p**N) if a % p)
-        else:
-            raise ValueError(f"unknown RepSet kind {self.kind!r}")
-        for v in vals:
-            yield PAdicNumber(v, p)
-
-    def enumerate(self):
-        """Yield (representative, weight) pairs; weights sum to the volume."""
-        w = self.weight()
-        for x in self.representatives():
-            yield x, w

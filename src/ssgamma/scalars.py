@@ -13,11 +13,11 @@ canonical h by stripping the p-content of the coefficient.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import CyclotomicNumber
+from .padic import rational_valuation
 
 
 class ScalarError(Exception):
@@ -30,19 +30,6 @@ class NonMonomialDivisor(ScalarError):
 
 class ZeroDivisor(ScalarError):
     pass
-
-
-def _p_valuation(x: Fraction, p: int) -> int:
-    """v_p of a nonzero rational."""
-    v = 0
-    n, d = x.numerator, x.denominator
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
 
 
 def _content(c: CyclotomicNumber) -> Fraction:
@@ -93,10 +80,6 @@ class ExactScalar:
     def from_coeff(prime: int, c, q_half: int = 0, s_power: int = 0) -> "ExactScalar":
         """c * q^(q_half/2) * (q^(-s))^s_power."""
         return ExactScalar(prime, {(q_half, s_power): c})
-
-    @staticmethod
-    def q_power(prime: int, q_half: int) -> "ExactScalar":
-        return ExactScalar.from_coeff(prime, 1, q_half=q_half)
 
     # -- ring structure ------------------------------------------------
 
@@ -193,7 +176,7 @@ class ExactScalar:
         """List of (q_half, s_power, coefficient) with p-free coefficient content."""
         out = []
         for (par, k), c in sorted(self.terms.items()):
-            v = _p_valuation(_content(c), self.prime)
+            v = rational_valuation(_content(c), self.prime)
             coeff = c * Fraction(self.prime) ** (-v)
             out.append((par + 2 * v, k, coeff))
         return out
@@ -212,14 +195,6 @@ class ExactScalar:
         for r in recs:
             c = CyclotomicNumber(r["order"], [Fraction(x) for x in r["coeffs"]])
             total = total + ExactScalar.from_coeff(prime, c, r["q_half"], r["s_power"])
-        return total
-
-    def evaluate(self, s: complex, embedding: int = 1) -> complex:
-        """Numerical value at a complex s and a chosen root-of-unity embedding."""
-        q = self.prime
-        total = 0j
-        for (par, k), c in self.terms.items():
-            total += c.evaluate(embedding) * q ** (par / 2) * cmath.exp(-s * k * cmath.log(q))
         return total
 
     def __repr__(self):

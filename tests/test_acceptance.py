@@ -27,7 +27,7 @@ from ssgamma.integrals import (
 from ssgamma.matrices import (
     coset_decompose,
     g_chi_so,
-    iwahori_test,
+    in_iplus,
     random_so_iplus,
     random_so_unipotent,
     so_check,
@@ -147,7 +147,7 @@ def test_coset_roundtrip_hundred_products():
         wit = coset_decompose(g, ell)
         assert wit is not None and wit.i == i
         assert wit.recompose(gchi).rows == g.rows
-        assert so_check(wit.u) and iwahori_test(wit.k, "I+")
+        assert so_check(wit.u) and in_iplus(wit.k.items(), p)
         done += 1
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ssgamma import integrals
 from ssgamma.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 
 
@@ -130,6 +131,28 @@ def test_scan_support_domain_is_a_config_error(capsys, extra):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--ell", "1", "--level", "1"), ("--ell", "1", "--cutoff", "0"), ("--ell", "1,0")],
+)
+def test_table_domain_is_a_config_error(capsys, extra):
+    code = main(["table", "--p", "3", *extra])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+def test_gamma_so_brute_reports_a_nonzero_shell_point(capsys, monkeypatch):
+    monkeypatch.setattr(integrals, "_so_whittaker_parts", lambda g, p, ell, t: (0, 0, 0))
+    monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+    code, out = run(capsys, "gamma-so", "--p", "3", "--ell", "1", "--zeta", "1", "--mode", "brute")
+    assert code == EXIT_MISMATCH
+    doc = json.loads(out)
+    assert doc["error"] == "boundary_nonvanishing"
+    assert doc["detail"].startswith("nonzero phi_star integrand at the padding shell: ")
 
 
 @pytest.mark.parametrize("p,ell", [("5", "-1"), ("3", "0"), ("5", "0")])

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from ssgamma import integrals
 from ssgamma.characters import TameCharacter
 from ssgamma.cli import scalar_str
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
+    BoundaryNonvanishing,
     IntegralConfig,
     IntegralError,
     SectionSpec,
@@ -22,6 +24,7 @@ from ssgamma.integrals import (
     scan_support,
     section_eval,
 )
+from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
 
@@ -149,7 +152,7 @@ def test_serialized_records_match_closed_forms(mode, cells):
                 for tp in (1, -1, Fraction(3, 7), Fraction(-25, 9)):
                     tau = TameCharacter(p, j, ES(p, tp))
                     cfg = IntegralConfig(p, ell, zeta, tau, level=2, cutoff=1, mode=mode)
-                    got, want = gamma_so(cfg).computed, predicted_gamma_so(cfg)
+                    got, want = gamma_so(cfg).computed, predicted_gamma_so(cfg.tau, cfg.zeta)
                     assert got.to_records() == want.to_records()
                     assert scalar_str(got) == scalar_str(want)
                     assert phi_eval(cfg).to_records() == vol_phi(p, ell).to_records()
@@ -247,3 +250,51 @@ def test_scan_support_detects_wrong_predicate():
 
     _, verdict = scan_support(p, 1, "phi", level=2, cutoff=1, predicate=wrong)
     assert not verdict
+
+
+# --- the padding-shell guard ---------------------------------------------------
+
+
+def shell_nonzero_evaluator(monkeypatch, cutoff):
+    """Replace the SO evaluator (with a fresh bucket cache) by one that is
+    also nonzero at the Phi points with v_p(z) > V; returns its call log."""
+    real = integrals._so_whittaker_parts
+    calls = []
+
+    def fake(g, p, ell, t):
+        calls.append(g)
+        if rational_valuation(g[(0, 0)], p) > cutoff:
+            return (0, 0, 0)
+        return real(g, p, ell, t)
+
+    monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
+    monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+    return calls
+
+
+def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
+    p, level, cutoff = 3, 2, 1
+    calls = shell_nonzero_evaluator(monkeypatch, cutoff)
+    cfg = IntegralConfig(p, 1, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
+    zs = integrals._z_windows(p, level, cutoff, "brute-force", "phi")
+    first = next(z for z, _, pad in zs if pad and rational_valuation(z, p) > 0)
+    message = f"nonzero phi integrand at the padding shell: z={first}, y=()"
+    with pytest.raises(BoundaryNonvanishing) as err:
+        phi_eval(cfg)
+    assert str(err.value) == message
+    assert calls[-1][(0, 0)] == first
+    # the error is memoized: the second call does not enumerate again
+    enumerated = len(calls)
+    with pytest.raises(BoundaryNonvanishing) as again:
+        phi_eval(cfg)
+    assert str(again.value) == message
+    assert len(calls) == enumerated
+
+
+def test_jpss_raises_on_a_nonzero_shell_point(monkeypatch):
+    p, cutoff = 3, 1
+    monkeypatch.setattr(integrals, "_gl_whittaker_parts", lambda rows, prime, n: (0, C.one()))
+    monkeypatch.setattr(integrals, "_GL_BUCKETS", {})
+    first = Fraction(p) ** (-cutoff - 1)  # the first a of the plain side
+    with pytest.raises(BoundaryNonvanishing, match=f"^JPSS plain side at shell: a={first}$"):
+        jpss_gl_gamma(2, trivial_tau(p), C.one(), level=2, cutoff=cutoff)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from ssgamma.matrices import (
     BadDimension,
     GroupMatrix,
     NotInGroup,
+    SingularMatrix,
+    _solve_row,
     b_element,
     c_hat,
     coset_decompose,
@@ -17,8 +20,9 @@ from ssgamma.matrices import (
     embed_j,
     g_chi_gl,
     g_chi_so,
-    iwahori_test,
-    iwahori_test_gl,
+    in_iplus,
+    mat_det,
+    mat_inv,
     omega_prime,
     random_gl_iplus,
     random_so_iplus,
@@ -31,6 +35,7 @@ from ssgamma.matrices import (
     w_long,
     xbar,
 )
+from ssgamma.padic import rational_valuation
 
 
 def test_g_chi_so_is_involution():
@@ -91,22 +96,21 @@ def test_iwahori_membership():
     p = 3
     ell = 2
     eye = GroupMatrix.make([[1 if i == j else 0 for j in range(5)] for i in range(5)], p, "SO_odd")
-    assert iwahori_test(eye, "I")
-    assert iwahori_test(eye, "I+")
+    assert in_iplus(eye.items(), p)
     u = so_root_element(ell, p, 0, 1, Fraction(p))
-    assert iwahori_test(u, "I+")
+    assert in_iplus(u.items(), p)
     v = so_root_element(ell, p, 0, 1, Fraction(1))
-    assert iwahori_test(v, "I") and iwahori_test(v, "I+")
+    assert in_iplus(v.items(), p)
     lower = so_root_element(ell, p, 1, 0, Fraction(1))
-    assert not iwahori_test(lower, "I+")
-    assert iwahori_test(so_root_element(ell, p, 1, 0, Fraction(p)), "I+")
+    assert not in_iplus(lower.items(), p)
+    assert in_iplus(so_root_element(ell, p, 1, 0, Fraction(p)).items(), p)
 
 
 def test_iwahori_gl():
     p = 3
     g = GroupMatrix.make([[1, 2], [p, 1]], p)
-    assert iwahori_test_gl(g)
-    assert not iwahori_test_gl(GroupMatrix.make([[1, 2], [1, 1]], p))
+    assert in_iplus(g.items(), p)
+    assert not in_iplus(GroupMatrix.make([[1, 2], [1, 1]], p).items(), p)
 
 
 def test_eliminate_u_iplus_direct():
@@ -119,7 +123,7 @@ def test_eliminate_u_iplus_direct():
     res = eliminate_u_iplus(m.lists(), p)
     assert res is not None
     u2, k2 = res
-    assert iwahori_test(GroupMatrix.make(k2, p, "SO_odd", verify=False), "I+")
+    assert in_iplus(GroupMatrix.make(k2, p, "SO_odd", verify=False).items(), p)
 
 
 def test_unipotent_sqrt():
@@ -143,7 +147,7 @@ def test_coset_roundtrip_random(ell, p):
         assert wit is not None
         assert wit.i == i
         assert wit.recompose(gchi).rows == g.rows
-        assert iwahori_test(wit.k, "I+")
+        assert in_iplus(wit.k.items(), p)
 
 
 def test_coset_decompose_rejects_outside():
@@ -219,3 +223,83 @@ def test_make_validates():
         GroupMatrix.make([[1, 0], [0, 2]], 3, "SO_even")
     with pytest.raises(BadDimension):
         GroupMatrix.make([[1, 0], [0, 1]], 3, "SO_odd")
+
+
+# --- the merged primitives: the I+ test and the one exact elimination ---------
+
+
+@st.composite
+def padic_matrices(draw, square=True):
+    """(p, rows): a small matrix of Fractions a * p^e, e in {-1, 0, 1},
+    added to the identity, so that I+ members and non-members both occur."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(1, 4))
+    entry = st.builds(lambda a, e: Fraction(a) * Fraction(p) ** e, st.integers(-2 * p, 2 * p), st.sampled_from((-1, 0, 1)))
+    rows = [[(i == j) + draw(entry) for j in range(n)] for i in range(n)]
+    return p, rows
+
+
+def leibniz_det(a):
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction((-1) ** inversions)
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
+
+
+def product(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(padic_matrices())
+def test_in_iplus_is_the_valuation_definition(case):
+    p, a = case
+    n = len(a)
+    expected = all(
+        rational_valuation(a[i][j], p) >= 0
+        and (i <= j or rational_valuation(a[i][j], p) >= 1)
+        and (i != j or rational_valuation(a[i][j] - 1, p) >= 1)
+        for i in range(n)
+        for j in range(n)
+    )
+    items = [((i, j), a[i][j]) for i in range(n) for j in range(n)]
+    assert in_iplus(items, p) == expected
+    # one row at a time, as the U * I+ elimination reads it
+    assert all(in_iplus(items[i * n : (i + 1) * n], p) for i in range(n)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(padic_matrices(), st.data())
+def test_elimination_inverse_solve_and_det(case, data):
+    p, a = case
+    n = len(a)
+    det = leibniz_det(a)
+    assert mat_det(a) == det
+    if det == 0:
+        with pytest.raises(SingularMatrix):
+            mat_inv(a)
+        return
+    identity = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    assert product(mat_inv(a), a) == identity
+    v = [Fraction(data.draw(st.integers(-9, 9)), p ** data.draw(st.integers(0, 2))) for _ in range(n)]
+    c = _solve_row(a, v)
+    assert product([c], a) == [v]
+
+
+@settings(max_examples=100, deadline=None)
+@given(padic_matrices(), st.integers(-3, 3))
+def test_singular_input_raises(case, scale):
+    p, a = case
+    n = len(a)
+    # the last row a multiple of the first (the zero row when n = 1)
+    a[-1] = [scale * x for x in a[0]] if n > 1 else [Fraction(0)]
+    assert mat_det(a) == 0 == leibniz_det(a)
+    with pytest.raises(SingularMatrix):
+        mat_inv(a)
+    with pytest.raises(SingularMatrix):
+        _solve_row(a, [Fraction(1)] * n)

@@ -4,14 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ssgamma.integrals import _y_windows, _z_windows
 from ssgamma.padic import (
     PAdicNumber,
-    RepSet,
     NegativeValuation,
     rational_valuation,
     INF,
 )
 from ssgamma.scalars import ExactScalar
+
+
+def ES(p, c, h=0):
+    return ExactScalar.from_coeff(p, c, q_half=h)
 
 
 rationals = st.fractions(
@@ -70,38 +74,61 @@ def test_in_subset():
     assert PAdicNumber(Fraction(3) * 4, p).in_subset("pi(1+p)")
 
 
+# The integration windows of integrals.py are the sets of representatives
+# (with exact measure weights) that the integrals sum over.
+
+
+def window_volume(window, keep=lambda x, pad: not pad):
+    total = ExactScalar.zero(window[0][1].prime)
+    for x, w, pad in window:
+        if keep(x, pad):
+            total = total + w
+    return total
+
+
 def test_repset_units_example():
     # (1+p) mod (1+p^2) at p = 3 has representatives {1, 4, 7}
-    rs = RepSet(3, "1+p_mod", 2)
-    assert sorted(x.value for x in rs.representatives()) == [1, 4, 7]
-    assert rs.count() == 3
+    zs = _z_windows(3, 2, 1, "support-aware", "phi")
+    assert sorted(z for z, _, _ in zs) == [1, 4, 7]
+    assert len(zs) == 3
 
 
 def test_repset_volumes():
     p = 3
-    q_half = ExactScalar.from_coeff(p, Fraction(1), q_half=1)
-    assert RepSet(p, "o_mod_pN", 2).volume() == q_half
-    assert RepSet(p, "p_mod_pN", 2).volume() == ExactScalar.from_coeff(
-        p, Fraction(1), q_half=-1
-    )
-    assert RepSet(p, "units_mod", 2).volume() == ExactScalar.one(p)
-    assert RepSet(p, "1+p_mod", 2).volume() == ExactScalar.from_coeff(
-        p, Fraction(1, p - 1)
-    )
+    ys = _y_windows(2, p, 2, 1, "brute-force")
+    zs = _z_windows(p, 2, 1, "brute-force", "phi")
+    # vol(o) = q^(1/2) and vol(p) = q^(-1/2), read off the reps of the y window
+    assert window_volume(ys, lambda y, pad: rational_valuation(y, p) >= 0) == ES(p, 1, 1)
+    assert window_volume(ys, lambda y, pad: rational_valuation(y, p) >= 1) == ES(p, 1, -1)
+    assert window_volume(_y_windows(2, p, 2, 1, "support-aware")) == ES(p, 1, -1)
+    # vol(o^x) = 1 and vol(1 + p) = 1/(q - 1)
+    assert window_volume(zs, lambda z, pad: rational_valuation(z, p) == 0) == ExactScalar.one(p)
+    assert window_volume(_z_windows(p, 2, 1, "support-aware", "phi")) == ES(p, Fraction(1, p - 1))
 
 
 def test_repset_weights_sum_to_volume():
     p = 5
-    for kind, lvl in [("o_mod_pN", 2), ("p_mod_pN", 3), ("units_mod", 2), ("1+p_mod", 3)]:
-        rs = RepSet(p, kind, lvl)
-        total = ExactScalar.zero(p)
-        for _, w in rs.enumerate():
-            total = total + w
-        assert total == rs.volume(), kind
+    for level, cutoff in [(2, 1), (3, 1), (2, 2)]:
+        ys = _y_windows(2, p, level, cutoff, "brute-force")
+        # p^(-V) o, and the padding shell of valuation exactly -(V+1)
+        assert window_volume(ys) == ES(p, 1, 1 + 2 * cutoff)
+        shell = ES(p, 1, 1 + 2 * (cutoff + 1)) - ES(p, 1, 1 + 2 * cutoff)
+        assert window_volume(ys, lambda y, pad: pad) == shell
+        assert window_volume(_y_windows(2, p, level, cutoff, "support-aware")) == ES(p, 1, -1)
+        for side in ("phi", "phi_star"):
+            zs = _z_windows(p, level, cutoff, "brute-force", side)
+            # one unit of volume per valuation -V-1 .. V+1
+            assert window_volume(zs, lambda z, pad: True) == ES(p, 2 * cutoff + 3)
+            sa = _z_windows(p, level, cutoff, "support-aware", side)
+            assert window_volume(sa) == ES(p, Fraction(1, p - 1))
 
 
 def test_repset_counts():
-    p = 5
-    assert RepSet(p, "o_mod_pN", 2).count() == 25
-    assert RepSet(p, "units_mod", 2).count() == 20
-    assert len(list(RepSet(p, "units_mod", 2).representatives())) == 20
+    p, level, cutoff = 5, 2, 1
+    ys = _y_windows(2, p, level, cutoff, "brute-force")
+    zs = _z_windows(p, level, cutoff, "brute-force", "phi")
+    assert sum(1 for y, _, _ in ys if rational_valuation(y, p) >= 0) == 25  # o mod p^2
+    assert sum(1 for y, _, pad in ys if not pad) == p ** (level + cutoff)
+    assert sum(1 for z, _, _ in zs if rational_valuation(z, p) == 0) == 20  # o^x mod 1 + p^2
+    assert len(zs) == (2 * cutoff + 3) * 20
+    assert len(_y_windows(2, p, level, cutoff, "support-aware")) == p ** (level - 1)
