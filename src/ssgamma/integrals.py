@@ -42,9 +42,6 @@ from .padic import rational_valuation
 from .matrices import (
     GroupMatrix,
     mat_identity,
-    mat_mul,
-    mat_inv,
-    mat_transpose,
     coset_decompose,
     coset_decompose_gl,
     g_chi_so,
@@ -52,7 +49,6 @@ from .matrices import (
     w_element,
     b_element,
     torus_so2,
-    w_long,
 )
 from .characters import (
     TameCharacter,
@@ -204,6 +200,22 @@ def _phi_star_entries(z, y, ell):
             x = -x
         g[(r, n - 1 - c if c in (0, n - 1) else c)] = x
     return g
+
+
+def _gl_dual_rows(a, x, n):
+    """w_long (t m)^(-1) w_(n,1) for the JPSS dual side, in closed form.
+
+    m is the identity with column 1 replaced by (a, x_0, ..., x_(n-3), 0).
+    (t m)^(-1) is the identity with row 1 replaced by
+    (1/a, -x_0/a, ..., -x_(n-3)/a, 0); w_long reverses the rows and
+    w_(n,1) = diag(1, w_(n-1)) reverses columns 2..n.  So rows 1..n-1
+    have a one on the superdiagonal, and the bottom row is
+    (1/a, 0, -x_(n-3)/a, ..., -x_0/a)."""
+    rows = [[F0] * n for _ in range(n - 1)]
+    for r, row in enumerate(rows):
+        row[r + 1] = F1
+    rows.append([1 / a, F0] + [-xv / a for xv in reversed(x)])
+    return rows
 
 
 def _dense(g, n):
@@ -433,11 +445,18 @@ def _fs_phi(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
     return ExactScalar.from_coeff(p, F1, q_half=v, s_power=v) * tame_eval(cfg.tau, z)
 
 
+@lru_cache(maxsize=None)
+def _b1_star(p):
+    """b_1^* = J t(b_1)^(-1) J for b_1 = b_element(1, p): the scalar -1,
+    built once per p."""
+    return b_element(1, p).star().rows[0][0]
+
+
 def _fs_phi_star(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
     """M(tau,s) f_s(h^(-1), b_1^*) = |z^(-1)|^(s-1/2) tau(b_1^* z^(-1)); a
     function of tame_class(z), since b_1^* is fixed."""
     p = cfg.prime
-    b = b_element(1, p).star().rows[0][0]
+    b = _b1_star(p)
     v = rational_valuation(1 / z, p)
     return ExactScalar.from_coeff(p, F1, q_half=v, s_power=v) * tame_eval(cfg.tau, b / z)
 
@@ -526,13 +545,11 @@ def _gl_whittaker_parts(rows, p, n):
 def _gl_buckets(n: int, p: int, level: int, cutoff: int):
     """For both JPSS sides: (side, j, a0) -> the weighted values summed
     over x and over the a of tame_class(a0) (the sections read a only
-    through that class)."""
-    wl = w_long(n, p).lists()
-    wn1 = mat_identity(n)
-    if n >= 3:  # diag(1, w_(n-1))
-        for i in range(1, n):
-            wn1[i] = [F0] * n
-            wn1[i][n + 1 - i - 1] = F1
+    through that class).
+
+    The plain side evaluates W(diag(a, I_(n-1))); the dual side evaluates
+    W(w_long t(m)^(-1) w_(n,1)) with m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0),
+    whose rows _gl_dual_rows writes down directly (no inversion)."""
     aw = Fraction(1, (p - 1) * p ** (level - 1))
     xs = [(Fraction(a), Fraction(1, p**level), False) for a in range(p**level)]
     xs += [
@@ -562,14 +579,9 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int):
                     raise BoundaryNonvanishing(f"JPSS plain side at shell: a={a}")
                 j, val = parts
                 add("plain", j, a, ExactScalar.from_coeff(p, aw * val))
-            # dual side: W(w_long t(g)^(-1) w_(n,1)) over the x column
+            # dual side: W(w_long t(m)^(-1) w_(n,1)) over the x column
             for xcombo, xw, pad_x in _iter_x(xs, n):
-                m = mat_identity(n)
-                m[0][0] = a
-                for r, xv in enumerate(xcombo):
-                    m[1 + r][0] = xv
-                arg = mat_mul(mat_mul(wl, mat_inv(mat_transpose(m))), wn1)
-                parts = _gl_whittaker_parts(arg, p, n)
+                parts = _gl_whittaker_parts(_gl_dual_rows(a, xcombo, n), p, n)
                 if parts is None:
                     continue
                 if pad_a or pad_x:

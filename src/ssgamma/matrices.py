@@ -259,6 +259,26 @@ def g_chi_gl(n: int, prime: int) -> GroupMatrix:
     return GroupMatrix.make(rows, prime, "GL")
 
 
+@lru_cache(maxsize=None)
+def _g_chi_gl_inv(n: int, prime: int) -> tuple:
+    """The rows of g_chi_gl(n, p)^(-1), inverted once per (n, p)."""
+    return tuple(map(tuple, mat_inv(g_chi_gl(n, prime).lists())))
+
+
+def times_g_chi_gl_inv(rows, p):
+    """m g_chi_gl^(-1) as a column rotation: column c <- column c + 1, and
+    the last column <- column 1 / p.  (g_chi_gl sends e_(c+1) to e_c and
+    e_1 to p e_N, so its inverse does the reverse.)"""
+    return [row[1:] + [row[0] / p if row[0] else row[0]] for row in rows]
+
+
+def times_g_chi_so(rows, p):
+    """m g_chi_so (= m g_chi_so^(-1)) as a column map: column 1 <- p *
+    column N, column N <- column 1 / p, the middle columns negated; the
+    dense form of integrals._times_gchi."""
+    return [[p * row[-1]] + [-x for x in row[1:-1]] + [row[0] / p] for row in rows]
+
+
 def delta_o(ell: int, prime: int) -> GroupMatrix:
     """diag(I_l, -1, I_l); det = -1 so tagged GL."""
     n = 2 * ell + 1
@@ -433,17 +453,18 @@ def coset_decompose(g: GroupMatrix, ell: int = None) -> CosetWitness | None:
     in SO, i in {0,1}, k in I+; None when g is outside the double coset.
 
     Since g_chi normalizes I+, membership in U g_chi^i I+ is equivalent to
-    g g_chi^(-i) in U I+, decided by eliminate_u_iplus.  The GL witness is
-    then symmetrized into SO by the square-root twist u -> u w^(1/2),
+    g g_chi^(-i) in U I+, decided by eliminate_u_iplus.  g_chi is an
+    involution, so g g_chi^(-1) = g g_chi, formed as a column map
+    (times_g_chi_so) rather than a product.  The GL witness is then
+    symmetrized into SO by the square-root twist u -> u w^(1/2),
     w = u^(-1) u*, which lands u in U_SO and keeps k in I+.
     """
     p = g.prime
     if ell is None:
         ell = _ell_of_size(g.size)
-    gchi = g_chi_so(ell, p).lists()  # an involution: g_chi^(-1) = g_chi
     fast = in_iplus(g.items(), p)
     for i in (0, 1):
-        m = g.lists() if i == 0 else mat_mul(g.lists(), gchi)
+        m = g.lists() if i == 0 else times_g_chi_so(g.lists(), p)
         if i == 0 and fast:
             res = (mat_identity(g.size), m)
         else:
@@ -459,7 +480,7 @@ def coset_decompose(g: GroupMatrix, ell: int = None) -> CosetWitness | None:
             kp = mat_mul(mat_inv(x), kp)
         if i:
             # g = u kp g_chi, rewrite with k = g_chi^(-1) kp g_chi in I+
-            k = mat_mul(gchi, mat_mul(kp, gchi))
+            k = mat_mul(g_chi_so(ell, p).lists(), times_g_chi_so(kp, p))
         else:
             k = kp
         um = GroupMatrix.make(u, p, "SO_odd", verify=False)
@@ -480,27 +501,32 @@ class GLCosetWitness:
 
 def coset_decompose_gl(g: GroupMatrix) -> GLCosetWitness | None:
     """Decompose g in GL_n as u * g_chi^j * z * k (u upper unipotent,
-    j in 0..n-1, z central, k in I+), or None."""
+    j in 0..n-1, z central, k in I+), or None.
+
+    For each j in turn, m = g g_chi^(-j) is scaled by its bottom-right
+    entry z (zero entries are left alone) and tested for U I+ by
+    eliminate_u_iplus.  The next m is a column rotation of this one
+    (times_g_chi_gl_inv), so no call inverts or multiplies by g_chi;
+    only a found witness uses the memoized g_chi^(-1), to pull g_chi^j
+    through k."""
     n, p = g.size, g.prime
-    gchi = g_chi_gl(n, p)
-    gchi_inv = mat_inv(gchi.lists())
     m = g.lists()
     for j in range(n):
-        d = m[n - 1][n - 1]
-        if d:
-            z = d
-            scaled = [[x / z for x in row] for row in m]
+        z = m[n - 1][n - 1]
+        if z:
+            scaled = [[x / z if x else x for x in row] for row in m]
             res = eliminate_u_iplus(scaled, p)
             if res is not None:
                 u, kp = res
                 # g = u z kp g_chi^j; pull g_chi^j through
+                gchi, gchi_inv = g_chi_gl(n, p).lists(), _g_chi_gl_inv(n, p)
                 k = kp
                 for _ in range(j):
-                    k = mat_mul(gchi_inv, mat_mul(k, gchi.lists()))
+                    k = mat_mul(gchi_inv, mat_mul(k, gchi))
                 um = GroupMatrix.make(u, p, "GL", verify=False)
                 km = GroupMatrix.make(k, p, "GL", verify=False)
                 return GLCosetWitness(um, j, PAdicNumber(z, p), km)
-        m = mat_mul(m, gchi_inv)
+        m = times_g_chi_gl_inv(m, p)
     return None
 
 

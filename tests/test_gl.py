@@ -1,0 +1,110 @@
+"""The JPSS GL(n) x GL(1) enumeration, integrals._gl_buckets.
+
+The dual side's argument w_long (t m)^(-1) w_(n,1) is written down in
+closed form (_gl_dual_rows), and coset_decompose_gl rotates columns
+instead of multiplying by g_chi^(-1).  The first test checks the closed
+form against the generic product with mat_inv, which shares none of its
+path.  The buckets are pinned by sha256 digests of their records, taken
+from the implementation that built every argument and every rotation by
+generic inversion and products.  The last test counts calls, so that a
+per-point inversion cannot come back unseen.
+"""
+
+import hashlib
+import json
+import sys
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ssgamma import matrices
+from ssgamma.integrals import _gl_buckets, _gl_dual_rows
+from ssgamma.matrices import mat_identity, mat_inv, mat_mul, mat_transpose, w_long
+
+LEVEL, CUTOFF = 2, 1
+
+
+def a_window(p):
+    """The a of _gl_buckets: p^v u, |v| <= V + 1 (the padding shell
+    included), u a unit mod p^N."""
+    units = st.integers(1, p**LEVEL - 1).filter(lambda u: u % p)
+    return st.builds(lambda v, u: Fraction(p) ** v * u, st.integers(-CUTOFF - 1, CUTOFF + 1), units)
+
+
+def x_window(p):
+    """The x coordinates of _gl_buckets: o mod p^N, and the p^(-1) shell."""
+    shell = st.integers(1, p ** (LEVEL + 1) - 1).filter(lambda u: u % p)
+    return st.one_of(st.integers(0, p**LEVEL - 1).map(Fraction), shell.map(lambda u: Fraction(u, p)))
+
+
+def generic_dual(a, x, n, p):
+    """w_long (t m)^(-1) w_(n,1) by inversion and products, with
+    m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0) and w_(n,1) = diag(1, w_(n-1))."""
+    m = mat_identity(n)
+    m[0][0] = a
+    for r, xv in enumerate(x):
+        m[1 + r][0] = xv
+    wn1 = [[Fraction(c == 0) for c in range(n)]]
+    wn1 += [[Fraction(c == n - r) for c in range(n)] for r in range(1, n)]
+    return mat_mul(mat_mul(w_long(n, p).lists(), mat_inv(mat_transpose(m))), wn1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.sampled_from((3, 5, 7)), st.data())
+def test_dual_rows_equal_the_generic_product(n, p, data):
+    a = data.draw(a_window(p))
+    x = tuple(data.draw(x_window(p)) for _ in range(n - 2))
+    assert _gl_dual_rows(a, x, n) == generic_dual(a, x, n, p)
+
+
+def bucket_digest(buckets):
+    records = [
+        [side, j, str(a), part.to_records()]
+        for (side, j, a), part in sorted(buckets.items(), key=lambda kv: kv[0])
+    ]
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n,p,digest",
+    [
+        (2, 3, "4f0644d426efc16ece1e30404b49106da43530af59e3922307364137ac9dc1cd"),
+        (2, 5, "cbb8ef071bcd5402f2dc435890cfa4592b76f59513a28f305a3be421022db913"),
+        (3, 3, "5a8ad50a242875bc440109ebcb06ee82543aebe43c15e04857448e278ce9b61c"),
+        (3, 5, "240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c"),
+    ],
+)
+def test_gl_buckets_are_pinned(n, p, digest):
+    # _gl_buckets is the enumeration itself; the cache sits in jpss_gl_gamma
+    assert bucket_digest(_gl_buckets(n, p, LEVEL, CUTOFF)) == digest
+
+
+def test_gl_enumeration_inverts_once_per_witness(monkeypatch):
+    """mat_inv and coset_decompose_gl counted at every name the package
+    binds them to, over one enumeration at (n, p) = (3, 5)."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name] += 1
+            calls[name + ".found"] += out is not None
+            return out
+
+        return wrapper
+
+    package = [m for name, m in sys.modules.items() if name == "ssgamma" or name.startswith("ssgamma.")]
+    for name in ("mat_inv", "coset_decompose_gl"):
+        orig, wrapper = getattr(matrices, name), counted(name, getattr(matrices, name))
+        for module in package:
+            for key, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, key, wrapper)
+    _gl_buckets(3, 5, LEVEL, CUTOFF)
+    assert calls["coset_decompose_gl"] == 12_600
+    assert calls["coset_decompose_gl.found"] == 130
+    # one inversion per witness (eliminate_u_iplus's k^(-1)), plus the
+    # memoized g_chi^(-1); none per point
+    assert calls["mat_inv"] <= calls["coset_decompose_gl.found"] + 1

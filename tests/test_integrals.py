@@ -24,6 +24,7 @@ from ssgamma.integrals import (
     scan_support,
     section_eval,
 )
+from ssgamma.matrices import b_element
 from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
@@ -63,6 +64,13 @@ def test_section_tau_slot():
     sec = SectionSpec(tau)
     assert section_eval(sec, Fraction(1), 2) == tau(2)
     assert section_eval(sec, Fraction(p), 1) == ES(p, -1, 1, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_b1_star_is_minus_one(p):
+    # Phi* reads b_1^* once per p instead of rebuilding it per class
+    assert b_element(1, p).star().rows[0][0] == -1
+    assert integrals._b1_star(p) == -1
 
 
 def test_intertwine_identity_at_rank_one():

@@ -23,12 +23,15 @@ from ssgamma.matrices import (
     in_iplus,
     mat_det,
     mat_inv,
+    mat_mul,
     omega_prime,
     random_gl_iplus,
     random_so_iplus,
     random_so_unipotent,
     so_check,
     so_root_element,
+    times_g_chi_gl_inv,
+    times_g_chi_so,
     torus_so2,
     unipotent_sqrt,
     w_element,
@@ -157,7 +160,7 @@ def test_coset_decompose_rejects_outside():
     assert coset_decompose(h, 1) is None
 
 
-@pytest.mark.parametrize("n,p", [(2, 3), (3, 5)])
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 3), (3, 7)])
 def test_gl_coset_roundtrip(n, p):
     rng = random.Random(n * 10 + p)
     gchi = g_chi_gl(n, p)
@@ -229,11 +232,11 @@ def test_make_validates():
 
 
 @st.composite
-def padic_matrices(draw, square=True):
+def padic_matrices(draw, sizes=st.integers(1, 4)):
     """(p, rows): a small matrix of Fractions a * p^e, e in {-1, 0, 1},
     added to the identity, so that I+ members and non-members both occur."""
     p = draw(st.sampled_from((3, 5, 7)))
-    n = draw(st.integers(1, 4))
+    n = draw(sizes)
     entry = st.builds(lambda a, e: Fraction(a) * Fraction(p) ** e, st.integers(-2 * p, 2 * p), st.sampled_from((-1, 0, 1)))
     rows = [[(i == j) + draw(entry) for j in range(n)] for i in range(n)]
     return p, rows
@@ -303,3 +306,20 @@ def test_singular_input_raises(case, scale):
         mat_inv(a)
     with pytest.raises(SingularMatrix):
         _solve_row(a, [Fraction(1)] * n)
+
+
+# --- right multiplication by g_chi^(+-1) as a column map (on any matrix) ------
+
+
+@settings(max_examples=150, deadline=None)
+@given(padic_matrices(sizes=st.integers(2, 4)))
+def test_gl_rotation_is_the_product_with_the_inverse(case):
+    p, m = case
+    assert times_g_chi_gl_inv(m, p) == mat_mul(m, mat_inv(g_chi_gl(len(m), p).lists()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(padic_matrices(sizes=st.sampled_from((3, 5, 7))))
+def test_so_column_map_is_the_product_with_g_chi(case):
+    p, g = case
+    assert times_g_chi_so(g, p) == mat_mul(g, g_chi_so(len(g) // 2, p).lists())
