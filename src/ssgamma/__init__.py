@@ -8,7 +8,7 @@ verified against the closed form and against an independent GL_(2l)
 computation.
 """
 
-from .padic import PAdicNumber, rational_valuation
+from .padic import rational_valuation
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar, NonMonomialDivisor, ZeroDivisor
 from .matrices import (
@@ -18,24 +18,15 @@ from .matrices import (
     coset_decompose,
     coset_decompose_gl,
     in_iplus,
-    embed_j,
-    xbar,
 )
 from .characters import (
     TameCharacter,
-    WhittakerSpec,
     psi_eval,
     tame_eval,
-    affine_chi,
-    chi_zeta,
-    whittaker_eval,
 )
 from .integrals import (
-    SectionSpec,
     IntegralConfig,
     GammaResult,
-    section_eval,
-    intertwine_M,
     phi_eval,
     phi_star_eval,
     gamma_so,

@@ -1,4 +1,8 @@
-"""Characters of Q_p and the Whittaker functions they induce.
+"""Characters of Q_p: the additive character psi and the tame characters.
+
+The Whittaker functions they induce are read in integrals.py as plain
+ints, through psi_exponent; the generic Whittaker function the tests
+check those against is in tests/oracles.py.
 
 Conventions recorded here (and echoed in CLI output metadata):
   * psi(x) = e^(2 pi i frac(x/p)) -- trivial on p, nontrivial on o,
@@ -15,14 +19,7 @@ from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
-from .padic import PAdicNumber, rational_valuation
-from .matrices import (
-    GroupMatrix,
-    CosetWitness,
-    coset_decompose,
-    coset_decompose_gl,
-    in_iplus,
-)
+from .padic import rational_valuation
 
 
 class CharacterError(Exception):
@@ -31,10 +28,6 @@ class CharacterError(Exception):
 
 class OrderOverflow(CharacterError):
     """psi was asked for a root of unity beyond the configured order."""
-
-
-class NotInIPlus(CharacterError):
-    pass
 
 
 #: largest power m with roots of unity of order p^m allowed in psi_eval
@@ -59,11 +52,8 @@ def psi_exponent(x, p: int) -> tuple:
     return m, y.numerator * pow(d, -1, mod) % mod
 
 
-def psi_eval(x, prime: int = None) -> CyclotomicNumber:
+def psi_eval(x, prime: int) -> CyclotomicNumber:
     """psi(x) = e^(2 pi i frac(x/p)), exact; depends only on x mod p."""
-    if isinstance(x, PAdicNumber):
-        prime = x.prime
-        x = x.value
     m, a = psi_exponent(x, prime)
     return CyclotomicNumber.root_of_unity(prime**m, a)
 
@@ -134,125 +124,6 @@ def tame_class(x, p: int) -> tuple:
 
 def tame_eval(tau: TameCharacter, x) -> ExactScalar:
     """tau(x) = unit_value(r) * tau(pi)^v for (v, r) = tame_class(x)."""
-    if isinstance(x, PAdicNumber):
-        x = x.value
     p = tau.prime
     v, r = tame_class(x, p)
     return ExactScalar.from_coeff(p, tau.unit_value(r)) * tau.value_at_uniformizer**v
-
-
-@dataclass(frozen=True)
-class WhittakerSpec:
-    """Data of a simple supercuspidal Whittaker function.
-
-    flavor "SO": group SO_(2l+1), zeta a sign.  flavor "GL": group GL_n,
-    zeta an n-th root of omega(pi) with the central character omega kept
-    trivial (level 0, as the orthogonal comparison requires).
-    """
-
-    prime: int
-    flavor: str  # "SO" | "GL"
-    rank: int  # l for SO, n for GL
-    zeta: CyclotomicNumber
-    t: tuple = None  # affine parameters, units; SO only
-
-    def __post_init__(self):
-        if self.flavor not in ("SO", "GL"):
-            raise CharacterError("flavor must be SO or GL")
-        if self.t is None:
-            count = self.rank + 1 if self.flavor == "SO" else self.rank
-            object.__setattr__(self, "t", tuple(Fraction(1) for _ in range(count)))
-        else:
-            object.__setattr__(self, "t", tuple(Fraction(x) for x in self.t))
-        n = 2 if self.flavor == "SO" else self.rank
-        if self.zeta**n != CyclotomicNumber.one():
-            raise CharacterError("zeta has the wrong order for this flavor")
-
-    @property
-    def size(self):
-        return 2 * self.rank + 1 if self.flavor == "SO" else self.rank
-
-
-def affine_chi(h: GroupMatrix, t=None, flavor: str = "SO") -> CyclotomicNumber:
-    """The affine generic character on I+: psi of the weighted simple
-    affine entries (superdiagonal run plus the corner over pi)."""
-    p = h.prime
-    n = h.size
-    if not in_iplus(h.items(), p):
-        raise NotInIPlus("affine_chi needs h in I+")
-    # SO_(2l+1): l superdiagonal entries and the corner in row 2l;
-    # GL_n: n - 1 superdiagonal entries and the corner in row n
-    count, corner = ((n - 1) // 2, n - 2) if flavor == "SO" else (n - 1, n - 1)
-    if t is None:
-        t = (1,) * (count + 1)
-    s = sum(Fraction(t[a]) * h.rows[a][a + 1] for a in range(count))
-    s += Fraction(t[count]) * h.rows[corner][0] / p
-    return psi_eval(s, p)
-
-
-def chi_zeta(w, zeta: CyclotomicNumber, t=None, flavor: str = "SO") -> CyclotomicNumber:
-    """zeta^i * chi(k) for a coset witness or an (i, k) pair."""
-    if isinstance(w, CosetWitness):
-        i, k = w.i, w.k
-    else:
-        i, k = w
-    return zeta**i * affine_chi(k, t=t, flavor=flavor)
-
-
-def _psi_u(spec: WhittakerSpec, u: GroupMatrix) -> CyclotomicNumber:
-    """The generic character of the upper unipotent matching affine_chi."""
-    p = spec.prime
-    if spec.flavor == "SO":
-        count = spec.rank  # first l superdiagonal entries
-    else:
-        count = spec.rank - 1
-    s = sum(Fraction(spec.t[a]) * u.rows[a][a + 1] for a in range(count))
-    return psi_eval(s, p)
-
-
-def whittaker_eval(spec: WhittakerSpec, g: GroupMatrix) -> ExactScalar:
-    """The normalized Whittaker function of the simple supercuspidal:
-    psi(u) zeta^i chi(k) on the supporting double coset, 0 elsewhere."""
-    p = spec.prime
-    if spec.flavor == "SO":
-        wit = coset_decompose(g, spec.rank)
-        if wit is None:
-            return ExactScalar.zero(p)
-        val = _psi_u(spec, wit.u) * chi_zeta(wit, spec.zeta, t=spec.t, flavor="SO")
-        return ExactScalar.from_coeff(p, val)
-    wit = coset_decompose_gl(g)
-    if wit is None:
-        return ExactScalar.zero(p)
-    # central character is trivial, so the z slot contributes nothing
-    val = _psi_u(spec, wit.u) * spec.zeta**wit.j * affine_chi(wit.k, t=spec.t, flavor="GL")
-    return ExactScalar.from_coeff(p, val)
-
-
-def orbit_conjugator(t, ell: int, prime: int) -> GroupMatrix:
-    """Torus element conjugating the (t_1..t_l, t_(l+1)) affine character
-    to the normal form (1, ..., 1, t_(l+1)/(t_1 t_2^2 ... t_l^2))."""
-    t = [Fraction(x) for x in t]
-    n = 2 * ell + 1
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[ell][ell] = Fraction(1)
-    for i in range(ell):
-        d = Fraction(1)
-        for a in range(i, ell):
-            d *= t[a]
-        rows[i][i] = 1 / d
-        rows[n - 1 - i][n - 1 - i] = d
-    return GroupMatrix.make(rows, prime, "SO_odd")
-
-
-def normalized_t(t) -> tuple:
-    """(t_1..t_(l+1)) -> (1, ..., 1, t_(l+1) * t_1 t_2^2 ... t_l^2).
-
-    The corner coefficient transforms inversely to a choice of
-    uniformizer, so in the uniformizer parameterization the normal form
-    reads 1/(t_1 t_2^2 ... t_l^2)."""
-    t = [Fraction(x) for x in t]
-    ell = len(t) - 1
-    d = Fraction(1)
-    for i, x in enumerate(t[:-1]):
-        d *= x if i == 0 else x * x
-    return tuple([Fraction(1)] * ell + [t[-1] * d])

@@ -25,8 +25,14 @@ A bucket holds the sum over one tame class of z: the pair tame_class(z)
 section f_s reads z only through that pair: |z| through v, and the tame
 character tau through (v, r), on both sides (Phi* reads b/z, whose
 class the class of z fixes).  So each (zeta, tau) cell evaluates f_s
-once per class instead of once per z.  The GL buckets merge the same
-way on tame_class(a).
+once per class instead of once per z.
+
+The JPSS GL buckets (_gl_buckets) run on the same machinery: a over the
+brute-force multiplicative window, each x coordinate over the y window
+at V = 0, the x product from _iter_y, and _gl_whittaker_parts giving the
+value as plain ints (j, m, a).  The per-a histogram keyed by
+(side, j, m, a) is summed once per bucket, merged on tame_class(a), and
+multiplied by the side's weight at the end.
 """
 
 from __future__ import annotations
@@ -46,14 +52,10 @@ from .matrices import (
     coset_decompose_gl,
     g_chi_so,
     in_iplus,
-    w_element,
     b_element,
-    torus_so2,
 )
 from .characters import (
     TameCharacter,
-    affine_chi,
-    psi_eval,
     psi_exponent,
     tame_class,
     tame_eval,
@@ -85,45 +87,6 @@ class Unsupported(IntegralError):
 
 
 # ---------------------------------------------------------------------------
-# sections and the (trivial at n = 1) intertwining operator
-
-
-@dataclass(frozen=True)
-class SectionSpec:
-    """f_s(h, a) = |det h|^(s-1/2) tau(a h) on SO_2, reading the scalar
-    slot z = h[0][0]."""
-
-    tau: TameCharacter
-
-    def __call__(self, h, a) -> ExactScalar:
-        return section_eval(self, h, a)
-
-
-def section_eval(sec: SectionSpec, h, a) -> ExactScalar:
-    p = sec.tau.prime
-    z = h.rows[0][0] if isinstance(h, GroupMatrix) else Fraction(h)
-    a = Fraction(a.value if hasattr(a, "value") else a)
-    v = rational_valuation(z, p)
-    # |z|^(s-1/2) = q^(v/2) (q^-s)^v
-    norm = ExactScalar.from_coeff(p, F1, q_half=v, s_power=v)
-    return norm * tame_eval(sec.tau, a * z)
-
-
-def intertwine_M(sec: SectionSpec, h, a, n: int = 1) -> ExactScalar:
-    """M(tau, s) f_s at n = 1: the unipotent radical is trivial and the
-    Weyl element w_1 multiplies out to the identity of SO_2, so the
-    operator is f_s(w_1^(-1) h, a) = f_s(h, a)."""
-    if n != 1:
-        raise Unsupported("the intertwining operator is implemented at n = 1 only")
-    p = sec.tau.prime
-    w1 = w_element(1, p)
-    if not w1.is_identity():  # the two displayed factors must cancel
-        raise IntegralError("w_1 failed to reduce to the identity")
-    hh = h if isinstance(h, GroupMatrix) else torus_so2(h, p)
-    return section_eval(sec, w1.inv() * hh, a)
-
-
-# ---------------------------------------------------------------------------
 # configuration
 
 
@@ -145,7 +108,6 @@ class IntegralConfig:
     cutoff: int = 1  # V
     mode: str = "support-aware"
     t: tuple = None
-    measure_scale: Fraction = Fraction(1)
 
     def __post_init__(self):
         check_domain(self.ell, self.level, self.cutoff)
@@ -284,9 +246,8 @@ def _so_whittaker_parts(g, p, ell, t):
     """(i, m, a) with W(g) = zeta^i * zeta_(p^m)^a, or None off the support.
 
     g is the entry map of a point.  The zeta power i is kept separate so
-    one enumeration serves every central sign.  zeta_(p^m)^a is
-    psi_U(u) * chi(k) at the larger order of the two psi values, the
-    order their CyclotomicNumber product has; so a need not be a unit."""
+    one enumeration serves every central sign; zeta_(p^m)^a is
+    psi_U(u) * chi(k) (_psi_product)."""
     if in_iplus(g.items(), p):
         return (0,) + psi_exponent(_chi_arg(g, t, ell, p), p)
     n = 2 * ell + 1
@@ -297,11 +258,19 @@ def _so_whittaker_parts(g, p, ell, t):
     if wit is None:
         return None
     u = wit.u.rows
-    mu, au = psi_exponent(sum(t[a] * u[a][a + 1] for a in range(ell)), p)
     k = {(r, c): x for r, row in enumerate(wit.k.rows) for c, x in enumerate(row)}
-    mk, ak = psi_exponent(_chi_arg(k, t, ell, p), p)
-    top = max(mu, mk)
-    return wit.i, top, (au * p ** (top - mu) + ak * p ** (top - mk)) % p**top
+    u_arg = sum(t[a] * u[a][a + 1] for a in range(ell))
+    return (wit.i,) + _psi_product(u_arg, _chi_arg(k, t, ell, p), p)
+
+
+def _psi_product(x, y, p):
+    """(m, a) with psi(x) * psi(y) = zeta_(p^m)^a, at the larger order of
+    the two psi values, the order their CyclotomicNumber product has; so
+    a need not be a unit."""
+    mx, ax = psi_exponent(x, p)
+    my, ay = psi_exponent(y, p)
+    top = max(mx, my)
+    return top, (ax * p ** (top - mx) + ay * p ** (top - my)) % p**top
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +378,19 @@ def _so_buckets(cfg: IntegralConfig, side: str):
                     f"nonzero {side} integrand at the padding shell: z={z}, y={y}"
                 )
             counts[parts] = counts.get(parts, 0) + 1
-        for (i, m, a), count in counts.items():
-            # count * zeta_(p^m)^a at order p^m, the order of the psi product
-            term = CyclotomicNumber(p**m, {a: count})
-            acc = sums.get((i, z))
-            sums[(i, z)] = term if acc is None else acc + term
+        _add_counts(sums, counts, p, z)
     merged = _merge_tame_classes(sums, p)
     return {iz: weight * ExactScalar.from_coeff(p, c) for iz, c in merged.items()}
+
+
+def _add_counts(sums, counts, p, x):
+    """Add each (*tag, m, a) -> count of the points at x to sums[(*tag, x)]
+    as count * zeta_(p^m)^a, at order p^m (the order of the psi product)."""
+    for (*tag, m, a), count in counts.items():
+        key = (*tag, x)
+        term = CyclotomicNumber(p**m, {a: count})
+        acc = sums.get(key)
+        sums[key] = term if acc is None else acc + term
 
 
 def _merge_tame_classes(sums, p):
@@ -468,8 +443,7 @@ def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
     total = ExactScalar.zero(cfg.prime)
     for (i, z), part in sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         total = total + part * ExactScalar.from_coeff(cfg.prime, cfg.zeta**i) * fs(cfg, z)
-    scale = cfg.measure_scale**cfg.ell  # l - 1 additive coords + one F^x factor
-    return total * ExactScalar.from_coeff(cfg.prime, scale)
+    return total
 
 
 def phi_eval(cfg: IntegralConfig) -> ExactScalar:
@@ -532,14 +506,17 @@ _GL_BUCKETS: dict = {}
 
 
 def _gl_whittaker_parts(rows, p, n):
-    """(j, psi_U(u) chi(k)) for GL, zeta-free; central character trivial."""
-    g = GroupMatrix(tuple(tuple(r) for r in rows), p, "GL")
-    wit = coset_decompose_gl(g)
+    """(j, m, a) with W(g) = zeta^j * zeta_(p^m)^a for GL_n, or None off
+    the support; the central character is trivial.  zeta_(p^m)^a is
+    psi_U(u) * chi(k) (_psi_product), chi reading the superdiagonal of k
+    and its corner over pi."""
+    wit = coset_decompose_gl(GroupMatrix(tuple(map(tuple, rows)), p, "GL"))
     if wit is None:
         return None
-    pu = psi_eval(sum(wit.u.rows[a][a + 1] for a in range(n - 1)), p)
-    val = pu * affine_chi(wit.k, flavor="GL")
-    return wit.j, val
+    u, k = wit.u.rows, wit.k.rows
+    u_arg = sum(u[a][a + 1] for a in range(n - 1))
+    k_arg = sum(k[a][a + 1] for a in range(n - 1)) + k[n - 1][0] / p
+    return (wit.j,) + _psi_product(u_arg, k_arg, p)
 
 
 def _gl_buckets(n: int, p: int, level: int, cutoff: int):
@@ -549,61 +526,35 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int):
 
     The plain side evaluates W(diag(a, I_(n-1))); the dual side evaluates
     W(w_long t(m)^(-1) w_(n,1)) with m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0),
-    whose rows _gl_dual_rows writes down directly (no inversion)."""
-    aw = Fraction(1, (p - 1) * p ** (level - 1))
-    xs = [(Fraction(a), Fraction(1, p**level), False) for a in range(p**level)]
-    xs += [
-        (Fraction(a, p), Fraction(1, p ** (level + 1)), True)
-        for a in range(p ** (level + 1))
-        if a % p
-    ]
-    # additive weight carries vol(o) = q^(1/2) per coordinate
-    buckets: dict = {}
-
-    def add(side, j, a, term):
-        acc = buckets.get((side, j, a))
-        buckets[(side, j, a)] = term if acc is None else acc + term
-
-    for v in range(-cutoff - 1, cutoff + 2):
-        pad_a = abs(v) > cutoff
-        for ua in range(p**level):
-            if ua % p == 0:
+    whose rows _gl_dual_rows writes down directly (no inversion).  a runs
+    over the brute-force z window, and each of the n - 2 coordinates of x
+    over the brute-force y window at V = 0: o mod p^N (vol(o) = q^(1/2))
+    plus the p^(-1) padding shell."""
+    as_ = _z_windows(p, level, cutoff, "brute-force", "phi")
+    xs = _y_windows(n - 1, p, level, 0, "brute-force")
+    aw = _window_weight(as_)
+    weights = {"plain": aw, "dual": aw * _window_weight(xs) ** (n - 2)}
+    sums: dict = {}  # (side, j, a) -> sum of the point values, without the weight
+    for a, _, apad in as_:
+        counts: dict = {}  # (side, j, m, e) -> number of points at this a
+        rows = mat_identity(n)
+        rows[0][0] = a
+        parts = _gl_whittaker_parts(rows, p, n)
+        if parts is not None:
+            if apad:
+                raise BoundaryNonvanishing(f"JPSS plain side at shell: a={a}")
+            counts[("plain",) + parts] = 1
+        for x, xpad in _iter_y(xs, n - 1):
+            parts = _gl_whittaker_parts(_gl_dual_rows(a, x, n), p, n)
+            if parts is None:
                 continue
-            a = Fraction(p) ** v * ua
-            # plain side: W(diag(a, I_(n-1)))
-            rows = mat_identity(n)
-            rows[0][0] = a
-            parts = _gl_whittaker_parts(rows, p, n)
-            if parts is not None:
-                if pad_a:
-                    raise BoundaryNonvanishing(f"JPSS plain side at shell: a={a}")
-                j, val = parts
-                add("plain", j, a, ExactScalar.from_coeff(p, aw * val))
-            # dual side: W(w_long t(m)^(-1) w_(n,1)) over the x column
-            for xcombo, xw, pad_x in _iter_x(xs, n):
-                parts = _gl_whittaker_parts(_gl_dual_rows(a, xcombo, n), p, n)
-                if parts is None:
-                    continue
-                if pad_a or pad_x:
-                    raise BoundaryNonvanishing(
-                        f"JPSS dual side at shell: a={a}, x={xcombo}"
-                    )
-                j, val = parts
-                # each x coordinate carries vol(o) = q^(1/2)
-                wgt = ExactScalar.from_coeff(p, aw * xw * val, q_half=n - 2)
-                add("dual", j, a, wgt)
-    return _merge_tame_classes(buckets, p)
-
-
-def _iter_x(xs, n):
-    if n <= 2:
-        yield (), Fraction(1), False
-        return
-    for combo in itertools.product(xs, repeat=n - 2):
-        w = Fraction(1)
-        for c in combo:
-            w *= c[1]
-        yield tuple(c[0] for c in combo), w, any(c[2] for c in combo)
+            if apad or xpad:
+                raise BoundaryNonvanishing(f"JPSS dual side at shell: a={a}, x={x}")
+            key = ("dual",) + parts
+            counts[key] = counts.get(key, 0) + 1
+        _add_counts(sums, counts, p, a)
+    merged = _merge_tame_classes(sums, p)
+    return {key: weights[key[0]] * ExactScalar.from_coeff(p, c) for key, c in merged.items()}
 
 
 def jpss_gl_gamma(

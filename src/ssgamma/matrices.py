@@ -1,6 +1,11 @@
-"""Matrices over Q_p: split odd orthogonal groups, named elements, the
-I+ membership test, and the double-coset solver behind the explicit
-Whittaker functions.
+"""Matrices over Q_p: split odd orthogonal groups, the normalizers g_chi
+and the element b_1, the I+ membership test, and the double-coset
+solvers behind the explicit Whittaker functions.
+
+The other named elements of the integrands (c_hat, delta_o, omega',
+embed_j, xbar, ...) and the random samplers are in tests/oracles.py,
+where their products are the reference for the sparse builders of
+integrals.py.
 
 Conventions: SO_m is defined by det = 1 and tg J g = J with J the
 antidiagonal of ones.  I+ (the pro-unipotent radical of the standard
@@ -13,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .padic import PAdicNumber
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -190,21 +193,6 @@ class GroupMatrix:
     def is_identity(self) -> bool:
         return self.rows == tuple(tuple(mat_identity(self.size)[i]) for i in range(self.size))
 
-    def to_dict(self):
-        return {
-            "ambient": self.ambient,
-            "size": self.size,
-            "prime": self.prime,
-            "entries": [str(x) for r in self.rows for x in r],
-        }
-
-    @staticmethod
-    def from_dict(d) -> "GroupMatrix":
-        n = d["size"]
-        ent = [Fraction(x) for x in d["entries"]]
-        rows = [ent[i * n : (i + 1) * n] for i in range(n)]
-        return GroupMatrix.make(rows, d["prime"], d["ambient"])
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"GroupMatrix[{self.ambient}]({body})"
@@ -279,52 +267,6 @@ def times_g_chi_so(rows, p):
     return [[p * row[-1]] + [-x for x in row[1:-1]] + [row[0] / p] for row in rows]
 
 
-def delta_o(ell: int, prime: int) -> GroupMatrix:
-    """diag(I_l, -1, I_l); det = -1 so tagged GL."""
-    n = 2 * ell + 1
-    rows = mat_identity(n)
-    rows[ell][ell] = Fraction(-1)
-    return GroupMatrix.make(rows, prime, "GL")
-
-
-def c_hat(n: int, ell: int, prime: int) -> GroupMatrix:
-    """diag(I_n, -I_(l-n), 1, -I_(l-n), I_n) in SO_(2l+1)."""
-    if n > ell:
-        raise BadDimension("need n <= l")
-    size = 2 * ell + 1
-    rows = mat_identity(size)
-    for i in list(range(n, ell)) + list(range(ell + 1, 2 * ell + 1 - n)):
-        rows[i][i] = Fraction(-1)
-    return GroupMatrix.make(rows, prime, "SO_odd")
-
-
-def omega_prime(n: int, ell: int, prime: int) -> GroupMatrix:
-    """The permutation swapping slots n and 2l+2-n (identity elsewhere)."""
-    if n > ell:
-        raise BadDimension("need n <= l")
-    size = 2 * ell + 1
-    rows = mat_identity(size)
-    i, j = n - 1, size - n
-    rows[i][i] = rows[j][j] = F0
-    rows[i][j] = rows[j][i] = F1
-    return GroupMatrix.make(rows, prime, "GL")
-
-
-def w_element(n: int, prime: int) -> GroupMatrix:
-    """Product of the two block antidiagonal involutions in SO_2n (n odd)."""
-    if n % 2 == 0:
-        raise BadDimension("defined for odd n")
-    size = 2 * n
-    a = [[F0] * size for _ in range(size)]
-    for i in range(n):
-        a[i][n + i] = F1
-        a[n + i][i] = F1
-    b = mat_identity(size)
-    b[0][0] = b[size - 1][size - 1] = F0
-    b[0][size - 1] = b[size - 1][0] = F1
-    return GroupMatrix.make(mat_mul(a, b), prime, "SO_even")
-
-
 def b_element(n: int, prime: int) -> GroupMatrix:
     """diag(1, -1, ..., -1, 1) in GL_n; the n = 1 degenerate case is (-1),
     which is what the dual integral's section slot actually requires."""
@@ -334,55 +276,6 @@ def b_element(n: int, prime: int) -> GroupMatrix:
     for i in range(1, n - 1):
         rows[i][i] = Fraction(-1)
     return GroupMatrix.make(rows, prime, "GL")
-
-
-def torus_so2(a, prime: int) -> GroupMatrix:
-    a = Fraction(a.value if isinstance(a, PAdicNumber) else a)
-    if a == 0:
-        raise NotInGroup("torus parameter must be nonzero")
-    return GroupMatrix.make([[a, F0], [F0, 1 / a]], prime, "SO_even")
-
-
-def w_long(n: int, prime: int) -> GroupMatrix:
-    rows = [[F1 if i + j == n - 1 else F0 for j in range(n)] for i in range(n)]
-    return GroupMatrix.make(rows, prime, "GL")
-
-
-def embed_j(h: GroupMatrix, ell: int) -> GroupMatrix:
-    """Block embedding SO_2n -> SO_(2l+1): corners around a middle identity."""
-    if h.size % 2:
-        raise BadDimension("expected an even-size matrix")
-    n = h.size // 2
-    if n > ell:
-        raise BadDimension("need n <= l")
-    size = 2 * ell + 1
-    mid = 2 * (ell - n) + 1
-    rows = [[F0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = h.rows[i][j]
-            rows[i][n + mid + j] = h.rows[i][n + j]
-            rows[n + mid + i][j] = h.rows[n + i][j]
-            rows[n + mid + i][n + mid + j] = h.rows[n + i][n + j]
-    for i in range(n, n + mid):
-        rows[i][i] = F1
-    return GroupMatrix.make(rows, h.prime, "SO_odd", verify=False)
-
-
-def xbar(y, ell: int, prime: int, verify: bool = False) -> GroupMatrix:
-    """The unipotent of SO_(2l+1) with column y below the (1,1) entry:
-    rows 2..l of column 1 carry y, and the bottom row carries the
-    form-forced partner y'_k = -y_(l-k) in columns l+2..2l."""
-    y = [Fraction(v.value if isinstance(v, PAdicNumber) else v) for v in y]
-    if len(y) != ell - 1:
-        raise BadDimension(f"need {ell - 1} coordinates")
-    size = 2 * ell + 1
-    rows = mat_identity(size)
-    for i, c in enumerate(y):
-        rows[1 + i][0] = c
-    for k in range(1, ell):
-        rows[size - 1][ell + 1 + k - 1] = -y[ell - k - 1]
-    return GroupMatrix.make(rows, prime, "SO_odd", verify=verify)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +334,6 @@ class CosetWitness:
     i: int
     k: GroupMatrix
 
-    def recompose(self, g_chi: GroupMatrix) -> GroupMatrix:
-        out = self.u
-        if self.i:
-            out = out * g_chi
-        return out * self.k
-
 
 def coset_decompose(g: GroupMatrix, ell: int = None) -> CosetWitness | None:
     """Decompose g in SO_(2l+1) as u * g_chi^i * k with u upper unipotent
@@ -495,7 +382,7 @@ def coset_decompose(g: GroupMatrix, ell: int = None) -> CosetWitness | None:
 class GLCosetWitness:
     u: GroupMatrix
     j: int
-    z: PAdicNumber
+    z: Fraction
     k: GroupMatrix
 
 
@@ -525,95 +412,6 @@ def coset_decompose_gl(g: GroupMatrix) -> GLCosetWitness | None:
                     k = mat_mul(gchi_inv, mat_mul(k, gchi))
                 um = GroupMatrix.make(u, p, "GL", verify=False)
                 km = GroupMatrix.make(k, p, "GL", verify=False)
-                return GLCosetWitness(um, j, PAdicNumber(z, p), km)
+                return GLCosetWitness(um, j, z, km)
         m = times_g_chi_gl_inv(m, p)
     return None
-
-
-# ---------------------------------------------------------------------------
-# root-group elements for sampling
-
-
-def so_root_element(ell: int, prime: int, a: int, b: int, c) -> GroupMatrix:
-    """One-parameter unipotent of SO_(2l+1) supported at (a, b) (0-indexed,
-    a != b, (a, b) not a form-dual fixed pair): I + c(E_ab - E_b'a') with
-    the short-root quadratic correction when b is the middle index."""
-    size = 2 * ell + 1
-    c = Fraction(c.value if isinstance(c, PAdicNumber) else c)
-    ad, bd = size - 1 - a, size - 1 - b
-    if a == b or (a, b) == (bd, ad):
-        raise BadDimension("unsupported root position")
-    rows = mat_identity(size)
-    rows[a][b] += c
-    rows[bd][ad] -= c
-    # short roots: X = E_ab - E_b'a' has X^2 = -E_aa' (b middle) or -E_b'b (a middle)
-    if bd == b:
-        rows[a][ad] -= c * c / 2
-    elif ad == a:
-        rows[bd][b] -= c * c / 2
-    return GroupMatrix.make(rows, prime, "SO_odd")
-
-
-def random_so_unipotent(rng, ell: int, prime: int, integral: bool = True) -> GroupMatrix:
-    """Random element of U_SO (integral entries when integral=True)."""
-    size = 2 * ell + 1
-    out = GroupMatrix.make(mat_identity(size), prime, "SO_odd", verify=False)
-    for a in range(size - 1):
-        for b in range(a + 1, size):
-            if (a, b) == (size - 1 - b, size - 1 - a):
-                continue
-            if size - 1 - b < a:
-                continue  # dual partner already handled
-            c = Fraction(rng.randint(-2 * prime, 2 * prime))
-            if not integral:
-                c = c / prime ** rng.randint(0, 1)
-            out = out * so_root_element(ell, prime, a, b, c)
-    return out
-
-
-def random_so_iplus(rng, ell: int, prime: int) -> GroupMatrix:
-    """Random element of I+ in SO_(2l+1): a 1+p torus element times upper
-    root elements with integral parameters and lower ones with parameters
-    in p (corner positions get an extra power to stay in the predicate)."""
-    size = 2 * ell + 1
-    p = prime
-    diag = mat_identity(size)
-    for i in range(ell):
-        d = 1 + p * Fraction(rng.randint(0, p - 1))
-        diag[i][i] = d
-        diag[size - 1 - i][size - 1 - i] = 1 / d
-    out = GroupMatrix.make(diag, p, "SO_odd")
-    for a in range(size):
-        for b in range(size):
-            if a == b or (a, b) == (size - 1 - b, size - 1 - a):
-                continue
-            if a < b and size - 1 - b < a:
-                continue
-            if a > b and not (size - 1 - b > a):
-                continue
-            c = Fraction(rng.randint(-p, p))
-            if a > b:
-                c *= p
-            try:
-                out = out * so_root_element(ell, p, a, b, c)
-            except BadDimension:
-                continue
-    if not in_iplus(out.items(), p):
-        raise MatrixError("sampler left I+; adjust parameters")
-    return out
-
-
-def random_gl_iplus(rng, n: int, prime: int) -> GroupMatrix:
-    rows = mat_identity(n)
-    p = prime
-    for i in range(n):
-        rows[i][i] = 1 + p * Fraction(rng.randint(0, p - 1))
-        for j in range(n):
-            if i < j:
-                rows[i][j] = Fraction(rng.randint(-p, p))
-            elif i > j:
-                rows[i][j] = p * Fraction(rng.randint(-p, p))
-    g = GroupMatrix.make(rows, prime, "GL")
-    if not in_iplus(g.items(), p):
-        raise MatrixError("GL I+ sampler failed")
-    return g

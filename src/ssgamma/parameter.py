@@ -209,7 +209,8 @@ def param_summary(p: int, ell: int, zeta: CyclotomicNumber) -> ParamData:
         "two_ell": two_ell,
         "partitions_checked": total,
         "attaining": attaining,
-        "unique_single_block": attaining == [[two_ell]],
+        # None past 2l = 12: no partition was checked, so there is no verdict
+        "unique_single_block": attaining == [[two_ell]] if total else None,
     }
     return ParamData(
         ell=ell,

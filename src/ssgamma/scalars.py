@@ -189,14 +189,6 @@ class ExactScalar:
             recs.append({"coeffs": coeffs, "order": c.order, "q_half": h, "s_power": k})
         return recs
 
-    @staticmethod
-    def from_records(prime: int, recs) -> "ExactScalar":
-        total = ExactScalar.zero(prime)
-        for r in recs:
-            c = CyclotomicNumber(r["order"], [Fraction(x) for x in r["coeffs"]])
-            total = total + ExactScalar.from_coeff(prime, c, r["q_half"], r["s_power"])
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "ExactScalar(0)"

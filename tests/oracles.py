@@ -1,0 +1,394 @@
+"""Reference code the tests check the package against.
+
+None of this is on a production path.  The module imports only public
+names of ssgamma, so an oracle cannot quietly reuse the fast path's
+private helpers; tests/test_layout.py enforces that, and that nothing
+defined here is defined again in src/.
+
+  * The generic Whittaker function (whittaker_eval): the double-coset
+    witness from coset_decompose / coset_decompose_gl, read through
+    psi_U and the affine generic character affine_chi.
+  * The section f_s (section_eval) and the intertwining operator at
+    n = 1 (intertwine_M).
+  * The named group elements whose product the sparse integrand
+    builders of integrals.py are checked against: c_hat, delta_o,
+    omega_prime, w_element, w_long, embed_j, xbar and torus_so2.
+  * Samplers of U_SO and of I+ in SO_(2l+1) and GL_n, the root elements
+    they multiply, and the torus element normalizing the affine
+    character (orbit_conjugator).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from ssgamma.characters import CharacterError, TameCharacter, psi_eval, tame_eval
+from ssgamma.cyclotomic import CyclotomicNumber
+from ssgamma.integrals import IntegralError, Unsupported
+from ssgamma.matrices import (
+    F0,
+    F1,
+    BadDimension,
+    CosetWitness,
+    GroupMatrix,
+    MatrixError,
+    NotInGroup,
+    coset_decompose,
+    coset_decompose_gl,
+    in_iplus,
+    mat_identity,
+    mat_mul,
+)
+from ssgamma.padic import rational_valuation
+from ssgamma.scalars import ExactScalar
+
+
+# ---------------------------------------------------------------------------
+# the generic Whittaker function
+
+
+class NotInIPlus(CharacterError):
+    pass
+
+
+@dataclass(frozen=True)
+class WhittakerSpec:
+    """Data of a simple supercuspidal Whittaker function.
+
+    flavor "SO": group SO_(2l+1), zeta a sign.  flavor "GL": group GL_n,
+    zeta an n-th root of omega(pi) with the central character omega kept
+    trivial (level 0, as the orthogonal comparison requires).
+    """
+
+    prime: int
+    flavor: str  # "SO" | "GL"
+    rank: int  # l for SO, n for GL
+    zeta: CyclotomicNumber
+    t: tuple = None  # affine parameters, units; SO only
+
+    def __post_init__(self):
+        if self.flavor not in ("SO", "GL"):
+            raise CharacterError("flavor must be SO or GL")
+        if self.t is None:
+            count = self.rank + 1 if self.flavor == "SO" else self.rank
+            object.__setattr__(self, "t", tuple(Fraction(1) for _ in range(count)))
+        else:
+            object.__setattr__(self, "t", tuple(Fraction(x) for x in self.t))
+        n = 2 if self.flavor == "SO" else self.rank
+        if self.zeta**n != CyclotomicNumber.one():
+            raise CharacterError("zeta has the wrong order for this flavor")
+
+    @property
+    def size(self):
+        return 2 * self.rank + 1 if self.flavor == "SO" else self.rank
+
+
+def affine_chi(h: GroupMatrix, t=None, flavor: str = "SO") -> CyclotomicNumber:
+    """The affine generic character on I+: psi of the weighted simple
+    affine entries (superdiagonal run plus the corner over pi)."""
+    p = h.prime
+    n = h.size
+    if not in_iplus(h.items(), p):
+        raise NotInIPlus("affine_chi needs h in I+")
+    # SO_(2l+1): l superdiagonal entries and the corner in row 2l;
+    # GL_n: n - 1 superdiagonal entries and the corner in row n
+    count, corner = ((n - 1) // 2, n - 2) if flavor == "SO" else (n - 1, n - 1)
+    if t is None:
+        t = (1,) * (count + 1)
+    s = sum(Fraction(t[a]) * h.rows[a][a + 1] for a in range(count))
+    s += Fraction(t[count]) * h.rows[corner][0] / p
+    return psi_eval(s, p)
+
+
+def _psi_u(spec: WhittakerSpec, u: GroupMatrix) -> CyclotomicNumber:
+    """The generic character of the upper unipotent matching affine_chi."""
+    p = spec.prime
+    if spec.flavor == "SO":
+        count = spec.rank  # first l superdiagonal entries
+    else:
+        count = spec.rank - 1
+    s = sum(Fraction(spec.t[a]) * u.rows[a][a + 1] for a in range(count))
+    return psi_eval(s, p)
+
+
+def whittaker_eval(spec: WhittakerSpec, g: GroupMatrix) -> ExactScalar:
+    """The normalized Whittaker function of the simple supercuspidal:
+    psi(u) zeta^i chi(k) on the supporting double coset, 0 elsewhere."""
+    p = spec.prime
+    if spec.flavor == "SO":
+        wit = coset_decompose(g, spec.rank)
+        if wit is None:
+            return ExactScalar.zero(p)
+        val = _psi_u(spec, wit.u) * spec.zeta**wit.i * affine_chi(wit.k, t=spec.t, flavor="SO")
+        return ExactScalar.from_coeff(p, val)
+    wit = coset_decompose_gl(g)
+    if wit is None:
+        return ExactScalar.zero(p)
+    # central character is trivial, so the z slot contributes nothing
+    val = _psi_u(spec, wit.u) * spec.zeta**wit.j * affine_chi(wit.k, t=spec.t, flavor="GL")
+    return ExactScalar.from_coeff(p, val)
+
+
+def recompose(wit: CosetWitness, g_chi: GroupMatrix) -> GroupMatrix:
+    """u g_chi^i k for an SO coset witness."""
+    out = wit.u
+    if wit.i:
+        out = out * g_chi
+    return out * wit.k
+
+
+def orbit_conjugator(t, ell: int, prime: int) -> GroupMatrix:
+    """Torus element conjugating the (t_1..t_l, t_(l+1)) affine character
+    to the normal form (1, ..., 1, t_(l+1)/(t_1 t_2^2 ... t_l^2))."""
+    t = [Fraction(x) for x in t]
+    n = 2 * ell + 1
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows[ell][ell] = Fraction(1)
+    for i in range(ell):
+        d = Fraction(1)
+        for a in range(i, ell):
+            d *= t[a]
+        rows[i][i] = 1 / d
+        rows[n - 1 - i][n - 1 - i] = d
+    return GroupMatrix.make(rows, prime, "SO_odd")
+
+
+def normalized_t(t) -> tuple:
+    """(t_1..t_(l+1)) -> (1, ..., 1, t_(l+1) * t_1 t_2^2 ... t_l^2).
+
+    The corner coefficient transforms inversely to a choice of
+    uniformizer, so in the uniformizer parameterization the normal form
+    reads 1/(t_1 t_2^2 ... t_l^2)."""
+    t = [Fraction(x) for x in t]
+    ell = len(t) - 1
+    d = Fraction(1)
+    for i, x in enumerate(t[:-1]):
+        d *= x if i == 0 else x * x
+    return tuple([Fraction(1)] * ell + [t[-1] * d])
+
+
+# ---------------------------------------------------------------------------
+# sections and the (trivial at n = 1) intertwining operator
+
+
+@dataclass(frozen=True)
+class SectionSpec:
+    """f_s(h, a) = |det h|^(s-1/2) tau(a h) on SO_2, reading the scalar
+    slot z = h[0][0]."""
+
+    tau: TameCharacter
+
+    def __call__(self, h, a) -> ExactScalar:
+        return section_eval(self, h, a)
+
+
+def section_eval(sec: SectionSpec, h, a) -> ExactScalar:
+    p = sec.tau.prime
+    z = h.rows[0][0] if isinstance(h, GroupMatrix) else Fraction(h)
+    v = rational_valuation(z, p)
+    # |z|^(s-1/2) = q^(v/2) (q^-s)^v
+    norm = ExactScalar.from_coeff(p, F1, q_half=v, s_power=v)
+    return norm * tame_eval(sec.tau, Fraction(a) * z)
+
+
+def intertwine_M(sec: SectionSpec, h, a, n: int = 1) -> ExactScalar:
+    """M(tau, s) f_s at n = 1: the unipotent radical is trivial and the
+    Weyl element w_1 multiplies out to the identity of SO_2, so the
+    operator is f_s(w_1^(-1) h, a) = f_s(h, a)."""
+    if n != 1:
+        raise Unsupported("the intertwining operator is implemented at n = 1 only")
+    p = sec.tau.prime
+    w1 = w_element(1, p)
+    if not w1.is_identity():  # the two displayed factors must cancel
+        raise IntegralError("w_1 failed to reduce to the identity")
+    hh = h if isinstance(h, GroupMatrix) else torus_so2(h, p)
+    return section_eval(sec, w1.inv() * hh, a)
+
+
+# ---------------------------------------------------------------------------
+# named elements
+
+
+def delta_o(ell: int, prime: int) -> GroupMatrix:
+    """diag(I_l, -1, I_l); det = -1 so tagged GL."""
+    n = 2 * ell + 1
+    rows = mat_identity(n)
+    rows[ell][ell] = Fraction(-1)
+    return GroupMatrix.make(rows, prime, "GL")
+
+
+def c_hat(n: int, ell: int, prime: int) -> GroupMatrix:
+    """diag(I_n, -I_(l-n), 1, -I_(l-n), I_n) in SO_(2l+1)."""
+    if n > ell:
+        raise BadDimension("need n <= l")
+    size = 2 * ell + 1
+    rows = mat_identity(size)
+    for i in list(range(n, ell)) + list(range(ell + 1, 2 * ell + 1 - n)):
+        rows[i][i] = Fraction(-1)
+    return GroupMatrix.make(rows, prime, "SO_odd")
+
+
+def omega_prime(n: int, ell: int, prime: int) -> GroupMatrix:
+    """The permutation swapping slots n and 2l+2-n (identity elsewhere)."""
+    if n > ell:
+        raise BadDimension("need n <= l")
+    size = 2 * ell + 1
+    rows = mat_identity(size)
+    i, j = n - 1, size - n
+    rows[i][i] = rows[j][j] = F0
+    rows[i][j] = rows[j][i] = F1
+    return GroupMatrix.make(rows, prime, "GL")
+
+
+def w_element(n: int, prime: int) -> GroupMatrix:
+    """Product of the two block antidiagonal involutions in SO_2n (n odd)."""
+    if n % 2 == 0:
+        raise BadDimension("defined for odd n")
+    size = 2 * n
+    a = [[F0] * size for _ in range(size)]
+    for i in range(n):
+        a[i][n + i] = F1
+        a[n + i][i] = F1
+    b = mat_identity(size)
+    b[0][0] = b[size - 1][size - 1] = F0
+    b[0][size - 1] = b[size - 1][0] = F1
+    return GroupMatrix.make(mat_mul(a, b), prime, "SO_even")
+
+
+def torus_so2(a, prime: int) -> GroupMatrix:
+    a = Fraction(a)
+    if a == 0:
+        raise NotInGroup("torus parameter must be nonzero")
+    return GroupMatrix.make([[a, F0], [F0, 1 / a]], prime, "SO_even")
+
+
+def w_long(n: int, prime: int) -> GroupMatrix:
+    rows = [[F1 if i + j == n - 1 else F0 for j in range(n)] for i in range(n)]
+    return GroupMatrix.make(rows, prime, "GL")
+
+
+def embed_j(h: GroupMatrix, ell: int) -> GroupMatrix:
+    """Block embedding SO_2n -> SO_(2l+1): corners around a middle identity."""
+    if h.size % 2:
+        raise BadDimension("expected an even-size matrix")
+    n = h.size // 2
+    if n > ell:
+        raise BadDimension("need n <= l")
+    size = 2 * ell + 1
+    mid = 2 * (ell - n) + 1
+    rows = [[F0] * size for _ in range(size)]
+    for i in range(n):
+        for j in range(n):
+            rows[i][j] = h.rows[i][j]
+            rows[i][n + mid + j] = h.rows[i][n + j]
+            rows[n + mid + i][j] = h.rows[n + i][j]
+            rows[n + mid + i][n + mid + j] = h.rows[n + i][n + j]
+    for i in range(n, n + mid):
+        rows[i][i] = F1
+    return GroupMatrix.make(rows, h.prime, "SO_odd", verify=False)
+
+
+def xbar(y, ell: int, prime: int, verify: bool = False) -> GroupMatrix:
+    """The unipotent of SO_(2l+1) with column y below the (1,1) entry:
+    rows 2..l of column 1 carry y, and the bottom row carries the
+    form-forced partner y'_k = -y_(l-k) in columns l+2..2l."""
+    y = [Fraction(v) for v in y]
+    if len(y) != ell - 1:
+        raise BadDimension(f"need {ell - 1} coordinates")
+    size = 2 * ell + 1
+    rows = mat_identity(size)
+    for i, c in enumerate(y):
+        rows[1 + i][0] = c
+    for k in range(1, ell):
+        rows[size - 1][ell + 1 + k - 1] = -y[ell - k - 1]
+    return GroupMatrix.make(rows, prime, "SO_odd", verify=verify)
+
+
+# ---------------------------------------------------------------------------
+# root-group elements for sampling
+
+
+def so_root_element(ell: int, prime: int, a: int, b: int, c) -> GroupMatrix:
+    """One-parameter unipotent of SO_(2l+1) supported at (a, b) (0-indexed,
+    a != b, (a, b) not a form-dual fixed pair): I + c(E_ab - E_b'a') with
+    the short-root quadratic correction when b is the middle index."""
+    size = 2 * ell + 1
+    c = Fraction(c)
+    ad, bd = size - 1 - a, size - 1 - b
+    if a == b or (a, b) == (bd, ad):
+        raise BadDimension("unsupported root position")
+    rows = mat_identity(size)
+    rows[a][b] += c
+    rows[bd][ad] -= c
+    # short roots: X = E_ab - E_b'a' has X^2 = -E_aa' (b middle) or -E_b'b (a middle)
+    if bd == b:
+        rows[a][ad] -= c * c / 2
+    elif ad == a:
+        rows[bd][b] -= c * c / 2
+    return GroupMatrix.make(rows, prime, "SO_odd")
+
+
+def random_so_unipotent(rng, ell: int, prime: int, integral: bool = True) -> GroupMatrix:
+    """Random element of U_SO (integral entries when integral=True)."""
+    size = 2 * ell + 1
+    out = GroupMatrix.make(mat_identity(size), prime, "SO_odd", verify=False)
+    for a in range(size - 1):
+        for b in range(a + 1, size):
+            if (a, b) == (size - 1 - b, size - 1 - a):
+                continue
+            if size - 1 - b < a:
+                continue  # dual partner already handled
+            c = Fraction(rng.randint(-2 * prime, 2 * prime))
+            if not integral:
+                c = c / prime ** rng.randint(0, 1)
+            out = out * so_root_element(ell, prime, a, b, c)
+    return out
+
+
+def random_so_iplus(rng, ell: int, prime: int) -> GroupMatrix:
+    """Random element of I+ in SO_(2l+1): a 1+p torus element times upper
+    root elements with integral parameters and lower ones with parameters
+    in p (corner positions get an extra power to stay in the predicate)."""
+    size = 2 * ell + 1
+    p = prime
+    diag = mat_identity(size)
+    for i in range(ell):
+        d = 1 + p * Fraction(rng.randint(0, p - 1))
+        diag[i][i] = d
+        diag[size - 1 - i][size - 1 - i] = 1 / d
+    out = GroupMatrix.make(diag, p, "SO_odd")
+    for a in range(size):
+        for b in range(size):
+            if a == b or (a, b) == (size - 1 - b, size - 1 - a):
+                continue
+            if a < b and size - 1 - b < a:
+                continue
+            if a > b and not (size - 1 - b > a):
+                continue
+            c = Fraction(rng.randint(-p, p))
+            if a > b:
+                c *= p
+            try:
+                out = out * so_root_element(ell, p, a, b, c)
+            except BadDimension:
+                continue
+    if not in_iplus(out.items(), p):
+        raise MatrixError("sampler left I+; adjust parameters")
+    return out
+
+
+def random_gl_iplus(rng, n: int, prime: int) -> GroupMatrix:
+    rows = mat_identity(n)
+    p = prime
+    for i in range(n):
+        rows[i][i] = 1 + p * Fraction(rng.randint(0, p - 1))
+        for j in range(n):
+            if i < j:
+                rows[i][j] = Fraction(rng.randint(-p, p))
+            elif i > j:
+                rows[i][j] = p * Fraction(rng.randint(-p, p))
+    g = GroupMatrix.make(rows, prime, "GL")
+    if not in_iplus(g.items(), p):
+        raise MatrixError("GL I+ sampler failed")
+    return g

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from ssgamma.characters import TameCharacter, affine_chi
+from oracles import affine_chi, random_so_iplus, random_so_unipotent, recompose
+from ssgamma.characters import TameCharacter
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
@@ -24,14 +25,7 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import (
-    coset_decompose,
-    g_chi_so,
-    in_iplus,
-    random_so_iplus,
-    random_so_unipotent,
-    so_check,
-)
+from ssgamma.matrices import coset_decompose, g_chi_so, in_iplus, so_check
 from ssgamma.parameter import (
     EisensteinElement,
     gauss_sum,
@@ -146,7 +140,7 @@ def test_coset_roundtrip_hundred_products():
         g = u * gchi * k if i else u * k
         wit = coset_decompose(g, ell)
         assert wit is not None and wit.i == i
-        assert wit.recompose(gchi).rows == g.rows
+        assert recompose(wit, gchi).rows == g.rows
         assert so_check(wit.u) and in_iplus(wit.k.items(), p)
         done += 1
 

@@ -4,33 +4,32 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import (
+    WhittakerSpec,
+    _psi_u,
+    affine_chi,
+    embed_j,
+    normalized_t,
+    orbit_conjugator,
+    random_so_iplus,
+    random_so_unipotent,
+    so_root_element,
+    torus_so2,
+    whittaker_eval,
+)
 from ssgamma.characters import (
     PSI_MAX_POWER,
     CharacterError,
     OrderOverflow,
     TameCharacter,
-    WhittakerSpec,
-    affine_chi,
-    chi_zeta,
-    normalized_t,
-    orbit_conjugator,
     primitive_root,
     psi_eval,
     psi_exponent,
     tame_class,
     tame_eval,
-    whittaker_eval,
 )
 from ssgamma.cyclotomic import CyclotomicNumber as C
-from ssgamma.matrices import (
-    GroupMatrix,
-    coset_decompose,
-    g_chi_so,
-    mat_identity,
-    random_so_iplus,
-    random_so_unipotent,
-    so_root_element,
-)
+from ssgamma.matrices import GroupMatrix, g_chi_gl, g_chi_so, mat_identity
 from ssgamma.scalars import ExactScalar
 
 
@@ -233,8 +232,6 @@ def test_whittaker_identity_and_g_chi():
 
 
 def test_whittaker_vanishes_off_support():
-    from ssgamma.matrices import embed_j, torus_so2
-
     p = 3
     spec = WhittakerSpec(p, "SO", 1, C.one())
     g = embed_j(torus_so2(Fraction(p * p), p), 1)
@@ -245,8 +242,6 @@ def test_whittaker_vanishes_off_support():
 def test_whittaker_left_equivariance(ell, p):
     rng = random.Random(ell + p)
     spec = WhittakerSpec(p, "SO", ell, -C.one())
-    from ssgamma.characters import _psi_u
-
     for _ in range(10):
         u = random_so_unipotent(rng, ell, p, integral=False)
         g = g_chi_so(ell, p) * random_so_iplus(rng, ell, p)
@@ -262,8 +257,6 @@ def test_whittaker_gl_flavor():
     spec = WhittakerSpec(p, "GL", n, zeta)
     eye = GroupMatrix.make(mat_identity(n), p)
     assert whittaker_eval(spec, eye) == ExactScalar.one(p)
-    from ssgamma.matrices import g_chi_gl
-
     assert whittaker_eval(spec, g_chi_gl(n, p)) == ExactScalar.from_coeff(p, zeta)
 
 

@@ -108,6 +108,15 @@ def test_param_output(capsys):
     assert no_floats(doc)
 
 
+def test_param_past_the_partition_check_reports_null(capsys):
+    # the partition check stops at 2l = 12, so it gives no verdict at l = 7
+    code, out = run(capsys, "param", "--p", "5", "--ell", "7")
+    assert code == EXIT_OK
+    check = json.loads(out)["depth_check"]
+    assert check["partitions_checked"] == 0
+    assert check["unique_single_block"] is None
+
+
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SSGAMMA_OUTPUT_DIR", str(tmp_path))
     code, out = run(

@@ -1,27 +1,42 @@
 """The JPSS GL(n) x GL(1) enumeration, integrals._gl_buckets.
 
-The dual side's argument w_long (t m)^(-1) w_(n,1) is written down in
-closed form (_gl_dual_rows), and coset_decompose_gl rotates columns
-instead of multiplying by g_chi^(-1).  The first test checks the closed
-form against the generic product with mat_inv, which shares none of its
-path.  The buckets are pinned by sha256 digests of their records, taken
-from the implementation that built every argument and every rotation by
-generic inversion and products.  The last test counts calls, so that a
-per-point inversion cannot come back unseen.
+The enumeration runs on the SO machinery: a over the brute-force
+multiplicative window _z_windows, each x coordinate over _y_windows at
+V = 0 (o mod p^N plus the p^(-1) shell), the x product from _iter_y, and
+the per-a (side, j, m, a) histogram of _gl_whittaker_parts, which reads
+W(g) as the plain ints (j, m, a) = zeta^j zeta_(p^m)^a.  The dual side's
+argument w_long (t m)^(-1) w_(n,1) is written down in closed form
+(_gl_dual_rows), and coset_decompose_gl rotates columns instead of
+multiplying by g_chi^(-1).
+
+The first test checks the closed form against the generic product with
+mat_inv, which shares none of its path.  The next two check the
+evaluator against the generic Whittaker function of tests/oracles.py,
+on window points and on points u g_chi^j k of the support.  The buckets
+are pinned by sha256 digests of their records, taken from the
+implementation that built every argument and every rotation by generic
+inversion and products, and summed every point's value as an
+ExactScalar.  The last test counts calls, so that a per-point inversion
+cannot come back unseen.
 """
 
 import hashlib
 import json
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import WhittakerSpec, random_gl_iplus, w_long, whittaker_eval
 from ssgamma import matrices
-from ssgamma.integrals import _gl_buckets, _gl_dual_rows
-from ssgamma.matrices import mat_identity, mat_inv, mat_mul, mat_transpose, w_long
+from ssgamma.cyclotomic import CyclotomicNumber as C
+from ssgamma.integrals import _gl_buckets, _gl_dual_rows, _gl_whittaker_parts
+from ssgamma.matrices import GroupMatrix, g_chi_gl, mat_identity, mat_inv, mat_mul, mat_transpose
+from ssgamma.scalars import ExactScalar
 
 LEVEL, CUTOFF = 2, 1
 
@@ -57,6 +72,61 @@ def test_dual_rows_equal_the_generic_product(n, p, data):
     a = data.draw(a_window(p))
     x = tuple(data.draw(x_window(p)) for _ in range(n - 2))
     assert _gl_dual_rows(a, x, n) == generic_dual(a, x, n, p)
+
+
+def primitive_root_of_unity(n, data):
+    return C.root_of_unity(n, data.draw(st.sampled_from([k for k in range(1, n) if gcd(k, n) == 1])))
+
+
+def kernel_value(p, zeta, parts):
+    """The evaluator's (j, m, a) read as zeta^j zeta_(p^m)^a."""
+    if parts is None:
+        return ExactScalar.zero(p)
+    j, m, a = parts
+    return ExactScalar.from_coeff(p, zeta**j * C(p**m, {a: 1}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.sampled_from((3, 5, 7)), st.booleans(), st.data())
+def test_evaluator_matches_whittaker_eval_on_the_windows(n, p, dual, data):
+    """The points _gl_buckets evaluates: diag(a, I_(n-1)) on the plain
+    side, _gl_dual_rows(a, x, n) on the dual side."""
+    a = data.draw(a_window(p))
+    if dual:
+        rows = _gl_dual_rows(a, tuple(data.draw(x_window(p)) for _ in range(n - 2)), n)
+    else:
+        rows = mat_identity(n)
+        rows[0][0] = a
+    zeta = primitive_root_of_unity(n, data)
+    want = whittaker_eval(WhittakerSpec(p, "GL", n, zeta), GroupMatrix.make(rows, p))
+    assert kernel_value(p, zeta, _gl_whittaker_parts(rows, p, n)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)),
+    st.sampled_from((3, 5, 7)),
+    st.booleans(),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_evaluator_matches_whittaker_eval_on_the_support(n, p, integral, seed, data):
+    """Points u g_chi^j k with u upper unipotent (with entries in p^(-1)
+    unless integral) and k in I+, so W takes general values there."""
+    rng = random.Random(seed)
+    j = data.draw(st.integers(0, n - 1))
+    u = mat_identity(n)
+    for r in range(n):
+        for c in range(r + 1, n):
+            u[r][c] = Fraction(rng.randint(-2 * p, 2 * p), p ** (0 if integral else rng.randint(0, 1)))
+    g = GroupMatrix.make(u, p)
+    for _ in range(j):
+        g = g * g_chi_gl(n, p)
+    g = g * random_gl_iplus(rng, n, p)
+    parts = _gl_whittaker_parts(g.rows, p, n)
+    assert parts is not None and parts[0] == j
+    zeta = primitive_root_of_unity(n, data)
+    assert kernel_value(p, zeta, parts) == whittaker_eval(WhittakerSpec(p, "GL", n, zeta), g)
 
 
 def bucket_digest(buckets):

@@ -2,10 +2,10 @@
 
 The kernel builds each integrand matrix as a sparse entry map and reads
 its Whittaker value off cheap I+ box tests.  These tests check both
-against the generic code in matrices.py and characters.py, which shares
-none of that path: the sparse builders against the group-element
-product, and the evaluator against whittaker_eval (the generic double
-coset decomposition).  The last tests check the bucket assembly: Phi
+against the generic code in tests/oracles.py, which shares none of that
+path: the sparse builders against the named-element product, and the
+evaluator against whittaker_eval (the generic double coset
+decomposition).  The last tests check the bucket assembly: Phi
 and Phi* rebuilt point by point, with no buckets and no merge over tame
 classes, and the merge itself on buckets that span many tame classes
 (on the real domains only one class per side is nonzero).
@@ -18,17 +18,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ssgamma.characters import (
-    PSI_MAX_POWER,
-    TameCharacter,
+from oracles import (
+    SectionSpec,
     WhittakerSpec,
-    tame_class,
+    c_hat,
+    delta_o,
+    embed_j,
+    omega_prime,
+    random_so_iplus,
+    random_so_unipotent,
+    section_eval,
+    torus_so2,
     whittaker_eval,
+    xbar,
 )
+from ssgamma.characters import PSI_MAX_POWER, TameCharacter, tame_class
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
-    SectionSpec,
     _dense,
     _merge_tame_classes,
     _phi_entries,
@@ -39,22 +46,8 @@ from ssgamma.integrals import (
     _z_windows,
     phi_eval,
     phi_star_eval,
-    section_eval,
 )
-from ssgamma.matrices import (
-    GroupMatrix,
-    b_element,
-    c_hat,
-    delta_o,
-    embed_j,
-    g_chi_so,
-    in_iplus,
-    omega_prime,
-    random_so_iplus,
-    random_so_unipotent,
-    torus_so2,
-    xbar,
-)
+from ssgamma.matrices import GroupMatrix, b_element, g_chi_so, in_iplus
 from ssgamma.scalars import ExactScalar
 
 SIDES = ("phi", "phi_star")

@@ -1,16 +1,9 @@
-import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from ssgamma.integrals import _y_windows, _z_windows
-from ssgamma.padic import (
-    PAdicNumber,
-    NegativeValuation,
-    rational_valuation,
-    INF,
-)
+from ssgamma.padic import INF, rational_valuation
 from ssgamma.scalars import ExactScalar
 
 
@@ -38,40 +31,6 @@ def test_valuation_ultrametric(a, b):
     assert vs >= min(va, vb)
     if va != vb:
         assert vs == min(va, vb)
-
-
-@given(rationals, rationals)
-def test_field_ops(a, b):
-    p = 3
-    x, y = PAdicNumber(a, p), PAdicNumber(b, p)
-    assert (x + y).value == a + b
-    assert (x * y).value == a * b
-    if b != 0:
-        assert (x / y).value == a / b
-
-
-def test_prime_mixing_rejected():
-    with pytest.raises(Exception):
-        PAdicNumber(Fraction(1), 3) + PAdicNumber(Fraction(1), 5)
-
-
-def test_residue():
-    x = PAdicNumber(Fraction(7, 2), 5)  # 7/2 = 7 * inverse(2) = 7*3 = 21 = 1 mod 5
-    assert x.residue() == 1
-    assert PAdicNumber(Fraction(14), 5).residue(2) == 14
-    with pytest.raises(NegativeValuation):
-        PAdicNumber(Fraction(1, 5), 5).residue()
-
-
-def test_in_subset():
-    p = 3
-    assert PAdicNumber(Fraction(6), p).in_subset("p")
-    assert not PAdicNumber(Fraction(2), p).in_subset("p")
-    assert PAdicNumber(Fraction(2), p).in_subset("units")
-    assert PAdicNumber(Fraction(4), p).in_subset("1+p")
-    assert PAdicNumber(Fraction(1, 2), p).in_subset("o")
-    assert not PAdicNumber(Fraction(1, 3), p).in_subset("o")
-    assert PAdicNumber(Fraction(3) * 4, p).in_subset("pi(1+p)")
 
 
 # The integration windows of integrals.py are the sets of representatives
