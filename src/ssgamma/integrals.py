@@ -17,8 +17,17 @@ generic coset solver as the fallback, give its Whittaker value as plain
 ints (i, m, a), meaning zeta^i * zeta_(p^m)^a.  The kernel counts these
 in a histogram keyed by (i, z, m, a).  The measure weight is the same
 at every point off the padding shell (checked per window), so it
-multiplies each bucket once, at the end.  Brute-force mode and
-scan_support use the same evaluator.
+multiplies each bucket once, at the end.
+
+In support-aware mode the histogram at one z is not enumerated point
+by point.  Each y coordinate writes its own two entries, the box tests
+are conjunctions over entries and the chi argument is linear in them,
+so the histogram over the (l-1)-fold y product is the convolution of
+l - 1 per-coordinate histograms: (l-1)|Y| evaluations instead of
+|Y|^(l-1) (_so_buckets has the argument).  A z where some point misses
+both boxes, and so needs the coset solver, falls back to the point
+loop.  Brute-force mode and scan_support always run the point loop, so
+the oracle does not share the convolution.
 
 A bucket holds the sum over one tame class of z: the pair tame_class(z)
 = (v_p(z), unit residue mod p).  This merge is exact, because the
@@ -57,6 +66,8 @@ from .matrices import (
 from .characters import (
     TameCharacter,
     psi_exponent,
+    psi_residue,
+    root_exponent,
     tame_class,
     tame_eval,
 )
@@ -242,18 +253,28 @@ def _chi_arg_conj(m, t, ell, p):
     return s
 
 
+def _box_arg(g, box, p, ell, t):
+    """x with W(g) = zeta^box * psi(x) when the entry map g passes box
+    `box` (0: g in I+; 1: g g_chi^(-1) in I+), or None when it misses it."""
+    if box:
+        g = _times_gchi(g, p, 2 * ell + 1)
+    if not in_iplus(g.items(), p):
+        return None
+    return (_chi_arg_conj if box else _chi_arg)(g, t, ell, p)
+
+
 def _so_whittaker_parts(g, p, ell, t):
     """(i, m, a) with W(g) = zeta^i * zeta_(p^m)^a, or None off the support.
 
     g is the entry map of a point.  The zeta power i is kept separate so
     one enumeration serves every central sign; zeta_(p^m)^a is
-    psi_U(u) * chi(k) (_psi_product)."""
-    if in_iplus(g.items(), p):
-        return (0,) + psi_exponent(_chi_arg(g, t, ell, p), p)
+    psi_U(u) * chi(k) (_psi_product).  No g passes both boxes: I+ is a
+    group and g_chi is not in it."""
+    for box in (0, 1):
+        x = _box_arg(g, box, p, ell, t)
+        if x is not None:
+            return (box,) + psi_exponent(x, p)
     n = 2 * ell + 1
-    m = _times_gchi(g, p, n)
-    if in_iplus(m.items(), p):
-        return (1,) + psi_exponent(_chi_arg_conj(m, t, ell, p), p)
     wit = coset_decompose(GroupMatrix(_dense(g, n), p, "SO_odd"), ell)
     if wit is None:
         return None
@@ -284,10 +305,11 @@ def _psi_product(x, y, p):
 # tame_class(z), so sum_z part(z) f_s(z) = f_s(z0) sum_z part(z) for any
 # z0 of the class.  A bucket is keyed by (i, z0), z0 the first z of its
 # class in sorted order, and the merge runs once per enumeration, after
-# every padding-shell check.  The (m, a) counts at one z are summed in
-# the order the points first produced them, so a bucket's cyclotomic
-# order and terms are those of a point-by-point sum (one in which no
-# partial sum vanishes).
+# every padding-shell check.  A bucket's .order and .coeffs do not
+# depend on the order in which the (m, a) counts are added: the order
+# is the lcm of the p^m of the nonzero counts, and each coefficient is
+# a sum of positive counts.  Term order in .coeffs reaches no record,
+# repr or equality, which all go through sorted or reduced forms.
 
 _SO_BUCKETS: dict = {}
 
@@ -361,26 +383,104 @@ def _window_weight(window):
 
 
 def _so_buckets(cfg: IntegralConfig, side: str):
+    """(i, z0) -> the weighted sum of W over the y domain and the z of one
+    tame class (see the comment above).
+
+    Support-aware mode counts each z's (i, m, a) histogram over the
+    (l-1)-fold y product as a convolution of per-coordinate histograms
+    (_so_convolved_counts): (l-1)|Y| evaluations instead of |Y|^(l-1).
+    This is exact:
+      * for a fixed z, coordinate y_k writes only the entries (1+k, 0) and
+        (n-1, n-2-k) of the integrand (_phi_entries);
+      * the Phi* sign and column map and _times_gchi move those entries,
+        but no two coordinates share an entry and none lands on the
+        diagonal, where a 0 would fail a box;
+      * in_iplus is a conjunction over entries, so each box verdict is the
+        base verdict (all y = 0) AND one verdict per coordinate;
+      * _chi_arg and _chi_arg_conj are linear, so a point's argument is
+        arg(0) + sum_k (arg(e_k y_k) - arg(0)), and psi_exponent depends
+        only on that sum mod p;
+      * no matrix passes both boxes (I+ is a group and g_chi is not in
+        it).  The base's coordinate entries are 0 off the diagonal and
+        pass both boxes, so a box the base misses fails at an entry no
+        coordinate writes, at every point of the z.  The base thus
+        decides the one box a point of the z can pass, and box 1 is
+        tested only where the base misses box 0.
+    A point that misses both boxes needs the coset solver and does not
+    factor.  A z with such a point (the base, or one coordinate value,
+    misses its box) is enumerated point by point (_so_point_counts), as is
+    every z in brute-force mode and in scan_support."""
     p, ell = cfg.prime, cfg.ell
     build = _phi_entries if side == "phi" else _phi_star_entries
     ys = _y_windows(ell, p, cfg.level, cfg.cutoff, cfg.mode)
     zs = _z_windows(p, cfg.level, cfg.cutoff, cfg.mode, side)
     weight = _window_weight(zs) * _window_weight(ys) ** (ell - 1)
+    reps = [y for y, _, _ in ys]
     sums: dict = {}  # (i, z) -> sum of the point values, without the weight
     for z, _, zpad in zs:
-        counts: dict = {}  # (i, m, a) -> number of points at this z
-        for y, ypad in _iter_y(ys, ell):
-            parts = _so_whittaker_parts(build(z, y, ell), p, ell, cfg.t)
-            if parts is None:
-                continue
-            if zpad or ypad:
-                raise BoundaryNonvanishing(
-                    f"nonzero {side} integrand at the padding shell: z={z}, y={y}"
-                )
-            counts[parts] = counts.get(parts, 0) + 1
+        counts = None
+        if cfg.mode == "support-aware":  # its windows have no padding shell
+            counts = _so_convolved_counts(z, reps, build, p, ell, cfg.t)
+        if counts is None:
+            counts = _so_point_counts(z, zpad, ys, build, p, ell, cfg.t, side)
         _add_counts(sums, counts, p, z)
     merged = _merge_tame_classes(sums, p)
     return {iz: weight * ExactScalar.from_coeff(p, c) for iz, c in merged.items()}
+
+
+def _so_point_counts(z, zpad, ys, build, p, ell, t, side):
+    """(i, m, a) -> the number of points (z, y) with that value, y over the
+    (l-1)-fold product of the window ys, point by point.  A nonzero point
+    on the padding shell raises BoundaryNonvanishing."""
+    counts: dict = {}
+    for y, ypad in _iter_y(ys, ell):
+        parts = _so_whittaker_parts(build(z, y, ell), p, ell, t)
+        if parts is None:
+            continue
+        if zpad or ypad:
+            raise BoundaryNonvanishing(
+                f"nonzero {side} integrand at the padding shell: z={z}, y={y}"
+            )
+        counts[parts] = counts.get(parts, 0) + 1
+    return counts
+
+
+def _so_convolved_counts(z, reps, build, p, ell, t):
+    """_so_point_counts at z over the (l-1)-fold product of reps, as a
+    convolution of per-coordinate histograms (see _so_buckets); None when
+    some point misses both boxes."""
+    zero = (F0,) * (ell - 1)
+    g = build(z, zero, ell)
+    for box in (0, 1):
+        base = _box_arg(g, box, p, ell, t)
+        if base is not None:
+            break
+    else:
+        return None  # every point misses both boxes
+    args = [base]
+    for k in range(ell - 1):
+        for c in reps:
+            x = _box_arg(build(z, zero[:k] + (c,) + zero[k + 1 :], ell), box, p, ell, t)
+            if x is None:
+                return None  # the points with y_k = c miss both boxes
+            args.append(x)
+    parts = [psi_residue(x, p) for x in args]
+    top = max(m for m, _ in parts)
+    mod = p**top
+    res = [a * p ** (top - m) for m, a in parts]  # psi(x) = zeta_(p^top)^r
+    hist = {res[0]: 1}
+    for start in range(1, len(res), len(reps)):
+        step: dict = {}  # r_k - r_0 -> number of values of y_k
+        for r in res[start : start + len(reps)]:
+            d = (r - res[0]) % mod
+            step[d] = step.get(d, 0) + 1
+        out: dict = {}
+        for r, c in hist.items():
+            for d, e in step.items():
+                key = (r + d) % mod
+                out[key] = out.get(key, 0) + c * e
+        hist = out
+    return {(box,) + root_exponent(top, r, p): c for r, c in hist.items()}
 
 
 def _add_counts(sums, counts, p, x):

@@ -12,12 +12,13 @@ multiplying by g_chi^(-1).
 The first test checks the closed form against the generic product with
 mat_inv, which shares none of its path.  The next two check the
 evaluator against the generic Whittaker function of tests/oracles.py,
-on window points and on points u g_chi^j k of the support.  The buckets
-are pinned by sha256 digests of their records, taken from the
-implementation that built every argument and every rotation by generic
-inversion and products, and summed every point's value as an
-ExactScalar.  The last test counts calls, so that a per-point inversion
-cannot come back unseen.
+on window points and on points u g_chi^j k of the support; on the
+latter also against zeta^j psi_U(u) chi(k) read off the sampled factors,
+which calls no solver.  The buckets are pinned by sha256 digests of
+their records, taken from the implementation that built every argument
+and every rotation by generic inversion and products, and summed every
+point's value as an ExactScalar.  The last test counts calls, so that a
+per-point inversion cannot come back unseen.
 """
 
 import hashlib
@@ -31,7 +32,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import WhittakerSpec, random_gl_iplus, w_long, whittaker_eval
+from oracles import WhittakerSpec, _psi_u, affine_chi, random_gl_iplus, w_long, whittaker_eval
 from ssgamma import matrices
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import _gl_buckets, _gl_dual_rows, _gl_whittaker_parts
@@ -112,21 +113,28 @@ def test_evaluator_matches_whittaker_eval_on_the_windows(n, p, dual, data):
 )
 def test_evaluator_matches_whittaker_eval_on_the_support(n, p, integral, seed, data):
     """Points u g_chi^j k with u upper unipotent (with entries in p^(-1)
-    unless integral) and k in I+, so W takes general values there."""
+    unless integral) and k in I+, so W takes general values there.
+    W(g) = zeta^j psi_U(u) chi(k) is also read off the sampled factors
+    directly, so a solver that returned a wrong witness would fail."""
     rng = random.Random(seed)
     j = data.draw(st.integers(0, n - 1))
     u = mat_identity(n)
     for r in range(n):
         for c in range(r + 1, n):
             u[r][c] = Fraction(rng.randint(-2 * p, 2 * p), p ** (0 if integral else rng.randint(0, 1)))
-    g = GroupMatrix.make(u, p)
+    u = GroupMatrix.make(u, p)
+    g = u
     for _ in range(j):
         g = g * g_chi_gl(n, p)
-    g = g * random_gl_iplus(rng, n, p)
+    k = random_gl_iplus(rng, n, p)
+    g = g * k
     parts = _gl_whittaker_parts(g.rows, p, n)
     assert parts is not None and parts[0] == j
     zeta = primitive_root_of_unity(n, data)
-    assert kernel_value(p, zeta, parts) == whittaker_eval(WhittakerSpec(p, "GL", n, zeta), g)
+    spec = WhittakerSpec(p, "GL", n, zeta)
+    assert kernel_value(p, zeta, parts) == whittaker_eval(spec, g)
+    direct = zeta**j * _psi_u(spec, u) * affine_chi(k, t=spec.t, flavor="GL")
+    assert kernel_value(p, zeta, parts) == ExactScalar.from_coeff(p, direct)
 
 
 def bucket_digest(buckets):

@@ -5,22 +5,38 @@ its Whittaker value off cheap I+ box tests.  These tests check both
 against the generic code in tests/oracles.py, which shares none of that
 path: the sparse builders against the named-element product, and the
 evaluator against whittaker_eval (the generic double coset
-decomposition).  The last tests check the bucket assembly: Phi
-and Phi* rebuilt point by point, with no buckets and no merge over tame
-classes, and the merge itself on buckets that span many tame classes
-(on the real domains only one class per side is nonzero).
+decomposition).  The evaluator is also checked against zeta^i psi_U(u)
+chi(k) read off the sampled u, i and k, with no solver at all.  The next
+tests check the bucket assembly: Phi and Phi* rebuilt point by point,
+with no buckets and no merge over tame classes, and the merge itself on
+buckets that span many tame classes (on the real domains only one class
+per side is nonzero).
+
+The last tests check the support-aware convolution over the y product
+(_so_convolved_counts) against the point loop (_so_point_counts), per z:
+on the grid's domains, at random t, and on brute-force windows, where
+it must fall back exactly at the z where the loop meets a point off both
+boxes.  The SO buckets are pinned by sha256 digests of their records,
+taken from the point loop, and a count guard fails if the support-aware
+enumeration goes back to testing points one by one.
 """
 
+import hashlib
 import itertools
+import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     SectionSpec,
     WhittakerSpec,
+    _psi_u,
+    affine_chi,
     c_hat,
     delta_o,
     embed_j,
@@ -32,14 +48,20 @@ from oracles import (
     whittaker_eval,
     xbar,
 )
-from ssgamma.characters import PSI_MAX_POWER, TameCharacter, tame_class
+from ssgamma import matrices
+from ssgamma.characters import PSI_MAX_POWER, OrderOverflow, TameCharacter, tame_class
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
+    _box_arg,
     _dense,
+    _iter_y,
     _merge_tame_classes,
     _phi_entries,
     _phi_star_entries,
+    _so_buckets,
+    _so_convolved_counts,
+    _so_point_counts,
     _so_whittaker_parts,
     _times_gchi,
     _y_windows,
@@ -47,7 +69,7 @@ from ssgamma.integrals import (
     phi_eval,
     phi_star_eval,
 )
-from ssgamma.matrices import GroupMatrix, b_element, g_chi_so, in_iplus
+from ssgamma.matrices import F0, F1, GroupMatrix, b_element, g_chi_so, in_iplus
 from ssgamma.scalars import ExactScalar
 
 SIDES = ("phi", "phi_star")
@@ -104,9 +126,12 @@ def generic_matrix(p, ell, side, z, y):
     return g
 
 
+def builder(side):
+    return _phi_entries if side == "phi" else _phi_star_entries
+
+
 def entries(side, z, y, ell):
-    build = _phi_entries if side == "phi" else _phi_star_entries
-    return build(z, y, ell)
+    return builder(side)(z, y, ell)
 
 
 def kernel_value(p, zeta, parts):
@@ -152,20 +177,24 @@ def test_evaluator_matches_whittaker_eval(point, zsign, data):
 def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral, zsign, seed, data):
     """Points u g_chi^i k with general values of chi.  An integral u keeps
     g (i = 0) or g g_chi (i = 1) in I+, so a box test decides the point;
-    a non-integral u misses both boxes and the coset solver decides it."""
+    a non-integral u misses both boxes and the coset solver decides it.
+    W(g) = zeta^i psi_U(u) chi(k) is also read off the sampled factors
+    directly, so a solver that returned a wrong witness would fail."""
     ell, p = case
     rng = random.Random(seed)
     zeta = C.one() if zsign == 1 else -C.one()
     t = affine_t(data.draw, p, ell)
-    g = random_so_unipotent(rng, ell, p, integral=integral)
-    if i:
-        g = g * g_chi_so(ell, p)
-    g = g * random_so_iplus(rng, ell, p)
+    u = random_so_unipotent(rng, ell, p, integral=integral)
+    g = u * g_chi_so(ell, p) if i else u
+    k = random_so_iplus(rng, ell, p)
+    g = g * k
     sparse = {(r, c): x for r, row in enumerate(g.rows) for c, x in enumerate(row)}
     parts = _so_whittaker_parts(sparse, p, ell, t)
     assert parts is not None and parts[0] == i
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix(g.rows, p, "SO_odd"))
+    direct = zeta**i * _psi_u(spec, u) * affine_chi(k, t=t, flavor="SO")
+    assert kernel_value(p, zeta, parts) == ExactScalar.from_coeff(p, direct)
 
 
 # --- an oracle for the bucket assembly ------------------------------------------
@@ -212,6 +241,7 @@ def pointwise_integral(cfg, side, points):
         (3, 2, "support-aware"),
         (3, 2, "brute-force"),
         (5, 2, "support-aware"),
+        (3, 3, "support-aware"),
     ],
 )
 def test_bucket_assembly_matches_pointwise_sum(p, ell, mode):
@@ -259,3 +289,210 @@ def test_tame_class_merge_keeps_every_tame_sum(p, data):
         return out
 
     assert total(merged) == total(sums)
+
+
+# --- the convolution over the y product -----------------------------------------
+
+
+def assert_convolution_matches_loop(p, ell, side, t, level, zs=None):
+    """Per z of the support-aware window (or of zs, a part of it): the
+    convolved (i, m, a) counts equal the point loop's, with no fallback."""
+    ys = _y_windows(ell, p, level, 1, "support-aware")
+    reps = [y for y, _, _ in ys]
+    build = builder(side)
+    for z, _, zpad in zs or _z_windows(p, level, 1, "support-aware", side):
+        got = _so_convolved_counts(z, reps, build, p, ell, t)
+        assert got is not None, (p, ell, side, z)
+        assert got == _so_point_counts(z, zpad, ys, build, p, ell, t, side), (p, ell, side, z)
+
+
+GRID_SUPPORT = [(p, ell) for p in (3, 5, 7) for ell in (1, 2, 3) if (p, ell) != (7, 3)] + [(3, 4)]
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("p,ell", GRID_SUPPORT)
+def test_convolution_matches_point_loop_on_the_grid(p, ell, side):
+    assert_convolution_matches_loop(p, ell, side, (F1,) * (ell + 1), 3)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_convolution_matches_point_loop_at_7_3_on_sampled_z(side):
+    """(7, 3) has 117,649 points per side; three seeded z keep it short."""
+    zs = random.Random(7003).sample(_z_windows(7, 3, 1, "support-aware", side), 3)
+    assert_convolution_matches_loop(7, 3, side, (F1,) * 4, 3, zs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(3, 2), (5, 2), (3, 3), (5, 3)]),
+    st.sampled_from(SIDES),
+    st.sampled_from((2, 3)),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_convolution_matches_point_loop_at_random_t(case, side, level, seed, data):
+    p, ell = case
+    t = affine_t(data.draw, p, ell)
+    assume(len(set(t)) > 1)
+    zs = random.Random(seed).sample(_z_windows(p, level, 1, "support-aware", side), 2)
+    assert_convolution_matches_loop(p, ell, side, t, level, zs)
+
+
+def with_superdiagonal(build, p):
+    """build, with y_k also written at the superdiagonal entry (k, k + 1)
+    and p at (l - 1, l), which no coordinate writes.  Not a group element,
+    but each coordinate still writes its own off-diagonal entries, and chi
+    reads the new ones: the base argument is not 0, and the order of psi
+    varies with y.  On the integrands themselves chi reads no entry that
+    the base or a coordinate writes, so every box argument there is 0 and
+    every psi key is (0, 0)."""
+
+    def moved(z, y, ell):
+        g = build(z, y, ell)
+        g[(ell - 1, ell)] = Fraction(p)
+        for k, c in enumerate(y):
+            g[(k, k + 1)] = c
+        return g
+
+    return moved
+
+
+def test_convolution_keys_and_overflow_follow_the_point_loop():
+    """With chi reading the coordinates and weights t in p^(-e) o, the
+    convolved psi keys reach orders p and p^2, and past PSI_MAX_POWER
+    the convolution raises OrderOverflow at exactly the z where the point
+    loop does."""
+    seen = Counter()
+    for p, ell, level in ((3, 2, 3), (3, 3, 3), (5, 2, 3), (5, 3, 2)):
+        ys = _y_windows(ell, p, level, 1, "support-aware")
+        reps = [y for y, _, _ in ys]
+        for side in SIDES:
+            build = with_superdiagonal(builder(side), p)
+            for e in range(4):
+                t = tuple(Fraction(u, p**e) for u in (1, 2, -1, 4)[: ell + 1])
+                for z, _, zpad in _z_windows(p, level, 1, "support-aware", side):
+                    outcomes = []
+                    for count in (
+                        lambda: _so_convolved_counts(z, reps, build, p, ell, t),
+                        lambda: _so_point_counts(z, zpad, ys, build, p, ell, t, side),
+                    ):
+                        try:
+                            outcomes.append(count())
+                        except OrderOverflow:
+                            outcomes.append(OrderOverflow)
+                    assert outcomes[0] == outcomes[1], (p, ell, side, t, z)
+                    got = outcomes[0]
+                    seen.update(["overflow"] if got is OrderOverflow else [f"m={m}" for _, m, _ in got])
+    assert seen["overflow"] and seen["m=1"] and seen["m=2"], seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.sampled_from((1, 2, 3)), st.integers(0, 2**32))
+def test_no_matrix_passes_both_boxes(p, ell, seed):
+    """g in I+ never has g g_chi^(-1) in I+ too (I+ is a group and g_chi is
+    not in it), for any matrix g, in SO or not.  The convolution relies on
+    this when it lets the base point choose the box."""
+    rng = random.Random(seed)
+    n = 2 * ell + 1
+    g = {}
+    for r in range(n):
+        for c in range(n):
+            x = Fraction(rng.randint(-p * p, p * p))
+            g[(r, c)] = 1 + p * x if r == c else (p * x if r > c else x)
+    m = _times_gchi(g, p, n)  # in box 1: m g_chi^(-1) = g
+    assert _times_gchi(m, p, n) == g
+    assert in_iplus(g.items(), p) and not in_iplus(m.items(), p)
+
+
+def off_both_boxes(g, p, ell, t):
+    return all(_box_arg(g, box, p, ell, t) is None for box in (0, 1))
+
+
+@pytest.mark.parametrize(
+    "ell,expected",
+    [
+        (1, {"empty": 108, "counted": 12}),
+        (2, {"short": 6, "empty": 108, "counted": 6}),
+        (3, {"short": 6, "empty": 108, "counted": 6}),
+    ],
+)
+def test_convolution_falls_back_exactly_where_a_point_misses_both_boxes(ell, expected):
+    """On the brute-force z window at N = 2, with the brute-force y window
+    (at l >= 2 every z falls back; at z in 1 + p some points do pass, so
+    the count falls short without vanishing) and with the support-aware
+    one (the z of the support are counted, the others fall back)."""
+    p, level = 3, 2
+    t = (F1,) * (ell + 1)
+    seen = Counter()
+    for side in SIDES:
+        build = builder(side)
+        zs = _z_windows(p, level, 1, "brute-force", side)
+        for mode in ("brute-force", "support-aware"):
+            ys = _y_windows(ell, p, level, 1, mode)
+            reps = [y for y, _, _ in ys]
+            for z, _, zpad in zs:
+                got = _so_convolved_counts(z, reps, build, p, ell, t)
+                points = (build(z, y, ell) for y, _ in _iter_y(ys, ell))
+                if any(off_both_boxes(g, p, ell, t) for g in points):
+                    assert got is None, (side, mode, z)
+                    passing = not off_both_boxes(build(z, (F0,) * (ell - 1), ell), p, ell, t)
+                    seen["short" if passing else "empty"] += 1
+                else:
+                    assert got == _so_point_counts(z, zpad, ys, build, p, ell, t, side), (side, mode, z)
+                    seen["counted"] += 1
+    assert seen == expected
+
+
+def so_bucket_digest(buckets):
+    records = [[i, str(z), part.to_records()] for (i, z), part in sorted(buckets.items(), key=lambda kv: kv[0])]
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+T_3_3 = (Fraction(2), Fraction(-1), Fraction(4, 5), Fraction(5))
+
+
+@pytest.mark.parametrize(
+    "p,ell,t,side,digest",
+    [
+        (5, 3, None, "phi", "f00332dc76a5207c63573cb4d485ea4e01dab7b8d5a71b2a0aba19f9e96a4c29"),
+        (5, 3, None, "phi_star", "726f88a12d53fd7450175b7cc79ca714b0a9ac39fb6c2ad08559b284bcb3e326"),
+        (7, 2, None, "phi", "b7688904503458b3b5e41eeab85a9929bf1495747a507a48bf617f706412ead1"),
+        (7, 2, None, "phi_star", "7987a53092daa7c2a79401250d08f1705242399c7f566736daba8711c3ef6b79"),
+        (3, 3, T_3_3, "phi", "c22d4e68da138a50f32eb0b078ed20ded8cbfbcfa4f2f5a14eb9f004f9996ecd"),
+        (3, 3, T_3_3, "phi_star", "9ab6db3945e1ef8855c7b1b596d08c74f88437aba6e352667eda74b99d7435d3"),
+    ],
+)
+def test_so_buckets_are_pinned(p, ell, t, side, digest):
+    """Digests taken from the point-by-point enumeration, at N = 3, V = 1."""
+    cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=3, cutoff=1, t=t)
+    assert so_bucket_digest(_so_buckets(cfg, side)) == digest
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_support_aware_enumeration_tests_coordinates_not_points(side, monkeypatch):
+    """in_iplus and coset_decompose counted at every name the package binds
+    them to, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1).  At each
+    z the convolution makes at most two box tests for the base and one for
+    each coordinate value; the point loop would make up to two per point,
+    31,250 in all."""
+    p, ell, level = 5, 3, 3
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    package = [m for name, m in sys.modules.items() if name == "ssgamma" or name.startswith("ssgamma.")]
+    for name in ("in_iplus", "coset_decompose"):
+        orig, wrapper = getattr(matrices, name), counted(name, getattr(matrices, name))
+        for module in package:
+            for key, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, key, wrapper)
+    _so_buckets(IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1), side)
+    z_count = y_count = p ** (level - 1)
+    assert calls["coset_decompose"] == 0
+    assert 0 < calls["in_iplus"] <= z_count * (2 + (ell - 1) * y_count) == 1_300
