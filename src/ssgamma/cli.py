@@ -3,8 +3,10 @@
 Subcommands: gamma-so, scan-support, table, param.  All output is exact:
 JSON carries rationals as strings and cyclotomic/scalar term records,
 CSV rows are emitted in deterministic lexicographic order.  Exit codes:
-0 = everything matched, 2 = mathematical mismatch or truncation-boundary
-failure, 3 = configuration error.
+0 = everything matched, 2 = mathematical mismatch, truncation-boundary
+failure or an error raised by the exact arithmetic (an IntegralError,
+CharacterError such as OrderOverflow, MatrixError or ScalarError),
+3 = configuration error.
 
 SSGAMMA_OUTPUT_DIR, when set, is the base directory for relative output
 paths.
@@ -17,12 +19,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-from sympy import isprime
+from math import isqrt
 
 from .cyclotomic import CyclotomicNumber
-from .scalars import ExactScalar
-from .characters import TameCharacter, primitive_root
+from .scalars import ExactScalar, ScalarError
+from .characters import CharacterError, TameCharacter, primitive_root
 from .integrals import (
     IntegralConfig,
     gamma_so,
@@ -32,6 +33,7 @@ from .integrals import (
     IntegralError,
     check_domain,
 )
+from .matrices import MatrixError
 from .parameter import param_summary, ParameterError
 
 EXIT_OK = 0
@@ -116,7 +118,8 @@ def _emit_json(doc: dict, path: str | None):
 
 
 def _check_prime(p: int) -> int:
-    if p < 3 or not isprime(p):
+    # trial division: every command already costs O(p) or more
+    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
         raise ConfigError(f"p must be an odd prime, got {p}")
     return p
 
@@ -130,6 +133,10 @@ def _parse_zeta(s: str) -> CyclotomicNumber:
 def _parse_tau(p: int, j: int, tau_pi: str) -> TameCharacter:
     if not 0 <= j <= p - 2:
         raise ConfigError(f"tau-j must lie in 0..{p - 2}")
+    # no exponent: "1e5000" has more digits than str() prints, and
+    # "1e999999999" takes longer to build than any command runs
+    if "e" in tau_pi.lower():
+        raise ConfigError(f"bad tau-pi value {tau_pi!r}")
     try:
         v = Fraction(tau_pi)
     except (ValueError, ZeroDivisionError):
@@ -337,11 +344,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if [] in vars(args).values():
+            # argparse in Python 3.11 reads "--opt=--" as [], not as "--"
+            raise ConfigError("'--' is not an option value")
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except IntegralError as e:
+    except (IntegralError, CharacterError, MatrixError, ScalarError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
 

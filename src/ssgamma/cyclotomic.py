@@ -14,18 +14,24 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from sympy import cyclotomic_poly, Symbol
-
-_X = Symbol("x")
-
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(m: int) -> tuple:
-    """Coefficients of the m-th cyclotomic polynomial, highest degree first."""
-    poly = cyclotomic_poly(m, _X)
-    if m == 1:
-        return (1, -1)
-    return tuple(int(c) for c in poly.as_poly(_X).all_coeffs())
+    """Coefficients of the m-th cyclotomic polynomial, highest degree first.
+
+    Phi_m = (x^m - 1) / prod_(d | m, d < m) Phi_d, by long division in
+    Z[x]: every Phi_d is monic, so each quotient stays integral and each
+    remainder is zero."""
+    q = [1] + [0] * (m - 1) + [-1]
+    for d in range(1, m):
+        if m % d == 0:
+            div = _cyclotomic_coeffs(d)
+            for i in range(len(q) - len(div) + 1):
+                if q[i]:
+                    for j in range(1, len(div)):
+                        q[i + j] -= q[i] * div[j]
+            del q[len(q) - len(div) + 1:]
+    return tuple(q)
 
 
 def _poly_rem(coeffs: list, mod: tuple) -> list:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from sympy.utilities.iterables import partitions as _sympy_partitions
-
 from .cyclotomic import CyclotomicNumber
 from .padic import rational_valuation
 from .matrices import GroupMatrix
@@ -183,7 +181,19 @@ def xi_eval(pd: ParamData, e: EisensteinElement):
     return psi_eval(s, p)
 
 
-def _partition_attains(parts: dict, two_ell: int) -> bool:
+def _partitions(n: int, largest: int | None = None):
+    """The partitions of n into parts of at most `largest`, each a
+    descending list, in reverse lexicographic order: [n] first, then
+    [n-1, 1], down to [1, ..., 1]."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k] + rest
+
+
+def _partition_attains(parts: list, two_ell: int) -> bool:
     """Can a decomposition with these part sizes have overall depth
     exactly 1/(2l)?  Each part contributes a depth in {a/n_i} or 0 and
     the total is the maximum, so some part must hit 1/(2l) on the nose."""
@@ -201,10 +211,10 @@ def param_summary(p: int, ell: int, zeta: CyclotomicNumber) -> ParamData:
     attaining = []
     total = 0
     if two_ell <= 12:
-        for parts in _sympy_partitions(two_ell):
+        for parts in _partitions(two_ell):
             total += 1
             if _partition_attains(parts, two_ell):
-                attaining.append(sorted(_expand(parts), reverse=True))
+                attaining.append(parts)
     check = {
         "two_ell": two_ell,
         "partitions_checked": total,
@@ -222,10 +232,3 @@ def param_summary(p: int, ell: int, zeta: CyclotomicNumber) -> ParamData:
         xi_at_uniformizer={"zeta": zeta.reduced(), "zeta_order": zeta.order, "lambda_token_inverse": True},
         depth_check=check,
     )
-
-
-def _expand(parts: dict) -> list:
-    out = []
-    for n, mult in parts.items():
-        out.extend([n] * mult)
-    return out

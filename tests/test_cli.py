@@ -2,9 +2,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ssgamma import integrals
-from ssgamma.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
+from ssgamma import cli, integrals
+from ssgamma.characters import OrderOverflow
+from ssgamma.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, ConfigError, _check_prime, main
+from ssgamma.matrices import SingularMatrix
+from ssgamma.scalars import NonMonomialDivisor
 
 
 def run(capsys, *argv):
@@ -210,3 +214,136 @@ def test_cli_output_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `param --p P --ell L` standard output (zeta defaults to 1), for
+# every p in {3, 5, 7} and l in 1..6 with p not dividing 2l, recorded while
+# the partitions still came from sympy
+PARAM_DIGESTS = {
+    (3, 1): "d1e76ff286374189d84643ba69c83eec40d776cab86dd7ffa2f96f01c1663edc",
+    (3, 2): "0c97fafe862a5723e928573f75819396581c72f80f5acbafc0ed2fe4095816ec",
+    (3, 4): "1f3a65a4ca394b6654525dc06251b592e3acbc3e45efb55ed601d304fbf585d8",
+    (3, 5): "657babf72daf893bf9afd3f7249dc794abfe7c0f0eec84da2685e90ddf4e944d",
+    (5, 1): "a5e4dd0ba72320398ccda4fb687a66396b53452a78e26ce787ee5a76f413d603",
+    (5, 2): "713bb853e7906209737ea30402dac44fa96009d359565c6a81f36f48077c8283",
+    (5, 3): "18b2c7863bdda2936ab0d0181a2d6b3afead379595e541326c419c85d4a03705",
+    (5, 4): "4204dc92b0f9dbab37f71e98919abdc6db0a5a259d4ea06719bb41c74a1f3e97",
+    (5, 6): "ed060b425bad484c9295459d2c6dcb6b7147fbd754e7ef184882960ed9a6eed2",
+    (7, 1): "4c73311ddee1db818108b451269215431ab1c7f1a68a3366377daa78bec08957",
+    (7, 2): "c0aa963cb53d2b8fdeebb51c357fccc8315c2aaa2d94096cd940a141e043ef6c",
+    (7, 3): "34c5052fa0fdeae510cfdfae3dd0167eb2e5a8628a998f132b970a250458ebf8",
+    (7, 4): "5f093a95d87e28aadb37475eedfbd61a7945a55ff0b52061b43d030b21699f83",
+    (7, 5): "94b2cc476b62f0db68b77c8a21e41f737b4279f221629498a9c258957c7ebdac",
+    (7, 6): "0bf87f4c13add0fbc2f2a2773d7557ed269eab080d2e22d1bc5d738250ba7717",
+}
+
+
+def test_param_digests_cover_every_admissible_rank():
+    assert sorted(PARAM_DIGESTS) == [(p, ell) for p in (3, 5, 7) for ell in range(1, 7) if (2 * ell) % p]
+
+
+@pytest.mark.parametrize("p,ell", sorted(PARAM_DIGESTS))
+def test_param_output_bytes_are_pinned(capsys, p, ell):
+    code, out = run(capsys, "param", "--p", str(p), "--ell", str(ell))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PARAM_DIGESTS[p, ell]
+
+
+def test_check_prime_accepts_exactly_the_odd_primes():
+    # sympy is the oracle for the trial division
+    from sympy import isprime
+
+    def accepted(p):
+        try:
+            return _check_prime(p) == p
+        except ConfigError:
+            return False
+
+    # the range holds the prime squares below 10^4 and the Carmichael
+    # numbers 561 = 3*11*17 and 1105 = 5*13*17; past it, two squares, a
+    # product of two primes and two primes
+    extra = [101**2, 9973**2, 10007 * 10009, 10007, 2**31 - 1]
+    for p in [*range(-3, 10**4), *extra]:
+        assert accepted(p) == (p >= 3 and isprime(p)), p
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OrderOverflow("psi order past the bound"), SingularMatrix("singular"), NonMonomialDivisor("not a monomial")],
+    ids=lambda e: type(e).__name__,
+)
+def test_library_errors_exit_2_without_a_traceback(capsys, monkeypatch, error):
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "gamma_so", fail)
+    code = main(["gamma-so", "--p", "3", "--ell", "1", "--zeta", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_MISMATCH
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_tau_pi_with_an_exponent_is_a_config_error(capsys):
+    # "1e5000" parses, but its 5001 digits are more than str() will print
+    for tau_pi in ("1e5000", "2E1", "1" * 5000):
+        code = main(["gamma-so", "--p", "3", "--ell", "1", "--zeta", "1", f"--tau-pi={tau_pi}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: bad tau-pi value ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma-so", "--p", "3", "--zeta", "1", "--tau-pi=--"],
+        ["gamma-so", "--p=--", "--zeta", "1"],
+        ["table", "--p=--", "--ell", "1"],
+        ["param", "--p", "3", "--ell=--"],
+    ],
+)
+def test_double_dash_option_value_is_a_config_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == "config error: '--' is not an option value\n"
+
+
+# none is a valid --zeta; "2" and "-2/3" are valid --tau-pi values
+JUNK = ("", "x", "2", "0", "1/0", "-2/3", "1e5000", "--")
+
+
+def mostly(valid, full):
+    """Half the draws from the valid values: few examples would pass every
+    check if each argument were drawn from its whole range."""
+    return st.one_of(st.sampled_from(valid), full)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["gamma-so", "scan-support", "table", "param"]),
+    p=mostly((3, 5, 7), st.integers(-2, 8)),
+    ell=mostly((1, 2), st.integers(-1, 2)),
+    level=mostly((2, 3), st.integers(0, 3)),
+    cutoff=mostly((1, 2), st.integers(0, 2)),
+    zeta=mostly(("1", "-1", "+1"), st.sampled_from(JUNK)),
+    tau_pi=mostly(("1", "-1", "5"), st.sampled_from(JUNK)),
+    side=st.sampled_from(["phi", "phi-star"]),
+)
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, command, p, ell, level, cutoff, zeta, tau_pi, side):
+    if command == "scan-support":
+        # the scan is brute force, point by point: at l = 2 it takes 0.3 s to
+        # minutes on this grid, and nothing bounds its work before the loop yet
+        ell = min(ell, 1)
+    argv = [command, f"--p={p}", f"--ell={ell}", f"--output={tmp_path / 'out'}"]
+    if command != "param":
+        argv += [f"--level={level}", f"--cutoff={cutoff}"]
+    if command in ("gamma-so", "param"):
+        argv.append(f"--zeta={zeta}")
+    if command == "gamma-so":
+        argv.append(f"--tau-pi={tau_pi}")
+    if command == "scan-support":
+        argv.append(f"--side={side}")
+    assert main(argv) in (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG)

@@ -77,3 +77,15 @@ def test_sum_of_all_pth_roots_vanishes():
         for k in range(p):
             total = total + C.root_of_unity(p, k)
         assert total == C.zero()
+
+
+def test_cyclotomic_coeffs_match_sympy():
+    # sympy is the oracle for the integer long division
+    import sympy
+
+    from ssgamma.cyclotomic import _cyclotomic_coeffs
+
+    x = sympy.Symbol("x")
+    for m in range(1, 200):
+        expected = tuple(int(c) for c in sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs())
+        assert _cyclotomic_coeffs(m) == expected, m

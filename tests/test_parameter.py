@@ -196,6 +196,18 @@ def test_disc_formula_matches_sympy():
             assert disc_eisenstein(ell, p) == sympy.discriminant(x ** (2 * ell) - p, x)
 
 
+def test_partitions_match_sympy():
+    # the same partitions in the same order, each as a descending list
+    from sympy.utilities.iterables import partitions
+
+    from ssgamma.parameter import _partitions
+
+    for n in range(1, 13):
+        # sympy yields one dict, mutated in place, so each is copied out at once
+        expected = [sorted((k for k, m in d.items() for _ in range(m)), reverse=True) for d in partitions(n)]
+        assert list(_partitions(n)) == expected, n
+
+
 def test_kappa_units_is_the_hilbert_symbol_against_the_discriminant():
     checked = 0
     for p in (3, 5, 7, 11, 13):
