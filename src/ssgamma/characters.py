@@ -34,41 +34,21 @@ class OrderOverflow(CharacterError):
 PSI_MAX_POWER = 2
 
 
-def psi_residue(x, p: int) -> tuple:
+def psi_exponent(x, p: int) -> tuple:
     """(m, a) with psi(x) = zeta_(p^m)^a, where m = max(0, -v_p(x/p)) and a
-    is a unit mod p^m; (0, 0) when psi(x) = 1.  Exact, depends only on
-    x mod p, and m is not bounded: a sum of such arguments may still land
-    at a small order (see root_exponent)."""
+    is a unit mod p^m; (0, 0) when psi(x) = 1.  Exact, and depends only on
+    x mod p.  Raises OrderOverflow past PSI_MAX_POWER."""
     y = Fraction(x) / p
     if y == 0:
         return 0, 0
     v = rational_valuation(y, p)
     if v >= 0:
         return 0, 0
+    if -v > PSI_MAX_POWER:
+        raise OrderOverflow(f"psi needs a root of unity of order {p}^{-v}")
     mod = p**-v
     d = y.denominator // mod  # prime-to-p part of the denominator
     return -v, y.numerator * pow(d, -1, mod) % mod
-
-
-def root_exponent(m: int, a: int, p: int) -> tuple:
-    """zeta_(p^m)^a at its exact order: (m', a') with a' a unit mod p^m',
-    or (0, 0) for 1.  Raises OrderOverflow past PSI_MAX_POWER."""
-    a %= p**m
-    if not a:
-        return 0, 0
-    while not a % p:
-        a //= p
-        m -= 1
-    if m > PSI_MAX_POWER:
-        raise OrderOverflow(f"psi needs a root of unity of order {p}^{m}")
-    return m, a
-
-
-def psi_exponent(x, p: int) -> tuple:
-    """(m, a) with psi(x) = zeta_(p^m)^a, where m = max(0, -v_p(x/p)) and a
-    is a unit mod p^m; (0, 0) when psi(x) = 1.  Exact, and depends only on
-    x mod p."""
-    return root_exponent(*psi_residue(x, p), p)
 
 
 def psi_eval(x, prime: int) -> CyclotomicNumber:

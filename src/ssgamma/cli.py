@@ -6,7 +6,8 @@ CSV rows are emitted in deterministic lexicographic order.  Exit codes:
 0 = everything matched, 2 = mathematical mismatch, truncation-boundary
 failure or an error raised by the exact arithmetic (an IntegralError,
 CharacterError such as OrderOverflow, MatrixError or ScalarError),
-3 = configuration error.
+3 = configuration error (bad arguments, or an --output path that
+cannot be written).
 
 SSGAMMA_OUTPUT_DIR, when set, is the base directory for relative output
 paths.
@@ -79,10 +80,6 @@ def cyclo_str(c: CyclotomicNumber) -> str:
     return "(" + " + ".join(bits) + ")"
 
 
-def scalar_records(x: ExactScalar) -> list:
-    return x.to_records()
-
-
 def metadata_block(p, level, cutoff, mode) -> dict:
     return {
         "psi_convention": "psi(x) = exp(2*pi*i*frac(x/p)); conductor p",
@@ -105,8 +102,11 @@ def _emit(text: str, path: str | None):
     base = os.environ.get("SSGAMMA_OUTPUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}")
 
 
 def _emit_json(doc: dict, path: str | None):
@@ -177,9 +177,9 @@ def cmd_gamma_so(args) -> int:
         "ell": args.ell,
         "zeta": args.zeta,
         "tau": {"unit_exponent": args.tau_j, "value_at_uniformizer": args.tau_pi},
-        "computed": scalar_records(res.computed),
+        "computed": res.computed.to_records(),
         "computed_str": scalar_str(res.computed),
-        "predicted": scalar_records(res.predicted),
+        "predicted": res.predicted.to_records(),
         "predicted_str": scalar_str(res.predicted),
         "matches": res.matches,
         "metadata": metadata_block(p, args.level, args.cutoff, mode),
@@ -191,17 +191,8 @@ def cmd_gamma_so(args) -> int:
 def cmd_scan_support(args) -> int:
     p = _check_prime(args.p)
     side = {"phi": "phi", "phi-star": "phi_star"}[args.side]
-    predicate = None
-    if args.corrupt_predicate:
-        # negative-control hook: an intentionally wrong predicate
-        def predicate(z, y, pp):
-            from .padic import rational_valuation
-
-            return rational_valuation(z, pp) == 0
     try:
-        points, verdict = scan_support(
-            p, args.ell, side, level=args.level, cutoff=args.cutoff, predicate=predicate
-        )
+        points, verdict = scan_support(p, args.ell, side, level=args.level, cutoff=args.cutoff)
     except IntegralError as e:
         raise ConfigError(str(e))
     nonvanishing = [
@@ -320,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan-support", help="enumerate integrand support vs the predicate")
     common(s)
     s.add_argument("--side", choices=("phi", "phi-star"), required=True)
-    s.add_argument("--corrupt-predicate", action="store_true", help=argparse.SUPPRESS)
     s.set_defaults(func=cmd_scan_support)
 
     t = sub.add_parser("table", help="SO/GL gamma comparison grid as CSV")

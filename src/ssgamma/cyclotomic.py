@@ -6,6 +6,9 @@ canonical basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic
 polynomial only when equality, serialization or inversion is needed.
 This keeps the hot path (multiplying by roots of unity, summing many
 character values) cheap while equality stays exactly decidable.
+
+Inversion solves a linear system over Q in that basis, with the one
+exact elimination the package has (matrices._solve_row).
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from .matrices import _solve_row
 
 
 @lru_cache(maxsize=None)
@@ -50,64 +55,6 @@ def _poly_rem(coeffs: list, mod: tuple) -> list:
     while r and not r[-1]:
         r.pop()
     return r
-
-
-def _poly_divmod(a: list, b: list):
-    """Division with remainder in Q[x]; lists index by degree."""
-    r = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    db = len(b) - 1
-    binv = Fraction(1) / b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        coef = r[-1] * binv
-        d = len(r) - 1 - db
-        q[d] = coef
-        for i, c in enumerate(b):
-            r[d + i] -= coef * c
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _poly_ext_gcd(a: list, b: list):
-    """Extended Euclid in Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 class CyclotomicNumber:
@@ -231,17 +178,18 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        red = list(self.reduced())
-        while red and not red[-1]:
-            red.pop()
-        if not red:
+        """The c = sum_j c_j zeta^j (j < phi(m)) with self * c = 1: the row
+        c with c . B = (1, 0, ..., 0), where row j of B is the reduced form
+        of self * zeta^j, solved by the shared exact elimination."""
+        if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        mod = [Fraction(c) for c in reversed(_cyclotomic_coeffs(self.order))]
-        g, s, _ = _poly_ext_gcd(red, mod)
-        # g is a nonzero constant: the cyclotomic polynomial is irreducible
-        const = g[0]
-        inv = {i: c / const for i, c in enumerate(s)}
-        return CyclotomicNumber(self.order, inv)
+        m = self.order
+        rows = [
+            CyclotomicNumber(m, {e + j: c for e, c in self.coeffs.items()}).reduced()
+            for j in range(len(self.reduced()))
+        ]
+        one = [Fraction(1)] + [Fraction(0)] * (len(rows) - 1)
+        return CyclotomicNumber(m, dict(enumerate(_solve_row(rows, one))))
 
     def __pow__(self, n: int):
         if n < 0:

@@ -21,13 +21,15 @@ multiplies each bucket once, at the end.
 
 In support-aware mode the histogram at one z is not enumerated point
 by point.  Each y coordinate writes its own two entries, the box tests
-are conjunctions over entries and the chi argument is linear in them,
-so the histogram over the (l-1)-fold y product is the convolution of
-l - 1 per-coordinate histograms: (l-1)|Y| evaluations instead of
-|Y|^(l-1) (_so_buckets has the argument).  A z where some point misses
-both boxes, and so needs the coset solver, falls back to the point
-loop.  Brute-force mode and scan_support always run the point loop, so
-the oracle does not share the convolution.
+are conjunctions over entries and the chi argument is linear in them.
+So when every value of every coordinate, the others held at 0, passes
+the base point's box with the base's argument, every point of the
+(l-1)-fold y product has the base's value, and the histogram is one
+count: (l-1)|Y| evaluations instead of |Y|^(l-1) (_so_buckets has the
+argument).  A z where some coordinate value misses that box or moves
+the argument falls back to the point loop.  Brute-force mode and
+scan_support always run the point loop, so the oracle does not share
+the factored count.
 
 A bucket holds the sum over one tame class of z: the pair tame_class(z)
 = (v_p(z), unit residue mod p).  This merge is exact, because the
@@ -66,8 +68,6 @@ from .matrices import (
 from .characters import (
     TameCharacter,
     psi_exponent,
-    psi_residue,
-    root_exponent,
     tame_class,
     tame_eval,
 )
@@ -268,8 +268,8 @@ def _so_whittaker_parts(g, p, ell, t):
 
     g is the entry map of a point.  The zeta power i is kept separate so
     one enumeration serves every central sign; zeta_(p^m)^a is
-    psi_U(u) * chi(k) (_psi_product).  No g passes both boxes: I+ is a
-    group and g_chi is not in it."""
+    psi_U(u) * chi(k) = psi(u_arg + k_arg).  No g passes both boxes: I+
+    is a group and g_chi is not in it."""
     for box in (0, 1):
         x = _box_arg(g, box, p, ell, t)
         if x is not None:
@@ -281,17 +281,7 @@ def _so_whittaker_parts(g, p, ell, t):
     u = wit.u.rows
     k = {(r, c): x for r, row in enumerate(wit.k.rows) for c, x in enumerate(row)}
     u_arg = sum(t[a] * u[a][a + 1] for a in range(ell))
-    return (wit.i,) + _psi_product(u_arg, _chi_arg(k, t, ell, p), p)
-
-
-def _psi_product(x, y, p):
-    """(m, a) with psi(x) * psi(y) = zeta_(p^m)^a, at the larger order of
-    the two psi values, the order their CyclotomicNumber product has; so
-    a need not be a unit."""
-    mx, ax = psi_exponent(x, p)
-    my, ay = psi_exponent(y, p)
-    top = max(mx, my)
-    return top, (ax * p ** (top - mx) + ay * p ** (top - my)) % p**top
+    return (wit.i,) + psi_exponent(u_arg + _chi_arg(k, t, ell, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +376,12 @@ def _so_buckets(cfg: IntegralConfig, side: str):
     """(i, z0) -> the weighted sum of W over the y domain and the z of one
     tame class (see the comment above).
 
-    Support-aware mode counts each z's (i, m, a) histogram over the
-    (l-1)-fold y product as a convolution of per-coordinate histograms
-    (_so_convolved_counts): (l-1)|Y| evaluations instead of |Y|^(l-1).
-    This is exact:
+    Support-aware mode reads each z's (i, m, a) histogram over the
+    (l-1)-fold y product off the base point (all y = 0) and the points
+    with one coordinate set (_so_factored_counts): (l-1)|Y| evaluations
+    instead of |Y|^(l-1).  When each of those passes the base's box with
+    the base's argument, every point of the z has the base's value, and
+    the histogram is {base value: |Y|^(l-1)}.  This is exact:
       * for a fixed z, coordinate y_k writes only the entries (1+k, 0) and
         (n-1, n-2-k) of the integrand (_phi_entries);
       * the Phi* sign and column map and _times_gchi move those entries,
@@ -397,19 +389,22 @@ def _so_buckets(cfg: IntegralConfig, side: str):
         diagonal, where a 0 would fail a box;
       * in_iplus is a conjunction over entries, so each box verdict is the
         base verdict (all y = 0) AND one verdict per coordinate;
-      * _chi_arg and _chi_arg_conj are linear, so a point's argument is
-        arg(0) + sum_k (arg(e_k y_k) - arg(0)), and psi_exponent depends
-        only on that sum mod p;
+      * _chi_arg and _chi_arg_conj are linear in the entries, so a
+        point's argument is arg(0) + sum_k (arg(e_k y_k) - arg(0)), which
+        is arg(0) when no coordinate value moves it;
       * no matrix passes both boxes (I+ is a group and g_chi is not in
         it).  The base's coordinate entries are 0 off the diagonal and
         pass both boxes, so a box the base misses fails at an entry no
         coordinate writes, at every point of the z.  The base thus
         decides the one box a point of the z can pass, and box 1 is
         tested only where the base misses box 0.
-    A point that misses both boxes needs the coset solver and does not
-    factor.  A z with such a point (the base, or one coordinate value,
-    misses its box) is enumerated point by point (_so_point_counts), as is
-    every z in brute-force mode and in scan_support."""
+    On both integrands chi reads no entry that the base or a coordinate
+    writes, so no argument moves and the count declines only at a miss.
+    A point that misses both boxes needs the coset solver.  A z where the
+    base misses both boxes, or a coordinate value misses the base's box
+    or moves its argument, is enumerated point by point
+    (_so_point_counts), as is every z in brute-force mode and in
+    scan_support."""
     p, ell = cfg.prime, cfg.ell
     build = _phi_entries if side == "phi" else _phi_star_entries
     ys = _y_windows(ell, p, cfg.level, cfg.cutoff, cfg.mode)
@@ -420,7 +415,7 @@ def _so_buckets(cfg: IntegralConfig, side: str):
     for z, _, zpad in zs:
         counts = None
         if cfg.mode == "support-aware":  # its windows have no padding shell
-            counts = _so_convolved_counts(z, reps, build, p, ell, cfg.t)
+            counts = _so_factored_counts(z, reps, build, p, ell, cfg.t)
         if counts is None:
             counts = _so_point_counts(z, zpad, ys, build, p, ell, cfg.t, side)
         _add_counts(sums, counts, p, z)
@@ -445,10 +440,11 @@ def _so_point_counts(z, zpad, ys, build, p, ell, t, side):
     return counts
 
 
-def _so_convolved_counts(z, reps, build, p, ell, t):
-    """_so_point_counts at z over the (l-1)-fold product of reps, as a
-    convolution of per-coordinate histograms (see _so_buckets); None when
-    some point misses both boxes."""
+def _so_factored_counts(z, reps, build, p, ell, t):
+    """_so_point_counts at z over the (l-1)-fold product of reps, from the
+    base point and one coordinate at a time (see _so_buckets); None when
+    the base misses both boxes or a coordinate value misses the base's
+    box or moves its argument."""
     zero = (F0,) * (ell - 1)
     g = build(z, zero, ell)
     for box in (0, 1):
@@ -457,35 +453,16 @@ def _so_convolved_counts(z, reps, build, p, ell, t):
             break
     else:
         return None  # every point misses both boxes
-    args = [base]
     for k in range(ell - 1):
         for c in reps:
-            x = _box_arg(build(z, zero[:k] + (c,) + zero[k + 1 :], ell), box, p, ell, t)
-            if x is None:
-                return None  # the points with y_k = c miss both boxes
-            args.append(x)
-    parts = [psi_residue(x, p) for x in args]
-    top = max(m for m, _ in parts)
-    mod = p**top
-    res = [a * p ** (top - m) for m, a in parts]  # psi(x) = zeta_(p^top)^r
-    hist = {res[0]: 1}
-    for start in range(1, len(res), len(reps)):
-        step: dict = {}  # r_k - r_0 -> number of values of y_k
-        for r in res[start : start + len(reps)]:
-            d = (r - res[0]) % mod
-            step[d] = step.get(d, 0) + 1
-        out: dict = {}
-        for r, c in hist.items():
-            for d, e in step.items():
-                key = (r + d) % mod
-                out[key] = out.get(key, 0) + c * e
-        hist = out
-    return {(box,) + root_exponent(top, r, p): c for r, c in hist.items()}
+            if _box_arg(build(z, zero[:k] + (c,) + zero[k + 1 :], ell), box, p, ell, t) != base:
+                return None
+    return {(box,) + psi_exponent(base, p): len(reps) ** (ell - 1)}
 
 
 def _add_counts(sums, counts, p, x):
     """Add each (*tag, m, a) -> count of the points at x to sums[(*tag, x)]
-    as count * zeta_(p^m)^a, at order p^m (the order of the psi product)."""
+    as count * zeta_(p^m)^a, at order p^m (the exact order of the value)."""
     for (*tag, m, a), count in counts.items():
         key = (*tag, x)
         term = CyclotomicNumber(p**m, {a: count})
@@ -608,15 +585,15 @@ _GL_BUCKETS: dict = {}
 def _gl_whittaker_parts(rows, p, n):
     """(j, m, a) with W(g) = zeta^j * zeta_(p^m)^a for GL_n, or None off
     the support; the central character is trivial.  zeta_(p^m)^a is
-    psi_U(u) * chi(k) (_psi_product), chi reading the superdiagonal of k
-    and its corner over pi."""
+    psi_U(u) * chi(k) = psi(u_arg + k_arg), chi reading the superdiagonal
+    of k and its corner over pi."""
     wit = coset_decompose_gl(GroupMatrix(tuple(map(tuple, rows)), p, "GL"))
     if wit is None:
         return None
     u, k = wit.u.rows, wit.k.rows
     u_arg = sum(u[a][a + 1] for a in range(n - 1))
     k_arg = sum(k[a][a + 1] for a in range(n - 1)) + k[n - 1][0] / p
-    return (wit.j,) + _psi_product(u_arg, k_arg, p)
+    return (wit.j,) + psi_exponent(u_arg + k_arg, p)
 
 
 def _gl_buckets(n: int, p: int, level: int, cutoff: int):

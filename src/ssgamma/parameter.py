@@ -163,13 +163,11 @@ def xi_eval(pd: ParamData, e: EisensteinElement):
     c = e.coeffs
     if e == pi_e(ell, p):
         return dict(pd.xi_at_uniformizer)
-    if all(x == 0 for x in c[1:]) and rational_valuation(c[0], p) == 0:
-        if rational_valuation(c[0] - 1, p) >= 1:
-            pass  # 1 + p_E case below also covers this; fall through
-        else:
-            return CyclotomicNumber.from_rational(
-                Fraction(kappa_units(c[0], p))
-            )  # kappa has order <= 2, so kappa^(-1) = kappa
+    # a unit of F outside 1 + p; those in 1 + p are the 1 + p_E case below
+    in_f = all(x == 0 for x in c[1:])
+    if in_f and rational_valuation(c[0], p) == 0 and rational_valuation(c[0] - 1, p) < 1:
+        # kappa has order <= 2, so kappa^(-1) = kappa
+        return CyclotomicNumber.from_rational(Fraction(kappa_units(c[0], p)))
     in_1_plus_pe = (
         rational_valuation(c[0] - 1, p) >= 1
         and all(rational_valuation(x, p) >= 0 for x in c[1:] if x != 0)

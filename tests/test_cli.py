@@ -8,6 +8,7 @@ from ssgamma import cli, integrals
 from ssgamma.characters import OrderOverflow
 from ssgamma.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, ConfigError, _check_prime, main
 from ssgamma.matrices import SingularMatrix
+from ssgamma.padic import rational_valuation
 from ssgamma.scalars import NonMonomialDivisor
 
 
@@ -81,11 +82,12 @@ def test_scan_support(capsys):
     assert doc["nonvanishing"]
 
 
-def test_scan_support_negative_control(capsys):
-    code, out = run(
-        capsys, "scan-support", "--p", "3", "--ell", "1", "--side", "phi-star",
-        "--corrupt-predicate",
+def test_scan_support_negative_control(capsys, monkeypatch):
+    # an intentionally wrong Phi* predicate: the scan must report the mismatch
+    monkeypatch.setattr(
+        integrals, "_phi_star_predicate", lambda z, y, p: rational_valuation(z, p) == 0
     )
+    code, out = run(capsys, "scan-support", "--p", "3", "--ell", "1", "--side", "phi-star")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["predicate_match"] is False
 
@@ -132,6 +134,17 @@ def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     data = (tmp_path / "g.json").read_bytes()
     assert b"\r" not in data
     assert json.loads(data)["matches"] is True
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "a-directory"])
+def test_unwritable_output_is_a_config_error(tmp_path, monkeypatch, capsys, target):
+    monkeypatch.setenv("SSGAMMA_OUTPUT_DIR", str(tmp_path))
+    code = main(["param", "--p", "3", "--ell", "1", "--output", target])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ssgamma.cyclotomic import CyclotomicNumber as C
 
@@ -49,6 +50,32 @@ def test_inverse():
     assert x * x.inverse() == C.one()
     with pytest.raises(Exception):
         C.zero().inverse()
+
+
+@st.composite
+def sparse_elements(draw):
+    """A nonzero element of Q(zeta_m), 1 <= m <= 30, with a few terms."""
+    m = draw(st.integers(1, 30))
+    coeffs = draw(st.dictionaries(st.integers(0, m - 1), rationals.filter(bool), min_size=1, max_size=4))
+    x = C(m, coeffs)
+    assume(not x.is_zero())
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_elements())
+def test_inverse_of_sparse_elements(x):
+    inv = x.inverse()
+    phi = sum(1 for k in range(1, x.order + 1) if gcd(k, x.order) == 1)
+    assert x * inv == C.one()
+    assert inv.order == x.order
+    assert all(0 <= e < phi for e in inv.coeffs)
+
+
+@given(st.integers(1, 30), rationals.filter(bool))
+def test_inverse_of_a_rational_is_its_reciprocal(m, c):
+    for x in (C.from_rational(c), C(m, {0: c})):
+        assert x.inverse().coeffs == {0: 1 / c}
 
 
 def test_conjugate():

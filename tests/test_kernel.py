@@ -12,11 +12,11 @@ with no buckets and no merge over tame classes, and the merge itself on
 buckets that span many tame classes (on the real domains only one class
 per side is nonzero).
 
-The last tests check the support-aware convolution over the y product
-(_so_convolved_counts) against the point loop (_so_point_counts), per z:
-on the grid's domains, at random t, and on brute-force windows, where
-it must fall back exactly at the z where the loop meets a point off both
-boxes.  The SO buckets are pinned by sha256 digests of their records,
+The last tests check the support-aware factored count over the y
+product (_so_factored_counts) against the point loop (_so_point_counts),
+per z: on the grid's domains, at random t, and on brute-force windows,
+where it must fall back exactly at the z where the loop meets a point
+off both boxes.  The SO buckets are pinned by sha256 digests of their records,
 taken from the point loop, and a count guard fails if the support-aware
 enumeration goes back to testing points one by one.
 """
@@ -60,7 +60,7 @@ from ssgamma.integrals import (
     _phi_entries,
     _phi_star_entries,
     _so_buckets,
-    _so_convolved_counts,
+    _so_factored_counts,
     _so_point_counts,
     _so_whittaker_parts,
     _times_gchi,
@@ -291,17 +291,17 @@ def test_tame_class_merge_keeps_every_tame_sum(p, data):
     assert total(merged) == total(sums)
 
 
-# --- the convolution over the y product -----------------------------------------
+# --- the factored count over the y product --------------------------------------
 
 
-def assert_convolution_matches_loop(p, ell, side, t, level, zs=None):
+def assert_factored_count_matches_loop(p, ell, side, t, level, zs=None):
     """Per z of the support-aware window (or of zs, a part of it): the
-    convolved (i, m, a) counts equal the point loop's, with no fallback."""
+    factored (i, m, a) counts equal the point loop's, with no fallback."""
     ys = _y_windows(ell, p, level, 1, "support-aware")
     reps = [y for y, _, _ in ys]
     build = builder(side)
     for z, _, zpad in zs or _z_windows(p, level, 1, "support-aware", side):
-        got = _so_convolved_counts(z, reps, build, p, ell, t)
+        got = _so_factored_counts(z, reps, build, p, ell, t)
         assert got is not None, (p, ell, side, z)
         assert got == _so_point_counts(z, zpad, ys, build, p, ell, t, side), (p, ell, side, z)
 
@@ -312,14 +312,14 @@ GRID_SUPPORT = [(p, ell) for p in (3, 5, 7) for ell in (1, 2, 3) if (p, ell) != 
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("p,ell", GRID_SUPPORT)
 def test_convolution_matches_point_loop_on_the_grid(p, ell, side):
-    assert_convolution_matches_loop(p, ell, side, (F1,) * (ell + 1), 3)
+    assert_factored_count_matches_loop(p, ell, side, (F1,) * (ell + 1), 3)
 
 
 @pytest.mark.parametrize("side", SIDES)
 def test_convolution_matches_point_loop_at_7_3_on_sampled_z(side):
     """(7, 3) has 117,649 points per side; three seeded z keep it short."""
     zs = random.Random(7003).sample(_z_windows(7, 3, 1, "support-aware", side), 3)
-    assert_convolution_matches_loop(7, 3, side, (F1,) * 4, 3, zs)
+    assert_factored_count_matches_loop(7, 3, side, (F1,) * 4, 3, zs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -335,7 +335,7 @@ def test_convolution_matches_point_loop_at_random_t(case, side, level, seed, dat
     t = affine_t(data.draw, p, ell)
     assume(len(set(t)) > 1)
     zs = random.Random(seed).sample(_z_windows(p, level, 1, "support-aware", side), 2)
-    assert_convolution_matches_loop(p, ell, side, t, level, zs)
+    assert_factored_count_matches_loop(p, ell, side, t, level, zs)
 
 
 def with_superdiagonal(build, p):
@@ -359,11 +359,15 @@ def with_superdiagonal(build, p):
 
 def test_convolution_keys_and_overflow_follow_the_point_loop():
     """With chi reading the coordinates and weights t in p^(-e) o, the
-    convolved psi keys reach orders p and p^2, and past PSI_MAX_POWER
-    the convolution raises OrderOverflow at exactly the z where the point
-    loop does."""
+    psi keys reach orders p and p^2, and past PSI_MAX_POWER raise
+    OrderOverflow.  At every z the factored count either declines (the
+    coordinates move the argument) or equals the point loop, overflow
+    included, so the kernel's outcome (the factored count, or the loop
+    where it declines) is the loop's.  At l = 1 there is no coordinate,
+    so the factored count itself reaches the nonzero keys and the
+    overflow."""
     seen = Counter()
-    for p, ell, level in ((3, 2, 3), (3, 3, 3), (5, 2, 3), (5, 3, 2)):
+    for p, ell, level in ((3, 1, 3), (3, 2, 3), (3, 3, 3), (5, 2, 3), (5, 3, 2)):
         ys = _y_windows(ell, p, level, 1, "support-aware")
         reps = [y for y, _, _ in ys]
         for side in SIDES:
@@ -373,25 +377,28 @@ def test_convolution_keys_and_overflow_follow_the_point_loop():
                 for z, _, zpad in _z_windows(p, level, 1, "support-aware", side):
                     outcomes = []
                     for count in (
-                        lambda: _so_convolved_counts(z, reps, build, p, ell, t),
+                        lambda: _so_factored_counts(z, reps, build, p, ell, t),
                         lambda: _so_point_counts(z, zpad, ys, build, p, ell, t, side),
                     ):
                         try:
                             outcomes.append(count())
                         except OrderOverflow:
                             outcomes.append(OrderOverflow)
-                    assert outcomes[0] == outcomes[1], (p, ell, side, t, z)
-                    got = outcomes[0]
-                    seen.update(["overflow"] if got is OrderOverflow else [f"m={m}" for _, m, _ in got])
+                    fast, loop = outcomes
+                    assert fast is None or fast == loop, (p, ell, side, t, z)
+                    got = loop if fast is None else fast
+                    keys = ["overflow"] if got is OrderOverflow else [f"m={m}" for _, m, _ in got]
+                    seen.update(keys + (["fast " + key for key in keys] if fast is not None else []))
     assert seen["overflow"] and seen["m=1"] and seen["m=2"], seen
+    assert seen["fast overflow"] and seen["fast m=1"] and seen["fast m=2"], seen
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((3, 5, 7)), st.sampled_from((1, 2, 3)), st.integers(0, 2**32))
 def test_no_matrix_passes_both_boxes(p, ell, seed):
     """g in I+ never has g g_chi^(-1) in I+ too (I+ is a group and g_chi is
-    not in it), for any matrix g, in SO or not.  The convolution relies on
-    this when it lets the base point choose the box."""
+    not in it), for any matrix g, in SO or not.  The factored count relies
+    on this when it lets the base point choose the box."""
     rng = random.Random(seed)
     n = 2 * ell + 1
     g = {}
@@ -431,7 +438,7 @@ def test_convolution_falls_back_exactly_where_a_point_misses_both_boxes(ell, exp
             ys = _y_windows(ell, p, level, 1, mode)
             reps = [y for y, _, _ in ys]
             for z, _, zpad in zs:
-                got = _so_convolved_counts(z, reps, build, p, ell, t)
+                got = _so_factored_counts(z, reps, build, p, ell, t)
                 points = (build(z, y, ell) for y, _ in _iter_y(ys, ell))
                 if any(off_both_boxes(g, p, ell, t) for g in points):
                     assert got is None, (side, mode, z)
@@ -472,7 +479,7 @@ def test_so_buckets_are_pinned(p, ell, t, side, digest):
 def test_support_aware_enumeration_tests_coordinates_not_points(side, monkeypatch):
     """in_iplus and coset_decompose counted at every name the package binds
     them to, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1).  At each
-    z the convolution makes at most two box tests for the base and one for
+    z the factored count makes at most two box tests for the base and one for
     each coordinate value; the point loop would make up to two per point,
     31,250 in all."""
     p, ell, level = 5, 3, 3
