@@ -67,11 +67,9 @@ def scalar_str(x: ExactScalar) -> str:
 
 
 def cyclo_str(c: CyclotomicNumber) -> str:
-    if c.is_rational():
-        for e, v in c.coeffs.items():
-            if v:
-                return str(v)
-        return "0"
+    r = c.is_rational()
+    if r is not None:
+        return str(r)
     m = c.order
     bits = []
     for e, v in sorted(c.coeffs.items()):

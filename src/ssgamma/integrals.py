@@ -54,7 +54,7 @@ from functools import lru_cache
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
-from .scalars import ExactScalar, ZeroDivisor
+from .scalars import ExactScalar
 from .padic import rational_valuation
 from .matrices import (
     GroupMatrix,
@@ -63,7 +63,6 @@ from .matrices import (
     coset_decompose_gl,
     g_chi_so,
     in_iplus,
-    b_element,
 )
 from .characters import (
     TameCharacter,
@@ -497,20 +496,13 @@ def _fs_phi(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
     return ExactScalar.from_coeff(p, F1, q_half=v, s_power=v) * tame_eval(cfg.tau, z)
 
 
-@lru_cache(maxsize=None)
-def _b1_star(p):
-    """b_1^* = J t(b_1)^(-1) J for b_1 = b_element(1, p): the scalar -1,
-    built once per p."""
-    return b_element(1, p).star().rows[0][0]
-
-
 def _fs_phi_star(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
     """M(tau,s) f_s(h^(-1), b_1^*) = |z^(-1)|^(s-1/2) tau(b_1^* z^(-1)); a
-    function of tame_class(z), since b_1^* is fixed."""
+    function of tame_class(z), since b_1^* = J t(b_1)^(-1) J = -1 for
+    b_1 = (-1) is fixed."""
     p = cfg.prime
-    b = _b1_star(p)
     v = rational_valuation(1 / z, p)
-    return ExactScalar.from_coeff(p, F1, q_half=v, s_power=v) * tame_eval(cfg.tau, b / z)
+    return ExactScalar.from_coeff(p, F1, q_half=v, s_power=v) * tame_eval(cfg.tau, FM1 / z)
 
 
 def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
@@ -548,10 +540,7 @@ def gamma_so(cfg: IntegralConfig) -> GammaResult:
     den = phi_eval(cfg)
     if den.is_zero():
         raise ZeroDenominator("Phi vanished; support or measure bug")
-    try:
-        computed = num / den
-    except ZeroDivisor:  # pragma: no cover - den checked above
-        raise ZeroDenominator("Phi vanished; support or measure bug")
+    computed = num / den
     predicted = predicted_gamma_so(cfg.tau, cfg.zeta)
     meta = {
         "p": cfg.prime,
@@ -645,6 +634,7 @@ def jpss_gl_gamma(
     times tau(-1)^(n-1); compared against the closed form."""
     if n < 2:
         raise Unsupported("need n >= 2")
+    check_domain(n - 1, level, cutoff)  # the x window is the SO y window of rank n - 1
     if zeta**n != CyclotomicNumber.one():
         raise BadRoot("zeta must satisfy zeta^n = 1")
     p = tau.prime
@@ -724,6 +714,8 @@ def scan_support(
     predicate.  Returns (points, verdict); verdict is True when the
     nonvanishing set matches the predicate exactly."""
     check_domain(ell, level, cutoff)
+    if side not in ("phi", "phi_star"):
+        raise IntegralError(f"side must be phi or phi_star, got {side!r}")
     if t is None:
         t = tuple(Fraction(1) for _ in range(ell + 1))
     if predicate is None:

@@ -1,11 +1,13 @@
-"""Matrices over Q_p: split odd orthogonal groups, the normalizers g_chi
-and the element b_1, the I+ membership test, and the double-coset
-solvers behind the explicit Whittaker functions.
+"""Matrices over Q_p: split odd orthogonal groups, the normalizers g_chi,
+the I+ membership test, and the double-coset solvers behind the explicit
+Whittaker functions.
 
-The other named elements of the integrands (c_hat, delta_o, omega',
-embed_j, xbar, ...) and the random samplers are in tests/oracles.py,
-where their products are the reference for the sparse builders of
-integrals.py.
+Both coset solvers rest on one factorization, eliminate_u_iplus: the
+unique m = u k with u unit upper triangular and k lower triangular with
+its rows in I+, built by back-substitution.  The named elements of the
+integrands (c_hat, delta_o, omega', embed_j, xbar, b_n, ...) and the
+random samplers are in tests/oracles.py, where their products are the
+reference for the sparse builders of integrals.py.
 
 Conventions: SO_m is defined by det = 1 and tg J g = J with J the
 antidiagonal of ones.  I+ (the pro-unipotent radical of the standard
@@ -217,12 +219,6 @@ def so_check(g: GroupMatrix) -> bool:
 # named elements
 
 
-def _ell_of_size(n):
-    if n % 2 == 0:
-        raise BadDimension("expected odd size")
-    return (n - 1) // 2
-
-
 @lru_cache(maxsize=None)
 def g_chi_so(ell: int, prime: int) -> GroupMatrix:
     """The normalizer of I+ attached to the affine generic character: the
@@ -267,65 +263,37 @@ def times_g_chi_so(rows, p):
     return [[p * row[-1]] + [-x for x in row[1:-1]] + [row[0] / p] for row in rows]
 
 
-def b_element(n: int, prime: int) -> GroupMatrix:
-    """diag(1, -1, ..., -1, 1) in GL_n; the n = 1 degenerate case is (-1),
-    which is what the dual integral's section slot actually requires."""
-    if n == 1:
-        return GroupMatrix.make([[Fraction(-1)]], prime, "GL")
-    rows = mat_identity(n)
-    for i in range(1, n - 1):
-        rows[i][i] = Fraction(-1)
-    return GroupMatrix.make(rows, prime, "GL")
-
-
 # ---------------------------------------------------------------------------
-# the U * I+ elimination
+# the U * I+ factorization
 
 
 def eliminate_u_iplus(m_rows, p):
-    """Decide m in U * I+ inside GL_N(F).
+    """Factor m = u k in GL_N(F): u unit upper triangular, k lower
+    triangular with every row in I+; None when m is outside U * I+.
 
-    Processes rows bottom-up; for each row the unique admissible choice
-    clears the trailing columns to zero using the already-fixed rows
-    below (their trailing block is invertible over o), after which the
-    remaining entries must sit in the I+ box.  Returns (u, k) as Fraction
-    row-lists with m = u k, u unit upper triangular, k in I+; or None.
+    The factors are unique, and back-substitution builds them bottom-up.
+    Row r of k is m[r] less u[r][c] times row c of k, for each c > r.
+    Row c of k ends at its diagonal, which lies in 1 + p, so taking c from
+    the last column leftwards, u[r][c] is the one multiple that clears
+    column c.  Row r must pass the I+ test before the rows above it use
+    it.  Returns (u, k) as Fraction row-lists, or None.
     """
     n = len(m_rows)
-    k = [list(r) for r in m_rows]
+    u = mat_identity(n)
+    k = [None] * n
     for r in range(n - 1, -1, -1):
-        if r < n - 1:
-            right = k[r][r + 1 :]
-            if any(right):
-                b = [k[t][r + 1 :] for t in range(r + 1, n)]
-                c = _solve_row(b, [-x for x in right])
-                for t, coef in enumerate(c):
-                    if coef:
-                        src = k[r + 1 + t]
-                        k[r] = [x + coef * y for x, y in zip(k[r], src)]
-        if not in_iplus((((r, j), x) for j, x in enumerate(k[r])), p):
+        row = list(m_rows[r])
+        for c in range(n - 1, r, -1):
+            if row[c]:
+                f = u[r][c] = row[c] / k[c][c]
+                kc = k[c]
+                for j in range(c + 1):
+                    if kc[j]:
+                        row[j] -= f * kc[j]
+        if not in_iplus((((r, j), x) for j, x in enumerate(row)), p):
             return None
-    u = mat_mul([list(r) for r in m_rows], mat_inv(k))
+        k[r] = row
     return u, k
-
-
-def unipotent_sqrt(w_rows):
-    """Exact square root of a unipotent matrix via the binomial series
-    (denominators are powers of 2 only, so integrality survives for p odd)."""
-    n = len(w_rows)
-    t = [[w_rows[i][j] - (F1 if i == j else F0) for j in range(n)] for i in range(n)]
-    out = mat_identity(n)
-    power = mat_identity(n)
-    coef = F1
-    for kk in range(1, n):
-        power = mat_mul(power, t)
-        coef = coef * (Fraction(1, 2) - (kk - 1)) / kk
-        if all(all(x == 0 for x in row) for row in power):
-            break
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += coef * power[i][j]
-    return out
 
 
 @dataclass(frozen=True)
@@ -335,46 +303,32 @@ class CosetWitness:
     k: GroupMatrix
 
 
-def coset_decompose(g: GroupMatrix, ell: int = None) -> CosetWitness | None:
+def coset_decompose(g: GroupMatrix, ell: int) -> CosetWitness | None:
     """Decompose g in SO_(2l+1) as u * g_chi^i * k with u upper unipotent
     in SO, i in {0,1}, k in I+; None when g is outside the double coset.
 
     Since g_chi normalizes I+, membership in U g_chi^i I+ is equivalent to
     g g_chi^(-i) in U I+, decided by eliminate_u_iplus.  g_chi is an
     involution, so g g_chi^(-1) = g g_chi, formed as a column map
-    (times_g_chi_so) rather than a product.  The GL witness is then
-    symmetrized into SO by the square-root twist u -> u w^(1/2),
-    w = u^(-1) u*, which lands u in U_SO and keeps k in I+.
+    (times_g_chi_so) rather than a product.  The factors already lie in
+    SO: g -> g* = J tg^(-1) J fixes SO, sends unit upper triangular to
+    unit upper triangular and lower triangular to lower triangular.  So
+    for m = g g_chi^i in SO, m = m* = u* k* is again the factorization of
+    m, and by uniqueness u* = u and k* = k.
     """
     p = g.prime
-    if ell is None:
-        ell = _ell_of_size(g.size)
-    fast = in_iplus(g.items(), p)
     for i in (0, 1):
         m = g.lists() if i == 0 else times_g_chi_so(g.lists(), p)
-        if i == 0 and fast:
-            res = (mat_identity(g.size), m)
-        else:
-            res = eliminate_u_iplus(m, p)
+        res = eliminate_u_iplus(m, p)
         if res is None:
             continue
         u, kp = res
-        sig = mat_star(u)
-        if sig != u:
-            w = mat_mul(mat_inv(u), sig)
-            x = unipotent_sqrt(w)
-            u = mat_mul(u, x)
-            kp = mat_mul(mat_inv(x), kp)
-        if i:
-            # g = u kp g_chi, rewrite with k = g_chi^(-1) kp g_chi in I+
-            k = mat_mul(g_chi_so(ell, p).lists(), times_g_chi_so(kp, p))
-        else:
-            k = kp
-        um = GroupMatrix.make(u, p, "SO_odd", verify=False)
+        # g = u kp g_chi^i; rewrite with k = g_chi^(-i) kp g_chi^i in I+
+        k = mat_mul(g_chi_so(ell, p).lists(), times_g_chi_so(kp, p)) if i else kp
         km = GroupMatrix.make(k, p, "SO_odd", verify=False)
         if not in_iplus(km.items(), p):
             return None
-        return CosetWitness(um, i, km)
+        return CosetWitness(GroupMatrix.make(u, p, "SO_odd", verify=False), i, km)
     return None
 
 

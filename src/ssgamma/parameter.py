@@ -204,7 +204,7 @@ def param_summary(p: int, ell: int, zeta: CyclotomicNumber) -> ParamData:
     two_ell = 2 * ell
     if two_ell % p == 0:
         raise BadResidueChar(f"p = {p} divides 2l = {two_ell}")
-    kappa = tuple(legendre(x, p) for x in range(1, p))
+    kappa = tuple(kappa_units(x, p) for x in range(1, p))
     xi_units = kappa  # kappa is its own inverse (values +-1)
     attaining = []
     total = 0

@@ -12,7 +12,8 @@ defined here is defined again in src/.
     n = 1 (intertwine_M).
   * The named group elements whose product the sparse integrand
     builders of integrals.py are checked against: c_hat, delta_o,
-    omega_prime, w_element, w_long, embed_j, xbar and torus_so2.
+    omega_prime, w_element, w_long, embed_j, xbar and torus_so2, and
+    b_element, whose n = 1 case gives the dual section's b_1^* = -1.
   * Samplers of U_SO and of I+ in SO_(2l+1) and GL_n, the root elements
     they multiply, and the torus element normalizing the affine
     character (orbit_conjugator).
@@ -238,6 +239,17 @@ def omega_prime(n: int, ell: int, prime: int) -> GroupMatrix:
     i, j = n - 1, size - n
     rows[i][i] = rows[j][j] = F0
     rows[i][j] = rows[j][i] = F1
+    return GroupMatrix.make(rows, prime, "GL")
+
+
+def b_element(n: int, prime: int) -> GroupMatrix:
+    """diag(1, -1, ..., -1, 1) in GL_n; the n = 1 degenerate case is (-1),
+    which is what the dual integral's section slot actually requires."""
+    if n == 1:
+        return GroupMatrix.make([[Fraction(-1)]], prime, "GL")
+    rows = mat_identity(n)
+    for i in range(1, n - 1):
+        rows[i][i] = Fraction(-1)
     return GroupMatrix.make(rows, prime, "GL")
 
 

@@ -142,6 +142,7 @@ def test_coset_roundtrip_hundred_products():
         assert wit is not None and wit.i == i
         assert recompose(wit, gchi).rows == g.rows
         assert so_check(wit.u) and in_iplus(wit.k.items(), p)
+        assert so_check(wit.k)
         done += 1
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -104,6 +105,19 @@ def test_table_csv(capsys):
     assert lines[1].startswith("3,1,-1,0,-1")
 
 
+def test_table_prints_the_sign_of_every_rational_gamma(capsys):
+    # tau(-1) = (-1)^j is stored as zeta_2^j, so the text must come from the
+    # canonical value: gamma = zeta * tau(-pi) q^(1/2 - s)
+    code, out = run(capsys, "table", "--p", "3,5,7", "--ell", "1")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == sum(2 * (p - 1) * 2 for p in (3, 5, 7))
+    for row in rows:
+        sign = int(row["zeta"]) * (-1) ** int(row["tau_j"]) * int(row["tau_pi"])
+        expected = f"{sign}*q^(1/2)*(q^-s)^1"
+        assert (row["gamma_so"], row["gamma_gl_closed"]) == (expected, expected), row
+
+
 def test_param_output(capsys):
     code, out = run(capsys, "param", "--p", "5", "--ell", "2", "--zeta", "-1")
     assert code == EXIT_OK
@@ -191,15 +205,18 @@ def test_param_rank_below_one_is_a_config_error(capsys, p, ell):
 
 
 # sha256 of the standard output of fixed invocations, recorded before the
-# SO and GL buckets were merged over tame classes; every exit code is 0
+# SO and GL buckets were merged over tame classes; every exit code is 0.
+# The three gamma-so runs at odd tau_j and the table were re-recorded when
+# cyclo_str began rendering a rational from its canonical value: only the
+# sign of the *_str texts changed.
 CLI_DIGESTS = [
     (
         ["gamma-so", "--p", "3", "--ell", "1", "--zeta", "-1", "--tau-j", "1", "--tau-pi=-2/3"],
-        "d367c75919559b4f780fd4d5fc370feda202d182b71768556dd42db15a9e100f",
+        "b37c08bb61f35162bb6e1549ea28111b796b5aa021dbe4d6aa1f56a39962e19b",
     ),
     (
         ["gamma-so", "--p", "3", "--ell", "1", "--zeta", "1", "--tau-j", "1", "--tau-pi=-2/3", "--mode", "brute"],
-        "4970bf54e09f28cbdd07056d3b829bba2cd52d09229ded7c7d1ca443f50d0fd3",
+        "e31b096eb3dcdf6a0402e7af8586cff729b706e3a1b91aab7d602d2c47417d60",
     ),
     (
         ["gamma-so", "--p", "3", "--ell", "2", "--zeta", "1", "--tau-j", "0", "--tau-pi", "5"],
@@ -207,9 +224,9 @@ CLI_DIGESTS = [
     ),
     (
         ["gamma-so", "--p", "3", "--ell", "2", "--zeta", "-1", "--tau-j", "1", "--tau-pi", "5", "--mode", "brute"],
-        "7de5de24410afaafe67e1ca60ca5518f7b8af32ed09dd6b667cd54e7e84e6e18",
+        "4362c301fc252b276e5f9f0f6e50a07ced65a44b6528d844cb57b5fb01d9387e",
     ),
-    (["table", "--p", "3,5", "--ell", "1"], "af7396732c5760c6f71905953596c642a35edc314f46fa07b55aa85733fca7a6"),
+    (["table", "--p", "3,5", "--ell", "1"], "0f3e0deb3772c62bf64df4c5e7b26a0a7fbd529f58bc6a17bbfe0abaf5fe3abb"),
     (
         ["scan-support", "--p", "3", "--ell", "1", "--side", "phi"],
         "e43bf9d059785b353c19b3d930a7dbfd6d0801d022fa72f7da9ee2c4070746ae",

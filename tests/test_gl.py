@@ -183,6 +183,6 @@ def test_gl_enumeration_inverts_once_per_witness(monkeypatch):
     _gl_buckets(3, 5, LEVEL, CUTOFF)
     assert calls["coset_decompose_gl"] == 12_600
     assert calls["coset_decompose_gl.found"] == 130
-    # one inversion per witness (eliminate_u_iplus's k^(-1)), plus the
-    # memoized g_chi^(-1); none per point
-    assert calls["mat_inv"] <= calls["coset_decompose_gl.found"] + 1
+    # the factorization inverts nothing, so the one inversion is the
+    # memoized g_chi^(-1) (none when an earlier test built it)
+    assert calls["mat_inv"] <= 1

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import SectionSpec, intertwine_M, section_eval
+from oracles import SectionSpec, b_element, intertwine_M, section_eval
 from ssgamma import integrals
 from ssgamma.characters import TameCharacter
 from ssgamma.cli import scalar_str
@@ -22,7 +22,6 @@ from ssgamma.integrals import (
     predicted_gamma_so,
     scan_support,
 )
-from ssgamma.matrices import b_element
 from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
@@ -66,9 +65,14 @@ def test_section_tau_slot():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_b1_star_is_minus_one(p):
-    # Phi* reads b_1^* once per p instead of rebuilding it per class
-    assert b_element(1, p).star().rows[0][0] == -1
-    assert integrals._b1_star(p) == -1
+    # Phi* reads b_1^* as the constant -1; tau(-1) = -1 at odd j tells the signs apart
+    b = b_element(1, p).star().rows[0][0]
+    assert b == -1
+    tau = tau_pi(p, 1, -1)
+    cfg = IntegralConfig(p, 1, C.one(), tau)
+    for z in (Fraction(1), Fraction(p), Fraction(2, p)):
+        v = rational_valuation(1 / z, p)
+        assert integrals._fs_phi_star(cfg, z) == ES(p, 1, v, v) * tau(b / z)
 
 
 def test_intertwine_identity_at_rank_one():
@@ -284,6 +288,19 @@ def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
         phi_eval(cfg)
     assert str(again.value) == message
     assert len(calls) == enumerated
+
+
+@pytest.mark.parametrize("level,cutoff", [(0, 1), (1, 1), (2, 0), (2, -1)])
+def test_jpss_rejects_a_truncation_outside_the_domain(level, cutoff):
+    p = 3
+    with pytest.raises(IntegralError, match=r"^need N >= 2 and V >= 1$"):
+        jpss_gl_gamma(2, trivial_tau(p), C.one(), level=level, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("side", ["bogus", "phi-star", "Phi"])
+def test_scan_support_rejects_an_unknown_side(side):
+    with pytest.raises(IntegralError, match="side must be phi or phi_star"):
+        scan_support(3, 1, side)
 
 
 def test_jpss_raises_on_a_nonzero_shell_point(monkeypatch):

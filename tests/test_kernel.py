@@ -37,6 +37,7 @@ from oracles import (
     WhittakerSpec,
     _psi_u,
     affine_chi,
+    b_element,
     c_hat,
     delta_o,
     embed_j,
@@ -69,7 +70,7 @@ from ssgamma.integrals import (
     phi_eval,
     phi_star_eval,
 )
-from ssgamma.matrices import F0, F1, GroupMatrix, b_element, g_chi_so, in_iplus
+from ssgamma.matrices import F0, F1, GroupMatrix, g_chi_so, in_iplus
 from ssgamma.scalars import ExactScalar
 
 SIDES = ("phi", "phi_star")

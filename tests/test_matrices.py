@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    b_element,
     c_hat,
     delta_o,
     embed_j,
@@ -25,7 +26,6 @@ from ssgamma.matrices import (
     NotInGroup,
     SingularMatrix,
     _solve_row,
-    b_element,
     coset_decompose,
     coset_decompose_gl,
     eliminate_u_iplus,
@@ -38,7 +38,6 @@ from ssgamma.matrices import (
     so_check,
     times_g_chi_gl_inv,
     times_g_chi_so,
-    unipotent_sqrt,
 )
 from ssgamma.padic import rational_valuation
 
@@ -131,14 +130,6 @@ def test_eliminate_u_iplus_direct():
     assert in_iplus(GroupMatrix.make(k2, p, "SO_odd", verify=False).items(), p)
 
 
-def test_unipotent_sqrt():
-    p = 5
-    u = so_root_element(2, p, 0, 1, Fraction(2)) * so_root_element(2, p, 1, 2, Fraction(3))
-    w = (u * u).lists()
-    s = unipotent_sqrt(w)
-    assert GroupMatrix.make(s, p, "SO_odd").rows == u.rows
-
-
 @pytest.mark.parametrize("ell,p", [(1, 3), (2, 5), (3, 3)])
 def test_coset_roundtrip_random(ell, p):
     rng = random.Random(100 * ell + p)
@@ -153,6 +144,8 @@ def test_coset_roundtrip_random(ell, p):
         assert wit.i == i
         assert recompose(wit, gchi).rows == g.rows
         assert in_iplus(wit.k.items(), p)
+        # the unique factors of an SO element are fixed by g -> g*
+        assert so_check(wit.u) and so_check(wit.k)
 
 
 def test_coset_decompose_rejects_outside():
@@ -302,6 +295,39 @@ def test_singular_input_raises(case, scale):
         mat_inv(a)
     with pytest.raises(SingularMatrix):
         _solve_row(a, [Fraction(1)] * n)
+
+
+# --- the U * I+ factorization -------------------------------------------------
+
+
+def assert_u_iplus_factors(m, res, p):
+    """u unit upper triangular, k lower triangular with every row in I+,
+    and u k = m."""
+    u, k = res
+    n = len(m)
+    assert all(u[i][j] == (i == j) for i in range(n) for j in range(i + 1))
+    assert all(k[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+    assert all(in_iplus((((i, j), x) for j, x in enumerate(k[i])), p) for i in range(n))
+    assert mat_mul(u, k) == m
+
+
+@given(padic_matrices())
+def test_u_iplus_factors_of_any_matrix(case):
+    p, m = case
+    res = eliminate_u_iplus(m, p)
+    if res is not None:
+        assert_u_iplus_factors(m, res, p)
+
+
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 5), st.randoms(use_true_random=False), st.data())
+def test_u_times_iplus_always_factors(p, n, rng, data):
+    # u0 unit upper triangular with p-power denominators, k0 in I+ (not triangular)
+    entry = st.builds(lambda a, e: Fraction(a, p**e), st.integers(-2 * p, 2 * p), st.integers(0, 2))
+    u0 = [[Fraction(i == j) if i >= j else data.draw(entry) for j in range(n)] for i in range(n)]
+    m = mat_mul(u0, random_gl_iplus(rng, n, p).lists())
+    res = eliminate_u_iplus(m, p)
+    assert res is not None
+    assert_u_iplus_factors(m, res, p)
 
 
 # --- right multiplication by g_chi^(+-1) as a column map (on any matrix) ------
