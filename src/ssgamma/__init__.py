@@ -37,11 +37,7 @@ from .integrals import (
     BoundaryNonvanishing,
 )
 from .parameter import (
-    EisensteinElement,
     ParamData,
-    iota_embed,
-    xi_eval,
-    gauss_sum,
     param_summary,
     BadResidueChar,
 )

@@ -257,19 +257,21 @@ def cmd_table(args) -> int:
 
 def cmd_param(args) -> int:
     p = _check_prime(args.p)
-    zeta = _parse_zeta(args.zeta)
+    _parse_zeta(args.zeta)
     try:
-        pd = param_summary(p, args.ell, zeta)
+        pd = param_summary(p, args.ell)
     except ParameterError as e:
         raise ConfigError(str(e))
+    kappa = {str(x + 1): v for x, v in enumerate(pd.kappa_table)}
     doc = {
         "command": "param",
         "p": p,
         "ell": args.ell,
         "degree": pd.degree,
         "depth": str(pd.depth),
-        "kappa_on_units": {str(x + 1): v for x, v in enumerate(pd.kappa_table)},
-        "xi_on_unit_residues": {str(x + 1): v for x, v in enumerate(pd.xi_unit_table)},
+        "kappa_on_units": kappa,
+        # xi on units is kappa^(-1); kappa has values +-1, so it is its own inverse
+        "xi_on_unit_residues": kappa,
         "xi_at_uniformizer": {
             "zeta": args.zeta,
             "lambda_token_inverse": True,

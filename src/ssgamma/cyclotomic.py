@@ -203,10 +203,6 @@ class CyclotomicNumber:
             n >>= 1
         return out
 
-    def conjugate(self) -> "CyclotomicNumber":
-        """The ring involution zeta_m -> zeta_m^(-1) (complex conjugation)."""
-        return CyclotomicNumber(self.order, {(-e) % self.order: c for e, c in self.coeffs.items()})
-
     # -- comparison & misc ----------------------------------------------
 
     def __eq__(self, other):

@@ -108,6 +108,20 @@ def check_domain(ell: int, level: int, cutoff: int) -> None:
         raise IntegralError("need N >= 2 and V >= 1")
 
 
+def _check_t(t, ell: int, p: int) -> tuple:
+    """The affine parameters (t_1, ..., t_(l+1)), all 1 when t is None.
+    Each must be a p-adic unit: that is what makes the affine character
+    generic."""
+    if t is None:
+        return (F1,) * (ell + 1)
+    t = tuple(Fraction(x) for x in t)
+    if len(t) != ell + 1:
+        raise IntegralError(f"need {ell + 1} affine parameters t, got {len(t)}")
+    if any(rational_valuation(x, p) != 0 for x in t):
+        raise IntegralError("each affine parameter t must be a p-adic unit")
+    return t
+
+
 @dataclass(frozen=True)
 class IntegralConfig:
     prime: int
@@ -123,10 +137,7 @@ class IntegralConfig:
         check_domain(self.ell, self.level, self.cutoff)
         if self.mode not in ("support-aware", "brute-force"):
             raise IntegralError("mode must be support-aware or brute-force")
-        if self.t is None:
-            object.__setattr__(self, "t", tuple(Fraction(1) for _ in range(self.ell + 1)))
-        else:
-            object.__setattr__(self, "t", tuple(Fraction(x) for x in self.t))
+        object.__setattr__(self, "t", _check_t(self.t, self.ell, self.prime))
 
 
 @dataclass(frozen=True)
@@ -665,9 +676,12 @@ def jpss_gl_gamma(
 
 def match_so_gl(ell: int, tau: TameCharacter, zeta: CyclotomicNumber, cfg: IntegralConfig = None) -> bool:
     """The SO_(2l+1) gamma equals the GL_(2l) gamma (closed forms always;
-    computed pipelines when a config is supplied)."""
+    computed pipelines when a config is supplied, which must carry the
+    same l, tau and zeta)."""
     if zeta * zeta != CyclotomicNumber.one():
         raise BadRoot("the orthogonal side needs zeta^2 = 1")
+    if cfg is not None and (cfg.ell != ell or cfg.tau != tau or cfg.zeta != zeta):
+        raise IntegralError("cfg disagrees with the l, tau or zeta given to match_so_gl")
     if predicted_gamma_so(tau, zeta) != gamma_gl_closed(2 * ell, tau, zeta):
         return False
     if cfg is not None:
@@ -716,8 +730,7 @@ def scan_support(
     check_domain(ell, level, cutoff)
     if side not in ("phi", "phi_star"):
         raise IntegralError(f"side must be phi or phi_star, got {side!r}")
-    if t is None:
-        t = tuple(Fraction(1) for _ in range(ell + 1))
+    t = _check_t(t, ell, p)
     if predicate is None:
         predicate = _phi_predicate if side == "phi" else _phi_star_predicate
     build = _phi_entries if side == "phi" else _phi_star_entries

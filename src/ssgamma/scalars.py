@@ -154,9 +154,6 @@ class ExactScalar:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.prime, {key: c.conjugate() for key, c in self.terms.items()})
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             other = self._coerce(other)

@@ -17,6 +17,9 @@ defined here is defined again in src/.
   * Samplers of U_SO and of I+ in SO_(2l+1) and GL_n, the root elements
     they multiply, and the torus element normalizing the affine
     character (orbit_conjugator).
+  * The field E = Q_p(pi_E), pi_E^(2l) = p, of the predicted parameter
+    (EisensteinElement, pi_e) and its embedding iota_embed into
+    2l x 2l matrices, which sends pi_E to g_chi_gl.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from ssgamma.matrices import (
     mat_mul,
 )
 from ssgamma.padic import rational_valuation
+from ssgamma.parameter import ParameterError
 from ssgamma.scalars import ExactScalar
 
 
@@ -404,3 +408,74 @@ def random_gl_iplus(rng, n: int, prime: int) -> GroupMatrix:
     if not in_iplus(g.items(), p):
         raise MatrixError("GL I+ sampler failed")
     return g
+
+
+# ---------------------------------------------------------------------------
+# the field E of the predicted parameter
+
+
+class ZeroElement(ParameterError):
+    pass
+
+
+@dataclass(frozen=True)
+class EisensteinElement:
+    """sum c_i pi_E^i, 0 <= i < 2l, with pi_E^(2l) = p."""
+
+    coeffs: tuple
+    prime: int
+
+    @staticmethod
+    def make(coeffs, prime) -> "EisensteinElement":
+        return EisensteinElement(tuple(Fraction(c) for c in coeffs), prime)
+
+    @property
+    def degree(self):
+        return len(self.coeffs)
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coeffs)
+
+    def __mul__(self, other: "EisensteinElement") -> "EisensteinElement":
+        n, p = self.degree, self.prime
+        out = [Fraction(0)] * n
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if not b:
+                    continue
+                k = i + j
+                if k < n:
+                    out[k] += a * b
+                else:
+                    out[k - n] += p * a * b
+        return EisensteinElement(tuple(out), p)
+
+
+def iota_embed(e: EisensteinElement, ell: int) -> GroupMatrix:
+    """Multiplication by e in the basis pi_E^(2l-1), ..., pi_E, 1."""
+    n = 2 * ell
+    if e.degree != n:
+        raise ParameterError(f"need {n} coefficients")
+    if e.is_zero():
+        raise ZeroElement("iota needs a nonzero element")
+    p = e.prime
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    # basis vector j (1-indexed) is pi_E^(2l-j); e * pi_E^(2l-j) collects
+    # pi_E^(2l-j+i), reduced by pi_E^(2l) = p into row 2l+j-i.
+    for j in range(1, n + 1):
+        for i, c in enumerate(e.coeffs):
+            if not c:
+                continue
+            if i < j:
+                rows[j - i - 1][j - 1] += c
+            else:
+                rows[n + j - i - 1][j - 1] += p * c
+    return GroupMatrix.make(rows, p, "GL", verify=False)
+
+
+def pi_e(ell: int, prime: int) -> EisensteinElement:
+    coeffs = [Fraction(0)] * (2 * ell)
+    coeffs[1] = Fraction(1)
+    return EisensteinElement(tuple(coeffs), prime)

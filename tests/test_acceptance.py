@@ -13,7 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import affine_chi, random_so_iplus, random_so_unipotent, recompose
+from oracles import (
+    EisensteinElement,
+    affine_chi,
+    iota_embed,
+    pi_e,
+    random_so_iplus,
+    random_so_unipotent,
+    recompose,
+)
 from ssgamma.characters import TameCharacter
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
@@ -26,13 +34,7 @@ from ssgamma.integrals import (
     scan_support,
 )
 from ssgamma.matrices import coset_decompose, g_chi_so, in_iplus, so_check
-from ssgamma.parameter import (
-    EisensteinElement,
-    gauss_sum,
-    iota_embed,
-    param_summary,
-    pi_e,
-)
+from ssgamma.parameter import param_summary
 from ssgamma.scalars import ExactScalar
 
 
@@ -163,13 +165,6 @@ def test_field_embedding_invariants():
             assert (iota_embed(a, ell) * iota_embed(b, ell)).rows == iota_embed(a * b, ell).rows
 
 
-def test_gauss_sum_modulus():
-    for p in (3, 5, 7):
-        for j in range(1, p - 1):
-            g = gauss_sum(j, p)
-            assert g * g.conjugate() == C.from_rational(Fraction(p))
-
-
 def test_truncation_stabilization():
     p_list = (3, 5, 7)
     for p in p_list:
@@ -185,7 +180,7 @@ def test_truncation_stabilization():
 def test_depth_bookkeeping():
     for ell in range(1, 7):
         p = next(q for q in (3, 5, 7, 11) if (2 * ell) % q)
-        pd = param_summary(p, ell, C.one())
+        pd = param_summary(p, ell)
         assert pd.depth == Fraction(1, 2 * ell)
         assert pd.depth_check["attaining"] == [[2 * ell]]
         assert pd.depth_check["unique_single_block"]

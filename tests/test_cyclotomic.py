@@ -78,13 +78,6 @@ def test_inverse_of_a_rational_is_its_reciprocal(m, c):
         assert x.inverse().coeffs == {0: 1 / c}
 
 
-def test_conjugate():
-    z7 = C.root_of_unity(7, 1)
-    assert z7.conjugate() == z7**6
-    s = z7 + z7**6
-    assert s.conjugate() == s
-
-
 @given(rationals, rationals)
 def test_rational_embedding_ring_ops(a, b):
     ca, cb = C.from_rational(a), C.from_rational(b)

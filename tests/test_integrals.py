@@ -189,6 +189,24 @@ def test_config_validation():
             IntegralConfig(p, ell, C.one(), trivial_tau(p))
 
 
+@pytest.mark.parametrize("t", [(1, 1), (1, 1, 1, 1), ()])
+def test_t_of_the_wrong_length_is_rejected(t):
+    p, ell = 3, 2
+    with pytest.raises(IntegralError, match=r"^need 3 affine parameters t, got \d$"):
+        IntegralConfig(p, ell, C.one(), trivial_tau(p), level=2, cutoff=1, t=t)
+    with pytest.raises(IntegralError, match=r"^need 3 affine parameters t, got \d$"):
+        scan_support(p, ell, "phi", level=2, cutoff=1, t=t)
+
+
+@pytest.mark.parametrize("t", [(0, 1, 1), (1, 3, 1), (1, 1, Fraction(2, 3)), (6, 1, 1)])
+def test_t_with_a_non_unit_entry_is_rejected(t):
+    p, ell = 3, 2
+    with pytest.raises(IntegralError, match="must be a p-adic unit"):
+        IntegralConfig(p, ell, C.one(), trivial_tau(p), level=2, cutoff=1, t=t)
+    with pytest.raises(IntegralError, match="must be a p-adic unit"):
+        scan_support(p, ell, "phi_star", level=2, cutoff=1, t=t)
+
+
 # --- GL cross-check -----------------------------------------------------------
 
 
@@ -225,6 +243,20 @@ def test_match_so_gl_symbolic_and_computed():
     assert match_so_gl(2, tau, C.one())
     cfg = IntegralConfig(p, 1, -C.one(), tau, level=2, cutoff=1)
     assert match_so_gl(1, tau, -C.one(), cfg=cfg)
+
+
+def test_match_so_gl_rejects_a_config_that_contradicts_its_arguments():
+    p = 3
+    tau = tau_pi(p, 1, -1)
+    # each config differs from the arguments (1, tau, -1) in one of l, tau, zeta
+    for cfg in (
+        IntegralConfig(p, 2, -C.one(), tau, level=2, cutoff=1),
+        IntegralConfig(p, 1, -C.one(), tau_pi(p, 0, -1), level=2, cutoff=1),
+        IntegralConfig(p, 1, -C.one(), tau_pi(p, 1, 1), level=2, cutoff=1),
+        IntegralConfig(p, 1, C.one(), tau, level=2, cutoff=1),
+    ):
+        with pytest.raises(IntegralError, match="cfg disagrees"):
+            match_so_gl(1, tau, -C.one(), cfg=cfg)
 
 
 # --- support scans -------------------------------------------------------------

@@ -1,14 +1,22 @@
 """The oracles in tests/oracles.py stay apart from the code they check,
-and the package runs on the standard library alone.
+the package runs on the standard library alone, and every function in
+it is reached from an entry point.
 
 An oracle that imported a private helper could quietly share the fast
 path it is meant to check, and a copy of an oracle in src/ would be a
 second production path.  Both are read off the source with ast, so the
 check does not depend on what an import happens to execute.  sympy is a
 test-side oracle only: importing it took most of `import ssgamma`.
+
+Code that only tests reach is either an oracle, kept in tests/oracles.py
+on purpose, or dead.  test_every_package_function_is_reached runs small
+instances of the CLI commands and library entry points under
+sys.setprofile and fails on a package function none of them calls,
+unless REACH_ALLOWED names it with a reason.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -52,7 +60,8 @@ def test_oracles_import_only_public_package_names():
 
 def test_no_oracle_name_is_defined_in_the_package():
     oracle_names = top_level_definitions(parse(ORACLES))
-    assert {"whittaker_eval", "section_eval", "random_so_iplus"} <= oracle_names
+    required = {"whittaker_eval", "section_eval", "random_so_iplus", "EisensteinElement", "iota_embed", "pi_e"}
+    assert required <= oracle_names
     package_names = set()
     for path in sorted(PACKAGE.glob("*.py")):
         package_names |= top_level_definitions(parse(path))
@@ -80,3 +89,108 @@ def test_no_package_file_imports_sympy():
             if any(m.split(".")[0] == "sympy" for m in modules):
                 importers.append(path.name)
     assert importers == []
+
+
+# Run in a fresh interpreter, so no earlier test has warmed a cache or
+# called a function.  Prints the (file, first line) of every code object
+# of the package that received a call.
+REACH_RUN = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+import ssgamma
+from ssgamma import cli
+from ssgamma.characters import TameCharacter
+from ssgamma.cyclotomic import CyclotomicNumber
+from ssgamma.integrals import IntegralConfig, jpss_gl_gamma, match_so_gl
+from ssgamma.scalars import ExactScalar
+
+codes = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+
+tau = TameCharacter(3, 1, ExactScalar.from_coeff(3, -1))
+minus_one = CyclotomicNumber.from_rational(-1)
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (
+        ["gamma-so", "--p", "3", "--ell", "2", "--zeta", "-1", "--tau-j", "1", "--tau-pi", "-1"],
+        ["gamma-so", "--p", "3", "--ell", "2", "--zeta", "1", "--mode", "brute"],
+        ["table", "--p", "3", "--ell", "1,2"],
+        ["scan-support", "--p", "3", "--ell", "2", "--side", "phi"],
+        ["scan-support", "--p", "3", "--ell", "2", "--side", "phi-star"],
+        ["param", "--p", "5", "--ell", "2"],
+        ["param", "--p", "5", "--ell", "2", "--zeta", "2"],  # a config error, exit 3
+    ):
+        cli.main(argv)
+    jpss_gl_gamma(3, tau, CyclotomicNumber.root_of_unity(3, 1), level=2, cutoff=1)
+    match_so_gl(1, tau, minus_one, cfg=IntegralConfig(3, 1, minus_one, tau, level=2, cutoff=1))
+sys.setprofile(None)
+package = Path(ssgamma.__file__).resolve().parent
+called = {(Path(c.co_filename).name, c.co_firstlineno) for c in codes if Path(c.co_filename).resolve().parent == package}
+print(json.dumps(sorted(called)))
+"""
+
+# Package functions no entry point above calls, each kept for a reason.
+REACH_ALLOWED = {
+    # a bench tracer target, and the psi tests/oracles.py evaluates
+    "characters.psi_eval",
+    # tau(x) spelled as a call, for the tests and oracles
+    "characters.TameCharacter.__call__",
+    # the rest of the ring interface of the two scalar types
+    "cyclotomic.CyclotomicNumber.__neg__",
+    "cyclotomic.CyclotomicNumber.__repr__",
+    "cyclotomic.CyclotomicNumber.__rsub__",
+    "cyclotomic.CyclotomicNumber.__sub__",
+    "cyclotomic.CyclotomicNumber.zero",
+    "scalars.ExactScalar.__neg__",
+    "scalars.ExactScalar.__repr__",
+    "scalars.ExactScalar.__sub__",
+    # the dense matrix engine the oracles build group elements with
+    "matrices.GroupMatrix.__mul__",
+    "matrices.GroupMatrix.__repr__",
+    "matrices.GroupMatrix.inv",
+    "matrices.GroupMatrix.is_identity",
+    "matrices.GroupMatrix.star",
+    "matrices.mat_star",
+    "matrices.mat_transpose",
+}
+
+
+def package_functions():
+    """{(file name, first line): "module.qualname"} for every def in the
+    package.  The first line is that of the first decorator, as in
+    code.co_firstlineno."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                out[(path.name, first)] = f"{path.stem}.{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(parse(path), path, "")
+    return out
+
+
+def test_every_package_function_is_reached():
+    """About 4 s on a 2-core machine; the profiler makes the entry points
+    about four times slower."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", REACH_RUN], env=env, capture_output=True, text=True, check=True)
+    called = {tuple(key) for key in json.loads(out.stdout)}
+    functions = package_functions()
+    unreached = {name for key, name in functions.items() if key not in called}
+    assert sorted(unreached - REACH_ALLOWED) == []
+    # an allowed name that is now reached, or gone, leaves the list
+    assert sorted(REACH_ALLOWED - unreached) == []

@@ -3,21 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from ssgamma.cyclotomic import CyclotomicNumber as C
+from oracles import EisensteinElement, ZeroElement, iota_embed, pi_e
 from ssgamma.matrices import g_chi_gl
 from ssgamma.parameter import (
     BadResidueChar,
     ParameterError,
-    EisensteinElement,
     UnsupportedElement,
-    ZeroElement,
-    gauss_sum,
-    iota_embed,
     kappa_units,
     legendre,
     param_summary,
-    pi_e,
-    xi_eval,
 )
 
 
@@ -82,52 +76,12 @@ def test_legendre_and_kappa():
         kappa_units(Fraction(5), 5)
 
 
-def test_gauss_sum_absolute_value():
-    for p in (3, 5, 7):
-        for j in range(1, p - 1):
-            g = gauss_sum(j, p)
-            assert g * g.conjugate() == C.from_rational(Fraction(p))
-    # the trivial character sums to -1
-    assert gauss_sum(0, 5) == C.from_rational(Fraction(-1))
-
-
-@pytest.mark.parametrize("ell,p", [(1, 3), (2, 5), (3, 7), (2, 3)])
-def test_xi_character_on_one_plus_pe(ell, p):
-    rng = random.Random(ell + p)
-    n = 2 * ell
-    pd = param_summary(p, ell, C.one())
-    for _ in range(15):
-        a = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        b = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        a[0] += p * rng.randrange(-2, 3)
-        b[0] += p * rng.randrange(-2, 3)
-        for i in range(1, n):
-            a[i] = Fraction(rng.randrange(-2, 3))
-            b[i] = Fraction(rng.randrange(-2, 3))
-        ea = EisensteinElement.make(a, p)
-        eb = EisensteinElement.make(b, p)
-        assert xi_eval(pd, ea * eb) == xi_eval(pd, ea) * xi_eval(pd, eb)
-
-
-def test_xi_on_units_and_uniformizer():
-    p = 5
-    ell = 2
-    zeta = -C.one()
-    pd = param_summary(p, ell, zeta)
-    two = EisensteinElement.make([2, 0, 0, 0], p)
-    assert xi_eval(pd, two) == C.from_rational(Fraction(kappa_units(2, p)))
-    at_pi = xi_eval(pd, pi_e(ell, p))
-    assert at_pi["lambda_token_inverse"] is True
-    with pytest.raises(UnsupportedElement):
-        xi_eval(pd, EisensteinElement.make([0, 0, 1, 0], p))  # pi_E^2 not pinned down
-
-
 def test_depth_bookkeeping():
     for ell in range(1, 7):
         p = 5 if (2 * ell) % 5 else 3
         if (2 * ell) % p == 0:
             p = 7
-        pd = param_summary(p, ell, C.one())
+        pd = param_summary(p, ell)
         assert pd.depth == Fraction(1, 2 * ell)
         assert pd.depth_check["unique_single_block"]
         assert pd.depth_check["attaining"] == [[2 * ell]]
@@ -135,19 +89,18 @@ def test_depth_bookkeeping():
 
 def test_bad_residue_characteristic():
     with pytest.raises(BadResidueChar):
-        param_summary(3, 3, C.one())  # p = 3 divides 2l = 6
+        param_summary(3, 3)  # p = 3 divides 2l = 6
 
 
 def test_kappa_table_matches_legendre():
-    pd = param_summary(7, 1, C.one())
+    pd = param_summary(7, 1)
     assert pd.kappa_table == tuple(legendre(x, 7) for x in range(1, 7))
-    assert pd.xi_unit_table == pd.kappa_table
 
 
 def test_rank_below_one_is_rejected_first():
     for p, ell in ((5, -1), (3, 0), (5, 0)):
         with pytest.raises(ParameterError, match="need l >= 1"):
-            param_summary(p, ell, C.one())
+            param_summary(p, ell)
 
 
 # --- kappa_units against a computed Hilbert symbol ------------------------------
