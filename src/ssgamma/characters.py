@@ -91,6 +91,8 @@ class TameCharacter:
     value_at_uniformizer: ExactScalar = None
 
     def __post_init__(self):
+        if not 0 <= self.unit_exponent <= self.prime - 2:
+            raise CharacterError(f"unit exponent must lie in 0..{self.prime - 2}, got {self.unit_exponent}")
         if self.value_at_uniformizer is None:
             object.__setattr__(self, "value_at_uniformizer", ExactScalar.one(self.prime))
         if not self.value_at_uniformizer.is_monomial():

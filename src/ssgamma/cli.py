@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar, ScalarError
@@ -35,6 +34,7 @@ from .integrals import (
     check_domain,
 )
 from .matrices import MatrixError
+from .padic import is_odd_prime
 from .parameter import param_summary, ParameterError
 
 EXIT_OK = 0
@@ -116,8 +116,7 @@ def _emit_json(doc: dict, path: str | None):
 
 
 def _check_prime(p: int) -> int:
-    # trial division: every command already costs O(p) or more
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+    if not is_odd_prime(p):
         raise ConfigError(f"p must be an odd prime, got {p}")
     return p
 

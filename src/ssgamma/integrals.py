@@ -25,11 +25,15 @@ are conjunctions over entries and the chi argument is linear in them.
 So when every value of every coordinate, the others held at 0, passes
 the base point's box with the base's argument, every point of the
 (l-1)-fold y product has the base's value, and the histogram is one
-count: (l-1)|Y| evaluations instead of |Y|^(l-1) (_so_buckets has the
-argument).  A z where some coordinate value misses that box or moves
-the argument falls back to the point loop.  Brute-force mode and
-scan_support always run the point loop, so the oracle does not share
-the factored count.
+count.  One value per coordinate decides that: the entries y_k = c
+writes are c times fixed factors, a box test on them is a lower bound
+on v(c) (an o-module condition), and the argument moves by a fixed
+multiple of c.  So every value of the window passes iff one of least
+valuation does, and the count costs (l-1) evaluations instead of
+|Y|^(l-1) (_so_buckets has the argument).  A z where that value misses
+the box or moves the argument falls back to the point loop.
+Brute-force mode and scan_support always run the point loop, so the
+oracle does not share the factored count.
 
 A bucket holds the sum over one tame class of z: the pair tame_class(z)
 = (v_p(z), unit residue mod p).  This merge is exact, because the
@@ -55,7 +59,7 @@ from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
-from .padic import rational_valuation
+from .padic import is_odd_prime, rational_valuation
 from .matrices import (
     GroupMatrix,
     mat_identity,
@@ -100,6 +104,13 @@ class Unsupported(IntegralError):
 # configuration
 
 
+def check_prime(p) -> None:
+    """Q_p needs an odd prime p: the tame characters read units through a
+    primitive root mod p."""
+    if not is_odd_prime(p):
+        raise IntegralError(f"p must be an odd prime, got {p}")
+
+
 def check_domain(ell: int, level: int, cutoff: int) -> None:
     """The truncation every SO domain needs: l >= 1, N >= 2 and V >= 1."""
     if ell < 1:
@@ -134,6 +145,9 @@ class IntegralConfig:
     t: tuple = None
 
     def __post_init__(self):
+        check_prime(self.prime)
+        if self.tau.prime != self.prime:
+            raise IntegralError(f"tau is a character of Q_{self.tau.prime}, not of Q_{self.prime}")
         check_domain(self.ell, self.level, self.cutoff)
         if self.mode not in ("support-aware", "brute-force"):
             raise IntegralError("mode must be support-aware or brute-force")
@@ -387,11 +401,12 @@ def _so_buckets(cfg: IntegralConfig, side: str):
     tame class (see the comment above).
 
     Support-aware mode reads each z's (i, m, a) histogram over the
-    (l-1)-fold y product off the base point (all y = 0) and the points
-    with one coordinate set (_so_factored_counts): (l-1)|Y| evaluations
-    instead of |Y|^(l-1).  When each of those passes the base's box with
-    the base's argument, every point of the z has the base's value, and
-    the histogram is {base value: |Y|^(l-1)}.  This is exact:
+    (l-1)-fold y product off the base point (all y = 0) and one point
+    per coordinate, y_k = c for a window value c of least valuation
+    (_so_factored_counts): (l-1) evaluations instead of |Y|^(l-1).  When
+    each of those passes the base's box with the base's argument, every
+    point of the z has the base's value, and the histogram is
+    {base value: |Y|^(l-1)}.  This is exact:
       * for a fixed z, coordinate y_k writes only the entries (1+k, 0) and
         (n-1, n-2-k) of the integrand (_phi_entries);
       * the Phi* sign and column map and _times_gchi move those entries,
@@ -407,25 +422,33 @@ def _so_buckets(cfg: IntegralConfig, side: str):
         pass both boxes, so a box the base misses fails at an entry no
         coordinate writes, at every point of the z.  The base thus
         decides the one box a point of the z can pass, and box 1 is
-        tested only where the base misses box 0.
+        tested only where the base misses box 0;
+      * one value per coordinate settles all of them: y_k = c writes
+        c times fixed factors (z, -1, p, 1/p, signs), and in_iplus on
+        such an off-diagonal entry is the lower bound v(c) >= b - v(alpha),
+        so the values that pass are closed upward in valuation (c = 0
+        always passes), and the argument moves by lambda_k c, zero for
+        every c iff zero at one c != 0.  So every value of the window
+        passes with the base's argument iff its value of least valuation
+        does, every other value being that one times an element of o.
     On both integrands chi reads no entry that the base or a coordinate
     writes, so no argument moves and the count declines only at a miss.
     A point that misses both boxes needs the coset solver.  A z where the
-    base misses both boxes, or a coordinate value misses the base's box
-    or moves its argument, is enumerated point by point
-    (_so_point_counts), as is every z in brute-force mode and in
+    base misses both boxes, or a coordinate's value of least valuation
+    misses the base's box or moves its argument, is enumerated point by
+    point (_so_point_counts), as is every z in brute-force mode and in
     scan_support."""
     p, ell = cfg.prime, cfg.ell
     build = _phi_entries if side == "phi" else _phi_star_entries
     ys = _y_windows(ell, p, cfg.level, cfg.cutoff, cfg.mode)
     zs = _z_windows(p, cfg.level, cfg.cutoff, cfg.mode, side)
     weight = _window_weight(zs) * _window_weight(ys) ** (ell - 1)
-    reps = [y for y, _, _ in ys]
+    least = _least_valuation([y for y, _, _ in ys], p)
     sums: dict = {}  # (i, z) -> sum of the point values, without the weight
     for z, _, zpad in zs:
         counts = None
         if cfg.mode == "support-aware":  # its windows have no padding shell
-            counts = _so_factored_counts(z, reps, build, p, ell, cfg.t)
+            counts = _so_factored_counts(z, least, len(ys), build, p, ell, cfg.t)
         if counts is None:
             counts = _so_point_counts(z, zpad, ys, build, p, ell, cfg.t, side)
         _add_counts(sums, counts, p, z)
@@ -450,11 +473,20 @@ def _so_point_counts(z, zpad, ys, build, p, ell, t, side):
     return counts
 
 
-def _so_factored_counts(z, reps, build, p, ell, t):
-    """_so_point_counts at z over the (l-1)-fold product of reps, from the
-    base point and one coordinate at a time (see _so_buckets); None when
-    the base misses both boxes or a coordinate value misses the base's
-    box or moves its argument."""
+def _least_valuation(reps, p):
+    """A value of least valuation in reps: every value is that one times
+    an element of o, the precondition of _so_factored_counts."""
+    return min(reps, key=lambda c: rational_valuation(c, p))
+
+
+def _so_factored_counts(z, least, size, build, p, ell, t):
+    """_so_point_counts at z over the (l-1)-fold product of a y window of
+    size values, from the base point and the point y_k = least for each
+    coordinate k (see _so_buckets); None when the base misses both boxes
+    or one of those points misses the base's box or moves its argument.
+    least must be a value of least valuation in the window
+    (_least_valuation), so that every value is least times an element of
+    o: one test then decides the coordinate's every value."""
     zero = (F0,) * (ell - 1)
     g = build(z, zero, ell)
     for box in (0, 1):
@@ -464,10 +496,9 @@ def _so_factored_counts(z, reps, build, p, ell, t):
     else:
         return None  # every point misses both boxes
     for k in range(ell - 1):
-        for c in reps:
-            if _box_arg(build(z, zero[:k] + (c,) + zero[k + 1 :], ell), box, p, ell, t) != base:
-                return None
-    return {(box,) + psi_exponent(base, p): len(reps) ** (ell - 1)}
+        if _box_arg(build(z, zero[:k] + (least,) + zero[k + 1 :], ell), box, p, ell, t) != base:
+            return None
+    return {(box,) + psi_exponent(base, p): size ** (ell - 1)}
 
 
 def _add_counts(sums, counts, p, x):
@@ -645,10 +676,11 @@ def jpss_gl_gamma(
     times tau(-1)^(n-1); compared against the closed form."""
     if n < 2:
         raise Unsupported("need n >= 2")
+    p = tau.prime
+    check_prime(p)
     check_domain(n - 1, level, cutoff)  # the x window is the SO y window of rank n - 1
     if zeta**n != CyclotomicNumber.one():
         raise BadRoot("zeta must satisfy zeta^n = 1")
-    p = tau.prime
     buckets = _memo(_GL_BUCKETS, (n, p, level, cutoff), lambda: _gl_buckets(n, p, level, cutoff))
     tau_inv = tau.inverse()
     plain = ExactScalar.zero(p)
@@ -678,6 +710,7 @@ def match_so_gl(ell: int, tau: TameCharacter, zeta: CyclotomicNumber, cfg: Integ
     """The SO_(2l+1) gamma equals the GL_(2l) gamma (closed forms always;
     computed pipelines when a config is supplied, which must carry the
     same l, tau and zeta)."""
+    check_prime(tau.prime)
     if zeta * zeta != CyclotomicNumber.one():
         raise BadRoot("the orthogonal side needs zeta^2 = 1")
     if cfg is not None and (cfg.ell != ell or cfg.tau != tau or cfg.zeta != zeta):
@@ -727,6 +760,7 @@ def scan_support(
     """Brute-force enumeration of the integrand support versus the lemma
     predicate.  Returns (points, verdict); verdict is True when the
     nonvanishing set matches the predicate exactly."""
+    check_prime(p)
     check_domain(ell, level, cutoff)
     if side not in ("phi", "phi_star"):
         raise IntegralError(f"side must be phi or phi_star, got {side!r}")

@@ -14,6 +14,12 @@ from fractions import Fraction
 INF = math.inf
 
 
+def is_odd_prime(p) -> bool:
+    """p is an odd prime, by trial division: every computation over Q_p
+    already costs O(p) or more."""
+    return isinstance(p, int) and p >= 3 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+
 def rational_valuation(x: Fraction, p: int):
     """v_p(x) for a rational x; v(0) = +inf."""
     if x == 0:

@@ -137,6 +137,13 @@ def test_tame_inverse():
         assert tau(x) * inv(x) == ExactScalar.one(p)
 
 
+@pytest.mark.parametrize("p,j", [(3, 7), (3, 2), (3, -1), (5, 4), (7, 6), (7, -6)])
+def test_tame_rejects_a_unit_exponent_outside_0_to_p_minus_2(p, j):
+    with pytest.raises(CharacterError, match=rf"^unit exponent must lie in 0\.\.{p - 2}, got {j}$"):
+        TameCharacter(p, j)
+    assert TameCharacter(p, p - 2).inverse().unit_exponent == 1
+
+
 def test_tame_rejects_zero_and_nonmonomial():
     p = 3
     tau = TameCharacter(p, 0)

@@ -189,6 +189,28 @@ def test_config_validation():
             IntegralConfig(p, ell, C.one(), trivial_tau(p))
 
 
+@pytest.mark.parametrize("p", [9, 4, 15, 2, 1, 0, -3])
+def test_a_prime_that_is_not_an_odd_prime_is_rejected(p):
+    """The library checks p itself, before any enumeration reaches the
+    primitive root mod p."""
+    tau = TameCharacter(p, 0) if p >= 2 else TameCharacter(3, 0)
+    message = rf"^p must be an odd prime, got {p}$"
+    with pytest.raises(IntegralError, match=message):
+        IntegralConfig(p, 1, C.one(), tau, level=2, cutoff=1)
+    with pytest.raises(IntegralError, match=message):
+        scan_support(p, 1, "phi", level=2, cutoff=1)
+    if p >= 2:
+        with pytest.raises(IntegralError, match=message):
+            jpss_gl_gamma(2, tau, C.one(), level=2, cutoff=1)
+        with pytest.raises(IntegralError, match=message):
+            match_so_gl(1, tau, C.one())
+
+
+def test_tau_over_another_prime_is_rejected():
+    with pytest.raises(IntegralError, match=r"^tau is a character of Q_3, not of Q_5$"):
+        IntegralConfig(5, 1, C.one(), TameCharacter(3, 1), level=2, cutoff=1)
+
+
 @pytest.mark.parametrize("t", [(1, 1), (1, 1, 1, 1), ()])
 def test_t_of_the_wrong_length_is_rejected(t):
     p, ell = 3, 2

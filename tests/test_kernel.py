@@ -13,12 +13,17 @@ buckets that span many tame classes (on the real domains only one class
 per side is nonzero).
 
 The last tests check the support-aware factored count over the y
-product (_so_factored_counts) against the point loop (_so_point_counts),
-per z: on the grid's domains, at random t, and on brute-force windows,
-where it must fall back exactly at the z where the loop meets a point
-off both boxes.  The SO buckets are pinned by sha256 digests of their records,
-taken from the point loop, and a count guard fails if the support-aware
-enumeration goes back to testing points one by one.
+product (_so_factored_counts).  It tests each coordinate at one value of
+least valuation, which is exact because the entries a coordinate writes,
+and the chi arguments, are linear in its value; that linearity is
+checked on the grid and at random t.  The count is checked against the
+point loop (_so_point_counts), per z: on the grid's domains, at random
+t, and on brute-force windows, where it must fall back exactly at the z
+where the loop meets a point off both boxes.  The SO buckets are pinned
+by sha256 digests of their records, taken from the point loop and, at
+the stress sizes, from the count that tested every coordinate value.  A
+count guard fails if the support-aware enumeration goes back to testing
+every coordinate value, or every point.
 """
 
 import hashlib
@@ -55,8 +60,11 @@ from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
     _box_arg,
+    _chi_arg,
+    _chi_arg_conj,
     _dense,
     _iter_y,
+    _least_valuation,
     _merge_tame_classes,
     _phi_entries,
     _phi_star_entries,
@@ -67,6 +75,7 @@ from ssgamma.integrals import (
     _times_gchi,
     _y_windows,
     _z_windows,
+    gamma_so,
     phi_eval,
     phi_star_eval,
 )
@@ -295,14 +304,67 @@ def test_tame_class_merge_keeps_every_tame_sum(p, data):
 # --- the factored count over the y product --------------------------------------
 
 
+def assert_coordinate_is_linear(p, ell, side, t, z, k, c):
+    """Setting y_k = c (the other coordinates 0) moves the entries of the
+    base point by c times fixed factors: build(z, e_k 2c) minus the base
+    is twice build(z, e_k c) minus the base, on the integrand and on its
+    box-1 image, no moved entry is on the diagonal, and both chi arguments
+    move the same way.  The factored count tests one value of y_k for all
+    of them on exactly this."""
+    n = 2 * ell + 1
+    build = builder(side)
+    zero = (F0,) * (ell - 1)
+
+    def at(x):
+        return build(z, zero[:k] + (x,) + zero[k + 1 :], ell)
+
+    maps = [at(F0), at(c), at(2 * c)]
+    for arg, (g0, g1, g2) in ((_chi_arg, maps), (_chi_arg_conj, [_times_gchi(g, p, n) for g in maps])):
+        assert set(g0) == set(g1) == set(g2)
+        assert {key: g2[key] - g0[key] for key in g0} == {key: 2 * (g1[key] - g0[key]) for key in g0}
+        moved = [key for key in g0 if g1[key] != g0[key]]
+        assert bool(moved) == (c != 0) and all(r != col for r, col in moved), (side, z, k, c)
+        a0, a1, a2 = (arg(g, t, ell, p) for g in (g0, g1, g2))
+        assert a2 - a0 == 2 * (a1 - a0)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_coordinates_are_linear_on_the_grid(side):
+    """Every z of the support-aware window at N = 2 and values c of
+    valuation -1 to 3, on the grid's (p, l) with a coordinate."""
+    for p in (3, 5, 7):
+        for ell in (2, 3):
+            t = (F1,) * (ell + 1)
+            for z, _, _ in _z_windows(p, 2, 1, "support-aware", side):
+                for k in range(ell - 1):
+                    for v in range(-1, 4):
+                        assert_coordinate_is_linear(p, ell, side, t, z, k, Fraction(p) ** v * (1 + k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)]),
+    st.sampled_from(SIDES),
+    st.integers(-2, 2),
+    st.integers(-2, 3),
+    st.data(),
+)
+def test_coordinates_are_linear_at_random_t(case, side, vz, vc, data):
+    p, ell = case
+    t = affine_t(data.draw, p, ell)
+    z = Fraction(p) ** vz * data.draw(units(p))
+    c = Fraction(p) ** vc * data.draw(units(p))
+    assert_coordinate_is_linear(p, ell, side, t, z, data.draw(st.integers(0, ell - 2)), c)
+
+
 def assert_factored_count_matches_loop(p, ell, side, t, level, zs=None):
     """Per z of the support-aware window (or of zs, a part of it): the
     factored (i, m, a) counts equal the point loop's, with no fallback."""
     ys = _y_windows(ell, p, level, 1, "support-aware")
-    reps = [y for y, _, _ in ys]
+    least = _least_valuation([y for y, _, _ in ys], p)
     build = builder(side)
     for z, _, zpad in zs or _z_windows(p, level, 1, "support-aware", side):
-        got = _so_factored_counts(z, reps, build, p, ell, t)
+        got = _so_factored_counts(z, least, len(ys), build, p, ell, t)
         assert got is not None, (p, ell, side, z)
         assert got == _so_point_counts(z, zpad, ys, build, p, ell, t, side), (p, ell, side, z)
 
@@ -370,7 +432,7 @@ def test_convolution_keys_and_overflow_follow_the_point_loop():
     seen = Counter()
     for p, ell, level in ((3, 1, 3), (3, 2, 3), (3, 3, 3), (5, 2, 3), (5, 3, 2)):
         ys = _y_windows(ell, p, level, 1, "support-aware")
-        reps = [y for y, _, _ in ys]
+        least = _least_valuation([y for y, _, _ in ys], p)
         for side in SIDES:
             build = with_superdiagonal(builder(side), p)
             for e in range(4):
@@ -378,7 +440,7 @@ def test_convolution_keys_and_overflow_follow_the_point_loop():
                 for z, _, zpad in _z_windows(p, level, 1, "support-aware", side):
                     outcomes = []
                     for count in (
-                        lambda: _so_factored_counts(z, reps, build, p, ell, t),
+                        lambda: _so_factored_counts(z, least, len(ys), build, p, ell, t),
                         lambda: _so_point_counts(z, zpad, ys, build, p, ell, t, side),
                     ):
                         try:
@@ -437,9 +499,9 @@ def test_convolution_falls_back_exactly_where_a_point_misses_both_boxes(ell, exp
         zs = _z_windows(p, level, 1, "brute-force", side)
         for mode in ("brute-force", "support-aware"):
             ys = _y_windows(ell, p, level, 1, mode)
-            reps = [y for y, _, _ in ys]
+            least = _least_valuation([y for y, _, _ in ys], p)
             for z, _, zpad in zs:
-                got = _so_factored_counts(z, reps, build, p, ell, t)
+                got = _so_factored_counts(z, least, len(ys), build, p, ell, t)
                 points = (build(z, y, ell) for y, _ in _iter_y(ys, ell))
                 if any(off_both_boxes(g, p, ell, t) for g in points):
                     assert got is None, (side, mode, z)
@@ -468,12 +530,35 @@ T_3_3 = (Fraction(2), Fraction(-1), Fraction(4, 5), Fraction(5))
         (7, 2, None, "phi_star", "7987a53092daa7c2a79401250d08f1705242399c7f566736daba8711c3ef6b79"),
         (3, 3, T_3_3, "phi", "c22d4e68da138a50f32eb0b078ed20ded8cbfbcfa4f2f5a14eb9f004f9996ecd"),
         (3, 3, T_3_3, "phi_star", "9ab6db3945e1ef8855c7b1b596d08c74f88437aba6e352667eda74b99d7435d3"),
+        (11, 3, None, "phi", "33838e534f51002cb4e77d58e221e101401ac6e3dd903e701495d5f9a920afe8"),
+        (11, 3, None, "phi_star", "4d6755c191063906b59e8438bb4a8301bd2be67c8bd5a3d1e36d152639bb0f3a"),
+        (13, 3, None, "phi", "0cc78b9bfb6e09af92d984d2feec2010938895fe7f67793906212c162a6f1ec9"),
+        (13, 3, None, "phi_star", "9aacba600450ca82bd83063a0ff410114aaeccc38a4db7a11dc2fcfe73279003"),
+        (7, 4, None, "phi", "ffcaa78ea47e0cef1a32c4ff66d30b0304b1c7d6f5b1caa6eb83fef1e454904e"),
+        (7, 4, None, "phi_star", "5d44c0ce401a2d969893518fb396639e7bc8c1848614e0539918e504ef93cf80"),
+        (5, 4, None, "phi", "0d8fa3a08c87871b29194d217e749274c6862b1a0c550f5a1dda651415b11a3c"),
+        (5, 4, None, "phi_star", "47a144460a651cfd353f04784e68940f2de6a61a1d359cace9983e7b065b2b12"),
+        (3, 5, None, "phi", "df8ac71a3aea3796c121b9e1e497aed06df4a863e823acc0dc9cf16f74919d14"),
+        (3, 5, None, "phi_star", "3abf33cd85feb182d6a36976f748aa297f132a0232bd95e3e01789cb5c5ed842"),
     ],
 )
 def test_so_buckets_are_pinned(p, ell, t, side, digest):
-    """Digests taken from the point-by-point enumeration, at N = 3, V = 1."""
+    """Digests taken from the point-by-point enumeration, at N = 3, V = 1.
+    Those of the stress sizes (11,3), (13,3), (7,4), (5,4) and (3,5) were
+    taken while the factored count still tested every coordinate value."""
     cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=3, cutoff=1, t=t)
     assert so_bucket_digest(_so_buckets(cfg, side)) == digest
+
+
+@pytest.mark.parametrize("p,ell", [(11, 3), (13, 3), (7, 4), (5, 4), (3, 5)])
+def test_stress_sizes_meet_the_closed_forms(p, ell):
+    """At N = 3, V = 1: Phi = vol(p)^(l-1) vol(1+p), with vol(p) = q^(-1/2)
+    and vol(1+p) = 1/(q-1), and gamma_so equals zeta tau(-pi) q^(1/2-s)."""
+    tau = TameCharacter(p, 1, ExactScalar.from_coeff(p, -2))
+    cfg = IntegralConfig(p, ell, -C.one(), tau, level=3, cutoff=1)
+    assert phi_eval(cfg) == ExactScalar.from_coeff(p, Fraction(1, p - 1), q_half=-(ell - 1))
+    res = gamma_so(cfg)
+    assert res.matches and res.computed == res.predicted
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -481,8 +566,9 @@ def test_support_aware_enumeration_tests_coordinates_not_points(side, monkeypatc
     """in_iplus and coset_decompose counted at every name the package binds
     them to, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1).  At each
     z the factored count makes at most two box tests for the base and one for
-    each coordinate value; the point loop would make up to two per point,
-    31,250 in all."""
+    each coordinate, at its value of least valuation: 100 in all.  Testing
+    every value of each coordinate would make 1,300, and the point loop up
+    to two per point, 31,250."""
     p, ell, level = 5, 3, 3
     calls = Counter()
 
@@ -503,4 +589,5 @@ def test_support_aware_enumeration_tests_coordinates_not_points(side, monkeypatc
     _so_buckets(IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1), side)
     z_count = y_count = p ** (level - 1)
     assert calls["coset_decompose"] == 0
-    assert 0 < calls["in_iplus"] <= z_count * (2 + (ell - 1) * y_count) == 1_300
+    assert z_count * (2 + (ell - 1) * y_count) == 1_300
+    assert 0 < calls["in_iplus"] <= z_count * (2 + (ell - 1)) == 100
