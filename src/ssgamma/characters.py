@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
-from .padic import rational_valuation
+from .padic import is_odd_prime, rational_valuation
 
 
 class CharacterError(Exception):
@@ -91,6 +91,8 @@ class TameCharacter:
     value_at_uniformizer: ExactScalar = None
 
     def __post_init__(self):
+        if not is_odd_prime(self.prime):
+            raise CharacterError(f"p must be an odd prime, got {self.prime}")
         if not 0 <= self.unit_exponent <= self.prime - 2:
             raise CharacterError(f"unit exponent must lie in 0..{self.prime - 2}, got {self.unit_exponent}")
         if self.value_at_uniformizer is None:
@@ -127,4 +129,5 @@ def tame_eval(tau: TameCharacter, x) -> ExactScalar:
     """tau(x) = unit_value(r) * tau(pi)^v for (v, r) = tame_class(x)."""
     p = tau.prime
     v, r = tame_class(x, p)
-    return ExactScalar.from_coeff(p, tau.unit_value(r)) * tau.value_at_uniformizer**v
+    unit = ExactScalar.from_coeff(p, tau.unit_value(r))
+    return unit * tau.value_at_uniformizer**v if v else unit

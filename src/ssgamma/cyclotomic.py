@@ -75,10 +75,11 @@ class CyclotomicNumber:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
             for e, c in items:
-                c = Fraction(c)
+                c = c if isinstance(c, Fraction) else Fraction(c)
                 if c:
                     e %= order
-                    terms[e] = terms.get(e, Fraction(0)) + c
+                    prev = terms.get(e)
+                    terms[e] = c if prev is None else prev + c
         self.coeffs = {e: c for e, c in terms.items() if c}
         self._canon = None
 
@@ -117,12 +118,16 @@ class CyclotomicNumber:
             dense = [Fraction(0)] * self.order
             for e, c in self.coeffs.items():
                 dense[e] += c
-            rem = _poly_rem(dense, mod)
+            # below degree phi(m) a representative is already canonical
+            rem = _poly_rem(dense, mod) if max(self.coeffs, default=0) >= deg else dense[:deg]
             rem += [Fraction(0)] * (deg - len(rem))
             self._canon = tuple(rem)
         return self._canon
 
     def is_zero(self) -> bool:
+        # stored coefficients are nonzero, and c * zeta^e != 0 for c != 0
+        if len(self.coeffs) < 2:
+            return not self.coeffs
         return not any(self.reduced())
 
     def is_rational(self):
@@ -141,6 +146,8 @@ class CyclotomicNumber:
         return CyclotomicNumber(order, {e * step: c for e, c in self.coeffs.items()})
 
     def _pair(self, other: "CyclotomicNumber"):
+        if self.order == other.order:
+            return self, other, self.order
         m = self.order * other.order // gcd(self.order, other.order)
         return self.embed(m), other.embed(m), m
 
@@ -151,7 +158,8 @@ class CyclotomicNumber:
         a, b, m = self._pair(other)
         out = dict(a.coeffs)
         for e, c in b.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
         return CyclotomicNumber(m, out)
 
     __radd__ = __add__
@@ -167,12 +175,18 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         other = _coerce(other)
+        # by a rational r: the double loop below would store exactly c * r at e
+        x, r = (other, self) if self.order == 1 and len(self.coeffs) == 1 else (self, other)
+        if r.order == 1 and len(r.coeffs) == 1:
+            return CyclotomicNumber(x.order, {e: c * r.coeffs[0] for e, c in x.coeffs.items()})
         a, b, m = self._pair(other)
         out = {}
         for e1, c1 in a.coeffs.items():
             for e2, c2 in b.coeffs.items():
                 e = (e1 + e2) % m
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                prev = out.get(e)
+                out[e] = c if prev is None else prev + c
         return CyclotomicNumber(m, out)
 
     __rmul__ = __mul__
@@ -180,10 +194,14 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         """The c = sum_j c_j zeta^j (j < phi(m)) with self * c = 1: the row
         c with c . B = (1, 0, ..., 0), where row j of B is the reduced form
-        of self * zeta^j, solved by the shared exact elimination."""
+        of self * zeta^j, solved by the shared exact elimination.  One term
+        c * zeta^e needs none: the solution is c^(-1) * zeta^(-e), canonical."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         m = self.order
+        if len(self.coeffs) == 1:
+            ((e, c),) = self.coeffs.items()
+            return CyclotomicNumber(m, dict(enumerate(CyclotomicNumber(m, {-e: 1 / c}).reduced())))
         rows = [
             CyclotomicNumber(m, {e + j: c for e, c in self.coeffs.items()}).reduced()
             for j in range(len(self.reduced()))
@@ -194,6 +212,8 @@ class CyclotomicNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
+        if n == 1:
+            return self
         out = CyclotomicNumber.one()
         base = self
         while n:

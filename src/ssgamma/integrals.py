@@ -677,7 +677,6 @@ def jpss_gl_gamma(
     if n < 2:
         raise Unsupported("need n >= 2")
     p = tau.prime
-    check_prime(p)
     check_domain(n - 1, level, cutoff)  # the x window is the SO y window of rank n - 1
     if zeta**n != CyclotomicNumber.one():
         raise BadRoot("zeta must satisfy zeta^n = 1")
@@ -710,7 +709,6 @@ def match_so_gl(ell: int, tau: TameCharacter, zeta: CyclotomicNumber, cfg: Integ
     """The SO_(2l+1) gamma equals the GL_(2l) gamma (closed forms always;
     computed pipelines when a config is supplied, which must carry the
     same l, tau and zeta)."""
-    check_prime(tau.prime)
     if zeta * zeta != CyclotomicNumber.one():
         raise BadRoot("the orthogonal side needs zeta^2 = 1")
     if cfg is not None and (cfg.ell != ell or cfg.tau != tau or cfg.zeta != zeta):

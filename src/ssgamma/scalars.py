@@ -53,6 +53,7 @@ class ExactScalar:
     def __init__(self, prime: int, terms=None):
         self.prime = prime
         cleaned = {}
+        merged = []  # each coefficient is tested once: only a sum of two can vanish
         if terms:
             for (par, k), c in terms.items():
                 if not isinstance(c, CyclotomicNumber):
@@ -63,8 +64,14 @@ class ExactScalar:
                     if extra:
                         c = c * Fraction(prime) ** extra
                     prev = cleaned.get(key)
-                    cleaned[key] = c if prev is None else prev + c
-        self.terms = {key: c for key, c in cleaned.items() if not c.is_zero()}
+                    if prev is not None:
+                        c = prev + c
+                        merged.append(key)
+                    cleaned[key] = c
+        for key in merged:
+            if key in cleaned and cleaned[key].is_zero():
+                del cleaned[key]
+        self.terms = cleaned
 
     # -- constructors -------------------------------------------------
 
@@ -134,6 +141,8 @@ class ExactScalar:
     def __pow__(self, n: int):
         if n < 0:
             return (ExactScalar.one(self.prime) / self) ** (-n)
+        if n == 1:
+            return self
         out = ExactScalar.one(self.prime)
         for _ in range(n):
             out = out * self

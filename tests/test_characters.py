@@ -144,6 +144,15 @@ def test_tame_rejects_a_unit_exponent_outside_0_to_p_minus_2(p, j):
     assert TameCharacter(p, p - 2).inverse().unit_exponent == 1
 
 
+@pytest.mark.parametrize("p", [9, 2, 4, 15, 1, 0, -3])
+def test_tame_rejects_a_prime_that_is_not_an_odd_prime(p):
+    """Before the check, TameCharacter(9, 0) was built, and the closed
+    forms and tau(3) then failed inside primitive_root with a bare
+    ValueError ("2 is not prime" for p = 2)."""
+    with pytest.raises(CharacterError, match=rf"^p must be an odd prime, got {p}$"):
+        TameCharacter(p, 0)
+
+
 def test_tame_rejects_zero_and_nonmonomial():
     p = 3
     tau = TameCharacter(p, 0)

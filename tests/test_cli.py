@@ -1,16 +1,18 @@
 import csv
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ssgamma import cli, integrals
-from ssgamma.characters import OrderOverflow
+from ssgamma.characters import OrderOverflow, TameCharacter
 from ssgamma.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, ConfigError, _check_prime, main
+from ssgamma.cyclotomic import CyclotomicNumber
 from ssgamma.matrices import SingularMatrix
 from ssgamma.padic import rational_valuation
-from ssgamma.scalars import NonMonomialDivisor
+from ssgamma.scalars import ExactScalar, NonMonomialDivisor
 
 
 def run(capsys, *argv):
@@ -377,3 +379,55 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path, command, p, ell, level,
     if command == "scan-support":
         argv.append(f"--side={side}")
     assert main(argv) in (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG)
+
+
+# sha256 of the rendered warm cells of each group below: for every cell,
+# cli.scalar_str and to_records of the computed and of the predicted
+# gamma.  scalar_str prints the stored (unreduced) coefficients of an
+# irrational value, so these pin how each value is stored, not only what
+# it equals.  Recorded before the monomial fast paths of the exact ring.
+def pin_taus(p, j):
+    values = (
+        ExactScalar.from_coeff(p, -1),
+        ExactScalar.from_coeff(p, Fraction(3, 7)),
+        ExactScalar.from_coeff(p, 2 * CyclotomicNumber.root_of_unity(4, 1), q_half=1),
+    )
+    return [TameCharacter(p, j, v) for v in values]
+
+
+def rendered_cells(group):
+    kind, p, size, mode = group
+    if kind == "so":
+        zetas = (CyclotomicNumber.one(), -CyclotomicNumber.one())
+    else:
+        zetas = tuple(CyclotomicNumber.root_of_unity(size, k) for k in range(size))
+    out = []
+    for zeta in zetas:
+        for j in range(p - 1):
+            for tau in pin_taus(p, j):
+                if kind == "so":
+                    cfg = integrals.IntegralConfig(p, size, zeta, tau, level=2, cutoff=1, mode=mode)
+                    res = integrals.gamma_so(cfg)
+                else:
+                    res = integrals.jpss_gl_gamma(size, tau, zeta, level=2, cutoff=1)
+                assert res.matches
+                out.append([cli.scalar_str(x) for x in (res.computed, res.predicted)])
+                out.append([x.to_records() for x in (res.computed, res.predicted)])
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+CELL_DIGESTS = {
+    ("so", 3, 2, "support-aware"): "1548c5dc8d8cb71790f54fdb4b2ad56756d1c681458287f205b2a110fb18ca0c",
+    ("so", 3, 2, "brute-force"): "1548c5dc8d8cb71790f54fdb4b2ad56756d1c681458287f205b2a110fb18ca0c",
+    ("so", 5, 2, "support-aware"): "e70ef60ef99039598da34b36aa478ddd5f3049aa4a9498d8fec686b95e77b7ac",
+    ("so", 7, 1, "support-aware"): "b663fd2602a5856b32126fb4b4cfb42edb62f29e27206a74f842e78765460131",
+    ("gl", 3, 2, None): "d41540aadc5dd7434022539e502cf6f45c0b0381181e0366e936f5e54348e90e",
+    ("gl", 3, 3, None): "b8860d84aac845395978619086dd04c52ed677c1ada8dc66f2265c743413def8",
+    ("gl", 5, 2, None): "0cd505266854ef785cfe2880de65553343142ef30bb8c517f1e0cb2e4f88cecb",
+    ("gl", 5, 3, None): "26a6390768e1f3c081ef1e8c0cacc1bf31ec62dc2b26784e4ede09a9f9e1ac64",
+}
+
+
+@pytest.mark.parametrize("group", sorted(CELL_DIGESTS, key=str), ids=str)
+def test_rendered_warm_cells_are_pinned(group):
+    assert rendered_cells(group) == CELL_DIGESTS[group]

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ssgamma.cyclotomic import CyclotomicNumber as C
+from ssgamma.matrices import _solve_row
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+
+
+def totient(m):
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
 def test_roots_of_unity_basic():
@@ -66,7 +71,7 @@ def sparse_elements(draw):
 @given(sparse_elements())
 def test_inverse_of_sparse_elements(x):
     inv = x.inverse()
-    phi = sum(1 for k in range(1, x.order + 1) if gcd(k, x.order) == 1)
+    phi = totient(x.order)
     assert x * inv == C.one()
     assert inv.order == x.order
     assert all(0 <= e < phi for e in inv.coeffs)
@@ -76,6 +81,69 @@ def test_inverse_of_sparse_elements(x):
 def test_inverse_of_a_rational_is_its_reciprocal(m, c):
     for x in (C.from_rational(c), C(m, {0: c})):
         assert x.inverse().coeffs == {0: 1 / c}
+
+
+# The monomial fast paths of the ring must return exactly what the general
+# path stores, .order and .coeffs included: the CLI prints the stored
+# coefficients of an irrational value.
+
+
+@st.composite
+def elements_with_hidden_zeros(draw):
+    """An element of Q(zeta_m), 1 <= m <= 30, with 0 to 4 stored terms at
+    any exponent, to which half the time c times the sum of all d-th roots
+    of unity (d | m, d > 1) is added: zero, but stored as d terms."""
+    m = draw(st.integers(1, 30))
+    x = C(m, draw(st.dictionaries(st.integers(0, 3 * m), rationals, max_size=4)))
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    if divisors and draw(st.booleans()):
+        d = draw(st.sampled_from(divisors))
+        x = x + C(m, {k * (m // d): draw(rationals) for k in range(d)})
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements_with_hidden_zeros())
+def test_is_zero_agrees_with_the_canonical_form(x):
+    assert x.is_zero() == (not any(x.reduced()))
+
+
+def double_loop_product(x, y):
+    """The general product: both operands at the lcm order, every pair of
+    stored terms multiplied and summed by exponent."""
+    m = x.order * y.order // gcd(x.order, y.order)
+    x, y = x.embed(m), y.embed(m)
+    out = {}
+    for e1, c1 in x.coeffs.items():
+        for e2, c2 in y.coeffs.items():
+            e = (e1 + e2) % m
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return C(m, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements_with_hidden_zeros(), rationals)
+def test_a_rational_times_x_stores_the_double_loop(x, r):
+    want = double_loop_product(C.from_rational(r), x)
+    for got in (C.from_rational(r) * x, x * C.from_rational(r), x * r, r * x):
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_one_term_inverse_stores_the_elimination(data):
+    """The canonical form of c^(-1) zeta^(-e) against the solution of
+    sum_j c_j reduced(x zeta^j) = 1, at exponents e >= phi(m), where
+    zeta^(-e) is not itself canonical."""
+    m = data.draw(st.integers(1, 30))
+    phi = totient(m)
+    e = data.draw(st.integers(phi, phi + 2 * m))
+    c = data.draw(rationals.filter(bool))
+    rows = [C(m, {e + j: c}).reduced() for j in range(phi)]
+    solved = _solve_row(rows, [Fraction(1)] + [Fraction(0)] * (phi - 1))
+    want = C(m, dict(enumerate(solved)))
+    got = C(m, {e: c}).inverse()
+    assert (got.order, got.coeffs) == (want.order, want.coeffs)
 
 
 @given(rationals, rationals)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import SectionSpec, b_element, intertwine_M, section_eval
-from ssgamma import integrals
-from ssgamma.characters import TameCharacter
+from ssgamma import cyclotomic, integrals, matrices
+from ssgamma.characters import CharacterError, TameCharacter
 from ssgamma.cli import scalar_str
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
@@ -134,6 +134,29 @@ def test_gamma_is_monomial_q_half_minus_s():
             assert (h, k) == (1, 1)
 
 
+@pytest.mark.parametrize("p,ell", [(13, 1), (5, 3)])
+@pytest.mark.parametrize("coeff", [Fraction(3, 7), C.root_of_unity(4, 1)], ids=["rational", "zeta_4"])
+def test_a_warm_cell_makes_almost_no_reductions_and_no_elimination(monkeypatch, p, ell, coeff):
+    """A warm cell multiplies and adds values that are almost all one term
+    c * zeta^e, and divides by the rational Phi.  Before the monomial fast
+    paths of the ring, each of these cells made 26 to 28 polynomial
+    remainders and one Gauss-Jordan elimination.  Counts, not timings:
+    they repeat exactly."""
+    cfg = IntegralConfig(p, ell, -C.one(), TameCharacter(p, 1, ES(p, coeff, 1)))
+    gamma_so(cfg)  # the cold call builds the buckets
+    calls = {"_poly_rem": 0, "_gauss_jordan": 0}
+    for module, name in ((cyclotomic, "_poly_rem"), (matrices, "_gauss_jordan")):
+
+        def counted(*args, name=name, original=getattr(module, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert gamma_so(cfg).matches
+    assert calls["_poly_rem"] <= 2
+    assert calls["_gauss_jordan"] == 0
+
+
 def test_brute_force_agrees():
     p = 3
     for ell in (1, 2):
@@ -192,18 +215,15 @@ def test_config_validation():
 @pytest.mark.parametrize("p", [9, 4, 15, 2, 1, 0, -3])
 def test_a_prime_that_is_not_an_odd_prime_is_rejected(p):
     """The library checks p itself, before any enumeration reaches the
-    primitive root mod p."""
-    tau = TameCharacter(p, 0) if p >= 2 else TameCharacter(3, 0)
+    primitive root mod p.  jpss_gl_gamma and match_so_gl read p off tau,
+    and a tame character over such a p cannot be built."""
     message = rf"^p must be an odd prime, got {p}$"
     with pytest.raises(IntegralError, match=message):
-        IntegralConfig(p, 1, C.one(), tau, level=2, cutoff=1)
+        IntegralConfig(p, 1, C.one(), TameCharacter(3, 0), level=2, cutoff=1)
     with pytest.raises(IntegralError, match=message):
         scan_support(p, 1, "phi", level=2, cutoff=1)
-    if p >= 2:
-        with pytest.raises(IntegralError, match=message):
-            jpss_gl_gamma(2, tau, C.one(), level=2, cutoff=1)
-        with pytest.raises(IntegralError, match=message):
-            match_so_gl(1, tau, C.one())
+    with pytest.raises(CharacterError, match=message):
+        TameCharacter(p, 0)
 
 
 def test_tau_over_another_prime_is_rejected():

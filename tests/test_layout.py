@@ -114,6 +114,9 @@ def profile(frame, event, arg):
 
 
 tau = TameCharacter(3, 1, ExactScalar.from_coeff(3, -1))
+# tau(pi) = 1 + zeta_3 is stored with two terms, so inverting it runs the
+# elimination that one-term inverses skip
+tau_two_terms = TameCharacter(3, 1, ExactScalar.from_coeff(3, CyclotomicNumber(3, {0: 1, 1: 1})))
 minus_one = CyclotomicNumber.from_rational(-1)
 sys.setprofile(profile)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -128,6 +131,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     ):
         cli.main(argv)
     jpss_gl_gamma(3, tau, CyclotomicNumber.root_of_unity(3, 1), level=2, cutoff=1)
+    jpss_gl_gamma(2, tau_two_terms, minus_one, level=2, cutoff=1)
     match_so_gl(1, tau, minus_one, cfg=IntegralConfig(3, 1, minus_one, tau, level=2, cutoff=1))
 sys.setprofile(None)
 package = Path(ssgamma.__file__).resolve().parent

@@ -42,6 +42,17 @@ def test_addition_collects_terms():
     assert (x - x).is_zero()
 
 
+def test_terms_that_cancel_in_the_constructor_are_dropped():
+    """q^(h/2) with h >= 2 folds p^(h//2) into the coefficient, so two
+    input terms can meet and cancel inside the constructor."""
+    p = 3
+    assert ExactScalar(p, {(0, 0): 3, (2, 0): -1}).terms == {}
+    # (3 + q^(1/2)) (1 - q^(1/2)) = 3 - q - 2 q^(1/2), and q = 3
+    x = (ES(p, 3) + ES(p, 1, 1)) * (ES(p, 1) - ES(p, 1, 1))
+    assert x.is_monomial()
+    assert x == ES(p, -2, 1)
+
+
 def test_monomial_division():
     p = 3
     num = ES(p, 6, 3, 2)
