@@ -216,12 +216,13 @@ class CyclotomicNumber:
             return self
         out = CyclotomicNumber.one()
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     # -- comparison & misc ----------------------------------------------
 

@@ -15,9 +15,10 @@ domain point is a sparse map of the entries where its integrand matrix
 differs from the identity; two I+ box tests on that map, with the
 generic coset solver as the fallback, give its Whittaker value as plain
 ints (i, m, a), meaning zeta^i * zeta_(p^m)^a.  The kernel counts these
-in a histogram keyed by (i, z, m, a).  The measure weight is the same
-at every point off the padding shell (checked per window), so it
-multiplies each bucket once, at the end.
+in a histogram keyed by (i, z, m, a).  A window is one measure weight,
+that of every class off the padding shell, and its representatives,
+each marked on or off the shell; so the weight multiplies each bucket
+once, at the end.
 
 In support-aware mode the histogram at one z is not enumerated point
 by point.  Each y coordinate writes its own two entries, the box tests
@@ -32,8 +33,8 @@ multiple of c.  So every value of the window passes iff one of least
 valuation does, and the count costs (l-1) evaluations instead of
 |Y|^(l-1) (_so_buckets has the argument).  A z where that value misses
 the box or moves the argument falls back to the point loop.
-Brute-force mode and scan_support always run the point loop, so the
-oracle does not share the factored count.
+Brute-force mode always runs the point loop, and scan_support its own
+report loop, so the oracle does not share the factored count.
 
 A bucket holds the sum over one tame class of z: the pair tame_class(z)
 = (v_p(z), unit residue mod p).  This merge is exact, because the
@@ -42,12 +43,15 @@ character tau through (v, r), on both sides (Phi* reads b/z, whose
 class the class of z fixes).  So each (zeta, tau) cell evaluates f_s
 once per class instead of once per z.
 
-The JPSS GL buckets (_gl_buckets) run on the same machinery: a over the
-brute-force multiplicative window, each x coordinate over the y window
-at V = 0, the x product from _iter_y, and _gl_whittaker_parts giving the
-value as plain ints (j, m, a).  The per-a histogram keyed by
-(side, j, m, a) is summed once per bucket, merged on tame_class(a), and
-multiplied by the side's weight at the end.
+Every bucket comes from one enumeration, _enumerate: it walks an outer
+window and, at each of its points, counts the values over the
+rank-fold product of an inner window, point by point unless a factored
+count is given and holds, then merges tame classes and weights.  The
+SO buckets are one call (z outer, y inner, rank l - 1).  The JPSS GL
+buckets (_gl_buckets) are two, with a over the brute-force
+multiplicative window and x over the brute-force y window at V = 0:
+the plain side at rank 0 and the dual side at rank n - 2, each valued
+by _gl_whittaker_parts as plain ints (j, m, a).
 """
 
 from __future__ import annotations
@@ -343,57 +347,74 @@ def _memo(cache, key, build):
     return hit
 
 
-def _y_windows(ell, p, level, cutoff, mode):
-    """Per-coordinate (reps, weight, is_padding) lists for the y domain."""
+def _y_windows(p, level, cutoff, mode):
+    """(weight, [(y rep, on_shell)]) for one y coordinate; the weight is
+    the measure of each class off the padding shell."""
     if mode == "support-aware":
-        # p mod p^N: weight vol(p) / count
-        reps = [Fraction(p * a) for a in range(p ** (level - 1))]
+        # p mod p^N: vol(p) / p^(N-1)
         weight = ExactScalar.from_coeff(p, Fraction(1, p ** (level - 1)), q_half=-1)
-        return [(r, weight, False) for r in reps]
-    out = []
-    # p^-V o mod p^N, plus the p^-(V+1) padding shell
+        return weight, [(Fraction(p * a), False) for a in range(p ** (level - 1))]
+    # p^-V o mod p^N: vol(p^-V o) / p^(N+V), plus the p^-(V+1) padding shell
     den = p**cutoff
     count = p ** (level + cutoff)
-    weight = ExactScalar.from_coeff(
-        p, Fraction(1, count), q_half=1 + 2 * cutoff
-    )
-    for a in range(count):
-        out.append((Fraction(a, den), weight, False))
-    pad_w = ExactScalar.from_coeff(
-        p, Fraction(1, p ** (level + cutoff + 1)), q_half=1 + 2 * (cutoff + 1)
-    )
-    for a in range(p ** (level + cutoff + 1)):
-        if a % p:  # valuation exactly -(V+1)
-            out.append((Fraction(a, den * p), pad_w, True))
-    return out
+    weight = ExactScalar.from_coeff(p, Fraction(1, count), q_half=1 + 2 * cutoff)
+    reps = [(Fraction(a, den), False) for a in range(count)]
+    reps += [(Fraction(a, den * p), True) for a in range(p * count) if a % p]  # valuation -(V+1)
+    return weight, reps
 
 
 def _z_windows(p, level, cutoff, mode, side):
-    """(z rep, weight, is_padding) for the multiplicative domain."""
-    out = []
+    """(weight, [(z rep, on_shell)]) for the multiplicative domain; the
+    weight is the measure of each class off the padding shell."""
+    weight = ExactScalar.from_coeff(p, Fraction(1, (p - 1) * p ** (level - 1)))
     if mode == "support-aware":
-        w = ExactScalar.from_coeff(p, Fraction(1, (p - 1) * p ** (level - 1)))
-        for a in range(p ** (level - 1)):
-            z = 1 + p * Fraction(a)
-            if side == "phi_star":
-                z = Fraction(1, p) * z  # z^(-1) in pi (1+p)
-            out.append((z, w, False))
-        return out
-    w = ExactScalar.from_coeff(p, Fraction(1, (p - 1) * p ** (level - 1)))
-    for v in range(-cutoff - 1, cutoff + 2):
-        pad = abs(v) > cutoff
-        for a in range(p**level):
-            if a % p:
-                out.append((Fraction(p) ** v * a, w, pad))
-    return out
+        # 1 + p mod 1 + p^N; for Phi*, pi^(-1) times it (z^(-1) in pi (1+p))
+        shift = Fraction(1, p) if side == "phi_star" else F1
+        return weight, [(shift * (1 + p * Fraction(a)), False) for a in range(p ** (level - 1))]
+    return weight, [
+        (Fraction(p) ** v * a, abs(v) > cutoff)
+        for v in range(-cutoff - 1, cutoff + 2)
+        for a in range(p**level)
+        if a % p
+    ]
 
 
-def _window_weight(window):
-    """The measure weight shared by every non-padding point of a window."""
-    weights = [w for _, w, pad in window if not pad]
-    if any(w != weights[0] for w in weights[1:]):
-        raise IntegralError("window weights differ off the padding shell")
-    return weights[0]
+def _enumerate(p, outer, inner, rank, value, shell, factored=None):
+    """(*tag, x0) -> the weighted sum of the point values over the
+    rank-fold product of the inner window and the x of one tame class:
+    the one enumeration behind every bucket.
+
+    outer and inner are (weight, [(rep, on_shell)]) windows.  value(x, y)
+    gives a point's value as (*tag, m, a), or None where it vanishes.  At
+    each x of the outer window the histogram of values is factored(x)
+    when that is given and does not decline (None), and the point loop
+    (_point_counts) otherwise.  shell is the BoundaryNonvanishing text,
+    formatted with the point."""
+    (x_weight, xs), (y_weight, ys) = outer, inner
+    sums: dict = {}  # (*tag, x) -> sum of the point values, without the weight
+    for x, on_shell in xs:
+        counts = factored(x) if factored else None
+        if counts is None:
+            counts = _point_counts(x, on_shell, ys, rank, value, shell)
+        _add_counts(sums, counts, p, x)
+    weight = x_weight * y_weight**rank
+    return {key: weight * ExactScalar.from_coeff(p, c) for key, c in _merge_tame_classes(sums, p).items()}
+
+
+def _point_counts(x, on_shell, ys, rank, value, shell):
+    """(*tag, m, a) -> the number of points (x, y) with that value, y over
+    the rank-fold product of the window reps ys, point by point.  A
+    nonzero point on the padding shell raises BoundaryNonvanishing."""
+    counts: dict = {}
+    for combo in itertools.product(ys, repeat=rank):
+        y = tuple(c for c, _ in combo)
+        parts = value(x, y)
+        if parts is None:
+            continue
+        if on_shell or any(s for _, s in combo):
+            raise BoundaryNonvanishing(shell.format(x, y))
+        counts[parts] = counts.get(parts, 0) + 1
+    return counts
 
 
 def _so_buckets(cfg: IntegralConfig, side: str):
@@ -436,41 +457,26 @@ def _so_buckets(cfg: IntegralConfig, side: str):
     A point that misses both boxes needs the coset solver.  A z where the
     base misses both boxes, or a coordinate's value of least valuation
     misses the base's box or moves its argument, is enumerated point by
-    point (_so_point_counts), as is every z in brute-force mode and in
-    scan_support."""
+    point (_point_counts), as is every z in brute-force mode."""
     p, ell = cfg.prime, cfg.ell
     build = _phi_entries if side == "phi" else _phi_star_entries
-    ys = _y_windows(ell, p, cfg.level, cfg.cutoff, cfg.mode)
-    zs = _z_windows(p, cfg.level, cfg.cutoff, cfg.mode, side)
-    weight = _window_weight(zs) * _window_weight(ys) ** (ell - 1)
-    least = _least_valuation([y for y, _, _ in ys], p)
-    sums: dict = {}  # (i, z) -> sum of the point values, without the weight
-    for z, _, zpad in zs:
-        counts = None
-        if cfg.mode == "support-aware":  # its windows have no padding shell
-            counts = _so_factored_counts(z, least, len(ys), build, p, ell, cfg.t)
-        if counts is None:
-            counts = _so_point_counts(z, zpad, ys, build, p, ell, cfg.t, side)
-        _add_counts(sums, counts, p, z)
-    merged = _merge_tame_classes(sums, p)
-    return {iz: weight * ExactScalar.from_coeff(p, c) for iz, c in merged.items()}
+    ys = _y_windows(p, cfg.level, cfg.cutoff, cfg.mode)
+    factored = None
+    if cfg.mode == "support-aware":  # its windows have no padding shell
+        least = _least_valuation([y for y, _ in ys[1]], p)
 
+        def factored(z):
+            return _so_factored_counts(z, least, len(ys[1]), build, p, ell, cfg.t)
 
-def _so_point_counts(z, zpad, ys, build, p, ell, t, side):
-    """(i, m, a) -> the number of points (z, y) with that value, y over the
-    (l-1)-fold product of the window ys, point by point.  A nonzero point
-    on the padding shell raises BoundaryNonvanishing."""
-    counts: dict = {}
-    for y, ypad in _iter_y(ys, ell):
-        parts = _so_whittaker_parts(build(z, y, ell), p, ell, t)
-        if parts is None:
-            continue
-        if zpad or ypad:
-            raise BoundaryNonvanishing(
-                f"nonzero {side} integrand at the padding shell: z={z}, y={y}"
-            )
-        counts[parts] = counts.get(parts, 0) + 1
-    return counts
+    return _enumerate(
+        p,
+        _z_windows(p, cfg.level, cfg.cutoff, cfg.mode, side),
+        ys,
+        ell - 1,
+        lambda z, y: _so_whittaker_parts(build(z, y, ell), p, ell, cfg.t),
+        f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
+        factored,
+    )
 
 
 def _least_valuation(reps, p):
@@ -480,7 +486,7 @@ def _least_valuation(reps, p):
 
 
 def _so_factored_counts(z, least, size, build, p, ell, t):
-    """_so_point_counts at z over the (l-1)-fold product of a y window of
+    """_point_counts at z over the (l-1)-fold product of a y window of
     size values, from the base point and the point y_k = least for each
     coordinate k (see _so_buckets); None when the base misses both boxes
     or one of those points misses the base's box or moves its argument.
@@ -523,12 +529,6 @@ def _merge_tame_classes(sums, p):
         else:
             hit[1] = hit[1] + sums[key]
     return dict(merged.values())
-
-
-def _iter_y(ys, ell):
-    """(y, is_padding) over the (l-1)-fold product of the y window."""
-    for combo in itertools.product(ys, repeat=ell - 1):
-        yield tuple(c[0] for c in combo), any(c[2] for c in combo)
 
 
 def _fs_phi(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
@@ -632,37 +632,30 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int):
     over x and over the a of tame_class(a0) (the sections read a only
     through that class).
 
-    The plain side evaluates W(diag(a, I_(n-1))); the dual side evaluates
-    W(w_long t(m)^(-1) w_(n,1)) with m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0),
-    whose rows _gl_dual_rows writes down directly (no inversion).  a runs
-    over the brute-force z window, and each of the n - 2 coordinates of x
-    over the brute-force y window at V = 0: o mod p^N (vol(o) = q^(1/2))
-    plus the p^(-1) padding shell."""
-    as_ = _z_windows(p, level, cutoff, "brute-force", "phi")
-    xs = _y_windows(n - 1, p, level, 0, "brute-force")
-    aw = _window_weight(as_)
-    weights = {"plain": aw, "dual": aw * _window_weight(xs) ** (n - 2)}
-    sums: dict = {}  # (side, j, a) -> sum of the point values, without the weight
-    for a, _, apad in as_:
-        counts: dict = {}  # (side, j, m, e) -> number of points at this a
+    Each side is one _enumerate, a over the brute-force z window: the
+    plain side at rank 0 evaluates W(diag(a, I_(n-1))), and the dual side
+    at rank n - 2 evaluates W(w_long t(m)^(-1) w_(n,1)) with
+    m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0), whose rows _gl_dual_rows
+    writes down directly (no inversion).  Each coordinate of x runs over
+    the brute-force y window at V = 0: o mod p^N (vol(o) = q^(1/2)) plus
+    the p^(-1) padding shell."""
+
+    def plain(a, x):
         rows = mat_identity(n)
         rows[0][0] = a
-        parts = _gl_whittaker_parts(rows, p, n)
-        if parts is not None:
-            if apad:
-                raise BoundaryNonvanishing(f"JPSS plain side at shell: a={a}")
-            counts[("plain",) + parts] = 1
-        for x, xpad in _iter_y(xs, n - 1):
-            parts = _gl_whittaker_parts(_gl_dual_rows(a, x, n), p, n)
-            if parts is None:
-                continue
-            if apad or xpad:
-                raise BoundaryNonvanishing(f"JPSS dual side at shell: a={a}, x={x}")
-            key = ("dual",) + parts
-            counts[key] = counts.get(key, 0) + 1
-        _add_counts(sums, counts, p, a)
-    merged = _merge_tame_classes(sums, p)
-    return {key: weights[key[0]] * ExactScalar.from_coeff(p, c) for key, c in merged.items()}
+        return _gl_whittaker_parts(rows, p, n)
+
+    def dual(a, x):
+        return _gl_whittaker_parts(_gl_dual_rows(a, x, n), p, n)
+
+    as_ = _z_windows(p, level, cutoff, "brute-force", "phi")
+    xs = _y_windows(p, level, 0, "brute-force")
+    buckets = {}
+    for side, rank, value in (("plain", 0, plain), ("dual", n - 2, dual)):
+        shell = f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}"
+        for key, part in _enumerate(p, as_, xs, rank, value, shell).items():
+            buckets[(side,) + key] = part
+    return buckets
 
 
 def jpss_gl_gamma(
@@ -766,12 +759,11 @@ def scan_support(
     if predicate is None:
         predicate = _phi_predicate if side == "phi" else _phi_star_predicate
     build = _phi_entries if side == "phi" else _phi_star_entries
-    ys = _y_windows(ell, p, level, cutoff, "brute-force")
-    zs = _z_windows(p, level, cutoff, "brute-force", side)
+    ys = [y for y, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
     points = []
     verdict = True
-    for z, _, _ in zs:
-        for y, _ in _iter_y(ys, ell):
+    for z, _ in _z_windows(p, level, cutoff, "brute-force", side)[1]:
+        for y in itertools.product(ys, repeat=ell - 1):
             nonzero = _so_whittaker_parts(build(z, y, ell), p, ell, t) is not None
             pred = predicate(z, y, p)
             if nonzero != pred:

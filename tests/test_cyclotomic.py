@@ -146,6 +146,45 @@ def test_a_one_term_inverse_stores_the_elimination(data):
     assert (got.order, got.coeffs) == (want.order, want.coeffs)
 
 
+def square_and_multiply(x, n):
+    """x ** n for n >= 2 as the earlier loop computed it: from one(),
+    squaring once more after the top bit (a square it never read)."""
+    out, base = C.one(), x
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements_with_hidden_zeros(), st.sampled_from([0] + list(range(2, 13))))
+def test_power_stores_what_the_square_and_multiply_loop_stored(x, n):
+    want = square_and_multiply(x, n)
+    got = x**n
+    assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
+@pytest.mark.parametrize("n,most", [(2, 2), (3, 3), (6, 4)])
+def test_power_squares_no_further_than_the_top_bit(monkeypatch, n, most):
+    """zeta_3 ** n with __mul__ counted: one square per bit below the top
+    and one product per set bit, the first of them by one()."""
+    calls = []
+    mul = C.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(C, "__mul__", counted)
+    got = C.root_of_unity(3, 1) ** n
+    assert len(calls) <= most
+    monkeypatch.undo()
+    want = square_and_multiply(C.root_of_unity(3, 1), n)
+    assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
 @given(rationals, rationals)
 def test_rational_embedding_ring_ops(a, b):
     ca, cb = C.from_rational(a), C.from_rational(b)

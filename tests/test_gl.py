@@ -1,10 +1,11 @@
 """The JPSS GL(n) x GL(1) enumeration, integrals._gl_buckets.
 
-The enumeration runs on the SO machinery: a over the brute-force
-multiplicative window _z_windows, each x coordinate over _y_windows at
-V = 0 (o mod p^N plus the p^(-1) shell), the x product from _iter_y, and
-the per-a (side, j, m, a) histogram of _gl_whittaker_parts, which reads
-W(g) as the plain ints (j, m, a) = zeta^j zeta_(p^m)^a.  The dual side's
+The enumeration is the SO one: each side is one call of _enumerate, the
+single point loop and tame-class merge of integrals.py, with a over the
+brute-force multiplicative window _z_windows and each x coordinate over
+_y_windows at V = 0 (o mod p^N plus the p^(-1) shell).  The plain side
+runs at rank 0 and the dual side at rank n - 2; both read W(g) through
+_gl_whittaker_parts as the plain ints (j, m, a) = zeta^j zeta_(p^m)^a.  The dual side's
 argument w_long (t m)^(-1) w_(n,1) is written down in closed form
 (_gl_dual_rows), and coset_decompose_gl rotates columns instead of
 multiplying by g_chi^(-1).

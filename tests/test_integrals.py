@@ -349,8 +349,8 @@ def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
     p, level, cutoff = 3, 2, 1
     calls = shell_nonzero_evaluator(monkeypatch, cutoff)
     cfg = IntegralConfig(p, 1, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
-    zs = integrals._z_windows(p, level, cutoff, "brute-force", "phi")
-    first = next(z for z, _, pad in zs if pad and rational_valuation(z, p) > 0)
+    _, zs = integrals._z_windows(p, level, cutoff, "brute-force", "phi")
+    first = next(z for z, shell in zs if shell and rational_valuation(z, p) > 0)
     message = f"nonzero phi integrand at the padding shell: z={first}, y=()"
     with pytest.raises(BoundaryNonvanishing) as err:
         phi_eval(cfg)
@@ -382,5 +382,52 @@ def test_jpss_raises_on_a_nonzero_shell_point(monkeypatch):
     monkeypatch.setattr(integrals, "_gl_whittaker_parts", lambda rows, prime, n: (0, 0, 0))
     monkeypatch.setattr(integrals, "_GL_BUCKETS", {})
     first = Fraction(p) ** (-cutoff - 1)  # the first a of the plain side
-    with pytest.raises(BoundaryNonvanishing, match=f"^JPSS plain side at shell: a={first}$"):
+    message = f"nonzero JPSS plain integrand at the padding shell: a={first}, x=()"
+    with pytest.raises(BoundaryNonvanishing) as err:
         jpss_gl_gamma(2, trivial_tau(p), C.one(), level=2, cutoff=cutoff)
+    assert str(err.value) == message
+
+
+def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypatch):
+    """At l = 2, a Phi point whose z is inside the window and whose y is on
+    the p^-(V+1) shell: the loop must check the inner coordinate too."""
+    p, level, cutoff = 3, 2, 1
+    real = integrals._so_whittaker_parts
+
+    def fake(g, prime, ell, t):
+        z, y = g[(0, 0)], -g[(4, 3)]  # the Phi entries of z and y_0 at n = 5
+        if abs(rational_valuation(z, p)) <= cutoff and rational_valuation(y, p) < -cutoff:
+            return (0, 0, 0)
+        return real(g, prime, ell, t)
+
+    monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
+    monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+    z = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if not shell)
+    y = next(y for y, shell in integrals._y_windows(p, level, cutoff, "brute-force")[1] if shell)
+    cfg = IntegralConfig(p, 2, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
+    with pytest.raises(BoundaryNonvanishing) as err:
+        phi_eval(cfg)
+    assert str(err.value) == f"nonzero phi integrand at the padding shell: z={z}, y={(y,)}"
+
+
+def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatch):
+    """At n = 3, a dual point whose a is inside the window and whose x is
+    on the p^-1 shell; every other point, plain side included, vanishes."""
+    p, level, cutoff = 3, 2, 1
+
+    def fake(rows, prime, n):
+        if rows[-1][0] == 0:  # the plain side: bottom row (0, 0, 1)
+            return None
+        a = 1 / rows[-1][0]  # the dual bottom row is (1/a, 0, -x_0/a)
+        x = -rows[-1][2] * a
+        if abs(rational_valuation(a, p)) <= cutoff and rational_valuation(x, p) < 0:
+            return (0, 0, 0)
+        return None
+
+    monkeypatch.setattr(integrals, "_gl_whittaker_parts", fake)
+    monkeypatch.setattr(integrals, "_GL_BUCKETS", {})
+    a = next(a for a, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if not shell)
+    x = next(x for x, shell in integrals._y_windows(p, level, 0, "brute-force")[1] if shell)
+    with pytest.raises(BoundaryNonvanishing) as err:
+        jpss_gl_gamma(3, trivial_tau(p), C.one(), level=level, cutoff=cutoff)
+    assert str(err.value) == f"nonzero JPSS dual integrand at the padding shell: a={a}, x={(x,)}"

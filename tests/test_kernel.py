@@ -7,8 +7,9 @@ path: the sparse builders against the named-element product, and the
 evaluator against whittaker_eval (the generic double coset
 decomposition).  The evaluator is also checked against zeta^i psi_U(u)
 chi(k) read off the sampled u, i and k, with no solver at all.  The next
-tests check the bucket assembly: Phi and Phi* rebuilt point by point,
-with no buckets and no merge over tame classes, and the merge itself on
+tests check the bucket assembly: Phi and Phi* rebuilt point by point
+from the (weight, [(rep, on_shell)]) windows, with no buckets, no
+shared loop and no merge over tame classes, and the merge itself on
 buckets that span many tame classes (on the real domains only one class
 per side is nonzero).
 
@@ -17,13 +18,14 @@ product (_so_factored_counts).  It tests each coordinate at one value of
 least valuation, which is exact because the entries a coordinate writes,
 and the chi arguments, are linear in its value; that linearity is
 checked on the grid and at random t.  The count is checked against the
-point loop (_so_point_counts), per z: on the grid's domains, at random
-t, and on brute-force windows, where it must fall back exactly at the z
-where the loop meets a point off both boxes.  The SO buckets are pinned
-by sha256 digests of their records, taken from the point loop and, at
-the stress sizes, from the count that tested every coordinate value.  A
-count guard fails if the support-aware enumeration goes back to testing
-every coordinate value, or every point.
+one point loop of integrals.py (_point_counts, the loop _enumerate runs
+for the SO and the JPSS buckets alike), given the SO value, per z: on
+the grid's domains, at random t, and on brute-force windows, where it
+must fall back exactly at the z where the loop meets a point off both
+boxes.  The SO buckets are pinned by sha256 digests of their records,
+taken from the point loop and, at the stress sizes, from the count that
+tested every coordinate value.  A count guard fails if the support-aware
+enumeration goes back to testing every coordinate value, or every point.
 """
 
 import hashlib
@@ -63,14 +65,13 @@ from ssgamma.integrals import (
     _chi_arg,
     _chi_arg_conj,
     _dense,
-    _iter_y,
     _least_valuation,
     _merge_tame_classes,
     _phi_entries,
     _phi_star_entries,
+    _point_counts,
     _so_buckets,
     _so_factored_counts,
-    _so_point_counts,
     _so_whittaker_parts,
     _times_gchi,
     _y_windows,
@@ -212,17 +213,18 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral,
 
 def nonzero_points(p, ell, level, mode, side):
     """(z, weight, parts) for every point of the domain with W != 0; the
-    weight is the product of the point's own window weights."""
-    ys = _y_windows(ell, p, level, 1, mode)
+    weight is the product of the point's own window weights, the z
+    window's and one y window's per coordinate."""
+    yw, ys = _y_windows(p, level, 1, mode)
+    zw, zs = _z_windows(p, level, 1, mode, side)
     out = []
-    for z, wz, _ in _z_windows(p, level, 1, mode, side):
-        for combo in itertools.product(ys, repeat=ell - 1):
-            y = tuple(c[0] for c in combo)
+    for z, _ in zs:
+        for y in itertools.product([c for c, _ in ys], repeat=ell - 1):
             parts = _so_whittaker_parts(entries(side, z, y, ell), p, ell, (1,) * (ell + 1))
             if parts is not None:
-                w = wz
-                for c in combo:
-                    w = w * c[1]
+                w = zw
+                for _ in y:
+                    w = w * yw
                 out.append((z, w, parts))
     return out
 
@@ -335,7 +337,7 @@ def test_coordinates_are_linear_on_the_grid(side):
     for p in (3, 5, 7):
         for ell in (2, 3):
             t = (F1,) * (ell + 1)
-            for z, _, _ in _z_windows(p, 2, 1, "support-aware", side):
+            for z, _ in _z_windows(p, 2, 1, "support-aware", side)[1]:
                 for k in range(ell - 1):
                     for v in range(-1, 4):
                         assert_coordinate_is_linear(p, ell, side, t, z, k, Fraction(p) ** v * (1 + k))
@@ -357,16 +359,25 @@ def test_coordinates_are_linear_at_random_t(case, side, vz, vc, data):
     assert_coordinate_is_linear(p, ell, side, t, z, data.draw(st.integers(0, ell - 2)), c)
 
 
+def point_loop(z, on_shell, ys, build, p, ell, t):
+    """The shared point loop at z, with the SO value _so_buckets gives it."""
+
+    def value(z, y):
+        return _so_whittaker_parts(build(z, y, ell), p, ell, t)
+
+    return _point_counts(z, on_shell, ys, ell - 1, value, "shell: z={}, y={}")
+
+
 def assert_factored_count_matches_loop(p, ell, side, t, level, zs=None):
     """Per z of the support-aware window (or of zs, a part of it): the
     factored (i, m, a) counts equal the point loop's, with no fallback."""
-    ys = _y_windows(ell, p, level, 1, "support-aware")
-    least = _least_valuation([y for y, _, _ in ys], p)
+    ys = _y_windows(p, level, 1, "support-aware")[1]
+    least = _least_valuation([y for y, _ in ys], p)
     build = builder(side)
-    for z, _, zpad in zs or _z_windows(p, level, 1, "support-aware", side):
+    for z, on_shell in zs or _z_windows(p, level, 1, "support-aware", side)[1]:
         got = _so_factored_counts(z, least, len(ys), build, p, ell, t)
         assert got is not None, (p, ell, side, z)
-        assert got == _so_point_counts(z, zpad, ys, build, p, ell, t, side), (p, ell, side, z)
+        assert got == point_loop(z, on_shell, ys, build, p, ell, t), (p, ell, side, z)
 
 
 GRID_SUPPORT = [(p, ell) for p in (3, 5, 7) for ell in (1, 2, 3) if (p, ell) != (7, 3)] + [(3, 4)]
@@ -381,7 +392,7 @@ def test_convolution_matches_point_loop_on_the_grid(p, ell, side):
 @pytest.mark.parametrize("side", SIDES)
 def test_convolution_matches_point_loop_at_7_3_on_sampled_z(side):
     """(7, 3) has 117,649 points per side; three seeded z keep it short."""
-    zs = random.Random(7003).sample(_z_windows(7, 3, 1, "support-aware", side), 3)
+    zs = random.Random(7003).sample(_z_windows(7, 3, 1, "support-aware", side)[1], 3)
     assert_factored_count_matches_loop(7, 3, side, (F1,) * 4, 3, zs)
 
 
@@ -397,7 +408,7 @@ def test_convolution_matches_point_loop_at_random_t(case, side, level, seed, dat
     p, ell = case
     t = affine_t(data.draw, p, ell)
     assume(len(set(t)) > 1)
-    zs = random.Random(seed).sample(_z_windows(p, level, 1, "support-aware", side), 2)
+    zs = random.Random(seed).sample(_z_windows(p, level, 1, "support-aware", side)[1], 2)
     assert_factored_count_matches_loop(p, ell, side, t, level, zs)
 
 
@@ -431,17 +442,17 @@ def test_convolution_keys_and_overflow_follow_the_point_loop():
     overflow."""
     seen = Counter()
     for p, ell, level in ((3, 1, 3), (3, 2, 3), (3, 3, 3), (5, 2, 3), (5, 3, 2)):
-        ys = _y_windows(ell, p, level, 1, "support-aware")
-        least = _least_valuation([y for y, _, _ in ys], p)
+        ys = _y_windows(p, level, 1, "support-aware")[1]
+        least = _least_valuation([y for y, _ in ys], p)
         for side in SIDES:
             build = with_superdiagonal(builder(side), p)
             for e in range(4):
                 t = tuple(Fraction(u, p**e) for u in (1, 2, -1, 4)[: ell + 1])
-                for z, _, zpad in _z_windows(p, level, 1, "support-aware", side):
+                for z, on_shell in _z_windows(p, level, 1, "support-aware", side)[1]:
                     outcomes = []
                     for count in (
                         lambda: _so_factored_counts(z, least, len(ys), build, p, ell, t),
-                        lambda: _so_point_counts(z, zpad, ys, build, p, ell, t, side),
+                        lambda: point_loop(z, on_shell, ys, build, p, ell, t),
                     ):
                         try:
                             outcomes.append(count())
@@ -496,19 +507,19 @@ def test_convolution_falls_back_exactly_where_a_point_misses_both_boxes(ell, exp
     seen = Counter()
     for side in SIDES:
         build = builder(side)
-        zs = _z_windows(p, level, 1, "brute-force", side)
+        zs = _z_windows(p, level, 1, "brute-force", side)[1]
         for mode in ("brute-force", "support-aware"):
-            ys = _y_windows(ell, p, level, 1, mode)
-            least = _least_valuation([y for y, _, _ in ys], p)
-            for z, _, zpad in zs:
+            ys = _y_windows(p, level, 1, mode)[1]
+            least = _least_valuation([y for y, _ in ys], p)
+            for z, on_shell in zs:
                 got = _so_factored_counts(z, least, len(ys), build, p, ell, t)
-                points = (build(z, y, ell) for y, _ in _iter_y(ys, ell))
+                points = (build(z, y, ell) for y in itertools.product([c for c, _ in ys], repeat=ell - 1))
                 if any(off_both_boxes(g, p, ell, t) for g in points):
                     assert got is None, (side, mode, z)
                     passing = not off_both_boxes(build(z, (F0,) * (ell - 1), ell), p, ell, t)
                     seen["short" if passing else "empty"] += 1
                 else:
-                    assert got == _so_point_counts(z, zpad, ys, build, p, ell, t, side), (side, mode, z)
+                    assert got == point_loop(z, on_shell, ys, build, p, ell, t), (side, mode, z)
                     seen["counted"] += 1
     assert seen == expected
 

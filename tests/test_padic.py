@@ -33,61 +33,62 @@ def test_valuation_ultrametric(a, b):
         assert vs == min(va, vb)
 
 
-# The integration windows of integrals.py are the sets of representatives
-# (with exact measure weights) that the integrals sum over.
+# The integration windows of integrals.py are (weight, [(rep, on_shell)]):
+# one exact measure weight for every class off the padding shell, and the
+# class representatives.  A volume is the weight times a count of reps.
 
 
-def window_volume(window, keep=lambda x, pad: not pad):
-    total = ExactScalar.zero(window[0][1].prime)
-    for x, w, pad in window:
-        if keep(x, pad):
-            total = total + w
-    return total
+def window_volume(window, keep=lambda x, shell: not shell):
+    weight, reps = window
+    return weight * sum(1 for x, shell in reps if keep(x, shell))
 
 
 def test_repset_units_example():
     # (1+p) mod (1+p^2) at p = 3 has representatives {1, 4, 7}
-    zs = _z_windows(3, 2, 1, "support-aware", "phi")
-    assert sorted(z for z, _, _ in zs) == [1, 4, 7]
+    _, zs = _z_windows(3, 2, 1, "support-aware", "phi")
+    assert sorted(z for z, _ in zs) == [1, 4, 7]
     assert len(zs) == 3
 
 
 def test_repset_volumes():
     p = 3
-    ys = _y_windows(2, p, 2, 1, "brute-force")
+    ys = _y_windows(p, 2, 1, "brute-force")
     zs = _z_windows(p, 2, 1, "brute-force", "phi")
     # vol(o) = q^(1/2) and vol(p) = q^(-1/2), read off the reps of the y window
-    assert window_volume(ys, lambda y, pad: rational_valuation(y, p) >= 0) == ES(p, 1, 1)
-    assert window_volume(ys, lambda y, pad: rational_valuation(y, p) >= 1) == ES(p, 1, -1)
-    assert window_volume(_y_windows(2, p, 2, 1, "support-aware")) == ES(p, 1, -1)
+    assert window_volume(ys, lambda y, shell: rational_valuation(y, p) >= 0) == ES(p, 1, 1)
+    assert window_volume(ys, lambda y, shell: rational_valuation(y, p) >= 1) == ES(p, 1, -1)
+    assert window_volume(_y_windows(p, 2, 1, "support-aware")) == ES(p, 1, -1)
     # vol(o^x) = 1 and vol(1 + p) = 1/(q - 1)
-    assert window_volume(zs, lambda z, pad: rational_valuation(z, p) == 0) == ExactScalar.one(p)
+    assert window_volume(zs, lambda z, shell: rational_valuation(z, p) == 0) == ExactScalar.one(p)
     assert window_volume(_z_windows(p, 2, 1, "support-aware", "phi")) == ES(p, Fraction(1, p - 1))
 
 
 def test_repset_weights_sum_to_volume():
     p = 5
     for level, cutoff in [(2, 1), (3, 1), (2, 2)]:
-        ys = _y_windows(2, p, level, cutoff, "brute-force")
+        ys = _y_windows(p, level, cutoff, "brute-force")
         # p^(-V) o, and the padding shell of valuation exactly -(V+1)
         assert window_volume(ys) == ES(p, 1, 1 + 2 * cutoff)
-        shell = ES(p, 1, 1 + 2 * (cutoff + 1)) - ES(p, 1, 1 + 2 * cutoff)
-        assert window_volume(ys, lambda y, pad: pad) == shell
-        assert window_volume(_y_windows(2, p, level, cutoff, "support-aware")) == ES(p, 1, -1)
+        for y, shell in ys[1]:
+            assert (rational_valuation(y, p) == -cutoff - 1) if shell else (rational_valuation(y, p) >= -cutoff)
+        assert window_volume(_y_windows(p, level, cutoff, "support-aware")) == ES(p, 1, -1)
         for side in ("phi", "phi_star"):
             zs = _z_windows(p, level, cutoff, "brute-force", side)
             # one unit of volume per valuation -V-1 .. V+1
-            assert window_volume(zs, lambda z, pad: True) == ES(p, 2 * cutoff + 3)
+            assert window_volume(zs, lambda z, shell: True) == ES(p, 2 * cutoff + 3)
+            for z, shell in zs[1]:
+                assert shell == (abs(rational_valuation(z, p)) > cutoff)
             sa = _z_windows(p, level, cutoff, "support-aware", side)
             assert window_volume(sa) == ES(p, Fraction(1, p - 1))
 
 
 def test_repset_counts():
     p, level, cutoff = 5, 2, 1
-    ys = _y_windows(2, p, level, cutoff, "brute-force")
-    zs = _z_windows(p, level, cutoff, "brute-force", "phi")
-    assert sum(1 for y, _, _ in ys if rational_valuation(y, p) >= 0) == 25  # o mod p^2
-    assert sum(1 for y, _, pad in ys if not pad) == p ** (level + cutoff)
-    assert sum(1 for z, _, _ in zs if rational_valuation(z, p) == 0) == 20  # o^x mod 1 + p^2
+    _, ys = _y_windows(p, level, cutoff, "brute-force")
+    _, zs = _z_windows(p, level, cutoff, "brute-force", "phi")
+    assert sum(1 for y, _ in ys if rational_valuation(y, p) >= 0) == 25  # o mod p^2
+    assert sum(1 for y, shell in ys if not shell) == p ** (level + cutoff)
+    assert sum(1 for y, shell in ys if shell) == p ** (level + cutoff + 1) - p ** (level + cutoff)
+    assert sum(1 for z, _ in zs if rational_valuation(z, p) == 0) == 20  # o^x mod 1 + p^2
     assert len(zs) == (2 * cutoff + 3) * 20
-    assert len(_y_windows(2, p, level, cutoff, "support-aware")) == p ** (level - 1)
+    assert len(_y_windows(p, level, cutoff, "support-aware")[1]) == p ** (level - 1)
