@@ -12,9 +12,6 @@ from .padic import rational_valuation
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar, NonMonomialDivisor, ZeroDivisor
 from .matrices import (
-    GroupMatrix,
-    CosetWitness,
-    GLCosetWitness,
     coset_decompose,
     coset_decompose_gl,
     in_iplus,

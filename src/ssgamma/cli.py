@@ -218,6 +218,8 @@ def cmd_scan_support(args) -> int:
 def cmd_table(args) -> int:
     ps = [_check_prime(p) for p in _int_list(args.p)]
     ells = _int_list(args.ell)
+    if not ps or not ells:
+        raise ConfigError("--p and --ell each need at least one value")
     for ell in ells:
         try:
             check_domain(ell, args.level, args.cutoff)

@@ -65,11 +65,9 @@ from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
 from .padic import is_odd_prime, rational_valuation
 from .matrices import (
-    GroupMatrix,
     mat_identity,
     coset_decompose,
     coset_decompose_gl,
-    g_chi_so,
     in_iplus,
 )
 from .characters import (
@@ -123,6 +121,12 @@ def check_domain(ell: int, level: int, cutoff: int) -> None:
         raise IntegralError("need N >= 2 and V >= 1")
 
 
+def check_sign(zeta: CyclotomicNumber) -> None:
+    """The orthogonal side's zeta is a sign: zeta^2 = 1."""
+    if zeta * zeta != CyclotomicNumber.one():
+        raise BadRoot("the orthogonal side needs zeta^2 = 1")
+
+
 def _check_t(t, ell: int, p: int) -> tuple:
     """The affine parameters (t_1, ..., t_(l+1)), all 1 when t is None.
     Each must be a p-adic unit: that is what makes the affine character
@@ -153,6 +157,7 @@ class IntegralConfig:
         if self.tau.prime != self.prime:
             raise IntegralError(f"tau is a character of Q_{self.tau.prime}, not of Q_{self.prime}")
         check_domain(self.ell, self.level, self.cutoff)
+        check_sign(self.zeta)
         if self.mode not in ("support-aware", "brute-force"):
             raise IntegralError("mode must be support-aware or brute-force")
         object.__setattr__(self, "t", _check_t(self.t, self.ell, self.prime))
@@ -231,7 +236,10 @@ def _dense(g, n):
 def _gchi_entries(n, p):
     """g_chi_so as entries where it differs from the identity: pi^(-1) and
     pi in the outer corners, 0 on the outer diagonal, -1 between."""
-    return {(r, c): x for (r, c), x in g_chi_so(n // 2, p).items() if x != (F1 if r == c else F0)}
+    g = {(0, 0): F0, (0, n - 1): Fraction(1, p), (n - 1, 0): Fraction(p), (n - 1, n - 1): F0}
+    for r in range(1, n - 1):
+        g[(r, r)] = FM1
+    return g
 
 
 def _times_gchi(g, p, n):
@@ -296,20 +304,26 @@ def _so_whittaker_parts(g, p, ell, t):
 
     g is the entry map of a point.  The zeta power i is kept separate so
     one enumeration serves every central sign; zeta_(p^m)^a is
-    psi_U(u) * chi(k) = psi(u_arg + k_arg).  No g passes both boxes: I+
-    is a group and g_chi is not in it."""
+    psi_U(u) * chi(k') = psi(u_arg + k_arg).  No g passes both boxes: I+
+    is a group and g_chi is not in it.
+
+    A point that misses both boxes goes to coset_decompose, whose factors
+    satisfy g g_chi^(-i) = u k.  So g = u k g_chi^i = u g_chi^i k' with
+    k' = g_chi^(-i) k g_chi^i, and W(g) = psi_U(u) zeta^i chi(k').  chi(k')
+    is read off k by the readers of the box tests: _chi_arg at i = 0, and
+    at i = 1 _chi_arg_conj, which is chi(g_chi k g_chi) = chi(k') since
+    g_chi is an involution.  Both are exact, so k' is never formed."""
     for box in (0, 1):
         x = _box_arg(g, box, p, ell, t)
         if x is not None:
             return (box,) + psi_exponent(x, p)
-    n = 2 * ell + 1
-    wit = coset_decompose(GroupMatrix(_dense(g, n), p, "SO_odd"), ell)
-    if wit is None:
+    res = coset_decompose(_dense(g, 2 * ell + 1), p)
+    if res is None:
         return None
-    u = wit.u.rows
-    k = {(r, c): x for r, row in enumerate(wit.k.rows) for c, x in enumerate(row)}
+    u, i, k = res
+    k = {(r, c): x for r, row in enumerate(k) for c, x in enumerate(row)}
     u_arg = sum(t[a] * u[a][a + 1] for a in range(ell))
-    return (wit.i,) + psi_exponent(u_arg + _chi_arg(k, t, ell, p), p)
+    return (i,) + psi_exponent(u_arg + (_chi_arg_conj if i else _chi_arg)(k, t, ell, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +614,8 @@ def gamma_so(cfg: IntegralConfig) -> GammaResult:
 
 def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> ExactScalar:
     """tau(-1)^(n-1) tau(pi) zeta q^(1/2-s) (trivial central character)."""
+    if n < 1:
+        raise Unsupported(f"need n >= 1, got {n}")
     if zeta**n != CyclotomicNumber.one():
         raise BadRoot("zeta must satisfy zeta^n = 1")
     p = tau.prime
@@ -615,16 +631,23 @@ _GL_BUCKETS: dict = {}
 
 def _gl_whittaker_parts(rows, p, n):
     """(j, m, a) with W(g) = zeta^j * zeta_(p^m)^a for GL_n, or None off
-    the support; the central character is trivial.  zeta_(p^m)^a is
-    psi_U(u) * chi(k) = psi(u_arg + k_arg), chi reading the superdiagonal
-    of k and its corner over pi."""
-    wit = coset_decompose_gl(GroupMatrix(tuple(map(tuple, rows)), p, "GL"))
-    if wit is None:
+    the support.
+
+    coset_decompose_gl factors g g_chi^(-j) = z u k, so g = z u g_chi^j k'
+    with k' = g_chi^(-j) k g_chi^j, and W(g) = psi_U(u) zeta^j chi(k'):
+    the central character is trivial, so z adds nothing.  chi reads the
+    superdiagonal of k' and its corner over pi, all with weight t = 1, and
+    chi(k') = chi(k): k -> g_chi^(-1) k g_chi moves k[r][r+1] to
+    (r+1, r+2), k[n-1][0] / p to (0, 1) and k[n-2][n-1] to the corner
+    over pi, a cyclic permutation of the n entries chi sums.  So
+    zeta_(p^m)^a = psi(u_arg + k_arg), read off u and k as returned."""
+    res = coset_decompose_gl(rows, p)
+    if res is None:
         return None
-    u, k = wit.u.rows, wit.k.rows
+    u, j, _, k = res
     u_arg = sum(u[a][a + 1] for a in range(n - 1))
     k_arg = sum(k[a][a + 1] for a in range(n - 1)) + k[n - 1][0] / p
-    return (wit.j,) + psi_exponent(u_arg + k_arg, p)
+    return (j,) + psi_exponent(u_arg + k_arg, p)
 
 
 def _gl_buckets(n: int, p: int, level: int, cutoff: int):
@@ -702,8 +725,9 @@ def match_so_gl(ell: int, tau: TameCharacter, zeta: CyclotomicNumber, cfg: Integ
     """The SO_(2l+1) gamma equals the GL_(2l) gamma (closed forms always;
     computed pipelines when a config is supplied, which must carry the
     same l, tau and zeta)."""
-    if zeta * zeta != CyclotomicNumber.one():
-        raise BadRoot("the orthogonal side needs zeta^2 = 1")
+    if ell < 1:
+        raise IntegralError(f"need l >= 1, got {ell}")
+    check_sign(zeta)
     if cfg is not None and (cfg.ell != ell or cfg.tau != tau or cfg.zeta != zeta):
         raise IntegralError("cfg disagrees with the l, tau or zeta given to match_so_gl")
     if predicted_gamma_so(tau, zeta) != gamma_gl_closed(2 * ell, tau, zeta):
@@ -746,7 +770,6 @@ def scan_support(
     level: int = 2,
     cutoff: int = 1,
     t: tuple = None,
-    predicate=None,
 ) -> tuple:
     """Brute-force enumeration of the integrand support versus the lemma
     predicate.  Returns (points, verdict); verdict is True when the
@@ -756,8 +779,7 @@ def scan_support(
     if side not in ("phi", "phi_star"):
         raise IntegralError(f"side must be phi or phi_star, got {side!r}")
     t = _check_t(t, ell, p)
-    if predicate is None:
-        predicate = _phi_predicate if side == "phi" else _phi_star_predicate
+    predicate = _phi_predicate if side == "phi" else _phi_star_predicate
     build = _phi_entries if side == "phi" else _phi_star_entries
     ys = [y for y, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
     points = []

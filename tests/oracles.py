@@ -5,9 +5,17 @@ names of ssgamma, so an oracle cannot quietly reuse the fast path's
 private helpers; tests/test_layout.py enforces that, and that nothing
 defined here is defined again in src/.
 
-  * The generic Whittaker function (whittaker_eval): the double-coset
-    witness from coset_decompose / coset_decompose_gl, read through
-    psi_U and the affine generic character affine_chi.
+  * The dense matrix engine: GroupMatrix (a square matrix tagged with
+    its group, verified on request), the products, transpose, the
+    involution g -> g*, the determinant by its own forward elimination
+    and the inverse by cofactors (cramer_inv), so nothing here runs the
+    package's Gauss-Jordan, the SO test so_check, and the normalizers
+    g_chi_so and g_chi_gl.
+  * The generic Whittaker function (whittaker_eval): the factors of
+    coset_decompose / coset_decompose_gl, with k conjugated back by
+    g_chi^i here, read through psi_U and the affine generic character
+    affine_chi; and recompose, which forms u k g_chi^i from the SO
+    factors.
   * The section f_s (section_eval) and the intertwining operator at
     n = 1 (intertwine_M).
   * The named group elements whose product the sparse integrand
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ssgamma.characters import CharacterError, TameCharacter, psi_eval, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber
@@ -33,20 +42,188 @@ from ssgamma.integrals import IntegralError, Unsupported
 from ssgamma.matrices import (
     F0,
     F1,
-    BadDimension,
-    CosetWitness,
-    GroupMatrix,
     MatrixError,
-    NotInGroup,
     coset_decompose,
     coset_decompose_gl,
     in_iplus,
     mat_identity,
-    mat_mul,
 )
 from ssgamma.padic import rational_valuation
 from ssgamma.parameter import ParameterError
 from ssgamma.scalars import ExactScalar
+
+
+# ---------------------------------------------------------------------------
+# the dense matrix engine
+
+
+class BadDimension(MatrixError):
+    pass
+
+
+class NotInGroup(MatrixError):
+    pass
+
+
+def mat_mul(a, b):
+    n, m, k = len(a), len(b[0]), len(b)
+    out = [[F0] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            x = ai[t]
+            if x:
+                bt = b[t]
+                for j in range(m):
+                    if bt[j]:
+                        oi[j] += x * bt[j]
+    return out
+
+
+def mat_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def mat_det(a):
+    """Exact determinant by forward elimination to upper triangular form:
+    the product of the pivots, negated once per row swap; 0 when a column
+    has no pivot."""
+    a = [list(row) for row in a]
+    n = len(a)
+    det = F1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return F0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def cramer_inv(a):
+    """a^(-1) as the adjugate over the determinant, from mat_det alone."""
+    n = len(a)
+    det = mat_det(a)
+    if det == 0:
+        raise NotInGroup("matrix is singular")
+
+    def minor(r, c):
+        return [row[:c] + row[c + 1 :] for i, row in enumerate(a) if i != r]
+
+    return [[(-1) ** (r + c) * mat_det(minor(c, r)) / det for c in range(n)] for r in range(n)]
+
+
+def mat_star(a):
+    """The outer form involution g -> g* = J tg^(-1) J."""
+    return [row[::-1] for row in reversed(cramer_inv(mat_transpose(a)))]
+
+
+@dataclass(frozen=True)
+class GroupMatrix:
+    """A square matrix over Q_p tagged with its ambient group."""
+
+    rows: tuple
+    prime: int
+    ambient: str  # "GL" | "SO_odd" | "SO_even"
+
+    @staticmethod
+    def make(rows, prime, ambient="GL", verify=True) -> "GroupMatrix":
+        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise BadDimension("matrix must be square")
+        g = GroupMatrix(rows, prime, ambient)
+        if verify:
+            if ambient == "GL":
+                if mat_det(g.lists()) == 0:
+                    raise NotInGroup("GL matrix must be invertible")
+            elif ambient in ("SO_odd", "SO_even"):
+                if ambient == "SO_odd" and n % 2 == 0:
+                    raise BadDimension("SO_odd needs odd size")
+                if ambient == "SO_even" and n % 2 == 1:
+                    raise BadDimension("SO_even needs even size")
+                if not so_check(g):
+                    raise NotInGroup("matrix fails the special orthogonal conditions")
+        return g
+
+    @property
+    def size(self):
+        return len(self.rows)
+
+    def lists(self):
+        return [list(r) for r in self.rows]
+
+    def items(self):
+        """((row, col), entry) for every entry, the pairs in_iplus reads."""
+        return (((r, c), x) for r, row in enumerate(self.rows) for c, x in enumerate(row))
+
+    def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
+        if self.size != other.size or self.prime != other.prime:
+            raise BadDimension("size or prime mismatch")
+        amb = self.ambient if self.ambient == other.ambient else "GL"
+        return GroupMatrix(
+            tuple(tuple(r) for r in mat_mul(self.lists(), other.lists())), self.prime, amb
+        )
+
+    def inv(self) -> "GroupMatrix":
+        return GroupMatrix(tuple(map(tuple, cramer_inv(self.lists()))), self.prime, self.ambient)
+
+    def star(self) -> "GroupMatrix":
+        """g* = J tg^(-1) J."""
+        return GroupMatrix(tuple(map(tuple, mat_star(self.lists()))), self.prime, self.ambient)
+
+    def is_identity(self) -> bool:
+        return self.rows == tuple(tuple(mat_identity(self.size)[i]) for i in range(self.size))
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
+        return f"GroupMatrix[{self.ambient}]({body})"
+
+
+def so_check(g: GroupMatrix) -> bool:
+    """det(g) = 1 and tg J g = J, both exact."""
+    n = g.size
+    a = g.lists()
+    if mat_det(a) != 1:
+        return False
+    # (tg J g)[i][j] = sum_t a[t][i] * a[n-1-t][j]
+    for i in range(n):
+        for j in range(n):
+            s = sum(a[t][i] * a[n - 1 - t][j] for t in range(n))
+            if s != (F1 if i + j == n - 1 else F0):
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def g_chi_so(ell: int, prime: int) -> GroupMatrix:
+    """The normalizer of I+ attached to the affine generic character: the
+    antidiagonal-corner element with pi^(-1), -1 block, pi; squares to 1.
+    Built and verified once per (l, p); GroupMatrix is immutable."""
+    n = 2 * ell + 1
+    rows = [[F0] * n for _ in range(n)]
+    rows[0][n - 1] = Fraction(1, prime)
+    rows[n - 1][0] = Fraction(prime)
+    for i in range(1, n - 1):
+        rows[i][i] = Fraction(-1)
+    return GroupMatrix.make(rows, prime, "SO_odd")
+
+
+@lru_cache(maxsize=None)
+def g_chi_gl(n: int, prime: int) -> GroupMatrix:
+    """Superdiagonal ones with pi in the lower-left corner (memoized)."""
+    rows = [[F0] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = F1
+    rows[n - 1][0] = Fraction(prime)
+    return GroupMatrix.make(rows, prime, "GL")
 
 
 # ---------------------------------------------------------------------------
@@ -119,28 +296,43 @@ def _psi_u(spec: WhittakerSpec, u: GroupMatrix) -> CyclotomicNumber:
 
 def whittaker_eval(spec: WhittakerSpec, g: GroupMatrix) -> ExactScalar:
     """The normalized Whittaker function of the simple supercuspidal:
-    psi(u) zeta^i chi(k) on the supporting double coset, 0 elsewhere."""
+    psi(u) zeta^i chi(k') on the supporting double coset u g_chi^i k',
+    0 elsewhere.  The solvers factor g g_chi^(-i) = (z) u k, and
+    k' = g_chi^(-i) k g_chi^i is formed here by products."""
     p = spec.prime
     if spec.flavor == "SO":
-        wit = coset_decompose(g, spec.rank)
-        if wit is None:
+        res = coset_decompose(g.rows, p)
+        if res is None:
             return ExactScalar.zero(p)
-        val = _psi_u(spec, wit.u) * spec.zeta**wit.i * affine_chi(wit.k, t=spec.t, flavor="SO")
+        u, i, k = res
+        k = GroupMatrix.make(k, p, "SO_odd", verify=False)
+        if i:
+            gchi = g_chi_so(spec.rank, p)  # an involution: g_chi^(-1) = g_chi
+            k = gchi * k * gchi
+        u = GroupMatrix.make(u, p, "SO_odd", verify=False)
+        val = _psi_u(spec, u) * spec.zeta**i * affine_chi(k, t=spec.t, flavor="SO")
         return ExactScalar.from_coeff(p, val)
-    wit = coset_decompose_gl(g)
-    if wit is None:
+    res = coset_decompose_gl(g.rows, p)
+    if res is None:
         return ExactScalar.zero(p)
-    # central character is trivial, so the z slot contributes nothing
-    val = _psi_u(spec, wit.u) * spec.zeta**wit.j * affine_chi(wit.k, t=spec.t, flavor="GL")
+    # central character is trivial, so the scalar z contributes nothing
+    u, j, _, k = res
+    k = GroupMatrix.make(k, p, verify=False)
+    gchi = g_chi_gl(spec.rank, p)
+    gchi_inv = gchi.inv()
+    for _ in range(j):
+        k = gchi_inv * k * gchi
+    u = GroupMatrix.make(u, p, verify=False)
+    val = _psi_u(spec, u) * spec.zeta**j * affine_chi(k, t=spec.t, flavor="GL")
     return ExactScalar.from_coeff(p, val)
 
 
-def recompose(wit: CosetWitness, g_chi: GroupMatrix) -> GroupMatrix:
-    """u g_chi^i k for an SO coset witness."""
-    out = wit.u
-    if wit.i:
-        out = out * g_chi
-    return out * wit.k
+def recompose(factors, g_chi: GroupMatrix) -> GroupMatrix:
+    """u k g_chi^i from the factors (u, i, k) of coset_decompose, which
+    satisfy g g_chi^(-i) = u k."""
+    u, i, k = factors
+    out = GroupMatrix.make(mat_mul(u, k), g_chi.prime, g_chi.ambient, verify=False)
+    return out * g_chi if i else out
 
 
 def orbit_conjugator(t, ell: int, prime: int) -> GroupMatrix:

@@ -15,12 +15,15 @@ import pytest
 
 from oracles import (
     EisensteinElement,
+    GroupMatrix,
     affine_chi,
+    g_chi_so,
     iota_embed,
     pi_e,
     random_so_iplus,
     random_so_unipotent,
     recompose,
+    so_check,
 )
 from ssgamma.characters import TameCharacter
 from ssgamma.cyclotomic import CyclotomicNumber as C
@@ -33,7 +36,7 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import coset_decompose, g_chi_so, in_iplus, so_check
+from ssgamma.matrices import coset_decompose, in_iplus
 from ssgamma.parameter import param_summary
 from ssgamma.scalars import ExactScalar
 
@@ -140,11 +143,12 @@ def test_coset_roundtrip_hundred_products():
         i = rng.randrange(2)
         k = random_so_iplus(rng, ell, p)
         g = u * gchi * k if i else u * k
-        wit = coset_decompose(g, ell)
-        assert wit is not None and wit.i == i
-        assert recompose(wit, gchi).rows == g.rows
-        assert so_check(wit.u) and in_iplus(wit.k.items(), p)
-        assert so_check(wit.k)
+        res = coset_decompose(g.rows, p)
+        assert res is not None and res[1] == i
+        assert recompose(res, gchi).rows == g.rows
+        u2, k2 = (GroupMatrix.make(x, p, "SO_odd", verify=False) for x in (res[0], res[2]))
+        assert so_check(u2) and in_iplus(k2.items(), p)
+        assert so_check(k2)
         done += 1
 
 

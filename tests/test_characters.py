@@ -5,10 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    GroupMatrix,
     WhittakerSpec,
     _psi_u,
     affine_chi,
     embed_j,
+    g_chi_gl,
+    g_chi_so,
     normalized_t,
     orbit_conjugator,
     random_so_iplus,
@@ -29,7 +32,7 @@ from ssgamma.characters import (
     tame_eval,
 )
 from ssgamma.cyclotomic import CyclotomicNumber as C
-from ssgamma.matrices import GroupMatrix, g_chi_gl, g_chi_so, mat_identity
+from ssgamma.matrices import mat_identity
 from ssgamma.scalars import ExactScalar
 
 

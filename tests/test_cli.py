@@ -187,6 +187,16 @@ def test_table_domain_is_a_config_error(capsys, extra):
     assert captured.err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("p,ell", [("3", ","), (",", "1"), (",", ",")])
+def test_empty_table_list_is_a_config_error(capsys, p, ell):
+    # an empty table would print only its header and claim every cell matched
+    code = main(["table", "--p", p, "--ell", ell])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == "config error: --p and --ell each need at least one value\n"
+
+
 def test_gamma_so_brute_reports_a_nonzero_shell_point(capsys, monkeypatch):
     monkeypatch.setattr(integrals, "_so_whittaker_parts", lambda g, p, ell, t: (0, 0, 0))
     monkeypatch.setattr(integrals, "_SO_BUCKETS", {})

@@ -8,6 +8,7 @@ from ssgamma.characters import CharacterError, TameCharacter
 from ssgamma.cli import scalar_str
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
+    BadRoot,
     BoundaryNonvanishing,
     IntegralConfig,
     IntegralError,
@@ -301,6 +302,24 @@ def test_match_so_gl_rejects_a_config_that_contradicts_its_arguments():
             match_so_gl(1, tau, -C.one(), cfg=cfg)
 
 
+@pytest.mark.parametrize("ell", [0, -1])
+def test_match_so_gl_rejects_a_rank_below_one(ell):
+    with pytest.raises(IntegralError, match="need l >= 1"):
+        match_so_gl(ell, tau_pi(3, 1, -1), C.one())
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_gamma_gl_closed_rejects_a_size_below_one(n):
+    with pytest.raises(Unsupported, match="need n >= 1"):
+        gamma_gl_closed(n, tau_pi(3, 1, -1), C.one())
+
+
+def test_config_rejects_a_zeta_that_is_not_a_sign():
+    # zeta^2 = 1 on SO(2l+1): a cube root gives no representation
+    with pytest.raises(BadRoot, match="zeta\\^2 = 1"):
+        IntegralConfig(3, 1, C.root_of_unity(3, 1), trivial_tau(3))
+
+
 # --- support scans -------------------------------------------------------------
 
 
@@ -315,13 +334,10 @@ def test_scan_support_matches_predicate(side):
             assert pt.nonzero == pt.predicted
 
 
-def test_scan_support_detects_wrong_predicate():
+def test_scan_support_detects_wrong_predicate(monkeypatch):
     p = 3
-
-    def wrong(z, y, prime):
-        return False
-
-    _, verdict = scan_support(p, 1, "phi", level=2, cutoff=1, predicate=wrong)
+    monkeypatch.setattr(integrals, "_phi_predicate", lambda z, y, prime: False)
+    _, verdict = scan_support(p, 1, "phi", level=2, cutoff=1)
     assert not verdict
 
 

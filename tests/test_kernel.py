@@ -40,6 +40,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    GroupMatrix,
     SectionSpec,
     WhittakerSpec,
     _psi_u,
@@ -48,6 +49,7 @@ from oracles import (
     c_hat,
     delta_o,
     embed_j,
+    g_chi_so,
     omega_prime,
     random_so_iplus,
     random_so_unipotent,
@@ -65,6 +67,7 @@ from ssgamma.integrals import (
     _chi_arg,
     _chi_arg_conj,
     _dense,
+    _gchi_entries,
     _least_valuation,
     _merge_tame_classes,
     _phi_entries,
@@ -80,7 +83,7 @@ from ssgamma.integrals import (
     phi_eval,
     phi_star_eval,
 )
-from ssgamma.matrices import F0, F1, GroupMatrix, g_chi_so, in_iplus
+from ssgamma.matrices import F0, F1, in_iplus
 from ssgamma.scalars import ExactScalar
 
 SIDES = ("phi", "phi_star")
@@ -162,6 +165,16 @@ def test_sparse_builders_equal_generic_product(point):
     assert _dense(g, 2 * ell + 1) == generic_matrix(p, ell, side, z, y).rows
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_gchi_entries_are_where_g_chi_differs_from_the_identity(ell, p):
+    """The sparse g_chi of the box test, written in closed form, against
+    the oracle's g_chi_so, which GroupMatrix.make verifies is in SO."""
+    n = 2 * ell + 1
+    want = {(r, c): x for (r, c), x in g_chi_so(ell, p).items() if x != (F1 if r == c else F0)}
+    assert _gchi_entries(n, p) == want
+
+
 @settings(max_examples=120, deadline=None)
 @given(points(), st.sampled_from((1, -1)), st.data())
 def test_evaluator_matches_whittaker_eval(point, zsign, data):
@@ -190,7 +203,7 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral,
     g (i = 0) or g g_chi (i = 1) in I+, so a box test decides the point;
     a non-integral u misses both boxes and the coset solver decides it.
     W(g) = zeta^i psi_U(u) chi(k) is also read off the sampled factors
-    directly, so a solver that returned a wrong witness would fail."""
+    directly, so a solver that returned wrong factors would fail."""
     ell, p = case
     rng = random.Random(seed)
     zeta = C.one() if zsign == 1 else -C.one()

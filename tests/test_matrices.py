@@ -6,36 +6,37 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    BadDimension,
+    GroupMatrix,
+    NotInGroup,
     b_element,
     c_hat,
+    cramer_inv,
     delta_o,
     embed_j,
+    g_chi_gl,
+    g_chi_so,
+    mat_det,
+    mat_mul,
     omega_prime,
     random_gl_iplus,
     random_so_iplus,
     random_so_unipotent,
     recompose,
+    so_check,
     so_root_element,
     torus_so2,
     w_element,
     xbar,
 )
 from ssgamma.matrices import (
-    BadDimension,
-    GroupMatrix,
-    NotInGroup,
     SingularMatrix,
     _solve_row,
     coset_decompose,
     coset_decompose_gl,
     eliminate_u_iplus,
-    g_chi_gl,
-    g_chi_so,
     in_iplus,
-    mat_det,
     mat_inv,
-    mat_mul,
-    so_check,
     times_g_chi_gl_inv,
     times_g_chi_so,
 )
@@ -139,20 +140,21 @@ def test_coset_roundtrip_random(ell, p):
         i = rng.randrange(2)
         k = random_so_iplus(rng, ell, p)
         g = u * (gchi if i else GroupMatrix.make([[1 if a == b else 0 for b in range(2 * ell + 1)] for a in range(2 * ell + 1)], p, "SO_odd")) * k
-        wit = coset_decompose(g, ell)
-        assert wit is not None
-        assert wit.i == i
-        assert recompose(wit, gchi).rows == g.rows
-        assert in_iplus(wit.k.items(), p)
+        res = coset_decompose(g.rows, p)
+        assert res is not None
+        assert res[1] == i
+        assert recompose(res, gchi).rows == g.rows
+        u2, k2 = (GroupMatrix.make(x, p, "SO_odd", verify=False) for x in (res[0], res[2]))
+        assert in_iplus(k2.items(), p)
         # the unique factors of an SO element are fixed by g -> g*
-        assert so_check(wit.u) and so_check(wit.k)
+        assert so_check(u2) and so_check(k2)
 
 
 def test_coset_decompose_rejects_outside():
     # a torus element with nonunit diagonal lies in no U g_chi^i I+ coset
     p = 3
     h = embed_j(torus_so2(Fraction(p * p), p), 1)
-    assert coset_decompose(h, 1) is None
+    assert coset_decompose(h.rows, p) is None
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 3), (3, 7)])
@@ -174,16 +176,17 @@ def test_gl_coset_roundtrip(n, p):
             gj = gj * gchi
         k = random_gl_iplus(rng, n, p)
         g = u * gj * z * k
-        wit = coset_decompose_gl(g)
-        assert wit is not None
-        assert wit.j == j
-        zmat = GroupMatrix.make(
-            [[wit.z if a == b else 0 for b in range(n)] for a in range(n)], p
-        )
-        rec = wit.u
-        for _ in range(wit.j):
+        res = coset_decompose_gl(g.rows, p)
+        assert res is not None
+        u2, j2, z2, k2 = res
+        assert j2 == j
+        # g g_chi^(-j) = z u k, so g = z u k g_chi^j
+        zmat = GroupMatrix.make([[z2 if a == b else 0 for b in range(n)] for a in range(n)], p)
+        k2 = GroupMatrix.make(k2, p)
+        assert in_iplus(k2.items(), p)
+        rec = zmat * GroupMatrix.make(u2, p) * k2
+        for _ in range(j2):
             rec = rec * gchi
-        rec = rec * zmat * wit.k
         assert rec.rows == g.rows
 
 
@@ -278,6 +281,7 @@ def test_elimination_inverse_solve_and_det(case, data):
         return
     identity = [[Fraction(i == j) for j in range(n)] for i in range(n)]
     assert product(mat_inv(a), a) == identity
+    assert product(cramer_inv(a), a) == identity
     v = [Fraction(data.draw(st.integers(-9, 9)), p ** data.draw(st.integers(0, 2))) for _ in range(n)]
     c = _solve_row(a, v)
     assert product([c], a) == [v]
@@ -293,6 +297,8 @@ def test_singular_input_raises(case, scale):
     assert mat_det(a) == 0 == leibniz_det(a)
     with pytest.raises(SingularMatrix):
         mat_inv(a)
+    with pytest.raises(NotInGroup):
+        cramer_inv(a)
     with pytest.raises(SingularMatrix):
         _solve_row(a, [Fraction(1)] * n)
 
@@ -337,7 +343,7 @@ def test_u_times_iplus_always_factors(p, n, rng, data):
 @given(padic_matrices(sizes=st.integers(2, 4)))
 def test_gl_rotation_is_the_product_with_the_inverse(case):
     p, m = case
-    assert times_g_chi_gl_inv(m, p) == mat_mul(m, mat_inv(g_chi_gl(len(m), p).lists()))
+    assert times_g_chi_gl_inv(m, p) == mat_mul(m, g_chi_gl(len(m), p).inv().lists())
 
 
 @settings(max_examples=150, deadline=None)

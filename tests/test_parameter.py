@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import EisensteinElement, ZeroElement, iota_embed, pi_e
-from ssgamma.matrices import g_chi_gl
+from oracles import EisensteinElement, ZeroElement, g_chi_gl, iota_embed, pi_e
 from ssgamma.parameter import (
     BadResidueChar,
     ParameterError,
