@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
-from .padic import is_odd_prime, rational_valuation
+from .padic import is_int, is_odd_prime, rational_valuation
 
 
 class CharacterError(Exception):
@@ -93,10 +93,12 @@ class TameCharacter:
     def __post_init__(self):
         if not is_odd_prime(self.prime):
             raise CharacterError(f"p must be an odd prime, got {self.prime}")
-        if not 0 <= self.unit_exponent <= self.prime - 2:
-            raise CharacterError(f"unit exponent must lie in 0..{self.prime - 2}, got {self.unit_exponent}")
+        if not is_int(self.unit_exponent) or not 0 <= self.unit_exponent <= self.prime - 2:
+            raise CharacterError(f"unit exponent must lie in 0..{self.prime - 2}, got {self.unit_exponent!r}")
         if self.value_at_uniformizer is None:
             object.__setattr__(self, "value_at_uniformizer", ExactScalar.one(self.prime))
+        if not isinstance(self.value_at_uniformizer, ExactScalar) or self.value_at_uniformizer.prime != self.prime:
+            raise CharacterError(f"value at the uniformizer must be an ExactScalar over {self.prime}")
         if not self.value_at_uniformizer.is_monomial():
             raise CharacterError("value at the uniformizer must be a monomial")
 
@@ -104,9 +106,6 @@ class TameCharacter:
         p, j = self.prime, self.unit_exponent
         e = _index_table(p)[residue % p]
         return CyclotomicNumber.root_of_unity(p - 1, j * e)
-
-    def __call__(self, x) -> ExactScalar:
-        return tame_eval(self, x)
 
     def inverse(self) -> "TameCharacter":
         p = self.prime

@@ -12,13 +12,12 @@ Two evaluation modes:
 
 The SO integrals come from one enumeration kernel (_so_buckets).  Each
 domain point is a sparse map of the entries where its integrand matrix
-differs from the identity; two I+ box tests on that map, with the
-generic coset solver as the fallback, give its Whittaker value as plain
-ints (i, m, a), meaning zeta^i * zeta_(p^m)^a.  The kernel counts these
-in a histogram keyed by (i, z, m, a).  A window is one measure weight,
-that of every class off the padding shell, and its representatives,
-each marked on or off the shell; so the weight multiplies each bucket
-once, at the end.
+differs from the identity; the generic coset solver, run on its rows,
+gives its Whittaker value as plain ints (i, m, a), meaning zeta^i *
+zeta_(p^m)^a.  The kernel counts these in a histogram keyed by
+(i, z, m, a).  A window is one measure weight, that of every class off
+the padding shell, and its representatives, each marked on or off the
+shell; so the weight multiplies each bucket once, at the end.
 
 In support-aware mode the histogram at one z is not enumerated point
 by point.  Each y coordinate writes its own two entries, the box tests
@@ -32,9 +31,10 @@ on v(c) (an o-module condition), and the argument moves by a fixed
 multiple of c.  So every value of the window passes iff one of least
 valuation does, and the count costs (l-1) evaluations instead of
 |Y|^(l-1) (_so_buckets has the argument).  A z where that value misses
-the box or moves the argument falls back to the point loop.
-Brute-force mode always runs the point loop, and scan_support its own
-report loop, so the oracle does not share the factored count.
+the box or moves the argument falls back to the point loop, valued by
+the solver alone.  Brute-force mode always runs that loop, and
+scan_support its own, so the oracle shares neither the count nor its
+boxes.
 
 A bucket holds the sum over one tame class of z: the pair tame_class(z)
 = (v_p(z), unit residue mod p).  This merge is exact, because the
@@ -63,7 +63,7 @@ from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
-from .padic import is_odd_prime, rational_valuation
+from .padic import is_int, is_odd_prime, rational_valuation
 from .matrices import (
     mat_identity,
     coset_decompose,
@@ -114,7 +114,9 @@ def check_prime(p) -> None:
 
 
 def check_domain(ell: int, level: int, cutoff: int) -> None:
-    """The truncation every SO domain needs: l >= 1, N >= 2 and V >= 1."""
+    """The truncation every SO domain needs: ints l >= 1, N >= 2 and V >= 1."""
+    if not all(map(is_int, (ell, level, cutoff))):
+        raise IntegralError(f"l, N and V must be ints, got {ell!r}, {level!r}, {cutoff!r}")
     if ell < 1:
         raise IntegralError(f"need l >= 1, got {ell}")
     if level < 2 or cutoff < 1:
@@ -175,9 +177,9 @@ class GammaResult:
 # sparse integrand entries and the per-point Whittaker evaluator
 #
 # A point is the map {(row, col): Fraction} of the entries where its
-# integrand matrix differs from the identity.  The cheap membership boxes
-# (g in I+, or g g_chi^(-1) in I+) run on that map; the generic
-# double-coset solver settles everything else (mostly vanishing points).
+# integrand matrix differs from the identity.  The double-coset solver
+# values a point from its rows; the membership boxes (g in I+, or
+# g g_chi^(-1) in I+) run on the map, for _so_factored_counts only.
 
 
 def _phi_entries(z, y, ell):
@@ -304,19 +306,14 @@ def _so_whittaker_parts(g, p, ell, t):
 
     g is the entry map of a point.  The zeta power i is kept separate so
     one enumeration serves every central sign; zeta_(p^m)^a is
-    psi_U(u) * chi(k') = psi(u_arg + k_arg).  No g passes both boxes: I+
-    is a group and g_chi is not in it.
+    psi_U(u) * chi(k') = psi(u_arg + k_arg).
 
-    A point that misses both boxes goes to coset_decompose, whose factors
-    satisfy g g_chi^(-i) = u k.  So g = u k g_chi^i = u g_chi^i k' with
-    k' = g_chi^(-i) k g_chi^i, and W(g) = psi_U(u) zeta^i chi(k').  chi(k')
-    is read off k by the readers of the box tests: _chi_arg at i = 0, and
-    at i = 1 _chi_arg_conj, which is chi(g_chi k g_chi) = chi(k') since
-    g_chi is an involution.  Both are exact, so k' is never formed."""
-    for box in (0, 1):
-        x = _box_arg(g, box, p, ell, t)
-        if x is not None:
-            return (box,) + psi_exponent(x, p)
+    coset_decompose factors g g_chi^(-i) = u k.  So g = u k g_chi^i =
+    u g_chi^i k' with k' = g_chi^(-i) k g_chi^i, and W(g) = psi_U(u)
+    zeta^i chi(k').  chi(k') is read off k by the readers of the box
+    tests: _chi_arg at i = 0, and at i = 1 _chi_arg_conj, which is
+    chi(g_chi k g_chi) = chi(k') since g_chi is an involution.  Both are
+    exact, so k' is never formed."""
     res = coset_decompose(_dense(g, 2 * ell + 1), p)
     if res is None:
         return None
@@ -468,10 +465,14 @@ def _so_buckets(cfg: IntegralConfig, side: str):
         does, every other value being that one times an element of o.
     On both integrands chi reads no entry that the base or a coordinate
     writes, so no argument moves and the count declines only at a miss.
-    A point that misses both boxes needs the coset solver.  A z where the
-    base misses both boxes, or a coordinate's value of least valuation
-    misses the base's box or moves its argument, is enumerated point by
-    point (_point_counts), as is every z in brute-force mode."""
+    A z where the base misses both boxes, or a coordinate's value of
+    least valuation misses the base's box or moves its argument, is
+    enumerated point by point (_point_counts), as is every z in
+    brute-force mode.  The point loop values each point with the coset
+    solver alone (_so_whittaker_parts), which on a point in box i finds
+    the same i and, where W is well defined (t_(l+1) = t_1 mod p), the
+    same value: so brute-force mode checks the box lemma rather than
+    sharing it."""
     p, ell = cfg.prime, cfg.ell
     build = _phi_entries if side == "phi" else _phi_star_entries
     ys = _y_windows(p, cfg.level, cfg.cutoff, cfg.mode)
@@ -614,6 +615,8 @@ def gamma_so(cfg: IntegralConfig) -> GammaResult:
 
 def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> ExactScalar:
     """tau(-1)^(n-1) tau(pi) zeta q^(1/2-s) (trivial central character)."""
+    if not is_int(n):
+        raise Unsupported(f"n must be an int, got {n!r}")
     if n < 1:
         raise Unsupported(f"need n >= 1, got {n}")
     if zeta**n != CyclotomicNumber.one():
@@ -690,6 +693,8 @@ def jpss_gl_gamma(
 ) -> GammaResult:
     """Independent GL_n x GL_1 gamma: dual zeta integral over plain one,
     times tau(-1)^(n-1); compared against the closed form."""
+    if not is_int(n):
+        raise Unsupported(f"n must be an int, got {n!r}")
     if n < 2:
         raise Unsupported("need n >= 2")
     p = tau.prime

@@ -14,6 +14,11 @@ from fractions import Fraction
 INF = math.inf
 
 
+def is_int(x) -> bool:
+    """x is an int and not a bool: the type of every size and exponent."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_odd_prime(p) -> bool:
     """p is an odd prime, by trial division: every computation over Q_p
     already costs O(p) or more."""

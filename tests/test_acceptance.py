@@ -25,7 +25,7 @@ from oracles import (
     recompose,
     so_check,
 )
-from ssgamma.characters import TameCharacter
+from ssgamma.characters import TameCharacter, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
@@ -67,7 +67,7 @@ def test_gamma_grid_matches_closed_form_and_phi_value():
         res = gamma_so(cfg)
         zeta = C.one() if zsign == 1 else -C.one()
         expected = (
-            ES(p, zeta) * cfg.tau(-p) * ES(p, 1, 1, 1)
+            ES(p, zeta) * tame_eval(cfg.tau, -p) * ES(p, 1, 1, 1)
         )  # zeta tau(-pi) q^(1/2-s)
         assert res.computed == expected, (p, ell, zsign, j, tau_pi)
         assert res.matches

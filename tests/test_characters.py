@@ -121,15 +121,15 @@ def test_tame_character_multiplicative():
     for _ in range(25):
         x = Fraction(rng.choice([1, 2, 3, 4, 5, 6]), 1) * Fraction(p) ** rng.randrange(-2, 3)
         y = Fraction(rng.choice([1, 2, 3, 4, 5, 6]), 1) * Fraction(p) ** rng.randrange(-2, 3)
-        assert tau(x * y) == tau(x) * tau(y)
+        assert tame_eval(tau, x * y) == tame_eval(tau, x) * tame_eval(tau, y)
 
 
 def test_tame_character_order_on_units():
     p = 5
     tau = TameCharacter(p, 1)
     g = primitive_root(p)
-    assert tau(g).canonical_terms() == [(0, 0, C.root_of_unity(p - 1, 1))]
-    assert tau(1) == ExactScalar.one(p)
+    assert tame_eval(tau, g).canonical_terms() == [(0, 0, C.root_of_unity(p - 1, 1))]
+    assert tame_eval(tau, 1) == ExactScalar.one(p)
 
 
 def test_tame_inverse():
@@ -137,7 +137,7 @@ def test_tame_inverse():
     tau = TameCharacter(p, 3, ExactScalar.from_coeff(p, -1))
     inv = tau.inverse()
     for x in [2, 3, Fraction(1, 5), Fraction(7, 25)]:
-        assert tau(x) * inv(x) == ExactScalar.one(p)
+        assert tame_eval(tau, x) * tame_eval(inv, x) == ExactScalar.one(p)
 
 
 @pytest.mark.parametrize("p,j", [(3, 7), (3, 2), (3, -1), (5, 4), (7, 6), (7, -6)])
@@ -156,11 +156,28 @@ def test_tame_rejects_a_prime_that_is_not_an_odd_prime(p):
         TameCharacter(p, 0)
 
 
+@pytest.mark.parametrize("j", [0.5, 1.0, Fraction(1), True, "1", None])
+def test_tame_rejects_a_unit_exponent_that_is_not_an_int(j):
+    """TameCharacter(3, 0.5) used to be built, and gamma_so then raised a
+    bare TypeError."""
+    with pytest.raises(CharacterError, match=r"^unit exponent must lie in 0\.\.1, got "):
+        TameCharacter(3, j)
+
+
+@pytest.mark.parametrize("value", [ExactScalar.one(5), "x", 1, Fraction(-1), C.one()])
+def test_tame_rejects_a_value_at_the_uniformizer_over_another_prime_or_type(value):
+    """TameCharacter(3, 0, ExactScalar.one(5)) used to be built, and
+    gamma_so then raised ScalarError inside the enumeration;
+    TameCharacter(3, 0, "x") raised a bare AttributeError."""
+    with pytest.raises(CharacterError, match=r"^value at the uniformizer must be an ExactScalar over 3$"):
+        TameCharacter(3, 0, value)
+
+
 def test_tame_rejects_zero_and_nonmonomial():
     p = 3
     tau = TameCharacter(p, 0)
     with pytest.raises(CharacterError):
-        tau(0)
+        tame_eval(tau, 0)
     with pytest.raises(CharacterError):
         TameCharacter(p, 0, ExactScalar.one(p) + ExactScalar.one(p) * ExactScalar.from_coeff(p, 1, 1, 1))
 

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from oracles import SectionSpec, b_element, intertwine_M, section_eval
 from ssgamma import cyclotomic, integrals, matrices
-from ssgamma.characters import CharacterError, TameCharacter
+from ssgamma.characters import CharacterError, TameCharacter, tame_eval
 from ssgamma.cli import scalar_str
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
@@ -60,7 +61,7 @@ def test_section_tau_slot():
     p = 5
     tau = tau_pi(p, 1, -1)
     sec = SectionSpec(tau)
-    assert section_eval(sec, Fraction(1), 2) == tau(2)
+    assert section_eval(sec, Fraction(1), 2) == tame_eval(tau, 2)
     assert section_eval(sec, Fraction(p), 1) == ES(p, -1, 1, 1)
 
 
@@ -73,7 +74,7 @@ def test_b1_star_is_minus_one(p):
     cfg = IntegralConfig(p, 1, C.one(), tau)
     for z in (Fraction(1), Fraction(p), Fraction(2, p)):
         v = rational_valuation(1 / z, p)
-        assert integrals._fs_phi_star(cfg, z) == ES(p, 1, v, v) * tau(b / z)
+        assert integrals._fs_phi_star(cfg, z) == ES(p, 1, v, v) * tame_eval(tau, b / z)
 
 
 def test_intertwine_identity_at_rank_one():
@@ -258,7 +259,7 @@ def test_gamma_gl_closed_form():
     tau = tau_pi(p, 1, -1)
     # tau(-1) = zeta_2^(index of p-1)= tau at -1; n = 2 gives one factor
     got = gamma_gl_closed(2, tau, C.one())
-    assert got == tau(-1) * ES(p, -1, 1, 1)
+    assert got == tame_eval(tau, -1) * ES(p, -1, 1, 1)
 
 
 def test_jpss_matches_closed_form():
@@ -312,6 +313,23 @@ def test_match_so_gl_rejects_a_rank_below_one(ell):
 def test_gamma_gl_closed_rejects_a_size_below_one(n):
     with pytest.raises(Unsupported, match="need n >= 1"):
         gamma_gl_closed(n, tau_pi(3, 1, -1), C.one())
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, Fraction(2), "2"])
+def test_sizes_that_are_not_ints_are_rejected(bad):
+    """Each used to raise a bare TypeError, or, for a bool, to run as 0 or 1."""
+    tau = trivial_tau(3)
+    for kwargs in ({"level": bad}, {"cutoff": bad}):
+        with pytest.raises(IntegralError, match=r"^l, N and V must be ints, got "):
+            IntegralConfig(3, 1, C.one(), tau, **kwargs)
+    with pytest.raises(IntegralError, match=r"^l, N and V must be ints, got "):
+        IntegralConfig(3, bad, C.one(), tau)
+    with pytest.raises(IntegralError, match=r"^l, N and V must be ints, got "):
+        scan_support(3, bad, "phi")
+    with pytest.raises(Unsupported, match=f"^n must be an int, got {re.escape(repr(bad))}$"):
+        gamma_gl_closed(bad, tau, C.one())
+    with pytest.raises(Unsupported, match=f"^n must be an int, got {re.escape(repr(bad))}$"):
+        jpss_gl_gamma(bad, tau, C.one())
 
 
 def test_config_rejects_a_zeta_that_is_not_a_sign():

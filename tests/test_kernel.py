@@ -1,12 +1,13 @@
 """Oracle property tests for the SO enumeration kernel.
 
 The kernel builds each integrand matrix as a sparse entry map and reads
-its Whittaker value off cheap I+ box tests.  These tests check both
-against the generic code in tests/oracles.py, which shares none of that
-path: the sparse builders against the named-element product, and the
-evaluator against whittaker_eval (the generic double coset
-decomposition).  The evaluator is also checked against zeta^i psi_U(u)
-chi(k) read off the sampled u, i and k, with no solver at all.  The next
+its Whittaker value off the coset solver's factors.  These tests check
+both against the generic code in tests/oracles.py: the sparse builders
+against the named-element product, and the evaluator against
+whittaker_eval, which forms k' and chi(k') by products.  On the support
+the evaluator is also checked against the two I+ box tests, which the
+factored count reads, and everywhere against zeta^i psi_U(u) chi(k)
+read off the sampled u, i and k, with no solver at all.  The next
 tests check the bucket assembly: Phi and Phi* rebuilt point by point
 from the (weight, [(rep, on_shell)]) windows, with no buckets, no
 shared loop and no merge over tame classes, and the merge itself on
@@ -14,18 +15,20 @@ buckets that span many tame classes (on the real domains only one class
 per side is nonzero).
 
 The last tests check the support-aware factored count over the y
-product (_so_factored_counts).  It tests each coordinate at one value of
-least valuation, which is exact because the entries a coordinate writes,
-and the chi arguments, are linear in its value; that linearity is
-checked on the grid and at random t.  The count is checked against the
-one point loop of integrals.py (_point_counts, the loop _enumerate runs
-for the SO and the JPSS buckets alike), given the SO value, per z: on
-the grid's domains, at random t, and on brute-force windows, where it
-must fall back exactly at the z where the loop meets a point off both
+product (_so_factored_counts), the only reader of the box tests.  It
+tests each coordinate at one value of least valuation, which is exact
+because the entries a coordinate writes, and the chi arguments, are
+linear in its value; that linearity is checked on the grid and at
+random t.  The count is checked against the one point loop of
+integrals.py (_point_counts, the loop _enumerate runs for the SO and the
+JPSS buckets alike), given the SO value from the solver, per z: on the
+grid's domains, at random t, and on brute-force windows, where it must
+fall back exactly at the z where the loop meets a point off both
 boxes.  The SO buckets are pinned by sha256 digests of their records,
 taken from the point loop and, at the stress sizes, from the count that
 tested every coordinate value.  A count guard fails if the support-aware
-enumeration goes back to testing every coordinate value, or every point.
+enumeration goes back to testing every coordinate value, or every point,
+or if the brute-force point loop tests a box ahead of the solver.
 """
 
 import hashlib
@@ -59,7 +62,7 @@ from oracles import (
     xbar,
 )
 from ssgamma import matrices
-from ssgamma.characters import PSI_MAX_POWER, OrderOverflow, TameCharacter, tame_class
+from ssgamma.characters import PSI_MAX_POWER, OrderOverflow, TameCharacter, psi_exponent, tame_class, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
@@ -148,6 +151,16 @@ def entries(side, z, y, ell):
     return builder(side)(z, y, ell)
 
 
+def box_parts(g, p, ell, t):
+    """(box, m, a) from the first I+ box test the entry map g passes, the
+    value the factored count reads; None when it misses both."""
+    for box in (0, 1):
+        x = _box_arg(g, box, p, ell, t)
+        if x is not None:
+            return (box,) + psi_exponent(x, p)
+    return None
+
+
 def kernel_value(p, zeta, parts):
     """The evaluator's (i, m, a) read as zeta^i zeta_(p^m)^a."""
     if parts is None:
@@ -182,9 +195,10 @@ def test_evaluator_matches_whittaker_eval(point, zsign, data):
     zeta = C.one() if zsign == 1 else -C.one()
     t = affine_t(data.draw, p, ell)
     g = entries(side, z, y, ell)
-    if inside:  # the support is decided by a box test, not the coset solver
-        assert in_iplus(g.items(), p) or in_iplus(_times_gchi(g, p, 2 * ell + 1).items(), p)
     parts = _so_whittaker_parts(g, p, ell, t)
+    if inside:  # a box test decides the support, and the solver agrees with it
+        box = box_parts(g, p, ell, t)
+        assert box is not None and parts == box
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert kernel_value(p, zeta, parts) == whittaker_eval(spec, generic_matrix(p, ell, side, z, y))
 
@@ -310,7 +324,7 @@ def test_tame_class_merge_keeps_every_tame_sum(p, data):
     def total(buckets):
         out = ExactScalar.zero(p)
         for (i, z), c in buckets.items():
-            out = out + ExactScalar.from_coeff(p, c * zeta**i) * tau(z)
+            out = out + ExactScalar.from_coeff(p, c * zeta**i) * tame_eval(tau, z)
         return out
 
     assert total(merged) == total(sums)
@@ -372,11 +386,12 @@ def test_coordinates_are_linear_at_random_t(case, side, vz, vc, data):
     assert_coordinate_is_linear(p, ell, side, t, z, data.draw(st.integers(0, ell - 2)), c)
 
 
-def point_loop(z, on_shell, ys, build, p, ell, t):
-    """The shared point loop at z, with the SO value _so_buckets gives it."""
+def point_loop(z, on_shell, ys, build, p, ell, t, parts=_so_whittaker_parts):
+    """The shared point loop at z, with the SO value _so_buckets gives it
+    (or, with parts=box_parts, the value of the box tests)."""
 
     def value(z, y):
-        return _so_whittaker_parts(build(z, y, ell), p, ell, t)
+        return parts(build(z, y, ell), p, ell, t)
 
     return _point_counts(z, on_shell, ys, ell - 1, value, "shell: z={}, y={}")
 
@@ -452,7 +467,9 @@ def test_convolution_keys_and_overflow_follow_the_point_loop():
     included, so the kernel's outcome (the factored count, or the loop
     where it declines) is the loop's.  At l = 1 there is no coordinate,
     so the factored count itself reaches the nonzero keys and the
-    overflow."""
+    overflow.  These matrices are not in SO and t breaks t_(l+1) = t_1
+    mod p, so the solver's value is not W here and only the box
+    statement applies: the loop values each point by the box tests."""
     seen = Counter()
     for p, ell, level in ((3, 1, 3), (3, 2, 3), (3, 3, 3), (5, 2, 3), (5, 3, 2)):
         ys = _y_windows(p, level, 1, "support-aware")[1]
@@ -465,7 +482,7 @@ def test_convolution_keys_and_overflow_follow_the_point_loop():
                     outcomes = []
                     for count in (
                         lambda: _so_factored_counts(z, least, len(ys), build, p, ell, t),
-                        lambda: point_loop(z, on_shell, ys, build, p, ell, t),
+                        lambda: point_loop(z, on_shell, ys, build, p, ell, t, box_parts),
                     ):
                         try:
                             outcomes.append(count())
@@ -499,7 +516,7 @@ def test_no_matrix_passes_both_boxes(p, ell, seed):
 
 
 def off_both_boxes(g, p, ell, t):
-    return all(_box_arg(g, box, p, ell, t) is None for box in (0, 1))
+    return box_parts(g, p, ell, t) is None
 
 
 @pytest.mark.parametrize(
@@ -585,21 +602,27 @@ def test_stress_sizes_meet_the_closed_forms(p, ell):
     assert res.matches and res.computed == res.predicted
 
 
-@pytest.mark.parametrize("side", SIDES)
-def test_support_aware_enumeration_tests_coordinates_not_points(side, monkeypatch):
+@pytest.mark.parametrize("case", ["phi", "phi_star", "brute-force"])
+def test_support_aware_enumeration_tests_coordinates_not_points(case, monkeypatch):
     """in_iplus and coset_decompose counted at every name the package binds
-    them to, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1).  At each
-    z the factored count makes at most two box tests for the base and one for
-    each coordinate, at its value of least valuation: 100 in all.  Testing
-    every value of each coordinate would make 1,300, and the point loop up
-    to two per point, 31,250."""
-    p, ell, level = 5, 3, 3
+    them to.  Support-aware, over one _so_buckets at (p, l, N, V) =
+    (5, 3, 3, 1): at each z the factored count makes at most two box
+    tests for the base and one for each coordinate, at its value of least
+    valuation: 100 in all.  Testing every value of each coordinate would
+    make 1,300, and the point loop up to two per point, 31,250.
+    Brute-force, over _so_buckets on both sides at (3, 2, 2, 1): the point
+    loop makes one coset_decompose call per point, 2 * 30 * 81 = 4,860,
+    and 18 of them find factors, the points of the support.  A box test
+    ahead of the solver would take those 18 points from it, leaving 4,842
+    calls with none found."""
     calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args):
+            out = fn(*args)
             calls[name] += 1
-            return fn(*args)
+            calls[name + ".found"] += out is not None
+            return out
 
         return wrapper
 
@@ -610,7 +633,19 @@ def test_support_aware_enumeration_tests_coordinates_not_points(side, monkeypatc
             for key, value in list(vars(module).items()):
                 if value is orig:
                     monkeypatch.setattr(module, key, wrapper)
-    _so_buckets(IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1), side)
+    if case == "brute-force":
+        p, ell, level = 3, 2, 2
+        cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1, mode="brute-force")
+        for side in SIDES:
+            _so_buckets(cfg, side)
+        z_count = 5 * (p - 1) * p ** (level - 1)  # valuations -2..2, unit classes mod p^N
+        y_count = p * p ** (level + 1)  # p^(N+V) classes and (p-1) p^(N+V) on the shell
+        assert len(SIDES) * z_count * y_count ** (ell - 1) == 4_860
+        assert calls["coset_decompose"] == 4_860
+        assert calls["coset_decompose.found"] == 18
+        return
+    p, ell, level = 5, 3, 3
+    _so_buckets(IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1), case)
     z_count = y_count = p ** (level - 1)
     assert calls["coset_decompose"] == 0
     assert z_count * (2 + (ell - 1) * y_count) == 1_300

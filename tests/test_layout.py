@@ -157,8 +157,6 @@ REACH_ALLOWED = {
     "characters.psi_eval",
     # a bench tracer target
     "matrices.mat_inv",
-    # tau(x) spelled as a call, for the tests and oracles
-    "characters.TameCharacter.__call__",
     # the rest of the ring interface of the two scalar types
     "cyclotomic.CyclotomicNumber.__neg__",
     "cyclotomic.CyclotomicNumber.__repr__",

@@ -96,6 +96,14 @@ def test_kappa_table_matches_legendre():
     assert pd.kappa_table == tuple(legendre(x, 7) for x in range(1, 7))
 
 
+@pytest.mark.parametrize("p", [9, 15, 4, 2, 1, 0, -3])
+def test_a_prime_that_is_not_an_odd_prime_is_rejected(p):
+    """param_summary(9, 1) used to answer with Legendre symbols mod 9, and
+    param_summary(-3, 1) with an empty kappa table."""
+    with pytest.raises(ParameterError, match=rf"^p must be an odd prime, got {p}$"):
+        param_summary(p, 1)
+
+
 def test_rank_below_one_is_rejected_first():
     for p, ell in ((5, -1), (3, 0), (5, 0)):
         with pytest.raises(ParameterError, match="need l >= 1"):
