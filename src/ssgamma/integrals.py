@@ -730,6 +730,8 @@ def match_so_gl(ell: int, tau: TameCharacter, zeta: CyclotomicNumber, cfg: Integ
     """The SO_(2l+1) gamma equals the GL_(2l) gamma (closed forms always;
     computed pipelines when a config is supplied, which must carry the
     same l, tau and zeta)."""
+    if not is_int(ell):
+        raise IntegralError(f"l must be an int, got {ell!r}")
     if ell < 1:
         raise IntegralError(f"need l >= 1, got {ell}")
     check_sign(zeta)

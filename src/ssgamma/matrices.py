@@ -1,11 +1,16 @@
 """Matrices over Q_p as row lists of Fractions: the I+ membership test,
-right multiplication by the normalizers g_chi as column maps, the one
-exact elimination, and the double-coset solvers behind the explicit
+right multiplication by the normalizers g_chi as a map on one row, the
+one exact elimination, and the double-coset solvers behind the explicit
 Whittaker functions.
 
 Both coset solvers rest on one factorization, eliminate_u_iplus: the
 unique m = u k with u unit upper triangular and k lower triangular with
-its rows in I+, built by back-substitution.  Each returns the factors it
+its rows in I+, built by back-substitution from the bottom row up.  The
+solvers never form m = g g_chi^(-i) (or g g_chi^(-j) / z) in full: they
+hand the elimination a generator that maps one row of g at a time, and
+the elimination asks for the next row only after the last one passed
+the I+ test.  Most points of a brute-force domain fail at the bottom row,
+so they cost one mapped row, not N.  Each solver returns the factors it
 computes, of g g_chi^(-i) = u k (SO) or g g_chi^(-j) = z u k (GL).  Since
 g_chi normalizes I+, g is then (z) u g_chi^i k' with k' = g_chi^(-i) k
 g_chi^i in I+, and the evaluators of integrals.py read chi(k') off k
@@ -98,46 +103,51 @@ def in_iplus(entries, p) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# right multiplication by g_chi as a column map
+# right multiplication by g_chi, one row at a time
 
 
-def times_g_chi_gl_inv(rows, p):
-    """m g_chi_gl^(-1) as a column rotation: column c <- column c + 1, and
-    the last column <- column 1 / p.  (g_chi_gl sends e_(c+1) to e_c and
-    e_1 to p e_N, so its inverse does the reverse.)"""
-    return [[*row[1:], row[0] / p if row[0] else row[0]] for row in rows]
+def row_times_g_chi_so(row, p):
+    """A row of m g_chi_so (= m g_chi_so^(-1)), from that row of m: entry
+    1 <- p * entry N, entry N <- entry 1 / p, the middle entries negated;
+    the dense form of integrals._times_gchi."""
+    return [p * row[-1], *[-x for x in row[1:-1]], row[0] / p]
 
 
-def times_g_chi_so(rows, p):
-    """m g_chi_so (= m g_chi_so^(-1)) as a column map: column 1 <- p *
-    column N, column N <- column 1 / p, the middle columns negated; the
-    dense form of integrals._times_gchi."""
-    return [[p * row[-1]] + [-x for x in row[1:-1]] + [row[0] / p] for row in rows]
+def row_times_g_chi_gl_inv(row, j, p, z):
+    """A row of m g_chi_gl^(-j) / z, from that row of m: the entries
+    rotated j places left, the j that wrap round divided by p, and all
+    divided by z; zero entries are left alone.  (g_chi_gl sends e_(c+1)
+    to e_c and e_1 to p e_N, so its inverse does the reverse.)"""
+    return [*[x / z if x else x for x in row[j:]], *[x / p / z if x else x for x in row[:j]]]
 
 
 # ---------------------------------------------------------------------------
 # the U * I+ factorization
 
 
-def eliminate_u_iplus(m_rows, p):
-    """Factor m = u k in GL_N(F): u unit upper triangular, k lower
-    triangular with every row in I+; None when m is outside U * I+.
+def eliminate_u_iplus(rows, n, p):
+    """Factor an n x n matrix m = u k in GL_n(F): u unit upper triangular,
+    k lower triangular with every row in I+; None when m is outside
+    U * I+.
 
-    The factors are unique, and back-substitution builds them bottom-up.
-    Row r of k is m[r] less u[r][c] times row c of k, for each c > r.
-    Row c of k ends at its diagonal, which lies in 1 + p, so taking c from
-    the last column leftwards, u[r][c] is the one multiple that clears
-    column c.  Row r must pass the I+ test before the rows above it use
-    it.  Returns (u, k) as Fraction row-lists, or None.
+    rows yields the rows of m bottom-up, m[n-1] first, and is read only
+    as far as the elimination gets.  The factors are unique, and
+    back-substitution builds them bottom-up.  Row r of k is m[r] less
+    u[r][c] times row c of k, for each c > r.  Row c of k ends at its
+    diagonal, which lies in 1 + p, so taking c from the last column
+    leftwards, u[r][c] is the one multiple that clears column c.  Row r
+    must pass the I+ test before the next row is read, so a matrix that
+    fails at row r costs only the rows r..n-1.  u is built once all n rows
+    pass.  Returns (u, k) as Fraction row-lists, or None.
     """
-    n = len(m_rows)
-    u = mat_identity(n)
     k = [None] * n
-    for r in range(n - 1, -1, -1):
-        row = list(m_rows[r])
+    cleared = []
+    for r, row in zip(range(n - 1, -1, -1), rows):
+        row = list(row)
         for c in range(n - 1, r, -1):
             if row[c]:
-                f = u[r][c] = row[c] / k[c][c]
+                f = row[c] / k[c][c]
+                cleared.append((r, c, f))
                 kc = k[c]
                 for j in range(c + 1):
                     if kc[j]:
@@ -145,6 +155,9 @@ def eliminate_u_iplus(m_rows, p):
         if not in_iplus((((r, j), x) for j, x in enumerate(row)), p):
             return None
         k[r] = row
+    u = mat_identity(n)
+    for r, c, f in cleared:
+        u[r][c] = f
     return u, k
 
 
@@ -157,15 +170,18 @@ def coset_decompose(rows, p):
     Since g_chi normalizes I+, U g_chi^i I+ = U I+ g_chi^i, so g lies in
     it iff g g_chi^(-i) is in U I+, decided by eliminate_u_iplus; then
     g = u g_chi^i k' with k' = g_chi^(-i) k g_chi^i in I+.  g_chi is an
-    involution, so g g_chi^(-1) = g g_chi, formed as a column map
-    (times_g_chi_so) rather than a product.  The factors lie in SO:
+    involution, so a row of g g_chi^(-1) = g g_chi is a column map of that
+    row of g (row_times_g_chi_so), and the rows are mapped bottom-up, only
+    as the elimination reads them.  The factors lie in SO:
     g -> g* = J tg^(-1) J fixes SO, sends unit upper triangular to unit
     upper triangular and lower triangular to lower triangular.  So for
     m = g g_chi^i in SO, m = m* = u* k* is again the factorization of m,
     and by uniqueness u* = u and k* = k.
     """
+    n = len(rows)
     for i in (0, 1):
-        res = eliminate_u_iplus(times_g_chi_so(rows, p) if i else rows, p)
+        bottom_up = (row_times_g_chi_so(row, p) for row in reversed(rows)) if i else reversed(rows)
+        res = eliminate_u_iplus(bottom_up, n, p)
         if res is not None:
             u, k = res
             return u, i, k
@@ -179,17 +195,21 @@ def coset_decompose_gl(rows, p):
     double coset U g_chi^j Z I+.
 
     For each j in turn, m = g g_chi^(-j) is scaled by its bottom-right
-    entry z (zero entries are left alone) and tested for U I+ by
-    eliminate_u_iplus.  The next m is a column rotation of this one
-    (times_g_chi_gl_inv), so no call inverts or multiplies by g_chi."""
+    entry z and tested for U I+ by eliminate_u_iplus; a j with z = 0 is
+    skipped.  z is read off the bottom row of g: g[n-1][n-1] at j = 0 and
+    g[n-1][j-1] / p after.  Each row of m / z is a column rotation of that
+    row of g (row_times_g_chi_gl_inv), built bottom-up only as the
+    elimination reads it, so no call inverts or multiplies by g_chi."""
     n = len(rows)
-    m = rows
+    last = rows[n - 1]
     for j in range(n):
-        z = m[n - 1][n - 1]
-        if z:
-            res = eliminate_u_iplus([[x / z if x else x for x in row] for row in m], p)
-            if res is not None:
-                u, k = res
-                return u, j, z, k
-        m = times_g_chi_gl_inv(m, p)
+        z = last[j - 1]  # last[n - 1] at j = 0
+        if not z:
+            continue
+        if j:
+            z /= p
+        res = eliminate_u_iplus((row_times_g_chi_gl_inv(row, j, p, z) for row in reversed(rows)), n, p)
+        if res is not None:
+            u, k = res
+            return u, j, z, k
     return None

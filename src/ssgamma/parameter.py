@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .padic import is_odd_prime, rational_valuation
+from .padic import is_int, is_odd_prime, rational_valuation
 
 
 class ParameterError(Exception):
@@ -87,6 +87,8 @@ def _partition_attains(parts: list, two_ell: int) -> bool:
 def param_summary(p: int, ell: int) -> ParamData:
     if not is_odd_prime(p):
         raise ParameterError(f"p must be an odd prime, got {p}")
+    if not is_int(ell):
+        raise ParameterError(f"l must be an int, got {ell!r}")
     if ell < 1:
         raise ParameterError(f"need l >= 1, got {ell}")
     two_ell = 2 * ell

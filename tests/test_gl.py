@@ -174,8 +174,11 @@ def test_gl_buckets_are_pinned(n, p, digest):
 
 
 def test_gl_enumeration_inverts_nothing(monkeypatch):
-    """mat_inv and coset_decompose_gl counted at every name the package
-    binds them to, over one enumeration at (n, p) = (3, 5)."""
+    """mat_inv, coset_decompose_gl and the row map of its elimination
+    counted at every name the package binds them to, over one enumeration
+    at (n, p) = (3, 5).  The solver rotates and scales a row only when the
+    elimination reaches it; forming each g g_chi^(-j) / z in full would
+    scale 3 rows for each of its 25,000 eliminations, 75,000."""
     calls = Counter()
 
     def counted(name, fn):
@@ -188,7 +191,7 @@ def test_gl_enumeration_inverts_nothing(monkeypatch):
         return wrapper
 
     package = [m for name, m in sys.modules.items() if name == "ssgamma" or name.startswith("ssgamma.")]
-    for name in ("mat_inv", "coset_decompose_gl"):
+    for name in ("mat_inv", "coset_decompose_gl", "row_times_g_chi_gl_inv"):
         orig, wrapper = getattr(matrices, name), counted(name, getattr(matrices, name))
         for module in package:
             for key, value in list(vars(module).items()):
@@ -197,6 +200,7 @@ def test_gl_enumeration_inverts_nothing(monkeypatch):
     _gl_buckets(3, 5, LEVEL, CUTOFF)
     assert calls["coset_decompose_gl"] == 12_600
     assert calls["coset_decompose_gl.found"] == 130
+    assert calls["row_times_g_chi_gl_inv"] == 37_825
     # the factorization inverts nothing, and the factors are returned as
     # computed, with no g_chi^(-1) pulled through them
     assert calls["mat_inv"] == 0

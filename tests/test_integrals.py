@@ -309,6 +309,14 @@ def test_match_so_gl_rejects_a_rank_below_one(ell):
         match_so_gl(ell, tau_pi(3, 1, -1), C.one())
 
 
+@pytest.mark.parametrize("ell", [True, 1.5, 1.0, "1"])
+def test_match_so_gl_rejects_a_rank_that_is_not_an_int(ell):
+    """match_so_gl(True, ...) used to answer True as if l = 1, and
+    match_so_gl(1.5, ...) to complain that n = 3.0 is not an int."""
+    with pytest.raises(IntegralError, match=rf"^l must be an int, got {ell!r}$"):
+        match_so_gl(ell, tau_pi(3, 1, -1), C.one())
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_gamma_gl_closed_rejects_a_size_below_one(n):
     with pytest.raises(Unsupported, match="need n >= 1"):

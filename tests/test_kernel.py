@@ -614,7 +614,11 @@ def test_support_aware_enumeration_tests_coordinates_not_points(case, monkeypatc
     loop makes one coset_decompose call per point, 2 * 30 * 81 = 4,860,
     and 18 of them find factors, the points of the support.  A box test
     ahead of the solver would take those 18 points from it, leaving 4,842
-    calls with none found."""
+    calls with none found.  The solver maps a row by g_chi only when the
+    elimination reaches it: 9 points factor at i = 0, and of the 4,851
+    that try i = 1, 9 factor (5 rows each) and 4,842 fail at the bottom
+    row, so 4,887 rows are mapped.  Mapping all of g g_chi first would
+    map 5 * 4,851 = 24,255."""
     calls = Counter()
 
     def counted(name, fn):
@@ -627,7 +631,7 @@ def test_support_aware_enumeration_tests_coordinates_not_points(case, monkeypatc
         return wrapper
 
     package = [m for name, m in sys.modules.items() if name == "ssgamma" or name.startswith("ssgamma.")]
-    for name in ("in_iplus", "coset_decompose"):
+    for name in ("in_iplus", "coset_decompose", "row_times_g_chi_so"):
         orig, wrapper = getattr(matrices, name), counted(name, getattr(matrices, name))
         for module in package:
             for key, value in list(vars(module).items()):
@@ -643,6 +647,7 @@ def test_support_aware_enumeration_tests_coordinates_not_points(case, monkeypatc
         assert len(SIDES) * z_count * y_count ** (ell - 1) == 4_860
         assert calls["coset_decompose"] == 4_860
         assert calls["coset_decompose.found"] == 18
+        assert calls["row_times_g_chi_so"] == 4_842 + 9 * 5 == 4_887
         return
     p, ell, level = 5, 3, 3
     _so_buckets(IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1), case)

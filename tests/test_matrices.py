@@ -37,8 +37,8 @@ from ssgamma.matrices import (
     eliminate_u_iplus,
     in_iplus,
     mat_inv,
-    times_g_chi_gl_inv,
-    times_g_chi_so,
+    row_times_g_chi_gl_inv,
+    row_times_g_chi_so,
 )
 from ssgamma.padic import rational_valuation
 
@@ -125,7 +125,7 @@ def test_eliminate_u_iplus_direct():
     u = random_so_unipotent(rng, ell, p, integral=False)
     k = random_so_iplus(rng, ell, p)
     m = u * k
-    res = eliminate_u_iplus(m.lists(), p)
+    res = eliminate_u_iplus(reversed(m.lists()), len(m.rows), p)
     assert res is not None
     u2, k2 = res
     assert in_iplus(GroupMatrix.make(k2, p, "SO_odd", verify=False).items(), p)
@@ -320,7 +320,7 @@ def assert_u_iplus_factors(m, res, p):
 @given(padic_matrices())
 def test_u_iplus_factors_of_any_matrix(case):
     p, m = case
-    res = eliminate_u_iplus(m, p)
+    res = eliminate_u_iplus(reversed(m), len(m), p)
     if res is not None:
         assert_u_iplus_factors(m, res, p)
 
@@ -331,23 +331,112 @@ def test_u_times_iplus_always_factors(p, n, rng, data):
     entry = st.builds(lambda a, e: Fraction(a, p**e), st.integers(-2 * p, 2 * p), st.integers(0, 2))
     u0 = [[Fraction(i == j) if i >= j else data.draw(entry) for j in range(n)] for i in range(n)]
     m = mat_mul(u0, random_gl_iplus(rng, n, p).lists())
-    res = eliminate_u_iplus(m, p)
+    res = eliminate_u_iplus(reversed(m), n, p)
     assert res is not None
     assert_u_iplus_factors(m, res, p)
 
 
-# --- right multiplication by g_chi^(+-1) as a column map (on any matrix) ------
+# --- right multiplication by g_chi^(+-1), one row at a time (on any matrix) ---
 
 
 @settings(max_examples=150, deadline=None)
-@given(padic_matrices(sizes=st.integers(2, 4)))
-def test_gl_rotation_is_the_product_with_the_inverse(case):
+@given(padic_matrices(sizes=st.integers(2, 4)), st.sampled_from((1, 2, -3, Fraction(1, 3), Fraction(5, 7))))
+def test_gl_rotation_is_the_product_with_the_inverse(case, z):
     p, m = case
-    assert times_g_chi_gl_inv(m, p) == mat_mul(m, g_chi_gl(len(m), p).inv().lists())
+    inv = g_chi_gl(len(m), p).inv().lists()
+    product = m
+    for j in range(len(m)):
+        # row by row, m g_chi_gl^(-j) / z
+        assert [row_times_g_chi_gl_inv(row, j, p, z) for row in m] == [[x / z for x in row] for row in product]
+        product = mat_mul(product, inv)
 
 
 @settings(max_examples=150, deadline=None)
 @given(padic_matrices(sizes=st.sampled_from((3, 5, 7))))
 def test_so_column_map_is_the_product_with_g_chi(case):
     p, g = case
-    assert times_g_chi_so(g, p) == mat_mul(g, g_chi_so(len(g) // 2, p).lists())
+    assert [row_times_g_chi_so(row, p) for row in g] == mat_mul(g, g_chi_so(len(g) // 2, p).lists())
+
+
+# --- the lazy solvers against the elimination on the fully formed matrix ------
+
+
+def eager_coset_decompose(g, p):
+    """coset_decompose with every g g_chi^(-i) formed in full by an oracle
+    product before the elimination reads it."""
+    n = len(g)
+    gchi = g_chi_so(n // 2, p).lists()
+    for i in (0, 1):
+        res = eliminate_u_iplus(reversed(mat_mul(g, gchi) if i else g), n, p)
+        if res is not None:
+            return res[0], i, res[1]
+    return None
+
+
+def eager_coset_decompose_gl(g, p):
+    """coset_decompose_gl with every g g_chi^(-j) / z formed in full by
+    oracle products before the elimination reads it."""
+    n = len(g)
+    inv = g_chi_gl(n, p).inv().lists()
+    m = g
+    for j in range(n):
+        z = m[n - 1][n - 1]
+        if z:
+            res = eliminate_u_iplus(reversed([[x / z for x in row] for row in m]), n, p)
+            if res is not None:
+                return res[0], j, z, res[1]
+        m = mat_mul(m, inv)
+    return None
+
+
+def identity(n, p, *ambient):
+    return GroupMatrix.make([[int(a == b) for b in range(n)] for a in range(n)], p, *ambient)
+
+
+@st.composite
+def so_cases(draw):
+    """(p, rows, inside): a random p-adic matrix of odd size, nearly
+    always outside both cosets, or a random u g_chi^i k in SO_(2l+1)."""
+    if draw(st.booleans()):
+        return *draw(padic_matrices(sizes=st.sampled_from((3, 5)))), False
+    p, ell, i = draw(st.sampled_from((3, 5, 7))), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    rng = draw(st.randoms(use_true_random=False))
+    u = random_so_unipotent(rng, ell, p, integral=False)
+    gi = g_chi_so(ell, p) if i else identity(2 * ell + 1, p, "SO_odd")
+    return p, (u * gi * random_so_iplus(rng, ell, p)).lists(), True
+
+
+@st.composite
+def gl_cases(draw):
+    """(p, rows, inside): a random p-adic matrix, nearly always outside
+    every coset, or a random u g_chi^j z k in GL_n."""
+    if draw(st.booleans()):
+        return *draw(padic_matrices()), False
+    p, n = draw(st.sampled_from((3, 5, 7))), draw(st.integers(1, 4))
+    j = draw(st.integers(0, n - 1))
+    rng = draw(st.randoms(use_true_random=False))
+    zval = draw(st.sampled_from((1, 2, p, Fraction(1, p))))
+    u = GroupMatrix.make([[int(a == b) or (rng.randrange(-3, 4) if a < b else 0) for b in range(n)] for a in range(n)], p)
+    gj = identity(n, p)
+    for _ in range(j):
+        gj = gj * g_chi_gl(n, p)
+    z = GroupMatrix.make([[zval if a == b else 0 for b in range(n)] for a in range(n)], p)
+    return p, (u * gj * z * random_gl_iplus(rng, n, p)).lists(), True
+
+
+@settings(max_examples=200, deadline=None)
+@given(so_cases())
+def test_lazy_so_solver_matches_the_eager_elimination(case):
+    p, g, inside = case
+    res = coset_decompose(g, p)
+    assert res == eager_coset_decompose(g, p)
+    assert res is not None or not inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(gl_cases())
+def test_lazy_gl_solver_matches_the_eager_elimination(case):
+    p, g, inside = case
+    res = coset_decompose_gl(g, p)
+    assert res == eager_coset_decompose_gl(g, p)
+    assert res is not None or not inside

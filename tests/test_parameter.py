@@ -104,6 +104,14 @@ def test_a_prime_that_is_not_an_odd_prime_is_rejected(p):
         param_summary(p, 1)
 
 
+@pytest.mark.parametrize("ell", [1.5, True, 2.0, "1", None])
+def test_a_rank_that_is_not_an_int_is_rejected(ell):
+    """param_summary(5, 1.5) used to raise a bare TypeError from the
+    partitions, and param_summary(5, True) to answer with ell=True."""
+    with pytest.raises(ParameterError, match=rf"^l must be an int, got {ell!r}$"):
+        param_summary(5, ell)
+
+
 def test_rank_below_one_is_rejected_first():
     for p, ell in ((5, -1), (3, 0), (5, 0)):
         with pytest.raises(ParameterError, match="need l >= 1"):
