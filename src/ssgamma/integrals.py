@@ -123,21 +123,44 @@ def check_domain(ell: int, level: int, cutoff: int) -> None:
         raise IntegralError("need N >= 2 and V >= 1")
 
 
+def _check_tau(tau) -> None:
+    if not isinstance(tau, TameCharacter):
+        raise IntegralError(f"tau must be a TameCharacter, got {tau!r}")
+
+
+def _check_zeta(zeta) -> None:
+    """zeta is a CyclotomicNumber, or an int or Fraction read as one."""
+    if not (isinstance(zeta, (CyclotomicNumber, Fraction)) or is_int(zeta)):
+        raise BadRoot(f"zeta must be a CyclotomicNumber, an int or a Fraction, got {zeta!r}")
+
+
 def check_sign(zeta: CyclotomicNumber) -> None:
     """The orthogonal side's zeta is a sign: zeta^2 = 1."""
+    _check_zeta(zeta)
     if zeta * zeta != CyclotomicNumber.one():
         raise BadRoot("the orthogonal side needs zeta^2 = 1")
 
 
+def _check_gl_root(zeta: CyclotomicNumber, n: int) -> None:
+    """The GL_n side's zeta is an n-th root of unity."""
+    _check_zeta(zeta)
+    if zeta**n != CyclotomicNumber.one():
+        raise BadRoot("zeta must satisfy zeta^n = 1")
+
+
 def _check_t(t, ell: int, p: int) -> tuple:
-    """The affine parameters (t_1, ..., t_(l+1)), all 1 when t is None.
-    Each must be a p-adic unit: that is what makes the affine character
-    generic."""
+    """The affine parameters (t_1, ..., t_(l+1)), all 1 when t is None;
+    otherwise a tuple or list of l + 1 ints or Fractions.  Each must be a
+    p-adic unit: that is what makes the affine character generic."""
     if t is None:
         return (F1,) * (ell + 1)
-    t = tuple(Fraction(x) for x in t)
+    if not isinstance(t, (tuple, list)):
+        raise IntegralError(f"t must be a tuple or list of {ell + 1} affine parameters, got {t!r}")
     if len(t) != ell + 1:
         raise IntegralError(f"need {ell + 1} affine parameters t, got {len(t)}")
+    if not all(is_int(x) or isinstance(x, Fraction) for x in t):
+        raise IntegralError(f"each affine parameter t must be an int or a Fraction, got {t!r}")
+    t = tuple(map(Fraction, t))
     if any(rational_valuation(x, p) != 0 for x in t):
         raise IntegralError("each affine parameter t must be a p-adic unit")
     return t
@@ -156,6 +179,7 @@ class IntegralConfig:
 
     def __post_init__(self):
         check_prime(self.prime)
+        _check_tau(self.tau)
         if self.tau.prime != self.prime:
             raise IntegralError(f"tau is a character of Q_{self.tau.prime}, not of Q_{self.prime}")
         check_domain(self.ell, self.level, self.cutoff)
@@ -584,6 +608,8 @@ def phi_star_eval(cfg: IntegralConfig) -> ExactScalar:
 
 def predicted_gamma_so(tau: TameCharacter, zeta: CyclotomicNumber) -> ExactScalar:
     """The closed form zeta * tau(-pi) * q^(1/2 - s)."""
+    _check_tau(tau)
+    _check_zeta(zeta)
     p = tau.prime
     return (
         ExactScalar.from_coeff(p, zeta)
@@ -619,8 +645,8 @@ def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> Exact
         raise Unsupported(f"n must be an int, got {n!r}")
     if n < 1:
         raise Unsupported(f"need n >= 1, got {n}")
-    if zeta**n != CyclotomicNumber.one():
-        raise BadRoot("zeta must satisfy zeta^n = 1")
+    _check_tau(tau)
+    _check_gl_root(zeta, n)
     p = tau.prime
     return (
         tame_eval(tau, -1) ** (n - 1)
@@ -697,10 +723,10 @@ def jpss_gl_gamma(
         raise Unsupported(f"n must be an int, got {n!r}")
     if n < 2:
         raise Unsupported("need n >= 2")
+    _check_tau(tau)
     p = tau.prime
     check_domain(n - 1, level, cutoff)  # the x window is the SO y window of rank n - 1
-    if zeta**n != CyclotomicNumber.one():
-        raise BadRoot("zeta must satisfy zeta^n = 1")
+    _check_gl_root(zeta, n)
     buckets = _memo(_GL_BUCKETS, (n, p, level, cutoff), lambda: _gl_buckets(n, p, level, cutoff))
     tau_inv = tau.inverse()
     plain = ExactScalar.zero(p)
@@ -734,7 +760,10 @@ def match_so_gl(ell: int, tau: TameCharacter, zeta: CyclotomicNumber, cfg: Integ
         raise IntegralError(f"l must be an int, got {ell!r}")
     if ell < 1:
         raise IntegralError(f"need l >= 1, got {ell}")
+    _check_tau(tau)
     check_sign(zeta)
+    if cfg is not None and not isinstance(cfg, IntegralConfig):
+        raise IntegralError(f"cfg must be an IntegralConfig or None, got {cfg!r}")
     if cfg is not None and (cfg.ell != ell or cfg.tau != tau or cfg.zeta != zeta):
         raise IntegralError("cfg disagrees with the l, tau or zeta given to match_so_gl")
     if predicted_gamma_so(tau, zeta) != gamma_gl_closed(2 * ell, tau, zeta):

@@ -10,11 +10,23 @@ solvers never form m = g g_chi^(-i) (or g g_chi^(-j) / z) in full: they
 hand the elimination a generator that maps one row of g at a time, and
 the elimination asks for the next row only after the last one passed
 the I+ test.  Most points of a brute-force domain fail at the bottom row,
-so they cost one mapped row, not N.  Each solver returns the factors it
-computes, of g g_chi^(-i) = u k (SO) or g g_chi^(-j) = z u k (GL).  Since
-g_chi normalizes I+, g is then (z) u g_chi^i k' with k' = g_chi^(-i) k
-g_chi^i in I+, and the evaluators of integrals.py read chi(k') off k
-without forming k'.  The dense engine that builds group elements
+so they cost one mapped row, not N.
+
+The SO solver tries i = 0, then i = 1.  The GL solver runs one
+elimination, at the one j that can put the bottom row of m in I+:
+  - for j >= 1 that row is l[j..n-1] / z then l[0..j-1] / (p z), with
+    l the bottom row of g and z = l[j-1] / p on its diagonal; for j = 0
+    it is l / z with z = l[n-1];
+  - its off-diagonal entries lie in p iff l[j-1 mod n] has the least
+    valuation, strictly less than every entry to its left and no greater
+    than any entry to its right;
+  - so j = (i0 + 1) mod n, with i0 the leftmost index of least valuation
+    in l; an all-zero l lies in no coset.
+
+Each solver returns the factors it computes, of g g_chi^(-i) = u k
+(SO) or g g_chi^(-j) = z u k (GL).  Since g_chi normalizes I+, g is then
+(z) u g_chi^i k' with k' = g_chi^(-i) k g_chi^i in I+, and the
+evaluators of integrals.py read chi(k') off k without forming k'.  The dense engine that builds group elements
 (GroupMatrix, so_check, the determinant, g_chi_so, g_chi_gl), the named
 elements of the integrands and the random samplers are in
 tests/oracles.py, where their products are the reference for the sparse
@@ -32,6 +44,8 @@ and pi in the lower-left corner.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .padic import INF, rational_valuation
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -135,7 +149,8 @@ def eliminate_u_iplus(rows, n, p):
     back-substitution builds them bottom-up.  Row r of k is m[r] less
     u[r][c] times row c of k, for each c > r.  Row c of k ends at its
     diagonal, which lies in 1 + p, so taking c from the last column
-    leftwards, u[r][c] is the one multiple that clears column c.  Row r
+    leftwards, u[r][c] is the one multiple that clears column c, and the
+    entry it clears is set to 0 rather than computed.  Row r
     must pass the I+ test before the next row is read, so a matrix that
     fails at row r costs only the rows r..n-1.  u is built once all n rows
     pass.  Returns (u, k) as Fraction row-lists, or None.
@@ -149,9 +164,10 @@ def eliminate_u_iplus(rows, n, p):
                 f = row[c] / k[c][c]
                 cleared.append((r, c, f))
                 kc = k[c]
-                for j in range(c + 1):
+                for j in range(c):
                     if kc[j]:
                         row[j] -= f * kc[j]
+                row[c] = F0
         if not in_iplus((((r, j), x) for j, x in enumerate(row)), p):
             return None
         k[r] = row
@@ -194,22 +210,32 @@ def coset_decompose_gl(rows, p):
     triangular in I+.  Returns (u, j, z, k), or None when g lies in no
     double coset U g_chi^j Z I+.
 
-    For each j in turn, m = g g_chi^(-j) is scaled by its bottom-right
-    entry z and tested for U I+ by eliminate_u_iplus; a j with z = 0 is
-    skipped.  z is read off the bottom row of g: g[n-1][n-1] at j = 0 and
-    g[n-1][j-1] / p after.  Each row of m / z is a column rotation of that
-    row of g (row_times_g_chi_gl_inv), built bottom-up only as the
-    elimination reads it, so no call inverts or multiplies by g_chi."""
+    At most one j can put the bottom row of m = g g_chi^(-j) / z in I+,
+    and the bottom row l of g names it before any division:
+      - for j >= 1 that row is l[j..n-1] / z then l[0..j-1] / (p z), with
+        z = l[j-1] / p on its diagonal; for j = 0 it is l / z, z = l[n-1];
+      - its off-diagonal entries lie in p iff l[j-1 mod n] has the least
+        valuation, strictly less than every entry to its left and no
+        greater than any entry to its right;
+      - so j = (i0 + 1) mod n, i0 the leftmost index of least valuation
+        in l, and an all-zero l has none.
+    So one elimination runs, at that j; it still tests every row it
+    reads, the bottom one included, so the choice never decides a
+    verdict.  Each row of m is a column rotation of that row of g
+    (row_times_g_chi_gl_inv), built bottom-up only as the elimination
+    reads it, so no call inverts or multiplies by g_chi."""
     n = len(rows)
     last = rows[n - 1]
-    for j in range(n):
-        z = last[j - 1]  # last[n - 1] at j = 0
-        if not z:
-            continue
-        if j:
-            z /= p
-        res = eliminate_u_iplus((row_times_g_chi_gl_inv(row, j, p, z) for row in reversed(rows)), n, p)
-        if res is not None:
-            u, k = res
-            return u, j, z, k
-    return None
+    vals = [rational_valuation(x, p) for x in last]
+    least = min(vals)
+    if least == INF:
+        return None
+    j = (vals.index(least) + 1) % n
+    z = last[j - 1]  # last[n - 1] at j = 0
+    if j:
+        z /= p
+    res = eliminate_u_iplus((row_times_g_chi_gl_inv(row, j, p, z) for row in reversed(rows)), n, p)
+    if res is None:
+        return None
+    u, k = res
+    return u, j, z, k

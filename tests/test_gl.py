@@ -19,15 +19,14 @@ which calls no solver.  The buckets are pinned by sha256 digests of
 their records, taken from the implementation that built every argument
 and every rotation by generic inversion and products, and summed every
 point's value as an ExactScalar.  The last test counts calls, so that a
-per-point inversion cannot come back unseen: the solver hands back the
-factors it computes, and the enumeration inverts nothing.
+per-point inversion, or a second elimination per point, cannot come back
+unseen: the solver hands back the factors it computes, and the
+enumeration inverts nothing.
 """
 
 import hashlib
 import json
 import random
-import sys
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -47,7 +46,6 @@ from oracles import (
     w_long,
     whittaker_eval,
 )
-from ssgamma import matrices
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import _gl_buckets, _gl_dual_rows, _gl_whittaker_parts
 from ssgamma.matrices import mat_identity
@@ -173,34 +171,23 @@ def test_gl_buckets_are_pinned(n, p, digest):
     assert bucket_digest(_gl_buckets(n, p, LEVEL, CUTOFF)) == digest
 
 
-def test_gl_enumeration_inverts_nothing(monkeypatch):
-    """mat_inv, coset_decompose_gl and the row map of its elimination
-    counted at every name the package binds them to, over one enumeration
-    at (n, p) = (3, 5).  The solver rotates and scales a row only when the
-    elimination reaches it; forming each g g_chi^(-j) / z in full would
-    scale 3 rows for each of its 25,000 eliminations, 75,000."""
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            out = fn(*args)
-            calls[name] += 1
-            calls[name + ".found"] += out is not None
-            return out
-
-        return wrapper
-
-    package = [m for name, m in sys.modules.items() if name == "ssgamma" or name.startswith("ssgamma.")]
-    for name in ("mat_inv", "coset_decompose_gl", "row_times_g_chi_gl_inv"):
-        orig, wrapper = getattr(matrices, name), counted(name, getattr(matrices, name))
-        for module in package:
-            for key, value in list(vars(module).items()):
-                if value is orig:
-                    monkeypatch.setattr(module, key, wrapper)
+def test_gl_enumeration_inverts_nothing(count_calls):
+    """mat_inv, coset_decompose_gl, its elimination and the row map of the
+    elimination counted at every name the package binds them to, over one
+    enumeration at (n, p) = (3, 5).  Each of the 12,600 solver calls runs
+    one elimination, at the one j whose bottom row can lie in I+; trying
+    j = 0, 1, ... in turn ran 25,000, one for each j with a nonzero z up
+    to the first that factors.  The solver rotates and scales a row only
+    when the elimination reaches it: the 12,600 bottom rows and the 12,825
+    rows above those that pass, 25,425 in all.  The j loop mapped 37,825,
+    and forming each g g_chi^(-j) / z in full would scale 3 rows for each
+    of its 25,000 eliminations, 75,000."""
+    calls = count_calls("mat_inv", "coset_decompose_gl", "eliminate_u_iplus", "row_times_g_chi_gl_inv")
     _gl_buckets(3, 5, LEVEL, CUTOFF)
     assert calls["coset_decompose_gl"] == 12_600
     assert calls["coset_decompose_gl.found"] == 130
-    assert calls["row_times_g_chi_gl_inv"] == 37_825
+    assert calls["eliminate_u_iplus"] == 12_600
+    assert calls["row_times_g_chi_gl_inv"] == 25_425
     # the factorization inverts nothing, and the factors are returned as
     # computed, with no g_chi^(-1) pulled through them
     assert calls["mat_inv"] == 0

@@ -251,6 +251,81 @@ def test_t_with_a_non_unit_entry_is_rejected(t):
         scan_support(p, ell, "phi_star", level=2, cutoff=1, t=t)
 
 
+
+@pytest.mark.parametrize(
+    "ell,t",
+    [(2, ("a", "b", "c")), (1, ("x", "y")), (2, (None, 1, 1)), (2, (1, 1.0, 1)), (2, 5), (2, "abc"), (2, (True, 1, 1))],
+)
+def test_t_that_is_not_a_sequence_of_ints_or_fractions_is_rejected(ell, t):
+    """Each used to raise a bare ValueError or TypeError; a bool t_i was
+    read as 1."""
+    p = 3
+    with pytest.raises(IntegralError, match=r"^(t must be a tuple or list|each affine parameter t must be an int or a Fraction)"):
+        IntegralConfig(p, ell, C.one(), trivial_tau(p), level=2, cutoff=1, t=t)
+    with pytest.raises(IntegralError, match=r"^(t must be a tuple or list|each affine parameter t must be an int or a Fraction)"):
+        scan_support(p, ell, "phi", level=2, cutoff=1, t=t)
+
+
+def test_t_may_be_a_list_of_ints_and_fractions():
+    p = 5
+    cfg = IntegralConfig(p, 2, C.one(), trivial_tau(p), level=2, cutoff=1, t=[1, Fraction(2, 3), -4])
+    assert cfg.t == (1, Fraction(2, 3), -4)
+
+
+@pytest.mark.parametrize("tau", ["tau", None, 0, C.one()])
+def test_a_tau_that_is_not_a_tame_character_is_rejected(tau):
+    """Each entry point used to raise a bare AttributeError on tau.prime."""
+    message = r"^tau must be a TameCharacter, got "
+    with pytest.raises(IntegralError, match=message):
+        IntegralConfig(3, 1, C.one(), tau)
+    with pytest.raises(IntegralError, match=message):
+        jpss_gl_gamma(2, tau, C.one())
+    with pytest.raises(IntegralError, match=message):
+        gamma_gl_closed(2, tau, C.one())
+    with pytest.raises(IntegralError, match=message):
+        predicted_gamma_so(tau, C.one())
+    with pytest.raises(IntegralError, match=message):
+        match_so_gl(1, tau, C.one())
+
+
+@pytest.mark.parametrize("zeta", ["x", None, 1.0, True, [1]])
+def test_a_zeta_that_is_not_a_number_is_rejected(zeta):
+    """Each entry point used to raise a bare TypeError or ValueError, or
+    to read a bool as an int."""
+    tau = trivial_tau(3)
+    message = r"^zeta must be a CyclotomicNumber, an int or a Fraction, got "
+    with pytest.raises(BadRoot, match=message):
+        IntegralConfig(3, 1, zeta, tau)
+    with pytest.raises(BadRoot, match=message):
+        gamma_gl_closed(2, tau, zeta)
+    with pytest.raises(BadRoot, match=message):
+        jpss_gl_gamma(2, tau, zeta)
+    with pytest.raises(BadRoot, match=message):
+        predicted_gamma_so(tau, zeta)
+    with pytest.raises(BadRoot, match=message):
+        match_so_gl(1, tau, zeta)
+
+
+@pytest.mark.parametrize("cfg", ["cfg", 3, (3, 1)])
+def test_match_so_gl_rejects_a_cfg_that_is_not_a_config(cfg):
+    """It used to raise a bare AttributeError on cfg.ell."""
+    with pytest.raises(IntegralError, match=r"^cfg must be an IntegralConfig or None, got "):
+        match_so_gl(1, trivial_tau(3), C.one(), cfg=cfg)
+
+
+@pytest.mark.parametrize("zeta", [1, -1])
+def test_an_int_zeta_is_the_sign_it_names(zeta):
+    p = 3
+    tau = tau_pi(p, 1, -1)
+    as_cyc = C.one() if zeta == 1 else -C.one()
+    for ell in (1, 2):
+        got = gamma_so(IntegralConfig(p, ell, zeta, tau, level=2, cutoff=1))
+        want = gamma_so(IntegralConfig(p, ell, as_cyc, tau, level=2, cutoff=1))
+        assert got == want and got.matches
+    assert gamma_gl_closed(2, tau, zeta) == gamma_gl_closed(2, tau, as_cyc)
+    assert match_so_gl(1, tau, zeta)
+
+
 # --- GL cross-check -----------------------------------------------------------
 
 

@@ -35,7 +35,6 @@ import hashlib
 import itertools
 import json
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -61,7 +60,6 @@ from oracles import (
     whittaker_eval,
     xbar,
 )
-from ssgamma import matrices
 from ssgamma.characters import PSI_MAX_POWER, OrderOverflow, TameCharacter, psi_exponent, tame_class, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
@@ -603,7 +601,7 @@ def test_stress_sizes_meet_the_closed_forms(p, ell):
 
 
 @pytest.mark.parametrize("case", ["phi", "phi_star", "brute-force"])
-def test_support_aware_enumeration_tests_coordinates_not_points(case, monkeypatch):
+def test_support_aware_enumeration_tests_coordinates_not_points(case, count_calls):
     """in_iplus and coset_decompose counted at every name the package binds
     them to.  Support-aware, over one _so_buckets at (p, l, N, V) =
     (5, 3, 3, 1): at each z the factored count makes at most two box
@@ -619,24 +617,7 @@ def test_support_aware_enumeration_tests_coordinates_not_points(case, monkeypatc
     that try i = 1, 9 factor (5 rows each) and 4,842 fail at the bottom
     row, so 4,887 rows are mapped.  Mapping all of g g_chi first would
     map 5 * 4,851 = 24,255."""
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            out = fn(*args)
-            calls[name] += 1
-            calls[name + ".found"] += out is not None
-            return out
-
-        return wrapper
-
-    package = [m for name, m in sys.modules.items() if name == "ssgamma" or name.startswith("ssgamma.")]
-    for name in ("in_iplus", "coset_decompose", "row_times_g_chi_so"):
-        orig, wrapper = getattr(matrices, name), counted(name, getattr(matrices, name))
-        for module in package:
-            for key, value in list(vars(module).items()):
-                if value is orig:
-                    monkeypatch.setattr(module, key, wrapper)
+    calls = count_calls("in_iplus", "coset_decompose", "row_times_g_chi_so")
     if case == "brute-force":
         p, ell, level = 3, 2, 2
         cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1, mode="brute-force")

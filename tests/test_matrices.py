@@ -1,9 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     BadDimension,
@@ -29,6 +30,7 @@ from oracles import (
     w_element,
     xbar,
 )
+from ssgamma import matrices
 from ssgamma.matrices import (
     SingularMatrix,
     _solve_row,
@@ -440,3 +442,51 @@ def test_lazy_gl_solver_matches_the_eager_elimination(case):
     res = coset_decompose_gl(g, p)
     assert res == eager_coset_decompose_gl(g, p)
     assert res is not None or not inside
+
+
+# --- the one j whose bottom row can lie in I+ --------------------------------
+
+
+@st.composite
+def gl_bottom_row_cases(draw):
+    """(p, rows): a random nonsingular n x n matrix, n in 1..5, whose
+    bottom row mixes zeros with entries a * p^e of few valuations, so that
+    the least valuation is often tied; or the same with an all-zero bottom
+    row (singular)."""
+    p, n = draw(st.sampled_from((3, 5, 7))), draw(st.integers(1, 5))
+    unit = st.integers(1 - p, p - 1).filter(bool)
+    entry = st.one_of(st.just(0), st.builds(lambda a, e: Fraction(a) * Fraction(p) ** e, unit, st.sampled_from((-1, 0, 1))))
+    rows = [[Fraction(draw(entry)) for _ in range(n)] for _ in range(n)]
+    if any(rows[n - 1]):
+        assume(mat_det(rows) != 0)
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(gl_bottom_row_cases())
+def test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it(case):
+    """The j whose g g_chi_gl^(-j), scaled by its bottom-right entry z,
+    has its bottom row in I+, found by oracle products over every j, are
+    exactly the j at which coset_decompose_gl maps rows: one j for a
+    nonzero bottom row, none for a zero one."""
+    p, g = case
+    n = len(g)
+    inv = g_chi_gl(n, p).inv().lists()
+    passing = set()
+    m = g
+    for j in range(n):
+        z = m[n - 1][n - 1]
+        if z and in_iplus((((n - 1, c), x / z) for c, x in enumerate(m[n - 1])), p):
+            passing.add(j)
+        m = mat_mul(m, inv)
+    mapped = set()
+
+    def recording(row, j, p, z):
+        mapped.add(j)
+        return row_times_g_chi_gl_inv(row, j, p, z)
+
+    with mock.patch.object(matrices, "row_times_g_chi_gl_inv", recording):
+        res = coset_decompose_gl(g, p)
+    assert passing == mapped
+    assert len(passing) == (1 if any(g[n - 1]) else 0)
+    assert res is None or {res[1]} == passing
