@@ -34,10 +34,16 @@ class OrderOverflow(CharacterError):
 PSI_MAX_POWER = 2
 
 
+def _check_element(x) -> None:
+    """An element of Q_p is an int (not a bool) or a Fraction."""
+    if not (isinstance(x, Fraction) or is_int(x)):
+        raise CharacterError(f"x must be an int or a Fraction, got {x!r}")
+
+
 def psi_exponent(x, p: int) -> tuple:
     """(m, a) with psi(x) = zeta_(p^m)^a, where m = max(0, -v_p(x/p)) and a
     is a unit mod p^m; (0, 0) when psi(x) = 1.  Exact, and depends only on
-    x mod p.  Raises OrderOverflow past PSI_MAX_POWER."""
+    x mod p.  Raises OrderOverflow past PSI_MAX_POWER; its callers check x and p."""
     y = Fraction(x) / p
     if y == 0:
         return 0, 0
@@ -53,6 +59,9 @@ def psi_exponent(x, p: int) -> tuple:
 
 def psi_eval(x, prime: int) -> CyclotomicNumber:
     """psi(x) = e^(2 pi i frac(x/p)), exact; depends only on x mod p."""
+    _check_element(x)
+    if not is_odd_prime(prime):
+        raise CharacterError(f"p must be an odd prime, got {prime}")
     m, a = psi_exponent(x, prime)
     return CyclotomicNumber.root_of_unity(prime**m, a)
 
@@ -126,6 +135,9 @@ def tame_class(x, p: int) -> tuple:
 
 def tame_eval(tau: TameCharacter, x) -> ExactScalar:
     """tau(x) = unit_value(r) * tau(pi)^v for (v, r) = tame_class(x)."""
+    if not isinstance(tau, TameCharacter):
+        raise CharacterError(f"tau must be a TameCharacter, got {tau!r}")
+    _check_element(x)
     p = tau.prime
     v, r = tame_class(x, p)
     unit = ExactScalar.from_coeff(p, tau.unit_value(r))

@@ -11,13 +11,12 @@ Two evaluation modes:
     BoundaryNonvanishing instead of silently truncating.
 
 The SO integrals come from one enumeration kernel (_so_buckets).  Each
-domain point is a sparse map of the entries where its integrand matrix
-differs from the identity; the generic coset solver, run on its rows,
-gives its Whittaker value as plain ints (i, m, a), meaning zeta^i *
-zeta_(p^m)^a.  The kernel counts these in a histogram keyed by
-(i, z, m, a).  A window is one measure weight, that of every class off
-the padding shell, and its representatives, each marked on or off the
-shell; so the weight multiplies each bucket once, at the end.
+domain point is the rows of its integrand matrix; the generic coset
+solver, run on them, gives its Whittaker value as plain ints (i, m, a),
+meaning zeta^i * zeta_(p^m)^a.  The kernel counts these in a histogram
+keyed by (i, z, m, a).  A window is one measure weight, that of every
+class off the padding shell, and its representatives, each marked on or
+off the shell; so the weight multiplies each bucket once, at the end.
 
 In support-aware mode the histogram at one z is not enumerated point
 by point.  Each y coordinate writes its own two entries, the box tests
@@ -58,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
@@ -69,6 +67,7 @@ from .matrices import (
     coset_decompose,
     coset_decompose_gl,
     in_iplus,
+    row_times_g_chi_so,
 )
 from .characters import (
     TameCharacter,
@@ -198,40 +197,43 @@ class GammaResult:
 
 
 # ---------------------------------------------------------------------------
-# sparse integrand entries and the per-point Whittaker evaluator
+# integrand rows and the per-point Whittaker evaluator
 #
-# A point is the map {(row, col): Fraction} of the entries where its
-# integrand matrix differs from the identity.  The double-coset solver
-# values a point from its rows; the membership boxes (g in I+, or
-# g g_chi^(-1) in I+) run on the map, for _so_factored_counts only.
+# A point is the rows of its integrand matrix.  The double-coset solver
+# values it; the boxes (g in I+, or g g_chi^(-1) in I+) test it, for
+# _so_factored_counts only.
 
 
-def _phi_entries(z, y, ell):
-    """x_bar(y) j(h(z)): column 1 scaled by z, the last column by 1/z."""
+def _phi_rows(z, y, ell):
+    """x_bar(y) j(h(z)): z and 1/z at the ends of the diagonal, y z below z
+    and -y reversed left of 1/z."""
     n = 2 * ell + 1
-    g = {(0, 0): z, (n - 1, n - 1): 1 / z}
+    rows = mat_identity(n)
+    rows[0][0] = z
+    rows[n - 1][n - 1] = 1 / z
     for i, c in enumerate(y):
-        g[(1 + i, 0)] = c * z
-        g[(n - 1, n - 2 - i)] = -c
-    return g
+        rows[1 + i][0] = c * z
+        rows[n - 1][n - 2 - i] = -c
+    return rows
 
 
-def _phi_star_entries(z, y, ell):
-    """c_hat x_bar(y) j(h(z)) delta_o omega' from the Phi entries.
+def _phi_star_rows(z, y, ell):
+    """c_hat x_bar(y) j(h(z)) delta_o omega', in closed form.
 
     c_hat negates the middle rows other than row l, delta_o negates
     column l and omega' swaps the outer columns.  So the middle diagonal
-    turns into -1, the outer diagonal into 0, and the Phi entries (none
-    of them on the middle diagonal) move with their column."""
+    is -1, z and 1/z move to the outer corners, y z to the last column
+    negated (rows 1..l-1), and -y stays (no y is in row l or column l)."""
     n = 2 * ell + 1
-    g = {(0, 0): F0, (n - 1, n - 1): F0}
+    rows = [[F0] * n for _ in range(n)]
     for r in range(1, n - 1):
-        g[(r, r)] = FM1
-    for (r, c), x in _phi_entries(z, y, ell).items():
-        if (0 < r < n - 1 and r != ell) != (c == ell):
-            x = -x
-        g[(r, n - 1 - c if c in (0, n - 1) else c)] = x
-    return g
+        rows[r][r] = FM1
+    rows[0][n - 1] = z
+    rows[n - 1][0] = 1 / z
+    for i, c in enumerate(y):
+        rows[1 + i][n - 1] = -c * z
+        rows[n - 1][n - 2 - i] = -c
+    return rows
 
 
 def _gl_dual_rows(a, x, n):
@@ -250,48 +252,16 @@ def _gl_dual_rows(a, x, n):
     return rows
 
 
-def _dense(g, n):
-    """The rows of the matrix with entries g (identity elsewhere)."""
-    rows = mat_identity(n)
-    for (r, c), x in g.items():
-        rows[r][c] = x
-    return tuple(map(tuple, rows))
-
-
-@lru_cache(maxsize=None)
-def _gchi_entries(n, p):
-    """g_chi_so as entries where it differs from the identity: pi^(-1) and
-    pi in the outer corners, 0 on the outer diagonal, -1 between."""
-    g = {(0, 0): F0, (0, n - 1): Fraction(1, p), (n - 1, 0): Fraction(p), (n - 1, n - 1): F0}
-    for r in range(1, n - 1):
-        g[(r, r)] = FM1
-    return g
-
-
-def _times_gchi(g, p, n):
-    """g g_chi^(-1) = g g_chi: column 1 <- p * column N, column N <- column
-    1 / p, middle columns negated.  It starts from the image of the
-    identity, g_chi itself, which each entry of g then overwrites."""
-    m = dict(_gchi_entries(n, p))
-    for (r, c), x in g.items():
-        if c == 0:
-            m[(r, n - 1)] = x / p
-        elif c == n - 1:
-            m[(r, 0)] = p * x
-        else:
-            m[(r, c)] = -x
-    return m
-
-
 def _chi_arg(k, t, ell, p):
-    """x with chi(k) = psi(x) for k in I+: the weighted simple affine entries."""
-    n = 2 * ell + 1
+    """x with chi(k) = psi(x) for k in I+: the weighted simple affine
+    entries.  Zero entries are skipped, since Fraction arithmetic is slow
+    and on the integrands chi reads only zeros."""
     s = F0
     for a in range(ell):
-        x = k.get((a, a + 1))
+        x = k[a][a + 1]
         if x:
             s += t[a] * x
-    x = k.get((n - 2, 0))
+    x = k[2 * ell - 1][0]
     if x:
         s += t[ell] * x / p
     return s
@@ -302,34 +272,34 @@ def _chi_arg_conj(m, t, ell, p):
     and the outer row and column swaps folded in)."""
     n = 2 * ell + 1
     s = F0
-    x = m.get((n - 1, 1))
+    x = m[n - 1][1]
     if x:
         s -= t[0] * x / p
     for a in range(1, ell):
-        x = m.get((a, a + 1))
+        x = m[a][a + 1]
         if x:
             s += t[a] * x
-    x = m.get((n - 2, n - 1))
+    x = m[n - 2][n - 1]
     if x:
         s -= t[ell] * x
     return s
 
 
-def _box_arg(g, box, p, ell, t):
-    """x with W(g) = zeta^box * psi(x) when the entry map g passes box
+def _box_arg(rows, box, p, ell, t):
+    """x with W(g) = zeta^box * psi(x) when g, given by its rows, passes box
     `box` (0: g in I+; 1: g g_chi^(-1) in I+), or None when it misses it."""
     if box:
-        g = _times_gchi(g, p, 2 * ell + 1)
-    if not in_iplus(g.items(), p):
+        rows = [row_times_g_chi_so(row, p) for row in rows]
+    if not in_iplus(rows, p):
         return None
-    return (_chi_arg_conj if box else _chi_arg)(g, t, ell, p)
+    return (_chi_arg_conj if box else _chi_arg)(rows, t, ell, p)
 
 
-def _so_whittaker_parts(g, p, ell, t):
+def _so_whittaker_parts(rows, p, ell, t):
     """(i, m, a) with W(g) = zeta^i * zeta_(p^m)^a, or None off the support.
 
-    g is the entry map of a point.  The zeta power i is kept separate so
-    one enumeration serves every central sign; zeta_(p^m)^a is
+    rows are the rows of g.  The zeta power i is kept separate so one
+    enumeration serves every central sign; zeta_(p^m)^a is
     psi_U(u) * chi(k') = psi(u_arg + k_arg).
 
     coset_decompose factors g g_chi^(-i) = u k.  So g = u k g_chi^i =
@@ -338,11 +308,10 @@ def _so_whittaker_parts(g, p, ell, t):
     tests: _chi_arg at i = 0, and at i = 1 _chi_arg_conj, which is
     chi(g_chi k g_chi) = chi(k') since g_chi is an involution.  Both are
     exact, so k' is never formed."""
-    res = coset_decompose(_dense(g, 2 * ell + 1), p)
+    res = coset_decompose(rows, p)
     if res is None:
         return None
     u, i, k = res
-    k = {(r, c): x for r, row in enumerate(k) for c, x in enumerate(row)}
     u_arg = sum(t[a] * u[a][a + 1] for a in range(ell))
     return (i,) + psi_exponent(u_arg + (_chi_arg_conj if i else _chi_arg)(k, t, ell, p), p)
 
@@ -464,10 +433,11 @@ def _so_buckets(cfg: IntegralConfig, side: str):
     point of the z has the base's value, and the histogram is
     {base value: |Y|^(l-1)}.  This is exact:
       * for a fixed z, coordinate y_k writes only the entries (1+k, 0) and
-        (n-1, n-2-k) of the integrand (_phi_entries);
-      * the Phi* sign and column map and _times_gchi move those entries,
-        but no two coordinates share an entry and none lands on the
-        diagonal, where a 0 would fail a box;
+        (n-1, n-2-k) of the integrand (_phi_rows);
+      * the Phi* sign and column map (_phi_star_rows) and the box-1 row
+        map row_times_g_chi_so move those entries, but no two
+        coordinates share an entry and none lands on the diagonal, where
+        a 0 would fail a box;
       * in_iplus is a conjunction over entries, so each box verdict is the
         base verdict (all y = 0) AND one verdict per coordinate;
       * _chi_arg and _chi_arg_conj are linear in the entries, so a
@@ -498,7 +468,7 @@ def _so_buckets(cfg: IntegralConfig, side: str):
     same value: so brute-force mode checks the box lemma rather than
     sharing it."""
     p, ell = cfg.prime, cfg.ell
-    build = _phi_entries if side == "phi" else _phi_star_entries
+    build = _phi_rows if side == "phi" else _phi_star_rows
     ys = _y_windows(p, cfg.level, cfg.cutoff, cfg.mode)
     factored = None
     if cfg.mode == "support-aware":  # its windows have no padding shell
@@ -587,6 +557,8 @@ def _fs_phi_star(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
 
 
 def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
+    if not isinstance(cfg, IntegralConfig):
+        raise IntegralError(f"cfg must be an IntegralConfig, got {cfg!r}")
     key = (cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side, cfg.t)
     buckets = _memo(_SO_BUCKETS, key, lambda: _so_buckets(cfg, side))
     fs = _fs_phi if side == "phi" else _fs_phi_star
@@ -609,7 +581,12 @@ def phi_star_eval(cfg: IntegralConfig) -> ExactScalar:
 def predicted_gamma_so(tau: TameCharacter, zeta: CyclotomicNumber) -> ExactScalar:
     """The closed form zeta * tau(-pi) * q^(1/2 - s)."""
     _check_tau(tau)
-    _check_zeta(zeta)
+    check_sign(zeta)
+    return _predicted_gamma_so(tau, zeta)
+
+
+def _predicted_gamma_so(tau, zeta):
+    """The closed form at a config's checked tau and zeta: the sign check is as slow as the form."""
     p = tau.prime
     return (
         ExactScalar.from_coeff(p, zeta)
@@ -624,7 +601,7 @@ def gamma_so(cfg: IntegralConfig) -> GammaResult:
     if den.is_zero():
         raise ZeroDenominator("Phi vanished; support or measure bug")
     computed = num / den
-    predicted = predicted_gamma_so(cfg.tau, cfg.zeta)
+    predicted = _predicted_gamma_so(cfg.tau, cfg.zeta)
     meta = {
         "p": cfg.prime,
         "ell": cfg.ell,
@@ -816,7 +793,7 @@ def scan_support(
         raise IntegralError(f"side must be phi or phi_star, got {side!r}")
     t = _check_t(t, ell, p)
     predicate = _phi_predicate if side == "phi" else _phi_star_predicate
-    build = _phi_entries if side == "phi" else _phi_star_entries
+    build = _phi_rows if side == "phi" else _phi_star_rows
     ys = [y for y, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
     points = []
     verdict = True

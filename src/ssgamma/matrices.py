@@ -26,16 +26,17 @@ elimination, at the one j that can put the bottom row of m in I+:
 Each solver returns the factors it computes, of g g_chi^(-i) = u k
 (SO) or g g_chi^(-j) = z u k (GL).  Since g_chi normalizes I+, g is then
 (z) u g_chi^i k' with k' = g_chi^(-i) k g_chi^i in I+, and the
-evaluators of integrals.py read chi(k') off k without forming k'.  The dense engine that builds group elements
-(GroupMatrix, so_check, the determinant, g_chi_so, g_chi_gl), the named
-elements of the integrands and the random samplers are in
-tests/oracles.py, where their products are the reference for the sparse
-builders of integrals.py.
+evaluators of integrals.py read chi(k') off k without forming k'.  The
+dense engine that builds group elements (GroupMatrix, so_check, the
+determinant, g_chi_so, g_chi_gl), the named elements of the integrands
+and the random samplers are in tests/oracles.py, where their products
+are the reference for the row builders of integrals.py.
 
 Conventions: SO_m is defined by det = 1 and tg J g = J with J the
 antidiagonal of ones.  I+ (the pro-unipotent radical of the standard
-Iwahori) is the entry test in_iplus: integral, in p below the diagonal
-and in 1 + p on it; the same predicate serves SO_(2l+1) and GL_n.
+Iwahori) is the row test row_in_iplus, and in_iplus over every row:
+integral, in p below the diagonal and in 1 + p on it; the same
+predicate serves SO_(2l+1) and GL_n.
 g_chi_so is the involution with pi^(-1) and pi in the outer corners and
 -1 between them on the diagonal; g_chi_gl has ones on the superdiagonal
 and pi in the lower-left corner.
@@ -64,7 +65,10 @@ class SingularMatrix(MatrixError):
 
 
 def mat_identity(n):
-    return [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
+    rows = [[F0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = F1
+    return rows
 
 
 def _gauss_jordan(m, n):
@@ -99,21 +103,25 @@ def _solve_row(bmat, v):
     return [row[n] for row in m]
 
 
-def in_iplus(entries, p) -> bool:
-    """The I+ test on ((row, col), x) pairs: x integral, in p below the
-    diagonal, in 1 + p on it.  Entries not listed are those of the
-    identity.  Integer checks on the reduced fraction, so v_p(x) >= 0 is
-    p not dividing the denominator."""
-    for (r, c), x in entries:
-        den = x.denominator
-        if not den % p:
+def row_in_iplus(r, row, p) -> bool:
+    """The I+ test on row r: in p left of the diagonal, in 1 + p on it and
+    integral right of it.  The shared F0 and F1 of the identity pass
+    unread: most entries are one of them, and Fraction's tests are slow."""
+    d = row[r]
+    if d is not F1 and (d.denominator % p == 0 or (d.numerator - d.denominator) % p):
+        return False
+    for x in row[:r]:
+        if x is not F0 and (x.denominator % p == 0 or x.numerator % p):
             return False
-        if r > c:
-            if x.numerator % p:
-                return False
-        elif r == c and (x.numerator - den) % p:
+    for x in row[r + 1 :]:
+        if x is not F0 and x.denominator % p == 0:
             return False
     return True
+
+
+def in_iplus(rows, p) -> bool:
+    """The matrix with these rows lies in I+: each row passes row_in_iplus."""
+    return all(row_in_iplus(r, row, p) for r, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +131,9 @@ def in_iplus(entries, p) -> bool:
 def row_times_g_chi_so(row, p):
     """A row of m g_chi_so (= m g_chi_so^(-1)), from that row of m: entry
     1 <- p * entry N, entry N <- entry 1 / p, the middle entries negated;
-    the dense form of integrals._times_gchi."""
-    return [p * row[-1], *[-x for x in row[1:-1]], row[0] / p]
+    zero entries are left alone."""
+    a, b = row[0], row[-1]
+    return [p * b if b else b, *[-x if x else x for x in row[1:-1]], a / p if a else a]
 
 
 def row_times_g_chi_gl_inv(row, j, p, z):
@@ -168,7 +177,7 @@ def eliminate_u_iplus(rows, n, p):
                     if kc[j]:
                         row[j] -= f * kc[j]
                 row[c] = F0
-        if not in_iplus((((r, j), x) for j, x in enumerate(row)), p):
+        if not row_in_iplus(r, row, p):
             return None
         k[r] = row
     u = mat_identity(n)

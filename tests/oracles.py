@@ -18,7 +18,7 @@ defined here is defined again in src/.
     factors.
   * The section f_s (section_eval) and the intertwining operator at
     n = 1 (intertwine_M).
-  * The named group elements whose product the sparse integrand
+  * The named group elements whose product the integrand row
     builders of integrals.py are checked against: c_hat, delta_o,
     omega_prime, w_element, w_long, embed_j, xbar and torus_so2, and
     b_element, whose n = 1 case gives the dual section's b_1^* = -1.
@@ -160,10 +160,6 @@ class GroupMatrix:
     def lists(self):
         return [list(r) for r in self.rows]
 
-    def items(self):
-        """((row, col), entry) for every entry, the pairs in_iplus reads."""
-        return (((r, c), x) for r, row in enumerate(self.rows) for c, x in enumerate(row))
-
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.size != other.size or self.prime != other.prime:
             raise BadDimension("size or prime mismatch")
@@ -271,7 +267,7 @@ def affine_chi(h: GroupMatrix, t=None, flavor: str = "SO") -> CyclotomicNumber:
     affine entries (superdiagonal run plus the corner over pi)."""
     p = h.prime
     n = h.size
-    if not in_iplus(h.items(), p):
+    if not in_iplus(h.rows, p):
         raise NotInIPlus("affine_chi needs h in I+")
     # SO_(2l+1): l superdiagonal entries and the corner in row 2l;
     # GL_n: n - 1 superdiagonal entries and the corner in row n
@@ -581,7 +577,7 @@ def random_so_iplus(rng, ell: int, prime: int) -> GroupMatrix:
                 out = out * so_root_element(ell, p, a, b, c)
             except BadDimension:
                 continue
-    if not in_iplus(out.items(), p):
+    if not in_iplus(out.rows, p):
         raise MatrixError("sampler left I+; adjust parameters")
     return out
 
@@ -597,7 +593,7 @@ def random_gl_iplus(rng, n: int, prime: int) -> GroupMatrix:
             elif i > j:
                 rows[i][j] = p * Fraction(rng.randint(-p, p))
     g = GroupMatrix.make(rows, prime, "GL")
-    if not in_iplus(g.items(), p):
+    if not in_iplus(g.rows, p):
         raise MatrixError("GL I+ sampler failed")
     return g
 

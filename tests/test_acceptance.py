@@ -147,7 +147,7 @@ def test_coset_roundtrip_hundred_products():
         assert res is not None and res[1] == i
         assert recompose(res, gchi).rows == g.rows
         u2, k2 = (GroupMatrix.make(x, p, "SO_odd", verify=False) for x in (res[0], res[2]))
-        assert so_check(u2) and in_iplus(k2.items(), p)
+        assert so_check(u2) and in_iplus(k2.rows, p)
         assert so_check(k2)
         done += 1
 

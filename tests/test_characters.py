@@ -71,6 +71,25 @@ def test_psi_order_overflow():
         psi_eval(Fraction(1, 9), 3)
 
 
+NOT_AN_ELEMENT = ["a", 0.5, True, None, C.one()]
+
+
+@pytest.mark.parametrize("x", NOT_AN_ELEMENT)
+def test_psi_eval_rejects_an_x_that_is_not_an_int_or_a_fraction(x):
+    """psi_eval(0.5, 5) used to answer, psi_eval("a", 5) raised a bare
+    ValueError, and a bool was read as an int."""
+    with pytest.raises(CharacterError, match=r"^x must be an int or a Fraction, got "):
+        psi_eval(x, 5)
+
+
+@pytest.mark.parametrize("p", [4, 9, 2, 1, 0, -3, True, "3"])
+def test_psi_eval_rejects_a_prime_that_is_not_an_odd_prime(p):
+    """psi_eval(1/4, 4) used to answer zeta_16, p = -3 raised a bare
+    ValueError, and p = 1 (or True) never returned: v_1 divides forever."""
+    with pytest.raises(CharacterError, match=r"^p must be an odd prime, got "):
+        psi_eval(Fraction(1, 4), p)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from((3, 5, 7)),
@@ -171,6 +190,21 @@ def test_tame_rejects_a_value_at_the_uniformizer_over_another_prime_or_type(valu
     TameCharacter(3, 0, "x") raised a bare AttributeError."""
     with pytest.raises(CharacterError, match=r"^value at the uniformizer must be an ExactScalar over 3$"):
         TameCharacter(3, 0, value)
+
+
+@pytest.mark.parametrize("tau", [3, None, "tau", C.one()])
+def test_tame_eval_rejects_a_tau_that_is_not_a_tame_character(tau):
+    """tame_eval(3, 1) used to raise a bare AttributeError on tau.prime."""
+    with pytest.raises(CharacterError, match=r"^tau must be a TameCharacter, got "):
+        tame_eval(tau, 1)
+
+
+@pytest.mark.parametrize("x", NOT_AN_ELEMENT)
+def test_tame_eval_rejects_an_x_that_is_not_an_int_or_a_fraction(x):
+    """tame_eval(tau, 0.5) used to answer, tame_eval(tau, "a") raised a
+    bare ValueError, and a bool was read as an int."""
+    with pytest.raises(CharacterError, match=r"^x must be an int or a Fraction, got "):
+        tame_eval(TameCharacter(3, 1), x)
 
 
 def test_tame_rejects_zero_and_nonmonomial():

@@ -421,6 +421,21 @@ def test_config_rejects_a_zeta_that_is_not_a_sign():
         IntegralConfig(3, 1, C.root_of_unity(3, 1), trivial_tau(3))
 
 
+@pytest.mark.parametrize("zeta", [2, Fraction(1, 2), C.root_of_unity(3, 1), C.root_of_unity(4, 1)])
+def test_predicted_gamma_so_rejects_a_zeta_that_is_not_a_sign(zeta):
+    """predicted_gamma_so(tau, 2) used to answer 2*q^(1/2)*(q^-s)^1."""
+    with pytest.raises(BadRoot, match="zeta\\^2 = 1"):
+        predicted_gamma_so(trivial_tau(3), zeta)
+
+
+@pytest.mark.parametrize("cfg", ["x", None, 3, (3, 1)])
+def test_the_so_evaluators_reject_a_cfg_that_is_not_a_config(cfg):
+    """Each used to raise a bare AttributeError on cfg.prime."""
+    for evaluate in (gamma_so, phi_eval, phi_star_eval):
+        with pytest.raises(IntegralError, match=r"^cfg must be an IntegralConfig, got "):
+            evaluate(cfg)
+
+
 # --- support scans -------------------------------------------------------------
 
 
@@ -453,7 +468,7 @@ def shell_nonzero_evaluator(monkeypatch, cutoff):
 
     def fake(g, p, ell, t):
         calls.append(g)
-        if rational_valuation(g[(0, 0)], p) > cutoff:
+        if rational_valuation(g[0][0], p) > cutoff:
             return (0, 0, 0)
         return real(g, p, ell, t)
 
@@ -472,7 +487,7 @@ def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
     with pytest.raises(BoundaryNonvanishing) as err:
         phi_eval(cfg)
     assert str(err.value) == message
-    assert calls[-1][(0, 0)] == first
+    assert calls[-1][0][0] == first
     # the error is memoized: the second call does not enumerate again
     enumerated = len(calls)
     with pytest.raises(BoundaryNonvanishing) as again:
@@ -512,7 +527,7 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
     real = integrals._so_whittaker_parts
 
     def fake(g, prime, ell, t):
-        z, y = g[(0, 0)], -g[(4, 3)]  # the Phi entries of z and y_0 at n = 5
+        z, y = g[0][0], -g[4][3]  # the Phi entries of z and y_0 at n = 5
         if abs(rational_valuation(z, p)) <= cutoff and rational_valuation(y, p) < -cutoff:
             return (0, 0, 0)
         return real(g, prime, ell, t)

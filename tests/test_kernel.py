@@ -1,9 +1,9 @@
 """Oracle property tests for the SO enumeration kernel.
 
-The kernel builds each integrand matrix as a sparse entry map and reads
-its Whittaker value off the coset solver's factors.  These tests check
-both against the generic code in tests/oracles.py: the sparse builders
-against the named-element product, and the evaluator against
+The kernel writes the rows of each integrand matrix in closed form and
+reads its Whittaker value off the coset solver's factors.  These tests
+check both against the generic code in tests/oracles.py: the row
+builders against the named-element product, and the evaluator against
 whittaker_eval, which forms k' and chi(k') by products.  On the support
 the evaluator is also checked against the two I+ box tests, which the
 factored count reads, and everywhere against zeta^i psi_U(u) chi(k)
@@ -67,24 +67,21 @@ from ssgamma.integrals import (
     _box_arg,
     _chi_arg,
     _chi_arg_conj,
-    _dense,
-    _gchi_entries,
     _least_valuation,
     _merge_tame_classes,
-    _phi_entries,
-    _phi_star_entries,
+    _phi_rows,
+    _phi_star_rows,
     _point_counts,
     _so_buckets,
     _so_factored_counts,
     _so_whittaker_parts,
-    _times_gchi,
     _y_windows,
     _z_windows,
     gamma_so,
     phi_eval,
     phi_star_eval,
 )
-from ssgamma.matrices import F0, F1, in_iplus
+from ssgamma.matrices import F0, F1, in_iplus, row_times_g_chi_so
 from ssgamma.scalars import ExactScalar
 
 SIDES = ("phi", "phi_star")
@@ -142,16 +139,21 @@ def generic_matrix(p, ell, side, z, y):
 
 
 def builder(side):
-    return _phi_entries if side == "phi" else _phi_star_entries
+    return _phi_rows if side == "phi" else _phi_star_rows
 
 
-def entries(side, z, y, ell):
+def integrand(side, z, y, ell):
     return builder(side)(z, y, ell)
 
 
+def times_g_chi(g, p):
+    """The rows of g g_chi^(-1) = g g_chi: the box-1 image of g."""
+    return [row_times_g_chi_so(row, p) for row in g]
+
+
 def box_parts(g, p, ell, t):
-    """(box, m, a) from the first I+ box test the entry map g passes, the
-    value the factored count reads; None when it misses both."""
+    """(box, m, a) from the first I+ box test the rows g pass, the value
+    the factored count reads; None when they miss both."""
     for box in (0, 1):
         x = _box_arg(g, box, p, ell, t)
         if x is not None:
@@ -171,19 +173,11 @@ def kernel_value(p, zeta, parts):
 @settings(max_examples=150, deadline=None)
 @given(points())
 def test_sparse_builders_equal_generic_product(point):
+    """The row builders, which write the few entries off the identity in
+    closed form, against the named-element product."""
     p, ell, side, z, y, _ = point
-    g = entries(side, z, y, ell)
-    assert _dense(g, 2 * ell + 1) == generic_matrix(p, ell, side, z, y).rows
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
-@pytest.mark.parametrize("ell", [1, 2, 3, 4])
-def test_gchi_entries_are_where_g_chi_differs_from_the_identity(ell, p):
-    """The sparse g_chi of the box test, written in closed form, against
-    the oracle's g_chi_so, which GroupMatrix.make verifies is in SO."""
-    n = 2 * ell + 1
-    want = {(r, c): x for (r, c), x in g_chi_so(ell, p).items() if x != (F1 if r == c else F0)}
-    assert _gchi_entries(n, p) == want
+    g = integrand(side, z, y, ell)
+    assert tuple(map(tuple, g)) == generic_matrix(p, ell, side, z, y).rows
 
 
 @settings(max_examples=120, deadline=None)
@@ -192,7 +186,7 @@ def test_evaluator_matches_whittaker_eval(point, zsign, data):
     p, ell, side, z, y, inside = point
     zeta = C.one() if zsign == 1 else -C.one()
     t = affine_t(data.draw, p, ell)
-    g = entries(side, z, y, ell)
+    g = integrand(side, z, y, ell)
     parts = _so_whittaker_parts(g, p, ell, t)
     if inside:  # a box test decides the support, and the solver agrees with it
         box = box_parts(g, p, ell, t)
@@ -224,13 +218,29 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral,
     g = u * g_chi_so(ell, p) if i else u
     k = random_so_iplus(rng, ell, p)
     g = g * k
-    sparse = {(r, c): x for r, row in enumerate(g.rows) for c, x in enumerate(row)}
-    parts = _so_whittaker_parts(sparse, p, ell, t)
+    parts = _so_whittaker_parts(g.rows, p, ell, t)
     assert parts is not None and parts[0] == i
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix(g.rows, p, "SO_odd"))
     direct = zeta**i * _psi_u(spec, u) * affine_chi(k, t=t, flavor="SO")
     assert kernel_value(p, zeta, parts) == ExactScalar.from_coeff(p, direct)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 3), (2, 5), (3, 3), (3, 7)]), st.integers(0, 2**32), st.data())
+def test_chi_readers_read_the_affine_character(case, seed, data):
+    """_chi_arg reads chi(k) off k in I+, and _chi_arg_conj reads it off
+    g_chi k g_chi.  k is a random element of I+, not triangular, so it
+    fills entries that neither an integrand nor the solver's k ever
+    does: on those every argument read is 0."""
+    ell, p = case
+    t = affine_t(data.draw, p, ell)
+    k = random_so_iplus(random.Random(seed), ell, p)
+    gchi = g_chi_so(ell, p)
+    want = affine_chi(k, t=t, flavor="SO")
+    for reader, g in ((_chi_arg, k), (_chi_arg_conj, gchi * k * gchi)):
+        m, a = psi_exponent(reader(g.rows, t, ell, p), p)
+        assert C(p**m, {a: 1}) == want, reader
 
 
 # --- an oracle for the bucket assembly ------------------------------------------
@@ -245,7 +255,7 @@ def nonzero_points(p, ell, level, mode, side):
     out = []
     for z, _ in zs:
         for y in itertools.product([c for c, _ in ys], repeat=ell - 1):
-            parts = _so_whittaker_parts(entries(side, z, y, ell), p, ell, (1,) * (ell + 1))
+            parts = _so_whittaker_parts(integrand(side, z, y, ell), p, ell, (1,) * (ell + 1))
             if parts is not None:
                 w = zw
                 for _ in y:
@@ -345,11 +355,11 @@ def assert_coordinate_is_linear(p, ell, side, t, z, k, c):
     def at(x):
         return build(z, zero[:k] + (x,) + zero[k + 1 :], ell)
 
-    maps = [at(F0), at(c), at(2 * c)]
-    for arg, (g0, g1, g2) in ((_chi_arg, maps), (_chi_arg_conj, [_times_gchi(g, p, n) for g in maps])):
-        assert set(g0) == set(g1) == set(g2)
-        assert {key: g2[key] - g0[key] for key in g0} == {key: 2 * (g1[key] - g0[key]) for key in g0}
-        moved = [key for key in g0 if g1[key] != g0[key]]
+    rows = [at(F0), at(c), at(2 * c)]
+    cells = list(itertools.product(range(n), repeat=2))
+    for arg, (g0, g1, g2) in ((_chi_arg, rows), (_chi_arg_conj, [times_g_chi(g, p) for g in rows])):
+        assert [g2[r][col] - g0[r][col] for r, col in cells] == [2 * (g1[r][col] - g0[r][col]) for r, col in cells]
+        moved = [(r, col) for r, col in cells if g1[r][col] != g0[r][col]]
         assert bool(moved) == (c != 0) and all(r != col for r, col in moved), (side, z, k, c)
         a0, a1, a2 = (arg(g, t, ell, p) for g in (g0, g1, g2))
         assert a2 - a0 == 2 * (a1 - a0)
@@ -449,9 +459,9 @@ def with_superdiagonal(build, p):
 
     def moved(z, y, ell):
         g = build(z, y, ell)
-        g[(ell - 1, ell)] = Fraction(p)
+        g[ell - 1][ell] = Fraction(p)
         for k, c in enumerate(y):
-            g[(k, k + 1)] = c
+            g[k][k + 1] = c
         return g
 
     return moved
@@ -503,14 +513,14 @@ def test_no_matrix_passes_both_boxes(p, ell, seed):
     on this when it lets the base point choose the box."""
     rng = random.Random(seed)
     n = 2 * ell + 1
-    g = {}
+    g = [[F0] * n for _ in range(n)]
     for r in range(n):
         for c in range(n):
             x = Fraction(rng.randint(-p * p, p * p))
-            g[(r, c)] = 1 + p * x if r == c else (p * x if r > c else x)
-    m = _times_gchi(g, p, n)  # in box 1: m g_chi^(-1) = g
-    assert _times_gchi(m, p, n) == g
-    assert in_iplus(g.items(), p) and not in_iplus(m.items(), p)
+            g[r][c] = 1 + p * x if r == c else (p * x if r > c else x)
+    m = times_g_chi(g, p)  # in box 1: m g_chi^(-1) = g
+    assert times_g_chi(m, p) == g
+    assert in_iplus(g, p) and not in_iplus(m, p)
 
 
 def off_both_boxes(g, p, ell, t):

@@ -39,6 +39,7 @@ from ssgamma.matrices import (
     eliminate_u_iplus,
     in_iplus,
     mat_inv,
+    row_in_iplus,
     row_times_g_chi_gl_inv,
     row_times_g_chi_so,
 )
@@ -103,21 +104,21 @@ def test_iwahori_membership():
     p = 3
     ell = 2
     eye = GroupMatrix.make([[1 if i == j else 0 for j in range(5)] for i in range(5)], p, "SO_odd")
-    assert in_iplus(eye.items(), p)
+    assert in_iplus(eye.rows, p)
     u = so_root_element(ell, p, 0, 1, Fraction(p))
-    assert in_iplus(u.items(), p)
+    assert in_iplus(u.rows, p)
     v = so_root_element(ell, p, 0, 1, Fraction(1))
-    assert in_iplus(v.items(), p)
+    assert in_iplus(v.rows, p)
     lower = so_root_element(ell, p, 1, 0, Fraction(1))
-    assert not in_iplus(lower.items(), p)
-    assert in_iplus(so_root_element(ell, p, 1, 0, Fraction(p)).items(), p)
+    assert not in_iplus(lower.rows, p)
+    assert in_iplus(so_root_element(ell, p, 1, 0, Fraction(p)).rows, p)
 
 
 def test_iwahori_gl():
     p = 3
     g = GroupMatrix.make([[1, 2], [p, 1]], p)
-    assert in_iplus(g.items(), p)
-    assert not in_iplus(GroupMatrix.make([[1, 2], [1, 1]], p).items(), p)
+    assert in_iplus(g.rows, p)
+    assert not in_iplus(GroupMatrix.make([[1, 2], [1, 1]], p).rows, p)
 
 
 def test_eliminate_u_iplus_direct():
@@ -130,7 +131,7 @@ def test_eliminate_u_iplus_direct():
     res = eliminate_u_iplus(reversed(m.lists()), len(m.rows), p)
     assert res is not None
     u2, k2 = res
-    assert in_iplus(GroupMatrix.make(k2, p, "SO_odd", verify=False).items(), p)
+    assert in_iplus(k2, p)
 
 
 @pytest.mark.parametrize("ell,p", [(1, 3), (2, 5), (3, 3)])
@@ -147,7 +148,7 @@ def test_coset_roundtrip_random(ell, p):
         assert res[1] == i
         assert recompose(res, gchi).rows == g.rows
         u2, k2 = (GroupMatrix.make(x, p, "SO_odd", verify=False) for x in (res[0], res[2]))
-        assert in_iplus(k2.items(), p)
+        assert in_iplus(k2.rows, p)
         # the unique factors of an SO element are fixed by g -> g*
         assert so_check(u2) and so_check(k2)
 
@@ -185,7 +186,7 @@ def test_gl_coset_roundtrip(n, p):
         # g g_chi^(-j) = z u k, so g = z u k g_chi^j
         zmat = GroupMatrix.make([[z2 if a == b else 0 for b in range(n)] for a in range(n)], p)
         k2 = GroupMatrix.make(k2, p)
-        assert in_iplus(k2.items(), p)
+        assert in_iplus(k2.rows, p)
         rec = zmat * GroupMatrix.make(u2, p) * k2
         for _ in range(j2):
             rec = rec * gchi
@@ -257,17 +258,18 @@ def product(a, b):
 def test_in_iplus_is_the_valuation_definition(case):
     p, a = case
     n = len(a)
-    expected = all(
-        rational_valuation(a[i][j], p) >= 0
-        and (i <= j or rational_valuation(a[i][j], p) >= 1)
-        and (i != j or rational_valuation(a[i][j] - 1, p) >= 1)
+    by_row = [
+        all(
+            rational_valuation(a[i][j], p) >= 0
+            and (i <= j or rational_valuation(a[i][j], p) >= 1)
+            and (i != j or rational_valuation(a[i][j] - 1, p) >= 1)
+            for j in range(n)
+        )
         for i in range(n)
-        for j in range(n)
-    )
-    items = [((i, j), a[i][j]) for i in range(n) for j in range(n)]
-    assert in_iplus(items, p) == expected
+    ]
+    assert in_iplus(a, p) == all(by_row)
     # one row at a time, as the U * I+ elimination reads it
-    assert all(in_iplus(items[i * n : (i + 1) * n], p) for i in range(n)) == expected
+    assert [row_in_iplus(i, a[i], p) for i in range(n)] == by_row
 
 
 @settings(max_examples=200, deadline=None)
@@ -315,7 +317,7 @@ def assert_u_iplus_factors(m, res, p):
     n = len(m)
     assert all(u[i][j] == (i == j) for i in range(n) for j in range(i + 1))
     assert all(k[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    assert all(in_iplus((((i, j), x) for j, x in enumerate(k[i])), p) for i in range(n))
+    assert in_iplus(k, p)
     assert mat_mul(u, k) == m
 
 
@@ -476,7 +478,7 @@ def test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it(case):
     m = g
     for j in range(n):
         z = m[n - 1][n - 1]
-        if z and in_iplus((((n - 1, c), x / z) for c, x in enumerate(m[n - 1])), p):
+        if z and row_in_iplus(n - 1, [x / z for x in m[n - 1]], p):
             passing.add(j)
         m = mat_mul(m, inv)
     mapped = set()
