@@ -38,19 +38,26 @@ boxes.
 A bucket holds the sum over one tame class of z: the pair tame_class(z)
 = (v_p(z), unit residue mod p).  This merge is exact, because the
 section f_s reads z only through that pair: |z| through v, and the tame
-character tau through (v, r), on both sides (Phi* reads b/z, whose
+character tau through (v, r), on both sides (Phi* reads -1/z, whose
 class the class of z fixes).  So each (zeta, tau) cell evaluates f_s
 once per class instead of once per z.
 
 Every bucket comes from one enumeration, _enumerate: it walks an outer
 window and, at each of its points, counts the values over the
 rank-fold product of an inner window, point by point unless a factored
-count is given and holds, then merges tame classes and weights.  The
-SO buckets are one call (z outer, y inner, rank l - 1).  The JPSS GL
-buckets (_gl_buckets) are two, with a over the brute-force
-multiplicative window and x over the brute-force y window at V = 0:
-the plain side at rank 0 and the dual side at rank n - 2, each valued
-by _gl_whittaker_parts as plain ints (j, m, a).
+count is given and holds, and adds the counts straight into the bucket
+of the point's tame class, which keeps the least point of the class as
+its representative.  The SO buckets are one call (z outer, y inner,
+rank l - 1).  The JPSS GL buckets (_gl_buckets) are two, with a over
+the brute-force multiplicative window and x over the brute-force y
+window at V = 0: the plain side at rank 0 and the dual side at rank
+n - 2, each valued by _gl_whittaker_parts as plain ints (j, m, a).
+
+Every zeta integral is then one bucket sum (_bucket_sum) of
+part * zeta^i * f_s(x0) over the buckets of one side, with one section
+f_s = tau(x) q^(h v/2) (q^-s)^(k v), v = v_p(x) (_section): Phi at
+(tau, z, 1, 1), Phi* at (tau, -1/z, 1, 1), the JPSS plain side at
+(tau, a, n - 1, 1) and the JPSS dual side at (tau^-1, a, n - 3, -1).
 """
 
 from __future__ import annotations
@@ -134,9 +141,11 @@ def _check_zeta(zeta) -> None:
 
 
 def check_sign(zeta: CyclotomicNumber) -> None:
-    """The orthogonal side's zeta is a sign: zeta^2 = 1."""
+    """The orthogonal side's zeta is a sign: zeta^2 = 1.  The only square
+    roots of 1 in a field are 1 and -1, so this reads zeta as a rational,
+    whatever form it is stored in."""
     _check_zeta(zeta)
-    if zeta * zeta != CyclotomicNumber.one():
+    if (zeta.is_rational() if isinstance(zeta, CyclotomicNumber) else zeta) not in (1, -1):
         raise BadRoot("the orthogonal side needs zeta^2 = 1")
 
 
@@ -325,13 +334,15 @@ def _so_whittaker_parts(rows, p, ell, t):
 # enumeration serves the whole (zeta, tau) grid.  Merging the z of a
 # class is exact because tau is tame: f_s(z) depends on z only through
 # tame_class(z), so sum_z part(z) f_s(z) = f_s(z0) sum_z part(z) for any
-# z0 of the class.  A bucket is keyed by (i, z0), z0 the first z of its
-# class in sorted order, and the merge runs once per enumeration, after
-# every padding-shell check.  A bucket's .order and .coeffs do not
-# depend on the order in which the (m, a) counts are added: the order
-# is the lcm of the p^m of the nonzero counts, and each coefficient is
-# a sum of positive counts.  Term order in .coeffs reaches no record,
-# repr or equality, which all go through sorted or reduced forms.
+# z0 of the class.  A bucket is keyed by (i, z0), z0 the least z of its
+# class, and each z's counts join their bucket as they arrive; the
+# point loop has checked the padding shell at that z before its counts
+# exist, so a nonzero shell point still raises before any bucket is
+# returned.  A bucket's .order and .coeffs do not depend on the order
+# in which the (m, a) counts are added: the order is the lcm of the p^m
+# of the nonzero counts, and each coefficient is a sum of positive
+# counts.  Term order in .coeffs reaches no record, repr or equality,
+# which all go through sorted or reduced forms.
 
 _SO_BUCKETS: dict = {}
 
@@ -385,24 +396,36 @@ def _z_windows(p, level, cutoff, mode, side):
 
 def _enumerate(p, outer, inner, rank, value, shell, factored=None):
     """(*tag, x0) -> the weighted sum of the point values over the
-    rank-fold product of the inner window and the x of one tame class:
-    the one enumeration behind every bucket.
+    rank-fold product of the inner window and the x of one tame class,
+    x0 the least x of the class: the one enumeration behind every
+    bucket.
 
     outer and inner are (weight, [(rep, on_shell)]) windows.  value(x, y)
     gives a point's value as (*tag, m, a), or None where it vanishes.  At
     each x of the outer window the histogram of values is factored(x)
     when that is given and does not decline (None), and the point loop
-    (_point_counts) otherwise.  shell is the BoundaryNonvanishing text,
-    formatted with the point."""
+    (_point_counts) otherwise.  Each count c of (*tag, m, a) adds
+    c * zeta_(p^m)^a, at order p^m (the exact order of the value), to
+    the bucket (*tag, tame_class(x)) as it arrives.  shell is the
+    BoundaryNonvanishing text, formatted with the point."""
     (x_weight, xs), (y_weight, ys) = outer, inner
-    sums: dict = {}  # (*tag, x) -> sum of the point values, without the weight
+    sums: dict = {}  # (*tag, v, r) -> [least x of the class, unweighted sum of the values]
     for x, on_shell in xs:
         counts = factored(x) if factored else None
         if counts is None:
             counts = _point_counts(x, on_shell, ys, rank, value, shell)
-        _add_counts(sums, counts, p, x)
+        cls = tame_class(x, p)
+        for (*tag, m, a), count in counts.items():
+            key = (*tag, *cls)
+            term = CyclotomicNumber(p**m, {a: count})
+            hit = sums.get(key)
+            if hit is None:
+                sums[key] = [x, term]
+            else:
+                hit[0] = min(hit[0], x)
+                hit[1] = hit[1] + term
     weight = x_weight * y_weight**rank
-    return {key: weight * ExactScalar.from_coeff(p, c) for key, c in _merge_tame_classes(sums, p).items()}
+    return {(*key[:-2], x0): weight * ExactScalar.from_coeff(p, c) for key, (x0, c) in sums.items()}
 
 
 def _point_counts(x, on_shell, ys, rank, value, shell):
@@ -516,44 +539,29 @@ def _so_factored_counts(z, least, size, build, p, ell, t):
     return {(box,) + psi_exponent(base, p): size ** (ell - 1)}
 
 
-def _add_counts(sums, counts, p, x):
-    """Add each (*tag, m, a) -> count of the points at x to sums[(*tag, x)]
-    as count * zeta_(p^m)^a, at order p^m (the exact order of the value)."""
-    for (*tag, m, a), count in counts.items():
-        key = (*tag, x)
-        term = CyclotomicNumber(p**m, {a: count})
-        acc = sums.get(key)
-        sums[key] = term if acc is None else acc + term
+def _section(tau: TameCharacter, x, h: int, k: int) -> ExactScalar:
+    """tau(x) q^(h v/2) (q^-s)^(k v) with v = v_p(x): the section f_s of
+    every zeta integral here, a function of tame_class(x).  f_s(h, 1) =
+    |z|^(s-1/2) tau(z) is (tau, z, 1, 1), and M(tau,s) f_s(h^(-1), b_1^*)
+    = |z^(-1)|^(s-1/2) tau(b_1^* z^(-1)) is (tau, -1/z, 1, 1), since
+    b_1^* = J t(b_1)^(-1) J = -1 for b_1 = (-1) is fixed.  The JPSS plain
+    side tau(a) |a|^(s - (n-1)/2) is (tau, a, n - 1, 1), and the dual side
+    tau^(-1)(a) |a|^((1-s) - (n-1)/2) is (tau^(-1), a, n - 3, -1)."""
+    p = tau.prime
+    v = rational_valuation(x, p)
+    return ExactScalar.from_coeff(p, F1, q_half=h * v, s_power=k * v) * tame_eval(tau, x)
 
 
-def _merge_tame_classes(sums, p):
-    """{(*tag, x): value} -> one entry per (*tag, tame_class(x)), keyed by
-    the first (*tag, x) of that class in sorted order."""
-    merged: dict = {}  # (*tag, v, r) -> [first key, running sum]
-    for key in sorted(sums):
-        cls = key[:-1] + tame_class(key[-1], p)
-        hit = merged.get(cls)
-        if hit is None:
-            merged[cls] = [key, sums[key]]
-        else:
-            hit[1] = hit[1] + sums[key]
-    return dict(merged.values())
-
-
-def _fs_phi(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
-    """f_s(h, 1) = |z|^(s-1/2) tau(z); a function of tame_class(z)."""
-    p = cfg.prime
-    v = rational_valuation(z, p)
-    return ExactScalar.from_coeff(p, F1, q_half=v, s_power=v) * tame_eval(cfg.tau, z)
-
-
-def _fs_phi_star(cfg: IntegralConfig, z: Fraction) -> ExactScalar:
-    """M(tau,s) f_s(h^(-1), b_1^*) = |z^(-1)|^(s-1/2) tau(b_1^* z^(-1)); a
-    function of tame_class(z), since b_1^* = J t(b_1)^(-1) J = -1 for
-    b_1 = (-1) is fixed."""
-    p = cfg.prime
-    v = rational_valuation(1 / z, p)
-    return ExactScalar.from_coeff(p, F1, q_half=v, s_power=v) * tame_eval(cfg.tau, FM1 / z)
+def _bucket_sum(buckets, tag: tuple, p: int, zeta, section) -> ExactScalar:
+    """sum part * zeta^i * section(x0) over the buckets (*tag, i, x0) of
+    one tag, in key order: a zeta integral from its buckets."""
+    n = len(tag)
+    total = ExactScalar.zero(p)
+    for key, part in sorted(buckets.items()):
+        if key[:n] == tag:
+            i, x0 = key[n:]
+            total = total + part * ExactScalar.from_coeff(p, zeta**i) * section(x0)
+    return total
 
 
 def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
@@ -561,11 +569,10 @@ def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
         raise IntegralError(f"cfg must be an IntegralConfig, got {cfg!r}")
     key = (cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side, cfg.t)
     buckets = _memo(_SO_BUCKETS, key, lambda: _so_buckets(cfg, side))
-    fs = _fs_phi if side == "phi" else _fs_phi_star
-    total = ExactScalar.zero(cfg.prime)
-    for (i, z), part in sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        total = total + part * ExactScalar.from_coeff(cfg.prime, cfg.zeta**i) * fs(cfg, z)
-    return total
+    star = side == "phi_star"  # Phi* reads b_1^* z^(-1) = -1/z
+    return _bucket_sum(
+        buckets, (), cfg.prime, cfg.zeta, lambda z: _section(cfg.tau, FM1 / z if star else z, 1, 1)
+    )
 
 
 def phi_eval(cfg: IntegralConfig) -> ExactScalar:
@@ -582,11 +589,6 @@ def predicted_gamma_so(tau: TameCharacter, zeta: CyclotomicNumber) -> ExactScala
     """The closed form zeta * tau(-pi) * q^(1/2 - s)."""
     _check_tau(tau)
     check_sign(zeta)
-    return _predicted_gamma_so(tau, zeta)
-
-
-def _predicted_gamma_so(tau, zeta):
-    """The closed form at a config's checked tau and zeta: the sign check is as slow as the form."""
     p = tau.prime
     return (
         ExactScalar.from_coeff(p, zeta)
@@ -601,7 +603,7 @@ def gamma_so(cfg: IntegralConfig) -> GammaResult:
     if den.is_zero():
         raise ZeroDenominator("Phi vanished; support or measure bug")
     computed = num / den
-    predicted = _predicted_gamma_so(cfg.tau, cfg.zeta)
+    predicted = predicted_gamma_so(cfg.tau, cfg.zeta)
     meta = {
         "p": cfg.prime,
         "ell": cfg.ell,
@@ -706,21 +708,8 @@ def jpss_gl_gamma(
     _check_gl_root(zeta, n)
     buckets = _memo(_GL_BUCKETS, (n, p, level, cutoff), lambda: _gl_buckets(n, p, level, cutoff))
     tau_inv = tau.inverse()
-    plain = ExactScalar.zero(p)
-    dual = ExactScalar.zero(p)
-    for (side, j, a), part in sorted(
-        buckets.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-    ):
-        v = rational_valuation(a, p)
-        zj = ExactScalar.from_coeff(p, zeta**j)
-        if side == "plain":
-            # tau(a) |a|^(s - (n-1)/2)
-            norm = ExactScalar.from_coeff(p, F1, q_half=v * (n - 1), s_power=v)
-            plain = plain + part * zj * tame_eval(tau, a) * norm
-        else:
-            # tau^(-1)(a) |a|^((1-s) - (n-1)/2)
-            norm = ExactScalar.from_coeff(p, F1, q_half=v * (n - 1) - 2 * v, s_power=-v)
-            dual = dual + part * zj * tame_eval(tau_inv, a) * norm
+    plain = _bucket_sum(buckets, ("plain",), p, zeta, lambda a: _section(tau, a, n - 1, 1))
+    dual = _bucket_sum(buckets, ("dual",), p, zeta, lambda a: _section(tau_inv, a, n - 3, -1))
     if plain.is_zero():
         raise ZeroDenominator("JPSS plain integral vanished")
     computed = tame_eval(tau, -1) ** (n - 1) * dual / plain

@@ -26,7 +26,10 @@ def is_odd_prime(p) -> bool:
 
 
 def rational_valuation(x: Fraction, p: int):
-    """v_p(x) for a rational x; v(0) = +inf."""
+    """v_p(x) for a rational x; v(0) = +inf.  Raises ValueError for p < 2
+    (1, True, -1, ...), where dividing out p would never end."""
+    if p < 2:
+        raise ValueError(f"the valuation needs p >= 2, got {p!r}")
     if x == 0:
         return INF
     v = 0

@@ -74,7 +74,13 @@ def test_b1_star_is_minus_one(p):
     cfg = IntegralConfig(p, 1, C.one(), tau)
     for z in (Fraction(1), Fraction(p), Fraction(2, p)):
         v = rational_valuation(1 / z, p)
-        assert integrals._fs_phi_star(cfg, z) == ES(p, 1, v, v) * tame_eval(tau, b / z)
+        assert integrals._section(tau, -1 / z, 1, 1) == ES(p, 1, v, v) * tame_eval(tau, b / z)
+    # and phi_star_eval takes the section there, at each bucket's z
+    want = ExactScalar.zero(p)
+    for (_, z), part in integrals._so_buckets(cfg, "phi_star").items():
+        v = rational_valuation(1 / z, p)
+        want = want + part * ES(p, 1, v, v) * tame_eval(tau, b / z)
+    assert phi_star_eval(cfg) == want
 
 
 def test_intertwine_identity_at_rank_one():
@@ -313,8 +319,19 @@ def test_match_so_gl_rejects_a_cfg_that_is_not_a_config(cfg):
         match_so_gl(1, trivial_tau(3), C.one(), cfg=cfg)
 
 
-@pytest.mark.parametrize("zeta", [1, -1])
+@pytest.mark.parametrize(
+    "zeta",
+    [
+        1,
+        -1,
+        pytest.param(C(3, {1: -1, 2: -1}), id="one_at_order_3"),  # -zeta_3 - zeta_3^2 = 1
+        pytest.param(C(4, {2: 1}), id="minus_one_at_order_4"),  # zeta_4^2 = -1
+        pytest.param(C(6, {1: 1, 5: 1}), id="one_at_order_6"),  # zeta_6 + zeta_6^(-1) = 1
+    ],
+)
 def test_an_int_zeta_is_the_sign_it_names(zeta):
+    """An int, or a cyclotomic number stored above order 1, is accepted
+    wherever a sign is, and acts as the sign it equals."""
     p = 3
     tau = tau_pi(p, 1, -1)
     as_cyc = C.one() if zeta == 1 else -C.one()
@@ -322,8 +339,10 @@ def test_an_int_zeta_is_the_sign_it_names(zeta):
         got = gamma_so(IntegralConfig(p, ell, zeta, tau, level=2, cutoff=1))
         want = gamma_so(IntegralConfig(p, ell, as_cyc, tau, level=2, cutoff=1))
         assert got == want and got.matches
+    assert predicted_gamma_so(tau, zeta) == predicted_gamma_so(tau, as_cyc)
     assert gamma_gl_closed(2, tau, zeta) == gamma_gl_closed(2, tau, as_cyc)
     assert match_so_gl(1, tau, zeta)
+    assert match_so_gl(1, tau, zeta, IntegralConfig(p, 1, zeta, tau, level=2, cutoff=1))
 
 
 # --- GL cross-check -----------------------------------------------------------
@@ -421,11 +440,18 @@ def test_config_rejects_a_zeta_that_is_not_a_sign():
         IntegralConfig(3, 1, C.root_of_unity(3, 1), trivial_tau(3))
 
 
-@pytest.mark.parametrize("zeta", [2, Fraction(1, 2), C.root_of_unity(3, 1), C.root_of_unity(4, 1)])
+@pytest.mark.parametrize(
+    "zeta",
+    [2, Fraction(1, 2), C.root_of_unity(3, 1), C.root_of_unity(4, 1), C(3, {0: 1, 1: 1}), C(4, {1: 1, 3: 1})],
+)
 def test_predicted_gamma_so_rejects_a_zeta_that_is_not_a_sign(zeta):
-    """predicted_gamma_so(tau, 2) used to answer 2*q^(1/2)*(q^-s)^1."""
+    """predicted_gamma_so(tau, 2) used to answer 2*q^(1/2)*(q^-s)^1.
+    1 + zeta_3 = -zeta_3^2 is a root of unity that is no sign, and
+    zeta_4 + zeta_4^3 = 0 is rational and no sign."""
     with pytest.raises(BadRoot, match="zeta\\^2 = 1"):
         predicted_gamma_so(trivial_tau(3), zeta)
+    with pytest.raises(BadRoot, match="zeta\\^2 = 1"):
+        IntegralConfig(3, 1, zeta, trivial_tau(3))
 
 
 @pytest.mark.parametrize("cfg", ["x", None, 3, (3, 1)])

@@ -9,10 +9,12 @@ the evaluator is also checked against the two I+ box tests, which the
 factored count reads, and everywhere against zeta^i psi_U(u) chi(k)
 read off the sampled u, i and k, with no solver at all.  The next
 tests check the bucket assembly: Phi and Phi* rebuilt point by point
-from the (weight, [(rep, on_shell)]) windows, with no buckets, no
-shared loop and no merge over tame classes, and the merge itself on
-buckets that span many tame classes (on the real domains only one class
-per side is nonzero).
+from the (weight, [(rep, on_shell)]) windows with the oracle's
+section_eval, with no buckets, no shared loop, no bucket sum and no
+merge over tame classes; and the merge itself, which _enumerate makes as
+each outer point's counts arrive, on a synthetic outer window that spans
+several tame classes and is walked in any order (on the real domains
+only one class per side is nonzero).
 
 The last tests check the support-aware factored count over the y
 product (_so_factored_counts), the only reader of the box tests.  It
@@ -67,8 +69,8 @@ from ssgamma.integrals import (
     _box_arg,
     _chi_arg,
     _chi_arg_conj,
+    _enumerate,
     _least_valuation,
-    _merge_tame_classes,
     _phi_rows,
     _phi_star_rows,
     _point_counts,
@@ -309,33 +311,41 @@ def test_bucket_assembly_matches_pointwise_sum(p, ell, mode):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from((3, 5, 7)), st.data())
 def test_tame_class_merge_keeps_every_tame_sum(p, data):
-    """sum part(z) zeta^i tau(z) is the same before and after the merge,
-    for every tame tau, on buckets spread over many classes."""
-    zs = data.draw(
-        st.lists(
-            st.builds(lambda v, u: Fraction(p) ** v * u, st.integers(-2, 2), units(p)),
-            min_size=1,
-            max_size=12,
-            unique=True,
-        )
+    """_enumerate merges the x of a tame class as their counts arrive: on
+    a synthetic outer window spread over several classes, with several x
+    in a class, and walked in any order, at rank 0, each bucket is keyed
+    by (i, the least x of its class), and sum part(x) zeta^i tau(x) is
+    the point sum, for every tame tau."""
+    # six tame classes (v, r), v in -1..1 and r in 1..2, so that classes repeat
+    member = st.builds(
+        lambda v, r, c, e: Fraction(p) ** v * Fraction(r + p * c, 1 + p * e),
+        st.integers(-1, 1),
+        st.integers(1, 2),
+        st.integers(-3, 3),
+        st.integers(0, 3),
     )
-    sums = {
-        (data.draw(st.integers(0, 1)), z): C(p ** data.draw(st.integers(0, 2)), {data.draw(st.integers(0, 8)): 1})
-        for z in zs
-    }
-    merged = _merge_tame_classes(sums, p)
-    assert set(merged) <= set(sums)
-    assert len(merged) == len({(i,) + tame_class(z, p) for i, z in sums})
+    xs = data.draw(st.permutations(data.draw(st.lists(member, min_size=1, max_size=12, unique=True))))
+    parts = st.none() | st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 8))  # (i, m, a)
+    values = {x: data.draw(parts) for x in xs}
+    one = ExactScalar.one(p)
+    outer, inner = (one, [(x, False) for x in xs]), (one, [(F0, False)])
+    buckets = _enumerate(p, outer, inner, 0, lambda x, y: values[x], "no shell here: x={}, y={}")
+    classes: dict = {}  # (i, v, r) -> the x of that zeta-power and tame class
+    for x, value in values.items():
+        if value is not None:
+            classes.setdefault((value[0],) + tame_class(x, p), []).append(x)
+    assert sorted(buckets) == sorted((key[0], min(members)) for key, members in classes.items())
     zeta = -C.one()
     tau = TameCharacter(p, data.draw(st.integers(0, p - 2)), ExactScalar.from_coeff(p, data.draw(units(p))))
-
-    def total(buckets):
-        out = ExactScalar.zero(p)
-        for (i, z), c in buckets.items():
-            out = out + ExactScalar.from_coeff(p, c * zeta**i) * tame_eval(tau, z)
-        return out
-
-    assert total(merged) == total(sums)
+    merged = ExactScalar.zero(p)
+    for (i, x0), part in buckets.items():
+        merged = merged + part * ExactScalar.from_coeff(p, zeta**i) * tame_eval(tau, x0)
+    points = ExactScalar.zero(p)
+    for x, value in values.items():
+        if value is not None:
+            i, m, a = value
+            points = points + ExactScalar.from_coeff(p, C(p**m, {a: 1}) * zeta**i) * tame_eval(tau, x)
+    assert merged == points
 
 
 # --- the factored count over the y product --------------------------------------

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from ssgamma.integrals import _y_windows, _z_windows
@@ -21,6 +26,40 @@ def test_valuation_basics():
     assert rational_valuation(Fraction(1, 9), 3) == -2
     assert rational_valuation(Fraction(10, 7), 5) == 1
     assert rational_valuation(Fraction(0), 5) == INF
+
+
+# Run in a child, so that a valuation that never returns fails the test
+# at its timeout instead of hanging the run.
+BAD_PRIME_RUN = """
+import ast, sys
+from fractions import Fraction
+from ssgamma.characters import psi_exponent, tame_class
+from ssgamma.padic import rational_valuation
+
+p = ast.literal_eval(sys.argv[1])
+for fn in (rational_valuation, tame_class, psi_exponent):
+    try:
+        fn(Fraction(6, 5), p)
+    except ValueError as e:
+        print(fn.__name__, e)
+    else:
+        sys.exit(f"{fn.__name__} answered at p = {p!r}")
+"""
+
+
+@pytest.mark.parametrize("p", [1, True, -1])
+def test_valuation_rejects_p_below_two(p):
+    """Dividing out p never ends at p = 1, True or -1: rational_valuation
+    raises ValueError there, and so do tame_class and psi_exponent, which
+    call it.  One child process per p."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = [sys.executable, "-c", BAD_PRIME_RUN, repr(p)]
+    try:
+        out = subprocess.run(child, env=env, capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"rational_valuation did not return at p = {p!r} within 30 s")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count(f"the valuation needs p >= 2, got {p!r}") == 3
 
 
 @given(rationals, rationals)
