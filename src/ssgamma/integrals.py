@@ -31,9 +31,10 @@ multiple of c.  So every value of the window passes iff one of least
 valuation does, and the count costs (l-1) evaluations instead of
 |Y|^(l-1) (_so_buckets has the argument).  A z where that value misses
 the box or moves the argument falls back to the point loop, valued by
-the solver alone.  Brute-force mode always runs that loop, and
-scan_support its own, so the oracle shares neither the count nor its
-boxes.
+the solver alone.  Brute-force mode always runs that loop, so the
+oracle shares neither the count nor its boxes.  The loop records the
+nonzero points it values, and scan_support compares the support lemma
+with that record instead of valuing the window a second time.
 
 A bucket holds the sum over one tame class of z: the pair tame_class(z)
 = (v_p(z), unit residue mod p).  This merge is exact, because the
@@ -47,11 +48,13 @@ window and, at each of its points, counts the values over the
 rank-fold product of an inner window, point by point unless a factored
 count is given and holds, and adds the counts straight into the bucket
 of the point's tame class, which keeps the least point of the class as
-its representative.  The SO buckets are one call (z outer, y inner,
-rank l - 1).  The JPSS GL buckets (_gl_buckets) are two, with a over
-the brute-force multiplicative window and x over the brute-force y
-window at V = 0: the plain side at rank 0 and the dual side at rank
-n - 2, each valued by _gl_whittaker_parts as plain ints (j, m, a).
+its representative.  What depends on the outer point alone (1/z, and
+on the JPSS dual side the rows x does not write) is made once per
+outer point.  The SO buckets are one call (z outer, y inner, rank
+l - 1).  The JPSS GL buckets (_gl_buckets) are two, with a over the
+brute-force multiplicative window and x over the brute-force y window
+at V = 0: the plain side at rank 0 and the dual side at rank n - 2,
+each valued by _gl_whittaker_parts as plain ints (j, m, a).
 
 Every zeta integral is then one bucket sum (_bucket_sum) of
 part * zeta^i * f_s(x0) over the buckets of one side, with one section
@@ -210,54 +213,78 @@ class GammaResult:
 #
 # A point is the rows of its integrand matrix.  The double-coset solver
 # values it; the boxes (g in I+, or g g_chi^(-1) in I+) test it, for
-# _so_factored_counts only.
+# _so_factored_counts only.  A builder takes the outer coordinate (z or
+# a) and returns the function of the inner one (y or x) that writes the
+# rows, so the work that depends on the outer coordinate alone is done
+# once for all its points.
 
 
-def _phi_rows(z, y, ell):
-    """x_bar(y) j(h(z)): z and 1/z at the ends of the diagonal, y z below z
-    and -y reversed left of 1/z."""
+def _phi_rows(z, ell):
+    """y -> the rows of x_bar(y) j(h(z)): z and 1/z at the ends of the
+    diagonal, y z below z and -y reversed left of 1/z."""
     n = 2 * ell + 1
-    rows = mat_identity(n)
-    rows[0][0] = z
-    rows[n - 1][n - 1] = 1 / z
-    for i, c in enumerate(y):
-        rows[1 + i][0] = c * z
-        rows[n - 1][n - 2 - i] = -c
+    inv = 1 / z
+
+    def rows(y):
+        g = mat_identity(n)
+        g[0][0] = z
+        g[n - 1][n - 1] = inv
+        for i, c in enumerate(y):
+            g[1 + i][0] = c * z
+            g[n - 1][n - 2 - i] = -c
+        return g
+
     return rows
 
 
-def _phi_star_rows(z, y, ell):
-    """c_hat x_bar(y) j(h(z)) delta_o omega', in closed form.
+def _phi_star_rows(z, ell):
+    """y -> the rows of c_hat x_bar(y) j(h(z)) delta_o omega', in closed
+    form.
 
     c_hat negates the middle rows other than row l, delta_o negates
     column l and omega' swaps the outer columns.  So the middle diagonal
     is -1, z and 1/z move to the outer corners, y z to the last column
     negated (rows 1..l-1), and -y stays (no y is in row l or column l)."""
     n = 2 * ell + 1
-    rows = [[F0] * n for _ in range(n)]
-    for r in range(1, n - 1):
-        rows[r][r] = FM1
-    rows[0][n - 1] = z
-    rows[n - 1][0] = 1 / z
-    for i, c in enumerate(y):
-        rows[1 + i][n - 1] = -c * z
-        rows[n - 1][n - 2 - i] = -c
+    inv = 1 / z
+
+    def rows(y):
+        g = [[F0] * n for _ in range(n)]
+        for r in range(1, n - 1):
+            g[r][r] = FM1
+        g[0][n - 1] = z
+        g[n - 1][0] = inv
+        for i, c in enumerate(y):
+            g[1 + i][n - 1] = -c * z
+            g[n - 1][n - 2 - i] = -c
+        return g
+
     return rows
 
 
-def _gl_dual_rows(a, x, n):
-    """w_long (t m)^(-1) w_(n,1) for the JPSS dual side, in closed form.
+def _gl_dual_rows(a, n):
+    """x -> the rows of a w_long (t m)^(-1) w_(n,1): the JPSS dual
+    integrand times the central element a, in closed form.
 
     m is the identity with column 1 replaced by (a, x_0, ..., x_(n-3), 0).
     (t m)^(-1) is the identity with row 1 replaced by
     (1/a, -x_0/a, ..., -x_(n-3)/a, 0); w_long reverses the rows and
     w_(n,1) = diag(1, w_(n-1)) reverses columns 2..n.  So rows 1..n-1
-    have a one on the superdiagonal, and the bottom row is
-    (1/a, 0, -x_(n-3)/a, ..., -x_0/a)."""
-    rows = [[F0] * n for _ in range(n - 1)]
-    for r, row in enumerate(rows):
-        row[r + 1] = F1
-    rows.append([1 / a, F0] + [-xv / a for xv in reversed(x)])
+    of the integrand have a one on the superdiagonal, and its bottom row
+    is (1/a, 0, -x_(n-3)/a, ..., -x_0/a).  The central character is
+    trivial, so W takes the same value at a times the integrand, and the
+    coset solver's scalar z absorbs a: it factors the same m = u k.
+    Those rows have a on the superdiagonal and the bottom row
+    (1, 0, -x_(n-3), ..., -x_0), which takes no division.  The n - 1
+    rows above it are made once per a and shared by its every x: no
+    reader of the rows writes to them."""
+    top = [[F0] * n for _ in range(n - 1)]
+    for r, row in enumerate(top):
+        row[r + 1] = a
+
+    def rows(x):
+        return top + [[F1, F0] + [-xv for xv in reversed(x)]]
+
     return rows
 
 
@@ -335,31 +362,39 @@ def _so_whittaker_parts(rows, p, ell, t):
 # class is exact because tau is tame: f_s(z) depends on z only through
 # tame_class(z), so sum_z part(z) f_s(z) = f_s(z0) sum_z part(z) for any
 # z0 of the class.  A bucket is keyed by (i, z0), z0 the least z of its
-# class, and each z's counts join their bucket as they arrive; the
-# point loop has checked the padding shell at that z before its counts
-# exist, so a nonzero shell point still raises before any bucket is
-# returned.  A bucket's .order and .coeffs do not depend on the order
-# in which the (m, a) counts are added: the order is the lcm of the p^m
-# of the nonzero counts, and each coefficient is a sum of positive
-# counts.  Term order in .coeffs reaches no record, repr or equality,
-# which all go through sorted or reduced forms.
+# class, and each z's counts join their bucket as they arrive.  A
+# bucket's .order and .coeffs do not depend on the order in which the
+# (m, a) counts are added: the order is the lcm of the p^m of the
+# nonzero counts, and each coefficient is a sum of positive counts.
+# Term order in .coeffs reaches no record, repr or equality, which all
+# go through sorted or reduced forms.
+#
+# The point loop also records each nonzero point it values, with its
+# value, and the record is stored beside the buckets: it is at most the
+# support in the window, 9 points a side at (p, l, N, V) = (3, 2, 2, 1).
+# scan_support reads it instead of valuing the points again.  A nonzero
+# point on the padding shell does not stop the loop, so the record is
+# complete whatever the loop meets; the buckets are then the
+# BoundaryNonvanishing that names the first such point in loop order,
+# and every reader of the buckets raises it (_checked).
 
 _SO_BUCKETS: dict = {}
 
 
 def _memo(cache, key, build):
-    """cache[key], from build() on a miss.  A BoundaryNonvanishing from
-    build is stored too, and raised again on every later call."""
+    """cache[key], from build() on a miss."""
     hit = cache.get(key)
     if hit is None:
-        try:
-            hit = build()
-        except BoundaryNonvanishing as e:
-            hit = e
-        cache[key] = hit
-    if isinstance(hit, BoundaryNonvanishing):
-        raise hit
+        hit = cache[key] = build()
     return hit
+
+
+def _checked(buckets):
+    """buckets, raised instead when they are the BoundaryNonvanishing of a
+    nonzero point on the padding shell."""
+    if isinstance(buckets, BoundaryNonvanishing):
+        raise buckets
+    return buckets
 
 
 def _y_windows(p, level, cutoff, mode):
@@ -395,25 +430,31 @@ def _z_windows(p, level, cutoff, mode, side):
 
 
 def _enumerate(p, outer, inner, rank, value, shell, factored=None):
-    """(*tag, x0) -> the weighted sum of the point values over the
-    rank-fold product of the inner window and the x of one tame class,
-    x0 the least x of the class: the one enumeration behind every
-    bucket.
+    """(buckets, record): the one enumeration behind every bucket.  The
+    buckets map (*tag, x0) to the weighted sum of the point values over
+    the rank-fold product of the inner window and the x of one tame
+    class, x0 the least x of the class.
 
-    outer and inner are (weight, [(rep, on_shell)]) windows.  value(x, y)
-    gives a point's value as (*tag, m, a), or None where it vanishes.  At
-    each x of the outer window the histogram of values is factored(x)
-    when that is given and does not decline (None), and the point loop
-    (_point_counts) otherwise.  Each count c of (*tag, m, a) adds
-    c * zeta_(p^m)^a, at order p^m (the exact order of the value), to
-    the bucket (*tag, tame_class(x)) as it arrives.  shell is the
-    BoundaryNonvanishing text, formatted with the point."""
+    outer and inner are (weight, [(rep, on_shell)]) windows.  value(x),
+    entered once per outer point, is the function of y that gives the
+    value of the point (x, y) as (*tag, m, a), or None where it
+    vanishes.  At each x of the outer window the histogram of values is
+    factored(x) when that is given and does not decline (None), and the
+    point loop (_point_counts) otherwise.  Each count c of (*tag, m, a)
+    adds c * zeta_(p^m)^a, at order p^m (the exact order of the value),
+    to the bucket (*tag, tame_class(x)) as it arrives.  The record maps
+    each nonzero point of the point loop, (x, y), to its value and
+    whether it lies on the padding shell, in loop order.  When one does,
+    the buckets are the BoundaryNonvanishing with the text shell,
+    formatted with the first such point; the record is complete either
+    way."""
     (x_weight, xs), (y_weight, ys) = outer, inner
     sums: dict = {}  # (*tag, v, r) -> [least x of the class, unweighted sum of the values]
+    record: dict = {}
     for x, on_shell in xs:
         counts = factored(x) if factored else None
         if counts is None:
-            counts = _point_counts(x, on_shell, ys, rank, value, shell)
+            counts = _point_counts(x, on_shell, ys, rank, value(x), record)
         cls = tame_class(x, p)
         for (*tag, m, a), count in counts.items():
             key = (*tag, *cls)
@@ -424,29 +465,33 @@ def _enumerate(p, outer, inner, rank, value, shell, factored=None):
             else:
                 hit[0] = min(hit[0], x)
                 hit[1] = hit[1] + term
+    first = next((point for point, (_, on) in record.items() if on), None)
+    if first is not None:
+        return BoundaryNonvanishing(shell.format(*first)), record
     weight = x_weight * y_weight**rank
-    return {(*key[:-2], x0): weight * ExactScalar.from_coeff(p, c) for key, (x0, c) in sums.items()}
+    buckets = {(*key[:-2], x0): weight * ExactScalar.from_coeff(p, c) for key, (x0, c) in sums.items()}
+    return buckets, record
 
 
-def _point_counts(x, on_shell, ys, rank, value, shell):
+def _point_counts(x, on_shell, ys, rank, value, record):
     """(*tag, m, a) -> the number of points (x, y) with that value, y over
-    the rank-fold product of the window reps ys, point by point.  A
-    nonzero point on the padding shell raises BoundaryNonvanishing."""
+    the rank-fold product of the window reps ys, point by point, each
+    valued by value(y).  Each nonzero point goes into record as
+    (x, y) -> ((*tag, m, a), whether it lies on the padding shell)."""
     counts: dict = {}
     for combo in itertools.product(ys, repeat=rank):
         y = tuple(c for c, _ in combo)
-        parts = value(x, y)
-        if parts is None:
-            continue
-        if on_shell or any(s for _, s in combo):
-            raise BoundaryNonvanishing(shell.format(x, y))
-        counts[parts] = counts.get(parts, 0) + 1
+        parts = value(y)
+        if parts is not None:
+            record[(x, y)] = parts, on_shell or any(s for _, s in combo)
+            counts[parts] = counts.get(parts, 0) + 1
     return counts
 
 
-def _so_buckets(cfg: IntegralConfig, side: str):
-    """(i, z0) -> the weighted sum of W over the y domain and the z of one
-    tame class (see the comment above).
+def _so_buckets(p, ell, level, cutoff, mode, side, t):
+    """(buckets, record) of one side, by _enumerate: (i, z0) -> the
+    weighted sum of W over the y domain and the z of one tame class (see
+    the comment above), and the point loop's record of nonzero points.
 
     Support-aware mode reads each z's (i, m, a) histogram over the
     (l-1)-fold y product off the base point (all y = 0) and one point
@@ -490,22 +535,25 @@ def _so_buckets(cfg: IntegralConfig, side: str):
     the same i and, where W is well defined (t_(l+1) = t_1 mod p), the
     same value: so brute-force mode checks the box lemma rather than
     sharing it."""
-    p, ell = cfg.prime, cfg.ell
     build = _phi_rows if side == "phi" else _phi_star_rows
-    ys = _y_windows(p, cfg.level, cfg.cutoff, cfg.mode)
+    ys = _y_windows(p, level, cutoff, mode)
     factored = None
-    if cfg.mode == "support-aware":  # its windows have no padding shell
+    if mode == "support-aware":  # its windows have no padding shell
         least = _least_valuation([y for y, _ in ys[1]], p)
 
         def factored(z):
-            return _so_factored_counts(z, least, len(ys[1]), build, p, ell, cfg.t)
+            return _so_factored_counts(z, least, len(ys[1]), build, p, ell, t)
+
+    def value(z):
+        rows = build(z, ell)
+        return lambda y: _so_whittaker_parts(rows(y), p, ell, t)
 
     return _enumerate(
         p,
-        _z_windows(p, cfg.level, cfg.cutoff, cfg.mode, side),
+        _z_windows(p, level, cutoff, mode, side),
         ys,
         ell - 1,
-        lambda z, y: _so_whittaker_parts(build(z, y, ell), p, ell, cfg.t),
+        value,
         f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
         factored,
     )
@@ -526,7 +574,8 @@ def _so_factored_counts(z, least, size, build, p, ell, t):
     (_least_valuation), so that every value is least times an element of
     o: one test then decides the coordinate's every value."""
     zero = (F0,) * (ell - 1)
-    g = build(z, zero, ell)
+    rows = build(z, ell)
+    g = rows(zero)
     for box in (0, 1):
         base = _box_arg(g, box, p, ell, t)
         if base is not None:
@@ -534,7 +583,7 @@ def _so_factored_counts(z, least, size, build, p, ell, t):
     else:
         return None  # every point misses both boxes
     for k in range(ell - 1):
-        if _box_arg(build(z, zero[:k] + (least,) + zero[k + 1 :], ell), box, p, ell, t) != base:
+        if _box_arg(rows(zero[:k] + (least,) + zero[k + 1 :]), box, p, ell, t) != base:
             return None
     return {(box,) + psi_exponent(base, p): size ** (ell - 1)}
 
@@ -568,7 +617,7 @@ def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
     if not isinstance(cfg, IntegralConfig):
         raise IntegralError(f"cfg must be an IntegralConfig, got {cfg!r}")
     key = (cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side, cfg.t)
-    buckets = _memo(_SO_BUCKETS, key, lambda: _so_buckets(cfg, side))
+    buckets = _checked(_memo(_SO_BUCKETS, key, lambda: _so_buckets(*key))[0])
     star = side == "phi_star"  # Phi* reads b_1^* z^(-1) = -1/z
     return _bucket_sum(
         buckets, (), cfg.prime, cfg.zeta, lambda z: _section(cfg.tau, FM1 / z if star else z, 1, 1)
@@ -666,25 +715,31 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int):
     Each side is one _enumerate, a over the brute-force z window: the
     plain side at rank 0 evaluates W(diag(a, I_(n-1))), and the dual side
     at rank n - 2 evaluates W(w_long t(m)^(-1) w_(n,1)) with
-    m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0), whose rows _gl_dual_rows
-    writes down directly (no inversion).  Each coordinate of x runs over
-    the brute-force y window at V = 0: o mod p^N (vol(o) = q^(1/2)) plus
-    the p^(-1) padding shell."""
+    m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0), whose rows, times the
+    central element a, _gl_dual_rows writes down directly (no
+    inversion).  Each coordinate of x runs over the brute-force y window
+    at V = 0: o mod p^N (vol(o) = q^(1/2)) plus the p^(-1) padding
+    shell.  A side with a nonzero point on the shell gives its
+    BoundaryNonvanishing in place of the buckets."""
 
-    def plain(a, x):
+    def plain(a):
         rows = mat_identity(n)
         rows[0][0] = a
-        return _gl_whittaker_parts(rows, p, n)
+        return lambda x: _gl_whittaker_parts(rows, p, n)
 
-    def dual(a, x):
-        return _gl_whittaker_parts(_gl_dual_rows(a, x, n), p, n)
+    def dual(a):
+        rows = _gl_dual_rows(a, n)
+        return lambda x: _gl_whittaker_parts(rows(x), p, n)
 
     as_ = _z_windows(p, level, cutoff, "brute-force", "phi")
     xs = _y_windows(p, level, 0, "brute-force")
     buckets = {}
     for side, rank, value in (("plain", 0, plain), ("dual", n - 2, dual)):
         shell = f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}"
-        for key, part in _enumerate(p, as_, xs, rank, value, shell).items():
+        parts, _ = _enumerate(p, as_, xs, rank, value, shell)
+        if isinstance(parts, BoundaryNonvanishing):
+            return parts
+        for key, part in parts.items():
             buckets[(side,) + key] = part
     return buckets
 
@@ -706,7 +761,7 @@ def jpss_gl_gamma(
     p = tau.prime
     check_domain(n - 1, level, cutoff)  # the x window is the SO y window of rank n - 1
     _check_gl_root(zeta, n)
-    buckets = _memo(_GL_BUCKETS, (n, p, level, cutoff), lambda: _gl_buckets(n, p, level, cutoff))
+    buckets = _checked(_memo(_GL_BUCKETS, (n, p, level, cutoff), lambda: _gl_buckets(n, p, level, cutoff)))
     tau_inv = tau.inverse()
     plain = _bucket_sum(buckets, ("plain",), p, zeta, lambda a: _section(tau, a, n - 1, 1))
     dual = _bucket_sum(buckets, ("dual",), p, zeta, lambda a: _section(tau_inv, a, n - 3, -1))
@@ -773,22 +828,34 @@ def scan_support(
     cutoff: int = 1,
     t: tuple = None,
 ) -> tuple:
-    """Brute-force enumeration of the integrand support versus the lemma
-    predicate.  Returns (points, verdict); verdict is True when the
-    nonvanishing set matches the predicate exactly."""
+    """The integrand support on the brute-force window versus the lemma
+    predicate.  Returns (points, verdict): a SupportPoint for every point
+    of the window, in enumeration order, and True when the nonvanishing
+    set matches the predicate exactly.
+
+    The nonzero points are read off the record of the brute-force
+    enumeration of the same (p, l, N, V, side, t), which values each
+    point once: the record is stored with the buckets of the brute-force
+    phi_eval or phi_star_eval, and built here on a miss.  A nonzero
+    point on the padding shell is reported here, since the record is
+    complete even where the buckets are a BoundaryNonvanishing."""
     check_prime(p)
     check_domain(ell, level, cutoff)
     if side not in ("phi", "phi_star"):
         raise IntegralError(f"side must be phi or phi_star, got {side!r}")
     t = _check_t(t, ell, p)
+    key = (p, ell, level, cutoff, "brute-force", side, t)
+    nonzero_at: dict = {}  # z -> the y of its nonzero points
+    for z, y in _memo(_SO_BUCKETS, key, lambda: _so_buckets(*key))[1]:
+        nonzero_at.setdefault(z, set()).add(y)
     predicate = _phi_predicate if side == "phi" else _phi_star_predicate
-    build = _phi_rows if side == "phi" else _phi_star_rows
     ys = [y for y, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
     points = []
     verdict = True
     for z, _ in _z_windows(p, level, cutoff, "brute-force", side)[1]:
+        here = nonzero_at.get(z, ())
         for y in itertools.product(ys, repeat=ell - 1):
-            nonzero = _so_whittaker_parts(build(z, y, ell), p, ell, t) is not None
+            nonzero = y in here
             pred = predicate(z, y, p)
             if nonzero != pred:
                 verdict = False

@@ -136,12 +136,12 @@ def row_times_g_chi_so(row, p):
     return [p * b if b else b, *[-x if x else x for x in row[1:-1]], a / p if a else a]
 
 
-def row_times_g_chi_gl_inv(row, j, p, z):
+def row_times_g_chi_gl_inv(row, j, z, pz):
     """A row of m g_chi_gl^(-j) / z, from that row of m: the entries
-    rotated j places left, the j that wrap round divided by p, and all
-    divided by z; zero entries are left alone.  (g_chi_gl sends e_(c+1)
-    to e_c and e_1 to p e_N, so its inverse does the reverse.)"""
-    return [*[x / z if x else x for x in row[j:]], *[x / p / z if x else x for x in row[:j]]]
+    rotated j places left, the j that wrap round divided by pz = p z and
+    the others by z; zero entries are left alone.  (g_chi_gl sends
+    e_(c+1) to e_c and e_1 to p e_N, so its inverse does the reverse.)"""
+    return [*[x / z if x else x for x in row[j:]], *[x / pz if x else x for x in row[:j]]]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,9 @@ def coset_decompose_gl(rows, p):
     reads, the bottom one included, so the choice never decides a
     verdict.  Each row of m is a column rotation of that row of g
     (row_times_g_chi_gl_inv), built bottom-up only as the elimination
-    reads it, so no call inverts or multiplies by g_chi."""
+    reads it, so no call inverts or multiplies by g_chi.  The entries
+    that wrap round are divided by p z = l[j-1], read off l, so each
+    costs one division, not two."""
     n = len(rows)
     last = rows[n - 1]
     vals = [rational_valuation(x, p) for x in last]
@@ -240,10 +242,9 @@ def coset_decompose_gl(rows, p):
     if least == INF:
         return None
     j = (vals.index(least) + 1) % n
-    z = last[j - 1]  # last[n - 1] at j = 0
-    if j:
-        z /= p
-    res = eliminate_u_iplus((row_times_g_chi_gl_inv(row, j, p, z) for row in reversed(rows)), n, p)
+    pz = last[j - 1]  # p z; at j = 0 it is last[n - 1] = z, and no entry wraps
+    z = pz / p if j else pz
+    res = eliminate_u_iplus((row_times_g_chi_gl_inv(row, j, z, pz) for row in reversed(rows)), n, p)
     if res is None:
         return None
     u, k = res

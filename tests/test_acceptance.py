@@ -25,6 +25,7 @@ from oracles import (
     recompose,
     so_check,
 )
+from ssgamma import integrals
 from ssgamma.characters import TameCharacter, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
@@ -91,6 +92,25 @@ def test_brute_force_oracle_and_support_scans():
             assert all(pt.nonzero == pt.predicted for pt in points)
             assert any(pt.nonzero for pt in points)
     assert time.monotonic() - start < 300
+
+
+def test_brute_force_oracle_and_support_scans_at_5_2(monkeypatch):
+    """At (p, l, N, V) = (5, 2, 2, 1), 62,500 points a side: the
+    support-aware and brute-force Phi and Phi* agree, and both support
+    scans hold.  The scans run after the brute-force enumeration of the
+    same domain, so they read its record of nonzero points and value no
+    point again (the cache starts empty, so nothing else fills it)."""
+    monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+    p, ell = 5, 2
+    fast = make_cfg(p, ell, -1, 1, -1, level=2, cutoff=1)
+    slow = make_cfg(p, ell, -1, 1, -1, level=2, cutoff=1, mode="brute-force")
+    assert phi_eval(fast) == phi_eval(slow)
+    assert phi_star_eval(fast) == phi_star_eval(slow)
+    for side in ("phi", "phi_star"):
+        points, verdict = scan_support(p, ell, side, level=2, cutoff=1)
+        assert verdict is True
+        assert len(points) == 100 * 625  # 5 valuations of 4 * 5 units, times 5^4 y reps
+        assert any(pt.nonzero for pt in points)
 
 
 def test_gl_zeta_integral_cross_check():

@@ -6,16 +6,18 @@ brute-force multiplicative window _z_windows and each x coordinate over
 _y_windows at V = 0 (o mod p^N plus the p^(-1) shell).  The plain side
 runs at rank 0 and the dual side at rank n - 2; both read W(g) through
 _gl_whittaker_parts as the plain ints (j, m, a) = zeta^j zeta_(p^m)^a.  The dual side's
-argument w_long (t m)^(-1) w_(n,1) is written down in closed form
-(_gl_dual_rows), and coset_decompose_gl rotates columns instead of
-multiplying by g_chi^(-1).
+argument w_long (t m)^(-1) w_(n,1), times the central element a, is
+written down in closed form (_gl_dual_rows), and coset_decompose_gl
+rotates columns instead of multiplying by g_chi^(-1).
 
-The first test checks the closed form against the generic product with
-the oracle's inverse, which shares none of its path.  The next two check
-the evaluator against the generic Whittaker function of tests/oracles.py,
-on window points and on points u g_chi^j k of the support; on the
-latter also against zeta^j psi_U(u) chi(k) read off the sampled factors,
-which calls no solver.  The buckets are pinned by sha256 digests of
+The first test checks the closed form against a times the generic
+product with the oracle's inverse, which shares none of its path.  The
+next two check the evaluator against the generic Whittaker function of
+tests/oracles.py, on window points (the dual side's value on a times
+the integrand against the oracle's on the integrand itself, so the
+trivial central character is checked too) and on points u g_chi^j k of
+the support; on the latter also against zeta^j psi_U(u) chi(k) read off
+the sampled factors, which calls no solver.  The buckets are pinned by sha256 digests of
 their records, taken from the implementation that built every argument
 and every rotation by generic inversion and products, and summed every
 point's value as an ExactScalar.  The last test counts calls, so that a
@@ -84,7 +86,8 @@ def generic_dual(a, x, n, p):
 def test_dual_rows_equal_the_generic_product(n, p, data):
     a = data.draw(a_window(p))
     x = tuple(data.draw(x_window(p)) for _ in range(n - 2))
-    assert _gl_dual_rows(a, x, n) == generic_dual(a, x, n, p)
+    # a times the integrand: the central character is trivial
+    assert _gl_dual_rows(a, n)(x) == [[a * v for v in row] for row in generic_dual(a, x, n, p)]
 
 
 def primitive_root_of_unity(n, data):
@@ -103,15 +106,18 @@ def kernel_value(p, zeta, parts):
 @given(st.sampled_from((2, 3, 4)), st.sampled_from((3, 5, 7)), st.booleans(), st.data())
 def test_evaluator_matches_whittaker_eval_on_the_windows(n, p, dual, data):
     """The points _gl_buckets evaluates: diag(a, I_(n-1)) on the plain
-    side, _gl_dual_rows(a, x, n) on the dual side."""
+    side, and on the dual side _gl_dual_rows(a, n)(x), a times the
+    integrand, whose kernel value must be the oracle's W at the integrand
+    itself."""
     a = data.draw(a_window(p))
     if dual:
-        rows = _gl_dual_rows(a, tuple(data.draw(x_window(p)) for _ in range(n - 2)), n)
+        x = tuple(data.draw(x_window(p)) for _ in range(n - 2))
+        rows, integrand = _gl_dual_rows(a, n)(x), generic_dual(a, x, n, p)
     else:
-        rows = mat_identity(n)
+        rows = integrand = mat_identity(n)
         rows[0][0] = a
     zeta = primitive_root_of_unity(n, data)
-    want = whittaker_eval(WhittakerSpec(p, "GL", n, zeta), GroupMatrix.make(rows, p))
+    want = whittaker_eval(WhittakerSpec(p, "GL", n, zeta), GroupMatrix.make(integrand, p))
     assert kernel_value(p, zeta, _gl_whittaker_parts(rows, p, n)) == want
 
 

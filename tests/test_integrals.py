@@ -77,7 +77,8 @@ def test_b1_star_is_minus_one(p):
         assert integrals._section(tau, -1 / z, 1, 1) == ES(p, 1, v, v) * tame_eval(tau, b / z)
     # and phi_star_eval takes the section there, at each bucket's z
     want = ExactScalar.zero(p)
-    for (_, z), part in integrals._so_buckets(cfg, "phi_star").items():
+    buckets, _ = integrals._so_buckets(p, 1, cfg.level, cfg.cutoff, cfg.mode, "phi_star", cfg.t)
+    for (_, z), part in buckets.items():
         v = rational_valuation(1 / z, p)
         want = want + part * ES(p, 1, v, v) * tame_eval(tau, b / z)
     assert phi_star_eval(cfg) == want
@@ -513,7 +514,9 @@ def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
     with pytest.raises(BoundaryNonvanishing) as err:
         phi_eval(cfg)
     assert str(err.value) == message
-    assert calls[-1][0][0] == first
+    # the loop goes on past the shell point and values each z once, so
+    # the record scan_support reads is complete
+    assert [g[0][0] for g in calls] == [z for z, _ in zs]
     # the error is memoized: the second call does not enumerate again
     enumerated = len(calls)
     with pytest.raises(BoundaryNonvanishing) as again:
@@ -566,6 +569,51 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
     with pytest.raises(BoundaryNonvanishing) as err:
         phi_eval(cfg)
     assert str(err.value) == f"nonzero phi integrand at the padding shell: z={z}, y={(y,)}"
+    # the scan reads the record the failed evaluation left, which holds
+    # every such point, several at each z
+    zs = integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1]
+    ys = integrals._y_windows(p, level, cutoff, "brute-force")[1]
+    points, verdict = scan_support(p, 2, "phi", level=level, cutoff=cutoff)
+    assert verdict is False
+    assert [(pt.z, pt.y) for pt in points if pt.nonzero != pt.predicted] == [
+        (z, (y,)) for z, z_shell in zs if not z_shell for y, y_shell in ys if y_shell
+    ]
+
+
+def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypatch):
+    """One Phi point on the padding shell made nonzero, at (3, 2, 2, 1).
+    The brute-force phi_eval raises the BoundaryNonvanishing that names
+    it, and scan_support reports it as nonzero off the predicate, in
+    either order: the point loop finishes the window before the error is
+    raised, so the record the scan reads is complete.  The real record,
+    built first, is not read once the cache is replaced."""
+    p, ell, level, cutoff = 3, 2, 2, 1
+    assert scan_support(p, ell, "phi", level=level, cutoff=cutoff)[1] is True  # the real record, cached
+    z0 = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if shell)
+    y0 = integrals._y_windows(p, level, cutoff, "brute-force")[1][0][0]
+    real = integrals._so_whittaker_parts
+
+    def fake(g, prime, ell, t):
+        if (g[0][0], -g[4][3]) == (z0, y0):  # the Phi entries of z and y_0 at n = 5
+            return (0, 0, 0)
+        return real(g, prime, ell, t)
+
+    monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
+    cfg = IntegralConfig(p, ell, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
+    message = f"nonzero phi integrand at the padding shell: z={z0}, y={(y0,)}"
+    for scan_first in (True, False):
+        monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+        for step in ("scan", "eval") if scan_first else ("eval", "scan"):
+            if step == "scan":
+                points, verdict = scan_support(p, ell, "phi", level=level, cutoff=cutoff)
+                assert verdict is False
+                assert [(pt.z, pt.y, pt.nonzero, pt.predicted) for pt in points if pt.nonzero != pt.predicted] == [
+                    (z0, (y0,), True, False)
+                ]
+            else:
+                with pytest.raises(BoundaryNonvanishing) as err:
+                    phi_eval(cfg)
+                assert str(err.value) == message
 
 
 def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatch):
@@ -576,8 +624,8 @@ def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatc
     def fake(rows, prime, n):
         if rows[-1][0] == 0:  # the plain side: bottom row (0, 0, 1)
             return None
-        a = 1 / rows[-1][0]  # the dual bottom row is (1/a, 0, -x_0/a)
-        x = -rows[-1][2] * a
+        # the dual rows are a times the integrand: a on the superdiagonal, bottom row (1, 0, -x_0)
+        a, x = rows[0][1], -rows[-1][2]
         if abs(rational_valuation(a, p)) <= cutoff and rational_valuation(x, p) < 0:
             return (0, 0, 0)
         return None

@@ -62,6 +62,7 @@ from oracles import (
     whittaker_eval,
     xbar,
 )
+from ssgamma import integrals
 from ssgamma.characters import PSI_MAX_POWER, OrderOverflow, TameCharacter, psi_exponent, tame_class, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
@@ -82,6 +83,7 @@ from ssgamma.integrals import (
     gamma_so,
     phi_eval,
     phi_star_eval,
+    scan_support,
 )
 from ssgamma.matrices import F0, F1, in_iplus, row_times_g_chi_so
 from ssgamma.scalars import ExactScalar
@@ -145,7 +147,7 @@ def builder(side):
 
 
 def integrand(side, z, y, ell):
-    return builder(side)(z, y, ell)
+    return builder(side)(z, ell)(y)
 
 
 def times_g_chi(g, p):
@@ -329,7 +331,7 @@ def test_tame_class_merge_keeps_every_tame_sum(p, data):
     values = {x: data.draw(parts) for x in xs}
     one = ExactScalar.one(p)
     outer, inner = (one, [(x, False) for x in xs]), (one, [(F0, False)])
-    buckets = _enumerate(p, outer, inner, 0, lambda x, y: values[x], "no shell here: x={}, y={}")
+    buckets, _ = _enumerate(p, outer, inner, 0, lambda x: lambda y: values[x], "no shell here: x={}, y={}")
     classes: dict = {}  # (i, v, r) -> the x of that zeta-power and tame class
     for x, value in values.items():
         if value is not None:
@@ -359,11 +361,11 @@ def assert_coordinate_is_linear(p, ell, side, t, z, k, c):
     move the same way.  The factored count tests one value of y_k for all
     of them on exactly this."""
     n = 2 * ell + 1
-    build = builder(side)
+    write = builder(side)(z, ell)
     zero = (F0,) * (ell - 1)
 
     def at(x):
-        return build(z, zero[:k] + (x,) + zero[k + 1 :], ell)
+        return write(zero[:k] + (x,) + zero[k + 1 :])
 
     rows = [at(F0), at(c), at(2 * c)]
     cells = list(itertools.product(range(n), repeat=2))
@@ -408,10 +410,8 @@ def point_loop(z, on_shell, ys, build, p, ell, t, parts=_so_whittaker_parts):
     """The shared point loop at z, with the SO value _so_buckets gives it
     (or, with parts=box_parts, the value of the box tests)."""
 
-    def value(z, y):
-        return parts(build(z, y, ell), p, ell, t)
-
-    return _point_counts(z, on_shell, ys, ell - 1, value, "shell: z={}, y={}")
+    rows = build(z, ell)
+    return _point_counts(z, on_shell, ys, ell - 1, lambda y: parts(rows(y), p, ell, t), {})
 
 
 def assert_factored_count_matches_loop(p, ell, side, t, level, zs=None):
@@ -467,12 +467,17 @@ def with_superdiagonal(build, p):
     the base or a coordinate writes, so every box argument there is 0 and
     every psi key is (0, 0)."""
 
-    def moved(z, y, ell):
-        g = build(z, y, ell)
-        g[ell - 1][ell] = Fraction(p)
-        for k, c in enumerate(y):
-            g[k][k + 1] = c
-        return g
+    def moved(z, ell):
+        rows = build(z, ell)
+
+        def moved_rows(y):
+            g = rows(y)
+            g[ell - 1][ell] = Fraction(p)
+            for k, c in enumerate(y):
+                g[k][k + 1] = c
+            return g
+
+        return moved_rows
 
     return moved
 
@@ -561,10 +566,11 @@ def test_convolution_falls_back_exactly_where_a_point_misses_both_boxes(ell, exp
             least = _least_valuation([y for y, _ in ys], p)
             for z, on_shell in zs:
                 got = _so_factored_counts(z, least, len(ys), build, p, ell, t)
-                points = (build(z, y, ell) for y in itertools.product([c for c, _ in ys], repeat=ell - 1))
+                rows = build(z, ell)
+                points = (rows(y) for y in itertools.product([c for c, _ in ys], repeat=ell - 1))
                 if any(off_both_boxes(g, p, ell, t) for g in points):
                     assert got is None, (side, mode, z)
-                    passing = not off_both_boxes(build(z, (F0,) * (ell - 1), ell), p, ell, t)
+                    passing = not off_both_boxes(rows((F0,) * (ell - 1)), p, ell, t)
                     seen["short" if passing else "empty"] += 1
                 else:
                     assert got == point_loop(z, on_shell, ys, build, p, ell, t), (side, mode, z)
@@ -606,7 +612,7 @@ def test_so_buckets_are_pinned(p, ell, t, side, digest):
     Those of the stress sizes (11,3), (13,3), (7,4), (5,4) and (3,5) were
     taken while the factored count still tested every coordinate value."""
     cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=3, cutoff=1, t=t)
-    assert so_bucket_digest(_so_buckets(cfg, side)) == digest
+    assert so_bucket_digest(_so_buckets(p, ell, 3, 1, "support-aware", side, cfg.t)[0]) == digest
 
 
 @pytest.mark.parametrize("p,ell", [(11, 3), (13, 3), (7, 4), (5, 4), (3, 5)])
@@ -640,9 +646,8 @@ def test_support_aware_enumeration_tests_coordinates_not_points(case, count_call
     calls = count_calls("in_iplus", "coset_decompose", "row_times_g_chi_so")
     if case == "brute-force":
         p, ell, level = 3, 2, 2
-        cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1, mode="brute-force")
         for side in SIDES:
-            _so_buckets(cfg, side)
+            _so_buckets(p, ell, level, 1, "brute-force", side, (F1,) * (ell + 1))
         z_count = 5 * (p - 1) * p ** (level - 1)  # valuations -2..2, unit classes mod p^N
         y_count = p * p ** (level + 1)  # p^(N+V) classes and (p-1) p^(N+V) on the shell
         assert len(SIDES) * z_count * y_count ** (ell - 1) == 4_860
@@ -651,8 +656,52 @@ def test_support_aware_enumeration_tests_coordinates_not_points(case, count_call
         assert calls["row_times_g_chi_so"] == 4_842 + 9 * 5 == 4_887
         return
     p, ell, level = 5, 3, 3
-    _so_buckets(IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1), case)
+    _so_buckets(p, ell, level, 1, "support-aware", case, (F1,) * (ell + 1))
     z_count = y_count = p ** (level - 1)
     assert calls["coset_decompose"] == 0
     assert z_count * (2 + (ell - 1) * y_count) == 1_300
     assert 0 < calls["in_iplus"] <= z_count * (2 + (ell - 1)) == 100
+
+
+def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):
+    """scan_support values no point itself: it reads the nonzero points
+    off the record that the brute-force enumeration of the same
+    (p, l, N, V, side, t) keeps beside its buckets, and builds that entry
+    on a miss.  At (3, 2, 2, 1) a lone scan makes the enumeration's
+    2,430 coset_decompose calls a side, a scan after the brute-force
+    build makes none, and so does a build after a scan.  In every order
+    each point's verdict is the solver's, taken point by point here."""
+    p, ell, level = 3, 2, 2
+    t = (F1,) * (ell + 1)
+    want = {}
+    for side in SIDES:
+        build = builder(side)
+        zs = _z_windows(p, level, 1, "brute-force", side)[1]
+        ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
+        want[side] = [
+            _so_whittaker_parts(build(z, ell)(y), p, ell, t) is not None
+            for z, _ in zs
+            for y in itertools.product(ys, repeat=ell - 1)
+        ]
+    cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=level, cutoff=1, mode="brute-force")
+    calls = count_calls("coset_decompose")
+    scans = {}
+    for order in ("scan", "build, scan", "scan, build"):
+        monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+        for side in SIDES:
+            seen = {}
+            for step in order.split(", "):
+                before = calls["coset_decompose"]
+                if step == "scan":
+                    scans[order, side] = scan_support(p, ell, side, level=level, cutoff=1)
+                else:
+                    (phi_eval if side == "phi" else phi_star_eval)(cfg)
+                seen[step] = calls["coset_decompose"] - before
+            first, *rest = order.split(", ")
+            assert seen[first] == 2_430 and all(seen[step] == 0 for step in rest), (order, side, seen)
+            points, verdict = scans[order, side]
+            assert verdict is True
+            assert [pt.nonzero for pt in points] == want[side]
+            assert sum(want[side]) == 9
+    for side in SIDES:
+        assert scans["scan", side] == scans["build, scan", side] == scans["scan, build", side]

@@ -5,8 +5,11 @@ it is reached from an entry point.
 An oracle that imported a private helper could quietly share the fast
 path it is meant to check, and a copy of an oracle in src/ would be a
 second production path.  Both are read off the source with ast, so the
-check does not depend on what an import happens to execute.  sympy is a
-test-side oracle only: importing it took most of `import ssgamma`.
+check does not depend on what an import happens to execute.  So is
+scan_support, which must name neither the evaluator nor the solver: it
+reads the brute-force enumeration's record and values no point itself.
+sympy is a test-side oracle only: importing it took most of `import
+ssgamma`.
 
 Code that only tests reach is either an oracle, kept in tests/oracles.py
 on purpose, or dead.  test_every_package_function_is_reached runs small
@@ -79,6 +82,22 @@ def test_no_oracle_name_is_defined_in_the_package():
         package_names |= top_level_definitions(parse(path))
     assert "coset_decompose" in package_names
     assert sorted(oracle_names & package_names) == []
+
+
+def test_scan_support_values_no_point_itself():
+    """scan_support reads the nonzero points off the record of the
+    brute-force enumeration (_so_buckets).  A reference in it to the
+    evaluator or the coset solver would be a second point loop."""
+    tree = parse(PACKAGE / "integrals.py")
+    scan = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "scan_support")
+    names = set()
+    for node in ast.walk(scan):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "_so_buckets" in names
+    assert sorted(names & {"_so_whittaker_parts", "coset_decompose"}) == []
 
 
 def test_package_imports_no_heavy_dependency():

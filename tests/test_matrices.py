@@ -351,7 +351,7 @@ def test_gl_rotation_is_the_product_with_the_inverse(case, z):
     product = m
     for j in range(len(m)):
         # row by row, m g_chi_gl^(-j) / z
-        assert [row_times_g_chi_gl_inv(row, j, p, z) for row in m] == [[x / z for x in row] for row in product]
+        assert [row_times_g_chi_gl_inv(row, j, z, p * z) for row in m] == [[x / z for x in row] for row in product]
         product = mat_mul(product, inv)
 
 
@@ -483,9 +483,9 @@ def test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it(case):
         m = mat_mul(m, inv)
     mapped = set()
 
-    def recording(row, j, p, z):
+    def recording(row, j, z, pz):
         mapped.add(j)
-        return row_times_g_chi_gl_inv(row, j, p, z)
+        return row_times_g_chi_gl_inv(row, j, z, pz)
 
     with mock.patch.object(matrices, "row_times_g_chi_gl_inv", recording):
         res = coset_decompose_gl(g, p)
