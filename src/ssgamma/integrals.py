@@ -10,51 +10,29 @@ Two evaluation modes:
     padding shell; any nonzero term on the padding shell raises
     BoundaryNonvanishing instead of silently truncating.
 
-The SO integrals come from one enumeration kernel (_so_buckets).  Each
-domain point is the rows of its integrand matrix; the generic coset
-solver, run on them, gives its Whittaker value as plain ints (i, m, a),
-meaning zeta^i * zeta_(p^m)^a.  The kernel counts these in a histogram
-keyed by (i, z, m, a).  A window is one measure weight, that of every
-class off the padding shell, and its representatives, each marked on or
-off the shell; so the weight multiplies each bucket once, at the end.
+A window (_z_windows, _y_windows) is one measure weight, that of every
+class off the padding shell, and the class representatives, each marked
+on or off the shell.  The support-aware windows state the SO support
+lemma: their representatives are the brute-force ones, off the shell,
+at which the integrand does not vanish, and scan_support checks that
+membership against the brute-force enumeration.
 
-In support-aware mode the histogram at one z is not enumerated point
-by point.  Each y coordinate writes its own two entries, the box tests
-are conjunctions over entries and the chi argument is linear in them.
-So when every value of every coordinate, the others held at 0, passes
-the base point's box with the base's argument, every point of the
-(l-1)-fold y product has the base's value, and the histogram is one
-count.  One value per coordinate decides that: the entries y_k = c
-writes are c times fixed factors, a box test on them is a lower bound
-on v(c) (an o-module condition), and the argument moves by a fixed
-multiple of c.  So every value of the window passes iff one of least
-valuation does, and the count costs (l-1) evaluations instead of
-|Y|^(l-1) (_so_buckets has the argument).  A z where that value misses
-the box or moves the argument falls back to the point loop, valued by
-the solver alone.  Brute-force mode always runs that loop, so the
-oracle shares neither the count nor its boxes.  The loop records the
-nonzero points it values, and scan_support compares the support lemma
-with that record instead of valuing the window a second time.
-
-A bucket holds the sum over one tame class of z: the pair tame_class(z)
-= (v_p(z), unit residue mod p).  This merge is exact, because the
-section f_s reads z only through that pair: |z| through v, and the tame
-character tau through (v, r), on both sides (Phi* reads -1/z, whose
-class the class of z fixes).  So each (zeta, tau) cell evaluates f_s
-once per class instead of once per z.
-
-Every bucket comes from one enumeration, _enumerate: it walks an outer
-window and, at each of its points, counts the values over the
-rank-fold product of an inner window, point by point unless a factored
-count is given and holds, and adds the counts straight into the bucket
-of the point's tame class, which keeps the least point of the class as
-its representative.  What depends on the outer point alone (1/z, and
-on the JPSS dual side the rows x does not write) is made once per
-outer point.  The SO buckets are one call (z outer, y inner, rank
-l - 1).  The JPSS GL buckets (_gl_buckets) are two, with a over the
-brute-force multiplicative window and x over the brute-force y window
-at V = 0: the plain side at rank 0 and the dual side at rank n - 2,
-each valued by _gl_whittaker_parts as plain ints (j, m, a).
+Every side (Phi, Phi*, and the JPSS plain and dual sides) is one entry
+of one store, _BUCKETS: the (buckets, record) pair of one enumeration,
+_enumerate.  It walks an outer window and, at each outer point, counts
+the values over the rank-fold product of an inner window, adding the
+counts straight into the bucket (i, x0) of the point's tame class, x0
+the least point of the class (the comment above _BUCKETS has why that
+merge is exact).  A value is the rows of the point's integrand valued
+by the generic coset solver as plain ints (i, m, a), meaning
+zeta^i * zeta_(p^m)^a, and the record holds every nonzero point the
+point loop valued.  An SO side is one enumeration, z outer and y inner
+at rank l - 1 (_so_buckets); in support-aware mode each z's histogram
+is one factored count where that holds (_so_buckets has the argument),
+and brute-force mode always runs the point loop, so the oracle shares
+neither the count nor its boxes.  A JPSS side (_gl_buckets) has a over
+the brute-force multiplicative window and x over the brute-force y
+window at V = 0: the plain side at rank 0, the dual side at rank n - 2.
 
 Every zeta integral is then one bucket sum (_bucket_sum) of
 part * zeta^i * f_s(x0) over the buckets of one side, with one section
@@ -353,21 +331,24 @@ def _so_whittaker_parts(rows, p, ell, t):
 
 
 # ---------------------------------------------------------------------------
-# domain enumeration and bucket cache
+# domain enumeration and the bucket store
 #
-# Buckets collect, per zeta-power i and tame class of z, the full sum of
-# measure-weighted psi_U(u) chi(k) values over the y domain and over the
-# z of that class.  They are independent of zeta and tau, so one
-# enumeration serves the whole (zeta, tau) grid.  Merging the z of a
-# class is exact because tau is tame: f_s(z) depends on z only through
-# tame_class(z), so sum_z part(z) f_s(z) = f_s(z0) sum_z part(z) for any
-# z0 of the class.  A bucket is keyed by (i, z0), z0 the least z of its
-# class, and each z's counts join their bucket as they arrive.  A
-# bucket's .order and .coeffs do not depend on the order in which the
-# (m, a) counts are added: the order is the lcm of the p^m of the
-# nonzero counts, and each coefficient is a sum of positive counts.
-# Term order in .coeffs reaches no record, repr or equality, which all
-# go through sorted or reduced forms.
+# Buckets collect, per zeta-power i and tame class of the outer point x,
+# the full sum of measure-weighted values over the inner domain and over
+# the x of that class.  They are independent of zeta and tau, so one
+# enumeration serves the whole (zeta, tau) grid.  Merging the x of a
+# class is exact because tau is tame: each section reads x only through
+# tame_class(x) = (v_p(x), unit residue mod p), |x| through v and tau
+# through (v, r) (Phi* reads -1/z, whose class the class of z fixes), so
+# sum_x part(x) f_s(x) = f_s(x0) sum_x part(x) for any x0 of the class.
+# A bucket is keyed by (i, x0), x0 the least x of its class, and each
+# x's counts join their bucket as they arrive.  A bucket's .order and
+# .coeffs do not depend on the order in which the (m, a) counts are
+# added: the order is the lcm of the p^m of the nonzero counts, and each
+# coefficient is a sum of positive counts.  Term order in .coeffs
+# reaches no record, repr or equality, which all go through sorted or
+# reduced forms.  (The support-aware SO counts are factored where they
+# can be; _so_buckets has the argument.)
 #
 # The point loop also records each nonzero point it values, with its
 # value, and the record is stored beside the buckets: it is at most the
@@ -375,39 +356,46 @@ def _so_whittaker_parts(rows, p, ell, t):
 # scan_support reads it instead of valuing the points again.  A nonzero
 # point on the padding shell does not stop the loop, so the record is
 # complete whatever the loop meets; the buckets are then the
-# BoundaryNonvanishing that names the first such point in loop order,
-# and every reader of the buckets raises it (_checked).
+# BoundaryNonvanishing that names the first such point in loop order.
+#
+# _BUCKETS holds one (buckets, record) entry per side, keyed by its
+# builder (_so_buckets or _gl_buckets) and the builder's arguments.
+# scan_support reads the entry (_entry); every other reader reads the
+# buckets, which raise when they are a BoundaryNonvanishing (_buckets).
 
-_SO_BUCKETS: dict = {}
+_BUCKETS: dict = {}
 
 
-def _memo(cache, key, build):
-    """cache[key], from build() on a miss."""
-    hit = cache.get(key)
+def _entry(build, *args):
+    """The (buckets, record) entry of build(*args), built on a miss."""
+    key = (build, *args)
+    hit = _BUCKETS.get(key)
     if hit is None:
-        hit = cache[key] = build()
+        hit = _BUCKETS[key] = build(*args)
     return hit
 
 
-def _checked(buckets):
-    """buckets, raised instead when they are the BoundaryNonvanishing of a
-    nonzero point on the padding shell."""
+def _buckets(build, *args):
+    """The buckets of _entry(build, *args), raised instead when they are
+    the BoundaryNonvanishing of a nonzero point on the padding shell,
+    with a fresh traceback: the stored error would otherwise keep every
+    earlier raise's frames."""
+    buckets = _entry(build, *args)[0]
     if isinstance(buckets, BoundaryNonvanishing):
-        raise buckets
+        raise buckets.with_traceback(None)
     return buckets
 
 
 def _y_windows(p, level, cutoff, mode):
-    """(weight, [(y rep, on_shell)]) for one y coordinate; the weight is
-    the measure of each class off the padding shell."""
-    if mode == "support-aware":
-        # p mod p^N: vol(p) / p^(N-1)
-        weight = ExactScalar.from_coeff(p, Fraction(1, p ** (level - 1)), q_half=-1)
+    """(weight, [(y rep, on_shell)]) for one y coordinate.  The classes
+    are the cosets of p^N, so the weight, the measure of each class off
+    the padding shell, is vol(o) / p^N in both modes."""
+    weight = ExactScalar.from_coeff(p, Fraction(1, p**level), q_half=1)
+    if mode == "support-aware":  # p mod p^N
         return weight, [(Fraction(p * a), False) for a in range(p ** (level - 1))]
-    # p^-V o mod p^N: vol(p^-V o) / p^(N+V), plus the p^-(V+1) padding shell
+    # p^-V o mod p^N, plus the p^-(V+1) padding shell
     den = p**cutoff
     count = p ** (level + cutoff)
-    weight = ExactScalar.from_coeff(p, Fraction(1, count), q_half=1 + 2 * cutoff)
     reps = [(Fraction(a, den), False) for a in range(count)]
     reps += [(Fraction(a, den * p), True) for a in range(p * count) if a % p]  # valuation -(V+1)
     return weight, reps
@@ -430,34 +418,34 @@ def _z_windows(p, level, cutoff, mode, side):
 
 
 def _enumerate(p, outer, inner, rank, value, shell, factored=None):
-    """(buckets, record): the one enumeration behind every bucket.  The
-    buckets map (*tag, x0) to the weighted sum of the point values over
+    """(buckets, record): the one enumeration behind every side.  The
+    buckets map (i, x0) to the weighted sum of the point values over
     the rank-fold product of the inner window and the x of one tame
     class, x0 the least x of the class.
 
     outer and inner are (weight, [(rep, on_shell)]) windows.  value(x),
     entered once per outer point, is the function of y that gives the
-    value of the point (x, y) as (*tag, m, a), or None where it
+    value of the point (x, y) as (i, m, a), or None where it
     vanishes.  At each x of the outer window the histogram of values is
     factored(x) when that is given and does not decline (None), and the
-    point loop (_point_counts) otherwise.  Each count c of (*tag, m, a)
+    point loop (_point_counts) otherwise.  Each count c of (i, m, a)
     adds c * zeta_(p^m)^a, at order p^m (the exact order of the value),
-    to the bucket (*tag, tame_class(x)) as it arrives.  The record maps
+    to the bucket (i, tame_class(x)) as it arrives.  The record maps
     each nonzero point of the point loop, (x, y), to its value and
     whether it lies on the padding shell, in loop order.  When one does,
     the buckets are the BoundaryNonvanishing with the text shell,
     formatted with the first such point; the record is complete either
     way."""
     (x_weight, xs), (y_weight, ys) = outer, inner
-    sums: dict = {}  # (*tag, v, r) -> [least x of the class, unweighted sum of the values]
+    sums: dict = {}  # (i, v, r) -> [least x of the class, unweighted sum of the values]
     record: dict = {}
     for x, on_shell in xs:
         counts = factored(x) if factored else None
         if counts is None:
             counts = _point_counts(x, on_shell, ys, rank, value(x), record)
         cls = tame_class(x, p)
-        for (*tag, m, a), count in counts.items():
-            key = (*tag, *cls)
+        for (i, m, a), count in counts.items():
+            key = (i, *cls)
             term = CyclotomicNumber(p**m, {a: count})
             hit = sums.get(key)
             if hit is None:
@@ -469,15 +457,15 @@ def _enumerate(p, outer, inner, rank, value, shell, factored=None):
     if first is not None:
         return BoundaryNonvanishing(shell.format(*first)), record
     weight = x_weight * y_weight**rank
-    buckets = {(*key[:-2], x0): weight * ExactScalar.from_coeff(p, c) for key, (x0, c) in sums.items()}
+    buckets = {(key[0], x0): weight * ExactScalar.from_coeff(p, c) for key, (x0, c) in sums.items()}
     return buckets, record
 
 
 def _point_counts(x, on_shell, ys, rank, value, record):
-    """(*tag, m, a) -> the number of points (x, y) with that value, y over
+    """(i, m, a) -> the number of points (x, y) with that value, y over
     the rank-fold product of the window reps ys, point by point, each
     valued by value(y).  Each nonzero point goes into record as
-    (x, y) -> ((*tag, m, a), whether it lies on the padding shell)."""
+    (x, y) -> ((i, m, a), whether it lies on the padding shell)."""
     counts: dict = {}
     for combo in itertools.product(ys, repeat=rank):
         y = tuple(c for c, _ in combo)
@@ -489,9 +477,10 @@ def _point_counts(x, on_shell, ys, rank, value, record):
 
 
 def _so_buckets(p, ell, level, cutoff, mode, side, t):
-    """(buckets, record) of one side, by _enumerate: (i, z0) -> the
+    """(buckets, record) of one SO side, by _enumerate: (i, z0) -> the
     weighted sum of W over the y domain and the z of one tame class (see
-    the comment above), and the point loop's record of nonzero points.
+    the comment above _BUCKETS), and the point loop's record of nonzero
+    points.
 
     Support-aware mode reads each z's (i, m, a) histogram over the
     (l-1)-fold y product off the base point (all y = 0) and one point
@@ -601,27 +590,21 @@ def _section(tau: TameCharacter, x, h: int, k: int) -> ExactScalar:
     return ExactScalar.from_coeff(p, F1, q_half=h * v, s_power=k * v) * tame_eval(tau, x)
 
 
-def _bucket_sum(buckets, tag: tuple, p: int, zeta, section) -> ExactScalar:
-    """sum part * zeta^i * section(x0) over the buckets (*tag, i, x0) of
-    one tag, in key order: a zeta integral from its buckets."""
-    n = len(tag)
+def _bucket_sum(buckets, p: int, zeta, section) -> ExactScalar:
+    """sum part * zeta^i * section(x0) over the buckets (i, x0) of one
+    side, in key order: a zeta integral from its buckets."""
     total = ExactScalar.zero(p)
-    for key, part in sorted(buckets.items()):
-        if key[:n] == tag:
-            i, x0 = key[n:]
-            total = total + part * ExactScalar.from_coeff(p, zeta**i) * section(x0)
+    for (i, x0), part in sorted(buckets.items()):
+        total = total + part * ExactScalar.from_coeff(p, zeta**i) * section(x0)
     return total
 
 
 def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
     if not isinstance(cfg, IntegralConfig):
         raise IntegralError(f"cfg must be an IntegralConfig, got {cfg!r}")
-    key = (cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side, cfg.t)
-    buckets = _checked(_memo(_SO_BUCKETS, key, lambda: _so_buckets(*key))[0])
+    buckets = _buckets(_so_buckets, cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side, cfg.t)
     star = side == "phi_star"  # Phi* reads b_1^* z^(-1) = -1/z
-    return _bucket_sum(
-        buckets, (), cfg.prime, cfg.zeta, lambda z: _section(cfg.tau, FM1 / z if star else z, 1, 1)
-    )
+    return _bucket_sum(buckets, cfg.prime, cfg.zeta, lambda z: _section(cfg.tau, FM1 / z if star else z, 1, 1))
 
 
 def phi_eval(cfg: IntegralConfig) -> ExactScalar:
@@ -683,9 +666,6 @@ def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> Exact
     )
 
 
-_GL_BUCKETS: dict = {}
-
-
 def _gl_whittaker_parts(rows, p, n):
     """(j, m, a) with W(g) = zeta^j * zeta_(p^m)^a for GL_n, or None off
     the support.
@@ -707,41 +687,40 @@ def _gl_whittaker_parts(rows, p, n):
     return (j,) + psi_exponent(u_arg + k_arg, p)
 
 
-def _gl_buckets(n: int, p: int, level: int, cutoff: int):
-    """For both JPSS sides: (side, j, a0) -> the weighted values summed
-    over x and over the a of tame_class(a0) (the sections read a only
-    through that class).
+def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
+    """(buckets, record) of one JPSS side, by _enumerate: (j, a0) -> the
+    weighted values summed over x and over the a of tame_class(a0) (the
+    sections read a only through that class), and the point loop's
+    record of nonzero points.
 
-    Each side is one _enumerate, a over the brute-force z window: the
-    plain side at rank 0 evaluates W(diag(a, I_(n-1))), and the dual side
-    at rank n - 2 evaluates W(w_long t(m)^(-1) w_(n,1)) with
-    m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0), whose rows, times the
-    central element a, _gl_dual_rows writes down directly (no
-    inversion).  Each coordinate of x runs over the brute-force y window
-    at V = 0: o mod p^N (vol(o) = q^(1/2)) plus the p^(-1) padding
-    shell.  A side with a nonzero point on the shell gives its
-    BoundaryNonvanishing in place of the buckets."""
+    a runs over the brute-force z window.  The plain side, at rank 0,
+    evaluates W(diag(a, I_(n-1))), and the dual side, at rank n - 2,
+    W(w_long t(m)^(-1) w_(n,1)) with m = 1 + (a - 1) E_00 +
+    sum x_r E_(1+r,0), whose rows, times the central element a,
+    _gl_dual_rows writes down directly (no inversion).  Each coordinate
+    of x runs over the brute-force y window at V = 0: o mod p^N
+    (vol(o) = q^(1/2)) plus the p^(-1) padding shell."""
+    if side == "plain":
 
-    def plain(a):
-        rows = mat_identity(n)
-        rows[0][0] = a
-        return lambda x: _gl_whittaker_parts(rows, p, n)
+        def value(a):
+            rows = mat_identity(n)
+            rows[0][0] = a
+            return lambda x: _gl_whittaker_parts(rows, p, n)
 
-    def dual(a):
-        rows = _gl_dual_rows(a, n)
-        return lambda x: _gl_whittaker_parts(rows(x), p, n)
+    else:
 
-    as_ = _z_windows(p, level, cutoff, "brute-force", "phi")
-    xs = _y_windows(p, level, 0, "brute-force")
-    buckets = {}
-    for side, rank, value in (("plain", 0, plain), ("dual", n - 2, dual)):
-        shell = f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}"
-        parts, _ = _enumerate(p, as_, xs, rank, value, shell)
-        if isinstance(parts, BoundaryNonvanishing):
-            return parts
-        for key, part in parts.items():
-            buckets[(side,) + key] = part
-    return buckets
+        def value(a):
+            rows = _gl_dual_rows(a, n)
+            return lambda x: _gl_whittaker_parts(rows(x), p, n)
+
+    return _enumerate(
+        p,
+        _z_windows(p, level, cutoff, "brute-force", "phi"),
+        _y_windows(p, level, 0, "brute-force"),
+        0 if side == "plain" else n - 2,
+        value,
+        f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}",
+    )
 
 
 def jpss_gl_gamma(
@@ -761,10 +740,11 @@ def jpss_gl_gamma(
     p = tau.prime
     check_domain(n - 1, level, cutoff)  # the x window is the SO y window of rank n - 1
     _check_gl_root(zeta, n)
-    buckets = _checked(_memo(_GL_BUCKETS, (n, p, level, cutoff), lambda: _gl_buckets(n, p, level, cutoff)))
+    # plain first, so that a plain shell error is raised ahead of a dual one
+    plain, dual = (_buckets(_gl_buckets, n, p, level, cutoff, side) for side in ("plain", "dual"))
     tau_inv = tau.inverse()
-    plain = _bucket_sum(buckets, ("plain",), p, zeta, lambda a: _section(tau, a, n - 1, 1))
-    dual = _bucket_sum(buckets, ("dual",), p, zeta, lambda a: _section(tau_inv, a, n - 3, -1))
+    plain = _bucket_sum(plain, p, zeta, lambda a: _section(tau, a, n - 1, 1))
+    dual = _bucket_sum(dual, p, zeta, lambda a: _section(tau_inv, a, n - 3, -1))
     if plain.is_zero():
         raise ZeroDenominator("JPSS plain integral vanished")
     computed = tame_eval(tau, -1) ** (n - 1) * dual / plain
@@ -808,18 +788,6 @@ class SupportPoint:
     predicted: bool
 
 
-def _phi_predicate(z, y, p):
-    return rational_valuation(z - 1, p) >= 1 and all(
-        rational_valuation(c, p) >= 1 for c in y
-    )
-
-
-def _phi_star_predicate(z, y, p):
-    return rational_valuation(1 / z - p, p) >= 2 and all(
-        rational_valuation(c, p) >= 1 for c in y
-    )
-
-
 def scan_support(
     p: int,
     ell: int,
@@ -828,10 +796,17 @@ def scan_support(
     cutoff: int = 1,
     t: tuple = None,
 ) -> tuple:
-    """The integrand support on the brute-force window versus the lemma
-    predicate.  Returns (points, verdict): a SupportPoint for every point
-    of the window, in enumeration order, and True when the nonvanishing
-    set matches the predicate exactly.
+    """The integrand support on the brute-force window versus the support
+    lemma.  Returns (points, verdict): a SupportPoint for every point of
+    the window, in enumeration order, and True when the nonvanishing set
+    is exactly the predicted one.
+
+    The lemma is stated once, as the support-aware windows: a point is
+    predicted nonzero when z is a representative of the side's
+    support-aware z window and every y_k one of the support-aware y
+    window.  Those representatives are brute-force ones off the shell
+    (1 + p a for Phi, (1 + p a)/p for Phi*, p a for each y), so the scan
+    checks the very windows the fast path sums over.
 
     The nonzero points are read off the record of the brute-force
     enumeration of the same (p, l, N, V, side, t), which values each
@@ -844,19 +819,20 @@ def scan_support(
     if side not in ("phi", "phi_star"):
         raise IntegralError(f"side must be phi or phi_star, got {side!r}")
     t = _check_t(t, ell, p)
-    key = (p, ell, level, cutoff, "brute-force", side, t)
     nonzero_at: dict = {}  # z -> the y of its nonzero points
-    for z, y in _memo(_SO_BUCKETS, key, lambda: _so_buckets(*key))[1]:
+    for z, y in _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side, t)[1]:
         nonzero_at.setdefault(z, set()).add(y)
-    predicate = _phi_predicate if side == "phi" else _phi_star_predicate
+    support_z = {z for z, _ in _z_windows(p, level, cutoff, "support-aware", side)[1]}
+    support_y = {y for y, _ in _y_windows(p, level, cutoff, "support-aware")[1]}
     ys = [y for y, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
     points = []
     verdict = True
     for z, _ in _z_windows(p, level, cutoff, "brute-force", side)[1]:
         here = nonzero_at.get(z, ())
+        z_in = z in support_z
         for y in itertools.product(ys, repeat=ell - 1):
             nonzero = y in here
-            pred = predicate(z, y, p)
+            pred = z_in and all(c in support_y for c in y)
             if nonzero != pred:
                 verdict = False
             points.append(SupportPoint(z, y, nonzero, pred))

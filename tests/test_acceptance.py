@@ -100,7 +100,7 @@ def test_brute_force_oracle_and_support_scans_at_5_2(monkeypatch):
     scans hold.  The scans run after the brute-force enumeration of the
     same domain, so they read its record of nonzero points and value no
     point again (the cache starts empty, so nothing else fills it)."""
-    monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+    monkeypatch.setattr(integrals, "_BUCKETS", {})
     p, ell = 5, 2
     fast = make_cfg(p, ell, -1, 1, -1, level=2, cutoff=1)
     slow = make_cfg(p, ell, -1, 1, -1, level=2, cutoff=1, mode="brute-force")

@@ -11,7 +11,6 @@ from ssgamma.characters import OrderOverflow, TameCharacter
 from ssgamma.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, ConfigError, _check_prime, main
 from ssgamma.cyclotomic import CyclotomicNumber
 from ssgamma.matrices import SingularMatrix
-from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar, NonMonomialDivisor
 
 
@@ -86,9 +85,11 @@ def test_scan_support(capsys):
 
 
 def test_scan_support_negative_control(capsys, monkeypatch):
-    # an intentionally wrong Phi* predicate: the scan must report the mismatch
+    # an intentionally wrong support lemma, the Phi* side given the Phi
+    # support-aware window: the scan must report the mismatch
+    real = integrals._z_windows
     monkeypatch.setattr(
-        integrals, "_phi_star_predicate", lambda z, y, p: rational_valuation(z, p) == 0
+        integrals, "_z_windows", lambda p, level, cutoff, mode, side: real(p, level, cutoff, mode, "phi")
     )
     code, out = run(capsys, "scan-support", "--p", "3", "--ell", "1", "--side", "phi-star")
     assert code == EXIT_MISMATCH
@@ -199,7 +200,7 @@ def test_empty_table_list_is_a_config_error(capsys, p, ell):
 
 def test_gamma_so_brute_reports_a_nonzero_shell_point(capsys, monkeypatch):
     monkeypatch.setattr(integrals, "_so_whittaker_parts", lambda g, p, ell, t: (0, 0, 0))
-    monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+    monkeypatch.setattr(integrals, "_BUCKETS", {})
     code, out = run(capsys, "gamma-so", "--p", "3", "--ell", "1", "--zeta", "1", "--mode", "brute")
     assert code == EXIT_MISMATCH
     doc = json.loads(out)

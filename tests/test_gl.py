@@ -1,11 +1,13 @@
 """The JPSS GL(n) x GL(1) enumeration, integrals._gl_buckets.
 
 The enumeration is the SO one: each side is one call of _enumerate, the
-single point loop and tame-class merge of integrals.py, with a over the
-brute-force multiplicative window _z_windows and each x coordinate over
-_y_windows at V = 0 (o mod p^N plus the p^(-1) shell).  The plain side
-runs at rank 0 and the dual side at rank n - 2; both read W(g) through
-_gl_whittaker_parts as the plain ints (j, m, a) = zeta^j zeta_(p^m)^a.  The dual side's
+single point loop and tame-class merge of integrals.py, and one
+(buckets, record) entry of the one bucket store, as each SO side is.  a
+runs over the brute-force multiplicative window _z_windows and each x
+coordinate over _y_windows at V = 0 (o mod p^N plus the p^(-1) shell).
+The plain side runs at rank 0 and the dual side at rank n - 2; both
+read W(g) through _gl_whittaker_parts as the plain ints
+(j, m, a) = zeta^j zeta_(p^m)^a.  The dual side's
 argument w_long (t m)^(-1) w_(n,1), times the central element a, is
 written down in closed form (_gl_dual_rows), and coset_decompose_gl
 rotates columns instead of multiplying by g_chi^(-1).
@@ -17,16 +19,19 @@ tests/oracles.py, on window points (the dual side's value on a times
 the integrand against the oracle's on the integrand itself, so the
 trivial central character is checked too) and on points u g_chi^j k of
 the support; on the latter also against zeta^j psi_U(u) chi(k) read off
-the sampled factors, which calls no solver.  The buckets are pinned by sha256 digests of
-their records, taken from the implementation that built every argument
-and every rotation by generic inversion and products, and summed every
-point's value as an ExactScalar.  The last test counts calls, so that a
-per-point inversion, or a second elimination per point, cannot come back
-unseen: the solver hands back the factors it computes, and the
+the sampled factors, which calls no solver.  The buckets of both sides,
+keyed (side, j, a0) as one dict, are pinned by sha256 digests of their
+records, taken from the implementation that built every argument and
+every rotation by generic inversion and products, and summed every
+point's value as an ExactScalar.  The support lemma of both sides is
+read off their records of nonzero points.  The last test counts calls,
+so that a per-point inversion, or a second elimination per point, cannot
+come back unseen: the solver hands back the factors it computes, and the
 enumeration inverts nothing.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -49,8 +54,9 @@ from oracles import (
     whittaker_eval,
 )
 from ssgamma.cyclotomic import CyclotomicNumber as C
-from ssgamma.integrals import _gl_buckets, _gl_dual_rows, _gl_whittaker_parts
+from ssgamma.integrals import _entry, _gl_buckets, _gl_dual_rows, _gl_whittaker_parts, _y_windows, _z_windows
 from ssgamma.matrices import mat_identity
+from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
 LEVEL, CUTOFF = 2, 1
@@ -155,6 +161,9 @@ def test_evaluator_matches_whittaker_eval_on_the_support(n, p, integral, seed, d
     assert kernel_value(p, zeta, parts) == ExactScalar.from_coeff(p, direct)
 
 
+SIDES = ("plain", "dual")
+
+
 def bucket_digest(buckets):
     records = [
         [side, j, str(a), part.to_records()]
@@ -173,14 +182,39 @@ def bucket_digest(buckets):
     ],
 )
 def test_gl_buckets_are_pinned(n, p, digest):
-    # _gl_buckets is the enumeration itself; the cache sits in jpss_gl_gamma
-    assert bucket_digest(_gl_buckets(n, p, LEVEL, CUTOFF)) == digest
+    # _gl_buckets is the enumeration itself, one side a call; the store
+    # sits in front of it.  The digests were taken of both sides in one
+    # dict keyed (side, j, a0).
+    both = {(side,) + key: part for side in SIDES for key, part in _gl_buckets(n, p, LEVEL, CUTOFF, side)[0].items()}
+    assert bucket_digest(both) == digest
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (2, 5), (3, 5), (4, 3)])
+def test_jpss_support_lemma(n, p):
+    """The JPSS support at N = 2, V = 1, read off the record of nonzero
+    points of each side's store entry: W(diag(a, I)) != 0 exactly at
+    a in 1 + p, with value (j, m, a) = (0, 0, 0), and on the dual side
+    exactly at a in p^(-1)(1 + p) with every x_i in o, off the shell,
+    with value (1, 0, 0).  The windows run over the whole brute-force
+    domain, padding shells included."""
+    as_ = [a for a, _ in _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")[1]]
+    xs = [x for x, shell in _y_windows(p, LEVEL, 0, "brute-force")[1] if not shell]
+    assert all(rational_valuation(x, p) >= 0 for x in xs)
+    _, plain = _entry(_gl_buckets, n, p, LEVEL, CUTOFF, "plain")
+    assert plain == {(a, ()): ((0, 0, 0), False) for a in as_ if rational_valuation(a - 1, p) >= 1}
+    _, dual = _entry(_gl_buckets, n, p, LEVEL, CUTOFF, "dual")
+    assert dual == {
+        (a, x): ((1, 0, 0), False)
+        for a in as_
+        if rational_valuation(p * a - 1, p) >= 1
+        for x in itertools.product(xs, repeat=n - 2)
+    }
 
 
 def test_gl_enumeration_inverts_nothing(count_calls):
     """mat_inv, coset_decompose_gl, its elimination and the row map of the
-    elimination counted at every name the package binds them to, over one
-    enumeration at (n, p) = (3, 5).  Each of the 12,600 solver calls runs
+    elimination counted at every name the package binds them to, over the
+    enumeration of both sides at (n, p) = (3, 5).  Each of the 12,600 solver calls runs
     one elimination, at the one j whose bottom row can lie in I+; trying
     j = 0, 1, ... in turn ran 25,000, one for each j with a nonzero z up
     to the first that factors.  The solver rotates and scales a row only
@@ -189,7 +223,8 @@ def test_gl_enumeration_inverts_nothing(count_calls):
     and forming each g g_chi^(-j) / z in full would scale 3 rows for each
     of its 25,000 eliminations, 75,000."""
     calls = count_calls("mat_inv", "coset_decompose_gl", "eliminate_u_iplus", "row_times_g_chi_gl_inv")
-    _gl_buckets(3, 5, LEVEL, CUTOFF)
+    for side in SIDES:
+        _gl_buckets(3, 5, LEVEL, CUTOFF, side)
     assert calls["coset_decompose_gl"] == 12_600
     assert calls["coset_decompose_gl.found"] == 130
     assert calls["eliminate_u_iplus"] == 12_600

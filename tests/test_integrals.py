@@ -478,8 +478,13 @@ def test_scan_support_matches_predicate(side):
 
 
 def test_scan_support_detects_wrong_predicate(monkeypatch):
+    """The support lemma is the support-aware windows: giving the Phi
+    side the Phi* window must fail the scan."""
     p = 3
-    monkeypatch.setattr(integrals, "_phi_predicate", lambda z, y, prime: False)
+    real = integrals._z_windows
+    monkeypatch.setattr(
+        integrals, "_z_windows", lambda prime, level, cutoff, mode, side: real(prime, level, cutoff, mode, "phi_star")
+    )
     _, verdict = scan_support(p, 1, "phi", level=2, cutoff=1)
     assert not verdict
 
@@ -500,8 +505,15 @@ def shell_nonzero_evaluator(monkeypatch, cutoff):
         return real(g, p, ell, t)
 
     monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
-    monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+    monkeypatch.setattr(integrals, "_BUCKETS", {})
     return calls
+
+
+def traceback_depth(error):
+    tb, depth = error.__traceback__, 0
+    while tb is not None:
+        tb, depth = tb.tb_next, depth + 1
+    return depth
 
 
 def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
@@ -514,6 +526,7 @@ def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
     with pytest.raises(BoundaryNonvanishing) as err:
         phi_eval(cfg)
     assert str(err.value) == message
+    depth = traceback_depth(err.value)
     # the loop goes on past the shell point and values each z once, so
     # the record scan_support reads is complete
     assert [g[0][0] for g in calls] == [z for z, _ in zs]
@@ -523,6 +536,9 @@ def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
         phi_eval(cfg)
     assert str(again.value) == message
     assert len(calls) == enumerated
+    # the stored error is raised with a fresh traceback each time, so it
+    # does not keep the frames of every earlier raise
+    assert traceback_depth(again.value) == depth
 
 
 @pytest.mark.parametrize("level,cutoff", [(0, 1), (1, 1), (2, 0), (2, -1)])
@@ -541,7 +557,7 @@ def test_scan_support_rejects_an_unknown_side(side):
 def test_jpss_raises_on_a_nonzero_shell_point(monkeypatch):
     p, cutoff = 3, 1
     monkeypatch.setattr(integrals, "_gl_whittaker_parts", lambda rows, prime, n: (0, 0, 0))
-    monkeypatch.setattr(integrals, "_GL_BUCKETS", {})
+    monkeypatch.setattr(integrals, "_BUCKETS", {})
     first = Fraction(p) ** (-cutoff - 1)  # the first a of the plain side
     message = f"nonzero JPSS plain integrand at the padding shell: a={first}, x=()"
     with pytest.raises(BoundaryNonvanishing) as err:
@@ -562,7 +578,7 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
         return real(g, prime, ell, t)
 
     monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
-    monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+    monkeypatch.setattr(integrals, "_BUCKETS", {})
     z = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if not shell)
     y = next(y for y, shell in integrals._y_windows(p, level, cutoff, "brute-force")[1] if shell)
     cfg = IntegralConfig(p, 2, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
@@ -602,7 +618,7 @@ def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypat
     cfg = IntegralConfig(p, ell, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
     message = f"nonzero phi integrand at the padding shell: z={z0}, y={(y0,)}"
     for scan_first in (True, False):
-        monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+        monkeypatch.setattr(integrals, "_BUCKETS", {})
         for step in ("scan", "eval") if scan_first else ("eval", "scan"):
             if step == "scan":
                 points, verdict = scan_support(p, ell, "phi", level=level, cutoff=cutoff)
@@ -631,7 +647,7 @@ def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatc
         return None
 
     monkeypatch.setattr(integrals, "_gl_whittaker_parts", fake)
-    monkeypatch.setattr(integrals, "_GL_BUCKETS", {})
+    monkeypatch.setattr(integrals, "_BUCKETS", {})
     a = next(a for a, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if not shell)
     x = next(x for x, shell in integrals._y_windows(p, level, 0, "brute-force")[1] if shell)
     with pytest.raises(BoundaryNonvanishing) as err:

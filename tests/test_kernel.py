@@ -687,7 +687,7 @@ def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):
     calls = count_calls("coset_decompose")
     scans = {}
     for order in ("scan", "build, scan", "scan, build"):
-        monkeypatch.setattr(integrals, "_SO_BUCKETS", {})
+        monkeypatch.setattr(integrals, "_BUCKETS", {})
         for side in SIDES:
             seen = {}
             for step in order.split(", "):

@@ -11,6 +11,10 @@ reads the brute-force enumeration's record and values no point itself.
 sympy is a test-side oracle only: importing it took most of `import
 ssgamma`.
 
+tests/mutants.py patches the package by exact text, so each of its
+mutants is checked here to still apply: its old text occurs exactly
+once in its file.  That check reads the files and starts no process.
+
 Code that only tests reach is either an oracle, kept in tests/oracles.py
 on purpose, or dead.  test_every_package_function_is_reached runs small
 instances of the CLI commands and library entry points under
@@ -24,6 +28,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import mutants
 
 ROOT = Path(__file__).resolve().parents[1]
 ORACLES = ROOT / "tests" / "oracles.py"
@@ -98,6 +104,14 @@ def test_scan_support_values_no_point_itself():
             names.add(node.attr)
     assert "_so_buckets" in names
     assert sorted(names & {"_so_whittaker_parts", "coset_decompose"}) == []
+
+
+def test_every_mutant_still_applies():
+    """A mutant whose old text moved, or occurs twice, would test nothing,
+    or the wrong place; each names at least one test that must catch it."""
+    assert [m.name for m in mutants.MUTANTS if mutants.occurrences(m) != 1] == []
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    assert all(m.tests and m.old != m.new for m in mutants.MUTANTS)
 
 
 def test_package_imports_no_heavy_dependency():

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -102,15 +103,27 @@ def test_repset_volumes():
     assert window_volume(_z_windows(p, 2, 1, "support-aware", "phi")) == ES(p, Fraction(1, p - 1))
 
 
+def assert_inside(support_aware, brute_force):
+    """Every support-aware rep is a distinct brute-force rep off the
+    shell: the precondition of scan_support's membership test, which
+    reads the support lemma off the support-aware windows."""
+    reps = [x for x, shell in support_aware[1] if not shell]
+    assert len(reps) == len(support_aware[1]) == len(set(reps))
+    assert set(reps) <= {x for x, shell in brute_force[1] if not shell}
+
+
 def test_repset_weights_sum_to_volume():
-    p = 5
-    for level, cutoff in [(2, 1), (3, 1), (2, 2)]:
+    for p, level, cutoff in itertools.product((3, 5, 7), (2, 3), (1, 2)):
         ys = _y_windows(p, level, cutoff, "brute-force")
         # p^(-V) o, and the padding shell of valuation exactly -(V+1)
         assert window_volume(ys) == ES(p, 1, 1 + 2 * cutoff)
         for y, shell in ys[1]:
             assert (rational_valuation(y, p) == -cutoff - 1) if shell else (rational_valuation(y, p) >= -cutoff)
-        assert window_volume(_y_windows(p, level, cutoff, "support-aware")) == ES(p, 1, -1)
+        sa_ys = _y_windows(p, level, cutoff, "support-aware")
+        assert window_volume(sa_ys) == ES(p, 1, -1)
+        # one class measure: the same weight, stored alike, in both modes
+        assert sa_ys[0] == ys[0] and sa_ys[0].to_records() == ys[0].to_records()
+        assert_inside(sa_ys, ys)
         for side in ("phi", "phi_star"):
             zs = _z_windows(p, level, cutoff, "brute-force", side)
             # one unit of volume per valuation -V-1 .. V+1
@@ -119,6 +132,7 @@ def test_repset_weights_sum_to_volume():
                 assert shell == (abs(rational_valuation(z, p)) > cutoff)
             sa = _z_windows(p, level, cutoff, "support-aware", side)
             assert window_volume(sa) == ES(p, Fraction(1, p - 1))
+            assert_inside(sa, zs)
 
 
 def test_repset_counts():
