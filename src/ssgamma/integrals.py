@@ -140,7 +140,9 @@ def _check_gl_root(zeta: CyclotomicNumber, n: int) -> None:
 def _check_t(t, ell: int, p: int) -> tuple:
     """The affine parameters (t_1, ..., t_(l+1)), all 1 when t is None;
     otherwise a tuple or list of l + 1 ints or Fractions.  Each must be a
-    p-adic unit: that is what makes the affine character generic."""
+    p-adic unit: that is what makes the affine character generic.  And
+    t_(l+1) = t_1 mod p: only then does the fixed g_chi normalize chi, so
+    that W is defined (see _chi_arg)."""
     if t is None:
         return (F1,) * (ell + 1)
     if not isinstance(t, (tuple, list)):
@@ -152,6 +154,8 @@ def _check_t(t, ell: int, p: int) -> tuple:
     t = tuple(map(Fraction, t))
     if any(rational_valuation(x, p) != 0 for x in t):
         raise IntegralError("each affine parameter t must be a p-adic unit")
+    if rational_valuation(t[ell] - t[0], p) < 1:
+        raise IntegralError("need t_(l+1) = t_1 mod p: only then does g_chi normalize chi")
     return t
 
 
@@ -269,7 +273,16 @@ def _gl_dual_rows(a, n):
 def _chi_arg(k, t, ell, p):
     """x with chi(k) = psi(x) for k in I+: the weighted simple affine
     entries.  Zero entries are skipped, since Fraction arithmetic is slow
-    and on the integrands chi reads only zeros."""
+    and on the integrands chi reads only zeros.
+
+    It reads chi(g_chi k g_chi) off k too.  For k in I+ and SO, the
+    argument of g_chi k g_chi is, up to p, that of k with the weights t_1
+    and t_(l+1) swapped on the two integral entries chi reads at its
+    ends, k[0][1] and k[2l-1][0] / p.  The t that _check_t accepts have
+    t_(l+1) = t_1 mod p, so the two arguments differ by an element of p,
+    and psi_exponent reads x only mod p: every (i, m, a) stored is the
+    same whichever of k and g_chi k g_chi it is read off.  On a unit upper
+    triangular u, whose corner entry is 0, it reads psi_U(u)."""
     s = F0
     for a in range(ell):
         x = k[a][a + 1]
@@ -281,32 +294,16 @@ def _chi_arg(k, t, ell, p):
     return s
 
 
-def _chi_arg_conj(m, t, ell, p):
-    """_chi_arg of g_chi m g_chi, read off m directly (the middle-row sign
-    and the outer row and column swaps folded in)."""
-    n = 2 * ell + 1
-    s = F0
-    x = m[n - 1][1]
-    if x:
-        s -= t[0] * x / p
-    for a in range(1, ell):
-        x = m[a][a + 1]
-        if x:
-            s += t[a] * x
-    x = m[n - 2][n - 1]
-    if x:
-        s -= t[ell] * x
-    return s
-
-
 def _box_arg(rows, box, p, ell, t):
     """x with W(g) = zeta^box * psi(x) when g, given by its rows, passes box
-    `box` (0: g in I+; 1: g g_chi^(-1) in I+), or None when it misses it."""
+    `box` (0: g in I+; 1: g g_chi^(-1) in I+), or None when it misses it.
+    In box 1, g = g_chi k' with k' = g_chi (g g_chi) g_chi, and chi(k')
+    is read off g g_chi (see _chi_arg)."""
     if box:
         rows = [row_times_g_chi_so(row, p) for row in rows]
     if not in_iplus(rows, p):
         return None
-    return (_chi_arg_conj if box else _chi_arg)(rows, t, ell, p)
+    return _chi_arg(rows, t, ell, p)
 
 
 def _so_whittaker_parts(rows, p, ell, t):
@@ -314,20 +311,17 @@ def _so_whittaker_parts(rows, p, ell, t):
 
     rows are the rows of g.  The zeta power i is kept separate so one
     enumeration serves every central sign; zeta_(p^m)^a is
-    psi_U(u) * chi(k') = psi(u_arg + k_arg).
+    psi_U(u) * chi(k').
 
     coset_decompose factors g g_chi^(-i) = u k.  So g = u k g_chi^i =
     u g_chi^i k' with k' = g_chi^(-i) k g_chi^i, and W(g) = psi_U(u)
-    zeta^i chi(k').  chi(k') is read off k by the readers of the box
-    tests: _chi_arg at i = 0, and at i = 1 _chi_arg_conj, which is
-    chi(g_chi k g_chi) = chi(k') since g_chi is an involution.  Both are
-    exact, so k' is never formed."""
+    zeta^i chi(k').  At both i, _chi_arg reads chi(k') off k, and
+    psi_U(u) off u (see _chi_arg), so k' is never formed."""
     res = coset_decompose(rows, p)
     if res is None:
         return None
     u, i, k = res
-    u_arg = sum(t[a] * u[a][a + 1] for a in range(ell))
-    return (i,) + psi_exponent(u_arg + (_chi_arg_conj if i else _chi_arg)(k, t, ell, p), p)
+    return (i,) + psi_exponent(_chi_arg(u, t, ell, p) + _chi_arg(k, t, ell, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +491,10 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
         a 0 would fail a box;
       * in_iplus is a conjunction over entries, so each box verdict is the
         base verdict (all y = 0) AND one verdict per coordinate;
-      * _chi_arg and _chi_arg_conj are linear in the entries, so a
-        point's argument is arg(0) + sum_k (arg(e_k y_k) - arg(0)), which
-        is arg(0) when no coordinate value moves it;
+      * _chi_arg, which reads both boxes (see its docstring), is linear
+        in the entries, so a point's argument is
+        arg(0) + sum_k (arg(e_k y_k) - arg(0)), which is arg(0) when no
+        coordinate value moves it;
       * no matrix passes both boxes (I+ is a group and g_chi is not in
         it).  The base's coordinate entries are 0 off the diagonal and
         pass both boxes, so a box the base misses fails at an entry no
@@ -521,9 +516,8 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
     enumerated point by point (_point_counts), as is every z in
     brute-force mode.  The point loop values each point with the coset
     solver alone (_so_whittaker_parts), which on a point in box i finds
-    the same i and, where W is well defined (t_(l+1) = t_1 mod p), the
-    same value: so brute-force mode checks the box lemma rather than
-    sharing it."""
+    the same i and the same value (see _chi_arg): so brute-force mode
+    checks the box lemma rather than sharing it."""
     build = _phi_rows if side == "phi" else _phi_star_rows
     ys = _y_windows(p, level, cutoff, mode)
     factored = None
@@ -674,10 +668,11 @@ def _gl_whittaker_parts(rows, p, n):
     with k' = g_chi^(-j) k g_chi^j, and W(g) = psi_U(u) zeta^j chi(k'):
     the central character is trivial, so z adds nothing.  chi reads the
     superdiagonal of k' and its corner over pi, all with weight t = 1, and
-    chi(k') = chi(k): k -> g_chi^(-1) k g_chi moves k[r][r+1] to
-    (r+1, r+2), k[n-1][0] / p to (0, 1) and k[n-2][n-1] to the corner
-    over pi, a cyclic permutation of the n entries chi sums.  So
-    zeta_(p^m)^a = psi(u_arg + k_arg), read off u and k as returned."""
+    chi(k') = chi(k), as on SO (see _chi_arg): k -> g_chi^(-1) k g_chi
+    moves k[r][r+1] to (r+1, r+2), k[n-1][0] / p to (0, 1) and
+    k[n-2][n-1] to the corner over pi, a cyclic permutation of the n
+    entries chi sums.  So zeta_(p^m)^a = psi(u_arg + k_arg), read off u
+    and k as returned."""
     res = coset_decompose_gl(rows, p)
     if res is None:
         return None

@@ -173,7 +173,157 @@ MUTANTS = (
         "*[x / z if x else x for x in row[:j]]",
         (
             "tests/test_gl.py::test_evaluator_matches_whittaker_eval_on_the_support",
+            "tests/test_gl.py::test_evaluator_matches_whittaker_eval_on_the_windows",
             "tests/test_matrices.py::test_gl_rotation_is_the_product_with_the_inverse",
+        ),
+    ),
+    # the affine character and its g_chi invariance
+    Mutant(
+        "t_(l+1) = t_1 mod p no longer checked",
+        INTEGRALS,
+        "    if rational_valuation(t[ell] - t[0], p) < 1:\n",
+        "    if False:\n",
+        (
+            "tests/test_integrals.py::test_t_off_the_family_is_rejected[3-t0]",
+            "tests/test_integrals.py::test_t_off_the_family_is_rejected[5-t1]",
+        ),
+    ),
+    Mutant(
+        "chi's corner term dropped",
+        INTEGRALS,
+        "        s += t[ell] * x / p\n",
+        "        pass\n",
+        (
+            "tests/test_kernel.py::test_evaluator_matches_whittaker_eval_on_the_double_coset",
+            "tests/test_kernel.py::test_chi_readers_read_the_affine_character",
+        ),
+    ),
+    Mutant(
+        "psi_U(u) dropped from the SO value",
+        INTEGRALS,
+        "psi_exponent(_chi_arg(u, t, ell, p) + _chi_arg(k, t, ell, p), p)",
+        "psi_exponent(_chi_arg(k, t, ell, p), p)",
+        ("tests/test_kernel.py::test_evaluator_matches_whittaker_eval_on_the_double_coset",),
+    ),
+    # the I+ test
+    Mutant(
+        "the diagonal only integral, not in 1 + p",
+        MATRICES,
+        "if d is not F1 and (d.denominator % p == 0 or (d.numerator - d.denominator) % p):",
+        "if d is not F1 and d.denominator % p == 0:",
+        (
+            "tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",
+            "tests/test_matrices.py::test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it",
+            "tests/test_kernel.py::test_evaluator_matches_whittaker_eval",
+        ),
+    ),
+    Mutant(
+        "the entries left of the diagonal only integral, not in p",
+        MATRICES,
+        "if x is not F0 and (x.denominator % p == 0 or x.numerator % p):",
+        "if x is not F0 and x.denominator % p == 0:",
+        (
+            "tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",
+            "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
+        ),
+    ),
+    Mutant(
+        "the entries right of the diagonal not tested",
+        MATRICES,
+        "    for x in row[r + 1 :]:\n",
+        "    for x in row[r + 1 : r + 1]:\n",
+        ("tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",),
+    ),
+    # the SO row map, the elimination and the integrand rows
+    Mutant(
+        "the g_chi row map multiplies entry 1 by p where it divides",
+        MATRICES,
+        "a / p if a else a]",
+        "a * p if a else a]",
+        (
+            "tests/test_matrices.py::test_so_column_map_is_the_product_with_g_chi",
+            "tests/test_matrices.py::test_coset_roundtrip_random[2-5]",
+        ),
+    ),
+    Mutant(
+        "the elimination keeps a row outside I+",
+        MATRICES,
+        "        if not row_in_iplus(r, row, p):\n            return None\n",
+        "",
+        (
+            "tests/test_matrices.py::test_coset_decompose_rejects_outside",
+            "tests/test_matrices.py::test_u_iplus_factors_of_any_matrix",
+            "tests/test_matrices.py::test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it",
+        ),
+    ),
+    Mutant(
+        "the Phi* y z entries not negated",
+        INTEGRALS,
+        "            g[1 + i][n - 1] = -c * z\n",
+        "            g[1 + i][n - 1] = c * z\n",
+        ("tests/test_kernel.py::test_sparse_builders_equal_generic_product",),
+    ),
+    Mutant(
+        "the Phi* middle diagonal +1",
+        INTEGRALS,
+        "            g[r][r] = FM1\n",
+        "            g[r][r] = F1\n",
+        (
+            "tests/test_kernel.py::test_sparse_builders_equal_generic_product",
+            "tests/test_kernel.py::test_convolution_matches_point_loop_on_the_grid[3-2-phi_star]",
+        ),
+    ),
+    Mutant(
+        "box 1 tested without its row map",
+        INTEGRALS,
+        "    if box:\n        rows = [row_times_g_chi_so(row, p) for row in rows]\n",
+        "",
+        (
+            "tests/test_kernel.py::test_evaluator_matches_whittaker_eval",
+            "tests/test_kernel.py::test_convolution_matches_point_loop_on_the_grid[3-2-phi_star]",
+        ),
+    ),
+    # the tame-class merge, the sections and the sign
+    Mutant(
+        "a bucket keyed by the last x of its class",
+        INTEGRALS,
+        "                hit[0] = min(hit[0], x)\n",
+        "                hit[0] = x\n",
+        (
+            "tests/test_kernel.py::test_tame_class_merge_keeps_every_tame_sum",
+            "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
+        ),
+    ),
+    Mutant(
+        "the Phi* section taken at 1/z, as if b_1^* were 1",
+        INTEGRALS,
+        "FM1 / z if star else z",
+        "F1 / z if star else z",
+        (
+            "tests/test_integrals.py::test_b1_star_is_minus_one[3]",
+            "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-brute-force]",
+        ),
+    ),
+    Mutant(
+        "the JPSS dual section at q^((n-1) v/2)",
+        INTEGRALS,
+        "_section(tau_inv, a, n - 3, -1)",
+        "_section(tau_inv, a, n - 1, -1)",
+        (
+            "tests/test_integrals.py::test_jpss_matches_closed_form",
+            "tests/test_integrals.py::test_jpss_n3",
+            "tests/test_integrals.py::test_match_so_gl_symbolic_and_computed",
+        ),
+    ),
+    Mutant(
+        "the sign test reads only a zeta stored at order 1",
+        INTEGRALS,
+        "(zeta.is_rational() if isinstance(zeta, CyclotomicNumber) else zeta)",
+        "((zeta.coeffs.get(0) if zeta.order == 1 else None) if isinstance(zeta, CyclotomicNumber) else zeta)",
+        (
+            "tests/test_integrals.py::test_an_int_zeta_is_the_sign_it_names[one_at_order_3]",
+            "tests/test_integrals.py::test_an_int_zeta_is_the_sign_it_names[minus_one_at_order_4]",
+            "tests/test_integrals.py::test_an_int_zeta_is_the_sign_it_names[one_at_order_6]",
         ),
     ),
 )

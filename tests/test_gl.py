@@ -18,8 +18,10 @@ next two check the evaluator against the generic Whittaker function of
 tests/oracles.py, on window points (the dual side's value on a times
 the integrand against the oracle's on the integrand itself, so the
 trivial central character is checked too) and on points u g_chi^j k of
-the support; on the latter also against zeta^j psi_U(u) chi(k) read off
-the sampled factors, which calls no solver.  The buckets of both sides,
+the support.  The oracle runs the package's solver, so each also checks
+what that solver cannot share: on window points W(g g_chi^r) =
+zeta^r W(g) for every r, and on the support zeta^j psi_U(u) chi(k) read
+off the sampled factors, which calls no solver.  The buckets of both sides,
 keyed (side, j, a0) as one dict, are pinned by sha256 digests of their
 records, taken from the implementation that built every argument and
 every rotation by generic inversion and products, and summed every
@@ -38,7 +40,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     GroupMatrix,
@@ -108,23 +110,48 @@ def kernel_value(p, zeta, parts):
     return ExactScalar.from_coeff(p, zeta**j * C(p**m, {a: 1}))
 
 
+@st.composite
+def window_points(draw):
+    """(n, p, dual, a, x, e): a point _gl_buckets evaluates, x = () on the
+    plain side, and the primitive n-th root of unity zeta_n^e."""
+    n, p, dual = draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from((3, 5, 7))), draw(st.booleans())
+    a = draw(a_window(p))
+    x = tuple(draw(x_window(p)) for _ in range(n - 2)) if dual else ()
+    e = draw(st.sampled_from([e for e in range(1, n) if gcd(e, n) == 1]))
+    return n, p, dual, a, x, e
+
+
+# dual points of the support, a in p^(-1)(1 + p) and x in o: the solver
+# runs at j = 1 with p z = 1, and the bottom row's 1 wraps round onto the
+# diagonal, so that one wrapped entry decides the verdict; at g g_chi^(n-1)
+# the solver runs at j = 0, where no entry wraps
+@example((2, 3, True, Fraction(4, 3), (), 1))
+@example((3, 5, True, Fraction(11, 5), (Fraction(7),), 2))
+@example((4, 3, True, Fraction(7, 3), (Fraction(0), Fraction(8)), 3))
+@example((4, 7, True, Fraction(8, 7), (Fraction(6), Fraction(1)), 1))
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from((2, 3, 4)), st.sampled_from((3, 5, 7)), st.booleans(), st.data())
-def test_evaluator_matches_whittaker_eval_on_the_windows(n, p, dual, data):
+@given(window_points())
+def test_evaluator_matches_whittaker_eval_on_the_windows(point):
     """The points _gl_buckets evaluates: diag(a, I_(n-1)) on the plain
     side, and on the dual side _gl_dual_rows(a, n)(x), a times the
     integrand, whose kernel value must be the oracle's W at the integrand
-    itself."""
-    a = data.draw(a_window(p))
+    itself.  The oracle runs the package's solver, so the kernel is also
+    checked against W(g g_chi^r) = zeta^r W(g) for every r: the solver
+    runs at another j at each r, so a wrong wrapped entry cannot agree
+    with every translate."""
+    n, p, dual, a, x, e = point
     if dual:
-        x = tuple(data.draw(x_window(p)) for _ in range(n - 2))
         rows, integrand = _gl_dual_rows(a, n)(x), generic_dual(a, x, n, p)
     else:
         rows = integrand = mat_identity(n)
         rows[0][0] = a
-    zeta = primitive_root_of_unity(n, data)
-    want = whittaker_eval(WhittakerSpec(p, "GL", n, zeta), GroupMatrix.make(integrand, p))
-    assert kernel_value(p, zeta, _gl_whittaker_parts(rows, p, n)) == want
+    zeta = C.root_of_unity(n, e)
+    g = GroupMatrix.make(integrand, p)
+    got = kernel_value(p, zeta, _gl_whittaker_parts(rows, p, n))
+    assert got == whittaker_eval(WhittakerSpec(p, "GL", n, zeta), g)
+    for r in range(1, n):
+        g = g * g_chi_gl(n, p)
+        assert kernel_value(p, zeta, _gl_whittaker_parts(g.rows, p, n)) == ExactScalar.from_coeff(p, zeta**r) * got
 
 
 @settings(max_examples=100, deadline=None)

@@ -273,6 +273,41 @@ def test_t_that_is_not_a_sequence_of_ints_or_fractions_is_rejected(ell, t):
         scan_support(p, ell, "phi", level=2, cutoff=1, t=t)
 
 
+OFF_THE_FAMILY = r"^need t_\(l\+1\) = t_1 mod p: only then does g_chi normalize chi$"
+
+
+@pytest.mark.parametrize(
+    "p,t",
+    [(3, (1, 1, 2)), (5, (1, 2, 3)), (3, (1, 2)), (5, (2, Fraction(1, 3), 3)), (7, (3, 1, 1, Fraction(1, 3)))],
+)
+def test_t_off_the_family_is_rejected(p, t):
+    """Each t here is a tuple of p-adic units with t_(l+1) != t_1 mod p.
+    The fixed g_chi does not normalize such a chi, so the Whittaker
+    function is not defined; both used to return an answer."""
+    ell = len(t) - 1
+    with pytest.raises(IntegralError, match=OFF_THE_FAMILY):
+        IntegralConfig(p, ell, C.one(), trivial_tau(p), level=2, cutoff=1, t=t)
+    with pytest.raises(IntegralError, match=OFF_THE_FAMILY):
+        scan_support(p, ell, "phi", level=2, cutoff=1, t=t)
+
+
+@pytest.mark.parametrize(
+    "p,t",
+    [
+        (3, (Fraction(2), Fraction(-1), Fraction(4, 5), Fraction(5))),  # T_3_3 of tests/test_kernel.py
+        (3, (2, -1)),
+        (5, (Fraction(2, 3), Fraction(-13, 3))),
+    ],
+)
+def test_t_in_the_family_is_accepted(p, t):
+    """t_(l+1) = t_1 mod p with t_(l+1) != t_1; [1, 2/3, -4] at p = 5 is
+    the next test's."""
+    ell = len(t) - 1
+    assert IntegralConfig(p, ell, C.one(), trivial_tau(p), level=2, cutoff=1, t=t).t == tuple(t)
+    if ell == 1:  # a scan at l = 1 is cheap
+        assert scan_support(p, ell, "phi", level=2, cutoff=1, t=t)[1]
+
+
 def test_t_may_be_a_list_of_ints_and_fractions():
     p = 5
     cfg = IntegralConfig(p, 2, C.one(), trivial_tau(p), level=2, cutoff=1, t=[1, Fraction(2, 3), -4])

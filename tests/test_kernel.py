@@ -69,7 +69,6 @@ from ssgamma.integrals import (
     IntegralConfig,
     _box_arg,
     _chi_arg,
-    _chi_arg_conj,
     _enumerate,
     _least_valuation,
     _phi_rows,
@@ -233,18 +232,28 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral,
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(1, 3), (2, 5), (3, 3), (3, 7)]), st.integers(0, 2**32), st.data())
 def test_chi_readers_read_the_affine_character(case, seed, data):
-    """_chi_arg reads chi(k) off k in I+, and _chi_arg_conj reads it off
-    g_chi k g_chi.  k is a random element of I+, not triangular, so it
-    fills entries that neither an integrand nor the solver's k ever
-    does: on those every argument read is 0."""
+    """_chi_arg reads chi(k) off k in I+, and off g_chi k g_chi as well,
+    for t in the family t_(l+1) = t_1 mod p.  k is a random element of
+    I+, not triangular, so it fills entries that neither an integrand nor
+    the solver's k ever does: on those every argument read is 0.  Off the
+    family the two reads differ at some k, which is why _check_t rejects
+    such a t."""
     ell, p = case
     t = affine_t(data.draw, p, ell)
-    k = random_so_iplus(random.Random(seed), ell, p)
+    rng = random.Random(seed)
+    k = random_so_iplus(rng, ell, p)
     gchi = g_chi_so(ell, p)
     want = affine_chi(k, t=t, flavor="SO")
-    for reader, g in ((_chi_arg, k), (_chi_arg_conj, gchi * k * gchi)):
-        m, a = psi_exponent(reader(g.rows, t, ell, p), p)
-        assert C(p**m, {a: 1}) == want, reader
+    for g in (k, gchi * k * gchi):
+        m, a = psi_exponent(_chi_arg(g.rows, t, ell, p), p)
+        assert C(p**m, {a: 1}) == want
+    off = t[:ell] + (2 * t[0],)  # a unit, and 2 t_1 != t_1 mod p
+
+    def reads(g):
+        return psi_exponent(_chi_arg(g.rows, off, ell, p), p)
+
+    samples = (random_so_iplus(rng, ell, p) for _ in range(40))
+    assert any(reads(k) != reads(gchi * k * gchi) for k in samples)
 
 
 # --- an oracle for the bucket assembly ------------------------------------------
@@ -357,9 +366,9 @@ def assert_coordinate_is_linear(p, ell, side, t, z, k, c):
     """Setting y_k = c (the other coordinates 0) moves the entries of the
     base point by c times fixed factors: build(z, e_k 2c) minus the base
     is twice build(z, e_k c) minus the base, on the integrand and on its
-    box-1 image, no moved entry is on the diagonal, and both chi arguments
-    move the same way.  The factored count tests one value of y_k for all
-    of them on exactly this."""
+    box-1 image, no moved entry is on the diagonal, and the chi argument
+    of each moves the same way.  The factored count tests one value of
+    y_k for all of them on exactly this."""
     n = 2 * ell + 1
     write = builder(side)(z, ell)
     zero = (F0,) * (ell - 1)
@@ -369,11 +378,11 @@ def assert_coordinate_is_linear(p, ell, side, t, z, k, c):
 
     rows = [at(F0), at(c), at(2 * c)]
     cells = list(itertools.product(range(n), repeat=2))
-    for arg, (g0, g1, g2) in ((_chi_arg, rows), (_chi_arg_conj, [times_g_chi(g, p) for g in rows])):
+    for g0, g1, g2 in (rows, [times_g_chi(g, p) for g in rows]):
         assert [g2[r][col] - g0[r][col] for r, col in cells] == [2 * (g1[r][col] - g0[r][col]) for r, col in cells]
         moved = [(r, col) for r, col in cells if g1[r][col] != g0[r][col]]
         assert bool(moved) == (c != 0) and all(r != col for r, col in moved), (side, z, k, c)
-        a0, a1, a2 = (arg(g, t, ell, p) for g in (g0, g1, g2))
+        a0, a1, a2 = (_chi_arg(g, t, ell, p) for g in (g0, g1, g2))
         assert a2 - a0 == 2 * (a1 - a0)
 
 
