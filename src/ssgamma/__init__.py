@@ -11,11 +11,7 @@ computation.
 from .padic import rational_valuation
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar, NonMonomialDivisor, ZeroDivisor
-from .matrices import (
-    coset_decompose,
-    coset_decompose_gl,
-    in_iplus,
-)
+from .matrices import coset_decompose, coset_decompose_gl
 from .characters import (
     TameCharacter,
     psi_eval,

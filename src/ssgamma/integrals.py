@@ -27,10 +27,11 @@ merge is exact).  A value is the rows of the point's integrand valued
 by the generic coset solver as plain ints (i, m, a), meaning
 zeta^i * zeta_(p^m)^a, and the record holds every nonzero point the
 point loop valued.  An SO side is one enumeration, z outer and y inner
-at rank l - 1 (_so_buckets); in support-aware mode each z's histogram
-is one factored count where that holds (_so_buckets has the argument),
-and brute-force mode always runs the point loop, so the oracle shares
-neither the count nor its boxes.  A JPSS side (_gl_buckets) has a over
+at rank l - 1 (_so_buckets), valued by the coset solver in both modes.
+The modes differ only in their windows: W(g k) = W(g) chi(k) for k in
+I+, and on the support-aware windows that makes W constant in y, so
+that mode folds the y window into one class valued at y = 0
+(_so_buckets has the argument).  A JPSS side (_gl_buckets) has a over
 the brute-force multiplicative window and x over the brute-force y
 window at V = 0: the plain side at rank 0, the dual side at rank n - 2.
 
@@ -54,8 +55,6 @@ from .matrices import (
     mat_identity,
     coset_decompose,
     coset_decompose_gl,
-    in_iplus,
-    row_times_g_chi_so,
 )
 from .characters import (
     TameCharacter,
@@ -193,12 +192,11 @@ class GammaResult:
 # ---------------------------------------------------------------------------
 # integrand rows and the per-point Whittaker evaluator
 #
-# A point is the rows of its integrand matrix.  The double-coset solver
-# values it; the boxes (g in I+, or g g_chi^(-1) in I+) test it, for
-# _so_factored_counts only.  A builder takes the outer coordinate (z or
-# a) and returns the function of the inner one (y or x) that writes the
-# rows, so the work that depends on the outer coordinate alone is done
-# once for all its points.
+# A point is the rows of its integrand matrix, and the double-coset
+# solver values it.  A builder takes the outer coordinate (z or a) and
+# returns the function of the inner one (y or x) that writes the rows,
+# so the work that depends on the outer coordinate alone is done once
+# for all its points.
 
 
 def _phi_rows(z, ell):
@@ -294,18 +292,6 @@ def _chi_arg(k, t, ell, p):
     return s
 
 
-def _box_arg(rows, box, p, ell, t):
-    """x with W(g) = zeta^box * psi(x) when g, given by its rows, passes box
-    `box` (0: g in I+; 1: g g_chi^(-1) in I+), or None when it misses it.
-    In box 1, g = g_chi k' with k' = g_chi (g g_chi) g_chi, and chi(k')
-    is read off g g_chi (see _chi_arg)."""
-    if box:
-        rows = [row_times_g_chi_so(row, p) for row in rows]
-    if not in_iplus(rows, p):
-        return None
-    return _chi_arg(rows, t, ell, p)
-
-
 def _so_whittaker_parts(rows, p, ell, t):
     """(i, m, a) with W(g) = zeta^i * zeta_(p^m)^a, or None off the support.
 
@@ -341,8 +327,7 @@ def _so_whittaker_parts(rows, p, ell, t):
 # added: the order is the lcm of the p^m of the nonzero counts, and each
 # coefficient is a sum of positive counts.  Term order in .coeffs
 # reaches no record, repr or equality, which all go through sorted or
-# reduced forms.  (The support-aware SO counts are factored where they
-# can be; _so_buckets has the argument.)
+# reduced forms.
 #
 # The point loop also records each nonzero point it values, with its
 # value, and the record is stored beside the buckets: it is at most the
@@ -411,7 +396,7 @@ def _z_windows(p, level, cutoff, mode, side):
     ]
 
 
-def _enumerate(p, outer, inner, rank, value, shell, factored=None):
+def _enumerate(p, outer, inner, rank, value, shell):
     """(buckets, record): the one enumeration behind every side.  The
     buckets map (i, x0) to the weighted sum of the point values over
     the rank-fold product of the inner window and the x of one tame
@@ -420,11 +405,10 @@ def _enumerate(p, outer, inner, rank, value, shell, factored=None):
     outer and inner are (weight, [(rep, on_shell)]) windows.  value(x),
     entered once per outer point, is the function of y that gives the
     value of the point (x, y) as (i, m, a), or None where it
-    vanishes.  At each x of the outer window the histogram of values is
-    factored(x) when that is given and does not decline (None), and the
-    point loop (_point_counts) otherwise.  Each count c of (i, m, a)
-    adds c * zeta_(p^m)^a, at order p^m (the exact order of the value),
-    to the bucket (i, tame_class(x)) as it arrives.  The record maps
+    vanishes.  At each x of the outer window the point loop
+    (_point_counts) takes the histogram of values.  Each count c of
+    (i, m, a) adds c * zeta_(p^m)^a, at order p^m (the exact order of the
+    value), to the bucket (i, tame_class(x)) as it arrives.  The record maps
     each nonzero point of the point loop, (x, y), to its value and
     whether it lies on the padding shell, in loop order.  When one does,
     the buckets are the BoundaryNonvanishing with the text shell,
@@ -434,9 +418,7 @@ def _enumerate(p, outer, inner, rank, value, shell, factored=None):
     sums: dict = {}  # (i, v, r) -> [least x of the class, unweighted sum of the values]
     record: dict = {}
     for x, on_shell in xs:
-        counts = factored(x) if factored else None
-        if counts is None:
-            counts = _point_counts(x, on_shell, ys, rank, value(x), record)
+        counts = _point_counts(x, on_shell, ys, rank, value(x), record)
         cls = tame_class(x, p)
         for (i, m, a), count in counts.items():
             key = (i, *cls)
@@ -474,58 +456,23 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
     """(buckets, record) of one SO side, by _enumerate: (i, z0) -> the
     weighted sum of W over the y domain and the z of one tame class (see
     the comment above _BUCKETS), and the point loop's record of nonzero
-    points.
+    points.  Every point is valued by the coset solver
+    (_so_whittaker_parts), in both modes.
 
-    Support-aware mode reads each z's (i, m, a) histogram over the
-    (l-1)-fold y product off the base point (all y = 0) and one point
-    per coordinate, y_k = c for a window value c of least valuation
-    (_so_factored_counts): (l-1) evaluations instead of |Y|^(l-1).  When
-    each of those passes the base's box with the base's argument, every
-    point of the z has the base's value, and the histogram is
-    {base value: |Y|^(l-1)}.  This is exact:
-      * for a fixed z, coordinate y_k writes only the entries (1+k, 0) and
-        (n-1, n-2-k) of the integrand (_phi_rows);
-      * the Phi* sign and column map (_phi_star_rows) and the box-1 row
-        map row_times_g_chi_so move those entries, but no two
-        coordinates share an entry and none lands on the diagonal, where
-        a 0 would fail a box;
-      * in_iplus is a conjunction over entries, so each box verdict is the
-        base verdict (all y = 0) AND one verdict per coordinate;
-      * _chi_arg, which reads both boxes (see its docstring), is linear
-        in the entries, so a point's argument is
-        arg(0) + sum_k (arg(e_k y_k) - arg(0)), which is arg(0) when no
-        coordinate value moves it;
-      * no matrix passes both boxes (I+ is a group and g_chi is not in
-        it).  The base's coordinate entries are 0 off the diagonal and
-        pass both boxes, so a box the base misses fails at an entry no
-        coordinate writes, at every point of the z.  The base thus
-        decides the one box a point of the z can pass, and box 1 is
-        tested only where the base misses box 0;
-      * one value per coordinate settles all of them: y_k = c writes
-        c times fixed factors (z, -1, p, 1/p, signs), and in_iplus on
-        such an off-diagonal entry is the lower bound v(c) >= b - v(alpha),
-        so the values that pass are closed upward in valuation (c = 0
-        always passes), and the argument moves by lambda_k c, zero for
-        every c iff zero at one c != 0.  So every value of the window
-        passes with the base's argument iff its value of least valuation
-        does, every other value being that one times an element of o.
-    On both integrands chi reads no entry that the base or a coordinate
-    writes, so no argument moves and the count declines only at a miss.
-    A z where the base misses both boxes, or a coordinate's value of
-    least valuation misses the base's box or moves its argument, is
-    enumerated point by point (_point_counts), as is every z in
-    brute-force mode.  The point loop values each point with the coset
-    solver alone (_so_whittaker_parts), which on a point in box i finds
-    the same i and the same value (see _chi_arg): so brute-force mode
-    checks the box lemma rather than sharing it."""
+    On the support-aware windows W is constant in y, so the y window is
+    folded into one class, p, valued at y = 0 with weight vol(p).  For
+    g(y) = x_bar(y) j(h(z)), g(y) = g(0) k_y with k_y = 1 + sum_k y_k z
+    (E_(1+k,0) - E_(n-1,n-2-k)).  On Phi, z is in 1 + p and y_k in p, so
+    k_y is lower unipotent in I+.  On Phi*, the right factor
+    delta_o omega' conjugates k_y to the entries (1+k, n-1) and
+    (0, n-2-k), above the diagonal, where y_k z in o is enough.  chi reads
+    none of these entries (none is (a, a+1) with a < l, nor (2l-1, 0)),
+    so W(g(y)) = W(g(0)) chi(k_y) = W(g(0)).  Brute-force windows reach y
+    outside p, where this fails, so that mode values every point."""
     build = _phi_rows if side == "phi" else _phi_star_rows
     ys = _y_windows(p, level, cutoff, mode)
-    factored = None
-    if mode == "support-aware":  # its windows have no padding shell
-        least = _least_valuation([y for y, _ in ys[1]], p)
-
-        def factored(z):
-            return _so_factored_counts(z, least, len(ys[1]), build, p, ell, t)
+    if mode == "support-aware":
+        ys = (ys[0] * len(ys[1]), [(F0, False)])
 
     def value(z):
         rows = build(z, ell)
@@ -538,37 +485,7 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
         ell - 1,
         value,
         f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
-        factored,
     )
-
-
-def _least_valuation(reps, p):
-    """A value of least valuation in reps: every value is that one times
-    an element of o, the precondition of _so_factored_counts."""
-    return min(reps, key=lambda c: rational_valuation(c, p))
-
-
-def _so_factored_counts(z, least, size, build, p, ell, t):
-    """_point_counts at z over the (l-1)-fold product of a y window of
-    size values, from the base point and the point y_k = least for each
-    coordinate k (see _so_buckets); None when the base misses both boxes
-    or one of those points misses the base's box or moves its argument.
-    least must be a value of least valuation in the window
-    (_least_valuation), so that every value is least times an element of
-    o: one test then decides the coordinate's every value."""
-    zero = (F0,) * (ell - 1)
-    rows = build(z, ell)
-    g = rows(zero)
-    for box in (0, 1):
-        base = _box_arg(g, box, p, ell, t)
-        if base is not None:
-            break
-    else:
-        return None  # every point misses both boxes
-    for k in range(ell - 1):
-        if _box_arg(rows(zero[:k] + (least,) + zero[k + 1 :]), box, p, ell, t) != base:
-            return None
-    return {(box,) + psi_exponent(base, p): size ** (ell - 1)}
 
 
 def _section(tau: TameCharacter, x, h: int, k: int) -> ExactScalar:

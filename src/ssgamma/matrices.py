@@ -1,4 +1,4 @@
-"""Matrices over Q_p as row lists of Fractions: the I+ membership test,
+"""Matrices over Q_p as row lists of Fractions: the I+ row test,
 right multiplication by the normalizers g_chi as a map on one row, the
 one exact elimination, and the double-coset solvers behind the explicit
 Whittaker functions.
@@ -34,9 +34,9 @@ are the reference for the row builders of integrals.py.
 
 Conventions: SO_m is defined by det = 1 and tg J g = J with J the
 antidiagonal of ones.  I+ (the pro-unipotent radical of the standard
-Iwahori) is the row test row_in_iplus, and in_iplus over every row:
-integral, in p below the diagonal and in 1 + p on it; the same
-predicate serves SO_(2l+1) and GL_n.
+Iwahori) is the row test row_in_iplus, which the elimination runs on
+each row of k: integral, in p below the diagonal and in 1 + p on it;
+the same predicate serves SO_(2l+1) and GL_n.
 g_chi_so is the involution with pi^(-1) and pi in the outer corners and
 -1 between them on the diagonal; g_chi_gl has ones on the superdiagonal
 and pi in the lower-left corner.
@@ -117,11 +117,6 @@ def row_in_iplus(r, row, p) -> bool:
         if x is not F0 and x.denominator % p == 0:
             return False
     return True
-
-
-def in_iplus(rows, p) -> bool:
-    """The matrix with these rows lies in I+: each row passes row_in_iplus."""
-    return all(row_in_iplus(r, row, p) for r, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------

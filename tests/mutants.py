@@ -52,10 +52,10 @@ MUTANTS = (
     Mutant(
         "enumeration stops after the first outer point with a shell point",
         INTEGRALS,
-        "            counts = _point_counts(x, on_shell, ys, rank, value(x), record)\n",
-        "            counts = _point_counts(x, on_shell, ys, rank, value(x), record)\n"
-        "            if any(on for _, on in record.values()):\n"
-        "                break\n",
+        "        counts = _point_counts(x, on_shell, ys, rank, value(x), record)\n",
+        "        counts = _point_counts(x, on_shell, ys, rank, value(x), record)\n"
+        "        if any(on for _, on in record.values()):\n"
+        "            break\n",
         ("tests/test_integrals.py::test_brute_force_raises_on_a_nonzero_shell_point",),
     ),
     Mutant(
@@ -143,6 +143,28 @@ MUTANTS = (
         (
             "tests/test_padic.py::test_repset_volumes",
             "tests/test_integrals.py::test_jpss_n3",
+        ),
+    ),
+    # the fold of the support-aware y window
+    Mutant(
+        "the folded y class weighed as one window class",
+        INTEGRALS,
+        "        ys = (ys[0] * len(ys[1]), [(F0, False)])\n",
+        "        ys = (ys[0], [(F0, False)])\n",
+        (
+            "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-support-aware]",
+            "tests/test_kernel.py::test_stress_sizes_meet_the_closed_forms[7-4]",
+        ),
+    ),
+    Mutant(
+        "the y window folded in brute-force mode as well",
+        INTEGRALS,
+        '    if mode == "support-aware":\n        ys = (',
+        "    if True:\n        ys = (",
+        (
+            "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-brute-force]",
+            "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
+            "tests/test_kernel.py::test_support_aware_enumeration_values_one_point_per_z[brute-force]",
         ),
     ),
     # the JPSS GL sides
@@ -270,16 +292,6 @@ MUTANTS = (
         "            g[r][r] = F1\n",
         (
             "tests/test_kernel.py::test_sparse_builders_equal_generic_product",
-            "tests/test_kernel.py::test_convolution_matches_point_loop_on_the_grid[3-2-phi_star]",
-        ),
-    ),
-    Mutant(
-        "box 1 tested without its row map",
-        INTEGRALS,
-        "    if box:\n        rows = [row_times_g_chi_so(row, p) for row in rows]\n",
-        "",
-        (
-            "tests/test_kernel.py::test_evaluator_matches_whittaker_eval",
             "tests/test_kernel.py::test_convolution_matches_point_loop_on_the_grid[3-2-phi_star]",
         ),
     ),

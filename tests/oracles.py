@@ -9,8 +9,9 @@ defined here is defined again in src/.
     its group, verified on request), the products, transpose, the
     involution g -> g*, the determinant by its own forward elimination
     and the inverse by cofactors (cramer_inv), so nothing here runs the
-    package's Gauss-Jordan, the SO test so_check, and the normalizers
-    g_chi_so and g_chi_gl.
+    package's Gauss-Jordan, the I+ test in_iplus, read off valuations
+    (the package has only its row test, inside the elimination), the SO
+    test so_check, and the normalizers g_chi_so and g_chi_gl.
   * The generic Whittaker function (whittaker_eval): the factors of
     coset_decompose / coset_decompose_gl, with k conjugated back by
     g_chi^i here, read through psi_U and the affine generic character
@@ -45,7 +46,6 @@ from ssgamma.matrices import (
     MatrixError,
     coset_decompose,
     coset_decompose_gl,
-    in_iplus,
     mat_identity,
 )
 from ssgamma.padic import rational_valuation
@@ -181,6 +181,18 @@ class GroupMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"GroupMatrix[{self.ambient}]({body})"
+
+
+def in_iplus(rows, p) -> bool:
+    """The matrix with these rows lies in I+, the pro-unipotent radical of
+    the standard Iwahori, read off the valuations of its entries: every
+    entry integral, those below the diagonal in p and those on it in
+    1 + p.  The same predicate serves SO_(2l+1) and GL_n."""
+    return all(
+        rational_valuation(x, p) >= (1 if r > c else 0) and (r != c or rational_valuation(x - 1, p) >= 1)
+        for r, row in enumerate(rows)
+        for c, x in enumerate(row)
+    )
 
 
 def so_check(g: GroupMatrix) -> bool:

@@ -18,6 +18,7 @@ from oracles import (
     GroupMatrix,
     affine_chi,
     g_chi_so,
+    in_iplus,
     iota_embed,
     pi_e,
     random_so_iplus,
@@ -37,7 +38,7 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import coset_decompose, in_iplus
+from ssgamma.matrices import coset_decompose
 from ssgamma.parameter import param_summary
 from ssgamma.scalars import ExactScalar
 

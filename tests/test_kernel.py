@@ -5,39 +5,37 @@ reads its Whittaker value off the coset solver's factors.  These tests
 check both against the generic code in tests/oracles.py: the row
 builders against the named-element product, and the evaluator against
 whittaker_eval, which forms k' and chi(k') by products.  On the support
-the evaluator is also checked against the two I+ box tests, which the
-factored count reads, and everywhere against zeta^i psi_U(u) chi(k)
-read off the sampled u, i and k, with no solver at all.  The next
-tests check the bucket assembly: Phi and Phi* rebuilt point by point
-from the (weight, [(rep, on_shell)]) windows with the oracle's
-section_eval, with no buckets, no shared loop, no bucket sum and no
-merge over tame classes; and the merge itself, which _enumerate makes as
-each outer point's counts arrive, on a synthetic outer window that spans
-several tame classes and is walked in any order (on the real domains
-only one class per side is nonzero).
+the evaluator is also checked against a box reader made of oracle
+products alone (the oracle's in_iplus, the g_chi_so product and
+affine_chi), which shares no code with the solver, and everywhere
+against zeta^i psi_U(u) chi(k) read off the sampled u, i and k, with no
+solver at all.  The next tests check the bucket assembly: Phi and Phi*
+rebuilt point by point from the unfolded (weight, [(rep, on_shell)])
+windows with the oracle's section_eval, with no buckets, no shared
+loop, no bucket sum and no merge over tame classes; and the merge
+itself, which _enumerate makes as each outer point's counts arrive, on
+a synthetic outer window that spans several tame classes and is walked
+in any order (on the real domains only one class per side is nonzero).
 
-The last tests check the support-aware factored count over the y
-product (_so_factored_counts), the only reader of the box tests.  It
-tests each coordinate at one value of least valuation, which is exact
-because the entries a coordinate writes, and the chi arguments, are
-linear in its value; that linearity is checked on the grid and at
-random t.  The count is checked against the one point loop of
-integrals.py (_point_counts, the loop _enumerate runs for the SO and the
-JPSS buckets alike), given the SO value from the solver, per z: on the
-grid's domains, at random t, and on brute-force windows, where it must
-fall back exactly at the z where the loop meets a point off both
-boxes.  The SO buckets are pinned by sha256 digests of their records,
-taken from the point loop and, at the stress sizes, from the count that
-tested every coordinate value.  A count guard fails if the support-aware
-enumeration goes back to testing every coordinate value, or every point,
-or if the brute-force point loop tests a box ahead of the solver.
+The last tests check the fold of the support-aware y window into one
+class valued at y = 0 (_so_buckets).  Its lemma, g(y) = g(0) k_y with
+k_y in I+ and chi(k_y) = 1, is checked with oracle products alone at
+every support-aware point of five small (p, l) at random t, beside a
+negative control: a y_k of valuation 0 leaves I+.  The one point loop
+of integrals.py (_point_counts, the loop _enumerate runs for the SO and
+the JPSS buckets alike), run over the unfolded y window with the SO
+value from the solver, gives each z the fold's count {base value:
+|Y|^(l-1)}: on the grid's domains, at (7, 3) on sampled z and at random
+t.  The SO buckets are pinned by sha256 digests of their records.  A
+count guard fails if the support-aware enumeration values more than one
+point per z, or if the brute-force point loop tests a box ahead of the
+solver.
 """
 
 import hashlib
 import itertools
 import json
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -54,6 +52,7 @@ from oracles import (
     delta_o,
     embed_j,
     g_chi_so,
+    in_iplus,
     omega_prime,
     random_so_iplus,
     random_so_unipotent,
@@ -63,19 +62,16 @@ from oracles import (
     xbar,
 )
 from ssgamma import integrals
-from ssgamma.characters import PSI_MAX_POWER, OrderOverflow, TameCharacter, psi_exponent, tame_class, tame_eval
+from ssgamma.characters import PSI_MAX_POWER, TameCharacter, psi_exponent, tame_class, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
-    _box_arg,
     _chi_arg,
     _enumerate,
-    _least_valuation,
     _phi_rows,
     _phi_star_rows,
     _point_counts,
     _so_buckets,
-    _so_factored_counts,
     _so_whittaker_parts,
     _y_windows,
     _z_windows,
@@ -84,7 +80,7 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import F0, F1, in_iplus, row_times_g_chi_so
+from ssgamma.matrices import F0, F1
 from ssgamma.scalars import ExactScalar
 
 SIDES = ("phi", "phi_star")
@@ -149,18 +145,18 @@ def integrand(side, z, y, ell):
     return builder(side)(z, ell)(y)
 
 
-def times_g_chi(g, p):
-    """The rows of g g_chi^(-1) = g g_chi: the box-1 image of g."""
-    return [row_times_g_chi_so(row, p) for row in g]
-
-
 def box_parts(g, p, ell, t):
-    """(box, m, a) from the first I+ box test the rows g pass, the value
-    the factored count reads; None when they miss both."""
+    """(box, chi(k')) for the first I+ box the rows g pass, by oracle
+    products alone, so that W(g) = zeta^box chi(k'); None when they miss
+    both.  Box 0 is g in I+ (k' = g).  Box 1 is g g_chi^(-1) in I+, which
+    holds iff k' = g_chi^(-1) g = g_chi g is in I+, since g_chi normalizes
+    I+; then g = g_chi k'."""
+    k = GroupMatrix.make(g, p, verify=False)
     for box in (0, 1):
-        x = _box_arg(g, box, p, ell, t)
-        if x is not None:
-            return (box,) + psi_exponent(x, p)
+        if box:
+            k = g_chi_so(ell, p) * k
+        if in_iplus(k.rows, p):
+            return box, affine_chi(k, t=t, flavor="SO")
     return None
 
 
@@ -193,7 +189,8 @@ def test_evaluator_matches_whittaker_eval(point, zsign, data):
     parts = _so_whittaker_parts(g, p, ell, t)
     if inside:  # a box test decides the support, and the solver agrees with it
         box = box_parts(g, p, ell, t)
-        assert box is not None and parts == box
+        assert box is not None and parts is not None
+        assert box == (parts[0], C(p ** parts[1], {parts[2]: 1}))
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert kernel_value(p, zeta, parts) == whittaker_eval(spec, generic_matrix(p, ell, side, z, y))
 
@@ -359,80 +356,60 @@ def test_tame_class_merge_keeps_every_tame_sum(p, data):
     assert merged == points
 
 
-# --- the factored count over the y product --------------------------------------
+# --- the fold of the support-aware y window -------------------------------------
+
+FOLD_CASES = [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2)]
 
 
-def assert_coordinate_is_linear(p, ell, side, t, z, k, c):
-    """Setting y_k = c (the other coordinates 0) moves the entries of the
-    base point by c times fixed factors: build(z, e_k 2c) minus the base
-    is twice build(z, e_k c) minus the base, on the integrand and on its
-    box-1 image, no moved entry is on the diagonal, and the chi argument
-    of each moves the same way.  The factored count tests one value of
-    y_k for all of them on exactly this."""
-    n = 2 * ell + 1
-    write = builder(side)(z, ell)
-    zero = (F0,) * (ell - 1)
-
-    def at(x):
-        return write(zero[:k] + (x,) + zero[k + 1 :])
-
-    rows = [at(F0), at(c), at(2 * c)]
-    cells = list(itertools.product(range(n), repeat=2))
-    for g0, g1, g2 in (rows, [times_g_chi(g, p) for g in rows]):
-        assert [g2[r][col] - g0[r][col] for r, col in cells] == [2 * (g1[r][col] - g0[r][col]) for r, col in cells]
-        moved = [(r, col) for r, col in cells if g1[r][col] != g0[r][col]]
-        assert bool(moved) == (c != 0) and all(r != col for r, col in moved), (side, z, k, c)
-        a0, a1, a2 = (_chi_arg(g, t, ell, p) for g in (g0, g1, g2))
-        assert a2 - a0 == 2 * (a1 - a0)
-
-
-@pytest.mark.parametrize("side", SIDES)
-def test_coordinates_are_linear_on_the_grid(side):
-    """Every z of the support-aware window at N = 2 and values c of
-    valuation -1 to 3, on the grid's (p, l) with a coordinate."""
-    for p in (3, 5, 7):
-        for ell in (2, 3):
-            t = (F1,) * (ell + 1)
-            for z, _ in _z_windows(p, 2, 1, "support-aware", side)[1]:
-                for k in range(ell - 1):
-                    for v in range(-1, 4):
-                        assert_coordinate_is_linear(p, ell, side, t, z, k, Fraction(p) ** v * (1 + k))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)]),
-    st.sampled_from(SIDES),
-    st.integers(-2, 2),
-    st.integers(-2, 3),
-    st.data(),
-)
-def test_coordinates_are_linear_at_random_t(case, side, vz, vc, data):
-    p, ell = case
+@pytest.mark.parametrize("p,ell", FOLD_CASES)
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
+    """The lemma behind the fold in _so_buckets, with oracle products
+    alone: at every point (z, y) of the unfolded support-aware windows at
+    N = 2, on both sides, k_y = g(0)^(-1) g(y) lies in I+ and
+    chi(k_y) = 1 at t drawn from the family, so W(g(y)) = W(g(0)).  There
+    are 470 such points over the five (p, l).  The negative control: at
+    each z, a y_k of valuation 0 (the others 0) puts a unit below the
+    diagonal of k_y on Phi, and an entry of valuation -1 above it on
+    Phi*, so k_y leaves I+ and the fold would not hold there."""
+    level = 2
     t = affine_t(data.draw, p, ell)
-    z = Fraction(p) ** vz * data.draw(units(p))
-    c = Fraction(p) ** vc * data.draw(units(p))
-    assert_coordinate_is_linear(p, ell, side, t, z, data.draw(st.integers(0, ell - 2)), c)
+    ys = [c for c, _ in _y_windows(p, level, 1, "support-aware")[1]]
+    zero = (F0,) * (ell - 1)
+    seen = 0
+    for side in SIDES:
+        for z, _ in _z_windows(p, level, 1, "support-aware", side)[1]:
+            base_inv = generic_matrix(p, ell, side, z, zero).inv()
+            for y in itertools.product(ys, repeat=ell - 1):
+                k = base_inv * generic_matrix(p, ell, side, z, y)
+                assert in_iplus(k.rows, p), (side, z, y)
+                assert affine_chi(k, t=t, flavor="SO") == C.one(), (side, z, y)
+                seen += 1
+            for j in range(ell - 1):
+                y = zero[:j] + (F1,) + zero[j + 1 :]
+                assert not in_iplus((base_inv * generic_matrix(p, ell, side, z, y)).rows, p), (side, z, y)
+    assert seen == len(SIDES) * len(ys) ** ell
 
 
-def point_loop(z, on_shell, ys, build, p, ell, t, parts=_so_whittaker_parts):
-    """The shared point loop at z, with the SO value _so_buckets gives it
-    (or, with parts=box_parts, the value of the box tests)."""
+def point_loop(z, on_shell, ys, build, p, ell, t):
+    """The shared point loop at z, with the SO value _so_buckets gives it."""
 
     rows = build(z, ell)
-    return _point_counts(z, on_shell, ys, ell - 1, lambda y: parts(rows(y), p, ell, t), {})
+    return _point_counts(z, on_shell, ys, ell - 1, lambda y: _so_whittaker_parts(rows(y), p, ell, t), {})
 
 
-def assert_factored_count_matches_loop(p, ell, side, t, level, zs=None):
+def assert_loop_gives_the_folded_count(p, ell, side, t, level, zs=None):
     """Per z of the support-aware window (or of zs, a part of it): the
-    factored (i, m, a) counts equal the point loop's, with no fallback."""
+    point loop over the unfolded (l-1)-fold y window values every point
+    as the base point y = 0, so its counts are {base value: |Y|^(l-1)},
+    the one class of the fold."""
     ys = _y_windows(p, level, 1, "support-aware")[1]
-    least = _least_valuation([y for y, _ in ys], p)
     build = builder(side)
     for z, on_shell in zs or _z_windows(p, level, 1, "support-aware", side)[1]:
-        got = _so_factored_counts(z, least, len(ys), build, p, ell, t)
-        assert got is not None, (p, ell, side, z)
-        assert got == point_loop(z, on_shell, ys, build, p, ell, t), (p, ell, side, z)
+        base = _so_whittaker_parts(build(z, ell)((F0,) * (ell - 1)), p, ell, t)
+        assert base is not None, (p, ell, side, z)
+        assert point_loop(z, on_shell, ys, build, p, ell, t) == {base: len(ys) ** (ell - 1)}, (p, ell, side, z)
 
 
 GRID_SUPPORT = [(p, ell) for p in (3, 5, 7) for ell in (1, 2, 3) if (p, ell) != (7, 3)] + [(3, 4)]
@@ -441,14 +418,14 @@ GRID_SUPPORT = [(p, ell) for p in (3, 5, 7) for ell in (1, 2, 3) if (p, ell) != 
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("p,ell", GRID_SUPPORT)
 def test_convolution_matches_point_loop_on_the_grid(p, ell, side):
-    assert_factored_count_matches_loop(p, ell, side, (F1,) * (ell + 1), 3)
+    assert_loop_gives_the_folded_count(p, ell, side, (F1,) * (ell + 1), 3)
 
 
 @pytest.mark.parametrize("side", SIDES)
 def test_convolution_matches_point_loop_at_7_3_on_sampled_z(side):
     """(7, 3) has 117,649 points per side; three seeded z keep it short."""
     zs = random.Random(7003).sample(_z_windows(7, 3, 1, "support-aware", side)[1], 3)
-    assert_factored_count_matches_loop(7, 3, side, (F1,) * 4, 3, zs)
+    assert_loop_gives_the_folded_count(7, 3, side, (F1,) * 4, 3, zs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -464,77 +441,15 @@ def test_convolution_matches_point_loop_at_random_t(case, side, level, seed, dat
     t = affine_t(data.draw, p, ell)
     assume(len(set(t)) > 1)
     zs = random.Random(seed).sample(_z_windows(p, level, 1, "support-aware", side)[1], 2)
-    assert_factored_count_matches_loop(p, ell, side, t, level, zs)
-
-
-def with_superdiagonal(build, p):
-    """build, with y_k also written at the superdiagonal entry (k, k + 1)
-    and p at (l - 1, l), which no coordinate writes.  Not a group element,
-    but each coordinate still writes its own off-diagonal entries, and chi
-    reads the new ones: the base argument is not 0, and the order of psi
-    varies with y.  On the integrands themselves chi reads no entry that
-    the base or a coordinate writes, so every box argument there is 0 and
-    every psi key is (0, 0)."""
-
-    def moved(z, ell):
-        rows = build(z, ell)
-
-        def moved_rows(y):
-            g = rows(y)
-            g[ell - 1][ell] = Fraction(p)
-            for k, c in enumerate(y):
-                g[k][k + 1] = c
-            return g
-
-        return moved_rows
-
-    return moved
-
-
-def test_convolution_keys_and_overflow_follow_the_point_loop():
-    """With chi reading the coordinates and weights t in p^(-e) o, the
-    psi keys reach orders p and p^2, and past PSI_MAX_POWER raise
-    OrderOverflow.  At every z the factored count either declines (the
-    coordinates move the argument) or equals the point loop, overflow
-    included, so the kernel's outcome (the factored count, or the loop
-    where it declines) is the loop's.  At l = 1 there is no coordinate,
-    so the factored count itself reaches the nonzero keys and the
-    overflow.  These matrices are not in SO and t breaks t_(l+1) = t_1
-    mod p, so the solver's value is not W here and only the box
-    statement applies: the loop values each point by the box tests."""
-    seen = Counter()
-    for p, ell, level in ((3, 1, 3), (3, 2, 3), (3, 3, 3), (5, 2, 3), (5, 3, 2)):
-        ys = _y_windows(p, level, 1, "support-aware")[1]
-        least = _least_valuation([y for y, _ in ys], p)
-        for side in SIDES:
-            build = with_superdiagonal(builder(side), p)
-            for e in range(4):
-                t = tuple(Fraction(u, p**e) for u in (1, 2, -1, 4)[: ell + 1])
-                for z, on_shell in _z_windows(p, level, 1, "support-aware", side)[1]:
-                    outcomes = []
-                    for count in (
-                        lambda: _so_factored_counts(z, least, len(ys), build, p, ell, t),
-                        lambda: point_loop(z, on_shell, ys, build, p, ell, t, box_parts),
-                    ):
-                        try:
-                            outcomes.append(count())
-                        except OrderOverflow:
-                            outcomes.append(OrderOverflow)
-                    fast, loop = outcomes
-                    assert fast is None or fast == loop, (p, ell, side, t, z)
-                    got = loop if fast is None else fast
-                    keys = ["overflow"] if got is OrderOverflow else [f"m={m}" for _, m, _ in got]
-                    seen.update(keys + (["fast " + key for key in keys] if fast is not None else []))
-    assert seen["overflow"] and seen["m=1"] and seen["m=2"], seen
-    assert seen["fast overflow"] and seen["fast m=1"] and seen["fast m=2"], seen
+    assert_loop_gives_the_folded_count(p, ell, side, t, level, zs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((3, 5, 7)), st.sampled_from((1, 2, 3)), st.integers(0, 2**32))
 def test_no_matrix_passes_both_boxes(p, ell, seed):
-    """g in I+ never has g g_chi^(-1) in I+ too (I+ is a group and g_chi is
-    not in it), for any matrix g, in SO or not.  The factored count relies
-    on this when it lets the base point choose the box."""
+    """g in I+ never has g_chi g in I+ too (I+ is a group and g_chi is not
+    in it), for any matrix g, in SO or not.  So the first box box_parts
+    finds is the only one, and its value is the value of W."""
     rng = random.Random(seed)
     n = 2 * ell + 1
     g = [[F0] * n for _ in range(n)]
@@ -542,49 +457,9 @@ def test_no_matrix_passes_both_boxes(p, ell, seed):
         for c in range(n):
             x = Fraction(rng.randint(-p * p, p * p))
             g[r][c] = 1 + p * x if r == c else (p * x if r > c else x)
-    m = times_g_chi(g, p)  # in box 1: m g_chi^(-1) = g
-    assert times_g_chi(m, p) == g
-    assert in_iplus(g, p) and not in_iplus(m, p)
-
-
-def off_both_boxes(g, p, ell, t):
-    return box_parts(g, p, ell, t) is None
-
-
-@pytest.mark.parametrize(
-    "ell,expected",
-    [
-        (1, {"empty": 108, "counted": 12}),
-        (2, {"short": 6, "empty": 108, "counted": 6}),
-        (3, {"short": 6, "empty": 108, "counted": 6}),
-    ],
-)
-def test_convolution_falls_back_exactly_where_a_point_misses_both_boxes(ell, expected):
-    """On the brute-force z window at N = 2, with the brute-force y window
-    (at l >= 2 every z falls back; at z in 1 + p some points do pass, so
-    the count falls short without vanishing) and with the support-aware
-    one (the z of the support are counted, the others fall back)."""
-    p, level = 3, 2
-    t = (F1,) * (ell + 1)
-    seen = Counter()
-    for side in SIDES:
-        build = builder(side)
-        zs = _z_windows(p, level, 1, "brute-force", side)[1]
-        for mode in ("brute-force", "support-aware"):
-            ys = _y_windows(p, level, 1, mode)[1]
-            least = _least_valuation([y for y, _ in ys], p)
-            for z, on_shell in zs:
-                got = _so_factored_counts(z, least, len(ys), build, p, ell, t)
-                rows = build(z, ell)
-                points = (rows(y) for y in itertools.product([c for c, _ in ys], repeat=ell - 1))
-                if any(off_both_boxes(g, p, ell, t) for g in points):
-                    assert got is None, (side, mode, z)
-                    passing = not off_both_boxes(rows((F0,) * (ell - 1)), p, ell, t)
-                    seen["short" if passing else "empty"] += 1
-                else:
-                    assert got == point_loop(z, on_shell, ys, build, p, ell, t), (side, mode, z)
-                    seen["counted"] += 1
-    assert seen == expected
+    k = GroupMatrix.make(g, p, verify=False)
+    gchi = g_chi_so(ell, p)
+    assert in_iplus(k.rows, p) and not in_iplus((gchi * k).rows, p)
 
 
 def so_bucket_digest(buckets):
@@ -617,9 +492,10 @@ T_3_3 = (Fraction(2), Fraction(-1), Fraction(4, 5), Fraction(5))
     ],
 )
 def test_so_buckets_are_pinned(p, ell, t, side, digest):
-    """Digests taken from the point-by-point enumeration, at N = 3, V = 1.
-    Those of the stress sizes (11,3), (13,3), (7,4), (5,4) and (3,5) were
-    taken while the factored count still tested every coordinate value."""
+    """Digests taken from the point-by-point enumeration, at N = 3, V = 1,
+    before the y window was folded; those of the stress sizes (11,3),
+    (13,3), (7,4), (5,4) and (3,5) while every coordinate value was still
+    tested.  The fold leaves every one of them as it was."""
     cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=3, cutoff=1, t=t)
     assert so_bucket_digest(_so_buckets(p, ell, 3, 1, "support-aware", side, cfg.t)[0]) == digest
 
@@ -636,13 +512,20 @@ def test_stress_sizes_meet_the_closed_forms(p, ell):
 
 
 @pytest.mark.parametrize("case", ["phi", "phi_star", "brute-force"])
-def test_support_aware_enumeration_tests_coordinates_not_points(case, count_calls):
-    """in_iplus and coset_decompose counted at every name the package binds
-    them to.  Support-aware, over one _so_buckets at (p, l, N, V) =
-    (5, 3, 3, 1): at each z the factored count makes at most two box
-    tests for the base and one for each coordinate, at its value of least
-    valuation: 100 in all.  Testing every value of each coordinate would
-    make 1,300, and the point loop up to two per point, 31,250.
+def test_support_aware_enumeration_values_one_point_per_z(case, count_calls):
+    """coset_decompose, its row map by g_chi and the elimination's row test
+    counted at every name the package binds them to.  Before the y window
+    was folded this guard was named
+    test_support_aware_enumeration_tests_coordinates_not_points and
+    counted the box tests of a factored count.  The fold values each z at
+    y = 0 with the solver, so no box test is left to count, and the
+    guard counts the solver's work instead.
+    Support-aware, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1):
+    one coset_decompose call per z, 25 in all, and all 25 find factors.
+    Valuing every point would make 25 * 25**2 = 15,625.  On Phi each z
+    factors at i = 0, which maps no row and tests its 7 rows; on Phi* the
+    bottom row fails at i = 0, and i = 1 maps and tests all 7 rows, so
+    175 rows are mapped and 200 tested.
     Brute-force, over _so_buckets on both sides at (3, 2, 2, 1): the point
     loop makes one coset_decompose call per point, 2 * 30 * 81 = 4,860,
     and 18 of them find factors, the points of the support.  A box test
@@ -652,7 +535,7 @@ def test_support_aware_enumeration_tests_coordinates_not_points(case, count_call
     that try i = 1, 9 factor (5 rows each) and 4,842 fail at the bottom
     row, so 4,887 rows are mapped.  Mapping all of g g_chi first would
     map 5 * 4,851 = 24,255."""
-    calls = count_calls("in_iplus", "coset_decompose", "row_times_g_chi_so")
+    calls = count_calls("coset_decompose", "row_times_g_chi_so", "row_in_iplus")
     if case == "brute-force":
         p, ell, level = 3, 2, 2
         for side in SIDES:
@@ -666,10 +549,15 @@ def test_support_aware_enumeration_tests_coordinates_not_points(case, count_call
         return
     p, ell, level = 5, 3, 3
     _so_buckets(p, ell, level, 1, "support-aware", case, (F1,) * (ell + 1))
-    z_count = y_count = p ** (level - 1)
-    assert calls["coset_decompose"] == 0
-    assert z_count * (2 + (ell - 1) * y_count) == 1_300
-    assert 0 < calls["in_iplus"] <= z_count * (2 + (ell - 1)) == 100
+    z_count = p ** (level - 1)
+    n = 2 * ell + 1
+    assert calls["coset_decompose"] == calls["coset_decompose.found"] == z_count == 25
+    if case == "phi":
+        assert calls["row_times_g_chi_so"] == 0
+        assert calls["row_in_iplus"] == z_count * n == 175
+    else:
+        assert calls["row_times_g_chi_so"] == z_count * n == 175
+        assert calls["row_in_iplus"] == z_count * (1 + n) == 200
 
 
 def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):

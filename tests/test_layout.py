@@ -8,6 +8,9 @@ second production path.  Both are read off the source with ast, so the
 check does not depend on what an import happens to execute.  So is
 scan_support, which must name neither the evaluator nor the solver: it
 reads the brute-force enumeration's record and values no point itself.
+So are the imports of the I+ tests: integrals.py imports none, so no
+box test runs beside the coset solver, and oracles.py imports neither,
+so its in_iplus stays apart from the package's row test.
 sympy is a test-side oracle only: importing it took most of `import
 ssgamma`.
 
@@ -72,6 +75,7 @@ def test_no_oracle_name_is_defined_in_the_package():
     required = {
         "whittaker_eval",
         "section_eval",
+        "in_iplus",
         "random_so_iplus",
         "EisensteinElement",
         "iota_embed",
@@ -104,6 +108,21 @@ def test_scan_support_values_no_point_itself():
             names.add(node.attr)
     assert "_so_buckets" in names
     assert sorted(names & {"_so_whittaker_parts", "coset_decompose"}) == []
+
+
+def imported_names(path):
+    """Every name a from-import in the file binds, at any depth."""
+    return {a.name for node in ast.walk(parse(path)) if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_i_plus_tests_stay_out_of_integrals_and_the_oracle():
+    """integrals.py values every point with the coset solver, whose
+    elimination runs the one I+ row test: an import of an I+ test or of
+    the g_chi row map there would be a box test beside the solver.  The
+    oracle's in_iplus is read off valuations, so that the package's row
+    test is checked against a test that shares no code with it."""
+    assert sorted(imported_names(PACKAGE / "integrals.py") & {"in_iplus", "row_in_iplus", "row_times_g_chi_so"}) == []
+    assert sorted(imported_names(ORACLES) & {"in_iplus", "row_in_iplus"}) == []
 
 
 def test_every_mutant_still_applies():

@@ -17,6 +17,7 @@ from oracles import (
     embed_j,
     g_chi_gl,
     g_chi_so,
+    in_iplus,
     mat_det,
     mat_mul,
     omega_prime,
@@ -37,13 +38,12 @@ from ssgamma.matrices import (
     coset_decompose,
     coset_decompose_gl,
     eliminate_u_iplus,
-    in_iplus,
+    mat_identity,
     mat_inv,
     row_in_iplus,
     row_times_g_chi_gl_inv,
     row_times_g_chi_so,
 )
-from ssgamma.padic import rational_valuation
 
 
 def test_g_chi_so_is_involution():
@@ -256,20 +256,19 @@ def product(a, b):
 @settings(max_examples=200, deadline=None)
 @given(padic_matrices())
 def test_in_iplus_is_the_valuation_definition(case):
+    """The package's row test, one row at a time as the U * I+ elimination
+    reads it, against the oracle's in_iplus, read off valuations: row i
+    of a passes iff the identity with its row i replaced by it lies in I+
+    (every other row of the identity does)."""
     p, a = case
     n = len(a)
-    by_row = [
-        all(
-            rational_valuation(a[i][j], p) >= 0
-            and (i <= j or rational_valuation(a[i][j], p) >= 1)
-            and (i != j or rational_valuation(a[i][j] - 1, p) >= 1)
-            for j in range(n)
-        )
-        for i in range(n)
-    ]
-    assert in_iplus(a, p) == all(by_row)
-    # one row at a time, as the U * I+ elimination reads it
+    by_row = []
+    for i in range(n):
+        m = mat_identity(n)
+        m[i] = list(a[i])
+        by_row.append(in_iplus(m, p))
     assert [row_in_iplus(i, a[i], p) for i in range(n)] == by_row
+    assert in_iplus(a, p) == all(by_row)
 
 
 @settings(max_examples=200, deadline=None)
