@@ -44,9 +44,9 @@ def psi_exponent(x, p: int) -> tuple:
     """(m, a) with psi(x) = zeta_(p^m)^a, where m = max(0, -v_p(x/p)) and a
     is a unit mod p^m; (0, 0) when psi(x) = 1.  Exact, and depends only on
     x mod p.  Raises OrderOverflow past PSI_MAX_POWER; its callers check x and p."""
-    y = Fraction(x) / p
-    if y == 0:
+    if not x:
         return 0, 0
+    y = Fraction(x) / p
     v = rational_valuation(y, p)
     if v >= 0:
         return 0, 0

@@ -47,15 +47,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
 from .padic import is_int, is_odd_prime, rational_valuation
-from .matrices import (
-    mat_identity,
-    coset_decompose,
-    coset_decompose_gl,
-)
+from .matrices import coset_decompose, coset_decompose_gl
 from .characters import (
     TameCharacter,
     psi_exponent,
@@ -193,51 +190,50 @@ class GammaResult:
 # integrand rows and the per-point Whittaker evaluator
 #
 # A point is the rows of its integrand matrix, and the double-coset
-# solver values it.  A builder takes the outer coordinate (z or a) and
+# solver values it.  The rows are the solver's scaled rows (nums, den),
+# entries nums[c] / den (matrices.py), so a point makes no Fraction
+# unless it factors.  A builder takes the outer coordinate (z or a) and
 # returns the function of the inner one (y or x) that writes the rows,
 # so the work that depends on the outer coordinate alone is done once
-# for all its points.
+# for all its points, the rows free of y or x included: no reader of
+# the rows writes to them.
 
 
-def _phi_rows(z, ell):
-    """y -> the rows of x_bar(y) j(h(z)): z and 1/z at the ends of the
-    diagonal, y z below z and -y reversed left of 1/z."""
+def _unit_rows(n, rows, x):
+    """The scaled rows with x on the diagonal at each index of rows and 0
+    elsewhere, over 1."""
+    return [([0] * r + [x] + [0] * (n - 1 - r), 1) for r in rows]
+
+
+def _so_rows(z, ell, side):
+    """y -> the rows of the side's integrand at (z, y), in closed form.
+
+    On Phi it is x_bar(y) j(h(z)): z and 1/z at the ends of the diagonal,
+    y z below z and -y reversed left of 1/z.  On Phi* it is c_hat x_bar(y)
+    j(h(z)) delta_o omega'.  c_hat negates the middle rows other than row
+    l, delta_o negates column l and omega' swaps the outer columns.  So
+    the middle diagonal is -1, z and 1/z move to the outer corners, y z
+    to the last column negated (rows 1..l-1), and -y stays (no y is in
+    row l or column l)."""
     n = 2 * ell + 1
-    inv = 1 / z
+    zn, zd = z.numerator, z.denominator
+    # the sign of rows 1..n-2, and the columns of z and of 1/z
+    s, cz, ci = (-1, n - 1, 0) if side == "phi_star" else (1, 0, n - 1)
+    top = [([zn if c == cz else 0 for c in range(n)], zd)]
+    middle = _unit_rows(n, range(ell, n - 1), s)
 
     def rows(y):
-        g = mat_identity(n)
-        g[0][0] = z
-        g[n - 1][n - 1] = inv
+        lcd = lcm(*(c.denominator for c in y))
+        last = [0] * n
+        last[ci] = zd * lcd
+        mid = []
         for i, c in enumerate(y):
-            g[1 + i][0] = c * z
-            g[n - 1][n - 2 - i] = -c
-        return g
-
-    return rows
-
-
-def _phi_star_rows(z, ell):
-    """y -> the rows of c_hat x_bar(y) j(h(z)) delta_o omega', in closed
-    form.
-
-    c_hat negates the middle rows other than row l, delta_o negates
-    column l and omega' swaps the outer columns.  So the middle diagonal
-    is -1, z and 1/z move to the outer corners, y z to the last column
-    negated (rows 1..l-1), and -y stays (no y is in row l or column l)."""
-    n = 2 * ell + 1
-    inv = 1 / z
-
-    def rows(y):
-        g = [[F0] * n for _ in range(n)]
-        for r in range(1, n - 1):
-            g[r][r] = FM1
-        g[0][n - 1] = z
-        g[n - 1][0] = inv
-        for i, c in enumerate(y):
-            g[1 + i][n - 1] = -c * z
-            g[n - 1][n - 2 - i] = -c
-        return g
+            yn, yd = c.numerator, c.denominator
+            row = [0] * n
+            row[cz], row[1 + i] = s * yn * zn, s * yd * zd
+            mid.append((row, yd * zd))
+            last[n - 2 - i] = -yn * (lcd // yd) * zn
+        return top + mid + middle + [(last, lcd * zn)]
 
     return rows
 
@@ -256,22 +252,21 @@ def _gl_dual_rows(a, n):
     coset solver's scalar z absorbs a: it factors the same m = u k.
     Those rows have a on the superdiagonal and the bottom row
     (1, 0, -x_(n-3), ..., -x_0), which takes no division.  The n - 1
-    rows above it are made once per a and shared by its every x: no
-    reader of the rows writes to them."""
-    top = [[F0] * n for _ in range(n - 1)]
-    for r, row in enumerate(top):
-        row[r + 1] = a
+    rows above it are made once per a and shared by its every x."""
+    top = [([0] * (r + 1) + [a.numerator] + [0] * (n - 2 - r), a.denominator) for r in range(n - 1)]
 
     def rows(x):
-        return top + [[F1, F0] + [-xv for xv in reversed(x)]]
+        lcd = lcm(*(c.denominator for c in x))
+        return top + [([lcd, 0] + [-c.numerator * (lcd // c.denominator) for c in reversed(x)], lcd)]
 
     return rows
 
 
 def _chi_arg(k, t, ell, p):
-    """x with chi(k) = psi(x) for k in I+: the weighted simple affine
-    entries.  Zero entries are skipped, since Fraction arithmetic is slow
-    and on the integrands chi reads only zeros.
+    """x with chi(k) = psi(x) for k in I+, given by its scaled rows: the
+    weighted simple affine entries.  Zero entries are skipped, and only
+    the entries read become Fractions; on the integrands chi reads only
+    zeros.
 
     It reads chi(g_chi k g_chi) off k too.  For k in I+ and SO, the
     argument of g_chi k g_chi is, up to p, that of k with the weights t_1
@@ -281,14 +276,14 @@ def _chi_arg(k, t, ell, p):
     and psi_exponent reads x only mod p: every (i, m, a) stored is the
     same whichever of k and g_chi k g_chi it is read off.  On a unit upper
     triangular u, whose corner entry is 0, it reads psi_U(u)."""
-    s = F0
+    s = 0
     for a in range(ell):
-        x = k[a][a + 1]
-        if x:
-            s += t[a] * x
-    x = k[2 * ell - 1][0]
-    if x:
-        s += t[ell] * x / p
+        nums, den = k[a]
+        if nums[a + 1]:
+            s += t[a] * Fraction(nums[a + 1], den)
+    nums, den = k[2 * ell - 1]
+    if nums[0]:
+        s += t[ell] * Fraction(nums[0], den * p)
     return s
 
 
@@ -469,13 +464,12 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
     none of these entries (none is (a, a+1) with a < l, nor (2l-1, 0)),
     so W(g(y)) = W(g(0)) chi(k_y) = W(g(0)).  Brute-force windows reach y
     outside p, where this fails, so that mode values every point."""
-    build = _phi_rows if side == "phi" else _phi_star_rows
     ys = _y_windows(p, level, cutoff, mode)
     if mode == "support-aware":
         ys = (ys[0] * len(ys[1]), [(F0, False)])
 
     def value(z):
-        rows = build(z, ell)
+        rows = _so_rows(z, ell, side)
         return lambda y: _so_whittaker_parts(rows(y), p, ell, t)
 
     return _enumerate(
@@ -588,15 +582,14 @@ def _gl_whittaker_parts(rows, p, n):
     chi(k') = chi(k), as on SO (see _chi_arg): k -> g_chi^(-1) k g_chi
     moves k[r][r+1] to (r+1, r+2), k[n-1][0] / p to (0, 1) and
     k[n-2][n-1] to the corner over pi, a cyclic permutation of the n
-    entries chi sums.  So zeta_(p^m)^a = psi(u_arg + k_arg), read off u
-    and k as returned."""
+    entries chi sums.  So zeta_(p^m)^a is psi of the superdiagonals of u
+    and k plus k[n-1][0] / p, read off the scaled rows as returned."""
     res = coset_decompose_gl(rows, p)
     if res is None:
         return None
     u, j, _, k = res
-    u_arg = sum(u[a][a + 1] for a in range(n - 1))
-    k_arg = sum(k[a][a + 1] for a in range(n - 1)) + k[n - 1][0] / p
-    return (j,) + psi_exponent(u_arg + k_arg, p)
+    arg = sum(Fraction(m[a][0][a + 1], m[a][1]) for m in (u, k) for a in range(n - 1))
+    return (j,) + psi_exponent(arg + Fraction(k[n - 1][0][0], k[n - 1][1] * p), p)
 
 
 def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
@@ -615,8 +608,7 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
     if side == "plain":
 
         def value(a):
-            rows = mat_identity(n)
-            rows[0][0] = a
+            rows = [([a.numerator] + [0] * (n - 1), a.denominator)] + _unit_rows(n, range(1, n), 1)
             return lambda x: _gl_whittaker_parts(rows, p, n)
 
     else:

@@ -1,7 +1,15 @@
-"""Matrices over Q_p as row lists of Fractions: the I+ row test,
-right multiplication by the normalizers g_chi as a map on one row, the
-one exact elimination, and the double-coset solvers behind the explicit
+"""Matrices over Q_p as scaled integer rows: the I+ row test, right
+multiplication by the normalizers g_chi as a map on one row, the one
+exact elimination, and the double-coset solvers behind the explicit
 Whittaker functions.
+
+A scaled row is a pair (nums, den), a list of ints and a nonzero int,
+with entries nums[c] / den.  The solvers take the rows of g in this form
+and work on the integers alone: the row maps and the elimination scale
+numerators and denominators, and the I+ test is a set of congruences.
+The factors come back as scaled rows, each reduced (the gcd of its
+numerators and den is 1, and den > 0), the one such form of a row; the
+evaluators of integrals.py make Fractions of the entries they read.
 
 Both coset solvers rest on one factorization, eliminate_u_iplus: the
 unique m = u k with u unit upper triangular and k lower triangular with
@@ -13,24 +21,18 @@ the I+ test.  Most points of a brute-force domain fail at the bottom row,
 so they cost one mapped row, not N.
 
 The SO solver tries i = 0, then i = 1.  The GL solver runs one
-elimination, at the one j that can put the bottom row of m in I+:
-  - for j >= 1 that row is l[j..n-1] / z then l[0..j-1] / (p z), with
-    l the bottom row of g and z = l[j-1] / p on its diagonal; for j = 0
-    it is l / z with z = l[n-1];
-  - its off-diagonal entries lie in p iff l[j-1 mod n] has the least
-    valuation, strictly less than every entry to its left and no greater
-    than any entry to its right;
-  - so j = (i0 + 1) mod n, with i0 the leftmost index of least valuation
-    in l; an all-zero l lies in no coset.
+elimination, at the one j that can put the bottom row of m in I+, read
+off the valuations of the bottom row of g (coset_decompose_gl).
 
 Each solver returns the factors it computes, of g g_chi^(-i) = u k
 (SO) or g g_chi^(-j) = z u k (GL).  Since g_chi normalizes I+, g is then
 (z) u g_chi^i k' with k' = g_chi^(-i) k g_chi^i in I+, and the
 evaluators of integrals.py read chi(k') off k without forming k'.  The
 dense engine that builds group elements (GroupMatrix, so_check, the
-determinant, g_chi_so, g_chi_gl), the named elements of the integrands
-and the random samplers are in tests/oracles.py, where their products
-are the reference for the row builders of integrals.py.
+determinant, g_chi_so, g_chi_gl), the named elements of the integrands,
+the random samplers and the Fraction elimination these solvers replaced
+are in tests/oracles.py, where they are the reference for the row
+builders of integrals.py and for the solvers.
 
 Conventions: SO_m is defined by det = 1 and tg J g = J with J the
 antidiagonal of ones.  I+ (the pro-unipotent radical of the standard
@@ -45,8 +47,7 @@ and pi in the lower-left corner.
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .padic import INF, rational_valuation
+from math import gcd
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -62,13 +63,6 @@ class SingularMatrix(MatrixError):
 
 # ---------------------------------------------------------------------------
 # plain Fraction matrix helpers (row-major lists of lists)
-
-
-def mat_identity(n):
-    rows = [[F0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = F1
-    return rows
 
 
 def _gauss_jordan(m, n):
@@ -90,7 +84,7 @@ def _gauss_jordan(m, n):
 
 def mat_inv(a):
     n = len(a)
-    m = [list(row) + e for row, e in zip(a, mat_identity(n))]
+    m = [list(row) + [F1 if c == r else F0 for c in range(n)] for r, row in enumerate(a)]
     _gauss_jordan(m, n)
     return [row[n:] for row in m]
 
@@ -104,43 +98,61 @@ def _solve_row(bmat, v):
 
 
 def row_in_iplus(r, row, p) -> bool:
-    """The I+ test on row r: in p left of the diagonal, in 1 + p on it and
-    integral right of it.  The shared F0 and F1 of the identity pass
-    unread: most entries are one of them, and Fraction's tests are slow."""
-    d = row[r]
-    if d is not F1 and (d.denominator % p == 0 or (d.numerator - d.denominator) % p):
+    """The I+ test on the scaled row r, as congruences: with p^e the power
+    of p in den, the diagonal numerator is den mod p^(e+1), those left of
+    it are 0 mod p^(e+1) and those right of it 0 mod p^e."""
+    nums, den = row
+    d, q = den, 1
+    while d and not d % p:  # den = 0 is no row, but must not loop forever
+        d //= p
+        q *= p
+    qp = q * p
+    if (nums[r] - den) % qp:
         return False
-    for x in row[:r]:
-        if x is not F0 and (x.denominator % p == 0 or x.numerator % p):
+    for x in nums[:r]:
+        if x % qp:
             return False
-    for x in row[r + 1 :]:
-        if x is not F0 and x.denominator % p == 0:
-            return False
+    if q > 1:
+        for x in nums[r + 1 :]:
+            if x % q:
+                return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# right multiplication by g_chi, one row at a time
+# right multiplication by g_chi, one scaled row at a time
 
 
 def row_times_g_chi_so(row, p):
     """A row of m g_chi_so (= m g_chi_so^(-1)), from that row of m: entry
-    1 <- p * entry N, entry N <- entry 1 / p, the middle entries negated;
-    zero entries are left alone."""
-    a, b = row[0], row[-1]
-    return [p * b if b else b, *[-x if x else x for x in row[1:-1]], a / p if a else a]
+    1 <- p * entry N, entry N <- entry 1 / p, the middle entries negated,
+    all over den * p."""
+    nums, den = row
+    return [p * p * nums[-1], *[-p * x for x in nums[1:-1]], nums[0]], den * p
 
 
-def row_times_g_chi_gl_inv(row, j, z, pz):
-    """A row of m g_chi_gl^(-j) / z, from that row of m: the entries
-    rotated j places left, the j that wrap round divided by pz = p z and
-    the others by z; zero entries are left alone.  (g_chi_gl sends
-    e_(c+1) to e_c and e_1 to p e_N, so its inverse does the reverse.)"""
-    return [*[x / z if x else x for x in row[j:]], *[x / pz if x else x for x in row[:j]]]
+def row_times_g_chi_gl_inv(row, j, pn, pd, p):
+    """A row of m g_chi_gl^(-j) / z, with p z = pn / pd, from that row of
+    m: the entries rotated j places left, the j that wrap round divided
+    by p z (numerators times pd) and the others by z (times p pd), all
+    over den * pn.  (g_chi_gl sends e_(c+1) to e_c and e_1 to p e_N, so
+    its inverse does the reverse.)"""
+    nums, den = row
+    ppd = p * pd
+    return [x * ppd for x in nums[j:]] + [x * pd for x in nums[:j]], den * pn
 
 
 # ---------------------------------------------------------------------------
 # the U * I+ factorization
+
+
+def _reduced(nums, den):
+    """The scaled row divided by the gcd of its numerators and den, signed
+    so that den > 0: the one reduced form of the row."""
+    g = gcd(*nums, den)
+    if den < 0:
+        g = -g
+    return (nums, den) if g == 1 else ([x // g for x in nums], den // g)
 
 
 def eliminate_u_iplus(rows, n, p):
@@ -148,44 +160,47 @@ def eliminate_u_iplus(rows, n, p):
     k lower triangular with every row in I+; None when m is outside
     U * I+.
 
-    rows yields the rows of m bottom-up, m[n-1] first, and is read only
-    as far as the elimination gets.  The factors are unique, and
+    rows yields the scaled rows of m bottom-up, m[n-1] first, and is read
+    only as far as the elimination gets.  The factors are unique, and
     back-substitution builds them bottom-up.  Row r of k is m[r] less
     u[r][c] times row c of k, for each c > r.  Row c of k ends at its
     diagonal, which lies in 1 + p, so taking c from the last column
-    leftwards, u[r][c] is the one multiple that clears column c, and the
-    entry it clears is set to 0 rather than computed.  Row r
-    must pass the I+ test before the next row is read, so a matrix that
-    fails at row r costs only the rows r..n-1.  u is built once all n rows
-    pass.  Returns (u, k) as Fraction row-lists, or None.
+    leftwards, u[r][c] is the one multiple that clears column c.  For the
+    entry x / den and the row (kn, kd) of k, with d = kn[c], that is
+    nums <- nums d - x kn and den <- den d, and u[r][c] = x kd / (den d):
+    u's numerators are scaled by d beside m's, so the two share den.
+    Row r must pass the I+ test before the next row is read, so a matrix
+    that fails at row r costs only the rows r..n-1.  Each accepted row
+    is reduced, which bounds the integers.  Returns (u, k) as lists of
+    scaled rows, or None.
     """
     k = [None] * n
-    cleared = []
-    for r, row in zip(range(n - 1, -1, -1), rows):
-        row = list(row)
+    u = [None] * n
+    for r, (nums, den) in zip(range(n - 1, -1, -1), rows):
+        unums = None
         for c in range(n - 1, r, -1):
-            if row[c]:
-                f = row[c] / k[c][c]
-                cleared.append((r, c, f))
-                kc = k[c]
-                for j in range(c):
-                    if kc[j]:
-                        row[j] -= f * kc[j]
-                row[c] = F0
-        if not row_in_iplus(r, row, p):
+            x = nums[c]
+            if x:
+                kn, kd = k[c]
+                d = kn[c]
+                nums = [a * d - x * b for a, b in zip(nums, kn)]
+                den *= d
+                unums = [0] * n if unums is None else [a * d for a in unums]
+                unums[c] = x * kd
+        if not row_in_iplus(r, (nums, den), p):
             return None
-        k[r] = row
-    u = mat_identity(n)
-    for r, c, f in cleared:
-        u[r][c] = f
-    return u, k
+        k[r] = _reduced(nums, den)
+        if unums is not None:
+            unums[r] = den
+            u[r] = _reduced(unums, den)
+    return [row or ([0] * r + [1] + [0] * (n - 1 - r), 1) for r, row in enumerate(u)], k
 
 
 def coset_decompose(rows, p):
-    """Factor g in SO_(2l+1), given by its rows, as g g_chi^(-i) = u k:
-    i in {0, 1}, u unit upper triangular and k lower triangular in I+.
-    Returns (u, i, k) as Fraction row-lists, or None when g lies in
-    neither double coset U g_chi^i I+.
+    """Factor g in SO_(2l+1), given by its scaled rows, as g g_chi^(-i) =
+    u k: i in {0, 1}, u unit upper triangular and k lower triangular in
+    I+.  Returns (u, i, k) with u and k as lists of reduced scaled rows,
+    or None when g lies in neither double coset U g_chi^i I+.
 
     Since g_chi normalizes I+, U g_chi^i I+ = U I+ g_chi^i, so g lies in
     it iff g g_chi^(-i) is in U I+, decided by eliminate_u_iplus; then
@@ -209,10 +224,11 @@ def coset_decompose(rows, p):
 
 
 def coset_decompose_gl(rows, p):
-    """Factor g in GL_n, given by its rows, as g g_chi^(-j) = z u k: j in
-    0..n-1, z a nonzero scalar, u unit upper triangular and k lower
-    triangular in I+.  Returns (u, j, z, k), or None when g lies in no
-    double coset U g_chi^j Z I+.
+    """Factor g in GL_n, given by its scaled rows, as g g_chi^(-j) =
+    z u k: j in 0..n-1, z a nonzero scalar, u unit upper triangular and k
+    lower triangular in I+.  Returns (u, j, z, k), z a Fraction and u and
+    k lists of reduced scaled rows, or None when g lies in no double
+    coset U g_chi^j Z I+.
 
     At most one j can put the bottom row of m = g g_chi^(-j) / z in I+,
     and the bottom row l of g names it before any division:
@@ -222,25 +238,31 @@ def coset_decompose_gl(rows, p):
         valuation, strictly less than every entry to its left and no
         greater than any entry to its right;
       - so j = (i0 + 1) mod n, i0 the leftmost index of least valuation
-        in l, and an all-zero l has none.
+        in l, and an all-zero l has none.  l's denominator shifts every
+        valuation alike, so i0 is read off its numerators.
     So one elimination runs, at that j; it still tests every row it
     reads, the bottom one included, so the choice never decides a
     verdict.  Each row of m is a column rotation of that row of g
     (row_times_g_chi_gl_inv), built bottom-up only as the elimination
-    reads it, so no call inverts or multiplies by g_chi.  The entries
-    that wrap round are divided by p z = l[j-1], read off l, so each
-    costs one division, not two."""
+    reads it, so no call inverts or multiplies by g_chi.  p z is
+    l[j-1] at j >= 1 and p l[n-1] at j = 0, read off l."""
     n = len(rows)
-    last = rows[n - 1]
-    vals = [rational_valuation(x, p) for x in last]
-    least = min(vals)
-    if least == INF:
+    last, den = rows[n - 1]
+    least = None
+    for c, x in enumerate(last):
+        if x:
+            v = 0
+            while not x % p:
+                x //= p
+                v += 1
+            if least is None or v < least:
+                least, i0 = v, c
+    if least is None:
         return None
-    j = (vals.index(least) + 1) % n
-    pz = last[j - 1]  # p z; at j = 0 it is last[n - 1] = z, and no entry wraps
-    z = pz / p if j else pz
-    res = eliminate_u_iplus((row_times_g_chi_gl_inv(row, j, z, pz) for row in reversed(rows)), n, p)
+    j = (i0 + 1) % n
+    pn = last[i0] if j else p * last[i0]  # p z = pn / den
+    res = eliminate_u_iplus((row_times_g_chi_gl_inv(row, j, pn, den, p) for row in reversed(rows)), n, p)
     if res is None:
         return None
     u, k = res
-    return u, j, z, k
+    return u, j, Fraction(pn, den * p), k

@@ -181,8 +181,8 @@ MUTANTS = (
     Mutant(
         "the dual rows with ones on the superdiagonal",
         INTEGRALS,
-        "        row[r + 1] = a\n",
-        "        row[r + 1] = F1\n",
+        "[0] * (r + 1) + [a.numerator] +",
+        "[0] * (r + 1) + [a.denominator] +",
         (
             "tests/test_gl.py::test_dual_rows_equal_the_generic_product",
             "tests/test_gl.py::test_jpss_support_lemma[2-3]",
@@ -191,8 +191,8 @@ MUTANTS = (
     Mutant(
         "the wrapped GL entries divided by z alone",
         MATRICES,
-        "*[x / pz if x else x for x in row[:j]]",
-        "*[x / z if x else x for x in row[:j]]",
+        "[x * pd for x in nums[:j]]",
+        "[x * ppd for x in nums[:j]]",
         (
             "tests/test_gl.py::test_evaluator_matches_whittaker_eval_on_the_support",
             "tests/test_gl.py::test_evaluator_matches_whittaker_eval_on_the_windows",
@@ -213,7 +213,7 @@ MUTANTS = (
     Mutant(
         "chi's corner term dropped",
         INTEGRALS,
-        "        s += t[ell] * x / p\n",
+        "        s += t[ell] * Fraction(nums[0], den * p)\n",
         "        pass\n",
         (
             "tests/test_kernel.py::test_evaluator_matches_whittaker_eval_on_the_double_coset",
@@ -231,8 +231,8 @@ MUTANTS = (
     Mutant(
         "the diagonal only integral, not in 1 + p",
         MATRICES,
-        "if d is not F1 and (d.denominator % p == 0 or (d.numerator - d.denominator) % p):",
-        "if d is not F1 and d.denominator % p == 0:",
+        "    if (nums[r] - den) % qp:\n",
+        "    if nums[r] % q:\n",
         (
             "tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",
             "tests/test_matrices.py::test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it",
@@ -240,10 +240,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the entries left of the diagonal only integral, not in p",
+        "the entries left of the diagonal tested mod p^e, not p^(e+1): only integral, not in p",
         MATRICES,
-        "if x is not F0 and (x.denominator % p == 0 or x.numerator % p):",
-        "if x is not F0 and x.denominator % p == 0:",
+        "        if x % qp:\n",
+        "        if x % q:\n",
         (
             "tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",
             "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
@@ -252,16 +252,16 @@ MUTANTS = (
     Mutant(
         "the entries right of the diagonal not tested",
         MATRICES,
-        "    for x in row[r + 1 :]:\n",
-        "    for x in row[r + 1 : r + 1]:\n",
+        "        for x in nums[r + 1 :]:\n",
+        "        for x in nums[r + 1 : r + 1]:\n",
         ("tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",),
     ),
     # the SO row map, the elimination and the integrand rows
     Mutant(
         "the g_chi row map multiplies entry 1 by p where it divides",
         MATRICES,
-        "a / p if a else a]",
-        "a * p if a else a]",
+        ", nums[0]], den * p",
+        ", p * p * nums[0]], den * p",
         (
             "tests/test_matrices.py::test_so_column_map_is_the_product_with_g_chi",
             "tests/test_matrices.py::test_coset_roundtrip_random[2-5]",
@@ -270,7 +270,7 @@ MUTANTS = (
     Mutant(
         "the elimination keeps a row outside I+",
         MATRICES,
-        "        if not row_in_iplus(r, row, p):\n            return None\n",
+        "        if not row_in_iplus(r, (nums, den), p):\n            return None\n",
         "",
         (
             "tests/test_matrices.py::test_coset_decompose_rejects_outside",
@@ -278,18 +278,82 @@ MUTANTS = (
             "tests/test_matrices.py::test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it",
         ),
     ),
+    # the integer kernel
+    Mutant(
+        "den not multiplied by d when a column is cleared",
+        MATRICES,
+        "                den *= d\n",
+        "",
+        (
+            "tests/test_matrices.py::test_u_times_iplus_always_factors",
+            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
+            "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
+        ),
+    ),
+    Mutant(
+        "the sign of den not normalized when a row is reduced",
+        MATRICES,
+        "    if den < 0:\n        g = -g\n",
+        "",
+        (
+            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
+            "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
+            "tests/test_matrices.py::test_u_iplus_factors_of_any_matrix",
+        ),
+    ),
+    Mutant(
+        "the GL map missing the factor p on the entries that do not wrap",
+        MATRICES,
+        "    ppd = p * pd\n",
+        "    ppd = pd\n",
+        (
+            "tests/test_matrices.py::test_gl_rotation_is_the_product_with_the_inverse",
+            "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
+            "tests/test_gl.py::test_evaluator_matches_whittaker_eval_on_the_support",
+        ),
+    ),
+    Mutant(
+        "u's numerators not rescaled when a later column is cleared",
+        MATRICES,
+        "[a * d for a in unums]",
+        "unums",
+        (
+            "tests/test_matrices.py::test_u_times_iplus_always_factors",
+            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
+        ),
+    ),
+    Mutant(
+        "the accepted rows of k left unreduced",
+        MATRICES,
+        "        k[r] = _reduced(nums, den)\n",
+        "        k[r] = nums, den\n",
+        (
+            "tests/test_matrices.py::test_u_times_iplus_always_factors",
+            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
+        ),
+    ),
+    Mutant(
+        "the GL solver's j read off the rightmost least valuation",
+        MATRICES,
+        "            if least is None or v < least:\n",
+        "            if least is None or v <= least:\n",
+        (
+            "tests/test_matrices.py::test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it",
+            "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
+        ),
+    ),
     Mutant(
         "the Phi* y z entries not negated",
         INTEGRALS,
-        "            g[1 + i][n - 1] = -c * z\n",
-        "            g[1 + i][n - 1] = c * z\n",
+        "row[cz], row[1 + i] = s * yn * zn,",
+        "row[cz], row[1 + i] = yn * zn,",
         ("tests/test_kernel.py::test_sparse_builders_equal_generic_product",),
     ),
     Mutant(
         "the Phi* middle diagonal +1",
         INTEGRALS,
-        "            g[r][r] = FM1\n",
-        "            g[r][r] = F1\n",
+        "    middle = _unit_rows(n, range(ell, n - 1), s)\n",
+        "    middle = _unit_rows(n, range(ell, n - 1), 1)\n",
         (
             "tests/test_kernel.py::test_sparse_builders_equal_generic_product",
             "tests/test_kernel.py::test_convolution_matches_point_loop_on_the_grid[3-2-phi_star]",

@@ -17,6 +17,10 @@ defined here is defined again in src/.
     g_chi^i here, read through psi_U and the affine generic character
     affine_chi; and recompose, which forms u k g_chi^i from the SO
     factors.
+  * Scaled rows, the integer form the solvers take and return (scaled,
+    unscaled), and the Fraction elimination, row maps and solvers the
+    integer kernel replaced (reference_*), the reference it is checked
+    against.
   * The section f_s (section_eval) and the intertwining operator at
     n = 1 (intertwine_M).
   * The named group elements whose product the integrand row
@@ -36,18 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from ssgamma.characters import CharacterError, TameCharacter, psi_eval, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber
 from ssgamma.integrals import IntegralError, Unsupported
-from ssgamma.matrices import (
-    F0,
-    F1,
-    MatrixError,
-    coset_decompose,
-    coset_decompose_gl,
-    mat_identity,
-)
+from ssgamma.matrices import F0, F1, MatrixError, coset_decompose, coset_decompose_gl
 from ssgamma.padic import rational_valuation
 from ssgamma.parameter import ParameterError
 from ssgamma.scalars import ExactScalar
@@ -63,6 +61,13 @@ class BadDimension(MatrixError):
 
 class NotInGroup(MatrixError):
     pass
+
+
+def mat_identity(n):
+    rows = [[F0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = F1
+    return rows
 
 
 def mat_mul(a, b):
@@ -195,6 +200,115 @@ def in_iplus(rows, p) -> bool:
     )
 
 
+# ---------------------------------------------------------------------------
+# scaled rows, and the Fraction elimination the integer kernel replaced
+#
+# The package's solvers take and return scaled rows (nums, den), entries
+# nums[c] / den.  scaled writes Fraction rows in the one reduced form
+# (den the least common denominator of the row, so den > 0 and the gcd of
+# nums and den is 1), which is the form the solvers return; unscaled
+# reads rows back as Fractions.  The reference_* functions below are the
+# package's Fraction elimination, row maps and solvers as they were before
+# the integer kernel, kept as the reference it is checked against: they
+# take and return Fraction rows.
+
+
+def scaled(rows):
+    """Fraction (or int) rows as reduced scaled rows."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append(([x.numerator * (den // x.denominator) for x in row], den))
+    return out
+
+
+def unscaled(rows):
+    """Scaled rows as Fraction rows."""
+    return [[Fraction(x, den) for x in nums] for nums, den in rows]
+
+
+def reference_row_in_iplus(r, row, p) -> bool:
+    """The Fraction row test: in p left of the diagonal, in 1 + p on it and
+    integral right of it."""
+    d = row[r]
+    if d.denominator % p == 0 or (d.numerator - d.denominator) % p:
+        return False
+    if any(x.denominator % p == 0 or x.numerator % p for x in row[:r]):
+        return False
+    return all(x.denominator % p for x in row[r + 1 :])
+
+
+def reference_row_times_g_chi_so(row, p):
+    """A row of m g_chi_so: entry 1 <- p * entry N, entry N <- entry 1 / p,
+    the middle entries negated."""
+    a, b = row[0], row[-1]
+    return [p * b if b else b, *[-x if x else x for x in row[1:-1]], a / p if a else a]
+
+
+def reference_row_times_g_chi_gl_inv(row, j, z, pz):
+    """A row of m g_chi_gl^(-j) / z: the entries rotated j places left,
+    the j that wrap round divided by pz = p z and the others by z."""
+    return [*[x / z if x else x for x in row[j:]], *[x / pz if x else x for x in row[:j]]]
+
+
+def reference_eliminate_u_iplus(rows, n, p):
+    """m = u k by back-substitution on Fraction rows, read bottom-up:
+    u unit upper triangular, k lower triangular with its rows in I+, or
+    None.  Row r of k is m[r] less u[r][c] times row c of k, for c > r,
+    u[r][c] the multiple that clears column c."""
+    k = [None] * n
+    cleared = []
+    for r, row in zip(range(n - 1, -1, -1), rows):
+        row = list(row)
+        for c in range(n - 1, r, -1):
+            if row[c]:
+                f = row[c] / k[c][c]
+                cleared.append((r, c, f))
+                kc = k[c]
+                for j in range(c):
+                    if kc[j]:
+                        row[j] -= f * kc[j]
+                row[c] = F0
+        if not reference_row_in_iplus(r, row, p):
+            return None
+        k[r] = row
+    u = mat_identity(n)
+    for r, c, f in cleared:
+        u[r][c] = f
+    return u, k
+
+
+def reference_coset_decompose(rows, p):
+    """(u, i, k) with g g_chi_so^(-i) = u k, or None, on Fraction rows."""
+    n = len(rows)
+    for i in (0, 1):
+        bottom_up = (reference_row_times_g_chi_so(row, p) for row in reversed(rows)) if i else reversed(rows)
+        res = reference_eliminate_u_iplus(bottom_up, n, p)
+        if res is not None:
+            return res[0], i, res[1]
+    return None
+
+
+def reference_coset_decompose_gl(rows, p):
+    """(u, j, z, k) with g g_chi_gl^(-j) = z u k, or None, on Fraction rows:
+    one elimination, at j = (i0 + 1) mod n, i0 the leftmost index of
+    least valuation in the bottom row."""
+    n = len(rows)
+    last = rows[n - 1]
+    vals = [rational_valuation(x, p) for x in last]
+    least = min(vals)
+    if least == float("inf"):
+        return None
+    j = (vals.index(least) + 1) % n
+    pz = last[j - 1]
+    z = pz / p if j else pz
+    res = reference_eliminate_u_iplus((reference_row_times_g_chi_gl_inv(row, j, z, pz) for row in reversed(rows)), n, p)
+    if res is None:
+        return None
+    return res[0], j, z, res[1]
+
+
 def so_check(g: GroupMatrix) -> bool:
     """det(g) = 1 and tg J g = J, both exact."""
     n = g.size
@@ -309,10 +423,10 @@ def whittaker_eval(spec: WhittakerSpec, g: GroupMatrix) -> ExactScalar:
     k' = g_chi^(-i) k g_chi^i is formed here by products."""
     p = spec.prime
     if spec.flavor == "SO":
-        res = coset_decompose(g.rows, p)
+        res = coset_decompose(scaled(g.rows), p)
         if res is None:
             return ExactScalar.zero(p)
-        u, i, k = res
+        u, i, k = unscaled(res[0]), res[1], unscaled(res[2])
         k = GroupMatrix.make(k, p, "SO_odd", verify=False)
         if i:
             gchi = g_chi_so(spec.rank, p)  # an involution: g_chi^(-1) = g_chi
@@ -320,11 +434,11 @@ def whittaker_eval(spec: WhittakerSpec, g: GroupMatrix) -> ExactScalar:
         u = GroupMatrix.make(u, p, "SO_odd", verify=False)
         val = _psi_u(spec, u) * spec.zeta**i * affine_chi(k, t=spec.t, flavor="SO")
         return ExactScalar.from_coeff(p, val)
-    res = coset_decompose_gl(g.rows, p)
+    res = coset_decompose_gl(scaled(g.rows), p)
     if res is None:
         return ExactScalar.zero(p)
     # central character is trivial, so the scalar z contributes nothing
-    u, j, _, k = res
+    u, j, k = unscaled(res[0]), res[1], unscaled(res[3])
     k = GroupMatrix.make(k, p, verify=False)
     gchi = g_chi_gl(spec.rank, p)
     gchi_inv = gchi.inv()
@@ -337,9 +451,9 @@ def whittaker_eval(spec: WhittakerSpec, g: GroupMatrix) -> ExactScalar:
 
 def recompose(factors, g_chi: GroupMatrix) -> GroupMatrix:
     """u k g_chi^i from the factors (u, i, k) of coset_decompose, which
-    satisfy g g_chi^(-i) = u k."""
+    satisfy g g_chi^(-i) = u k, as the scaled rows it returns."""
     u, i, k = factors
-    out = GroupMatrix.make(mat_mul(u, k), g_chi.prime, g_chi.ambient, verify=False)
+    out = GroupMatrix.make(mat_mul(unscaled(u), unscaled(k)), g_chi.prime, g_chi.ambient, verify=False)
     return out * g_chi if i else out
 
 

@@ -24,7 +24,9 @@ from oracles import (
     random_so_iplus,
     random_so_unipotent,
     recompose,
+    scaled,
     so_check,
+    unscaled,
 )
 from ssgamma import integrals
 from ssgamma.characters import TameCharacter, tame_eval
@@ -164,10 +166,10 @@ def test_coset_roundtrip_hundred_products():
         i = rng.randrange(2)
         k = random_so_iplus(rng, ell, p)
         g = u * gchi * k if i else u * k
-        res = coset_decompose(g.rows, p)
+        res = coset_decompose(scaled(g.rows), p)
         assert res is not None and res[1] == i
         assert recompose(res, gchi).rows == g.rows
-        u2, k2 = (GroupMatrix.make(x, p, "SO_odd", verify=False) for x in (res[0], res[2]))
+        u2, k2 = (GroupMatrix.make(unscaled(x), p, "SO_odd", verify=False) for x in (res[0], res[2]))
         assert so_check(u2) and in_iplus(k2.rows, p)
         assert so_check(k2)
         done += 1
@@ -200,6 +202,23 @@ def test_truncation_stabilization():
                     b = make_cfg(p, 1, zsign, j, tau_pi, level=3, cutoff=2)
                     assert phi_eval(a) == phi_eval(b)
                     assert phi_star_eval(a) == phi_star_eval(b)
+
+
+def test_truncation_stabilization_brute_force_at_l_2():
+    """Brute-force Phi and Phi* at p = 3, l = 2 do not move as the window
+    grows: (N, V) = (2, 1), (2, 2) and (3, 1) enumerate 2,430, 10,206 and
+    21,870 points a side, each valued by the coset solver, padding shells
+    included, and give the same integrals in every cell."""
+    p, ell = 3, 2
+    for zsign in (1, -1):
+        for j in range(p - 1):
+            for tau_pi in (1, -1):
+                a, b, c = (
+                    make_cfg(p, ell, zsign, j, tau_pi, level=level, cutoff=cutoff, mode="brute-force")
+                    for level, cutoff in ((2, 1), (2, 2), (3, 1))
+                )
+                assert phi_eval(a) == phi_eval(b) == phi_eval(c)
+                assert phi_star_eval(a) == phi_star_eval(b) == phi_star_eval(c)
 
 
 def test_depth_bookkeeping():

@@ -12,6 +12,7 @@ from oracles import (
     embed_j,
     g_chi_gl,
     g_chi_so,
+    mat_identity,
     normalized_t,
     orbit_conjugator,
     random_so_iplus,
@@ -32,7 +33,6 @@ from ssgamma.characters import (
     tame_eval,
 )
 from ssgamma.cyclotomic import CyclotomicNumber as C
-from ssgamma.matrices import mat_identity
 from ssgamma.scalars import ExactScalar
 
 

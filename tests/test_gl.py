@@ -49,15 +49,17 @@ from oracles import (
     affine_chi,
     cramer_inv,
     g_chi_gl,
+    mat_identity,
     mat_mul,
     mat_transpose,
     random_gl_iplus,
+    scaled,
+    unscaled,
     w_long,
     whittaker_eval,
 )
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import _entry, _gl_buckets, _gl_dual_rows, _gl_whittaker_parts, _y_windows, _z_windows
-from ssgamma.matrices import mat_identity
 from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
@@ -95,7 +97,7 @@ def test_dual_rows_equal_the_generic_product(n, p, data):
     a = data.draw(a_window(p))
     x = tuple(data.draw(x_window(p)) for _ in range(n - 2))
     # a times the integrand: the central character is trivial
-    assert _gl_dual_rows(a, n)(x) == [[a * v for v in row] for row in generic_dual(a, x, n, p)]
+    assert unscaled(_gl_dual_rows(a, n)(x)) == [[a * v for v in row] for row in generic_dual(a, x, n, p)]
 
 
 def primitive_root_of_unity(n, data):
@@ -143,15 +145,16 @@ def test_evaluator_matches_whittaker_eval_on_the_windows(point):
     if dual:
         rows, integrand = _gl_dual_rows(a, n)(x), generic_dual(a, x, n, p)
     else:
-        rows = integrand = mat_identity(n)
-        rows[0][0] = a
+        integrand = mat_identity(n)
+        integrand[0][0] = a
+        rows = scaled(integrand)
     zeta = C.root_of_unity(n, e)
     g = GroupMatrix.make(integrand, p)
     got = kernel_value(p, zeta, _gl_whittaker_parts(rows, p, n))
     assert got == whittaker_eval(WhittakerSpec(p, "GL", n, zeta), g)
     for r in range(1, n):
         g = g * g_chi_gl(n, p)
-        assert kernel_value(p, zeta, _gl_whittaker_parts(g.rows, p, n)) == ExactScalar.from_coeff(p, zeta**r) * got
+        assert kernel_value(p, zeta, _gl_whittaker_parts(scaled(g.rows), p, n)) == ExactScalar.from_coeff(p, zeta**r) * got
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,7 +182,7 @@ def test_evaluator_matches_whittaker_eval_on_the_support(n, p, integral, seed, d
         g = g * g_chi_gl(n, p)
     k = random_gl_iplus(rng, n, p)
     g = g * k
-    parts = _gl_whittaker_parts(g.rows, p, n)
+    parts = _gl_whittaker_parts(scaled(g.rows), p, n)
     assert parts is not None and parts[0] == j
     zeta = primitive_root_of_unity(n, data)
     spec = WhittakerSpec(p, "GL", n, zeta)

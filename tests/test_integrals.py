@@ -527,6 +527,12 @@ def test_scan_support_detects_wrong_predicate(monkeypatch):
 # --- the padding-shell guard ---------------------------------------------------
 
 
+def entry(rows, r, c):
+    """Entry (r, c) of the evaluators' scaled rows, as a Fraction."""
+    nums, den = rows[r]
+    return Fraction(nums[c], den)
+
+
 def shell_nonzero_evaluator(monkeypatch, cutoff):
     """Replace the SO evaluator (with a fresh bucket cache) by one that is
     also nonzero at the Phi points with v_p(z) > V; returns its call log."""
@@ -535,7 +541,7 @@ def shell_nonzero_evaluator(monkeypatch, cutoff):
 
     def fake(g, p, ell, t):
         calls.append(g)
-        if rational_valuation(g[0][0], p) > cutoff:
+        if rational_valuation(entry(g, 0, 0), p) > cutoff:
             return (0, 0, 0)
         return real(g, p, ell, t)
 
@@ -564,7 +570,7 @@ def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
     depth = traceback_depth(err.value)
     # the loop goes on past the shell point and values each z once, so
     # the record scan_support reads is complete
-    assert [g[0][0] for g in calls] == [z for z, _ in zs]
+    assert [entry(g, 0, 0) for g in calls] == [z for z, _ in zs]
     # the error is memoized: the second call does not enumerate again
     enumerated = len(calls)
     with pytest.raises(BoundaryNonvanishing) as again:
@@ -607,7 +613,7 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
     real = integrals._so_whittaker_parts
 
     def fake(g, prime, ell, t):
-        z, y = g[0][0], -g[4][3]  # the Phi entries of z and y_0 at n = 5
+        z, y = entry(g, 0, 0), -entry(g, 4, 3)  # the Phi entries of z and y_0 at n = 5
         if abs(rational_valuation(z, p)) <= cutoff and rational_valuation(y, p) < -cutoff:
             return (0, 0, 0)
         return real(g, prime, ell, t)
@@ -645,7 +651,7 @@ def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypat
     real = integrals._so_whittaker_parts
 
     def fake(g, prime, ell, t):
-        if (g[0][0], -g[4][3]) == (z0, y0):  # the Phi entries of z and y_0 at n = 5
+        if (entry(g, 0, 0), -entry(g, 4, 3)) == (z0, y0):  # the Phi entries of z and y_0 at n = 5
             return (0, 0, 0)
         return real(g, prime, ell, t)
 
@@ -673,10 +679,10 @@ def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatc
     p, level, cutoff = 3, 2, 1
 
     def fake(rows, prime, n):
-        if rows[-1][0] == 0:  # the plain side: bottom row (0, 0, 1)
+        if entry(rows, -1, 0) == 0:  # the plain side: bottom row (0, 0, 1)
             return None
         # the dual rows are a times the integrand: a on the superdiagonal, bottom row (1, 0, -x_0)
-        a, x = rows[0][1], -rows[-1][2]
+        a, x = entry(rows, 0, 1), -entry(rows, -1, 2)
         if abs(rational_valuation(a, p)) <= cutoff and rational_valuation(x, p) < 0:
             return (0, 0, 0)
         return None

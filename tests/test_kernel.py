@@ -56,8 +56,10 @@ from oracles import (
     omega_prime,
     random_so_iplus,
     random_so_unipotent,
+    scaled,
     section_eval,
     torus_so2,
+    unscaled,
     whittaker_eval,
     xbar,
 )
@@ -68,8 +70,7 @@ from ssgamma.integrals import (
     IntegralConfig,
     _chi_arg,
     _enumerate,
-    _phi_rows,
-    _phi_star_rows,
+    _so_rows,
     _point_counts,
     _so_buckets,
     _so_whittaker_parts,
@@ -138,7 +139,7 @@ def generic_matrix(p, ell, side, z, y):
 
 
 def builder(side):
-    return _phi_rows if side == "phi" else _phi_star_rows
+    return lambda z, ell: _so_rows(z, ell, side)
 
 
 def integrand(side, z, y, ell):
@@ -176,7 +177,7 @@ def test_sparse_builders_equal_generic_product(point):
     closed form, against the named-element product."""
     p, ell, side, z, y, _ = point
     g = integrand(side, z, y, ell)
-    assert tuple(map(tuple, g)) == generic_matrix(p, ell, side, z, y).rows
+    assert tuple(map(tuple, unscaled(g))) == generic_matrix(p, ell, side, z, y).rows
 
 
 @settings(max_examples=120, deadline=None)
@@ -188,7 +189,7 @@ def test_evaluator_matches_whittaker_eval(point, zsign, data):
     g = integrand(side, z, y, ell)
     parts = _so_whittaker_parts(g, p, ell, t)
     if inside:  # a box test decides the support, and the solver agrees with it
-        box = box_parts(g, p, ell, t)
+        box = box_parts(unscaled(g), p, ell, t)
         assert box is not None and parts is not None
         assert box == (parts[0], C(p ** parts[1], {parts[2]: 1}))
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
@@ -218,7 +219,7 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral,
     g = u * g_chi_so(ell, p) if i else u
     k = random_so_iplus(rng, ell, p)
     g = g * k
-    parts = _so_whittaker_parts(g.rows, p, ell, t)
+    parts = _so_whittaker_parts(scaled(g.rows), p, ell, t)
     assert parts is not None and parts[0] == i
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix(g.rows, p, "SO_odd"))
@@ -242,12 +243,12 @@ def test_chi_readers_read_the_affine_character(case, seed, data):
     gchi = g_chi_so(ell, p)
     want = affine_chi(k, t=t, flavor="SO")
     for g in (k, gchi * k * gchi):
-        m, a = psi_exponent(_chi_arg(g.rows, t, ell, p), p)
+        m, a = psi_exponent(_chi_arg(scaled(g.rows), t, ell, p), p)
         assert C(p**m, {a: 1}) == want
     off = t[:ell] + (2 * t[0],)  # a unit, and 2 t_1 != t_1 mod p
 
     def reads(g):
-        return psi_exponent(_chi_arg(g.rows, off, ell, p), p)
+        return psi_exponent(_chi_arg(scaled(g.rows), off, ell, p), p)
 
     samples = (random_so_iplus(rng, ell, p) for _ in range(40))
     assert any(reads(k) != reads(gchi * k * gchi) for k in samples)

@@ -19,26 +19,34 @@ from oracles import (
     g_chi_so,
     in_iplus,
     mat_det,
+    mat_identity,
     mat_mul,
     omega_prime,
     random_gl_iplus,
     random_so_iplus,
     random_so_unipotent,
     recompose,
+    reference_coset_decompose,
+    reference_coset_decompose_gl,
+    reference_eliminate_u_iplus,
+    reference_row_times_g_chi_gl_inv,
+    reference_row_times_g_chi_so,
+    scaled,
     so_check,
     so_root_element,
     torus_so2,
+    unscaled,
     w_element,
     xbar,
 )
 from ssgamma import matrices
+from ssgamma.integrals import _gl_dual_rows, _so_rows, _y_windows, _z_windows
 from ssgamma.matrices import (
     SingularMatrix,
     _solve_row,
     coset_decompose,
     coset_decompose_gl,
     eliminate_u_iplus,
-    mat_identity,
     mat_inv,
     row_in_iplus,
     row_times_g_chi_gl_inv,
@@ -128,10 +136,10 @@ def test_eliminate_u_iplus_direct():
     u = random_so_unipotent(rng, ell, p, integral=False)
     k = random_so_iplus(rng, ell, p)
     m = u * k
-    res = eliminate_u_iplus(reversed(m.lists()), len(m.rows), p)
+    res = eliminate_u_iplus(reversed(scaled(m.rows)), len(m.rows), p)
     assert res is not None
     u2, k2 = res
-    assert in_iplus(k2, p)
+    assert in_iplus(unscaled(k2), p)
 
 
 @pytest.mark.parametrize("ell,p", [(1, 3), (2, 5), (3, 3)])
@@ -143,11 +151,11 @@ def test_coset_roundtrip_random(ell, p):
         i = rng.randrange(2)
         k = random_so_iplus(rng, ell, p)
         g = u * (gchi if i else GroupMatrix.make([[1 if a == b else 0 for b in range(2 * ell + 1)] for a in range(2 * ell + 1)], p, "SO_odd")) * k
-        res = coset_decompose(g.rows, p)
+        res = coset_decompose(scaled(g.rows), p)
         assert res is not None
         assert res[1] == i
         assert recompose(res, gchi).rows == g.rows
-        u2, k2 = (GroupMatrix.make(x, p, "SO_odd", verify=False) for x in (res[0], res[2]))
+        u2, k2 = (GroupMatrix.make(unscaled(x), p, "SO_odd", verify=False) for x in (res[0], res[2]))
         assert in_iplus(k2.rows, p)
         # the unique factors of an SO element are fixed by g -> g*
         assert so_check(u2) and so_check(k2)
@@ -157,7 +165,7 @@ def test_coset_decompose_rejects_outside():
     # a torus element with nonunit diagonal lies in no U g_chi^i I+ coset
     p = 3
     h = embed_j(torus_so2(Fraction(p * p), p), 1)
-    assert coset_decompose(h.rows, p) is None
+    assert coset_decompose(scaled(h.rows), p) is None
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 3), (3, 7)])
@@ -179,15 +187,15 @@ def test_gl_coset_roundtrip(n, p):
             gj = gj * gchi
         k = random_gl_iplus(rng, n, p)
         g = u * gj * z * k
-        res = coset_decompose_gl(g.rows, p)
+        res = coset_decompose_gl(scaled(g.rows), p)
         assert res is not None
         u2, j2, z2, k2 = res
         assert j2 == j
         # g g_chi^(-j) = z u k, so g = z u k g_chi^j
         zmat = GroupMatrix.make([[z2 if a == b else 0 for b in range(n)] for a in range(n)], p)
-        k2 = GroupMatrix.make(k2, p)
+        k2 = GroupMatrix.make(unscaled(k2), p)
         assert in_iplus(k2.rows, p)
-        rec = zmat * GroupMatrix.make(u2, p) * k2
+        rec = zmat * GroupMatrix.make(unscaled(u2), p) * k2
         for _ in range(j2):
             rec = rec * gchi
         assert rec.rows == g.rows
@@ -253,13 +261,27 @@ def product(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
 
 
+def rescaled(rows, factors):
+    """The same rows written over other denominators: each scaled row's
+    numerators and denominator times its own nonzero factor."""
+    return [([f * x for x in nums], f * den) for (nums, den), f in zip(rows, factors)]
+
+
+# nonzero factors that change a scaled row's form but not its entries:
+# negative denominators, powers of p (which shift every valuation alike)
+# and units
+row_factors = st.sampled_from((1, -1, 2, -5, 3, -9, 7, 25, -49))
+
+
 @settings(max_examples=200, deadline=None)
-@given(padic_matrices())
-def test_in_iplus_is_the_valuation_definition(case):
+@given(padic_matrices(), st.lists(row_factors, min_size=4, max_size=4))
+def test_in_iplus_is_the_valuation_definition(case, factors):
     """The package's row test, one row at a time as the U * I+ elimination
     reads it, against the oracle's in_iplus, read off valuations: row i
     of a passes iff the identity with its row i replaced by it lies in I+
-    (every other row of the identity does)."""
+    (every other row of the identity does).  The row test reads a scaled
+    row, and gives the same verdict whatever denominator (of either sign)
+    the row is written over."""
     p, a = case
     n = len(a)
     by_row = []
@@ -267,7 +289,8 @@ def test_in_iplus_is_the_valuation_definition(case):
         m = mat_identity(n)
         m[i] = list(a[i])
         by_row.append(in_iplus(m, p))
-    assert [row_in_iplus(i, a[i], p) for i in range(n)] == by_row
+    for rows in (scaled(a), rescaled(scaled(a), factors)):
+        assert [row_in_iplus(i, rows[i], p) for i in range(n)] == by_row
     assert in_iplus(a, p) == all(by_row)
 
 
@@ -311,8 +334,9 @@ def test_singular_input_raises(case, scale):
 
 def assert_u_iplus_factors(m, res, p):
     """u unit upper triangular, k lower triangular with every row in I+,
-    and u k = m."""
-    u, k = res
+    and u k = m, each returned in the one reduced scaled form."""
+    assert [scaled(unscaled(f)) for f in res] == list(res)
+    u, k = map(unscaled, res)
     n = len(m)
     assert all(u[i][j] == (i == j) for i in range(n) for j in range(i + 1))
     assert all(k[i][j] == 0 for i in range(n) for j in range(i + 1, n))
@@ -320,10 +344,11 @@ def assert_u_iplus_factors(m, res, p):
     assert mat_mul(u, k) == m
 
 
-@given(padic_matrices())
-def test_u_iplus_factors_of_any_matrix(case):
+@given(padic_matrices(), st.lists(row_factors, min_size=4, max_size=4))
+def test_u_iplus_factors_of_any_matrix(case, factors):
+    """Whatever denominators, of either sign, the rows are written over."""
     p, m = case
-    res = eliminate_u_iplus(reversed(m), len(m), p)
+    res = eliminate_u_iplus(reversed(rescaled(scaled(m), factors)), len(m), p)
     if res is not None:
         assert_u_iplus_factors(m, res, p)
 
@@ -334,7 +359,7 @@ def test_u_times_iplus_always_factors(p, n, rng, data):
     entry = st.builds(lambda a, e: Fraction(a, p**e), st.integers(-2 * p, 2 * p), st.integers(0, 2))
     u0 = [[Fraction(i == j) if i >= j else data.draw(entry) for j in range(n)] for i in range(n)]
     m = mat_mul(u0, random_gl_iplus(rng, n, p).lists())
-    res = eliminate_u_iplus(reversed(m), n, p)
+    res = eliminate_u_iplus(reversed(scaled(m)), n, p)
     assert res is not None
     assert_u_iplus_factors(m, res, p)
 
@@ -347,10 +372,14 @@ def test_u_times_iplus_always_factors(p, n, rng, data):
 def test_gl_rotation_is_the_product_with_the_inverse(case, z):
     p, m = case
     inv = g_chi_gl(len(m), p).inv().lists()
+    pz = Fraction(p * z)
     product = m
     for j in range(len(m)):
         # row by row, m g_chi_gl^(-j) / z
-        assert [row_times_g_chi_gl_inv(row, j, z, p * z) for row in m] == [[x / z for x in row] for row in product]
+        want = [[x / z for x in row] for row in product]
+        assert [reference_row_times_g_chi_gl_inv(row, j, z, pz) for row in m] == want
+        mapped = [row_times_g_chi_gl_inv(row, j, pz.numerator, pz.denominator, p) for row in scaled(m)]
+        assert unscaled(mapped) == want
         product = mat_mul(product, inv)
 
 
@@ -358,7 +387,9 @@ def test_gl_rotation_is_the_product_with_the_inverse(case, z):
 @given(padic_matrices(sizes=st.sampled_from((3, 5, 7))))
 def test_so_column_map_is_the_product_with_g_chi(case):
     p, g = case
-    assert [row_times_g_chi_so(row, p) for row in g] == mat_mul(g, g_chi_so(len(g) // 2, p).lists())
+    want = mat_mul(g, g_chi_so(len(g) // 2, p).lists())
+    assert [reference_row_times_g_chi_so(row, p) for row in g] == want
+    assert unscaled([row_times_g_chi_so(row, p) for row in scaled(g)]) == want
 
 
 # --- the lazy solvers against the elimination on the fully formed matrix ------
@@ -370,7 +401,7 @@ def eager_coset_decompose(g, p):
     n = len(g)
     gchi = g_chi_so(n // 2, p).lists()
     for i in (0, 1):
-        res = eliminate_u_iplus(reversed(mat_mul(g, gchi) if i else g), n, p)
+        res = eliminate_u_iplus(reversed(scaled(mat_mul(g, gchi) if i else g)), n, p)
         if res is not None:
             return res[0], i, res[1]
     return None
@@ -385,7 +416,7 @@ def eager_coset_decompose_gl(g, p):
     for j in range(n):
         z = m[n - 1][n - 1]
         if z:
-            res = eliminate_u_iplus(reversed([[x / z for x in row] for row in m]), n, p)
+            res = eliminate_u_iplus(reversed(scaled([[x / z for x in row] for row in m])), n, p)
             if res is not None:
                 return res[0], j, z, res[1]
         m = mat_mul(m, inv)
@@ -431,7 +462,7 @@ def gl_cases(draw):
 @given(so_cases())
 def test_lazy_so_solver_matches_the_eager_elimination(case):
     p, g, inside = case
-    res = coset_decompose(g, p)
+    res = coset_decompose(scaled(g), p)
     assert res == eager_coset_decompose(g, p)
     assert res is not None or not inside
 
@@ -440,7 +471,7 @@ def test_lazy_so_solver_matches_the_eager_elimination(case):
 @given(gl_cases())
 def test_lazy_gl_solver_matches_the_eager_elimination(case):
     p, g, inside = case
-    res = coset_decompose_gl(g, p)
+    res = coset_decompose_gl(scaled(g), p)
     assert res == eager_coset_decompose_gl(g, p)
     assert res is not None or not inside
 
@@ -477,17 +508,89 @@ def test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it(case):
     m = g
     for j in range(n):
         z = m[n - 1][n - 1]
-        if z and row_in_iplus(n - 1, [x / z for x in m[n - 1]], p):
+        if z and row_in_iplus(n - 1, scaled([[x / z for x in m[n - 1]]])[0], p):
             passing.add(j)
         m = mat_mul(m, inv)
     mapped = set()
 
-    def recording(row, j, z, pz):
+    def recording(row, j, *scale):
         mapped.add(j)
-        return row_times_g_chi_gl_inv(row, j, z, pz)
+        return row_times_g_chi_gl_inv(row, j, *scale)
 
     with mock.patch.object(matrices, "row_times_g_chi_gl_inv", recording):
-        res = coset_decompose_gl(g, p)
+        res = coset_decompose_gl(scaled(g), p)
     assert passing == mapped
     assert len(passing) == (1 if any(g[n - 1]) else 0)
     assert res is None or {res[1]} == passing
+
+
+# --- the integer kernel against the Fraction elimination it replaced ----------
+
+
+def reference_factors(res):
+    """The Fraction reference's factors in the reduced scaled form the
+    integer kernel returns them in; i, j and z as they are."""
+    return None if res is None else tuple(scaled(x) if isinstance(x, list) else x for x in res)
+
+
+@st.composite
+def near_products(draw, cases):
+    """(p, rows): a case of cases, with one entry moved by a p-power
+    multiple of a unit when the draw says so, so that products u g_chi^i k
+    land just inside or just outside their coset."""
+    p, rows, _ = draw(cases)
+    if draw(st.booleans()):
+        n = len(rows)
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[r][c] += draw(st.integers(1 - p, p - 1)) * Fraction(p) ** draw(st.integers(-1, 2))
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_products(so_cases()), st.lists(row_factors, min_size=7, max_size=7))
+def test_so_kernel_matches_the_fraction_reference(case, factors):
+    """The same verdict and == factors as the Fraction elimination, on
+    random matrices, random and nearly random u g_chi^i k in SO, each
+    row written over a denominator of either sign."""
+    p, g = case
+    rows = rescaled(scaled(g), factors)
+    assert coset_decompose(rows, p) == reference_factors(reference_coset_decompose(g, p))
+    n = len(g)
+    assert eliminate_u_iplus(reversed(rows), n, p) == reference_factors(reference_eliminate_u_iplus(reversed(g), n, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_products(gl_cases()), st.lists(row_factors, min_size=4, max_size=4))
+def test_gl_kernel_matches_the_fraction_reference(case, factors):
+    p, g = case
+    rows = rescaled(scaled(g), factors)
+    assert coset_decompose_gl(rows, p) == reference_factors(reference_coset_decompose_gl(g, p))
+
+
+def test_kernels_match_the_fraction_reference_on_the_brute_force_windows():
+    """Every point of the brute-force windows at SO (p, l, N, V) =
+    (3, 2, 2, 1), both sides, and of both JPSS sides at (n, p) = (3, 3),
+    N = 2, V = 1: the rows the integrand builders write, factored by the
+    integer kernel and, read as Fractions, by the reference."""
+    p, ell, level = 3, 2, 2
+    ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
+    found = 0
+    for side in ("phi", "phi_star"):
+        for z, _ in _z_windows(p, level, 1, "brute-force", side)[1]:
+            rows = _so_rows(z, ell, side)
+            for y in itertools.product(ys, repeat=ell - 1):
+                res = coset_decompose(rows(y), p)
+                assert res == reference_factors(reference_coset_decompose(unscaled(rows(y)), p)), (side, z, y)
+                found += res is not None
+    assert found == 18
+    n = 3
+    xs = [c for c, _ in _y_windows(p, level, 0, "brute-force")[1]]
+    found = 0
+    for a, _ in _z_windows(p, level, 1, "brute-force", "phi")[1]:
+        plain = scaled([[a if r == c == 0 else Fraction(r == c) for c in range(n)] for r in range(n)])
+        dual = _gl_dual_rows(a, n)
+        for rows in [plain] + [dual(x) for x in itertools.product(xs, repeat=n - 2)]:
+            res = coset_decompose_gl(rows, p)
+            assert res == reference_factors(reference_coset_decompose_gl(unscaled(rows), p)), (a, rows)
+            found += res is not None
+    assert found == 3 + 3 * 9
