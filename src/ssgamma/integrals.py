@@ -12,10 +12,10 @@ Two evaluation modes:
 
 A window (_z_windows, _y_windows) is one measure weight, that of every
 class off the padding shell, and the class representatives, each marked
-on or off the shell.  The support-aware windows state the SO support
-lemma: their representatives are the brute-force ones, off the shell,
-at which the integrand does not vanish, and scan_support checks that
-membership against the brute-force enumeration.
+on or off the shell.  A support-aware window is one class with its own
+measure, z0 (1 + p) or p, and states the SO support lemma: off those
+classes the integrand vanishes on the brute-force window, which
+scan_support checks against the brute-force enumeration.
 
 Every side (Phi, Phi*, and the JPSS plain and dual sides) is one entry
 of one store, _BUCKETS: the (buckets, record) pair of one enumeration,
@@ -29,11 +29,11 @@ zeta^i * zeta_(p^m)^a, and the record holds every nonzero point the
 point loop valued.  An SO side is one enumeration, z outer and y inner
 at rank l - 1 (_so_buckets), valued by the coset solver in both modes.
 The modes differ only in their windows: W(g k) = W(g) chi(k) for k in
-I+, and on the support-aware windows that makes W constant in y, so
-that mode folds the y window into one class valued at y = 0
-(_so_buckets has the argument).  A JPSS side (_gl_buckets) has a over
-the brute-force multiplicative window and x over the brute-force y
-window at V = 0: the plain side at rank 0, the dual side at rank n - 2.
+I+ makes W constant on each support-aware class, so that mode values
+one point a side, (z0, 0), at any N (_so_buckets has the argument).  A
+JPSS side (_gl_buckets) has a over the brute-force multiplicative
+window and x over the brute-force y window at V = 0: the plain side at
+rank 0, the dual side at rank n - 2.
 
 Every zeta integral is then one bucket sum (_bucket_sum) of
 part * zeta^i * f_s(x0) over the buckets of one side, with one section
@@ -361,13 +361,13 @@ def _buckets(build, *args):
 
 
 def _y_windows(p, level, cutoff, mode):
-    """(weight, [(y rep, on_shell)]) for one y coordinate.  The classes
-    are the cosets of p^N, so the weight, the measure of each class off
-    the padding shell, is vol(o) / p^N in both modes."""
+    """(weight, [(y rep, on_shell)]) for one y coordinate.  Support-aware
+    it is one class, p, of measure vol(p) = q^(-1/2), valued at 0 (see
+    _so_buckets).  Brute-force the classes are the cosets of p^N in
+    p^-V o, plus the p^-(V+1) padding shell, each of measure vol(o) / p^N."""
+    if mode == "support-aware":
+        return ExactScalar.from_coeff(p, F1, q_half=-1), [(F0, False)]
     weight = ExactScalar.from_coeff(p, Fraction(1, p**level), q_half=1)
-    if mode == "support-aware":  # p mod p^N
-        return weight, [(Fraction(p * a), False) for a in range(p ** (level - 1))]
-    # p^-V o mod p^N, plus the p^-(V+1) padding shell
     den = p**cutoff
     count = p ** (level + cutoff)
     reps = [(Fraction(a, den), False) for a in range(count)]
@@ -376,13 +376,14 @@ def _y_windows(p, level, cutoff, mode):
 
 
 def _z_windows(p, level, cutoff, mode, side):
-    """(weight, [(z rep, on_shell)]) for the multiplicative domain; the
-    weight is the measure of each class off the padding shell."""
-    weight = ExactScalar.from_coeff(p, Fraction(1, (p - 1) * p ** (level - 1)))
+    """(weight, [(z rep, on_shell)]) for the multiplicative domain.
+    Support-aware it is one class, z0 (1 + p), of measure vol(1 + p) =
+    1/(q - 1), valued at z0 = 1 on Phi and 1/p on Phi* (z^(-1) in
+    pi (1 + p); see _so_buckets).  Brute-force the classes are the cosets
+    of 1 + p^N at valuations -V-1 .. V+1, the outer two the padding shell."""
     if mode == "support-aware":
-        # 1 + p mod 1 + p^N; for Phi*, pi^(-1) times it (z^(-1) in pi (1+p))
-        shift = Fraction(1, p) if side == "phi_star" else F1
-        return weight, [(shift * (1 + p * Fraction(a)), False) for a in range(p ** (level - 1))]
+        return ExactScalar.from_coeff(p, Fraction(1, p - 1)), [(Fraction(1, p) if side == "phi_star" else F1, False)]
+    weight = ExactScalar.from_coeff(p, Fraction(1, (p - 1) * p ** (level - 1)))
     return weight, [
         (Fraction(p) ** v * a, abs(v) > cutoff)
         for v in range(-cutoff - 1, cutoff + 2)
@@ -454,19 +455,17 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
     points.  Every point is valued by the coset solver
     (_so_whittaker_parts), in both modes.
 
-    On the support-aware windows W is constant in y, so the y window is
-    folded into one class, p, valued at y = 0 with weight vol(p).  For
-    g(y) = x_bar(y) j(h(z)), g(y) = g(0) k_y with k_y = 1 + sum_k y_k z
-    (E_(1+k,0) - E_(n-1,n-2-k)).  On Phi, z is in 1 + p and y_k in p, so
-    k_y is lower unipotent in I+.  On Phi*, the right factor
-    delta_o omega' conjugates k_y to the entries (1+k, n-1) and
+    Each support-aware window is one class, valued at one point, since W
+    is constant on both classes.  Write z = z0 w with w in 1 + p.  Then
+    x_bar(y) j(h(z)) = j(h(z0)) k with k = j(h(w)) k_y, j(h(w)) =
+    diag(w, 1, ..., 1, 1/w) and k_y = 1 + sum_k y_k z (E_(1+k,0) -
+    E_(n-1,n-2-k)).  On Phi, z is in 1 + p and y_k in p, so both factors
+    are in I+.  On Phi*, the right factor delta_o omega' conjugates
+    j(h(w)) to diag(1/w, ..., w), and k_y to the entries (1+k, n-1) and
     (0, n-2-k), above the diagonal, where y_k z in o is enough.  chi reads
-    none of these entries (none is (a, a+1) with a < l, nor (2l-1, 0)),
-    so W(g(y)) = W(g(0)) chi(k_y) = W(g(0)).  Brute-force windows reach y
-    outside p, where this fails, so that mode values every point."""
-    ys = _y_windows(p, level, cutoff, mode)
-    if mode == "support-aware":
-        ys = (ys[0] * len(ys[1]), [(F0, False)])
+    no diagonal entry and none of k_y's (none is (a, a+1) with a < l, nor
+    (2l-1, 0)), so W(g(z, y)) = W(g(z0, 0)) chi(k) = W(g(z0, 0)).  The
+    brute-force windows reach z and y outside these classes."""
 
     def value(z):
         rows = _so_rows(z, ell, side)
@@ -475,7 +474,7 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
     return _enumerate(
         p,
         _z_windows(p, level, cutoff, mode, side),
-        ys,
+        _y_windows(p, level, cutoff, mode),
         ell - 1,
         value,
         f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
@@ -706,11 +705,11 @@ def scan_support(
     is exactly the predicted one.
 
     The lemma is stated once, as the support-aware windows: a point is
-    predicted nonzero when z is a representative of the side's
-    support-aware z window and every y_k one of the support-aware y
-    window.  Those representatives are brute-force ones off the shell
-    (1 + p a for Phi, (1 + p a)/p for Phi*, p a for each y), so the scan
-    checks the very windows the fast path sums over.
+    predicted nonzero when z is in the class z0 (1 + p) of the side's z
+    window, tame_class(z) = tame_class(z0), and every y_k in the class
+    y0 + p = p of the y window, so the scan checks the very classes the
+    fast path values.  Each representative's membership is worked out
+    once per window.
 
     The nonzero points are read off the record of the brute-force
     enumeration of the same (p, l, N, V, side, t), which values each
@@ -726,17 +725,18 @@ def scan_support(
     nonzero_at: dict = {}  # z -> the y of its nonzero points
     for z, y in _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side, t)[1]:
         nonzero_at.setdefault(z, set()).add(y)
-    support_z = {z for z, _ in _z_windows(p, level, cutoff, "support-aware", side)[1]}
-    support_y = {y for y, _ in _y_windows(p, level, cutoff, "support-aware")[1]}
+    z_class = tame_class(_z_windows(p, level, cutoff, "support-aware", side)[1][0][0], p)
+    y0 = _y_windows(p, level, cutoff, "support-aware")[1][0][0]
     ys = [y for y, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
+    ys_in = [all(c) for c in itertools.product([rational_valuation(y - y0, p) >= 1 for y in ys], repeat=ell - 1)]
     points = []
     verdict = True
     for z, _ in _z_windows(p, level, cutoff, "brute-force", side)[1]:
         here = nonzero_at.get(z, ())
-        z_in = z in support_z
-        for y in itertools.product(ys, repeat=ell - 1):
+        z_in = tame_class(z, p) == z_class
+        for y, y_in in zip(itertools.product(ys, repeat=ell - 1), ys_in):
             nonzero = y in here
-            pred = z_in and all(c in support_y for c in y)
+            pred = z_in and y_in
             if nonzero != pred:
                 verdict = False
             points.append(SupportPoint(z, y, nonzero, pred))

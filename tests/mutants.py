@@ -12,9 +12,10 @@ pyproject.toml into a temporary directory, applies one patch at a time
 there, runs only that mutant's tests, and reports the mutant as
 
     caught   every named test failed;
-    missed   some named test passed;
-    stale    the old text no longer occurs exactly once;
-    broken   pytest ran no test (an id that no longer names one).
+    missed     some named test passed;
+    stale      the old text no longer occurs exactly once;
+    broken     pytest ran no test (an id that no longer names one);
+    timed out  its tests ran past TIMEOUT seconds (a mutant that spins).
 
 It exits 1 unless every mutant is caught.  The working tree is never
 written.  pytest does not collect this file (its name has no test_
@@ -36,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 INTEGRALS = "src/ssgamma/integrals.py"
 MATRICES = "src/ssgamma/matrices.py"
+TIMEOUT = 600  # seconds for one mutant's tests
 
 
 @dataclass(frozen=True)
@@ -117,22 +119,55 @@ MUTANTS = (
     Mutant(
         "y_k membership dropped from the prediction",
         INTEGRALS,
-        "            pred = z_in and all(c in support_y for c in y)\n",
+        "            pred = z_in and y_in\n",
         "            pred = z_in\n",
         (
             "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
             "tests/test_integrals.py::test_scan_support_matches_predicate[phi_star]",
         ),
     ),
-    # the support-aware windows and their measure
+    Mutant(
+        "the scan's z membership tested by valuation alone",
+        INTEGRALS,
+        "        z_in = tame_class(z, p) == z_class\n",
+        "        z_in = tame_class(z, p)[0] == z_class[0]\n",
+        (
+            "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
+            "tests/test_integrals.py::test_scan_support_matches_predicate[phi_star]",
+        ),
+    ),
+    # the one-class support-aware windows and their measure
     Mutant(
         "support-aware z window off by one class",
         INTEGRALS,
-        "(1 + p * Fraction(a)), False) for a in range(p ** (level - 1))]",
-        "(1 + p * Fraction(a)), False) for a in range(1, p ** (level - 1))]",
+        'if side == "phi_star" else F1, False)]',
+        'if side == "phi_star" else F1 + 1, False)]',
         (
             "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
             "tests/test_padic.py::test_repset_units_example",
+            "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-support-aware]",
+        ),
+    ),
+    Mutant(
+        "Phi*'s base point 1 instead of 1/p",
+        INTEGRALS,
+        '[(Fraction(1, p) if side == "phi_star" else F1, False)]',
+        '[(F1 if side == "phi_star" else F1, False)]',
+        (
+            "tests/test_integrals.py::test_scan_support_matches_predicate[phi_star]",
+            "tests/test_integrals.py::test_phi_star_value",
+            "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-support-aware]",
+        ),
+    ),
+    Mutant(
+        "the z class weighed as one brute-force class",
+        INTEGRALS,
+        "        return ExactScalar.from_coeff(p, Fraction(1, p - 1)), [(",
+        "        return ExactScalar.from_coeff(p, Fraction(1, (p - 1) * p ** (level - 1))), [(",
+        (
+            "tests/test_padic.py::test_repset_weights_sum_to_volume",
+            "tests/test_integrals.py::test_phi_value[1-3-1]",
+            "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-1-support-aware]",
         ),
     ),
     Mutant(
@@ -145,26 +180,26 @@ MUTANTS = (
             "tests/test_integrals.py::test_jpss_n3",
         ),
     ),
-    # the fold of the support-aware y window
     Mutant(
         "the folded y class weighed as one window class",
         INTEGRALS,
-        "        ys = (ys[0] * len(ys[1]), [(F0, False)])\n",
-        "        ys = (ys[0], [(F0, False)])\n",
+        "        return ExactScalar.from_coeff(p, F1, q_half=-1), [(F0, False)]\n",
+        "        return ExactScalar.from_coeff(p, Fraction(1, p**level), q_half=1), [(F0, False)]\n",
         (
             "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-support-aware]",
             "tests/test_kernel.py::test_stress_sizes_meet_the_closed_forms[7-4]",
+            "tests/test_padic.py::test_repset_weights_sum_to_volume",
         ),
     ),
     Mutant(
         "the y window folded in brute-force mode as well",
         INTEGRALS,
-        '    if mode == "support-aware":\n        ys = (',
-        "    if True:\n        ys = (",
+        '    if mode == "support-aware":\n        return ExactScalar.from_coeff(p, F1, q_half=-1)',
+        "    if True:\n        return ExactScalar.from_coeff(p, F1, q_half=-1)",
         (
             "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-brute-force]",
-            "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
-            "tests/test_kernel.py::test_support_aware_enumeration_values_one_point_per_z[brute-force]",
+            "tests/test_kernel.py::test_support_aware_enumeration_values_one_point_per_side[brute-force]",
+            "tests/test_padic.py::test_repset_weights_sum_to_volume",
         ),
     ),
     # the JPSS GL sides
@@ -425,7 +460,9 @@ def run(mutant: Mutant, copy: Path) -> str:
     try:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests]
-        out = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+        out = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timed out"
     finally:
         target.write_text(original)
     if out.returncode not in (0, 1):
@@ -447,7 +484,7 @@ def main(names) -> int:
         shutil.copy(ROOT / "pyproject.toml", copy)
         verdicts = [(m, run(m, copy)) for m in chosen]
     for m, verdict in verdicts:
-        print(f"{verdict:7}  {m.name}")
+        print(f"{verdict:9}  {m.name}")
     caught = sum(verdict == "caught" for _, verdict in verdicts)
     print(f"{caught}/{len(verdicts)} caught")
     return 0 if caught == len(verdicts) else 1

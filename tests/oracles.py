@@ -12,17 +12,20 @@ defined here is defined again in src/.
     package's Gauss-Jordan, the I+ test in_iplus, read off valuations
     (the package has only its row test, inside the elimination), the SO
     test so_check, and the normalizers g_chi_so and g_chi_gl.
-  * The generic Whittaker function (whittaker_eval): the factors of
-    coset_decompose / coset_decompose_gl, with k conjugated back by
-    g_chi^i here, read through psi_U and the affine generic character
-    affine_chi; and recompose, which forms u k g_chi^i from the SO
-    factors.
+  * The generic Whittaker function (whittaker_eval): the factors of the
+    Fraction solvers below, reference_coset_decompose and
+    reference_coset_decompose_gl, so it shares no solver with the
+    package, with k conjugated back by g_chi^i here, read through psi_U
+    and the affine generic character affine_chi; and recompose, which
+    forms u k g_chi^i from the SO factors.
   * Scaled rows, the integer form the solvers take and return (scaled,
     unscaled), and the Fraction elimination, row maps and solvers the
     integer kernel replaced (reference_*), the reference it is checked
     against.
   * The section f_s (section_eval) and the intertwining operator at
     n = 1 (intertwine_M).
+  * The class a one-class support-aware window stands for, unfolded
+    from the brute-force window (unfold_class).
   * The named group elements whose product the integrand row
     builders of integrals.py are checked against: c_hat, delta_o,
     omega_prime, w_element, w_long, embed_j, xbar and torus_so2, and
@@ -45,7 +48,7 @@ from math import lcm
 from ssgamma.characters import CharacterError, TameCharacter, psi_eval, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber
 from ssgamma.integrals import IntegralError, Unsupported
-from ssgamma.matrices import F0, F1, MatrixError, coset_decompose, coset_decompose_gl
+from ssgamma.matrices import F0, F1, MatrixError
 from ssgamma.padic import rational_valuation
 from ssgamma.parameter import ParameterError
 from ssgamma.scalars import ExactScalar
@@ -419,14 +422,14 @@ def _psi_u(spec: WhittakerSpec, u: GroupMatrix) -> CyclotomicNumber:
 def whittaker_eval(spec: WhittakerSpec, g: GroupMatrix) -> ExactScalar:
     """The normalized Whittaker function of the simple supercuspidal:
     psi(u) zeta^i chi(k') on the supporting double coset u g_chi^i k',
-    0 elsewhere.  The solvers factor g g_chi^(-i) = (z) u k, and
-    k' = g_chi^(-i) k g_chi^i is formed here by products."""
+    0 elsewhere.  The Fraction solvers above factor g g_chi^(-i) =
+    (z) u k, and k' = g_chi^(-i) k g_chi^i is formed here by products."""
     p = spec.prime
     if spec.flavor == "SO":
-        res = coset_decompose(scaled(g.rows), p)
+        res = reference_coset_decompose(g.rows, p)
         if res is None:
             return ExactScalar.zero(p)
-        u, i, k = unscaled(res[0]), res[1], unscaled(res[2])
+        u, i, k = res
         k = GroupMatrix.make(k, p, "SO_odd", verify=False)
         if i:
             gchi = g_chi_so(spec.rank, p)  # an involution: g_chi^(-1) = g_chi
@@ -434,11 +437,11 @@ def whittaker_eval(spec: WhittakerSpec, g: GroupMatrix) -> ExactScalar:
         u = GroupMatrix.make(u, p, "SO_odd", verify=False)
         val = _psi_u(spec, u) * spec.zeta**i * affine_chi(k, t=spec.t, flavor="SO")
         return ExactScalar.from_coeff(p, val)
-    res = coset_decompose_gl(scaled(g.rows), p)
+    res = reference_coset_decompose_gl(g.rows, p)
     if res is None:
         return ExactScalar.zero(p)
     # central character is trivial, so the scalar z contributes nothing
-    u, j, k = unscaled(res[0]), res[1], unscaled(res[3])
+    u, j, _, k = res
     k = GroupMatrix.make(k, p, verify=False)
     gchi = g_chi_gl(spec.rank, p)
     gchi_inv = gchi.inv()
@@ -485,6 +488,24 @@ def normalized_t(t) -> tuple:
     for i, x in enumerate(t[:-1]):
         d *= x if i == 0 else x * x
     return tuple([Fraction(1)] * ell + [t[-1] * d])
+
+
+# ---------------------------------------------------------------------------
+# the support-aware classes, unfolded
+
+
+def unfold_class(p, one_class, window, multiplicative):
+    """The brute-force window restricted to the class that the one-class
+    support-aware window one_class stands for: (the window's weight, its
+    representatives off the padding shell in rep (1 + p) when
+    multiplicative, or in rep + p otherwise), rep the class's one
+    representative.  The lemma tests walk the class point by point."""
+    (_, [(rep, _)]), (weight, reps) = one_class, window
+
+    def inside(x):
+        return rational_valuation(x / rep - 1 if multiplicative else x - rep, p) >= 1
+
+    return weight, [(x, shell) for x, shell in reps if not shell and inside(x)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,26 +10,28 @@ products alone (the oracle's in_iplus, the g_chi_so product and
 affine_chi), which shares no code with the solver, and everywhere
 against zeta^i psi_U(u) chi(k) read off the sampled u, i and k, with no
 solver at all.  The next tests check the bucket assembly: Phi and Phi*
-rebuilt point by point from the unfolded (weight, [(rep, on_shell)])
-windows with the oracle's section_eval, with no buckets, no shared
-loop, no bucket sum and no merge over tame classes; and the merge
+rebuilt point by point from the (weight, [(rep, on_shell)]) windows,
+each support-aware class unfolded from the brute-force window
+(unfold_class), with the oracle's section_eval, with no buckets, no
+shared loop, no bucket sum and no merge over tame classes; and the merge
 itself, which _enumerate makes as each outer point's counts arrive, on
 a synthetic outer window that spans several tame classes and is walked
 in any order (on the real domains only one class per side is nonzero).
 
-The last tests check the fold of the support-aware y window into one
-class valued at y = 0 (_so_buckets).  Its lemma, g(y) = g(0) k_y with
-k_y in I+ and chi(k_y) = 1, is checked with oracle products alone at
-every support-aware point of five small (p, l) at random t, beside a
-negative control: a y_k of valuation 0 leaves I+.  The one point loop
-of integrals.py (_point_counts, the loop _enumerate runs for the SO and
-the JPSS buckets alike), run over the unfolded y window with the SO
-value from the solver, gives each z the fold's count {base value:
-|Y|^(l-1)}: on the grid's domains, at (7, 3) on sampled z and at random
-t.  The SO buckets are pinned by sha256 digests of their records.  A
-count guard fails if the support-aware enumeration values more than one
-point per z, or if the brute-force point loop tests a box ahead of the
-solver.
+The last tests check that each support-aware window is one class,
+valued at one point, (z0, 0) (_so_buckets).  Its lemma, g(z, y) =
+g(z0, 0) k with k in I+ and chi(k) = 1, is checked with oracle products
+alone at every point of both unfolded classes of five small (p, l) at
+random t, beside negative controls: a y_k of valuation 0, or a unit w
+outside 1 + p in z = z0 w, leaves I+.  The one point loop of
+integrals.py (_point_counts, the loop _enumerate runs for the SO and the
+JPSS buckets alike), run over the unfolded y class with the SO value
+from the solver, gives each z of the unfolded z class the count
+{value at (z0, 0): |Y|^(l-1)}: on the grid's domains, at (7, 3) on
+sampled z and at random t.  The SO buckets are pinned by sha256 digests
+of their records.  A count guard fails if the support-aware enumeration
+values more than one point a side, at any N, or if the brute-force
+point loop tests a box ahead of the solver.
 """
 
 import hashlib
@@ -59,6 +61,7 @@ from oracles import (
     scaled,
     section_eval,
     torus_so2,
+    unfold_class,
     unscaled,
     whittaker_eval,
     xbar,
@@ -257,12 +260,29 @@ def test_chi_readers_read_the_affine_character(case, seed, data):
 # --- an oracle for the bucket assembly ------------------------------------------
 
 
+def unfolded(p, level, side=None):
+    """The one class of the support-aware z window of side, or of the y
+    window when side is None, at V = 1, unfolded from the brute-force
+    window (unfold_class): (its weight, its representatives)."""
+    modes = ("support-aware", "brute-force")
+    if side is None:
+        windows = (_y_windows(p, level, 1, mode) for mode in modes)
+    else:
+        windows = (_z_windows(p, level, 1, mode, side) for mode in modes)
+    return unfold_class(p, *windows, side is not None)
+
+
 def nonzero_points(p, ell, level, mode, side):
     """(z, weight, parts) for every point of the domain with W != 0; the
     weight is the product of the point's own window weights, the z
-    window's and one y window's per coordinate."""
-    yw, ys = _y_windows(p, level, 1, mode)
-    zw, zs = _z_windows(p, level, 1, mode, side)
+    window's and one y window's per coordinate.  A support-aware domain
+    is walked point by point over its classes unfolded.  In both modes
+    the nonzero points are the support in the window, p^((N-1) l) of
+    them."""
+    if mode == "support-aware":
+        (zw, zs), (yw, ys) = unfolded(p, level, side), unfolded(p, level)
+    else:
+        (zw, zs), (yw, ys) = _z_windows(p, level, 1, mode, side), _y_windows(p, level, 1, mode)
     out = []
     for z, _ in zs:
         for y in itertools.product([c for c, _ in ys], repeat=ell - 1):
@@ -272,6 +292,7 @@ def nonzero_points(p, ell, level, mode, side):
                 for _ in y:
                     w = w * yw
                 out.append((z, w, parts))
+    assert len(out) == p ** ((level - 1) * ell)
     return out
 
 
@@ -357,7 +378,7 @@ def test_tame_class_merge_keeps_every_tame_sum(p, data):
     assert merged == points
 
 
-# --- the fold of the support-aware y window -------------------------------------
+# --- each support-aware window is one class, valued at one point ---------------
 
 FOLD_CASES = [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2)]
 
@@ -366,22 +387,28 @@ FOLD_CASES = [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2)]
 @settings(max_examples=3, deadline=None)
 @given(st.data())
 def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
-    """The lemma behind the fold in _so_buckets, with oracle products
-    alone: at every point (z, y) of the unfolded support-aware windows at
-    N = 2, on both sides, k_y = g(0)^(-1) g(y) lies in I+ and
-    chi(k_y) = 1 at t drawn from the family, so W(g(y)) = W(g(0)).  There
-    are 470 such points over the five (p, l).  The negative control: at
-    each z, a y_k of valuation 0 (the others 0) puts a unit below the
-    diagonal of k_y on Phi, and an entry of valuation -1 above it on
-    Phi*, so k_y leaves I+ and the fold would not hold there."""
+    """The lemma behind the one-point support-aware windows in
+    _so_buckets, in z as well as y, with oracle products alone: at every
+    point (z, y) of the z and y classes unfolded from the brute-force
+    windows at N = 2, on both sides, k = g(z0, 0)^(-1) g(z, y) lies in I+
+    and chi(k) = 1 at t drawn from the family, so W(g(z, y)) =
+    W(g(z0, 0)).  There are 470 such points over the five (p, l).  The
+    negative controls: z = z0 w with y = 0 and w a unit outside 1 + p
+    puts w on the diagonal of k; and at each z, a y_k of valuation 0 (the
+    others 0) puts a unit below the diagonal of k on Phi, and an entry of
+    valuation -1 above it on Phi*.  Either way k leaves I+ and the class
+    would not be one value there."""
     level = 2
     t = affine_t(data.draw, p, ell)
-    ys = [c for c, _ in _y_windows(p, level, 1, "support-aware")[1]]
+    ys = [c for c, _ in unfolded(p, level)[1]]
     zero = (F0,) * (ell - 1)
     seen = 0
     for side in SIDES:
-        for z, _ in _z_windows(p, level, 1, "support-aware", side)[1]:
-            base_inv = generic_matrix(p, ell, side, z, zero).inv()
+        z0 = _z_windows(p, level, 1, "support-aware", side)[1][0][0]
+        base_inv = generic_matrix(p, ell, side, z0, zero).inv()
+        for w in range(2, p):
+            assert not in_iplus((base_inv * generic_matrix(p, ell, side, z0 * w, zero)).rows, p), (side, w)
+        for z, _ in unfolded(p, level, side)[1]:
             for y in itertools.product(ys, repeat=ell - 1):
                 k = base_inv * generic_matrix(p, ell, side, z, y)
                 assert in_iplus(k.rows, p), (side, z, y)
@@ -390,7 +417,7 @@ def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
             for j in range(ell - 1):
                 y = zero[:j] + (F1,) + zero[j + 1 :]
                 assert not in_iplus((base_inv * generic_matrix(p, ell, side, z, y)).rows, p), (side, z, y)
-    assert seen == len(SIDES) * len(ys) ** ell
+    assert seen == len(SIDES) * p ** ((level - 1) * ell)
 
 
 def point_loop(z, on_shell, ys, build, p, ell, t):
@@ -400,17 +427,23 @@ def point_loop(z, on_shell, ys, build, p, ell, t):
     return _point_counts(z, on_shell, ys, ell - 1, lambda y: _so_whittaker_parts(rows(y), p, ell, t), {})
 
 
-def assert_loop_gives_the_folded_count(p, ell, side, t, level, zs=None):
-    """Per z of the support-aware window (or of zs, a part of it): the
-    point loop over the unfolded (l-1)-fold y window values every point
-    as the base point y = 0, so its counts are {base value: |Y|^(l-1)},
-    the one class of the fold."""
-    ys = _y_windows(p, level, 1, "support-aware")[1]
+def loop_points(p, ell, side, t, level, sample=None):
+    """The number of points valued.  Per z of the support-aware z class
+    unfolded from the brute-force window (or of a seeded sample of them,
+    sample = (seed, count)), the point loop over the unfolded (l-1)-fold
+    y class values every point as the one point _so_buckets values,
+    (z0, 0), so its counts are {value at (z0, 0): |Y|^(l-1)}."""
+    zs, ys = unfolded(p, level, side)[1], unfolded(p, level)[1]
+    assert len(zs) == len(ys) == p ** (level - 1)
     build = builder(side)
-    for z, on_shell in zs or _z_windows(p, level, 1, "support-aware", side)[1]:
-        base = _so_whittaker_parts(build(z, ell)((F0,) * (ell - 1)), p, ell, t)
-        assert base is not None, (p, ell, side, z)
+    z0 = _z_windows(p, level, 1, "support-aware", side)[1][0][0]
+    base = _so_whittaker_parts(build(z0, ell)((F0,) * (ell - 1)), p, ell, t)
+    assert base is not None, (p, ell, side)
+    if sample:
+        zs = random.Random(sample[0]).sample(zs, sample[1])
+    for z, on_shell in zs:
         assert point_loop(z, on_shell, ys, build, p, ell, t) == {base: len(ys) ** (ell - 1)}, (p, ell, side, z)
+    return len(zs) * len(ys) ** (ell - 1)
 
 
 GRID_SUPPORT = [(p, ell) for p in (3, 5, 7) for ell in (1, 2, 3) if (p, ell) != (7, 3)] + [(3, 4)]
@@ -419,14 +452,13 @@ GRID_SUPPORT = [(p, ell) for p in (3, 5, 7) for ell in (1, 2, 3) if (p, ell) != 
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("p,ell", GRID_SUPPORT)
 def test_convolution_matches_point_loop_on_the_grid(p, ell, side):
-    assert_loop_gives_the_folded_count(p, ell, side, (F1,) * (ell + 1), 3)
+    assert loop_points(p, ell, side, (F1,) * (ell + 1), 3) == p ** (2 * ell)
 
 
 @pytest.mark.parametrize("side", SIDES)
 def test_convolution_matches_point_loop_at_7_3_on_sampled_z(side):
     """(7, 3) has 117,649 points per side; three seeded z keep it short."""
-    zs = random.Random(7003).sample(_z_windows(7, 3, 1, "support-aware", side)[1], 3)
-    assert_loop_gives_the_folded_count(7, 3, side, (F1,) * 4, 3, zs)
+    assert loop_points(7, 3, side, (F1,) * 4, 3, (7003, 3)) == 3 * 49**2
 
 
 @settings(max_examples=30, deadline=None)
@@ -441,8 +473,7 @@ def test_convolution_matches_point_loop_at_random_t(case, side, level, seed, dat
     p, ell = case
     t = affine_t(data.draw, p, ell)
     assume(len(set(t)) > 1)
-    zs = random.Random(seed).sample(_z_windows(p, level, 1, "support-aware", side)[1], 2)
-    assert_loop_gives_the_folded_count(p, ell, side, t, level, zs)
+    assert loop_points(p, ell, side, t, level, (seed, 2)) == 2 * p ** ((level - 1) * (ell - 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -496,7 +527,8 @@ def test_so_buckets_are_pinned(p, ell, t, side, digest):
     """Digests taken from the point-by-point enumeration, at N = 3, V = 1,
     before the y window was folded; those of the stress sizes (11,3),
     (13,3), (7,4), (5,4) and (3,5) while every coordinate value was still
-    tested.  The fold leaves every one of them as it was."""
+    tested.  Valuing each support-aware window as one class, at one
+    point, leaves every one of them as it was."""
     cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=3, cutoff=1, t=t)
     assert so_bucket_digest(_so_buckets(p, ell, 3, 1, "support-aware", side, cfg.t)[0]) == digest
 
@@ -512,21 +544,23 @@ def test_stress_sizes_meet_the_closed_forms(p, ell):
     assert res.matches and res.computed == res.predicted
 
 
-@pytest.mark.parametrize("case", ["phi", "phi_star", "brute-force"])
-def test_support_aware_enumeration_values_one_point_per_z(case, count_calls):
+@pytest.mark.parametrize("case", ["phi", "phi_star", "any-N", "brute-force"])
+def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
     """coset_decompose, its row map by g_chi and the elimination's row test
-    counted at every name the package binds them to.  Before the y window
-    was folded this guard was named
-    test_support_aware_enumeration_tests_coordinates_not_points and
-    counted the box tests of a factored count.  The fold values each z at
-    y = 0 with the solver, so no box test is left to count, and the
-    guard counts the solver's work instead.
+    counted at every name the package binds them to.  This guard was
+    test_support_aware_enumeration_tests_coordinates_not_points while it
+    counted the box tests of a factored count, and
+    test_support_aware_enumeration_values_one_point_per_z while only the
+    y window was one class and the solver valued each z at y = 0.  Each
+    support-aware window is now one class, so the solver values one point
+    a side, (z0, 0).
     Support-aware, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1):
-    one coset_decompose call per z, 25 in all, and all 25 find factors.
-    Valuing every point would make 25 * 25**2 = 15,625.  On Phi each z
+    one coset_decompose call, which finds factors, where valuing each z
+    made 25 and every point 25 * 25**2 = 15,625.  On Phi the point
     factors at i = 0, which maps no row and tests its 7 rows; on Phi* the
-    bottom row fails at i = 0, and i = 1 maps and tests all 7 rows, so
-    175 rows are mapped and 200 tested.
+    bottom row fails at i = 0, and i = 1 maps and tests all 7 rows, so 7
+    rows are mapped and 8 tested.  At any N: at (3, 2, N, 1), N = 3 and
+    N = 6 each make one call a side, and give equal buckets.
     Brute-force, over _so_buckets on both sides at (3, 2, 2, 1): the point
     loop makes one coset_decompose call per point, 2 * 30 * 81 = 4,860,
     and 18 of them find factors, the points of the support.  A box test
@@ -548,17 +582,26 @@ def test_support_aware_enumeration_values_one_point_per_z(case, count_calls):
         assert calls["coset_decompose.found"] == 18
         assert calls["row_times_g_chi_so"] == 4_842 + 9 * 5 == 4_887
         return
+    if case == "any-N":
+        p, ell = 3, 2
+        for side in SIDES:
+            buckets = []
+            for level in (3, 6):
+                before = calls["coset_decompose"]
+                buckets.append(_so_buckets(p, ell, level, 1, "support-aware", side, (F1,) * (ell + 1))[0])
+                assert calls["coset_decompose"] - before == 1, (side, level)
+            assert buckets[0] == buckets[1], side
+        return
     p, ell, level = 5, 3, 3
     _so_buckets(p, ell, level, 1, "support-aware", case, (F1,) * (ell + 1))
-    z_count = p ** (level - 1)
     n = 2 * ell + 1
-    assert calls["coset_decompose"] == calls["coset_decompose.found"] == z_count == 25
+    assert calls["coset_decompose"] == calls["coset_decompose.found"] == 1
     if case == "phi":
         assert calls["row_times_g_chi_so"] == 0
-        assert calls["row_in_iplus"] == z_count * n == 175
+        assert calls["row_in_iplus"] == n == 7
     else:
-        assert calls["row_times_g_chi_so"] == z_count * n == 175
-        assert calls["row_in_iplus"] == z_count * (1 + n) == 200
+        assert calls["row_times_g_chi_so"] == n == 7
+        assert calls["row_in_iplus"] == 1 + n == 8
 
 
 def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):

@@ -10,7 +10,10 @@ scan_support, which must name neither the evaluator nor the solver: it
 reads the brute-force enumeration's record and values no point itself.
 So are the imports of the I+ tests: integrals.py imports none, so no
 box test runs beside the coset solver, and oracles.py imports neither,
-so its in_iplus stays apart from the package's row test.
+so its in_iplus stays apart from the package's row test.  So is the
+oracle whittaker_eval, which must name neither package solver, and
+oracles.py imports neither: it factors with the oracle's own Fraction
+solvers, so a solver bug cannot hide in both sides of a comparison.
 sympy is a test-side oracle only: importing it took most of `import
 ssgamma`.
 
@@ -108,6 +111,16 @@ def test_scan_support_values_no_point_itself():
             names.add(node.attr)
     assert "_so_buckets" in names
     assert sorted(names & {"_so_whittaker_parts", "coset_decompose"}) == []
+
+
+def test_the_oracle_whittaker_eval_names_no_package_solver():
+    tree = parse(ORACLES)
+    oracle = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "whittaker_eval")
+    names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+    assert {"reference_coset_decompose", "reference_coset_decompose_gl"} <= names
+    assert sorted(names & {"coset_decompose", "coset_decompose_gl"}) == []
+    assert sorted(imported_names(ORACLES) & {"coset_decompose", "coset_decompose_gl", "eliminate_u_iplus"}) == []
 
 
 def imported_names(path):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import unfold_class
 from ssgamma.integrals import _y_windows, _z_windows
 from ssgamma.padic import INF, rational_valuation
 from ssgamma.scalars import ExactScalar
@@ -76,6 +77,8 @@ def test_valuation_ultrametric(a, b):
 # The integration windows of integrals.py are (weight, [(rep, on_shell)]):
 # one exact measure weight for every class off the padding shell, and the
 # class representatives.  A volume is the weight times a count of reps.
+# A support-aware window is one class; unfold_class walks it as the
+# brute-force classes it covers.
 
 
 def window_volume(window, keep=lambda x, shell: not shell):
@@ -84,10 +87,12 @@ def window_volume(window, keep=lambda x, shell: not shell):
 
 
 def test_repset_units_example():
-    # (1+p) mod (1+p^2) at p = 3 has representatives {1, 4, 7}
-    _, zs = _z_windows(3, 2, 1, "support-aware", "phi")
+    # the one class 1 + p at p = 3 covers the classes of 1 + p^2 with
+    # representatives {1, 4, 7}
+    sa = _z_windows(3, 2, 1, "support-aware", "phi")
+    assert sa[1] == [(1, False)]
+    _, zs = unfold_class(3, sa, _z_windows(3, 2, 1, "brute-force", "phi"), True)
     assert sorted(z for z, _ in zs) == [1, 4, 7]
-    assert len(zs) == 3
 
 
 def test_repset_volumes():
@@ -103,13 +108,17 @@ def test_repset_volumes():
     assert window_volume(_z_windows(p, 2, 1, "support-aware", "phi")) == ES(p, Fraction(1, p - 1))
 
 
-def assert_inside(support_aware, brute_force):
-    """Every support-aware rep is a distinct brute-force rep off the
-    shell: the precondition of scan_support's membership test, which
-    reads the support lemma off the support-aware windows."""
-    reps = [x for x, shell in support_aware[1] if not shell]
-    assert len(reps) == len(support_aware[1]) == len(set(reps))
-    assert set(reps) <= {x for x, shell in brute_force[1] if not shell}
+def assert_one_class(p, level, one_class, brute_force, multiplicative):
+    """A support-aware window is one class, whose rep is a brute-force rep
+    off the shell: scan_support reads the support lemma off that class.
+    Its weight is the brute-force class weight times the p^(N-1)
+    brute-force classes it covers, and is stored alike."""
+    [(rep, shell)] = one_class[1]
+    assert not shell and (rep, False) in brute_force[1]
+    weight, reps = unfold_class(p, one_class, brute_force, multiplicative)
+    assert len(reps) == p ** (level - 1)
+    covered = weight * len(reps)
+    assert one_class[0] == covered and one_class[0].to_records() == covered.to_records()
 
 
 def test_repset_weights_sum_to_volume():
@@ -121,9 +130,7 @@ def test_repset_weights_sum_to_volume():
             assert (rational_valuation(y, p) == -cutoff - 1) if shell else (rational_valuation(y, p) >= -cutoff)
         sa_ys = _y_windows(p, level, cutoff, "support-aware")
         assert window_volume(sa_ys) == ES(p, 1, -1)
-        # one class measure: the same weight, stored alike, in both modes
-        assert sa_ys[0] == ys[0] and sa_ys[0].to_records() == ys[0].to_records()
-        assert_inside(sa_ys, ys)
+        assert_one_class(p, level, sa_ys, ys, False)
         for side in ("phi", "phi_star"):
             zs = _z_windows(p, level, cutoff, "brute-force", side)
             # one unit of volume per valuation -V-1 .. V+1
@@ -132,16 +139,19 @@ def test_repset_weights_sum_to_volume():
                 assert shell == (abs(rational_valuation(z, p)) > cutoff)
             sa = _z_windows(p, level, cutoff, "support-aware", side)
             assert window_volume(sa) == ES(p, Fraction(1, p - 1))
-            assert_inside(sa, zs)
+            assert_one_class(p, level, sa, zs, True)
 
 
 def test_repset_counts():
     p, level, cutoff = 5, 2, 1
-    _, ys = _y_windows(p, level, cutoff, "brute-force")
-    _, zs = _z_windows(p, level, cutoff, "brute-force", "phi")
+    yw = _y_windows(p, level, cutoff, "brute-force")
+    zw = _z_windows(p, level, cutoff, "brute-force", "phi")
+    ys, zs = yw[1], zw[1]
     assert sum(1 for y, _ in ys if rational_valuation(y, p) >= 0) == 25  # o mod p^2
     assert sum(1 for y, shell in ys if not shell) == p ** (level + cutoff)
     assert sum(1 for y, shell in ys if shell) == p ** (level + cutoff + 1) - p ** (level + cutoff)
     assert sum(1 for z, _ in zs if rational_valuation(z, p) == 0) == 20  # o^x mod 1 + p^2
     assert len(zs) == (2 * cutoff + 3) * 20
-    assert len(_y_windows(p, level, cutoff, "support-aware")[1]) == p ** (level - 1)
+    # the one support-aware class of each covers p^(N-1) of them
+    assert len(unfold_class(p, _y_windows(p, level, cutoff, "support-aware"), yw, False)[1]) == p ** (level - 1)
+    assert len(unfold_class(p, _z_windows(p, level, cutoff, "support-aware", "phi"), zw, True)[1]) == p ** (level - 1)
