@@ -20,7 +20,8 @@ scan_support checks against the brute-force enumeration.
 Every side (Phi, Phi*, and the JPSS plain and dual sides) is one entry
 of one store, _BUCKETS: the (buckets, record) pair of one enumeration,
 _enumerate.  It walks an outer window and, at each outer point, counts
-the values over the rank-fold product of an inner window, adding the
+the values over the rank-fold product of an inner window, whose points
+it makes once per side with their share of the rows, adding the
 counts straight into the bucket (i, x0) of the point's tame class, x0
 the least point of the class (the comment above _BUCKETS has why that
 merge is exact).  A value is the rows of the point's integrand valued
@@ -52,7 +53,7 @@ from math import lcm
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
 from .padic import is_int, is_odd_prime, rational_valuation
-from .matrices import coset_decompose, coset_decompose_gl
+from .matrices import _gl_bottom_step, coset_decompose, coset_decompose_gl
 from .characters import (
     TameCharacter,
     psi_exponent,
@@ -192,11 +193,14 @@ class GammaResult:
 # A point is the rows of its integrand matrix, and the double-coset
 # solver values it.  The rows are the solver's scaled rows (nums, den),
 # entries nums[c] / den (matrices.py), so a point makes no Fraction
-# unless it factors.  A builder takes the outer coordinate (z or a) and
-# returns the function of the inner one (y or x) that writes the rows,
-# so the work that depends on the outer coordinate alone is done once
-# for all its points, the rows free of y or x included: no reader of
-# the rows writes to them.
+# unless it factors.  The work that depends on one coordinate alone is
+# done once for all the points that share it: a builder takes the outer
+# coordinate (z or a) and returns the function that writes the rows from
+# an inner point (y or x), and each inner point is prepared once per
+# side (_so_y; the JPSS bottom row and its solver step, _gl_buckets).
+# The rows free of the inner point, and the prepared rows of an inner
+# point, are shared by every point that has them: no reader of the rows
+# writes to them.
 
 
 def _unit_rows(n, rows, x):
@@ -205,8 +209,17 @@ def _unit_rows(n, rows, x):
     return [([0] * r + [x] + [0] * (n - 1 - r), 1) for r in rows]
 
 
+def _so_y(y):
+    """The share of the point y in every SO integrand's rows, made once per
+    side: lcd, the lcm of the denominators of the y_k, and each y_k as
+    (numerator, denominator, lcd // denominator)."""
+    lcd = lcm(*(c.denominator for c in y))
+    return lcd, [(c.numerator, c.denominator, lcd // c.denominator) for c in y]
+
+
 def _so_rows(z, ell, side):
-    """y -> the rows of the side's integrand at (z, y), in closed form.
+    """_so_y(y) -> the rows of the side's integrand at (z, y), in closed
+    form.
 
     On Phi it is x_bar(y) j(h(z)): z and 1/z at the ends of the diagonal,
     y z below z and -y reversed left of 1/z.  On Phi* it is c_hat x_bar(y)
@@ -222,25 +235,25 @@ def _so_rows(z, ell, side):
     top = [([zn if c == cz else 0 for c in range(n)], zd)]
     middle = _unit_rows(n, range(ell, n - 1), s)
 
-    def rows(y):
-        lcd = lcm(*(c.denominator for c in y))
+    def rows(point):
+        lcd, ys = point
         last = [0] * n
         last[ci] = zd * lcd
         mid = []
-        for i, c in enumerate(y):
-            yn, yd = c.numerator, c.denominator
+        for i, (yn, yd, scale) in enumerate(ys):
             row = [0] * n
             row[cz], row[1 + i] = s * yn * zn, s * yd * zd
             mid.append((row, yd * zd))
-            last[n - 2 - i] = -yn * (lcd // yd) * zn
+            last[n - 2 - i] = -yn * scale * zn
         return top + mid + middle + [(last, lcd * zn)]
 
     return rows
 
 
-def _gl_dual_rows(a, n):
-    """x -> the rows of a w_long (t m)^(-1) w_(n,1): the JPSS dual
-    integrand times the central element a, in closed form.
+def _gl_dual_top(a, n):
+    """The n - 1 rows above the bottom one of a w_long (t m)^(-1) w_(n,1):
+    the JPSS dual integrand times the central element a, in closed form;
+    _gl_dual_bottom(x) is its bottom row.
 
     m is the identity with column 1 replaced by (a, x_0, ..., x_(n-3), 0).
     (t m)^(-1) is the identity with row 1 replaced by
@@ -251,15 +264,16 @@ def _gl_dual_rows(a, n):
     trivial, so W takes the same value at a times the integrand, and the
     coset solver's scalar z absorbs a: it factors the same m = u k.
     Those rows have a on the superdiagonal and the bottom row
-    (1, 0, -x_(n-3), ..., -x_0), which takes no division.  The n - 1
-    rows above it are made once per a and shared by its every x."""
-    top = [([0] * (r + 1) + [a.numerator] + [0] * (n - 2 - r), a.denominator) for r in range(n - 1)]
+    (1, 0, -x_(n-3), ..., -x_0), which takes no division: the rows
+    above it depend on a alone and the bottom row on x alone."""
+    return [([0] * (r + 1) + [a.numerator] + [0] * (n - 2 - r), a.denominator) for r in range(n - 1)]
 
-    def rows(x):
-        lcd = lcm(*(c.denominator for c in x))
-        return top + [([lcd, 0] + [-c.numerator * (lcd // c.denominator) for c in reversed(x)], lcd)]
 
-    return rows
+def _gl_dual_bottom(x):
+    """The bottom row (1, 0, -x_(n-3), ..., -x_0) of the JPSS dual rows
+    (_gl_dual_top), over the lcm of the denominators of x."""
+    lcd = lcm(*(c.denominator for c in x))
+    return [lcd, 0] + [-c.numerator * (lcd // c.denominator) for c in reversed(x)], lcd
 
 
 def _chi_arg(k, t, ell, p):
@@ -392,17 +406,20 @@ def _z_windows(p, level, cutoff, mode, side):
     ]
 
 
-def _enumerate(p, outer, inner, rank, value, shell):
+def _enumerate(p, outer, inner, rank, prepare, value, shell):
     """(buckets, record): the one enumeration behind every side.  The
     buckets map (i, x0) to the weighted sum of the point values over
     the rank-fold product of the inner window and the x of one tame
     class, x0 the least x of the class.
 
-    outer and inner are (weight, [(rep, on_shell)]) windows.  value(x),
-    entered once per outer point, is the function of y that gives the
-    value of the point (x, y) as (i, m, a), or None where it
-    vanishes.  At each x of the outer window the point loop
-    (_point_counts) takes the histogram of values.  Each count c of
+    outer and inner are (weight, [(rep, on_shell)]) windows.  The inner
+    points are made once per side: each y of the rank-fold product of
+    the inner representatives, whether it lies on the padding shell, and
+    prepare(y), the work that depends on y alone.  value(x), entered once
+    per outer point, is the function of prepare(y) that gives the value
+    of the point (x, y) as (i, m, a), or None where it vanishes.  At
+    each x of the outer window the point loop (_point_counts) takes the
+    histogram of values over the inner points.  Each count c of
     (i, m, a) adds c * zeta_(p^m)^a, at order p^m (the exact order of the
     value), to the bucket (i, tame_class(x)) as it arrives.  The record maps
     each nonzero point of the point loop, (x, y), to its value and
@@ -411,10 +428,14 @@ def _enumerate(p, outer, inner, rank, value, shell):
     formatted with the first such point; the record is complete either
     way."""
     (x_weight, xs), (y_weight, ys) = outer, inner
+    points = []
+    for combo in itertools.product(ys, repeat=rank):
+        y = tuple(c for c, _ in combo)
+        points.append((y, any(s for _, s in combo), prepare(y)))
     sums: dict = {}  # (i, v, r) -> [least x of the class, unweighted sum of the values]
     record: dict = {}
     for x, on_shell in xs:
-        counts = _point_counts(x, on_shell, ys, rank, value(x), record)
+        counts = _point_counts(x, on_shell, points, value(x), record)
         cls = tame_class(x, p)
         for (i, m, a), count in counts.items():
             key = (i, *cls)
@@ -433,17 +454,17 @@ def _enumerate(p, outer, inner, rank, value, shell):
     return buckets, record
 
 
-def _point_counts(x, on_shell, ys, rank, value, record):
-    """(i, m, a) -> the number of points (x, y) with that value, y over
-    the rank-fold product of the window reps ys, point by point, each
-    valued by value(y).  Each nonzero point goes into record as
-    (x, y) -> ((i, m, a), whether it lies on the padding shell)."""
+def _point_counts(x, on_shell, points, value, record):
+    """(i, m, a) -> the number of points (x, y) with that value, over the
+    inner points (y, y on the padding shell, prepared y) of _enumerate,
+    point by point, each valued by value(prepared y).  Each nonzero
+    point goes into record as (x, y) -> ((i, m, a), whether it lies on
+    the padding shell)."""
     counts: dict = {}
-    for combo in itertools.product(ys, repeat=rank):
-        y = tuple(c for c, _ in combo)
-        parts = value(y)
+    for y, y_on_shell, point in points:
+        parts = value(point)
         if parts is not None:
-            record[(x, y)] = parts, on_shell or any(s for _, s in combo)
+            record[(x, y)] = parts, on_shell or y_on_shell
             counts[parts] = counts.get(parts, 0) + 1
     return counts
 
@@ -469,13 +490,14 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
 
     def value(z):
         rows = _so_rows(z, ell, side)
-        return lambda y: _so_whittaker_parts(rows(y), p, ell, t)
+        return lambda point: _so_whittaker_parts(rows(point), p, ell, t)
 
     return _enumerate(
         p,
         _z_windows(p, level, cutoff, mode, side),
         _y_windows(p, level, cutoff, mode),
         ell - 1,
+        _so_y,
         value,
         f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
     )
@@ -570,9 +592,10 @@ def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> Exact
     )
 
 
-def _gl_whittaker_parts(rows, p, n):
+def _gl_whittaker_parts(rows, p, n, bottom=None):
     """(j, m, a) with W(g) = zeta^j * zeta_(p^m)^a for GL_n, or None off
-    the support.
+    the support.  bottom is the solver's step at the bottom row of g when
+    it was made ahead (coset_decompose_gl).
 
     coset_decompose_gl factors g g_chi^(-j) = z u k, so g = z u g_chi^j k'
     with k' = g_chi^(-j) k g_chi^j, and W(g) = psi_U(u) zeta^j chi(k'):
@@ -583,7 +606,7 @@ def _gl_whittaker_parts(rows, p, n):
     k[n-2][n-1] to the corner over pi, a cyclic permutation of the n
     entries chi sums.  So zeta_(p^m)^a is psi of the superdiagonals of u
     and k plus k[n-1][0] / p, read off the scaled rows as returned."""
-    res = coset_decompose_gl(rows, p)
+    res = coset_decompose_gl(rows, p, bottom)
     if res is None:
         return None
     u, j, _, k = res
@@ -601,26 +624,34 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
     evaluates W(diag(a, I_(n-1))), and the dual side, at rank n - 2,
     W(w_long t(m)^(-1) w_(n,1)) with m = 1 + (a - 1) E_00 +
     sum x_r E_(1+r,0), whose rows, times the central element a,
-    _gl_dual_rows writes down directly (no inversion).  Each coordinate
-    of x runs over the brute-force y window at V = 0: o mod p^N
-    (vol(o) = q^(1/2)) plus the p^(-1) padding shell."""
-    if side == "plain":
+    _gl_dual_top and _gl_dual_bottom write down directly (no inversion).
+    Each coordinate of x runs over the brute-force y window at V = 0:
+    o mod p^N (vol(o) = q^(1/2)) plus the p^(-1) padding shell.
 
-        def value(a):
-            rows = [([a.numerator] + [0] * (n - 1), a.denominator)] + _unit_rows(n, range(1, n), 1)
-            return lambda x: _gl_whittaker_parts(rows, p, n)
+    On both sides the rows above the bottom one depend on a alone and the
+    bottom row on x alone, the unit row on the plain side.  So the
+    solver's bottom step (_gl_bottom_step: the one j, p z and the bottom
+    row of k) is made once per x, with the bottom row, and handed to the
+    one coset_decompose_gl call of each point."""
+    dual = side == "dual"
 
-    else:
+    def prepare(x):
+        row = _gl_dual_bottom(x) if dual else _unit_rows(n, (n - 1,), 1)[0]
+        return [row], _gl_bottom_step(row, p)
 
-        def value(a):
-            rows = _gl_dual_rows(a, n)
-            return lambda x: _gl_whittaker_parts(rows(x), p, n)
+    def value(a):
+        if dual:
+            rows = _gl_dual_top(a, n)
+        else:
+            rows = [([a.numerator] + [0] * (n - 1), a.denominator)] + _unit_rows(n, range(1, n - 1), 1)
+        return lambda point: _gl_whittaker_parts(rows + point[0], p, n, point[1])
 
     return _enumerate(
         p,
         _z_windows(p, level, cutoff, "brute-force", "phi"),
         _y_windows(p, level, 0, "brute-force"),
-        0 if side == "plain" else n - 2,
+        n - 2 if dual else 0,
+        prepare,
         value,
         f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}",
     )

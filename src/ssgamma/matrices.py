@@ -22,7 +22,10 @@ so they cost one mapped row, not N.
 
 The SO solver tries i = 0, then i = 1.  The GL solver runs one
 elimination, at the one j that can put the bottom row of m in I+, read
-off the valuations of the bottom row of g (coset_decompose_gl).
+off the valuations of the bottom row of g (coset_decompose_gl).  That j,
+the scalar z and the bottom row of k depend on the bottom row of g
+alone: they are the bottom step (_gl_bottom_step), which a caller whose
+points share a bottom row makes once and hands to every solver call.
 
 Each solver returns the factors it computes, of g g_chi^(-i) = u k
 (SO) or g g_chi^(-j) = z u k (GL).  Since g_chi normalizes I+, g is then
@@ -155,13 +158,15 @@ def _reduced(nums, den):
     return (nums, den) if g == 1 else ([x // g for x in nums], den // g)
 
 
-def eliminate_u_iplus(rows, n, p):
+def eliminate_u_iplus(rows, n, p, bottom=None):
     """Factor an n x n matrix m = u k in GL_n(F): u unit upper triangular,
     k lower triangular with every row in I+; None when m is outside
     U * I+.
 
     rows yields the scaled rows of m bottom-up, m[n-1] first, and is read
-    only as far as the elimination gets.  The factors are unique, and
+    only as far as the elimination gets.  When bottom is given it is row
+    n-1 of k, already tested and reduced (the bottom row of k is that of
+    m), and rows starts at m[n-2].  The factors are unique, and
     back-substitution builds them bottom-up.  Row r of k is m[r] less
     u[r][c] times row c of k, for each c > r.  Row c of k ends at its
     diagonal, which lies in 1 + p, so taking c from the last column
@@ -176,7 +181,8 @@ def eliminate_u_iplus(rows, n, p):
     """
     k = [None] * n
     u = [None] * n
-    for r, (nums, den) in zip(range(n - 1, -1, -1), rows):
+    k[n - 1] = bottom
+    for r, (nums, den) in zip(range(n - 1 if bottom is None else n - 2, -1, -1), rows):
         unums = None
         for c in range(n - 1, r, -1):
             x = nums[c]
@@ -223,7 +229,41 @@ def coset_decompose(rows, p):
     return None
 
 
-def coset_decompose_gl(rows, p):
+def _gl_bottom_step(row, p):
+    """The GL solver's step at the bottom row l = (nums, den) of g, a
+    function of l alone: (j, pn, den, k_bottom), with j the one j that
+    can put the bottom row of m = g g_chi^(-j) / z in I+, p z = pn / den,
+    and k_bottom that row of m, tested and reduced, which is the bottom
+    row of k; None when l is all zero or that row fails the test.  (A
+    nonzero l never fails it: the one j puts 1 on the diagonal and the
+    rest in p.  The test stays, so that every row of k is tested.)
+
+    The rule for j (see coset_decompose_gl): j = (i0 + 1) mod n, i0 the
+    leftmost index of least valuation in l, read off its numerators, since
+    den shifts every valuation alike; p z is l[j-1] at j >= 1 and
+    p l[n-1] at j = 0."""
+    last, den = row
+    least = None
+    for c, x in enumerate(last):
+        if x:
+            v = 0
+            while not x % p:
+                x //= p
+                v += 1
+            if least is None or v < least:
+                least, i0 = v, c
+    if least is None:
+        return None
+    n = len(last)
+    j = (i0 + 1) % n
+    pn = last[i0] if j else p * last[i0]
+    nums, mden = row_times_g_chi_gl_inv(row, j, pn, den, p)
+    if not row_in_iplus(n - 1, (nums, mden), p):
+        return None
+    return j, pn, den, _reduced(nums, mden)
+
+
+def coset_decompose_gl(rows, p, bottom=None):
     """Factor g in GL_n, given by its scaled rows, as g g_chi^(-j) =
     z u k: j in 0..n-1, z a nonzero scalar, u unit upper triangular and k
     lower triangular in I+.  Returns (u, j, z, k), z a Fraction and u and
@@ -238,30 +278,26 @@ def coset_decompose_gl(rows, p):
         valuation, strictly less than every entry to its left and no
         greater than any entry to its right;
       - so j = (i0 + 1) mod n, i0 the leftmost index of least valuation
-        in l, and an all-zero l has none.  l's denominator shifts every
-        valuation alike, so i0 is read off its numerators.
-    So one elimination runs, at that j; it still tests every row it
-    reads, the bottom one included, so the choice never decides a
-    verdict.  Each row of m is a column rotation of that row of g
-    (row_times_g_chi_gl_inv), built bottom-up only as the elimination
-    reads it, so no call inverts or multiplies by g_chi.  p z is
-    l[j-1] at j >= 1 and p l[n-1] at j = 0, read off l."""
+        in l, and an all-zero l has none.
+    That choice, p z, and the mapped, tested and reduced bottom row of m
+    are the bottom step (_gl_bottom_step), a function of l alone: bottom
+    is that step computed ahead, for the rows of any g with that bottom
+    row, and it is computed here from rows[-1] when absent.  A step of
+    None is computed again, so bottom changes no result.  One elimination
+    then runs, at that j, from row n-2 up with the bottom row of k given;
+    it tests every row it reads and the step tested the bottom one, so
+    the choice never decides a verdict.  Each row of m is a column
+    rotation of that row of g (row_times_g_chi_gl_inv), built bottom-up
+    only as the elimination reads it, so no call inverts or multiplies by
+    g_chi."""
+    if bottom is None:
+        bottom = _gl_bottom_step(rows[-1], p)
+        if bottom is None:
+            return None
+    j, pn, den, k_bottom = bottom
     n = len(rows)
-    last, den = rows[n - 1]
-    least = None
-    for c, x in enumerate(last):
-        if x:
-            v = 0
-            while not x % p:
-                x //= p
-                v += 1
-            if least is None or v < least:
-                least, i0 = v, c
-    if least is None:
-        return None
-    j = (i0 + 1) % n
-    pn = last[i0] if j else p * last[i0]  # p z = pn / den
-    res = eliminate_u_iplus((row_times_g_chi_gl_inv(row, j, pn, den, p) for row in reversed(rows)), n, p)
+    mapped = (row_times_g_chi_gl_inv(rows[r], j, pn, den, p) for r in range(n - 2, -1, -1))
+    res = eliminate_u_iplus(mapped, n, p, k_bottom)
     if res is None:
         return None
     u, k = res

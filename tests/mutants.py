@@ -7,9 +7,10 @@ Run from anywhere, with the test dependencies installed:
 
 A mutant is a patch to one file of the repository: its old text, which
 must occur exactly once there, its new text, and the ids of the tests
-that must fail once it is applied.  The script copies src/, tests/ and
-pyproject.toml into a temporary directory, applies one patch at a time
-there, runs only that mutant's tests, and reports the mutant as
+that must fail once it is applied.  The script runs WORKERS mutants at a
+time.  Each mutant gets its own copy of src/, tests/ and pyproject.toml
+in a temporary directory, its patch applied there, and only its tests
+run.  The report lists the mutants in their order here, each as
 
     caught   every named test failed;
     missed     some named test passed;
@@ -31,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 INTEGRALS = "src/ssgamma/integrals.py"
 MATRICES = "src/ssgamma/matrices.py"
 TIMEOUT = 600  # seconds for one mutant's tests
+WORKERS = 2  # mutants run at once, each in its own copy
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ MUTANTS = (
     Mutant(
         "enumeration stops after the first outer point with a shell point",
         INTEGRALS,
-        "        counts = _point_counts(x, on_shell, ys, rank, value(x), record)\n",
-        "        counts = _point_counts(x, on_shell, ys, rank, value(x), record)\n"
+        "        counts = _point_counts(x, on_shell, points, value(x), record)\n",
+        "        counts = _point_counts(x, on_shell, points, value(x), record)\n"
         "        if any(on for _, on in record.values()):\n"
         "            break\n",
         ("tests/test_integrals.py::test_brute_force_raises_on_a_nonzero_shell_point",),
@@ -63,8 +66,8 @@ MUTANTS = (
     Mutant(
         "shell points left out of the record",
         INTEGRALS,
-        "            record[(x, y)] = parts, on_shell or any(s for _, s in combo)\n",
-        "            if not (on_shell or any(s for _, s in combo)):\n"
+        "            record[(x, y)] = parts, on_shell or y_on_shell\n",
+        "            if not (on_shell or y_on_shell):\n"
         "                record[(x, y)] = parts, False\n",
         (
             "tests/test_integrals.py::test_brute_force_raises_on_a_nonzero_shell_point",
@@ -221,6 +224,26 @@ MUTANTS = (
         (
             "tests/test_gl.py::test_dual_rows_equal_the_generic_product",
             "tests/test_gl.py::test_jpss_support_lemma[2-3]",
+        ),
+    ),
+    Mutant(
+        "the dual side's bottom step made at the first x only",
+        INTEGRALS,
+        "        return [row], _gl_bottom_step(row, p)\n",
+        '        return [row], prepare.__dict__.setdefault("step", _gl_bottom_step(row, p))\n',
+        (
+            "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
+            "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
+        ),
+    ),
+    Mutant(
+        "the plain side's bottom step used on the dual side",
+        INTEGRALS,
+        "        return [row], _gl_bottom_step(row, p)\n",
+        "        return [row], _gl_bottom_step(_unit_rows(n, (n - 1,), 1)[0], p)\n",
+        (
+            "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
+            "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
         ),
     ),
     Mutant(
@@ -450,21 +473,24 @@ def failed_ids(output: str) -> set:
     return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", output, flags=re.MULTILINE))
 
 
-def run(mutant: Mutant, copy: Path) -> str:
-    """Apply the mutant in the copy, run its tests there, restore the file."""
-    if occurrences(mutant, copy) != 1:
-        return "stale"
-    target = copy / mutant.path
-    original = target.read_text()
-    target.write_text(original.replace(mutant.old, mutant.new))
-    try:
+def run(mutant: Mutant) -> str:
+    """Copy the tree, apply the mutant in the copy and run its tests there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if occurrences(mutant, copy) != 1:
+            return "stale"
+        target = copy / mutant.path
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests]
-        out = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
-    except subprocess.TimeoutExpired:
-        return "timed out"
-    finally:
-        target.write_text(original)
+        try:
+            out = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timed out"
     if out.returncode not in (0, 1):
         return "broken"
     return "caught" if set(mutant.tests) <= failed_ids(out.stdout) else "missed"
@@ -476,13 +502,8 @@ def main(names) -> int:
         print(f"unknown mutants: {unknown}", file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not names or m.name in names]
-    with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", copy)
-        verdicts = [(m, run(m, copy)) for m in chosen]
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        verdicts = list(zip(chosen, pool.map(run, chosen)))
     for m, verdict in verdicts:
         print(f"{verdict:9}  {m.name}")
     caught = sum(verdict == "caught" for _, verdict in verdicts)

@@ -9,7 +9,7 @@ The plain side runs at rank 0 and the dual side at rank n - 2; both
 read W(g) through _gl_whittaker_parts as the plain ints
 (j, m, a) = zeta^j zeta_(p^m)^a.  The dual side's
 argument w_long (t m)^(-1) w_(n,1), times the central element a, is
-written down in closed form (_gl_dual_rows), and coset_decompose_gl
+written down in closed form (_gl_dual_top, _gl_dual_bottom), and coset_decompose_gl
 rotates columns instead of multiplying by g_chi^(-1).
 
 The first test checks the closed form against a times the generic
@@ -58,8 +58,17 @@ from oracles import (
     w_long,
     whittaker_eval,
 )
+from ssgamma.characters import tame_class
 from ssgamma.cyclotomic import CyclotomicNumber as C
-from ssgamma.integrals import _entry, _gl_buckets, _gl_dual_rows, _gl_whittaker_parts, _y_windows, _z_windows
+from ssgamma.integrals import (
+    _entry,
+    _gl_buckets,
+    _gl_dual_bottom,
+    _gl_dual_top,
+    _gl_whittaker_parts,
+    _y_windows,
+    _z_windows,
+)
 from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
@@ -91,13 +100,19 @@ def generic_dual(a, x, n, p):
     return mat_mul(mat_mul(w_long(n, p).lists(), cramer_inv(mat_transpose(m))), wn1)
 
 
+def dual_rows(a, x, n):
+    """The rows _gl_buckets values at the dual point (a, x): those of a
+    above the bottom row of x."""
+    return _gl_dual_top(a, n) + [_gl_dual_bottom(x)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from((2, 3, 4)), st.sampled_from((3, 5, 7)), st.data())
 def test_dual_rows_equal_the_generic_product(n, p, data):
     a = data.draw(a_window(p))
     x = tuple(data.draw(x_window(p)) for _ in range(n - 2))
     # a times the integrand: the central character is trivial
-    assert unscaled(_gl_dual_rows(a, n)(x)) == [[a * v for v in row] for row in generic_dual(a, x, n, p)]
+    assert unscaled(dual_rows(a, x, n)) == [[a * v for v in row] for row in generic_dual(a, x, n, p)]
 
 
 def primitive_root_of_unity(n, data):
@@ -135,7 +150,7 @@ def window_points(draw):
 @given(window_points())
 def test_evaluator_matches_whittaker_eval_on_the_windows(point):
     """The points _gl_buckets evaluates: diag(a, I_(n-1)) on the plain
-    side, and on the dual side _gl_dual_rows(a, n)(x), a times the
+    side, and on the dual side dual_rows(a, x, n), a times the
     integrand, whose kernel value must be the oracle's W at the integrand
     itself.  The oracle runs the package's solver, so the kernel is also
     checked against W(g g_chi^r) = zeta^r W(g) for every r: the solver
@@ -143,7 +158,7 @@ def test_evaluator_matches_whittaker_eval_on_the_windows(point):
     with every translate."""
     n, p, dual, a, x, e = point
     if dual:
-        rows, integrand = _gl_dual_rows(a, n)(x), generic_dual(a, x, n, p)
+        rows, integrand = dual_rows(a, x, n), generic_dual(a, x, n, p)
     else:
         integrand = mat_identity(n)
         integrand[0][0] = a
@@ -219,6 +234,51 @@ def test_gl_buckets_are_pinned(n, p, digest):
     assert bucket_digest(both) == digest
 
 
+def pointwise_side(n, p, side):
+    """(buckets, record) of one JPSS side by a point loop of its own: the
+    full rows of every point (a, x), in the enumeration's loop order, each
+    valued by one coset_decompose_gl call on those rows alone, with no
+    step made ahead; the values summed per (j, tame class of a) point by
+    point, keyed by the least a of the class."""
+    a_weight, as_ = _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")
+    x_weight, xs = _y_windows(p, LEVEL, 0, "brute-force")
+    rank = 0 if side == "plain" else n - 2
+    record, sums = {}, {}
+    for a, a_shell in as_:
+        for combo in itertools.product(xs, repeat=rank):
+            x = tuple(c for c, _ in combo)
+            if side == "plain":
+                rows = scaled([[a if r == c == 0 else Fraction(r == c) for c in range(n)] for r in range(n)])
+            else:
+                rows = dual_rows(a, x, n)
+            parts = _gl_whittaker_parts(rows, p, n)
+            if parts is None:
+                continue
+            record[(a, x)] = parts, a_shell or any(s for _, s in combo)
+            j, m, e = parts
+            least, total = sums.get((j,) + tame_class(a, p), (a, C.zero()))
+            sums[(j,) + tame_class(a, p)] = min(least, a), total + C(p**m, {e: 1})
+    weight = a_weight * x_weight**rank
+    return {(key[0], a0): weight * ExactScalar.from_coeff(p, c) for key, (a0, c) in sums.items()}, record
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (4, 3), (3, 5)])
+def test_the_bottom_step_made_once_per_x_changes_no_point(n, p):
+    """_gl_buckets makes the solver's bottom step once per x (once per side
+    on the plain side, whose bottom row is the unit row for every a) and
+    hands it to the one solver call of each point.  Each side's buckets
+    and record, the record's order included, are those of pointwise_side,
+    which hands the solver nothing but the rows."""
+    for side in SIDES:
+        buckets, record = _gl_buckets(n, p, LEVEL, CUTOFF, side)
+        want_buckets, want_record = pointwise_side(n, p, side)
+        assert list(record.items()) == list(want_record.items()), side
+        assert buckets == want_buckets, side
+        assert {key: part.to_records() for key, part in buckets.items()} == {
+            key: part.to_records() for key, part in want_buckets.items()
+        }, side
+
+
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (2, 5), (3, 5), (4, 3)])
 def test_jpss_support_lemma(n, p):
     """The JPSS support at N = 2, V = 1, read off the record of nonzero
@@ -244,21 +304,27 @@ def test_jpss_support_lemma(n, p):
 def test_gl_enumeration_inverts_nothing(count_calls):
     """mat_inv, coset_decompose_gl, its elimination and the row map of the
     elimination counted at every name the package binds them to, over the
-    enumeration of both sides at (n, p) = (3, 5).  Each of the 12,600 solver calls runs
-    one elimination, at the one j whose bottom row can lie in I+; trying
-    j = 0, 1, ... in turn ran 25,000, one for each j with a nonzero z up
-    to the first that factors.  The solver rotates and scales a row only
-    when the elimination reaches it: the 12,600 bottom rows and the 12,825
-    rows above those that pass, 25,425 in all.  The j loop mapped 37,825,
-    and forming each g g_chi^(-j) / z in full would scale 3 rows for each
-    of its 25,000 eliminations, 75,000."""
+    enumeration of both sides at (n, p) = (3, 5).  Each of the 12,600 solver
+    calls runs one elimination, at the one j whose bottom row can lie in
+    I+; trying j = 0, 1, ... in turn ran 25,000, one for each j with a
+    nonzero z up to the first that factors.  The solver rotates and scales
+    a row only when the elimination reaches it: the 12,825 rows above the
+    bottom rows that pass.  The bottom row of g depends on x alone (the
+    unit row on the plain side), so its step, the one j, p z and the
+    mapped bottom row, is made once per inner point and handed to the
+    solver: 125 bottom rows on the dual side and 1 on the plain side, and
+    12,951 row maps in all.  Mapping every point's bottom row in the
+    solver made 12,600 + 12,825 = 25,425, the j loop mapped 37,825, and
+    forming each g g_chi^(-j) / z in full would scale 3 rows for each of
+    its 25,000 eliminations, 75,000.  Every bottom row here passes, so
+    each solver call still runs its one elimination."""
     calls = count_calls("mat_inv", "coset_decompose_gl", "eliminate_u_iplus", "row_times_g_chi_gl_inv")
     for side in SIDES:
         _gl_buckets(3, 5, LEVEL, CUTOFF, side)
     assert calls["coset_decompose_gl"] == 12_600
     assert calls["coset_decompose_gl.found"] == 130
     assert calls["eliminate_u_iplus"] == 12_600
-    assert calls["row_times_g_chi_gl_inv"] == 25_425
+    assert calls["row_times_g_chi_gl_inv"] == 12_825 + 125 + 1 == 12_951
     # the factorization inverts nothing, and the factors are returned as
     # computed, with no g_chi^(-1) pulled through them
     assert calls["mat_inv"] == 0

@@ -597,7 +597,7 @@ def test_scan_support_rejects_an_unknown_side(side):
 
 def test_jpss_raises_on_a_nonzero_shell_point(monkeypatch):
     p, cutoff = 3, 1
-    monkeypatch.setattr(integrals, "_gl_whittaker_parts", lambda rows, prime, n: (0, 0, 0))
+    monkeypatch.setattr(integrals, "_gl_whittaker_parts", lambda rows, prime, n, bottom=None: (0, 0, 0))
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     first = Fraction(p) ** (-cutoff - 1)  # the first a of the plain side
     message = f"nonzero JPSS plain integrand at the padding shell: a={first}, x=()"
@@ -678,7 +678,7 @@ def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatc
     on the p^-1 shell; every other point, plain side included, vanishes."""
     p, level, cutoff = 3, 2, 1
 
-    def fake(rows, prime, n):
+    def fake(rows, prime, n, bottom=None):
         if entry(rows, -1, 0) == 0:  # the plain side: bottom row (0, 0, 1)
             return None
         # the dual rows are a times the integrand: a on the superdiagonal, bottom row (1, 0, -x_0)

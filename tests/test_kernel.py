@@ -74,6 +74,7 @@ from ssgamma.integrals import (
     _chi_arg,
     _enumerate,
     _so_rows,
+    _so_y,
     _point_counts,
     _so_buckets,
     _so_whittaker_parts,
@@ -142,7 +143,14 @@ def generic_matrix(p, ell, side, z, y):
 
 
 def builder(side):
-    return lambda z, ell: _so_rows(z, ell, side)
+    """(z, l) -> (y -> the rows of the side's integrand at (z, y)), each y
+    prepared as the enumeration prepares it (_so_y)."""
+
+    def build(z, ell):
+        rows = _so_rows(z, ell, side)
+        return lambda y: rows(_so_y(y))
+
+    return build
 
 
 def integrand(side, z, y, ell):
@@ -359,7 +367,7 @@ def test_tame_class_merge_keeps_every_tame_sum(p, data):
     values = {x: data.draw(parts) for x in xs}
     one = ExactScalar.one(p)
     outer, inner = (one, [(x, False) for x in xs]), (one, [(F0, False)])
-    buckets, _ = _enumerate(p, outer, inner, 0, lambda x: lambda y: values[x], "no shell here: x={}, y={}")
+    buckets, _ = _enumerate(p, outer, inner, 0, tuple, lambda x: lambda y: values[x], "no shell here: x={}, y={}")
     classes: dict = {}  # (i, v, r) -> the x of that zeta-power and tame class
     for x, value in values.items():
         if value is not None:
@@ -420,11 +428,21 @@ def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
     assert seen == len(SIDES) * p ** ((level - 1) * ell)
 
 
-def point_loop(z, on_shell, ys, build, p, ell, t):
+def inner_points(ys, rank):
+    """The inner points _enumerate makes of the SO y window reps ys once
+    per side: (y, whether it lies on the padding shell, _so_y(y))."""
+    points = []
+    for combo in itertools.product(ys, repeat=rank):
+        y = tuple(c for c, _ in combo)
+        points.append((y, any(s for _, s in combo), _so_y(y)))
+    return points
+
+
+def point_loop(z, on_shell, points, side, p, ell, t):
     """The shared point loop at z, with the SO value _so_buckets gives it."""
 
-    rows = build(z, ell)
-    return _point_counts(z, on_shell, ys, ell - 1, lambda y: _so_whittaker_parts(rows(y), p, ell, t), {})
+    rows = _so_rows(z, ell, side)
+    return _point_counts(z, on_shell, points, lambda point: _so_whittaker_parts(rows(point), p, ell, t), {})
 
 
 def loop_points(p, ell, side, t, level, sample=None):
@@ -435,14 +453,14 @@ def loop_points(p, ell, side, t, level, sample=None):
     (z0, 0), so its counts are {value at (z0, 0): |Y|^(l-1)}."""
     zs, ys = unfolded(p, level, side)[1], unfolded(p, level)[1]
     assert len(zs) == len(ys) == p ** (level - 1)
-    build = builder(side)
     z0 = _z_windows(p, level, 1, "support-aware", side)[1][0][0]
-    base = _so_whittaker_parts(build(z0, ell)((F0,) * (ell - 1)), p, ell, t)
+    base = _so_whittaker_parts(integrand(side, z0, (F0,) * (ell - 1), ell), p, ell, t)
     assert base is not None, (p, ell, side)
     if sample:
         zs = random.Random(sample[0]).sample(zs, sample[1])
+    points = inner_points(ys, ell - 1)
     for z, on_shell in zs:
-        assert point_loop(z, on_shell, ys, build, p, ell, t) == {base: len(ys) ** (ell - 1)}, (p, ell, side, z)
+        assert point_loop(z, on_shell, points, side, p, ell, t) == {base: len(ys) ** (ell - 1)}, (p, ell, side, z)
     return len(zs) * len(ys) ** (ell - 1)
 
 

@@ -40,9 +40,10 @@ from oracles import (
     xbar,
 )
 from ssgamma import matrices
-from ssgamma.integrals import _gl_dual_rows, _so_rows, _y_windows, _z_windows
+from ssgamma.integrals import _gl_dual_bottom, _gl_dual_top, _so_rows, _so_y, _y_windows, _z_windows
 from ssgamma.matrices import (
     SingularMatrix,
+    _gl_bottom_step,
     _solve_row,
     coset_decompose,
     coset_decompose_gl,
@@ -567,6 +568,26 @@ def test_gl_kernel_matches_the_fraction_reference(case, factors):
     assert coset_decompose_gl(rows, p) == reference_factors(reference_coset_decompose_gl(g, p))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gl_bottom_row_cases(), near_products(gl_cases())), st.lists(row_factors, min_size=5, max_size=5))
+def test_the_bottom_step_made_ahead_changes_no_factor(case, factors):
+    """coset_decompose_gl handed its bottom step made ahead, as _gl_buckets
+    makes it once per x (_gl_bottom_step of the bottom row alone), gives
+    the factors it computes from the rows alone, and those of the
+    Fraction reference: on tied and all-zero bottom rows, on near
+    products just inside or outside their coset, and over denominators
+    of either sign.  The step is None exactly at an all-zero bottom row,
+    where the solver fails: on any other the one j puts the bottom row in
+    I+ (its diagonal is 1 and the rest lies in p), so a bottom row fails
+    the test only when it has no j."""
+    p, g = case
+    rows = rescaled(scaled(g), factors)
+    step = _gl_bottom_step(rows[-1], p)
+    assert (step is None) == (not any(g[-1]))
+    want = reference_factors(reference_coset_decompose_gl(g, p))
+    assert coset_decompose_gl(rows, p, step) == coset_decompose_gl(rows, p) == want
+
+
 def test_kernels_match_the_fraction_reference_on_the_brute_force_windows():
     """Every point of the brute-force windows at SO (p, l, N, V) =
     (3, 2, 2, 1), both sides, and of both JPSS sides at (n, p) = (3, 3),
@@ -579,8 +600,9 @@ def test_kernels_match_the_fraction_reference_on_the_brute_force_windows():
         for z, _ in _z_windows(p, level, 1, "brute-force", side)[1]:
             rows = _so_rows(z, ell, side)
             for y in itertools.product(ys, repeat=ell - 1):
-                res = coset_decompose(rows(y), p)
-                assert res == reference_factors(reference_coset_decompose(unscaled(rows(y)), p)), (side, z, y)
+                g = rows(_so_y(y))
+                res = coset_decompose(g, p)
+                assert res == reference_factors(reference_coset_decompose(unscaled(g), p)), (side, z, y)
                 found += res is not None
     assert found == 18
     n = 3
@@ -588,8 +610,8 @@ def test_kernels_match_the_fraction_reference_on_the_brute_force_windows():
     found = 0
     for a, _ in _z_windows(p, level, 1, "brute-force", "phi")[1]:
         plain = scaled([[a if r == c == 0 else Fraction(r == c) for c in range(n)] for r in range(n)])
-        dual = _gl_dual_rows(a, n)
-        for rows in [plain] + [dual(x) for x in itertools.product(xs, repeat=n - 2)]:
+        top = _gl_dual_top(a, n)
+        for rows in [plain] + [top + [_gl_dual_bottom(x)] for x in itertools.product(xs, repeat=n - 2)]:
             res = coset_decompose_gl(rows, p)
             assert res == reference_factors(reference_coset_decompose_gl(unscaled(rows), p)), (a, rows)
             found += res is not None
