@@ -21,14 +21,17 @@ Every side (Phi, Phi*, and the JPSS plain and dual sides) is one entry
 of one store, _BUCKETS: the (buckets, record) pair of one enumeration,
 _enumerate.  It walks an outer window and, at each outer point, counts
 the values over the rank-fold product of an inner window, whose points
-it makes once per side with their share of the rows, adding the
+it makes once per side with their share of the work, adding the
 counts straight into the bucket (i, x0) of the point's tame class, x0
 the least point of the class (the comment above _BUCKETS has why that
-merge is exact).  A value is the rows of the point's integrand valued
-by the generic coset solver as plain ints (i, m, a), meaning
-zeta^i * zeta_(p^m)^a, and the record holds every nonzero point the
-point loop valued.  An SO side is one enumeration, z outer and y inner
-at rank l - 1 (_so_buckets), valued by the coset solver in both modes.
+merge is exact).  Each integrand is a matrix of the inner point times a
+torus element of the outer point, so an inner point's share is the
+coset solver's factors of that matrix, and a value is those factors
+scaled by the point's torus element and read as plain ints (i, m, a),
+meaning zeta^i * zeta_(p^m)^a.  The record holds every nonzero point
+the point loop valued.  An SO side is one enumeration, z outer and y
+inner at rank l - 1 (_so_buckets), valued by the coset solver in both
+modes.
 The modes differ only in their windows: W(g k) = W(g) chi(k) for k in
 I+ makes W constant on each support-aware class, so that mode values
 one point a side, (z0, 0), at any N (_so_buckets has the argument).  A
@@ -53,7 +56,7 @@ from math import lcm
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
 from .padic import is_int, is_odd_prime, rational_valuation
-from .matrices import _gl_bottom_step, coset_decompose, coset_decompose_gl
+from .matrices import coset_decompose, coset_decompose_gl, gl_coset, so_cosets, so_torus
 from .characters import (
     TameCharacter,
     psi_exponent,
@@ -190,17 +193,14 @@ class GammaResult:
 # ---------------------------------------------------------------------------
 # integrand rows and the per-point Whittaker evaluator
 #
-# A point is the rows of its integrand matrix, and the double-coset
-# solver values it.  The rows are the solver's scaled rows (nums, den),
-# entries nums[c] / den (matrices.py), so a point makes no Fraction
-# unless it factors.  The work that depends on one coordinate alone is
-# done once for all the points that share it: a builder takes the outer
-# coordinate (z or a) and returns the function that writes the rows from
-# an inner point (y or x), and each inner point is prepared once per
-# side (_so_y; the JPSS bottom row and its solver step, _gl_buckets).
-# The rows free of the inner point, and the prepared rows of an inner
-# point, are shared by every point that has them: no reader of the rows
-# writes to them.
+# Every integrand is a fixed matrix m of its inner point (y or x) times a
+# diagonal torus element D of its outer point (z or a): m D on SO and
+# D m on the JPSS sides.  The builders write m in closed form as the
+# solver's scaled rows (nums, den), entries nums[c] / den (matrices.py),
+# and the solver factors m once per inner point (so_cosets, gl_coset).
+# A point is those factors and the diagonal of D, made once per outer
+# point, and the coset solver values it by testing the rows of k scaled
+# by D, so a point makes no Fraction unless it factors.
 
 
 def _unit_rows(n, rows, x):
@@ -209,17 +209,9 @@ def _unit_rows(n, rows, x):
     return [([0] * r + [x] + [0] * (n - 1 - r), 1) for r in rows]
 
 
-def _so_y(y):
-    """The share of the point y in every SO integrand's rows, made once per
-    side: lcd, the lcm of the denominators of the y_k, and each y_k as
-    (numerator, denominator, lcd // denominator)."""
-    lcd = lcm(*(c.denominator for c in y))
-    return lcd, [(c.numerator, c.denominator, lcd // c.denominator) for c in y]
-
-
-def _so_rows(z, ell, side):
-    """_so_y(y) -> the rows of the side's integrand at (z, y), in closed
-    form.
+def _so_rows(y, side):
+    """The rows of the side's integrand at (1, y), y = (y_0, ..., y_(l-2)),
+    in closed form.
 
     On Phi it is x_bar(y) j(h(z)): z and 1/z at the ends of the diagonal,
     y z below z and -y reversed left of 1/z.  On Phi* it is c_hat x_bar(y)
@@ -227,33 +219,28 @@ def _so_rows(z, ell, side):
     l, delta_o negates column l and omega' swaps the outer columns.  So
     the middle diagonal is -1, z and 1/z move to the outer corners, y z
     to the last column negated (rows 1..l-1), and -y stays (no y is in
-    row l or column l)."""
+    row l or column l).  z lies only in the columns of z and 1/z, so the
+    integrand at (z, y) is these rows times h(z) = diag(z, 1, ..., 1, 1/z)
+    on Phi, and times h(1/z) on Phi*, where the two columns swap."""
+    ell = len(y) + 1
     n = 2 * ell + 1
-    zn, zd = z.numerator, z.denominator
     # the sign of rows 1..n-2, and the columns of z and of 1/z
     s, cz, ci = (-1, n - 1, 0) if side == "phi_star" else (1, 0, n - 1)
-    top = [([zn if c == cz else 0 for c in range(n)], zd)]
-    middle = _unit_rows(n, range(ell, n - 1), s)
-
-    def rows(point):
-        lcd, ys = point
-        last = [0] * n
-        last[ci] = zd * lcd
-        mid = []
-        for i, (yn, yd, scale) in enumerate(ys):
-            row = [0] * n
-            row[cz], row[1 + i] = s * yn * zn, s * yd * zd
-            mid.append((row, yd * zd))
-            last[n - 2 - i] = -yn * scale * zn
-        return top + mid + middle + [(last, lcd * zn)]
-
-    return rows
+    lcd = lcm(*(c.denominator for c in y))
+    rows = [([int(c == cz) for c in range(n)], 1)]
+    last = [0] * n
+    last[ci] = lcd
+    for i, c in enumerate(y):
+        row = [0] * n
+        row[cz], row[1 + i] = s * c.numerator, s * c.denominator
+        rows.append((row, c.denominator))
+        last[n - 2 - i] = -c.numerator * (lcd // c.denominator)
+    return rows + _unit_rows(n, range(ell, n - 1), s) + [(last, lcd)]
 
 
-def _gl_dual_top(a, n):
-    """The n - 1 rows above the bottom one of a w_long (t m)^(-1) w_(n,1):
-    the JPSS dual integrand times the central element a, in closed form;
-    _gl_dual_bottom(x) is its bottom row.
+def _gl_dual_rows(x):
+    """The rows of the JPSS dual integrand w_long (t m)^(-1) w_(n,1) at
+    a = 1, n = len(x) + 2, in closed form.
 
     m is the identity with column 1 replaced by (a, x_0, ..., x_(n-3), 0).
     (t m)^(-1) is the identity with row 1 replaced by
@@ -261,19 +248,12 @@ def _gl_dual_top(a, n):
     w_(n,1) = diag(1, w_(n-1)) reverses columns 2..n.  So rows 1..n-1
     of the integrand have a one on the superdiagonal, and its bottom row
     is (1/a, 0, -x_(n-3)/a, ..., -x_0/a).  The central character is
-    trivial, so W takes the same value at a times the integrand, and the
-    coset solver's scalar z absorbs a: it factors the same m = u k.
-    Those rows have a on the superdiagonal and the bottom row
-    (1, 0, -x_(n-3), ..., -x_0), which takes no division: the rows
-    above it depend on a alone and the bottom row on x alone."""
-    return [([0] * (r + 1) + [a.numerator] + [0] * (n - 2 - r), a.denominator) for r in range(n - 1)]
-
-
-def _gl_dual_bottom(x):
-    """The bottom row (1, 0, -x_(n-3), ..., -x_0) of the JPSS dual rows
-    (_gl_dual_top), over the lcm of the denominators of x."""
+    trivial, so W takes the same value at a times the integrand, and
+    that is diag(a, ..., a, 1) times these rows (_gl_buckets)."""
+    n = len(x) + 2
     lcd = lcm(*(c.denominator for c in x))
-    return [lcd, 0] + [-c.numerator * (lcd // c.denominator) for c in reversed(x)], lcd
+    bottom = [lcd, 0] + [-c.numerator * (lcd // c.denominator) for c in reversed(x)]
+    return [([0] * (r + 1) + [1] + [0] * (n - 2 - r), 1) for r in range(n - 1)] + [(bottom, lcd)]
 
 
 def _chi_arg(k, t, ell, p):
@@ -301,18 +281,18 @@ def _chi_arg(k, t, ell, p):
     return s
 
 
-def _so_whittaker_parts(rows, p, ell, t):
+def _so_whittaker_parts(cosets, tori, p, ell, t):
     """(i, m, a) with W(g) = zeta^i * zeta_(p^m)^a, or None off the support.
 
-    rows are the rows of g.  The zeta power i is kept separate so one
-    enumeration serves every central sign; zeta_(p^m)^a is
-    psi_U(u) * chi(k').
+    g = m h(d) is given as so_cosets(m) and so_torus(d, 2l + 1).  The
+    zeta power i is kept separate so one enumeration serves every central
+    sign; zeta_(p^m)^a is psi_U(u) * chi(k').
 
     coset_decompose factors g g_chi^(-i) = u k.  So g = u k g_chi^i =
     u g_chi^i k' with k' = g_chi^(-i) k g_chi^i, and W(g) = psi_U(u)
     zeta^i chi(k').  At both i, _chi_arg reads chi(k') off k, and
     psi_U(u) off u (see _chi_arg), so k' is never formed."""
-    res = coset_decompose(rows, p)
+    res = coset_decompose(cosets, tori, p)
     if res is None:
         return None
     u, i, k = res
@@ -474,7 +454,10 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
     weighted sum of W over the y domain and the z of one tame class (see
     the comment above _BUCKETS), and the point loop's record of nonzero
     points.  Every point is valued by the coset solver
-    (_so_whittaker_parts), in both modes.
+    (_so_whittaker_parts), in both modes.  The integrand at (z, y) is
+    the rows at (1, y) (_so_rows) times h(z) on Phi and h(1/z) on Phi*,
+    so each y is factored once, at both coset indices, and each point
+    tests the rows of k scaled by the torus of its z.
 
     Each support-aware window is one class, valued at one point, since W
     is constant on both classes.  Write z = z0 w with w in 1 + p.  Then
@@ -488,16 +471,18 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
     (2l-1, 0)), so W(g(z, y)) = W(g(z0, 0)) chi(k) = W(g(z0, 0)).  The
     brute-force windows reach z and y outside these classes."""
 
+    star = side == "phi_star"
+
     def value(z):
-        rows = _so_rows(z, ell, side)
-        return lambda point: _so_whittaker_parts(rows(point), p, ell, t)
+        tori = so_torus(F1 / z if star else z, 2 * ell + 1)
+        return lambda cosets: _so_whittaker_parts(cosets, tori, p, ell, t)
 
     return _enumerate(
         p,
         _z_windows(p, level, cutoff, mode, side),
         _y_windows(p, level, cutoff, mode),
         ell - 1,
-        _so_y,
+        lambda y: so_cosets(_so_rows(y, side), p),
         value,
         f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
     )
@@ -592,10 +577,10 @@ def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> Exact
     )
 
 
-def _gl_whittaker_parts(rows, p, n, bottom=None):
+def _gl_whittaker_parts(coset, diag, p, n):
     """(j, m, a) with W(g) = zeta^j * zeta_(p^m)^a for GL_n, or None off
-    the support.  bottom is the solver's step at the bottom row of g when
-    it was made ahead (coset_decompose_gl).
+    the support.  g = D m is given as gl_coset(m) and the diagonal of D,
+    whose last entry is 1.
 
     coset_decompose_gl factors g g_chi^(-j) = z u k, so g = z u g_chi^j k'
     with k' = g_chi^(-j) k g_chi^j, and W(g) = psi_U(u) zeta^j chi(k'):
@@ -606,7 +591,7 @@ def _gl_whittaker_parts(rows, p, n, bottom=None):
     k[n-2][n-1] to the corner over pi, a cyclic permutation of the n
     entries chi sums.  So zeta_(p^m)^a is psi of the superdiagonals of u
     and k plus k[n-1][0] / p, read off the scaled rows as returned."""
-    res = coset_decompose_gl(rows, p, bottom)
+    res = coset_decompose_gl(coset, diag, p)
     if res is None:
         return None
     u, j, _, k = res
@@ -623,35 +608,32 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
     a runs over the brute-force z window.  The plain side, at rank 0,
     evaluates W(diag(a, I_(n-1))), and the dual side, at rank n - 2,
     W(w_long t(m)^(-1) w_(n,1)) with m = 1 + (a - 1) E_00 +
-    sum x_r E_(1+r,0), whose rows, times the central element a,
-    _gl_dual_top and _gl_dual_bottom write down directly (no inversion).
-    Each coordinate of x runs over the brute-force y window at V = 0:
-    o mod p^N (vol(o) = q^(1/2)) plus the p^(-1) padding shell.
+    sum x_r E_(1+r,0), which, times the central element a, is
+    diag(a, ..., a, 1) times the rows _gl_dual_rows writes down at a = 1
+    (no inversion).  Each coordinate of x runs over the brute-force y
+    window at V = 0: o mod p^N (vol(o) = q^(1/2)) plus the p^(-1)
+    padding shell.
 
-    On both sides the rows above the bottom one depend on a alone and the
-    bottom row on x alone, the unit row on the plain side.  So the
-    solver's bottom step (_gl_bottom_step: the one j, p z and the bottom
-    row of k) is made once per x, with the bottom row, and handed to the
-    one coset_decompose_gl call of each point."""
+    So on both sides the integrand (times a) is a torus element D of a,
+    with last entry 1, times a matrix of x alone: diag(a, ..., a, 1)
+    times those rows, and diag(a, 1, ..., 1) times the identity on the
+    plain side.  Each x is factored once (gl_coset: the one j and z its
+    bottom row names, and the factors at that j), and each point tests
+    the rows of k scaled by the D of its a, in one coset_decompose_gl
+    call."""
     dual = side == "dual"
-
-    def prepare(x):
-        row = _gl_dual_bottom(x) if dual else _unit_rows(n, (n - 1,), 1)[0]
-        return [row], _gl_bottom_step(row, p)
+    count = n - 1 if dual else 1  # the entries of D that are a
 
     def value(a):
-        if dual:
-            rows = _gl_dual_top(a, n)
-        else:
-            rows = [([a.numerator] + [0] * (n - 1), a.denominator)] + _unit_rows(n, range(1, n - 1), 1)
-        return lambda point: _gl_whittaker_parts(rows + point[0], p, n, point[1])
+        diag = [a.numerator] * count + [a.denominator] * (n - count), a.denominator
+        return lambda coset: _gl_whittaker_parts(coset, diag, p, n)
 
     return _enumerate(
         p,
         _z_windows(p, level, cutoff, "brute-force", "phi"),
         _y_windows(p, level, 0, "brute-force"),
         n - 2 if dual else 0,
-        prepare,
+        lambda x: gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1), p),
         value,
         f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}",
     )
@@ -673,7 +655,7 @@ def jpss_gl_gamma(
     _check_tau(tau)
     p = tau.prime
     check_domain(n - 1, level, cutoff)  # the x window is the SO y window of rank n - 1
-    _check_gl_root(zeta, n)
+    predicted = gamma_gl_closed(n, tau, zeta)  # checks zeta^n = 1 before any enumeration
     # plain first, so that a plain shell error is raised ahead of a dual one
     plain, dual = (_buckets(_gl_buckets, n, p, level, cutoff, side) for side in ("plain", "dual"))
     tau_inv = tau.inverse()
@@ -682,7 +664,6 @@ def jpss_gl_gamma(
     if plain.is_zero():
         raise ZeroDenominator("JPSS plain integral vanished")
     computed = tame_eval(tau, -1) ** (n - 1) * dual / plain
-    predicted = gamma_gl_closed(n, tau, zeta)
     meta = {"p": p, "n": n, "level": level, "cutoff": cutoff}
     return GammaResult(computed, predicted, computed == predicted, meta)
 

@@ -1,34 +1,31 @@
 """Matrices over Q_p as scaled integer rows: the I+ row test, right
 multiplication by the normalizers g_chi as a map on one row, the one
-exact elimination, and the double-coset solvers behind the explicit
+exact factorization, and the double-coset solvers behind the explicit
 Whittaker functions.
 
 A scaled row is a pair (nums, den), a list of ints and a nonzero int,
 with entries nums[c] / den.  The solvers take the rows of g in this form
-and work on the integers alone: the row maps and the elimination scale
+and work on the integers alone: the row maps and the factorization scale
 numerators and denominators, and the I+ test is a set of congruences.
 The factors come back as scaled rows, each reduced (the gcd of its
 numerators and den is 1, and den > 0), the one such form of a row; the
 evaluators of integrals.py make Fractions of the entries they read.
 
-Both coset solvers rest on one factorization, eliminate_u_iplus: the
-unique m = u k with u unit upper triangular and k lower triangular with
-its rows in I+, built by back-substitution from the bottom row up.  The
-solvers never form m = g g_chi^(-i) (or g g_chi^(-j) / z) in full: they
-hand the elimination a generator that maps one row of g at a time, and
-the elimination asks for the next row only after the last one passed
-the I+ test.  Most points of a brute-force domain fail at the bottom row,
-so they cost one mapped row, not N.
+Both coset solvers rest on one factorization, factor_u_k: the unique
+m = u k with u unit upper triangular and k lower triangular, built by
+back-substitution from the bottom row up, with no I+ test.  Every
+integrand of integrals.py is a fixed matrix m of its inner point times
+a diagonal torus element D of its outer point: g = m D on SO and g = D m
+on the JPSS sides.  The factors of g are then those of m with k scaled
+by D: m D = u (k D) and D m = (D u D^(-1)) (D k).  So m is factored once
+(so_cosets at both coset indices, gl_coset at the one j its bottom row
+names), and each point tests the rows of the scaled k, bottom-up, with
+the one I+ test (_torus_k).  Most points of a brute-force domain fail at
+the bottom row, so they cost one scaled row.  A zero pivot of m rejects
+every D at once.
 
-The SO solver tries i = 0, then i = 1.  The GL solver runs one
-elimination, at the one j that can put the bottom row of m in I+, read
-off the valuations of the bottom row of g (coset_decompose_gl).  That j,
-the scalar z and the bottom row of k depend on the bottom row of g
-alone: they are the bottom step (_gl_bottom_step), which a caller whose
-points share a bottom row makes once and hands to every solver call.
-
-Each solver returns the factors it computes, of g g_chi^(-i) = u k
-(SO) or g g_chi^(-j) = z u k (GL).  Since g_chi normalizes I+, g is then
+Each solver returns the factors of g g_chi^(-i) = u k (SO) or
+g g_chi^(-j) = z u k (GL).  Since g_chi normalizes I+, g is then
 (z) u g_chi^i k' with k' = g_chi^(-i) k g_chi^i in I+, and the
 evaluators of integrals.py read chi(k') off k without forming k'.  The
 dense engine that builds group elements (GroupMatrix, so_check, the
@@ -39,9 +36,9 @@ builders of integrals.py and for the solvers.
 
 Conventions: SO_m is defined by det = 1 and tg J g = J with J the
 antidiagonal of ones.  I+ (the pro-unipotent radical of the standard
-Iwahori) is the row test row_in_iplus, which the elimination runs on
-each row of k: integral, in p below the diagonal and in 1 + p on it;
-the same predicate serves SO_(2l+1) and GL_n.
+Iwahori) is the row test row_in_iplus, which the solvers run on each
+row of k: integral, in p below the diagonal and in 1 + p on it; the
+same predicate serves SO_(2l+1) and GL_n.
 g_chi_so is the involution with pi^(-1) and pi in the outer corners and
 -1 between them on the diagonal; g_chi_gl has ones on the superdiagonal
 and pi in the lower-left corner.
@@ -50,7 +47,7 @@ and pi in the lower-left corner.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -146,7 +143,7 @@ def row_times_g_chi_gl_inv(row, j, pn, pd, p):
 
 
 # ---------------------------------------------------------------------------
-# the U * I+ factorization
+# the U * k factorization, and the I+ test of its torus-scaled rows
 
 
 def _reduced(nums, den):
@@ -158,31 +155,27 @@ def _reduced(nums, den):
     return (nums, den) if g == 1 else ([x // g for x in nums], den // g)
 
 
-def eliminate_u_iplus(rows, n, p, bottom=None):
-    """Factor an n x n matrix m = u k in GL_n(F): u unit upper triangular,
-    k lower triangular with every row in I+; None when m is outside
-    U * I+.
+def factor_u_k(rows):
+    """The unique m = u k of an n x n matrix m, given by its scaled rows:
+    u unit upper triangular and k lower triangular, as lists of reduced
+    scaled rows, with no I+ test; None at a zero pivot k[r][r].
 
-    rows yields the scaled rows of m bottom-up, m[n-1] first, and is read
-    only as far as the elimination gets.  When bottom is given it is row
-    n-1 of k, already tested and reduced (the bottom row of k is that of
-    m), and rows starts at m[n-2].  The factors are unique, and
-    back-substitution builds them bottom-up.  Row r of k is m[r] less
-    u[r][c] times row c of k, for each c > r.  Row c of k ends at its
-    diagonal, which lies in 1 + p, so taking c from the last column
-    leftwards, u[r][c] is the one multiple that clears column c.  For the
-    entry x / den and the row (kn, kd) of k, with d = kn[c], that is
-    nums <- nums d - x kn and den <- den d, and u[r][c] = x kd / (den d):
-    u's numerators are scaled by d beside m's, so the two share den.
-    Row r must pass the I+ test before the next row is read, so a matrix
-    that fails at row r costs only the rows r..n-1.  Each accepted row
-    is reduced, which bounds the integers.  Returns (u, k) as lists of
-    scaled rows, or None.
-    """
+    Back-substitution builds the factors bottom-up.  Row r of k is m[r]
+    less u[r][c] times row c of k, for each c > r.  Row c of k ends at its
+    pivot, so taking c from the last column leftwards, u[r][c] is the one
+    multiple that clears column c.  For the entry x / den and the row
+    (kn, kd) of k, with d = kn[c], that is nums <- nums d - x kn and
+    den <- den d, and u[r][c] = x kd / (den d): u's numerators are scaled
+    by d beside m's, so the two share den.  Each row is reduced, which
+    bounds the integers.  A zero pivot ends it: a k in I+ has its pivots
+    in 1 + p, and the factors of m D or D m, for D diagonal, are those of
+    m with k scaled by D (_torus_k), whose pivots are k's scaled, so then
+    no such product lies in U * I+."""
+    n = len(rows)
     k = [None] * n
     u = [None] * n
-    k[n - 1] = bottom
-    for r, (nums, den) in zip(range(n - 1 if bottom is None else n - 2, -1, -1), rows):
+    for r in range(n - 1, -1, -1):
+        nums, den = rows[r]
         unums = None
         for c in range(n - 1, r, -1):
             x = nums[c]
@@ -193,7 +186,7 @@ def eliminate_u_iplus(rows, n, p, bottom=None):
                 den *= d
                 unums = [0] * n if unums is None else [a * d for a in unums]
                 unums[c] = x * kd
-        if not row_in_iplus(r, (nums, den), p):
+        if not nums[r]:
             return None
         k[r] = _reduced(nums, den)
         if unums is not None:
@@ -202,47 +195,85 @@ def eliminate_u_iplus(rows, n, p, bottom=None):
     return [row or ([0] * r + [1] + [0] * (n - 1 - r), 1) for r, row in enumerate(u)], k
 
 
-def coset_decompose(rows, p):
-    """Factor g in SO_(2l+1), given by its scaled rows, as g g_chi^(-i) =
-    u k: i in {0, 1}, u unit upper triangular and k lower triangular in
-    I+.  Returns (u, i, k) with u and k as lists of reduced scaled rows,
-    or None when g lies in neither double coset U g_chi^i I+.
+def _torus_k(k, diag, p, left):
+    """The rows of k D, or of D k when left, D the diagonal matrix whose
+    diagonal is the scaled row diag, each tested (row_in_iplus)
+    bottom-up and reduced; None at the first row outside I+.  Both are
+    lower triangular with the pivots of k scaled, so with the u of k they
+    are the factors of m D = u (k D) and D m = (D u D^(-1)) (D k)."""
+    dn, dd = diag
+    out = []
+    for r in range(len(k) - 1, -1, -1):
+        nums, den = k[r]
+        row = [x * dn[r] for x in nums] if left else [x * e for x, e in zip(nums, dn)], den * dd
+        if not row_in_iplus(r, row, p):
+            return None
+        out.append(row)
+    return [_reduced(*row) for row in reversed(out)]
 
-    Since g_chi normalizes I+, U g_chi^i I+ = U I+ g_chi^i, so g lies in
-    it iff g g_chi^(-i) is in U I+, decided by eliminate_u_iplus; then
-    g = u g_chi^i k' with k' = g_chi^(-i) k g_chi^i in I+.  g_chi is an
-    involution, so a row of g g_chi^(-1) = g g_chi is a column map of that
-    row of g (row_times_g_chi_so), and the rows are mapped bottom-up, only
-    as the elimination reads them.  The factors lie in SO:
+
+def so_cosets(rows, p):
+    """The factors (factor_u_k) of m g_chi^(-i) for i = 0, 1, m given by
+    its scaled rows.  g_chi is an involution, so a row of m g_chi^(-1) =
+    m g_chi is a column map of that row of m (row_times_g_chi_so)."""
+    return [factor_u_k(rows), factor_u_k([row_times_g_chi_so(row, p) for row in rows])]
+
+
+def so_torus(d, n):
+    """The diagonals of h(d) = diag(d, 1, ..., 1, 1/d) in SO_n and of
+    g_chi h(d) g_chi = h(1/d), as scaled rows over one denominator:
+    coset_decompose's torus at i = 0 and i = 1 for g = m h(d)."""
+    dn, dd = d.numerator, d.denominator
+    diag = [dn * dn] + [dn * dd] * (n - 2) + [dd * dd]
+    return (diag, dn * dd), (diag[::-1], dn * dd)
+
+
+def coset_decompose(cosets, tori, p):
+    """Factor g = m h(d) in SO_(2l+1) as g g_chi^(-i) = u k: i in {0, 1},
+    u unit upper triangular and k lower triangular in I+.  Returns
+    (u, i, k) with u and k as lists of reduced scaled rows, or None when
+    g lies in neither double coset U g_chi^i I+.
+
+    cosets is so_cosets(m) and tori is so_torus(d, 2l + 1).  Since g_chi
+    normalizes I+, U g_chi^i I+ = U I+ g_chi^i, so g lies in it iff
+    g g_chi^(-i) is in U I+.  That is m g_chi^(-i) D_i, with D_i =
+    g_chi^i h(d) g_chi^(-i) the torus tori[i], and with m g_chi^(-i) =
+    u k it is u (k D_i): by uniqueness its factors, so g is in the coset
+    iff every row of k D_i is in I+ (_torus_k).  Then g = u g_chi^i k'
+    with k' = g_chi^(-i) k g_chi^i in I+.  The factors lie in SO:
     g -> g* = J tg^(-1) J fixes SO, sends unit upper triangular to unit
     upper triangular and lower triangular to lower triangular.  So for
-    m = g g_chi^i in SO, m = m* = u* k* is again the factorization of m,
-    and by uniqueness u* = u and k* = k.
-    """
-    n = len(rows)
-    for i in (0, 1):
-        bottom_up = (row_times_g_chi_so(row, p) for row in reversed(rows)) if i else reversed(rows)
-        res = eliminate_u_iplus(bottom_up, n, p)
-        if res is not None:
-            u, k = res
-            return u, i, k
+    g g_chi^i in SO, its factors u* k* are again its factorization, and by
+    uniqueness u* = u and k* = k."""
+    for i, (factors, diag) in enumerate(zip(cosets, tori)):
+        if factors is not None:
+            k = _torus_k(factors[1], diag, p, False)
+            if k is not None:
+                return factors[0], i, k
     return None
 
 
-def _gl_bottom_step(row, p):
-    """The GL solver's step at the bottom row l = (nums, den) of g, a
-    function of l alone: (j, pn, den, k_bottom), with j the one j that
-    can put the bottom row of m = g g_chi^(-j) / z in I+, p z = pn / den,
-    and k_bottom that row of m, tested and reduced, which is the bottom
-    row of k; None when l is all zero or that row fails the test.  (A
-    nonzero l never fails it: the one j puts 1 on the diagonal and the
-    rest in p.  The test stays, so that every row of k is tested.)
+def gl_coset(rows, p):
+    """(j, z, factor_u_k(m g_chi^(-j) / z)) for m in GL_n given by its
+    scaled rows, with j the one j that can put the bottom row of
+    m g_chi^(-j) / z in I+ and z the bottom-right entry of m g_chi^(-j);
+    None when the bottom row l is zero or a pivot is.
 
-    The rule for j (see coset_decompose_gl): j = (i0 + 1) mod n, i0 the
-    leftmost index of least valuation in l, read off its numerators, since
-    den shifts every valuation alike; p z is l[j-1] at j >= 1 and
-    p l[n-1] at j = 0."""
-    last, den = row
+    At most one j can put that row in I+, and l names it before any
+    division:
+      - for j >= 1 that row is l[j..n-1] / z then l[0..j-1] / (p z), with
+        z = l[j-1] / p on its diagonal; for j = 0 it is l / z, z = l[n-1];
+      - its off-diagonal entries lie in p iff l[j-1 mod n] has the least
+        valuation, strictly less than every entry to its left and no
+        greater than any entry to its right;
+      - so j = (i0 + 1) mod n, i0 the leftmost index of least valuation
+        in l, read off its numerators (den shifts every valuation alike),
+        and an all-zero l has none.
+    Each row of m g_chi^(-j) / z is a column rotation of that row of m
+    (row_times_g_chi_gl_inv), so nothing inverts or multiplies by g_chi.
+    coset_decompose_gl tests every row of k, the bottom one included, so
+    the choice never decides a verdict."""
+    last, den = rows[-1]
     least = None
     for c, x in enumerate(last):
         if x:
@@ -257,48 +288,28 @@ def _gl_bottom_step(row, p):
     n = len(last)
     j = (i0 + 1) % n
     pn = last[i0] if j else p * last[i0]
-    nums, mden = row_times_g_chi_gl_inv(row, j, pn, den, p)
-    if not row_in_iplus(n - 1, (nums, mden), p):
+    factors = factor_u_k([row_times_g_chi_gl_inv(row, j, pn, den, p) for row in rows])
+    return None if factors is None else (j, Fraction(pn, den * p), factors)
+
+
+def coset_decompose_gl(coset, diag, p):
+    """Factor g = D m in GL_n as g g_chi^(-j) = z u k: j in 0..n-1, z a
+    nonzero scalar, u unit upper triangular and k lower triangular in
+    I+.  Returns (u, j, z, k), z a Fraction and u and k lists of reduced
+    scaled rows, or None when g lies in no double coset U g_chi^j Z I+.
+
+    coset is gl_coset(m) and diag the diagonal of D, a scaled row, with
+    D[n-1] = 1: g then has the bottom row of m, which names j and z, and
+    g g_chi^(-j) / z = D u k = (D u D^(-1)) (D k), the factorization when
+    every row of D k is in I+ (_torus_k).  D u D^(-1) has u[r][c] times
+    D[r] / D[c]."""
+    if coset is None:
         return None
-    return j, pn, den, _reduced(nums, mden)
-
-
-def coset_decompose_gl(rows, p, bottom=None):
-    """Factor g in GL_n, given by its scaled rows, as g g_chi^(-j) =
-    z u k: j in 0..n-1, z a nonzero scalar, u unit upper triangular and k
-    lower triangular in I+.  Returns (u, j, z, k), z a Fraction and u and
-    k lists of reduced scaled rows, or None when g lies in no double
-    coset U g_chi^j Z I+.
-
-    At most one j can put the bottom row of m = g g_chi^(-j) / z in I+,
-    and the bottom row l of g names it before any division:
-      - for j >= 1 that row is l[j..n-1] / z then l[0..j-1] / (p z), with
-        z = l[j-1] / p on its diagonal; for j = 0 it is l / z, z = l[n-1];
-      - its off-diagonal entries lie in p iff l[j-1 mod n] has the least
-        valuation, strictly less than every entry to its left and no
-        greater than any entry to its right;
-      - so j = (i0 + 1) mod n, i0 the leftmost index of least valuation
-        in l, and an all-zero l has none.
-    That choice, p z, and the mapped, tested and reduced bottom row of m
-    are the bottom step (_gl_bottom_step), a function of l alone: bottom
-    is that step computed ahead, for the rows of any g with that bottom
-    row, and it is computed here from rows[-1] when absent.  A step of
-    None is computed again, so bottom changes no result.  One elimination
-    then runs, at that j, from row n-2 up with the bottom row of k given;
-    it tests every row it reads and the step tested the bottom one, so
-    the choice never decides a verdict.  Each row of m is a column
-    rotation of that row of g (row_times_g_chi_gl_inv), built bottom-up
-    only as the elimination reads it, so no call inverts or multiplies by
-    g_chi."""
-    if bottom is None:
-        bottom = _gl_bottom_step(rows[-1], p)
-        if bottom is None:
-            return None
-    j, pn, den, k_bottom = bottom
-    n = len(rows)
-    mapped = (row_times_g_chi_gl_inv(rows[r], j, pn, den, p) for r in range(n - 2, -1, -1))
-    res = eliminate_u_iplus(mapped, n, p, k_bottom)
-    if res is None:
+    j, z, (u, k) = coset
+    k = _torus_k(k, diag, p, True)
+    if k is None:
         return None
-    u, k = res
-    return u, j, Fraction(pn, den * p), k
+    dn = diag[0]
+    m = lcm(*dn)
+    u = [_reduced([x * e * (m // f) for x, f in zip(nums, dn)], den * m) for (nums, den), e in zip(u, dn)]
+    return u, j, z, k

@@ -217,33 +217,74 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the dual rows with ones on the superdiagonal",
+        "the dual torus with a in its first entry only",
         INTEGRALS,
-        "[0] * (r + 1) + [a.numerator] +",
-        "[0] * (r + 1) + [a.denominator] +",
+        "    count = n - 1 if dual else 1  # the entries of D that are a\n",
+        "    count = 1  # the entries of D that are a\n",
         (
-            "tests/test_gl.py::test_dual_rows_equal_the_generic_product",
-            "tests/test_gl.py::test_jpss_support_lemma[2-3]",
+            "tests/test_gl.py::test_jpss_support_lemma[3-3]",
+            "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-3]",
+            "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
         ),
     ),
     Mutant(
-        "the dual side's bottom step made at the first x only",
+        "the dual side's factors made at the first x only",
         INTEGRALS,
-        "        return [row], _gl_bottom_step(row, p)\n",
-        '        return [row], prepare.__dict__.setdefault("step", _gl_bottom_step(row, p))\n',
+        "        lambda x: gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1), p),\n",
+        '        lambda x, memo={}: memo.setdefault("coset", gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1), p)),\n',
         (
             "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
             "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
         ),
     ),
     Mutant(
-        "the plain side's bottom step used on the dual side",
+        "the plain side's factors used on the dual side",
         INTEGRALS,
-        "        return [row], _gl_bottom_step(row, p)\n",
-        "        return [row], _gl_bottom_step(_unit_rows(n, (n - 1,), 1)[0], p)\n",
+        "gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1), p)",
+        "gl_coset(_unit_rows(n, range(n), 1), p)",
         (
             "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
             "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
+        ),
+    ),
+    # the torus identity: each inner point factored once, k scaled by D
+    Mutant(
+        "d and 1/d swapped on Phi*",
+        INTEGRALS,
+        "so_torus(F1 / z if star else z,",
+        "so_torus(z if star else z,",
+        (
+            "tests/test_integrals.py::test_phi_star_value",
+            "tests/test_kernel.py::test_so_buckets_are_pinned[5-3-None-phi_star-726f88a12d53fd7450175b7cc79ca714b0a9ac39fb6c2ad08559b284bcb3e326]",
+            "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
+        ),
+    ),
+    Mutant(
+        "the dual u[r][n-1] left unscaled by a",
+        MATRICES,
+        "    u = [_reduced([x * e * (m // f) for x, f in zip(nums, dn)], den * m) for (nums, den), e in zip(u, dn)]\n",
+        "",
+        ("tests/test_matrices.py::test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m",),
+    ),
+    Mutant(
+        "a zero pivot not rejected",
+        MATRICES,
+        "        if not nums[r]:\n            return None\n",
+        "",
+        (
+            "tests/test_kernel.py::test_support_aware_enumeration_values_one_point_per_side[brute-force]",
+            "tests/test_gl.py::test_gl_enumeration_inverts_nothing",
+        ),
+    ),
+    Mutant(
+        "k scaled by the torus on the wrong side",
+        MATRICES,
+        "for x in nums] if left else",
+        "for x in nums] if not left else",
+        (
+            "tests/test_matrices.py::test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m",
+            "tests/test_gl.py::test_jpss_support_lemma[3-3]",
+            "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-brute-force]",
         ),
     ),
     Mutant(
@@ -293,8 +334,8 @@ MUTANTS = (
         "    if nums[r] % q:\n",
         (
             "tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",
-            "tests/test_matrices.py::test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it",
-            "tests/test_kernel.py::test_evaluator_matches_whittaker_eval",
+            "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
+            "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
         ),
     ),
     Mutant(
@@ -326,14 +367,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the elimination keeps a row outside I+",
+        "a scaled row of k outside I+ kept",
         MATRICES,
-        "        if not row_in_iplus(r, (nums, den), p):\n            return None\n",
+        "        if not row_in_iplus(r, row, p):\n            return None\n",
         "",
         (
             "tests/test_matrices.py::test_coset_decompose_rejects_outside",
             "tests/test_matrices.py::test_u_iplus_factors_of_any_matrix",
-            "tests/test_matrices.py::test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it",
+            "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
         ),
     ),
     # the integer kernel
@@ -381,13 +422,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the accepted rows of k left unreduced",
+        "the scaled rows of k left unreduced",
         MATRICES,
-        "        k[r] = _reduced(nums, den)\n",
-        "        k[r] = nums, den\n",
+        "    return [_reduced(*row) for row in reversed(out)]\n",
+        "    return out[::-1]\n",
         (
-            "tests/test_matrices.py::test_u_times_iplus_always_factors",
-            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
+            "tests/test_matrices.py::test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m",
+            "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
         ),
     ),
     Mutant(
@@ -403,15 +444,15 @@ MUTANTS = (
     Mutant(
         "the Phi* y z entries not negated",
         INTEGRALS,
-        "row[cz], row[1 + i] = s * yn * zn,",
-        "row[cz], row[1 + i] = yn * zn,",
+        "row[cz], row[1 + i] = s * c.numerator,",
+        "row[cz], row[1 + i] = c.numerator,",
         ("tests/test_kernel.py::test_sparse_builders_equal_generic_product",),
     ),
     Mutant(
         "the Phi* middle diagonal +1",
         INTEGRALS,
-        "    middle = _unit_rows(n, range(ell, n - 1), s)\n",
-        "    middle = _unit_rows(n, range(ell, n - 1), 1)\n",
+        "_unit_rows(n, range(ell, n - 1), s)",
+        "_unit_rows(n, range(ell, n - 1), 1)",
         (
             "tests/test_kernel.py::test_sparse_builders_equal_generic_product",
             "tests/test_kernel.py::test_convolution_matches_point_loop_on_the_grid[3-2-phi_star]",

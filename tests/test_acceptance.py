@@ -40,7 +40,7 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import coset_decompose
+from ssgamma.matrices import F1, coset_decompose, so_cosets, so_torus
 from ssgamma.parameter import param_summary
 from ssgamma.scalars import ExactScalar
 
@@ -81,14 +81,19 @@ def test_gamma_grid_matches_closed_form_and_phi_value():
 
 
 def test_brute_force_oracle_and_support_scans():
+    """Support-aware == brute-force Phi and Phi* at p = 3, l = 1, 2 and 3,
+    N = 2, V = 1, and both support scans at l = 1 and 2.  The brute-force
+    build at (3, 3) values 30 * 81**2 = 196,830 points a side."""
     start = time.monotonic()
     p = 3
-    for ell in (1, 2):
+    for ell in (1, 2, 3):
         for zsign in (1, -1):
             fast = make_cfg(p, ell, zsign, 1, -1, level=2, cutoff=1)
             slow = make_cfg(p, ell, zsign, 1, -1, level=2, cutoff=1, mode="brute-force")
             assert phi_eval(fast) == phi_eval(slow)
             assert phi_star_eval(fast) == phi_star_eval(slow)
+        if ell == 3:
+            continue
         for side in ("phi", "phi_star"):
             points, verdict = scan_support(p, ell, side, level=2, cutoff=1)
             assert verdict
@@ -166,7 +171,7 @@ def test_coset_roundtrip_hundred_products():
         i = rng.randrange(2)
         k = random_so_iplus(rng, ell, p)
         g = u * gchi * k if i else u * k
-        res = coset_decompose(scaled(g.rows), p)
+        res = coset_decompose(so_cosets(scaled(g.rows), p), so_torus(F1, g.size), p)
         assert res is not None and res[1] == i
         assert recompose(res, gchi).rows == g.rows
         u2, k2 = (GroupMatrix.make(unscaled(x), p, "SO_odd", verify=False) for x in (res[0], res[2]))

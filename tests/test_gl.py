@@ -9,8 +9,10 @@ The plain side runs at rank 0 and the dual side at rank n - 2; both
 read W(g) through _gl_whittaker_parts as the plain ints
 (j, m, a) = zeta^j zeta_(p^m)^a.  The dual side's
 argument w_long (t m)^(-1) w_(n,1), times the central element a, is
-written down in closed form (_gl_dual_top, _gl_dual_bottom), and coset_decompose_gl
-rotates columns instead of multiplying by g_chi^(-1).
+diag(a, ..., a, 1) times its rows at a = 1, written down in closed form
+(_gl_dual_rows); the plain side's is diag(a, 1, ..., 1).  Each x is
+factored once (gl_coset, which rotates columns instead of multiplying by
+g_chi^(-1)), and coset_decompose_gl scales k by the torus of each a.
 
 The first test checks the closed form against a times the generic
 product with the oracle's inverse, which shares none of its path.  The
@@ -26,10 +28,12 @@ keyed (side, j, a0) as one dict, are pinned by sha256 digests of their
 records, taken from the implementation that built every argument and
 every rotation by generic inversion and products, and summed every
 point's value as an ExactScalar.  The support lemma of both sides is
-read off their records of nonzero points.  The last test counts calls,
-so that a per-point inversion, or a second elimination per point, cannot
-come back unseen: the solver hands back the factors it computes, and the
-enumeration inverts nothing.
+read off their records of nonzero points, and the enumeration, which
+factors each x once and scales k by the torus of each a, is checked
+against a point loop that solves the full rows of every point.  The last
+test counts calls, so that a per-point inversion, or a factorization per
+point, cannot come back unseen: the solver hands back the factors it
+computes, and the enumeration inverts nothing.
 """
 
 import hashlib
@@ -63,12 +67,13 @@ from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     _entry,
     _gl_buckets,
-    _gl_dual_bottom,
-    _gl_dual_top,
+    _gl_dual_rows,
     _gl_whittaker_parts,
+    _unit_rows,
     _y_windows,
     _z_windows,
 )
+from ssgamma.matrices import gl_coset
 from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
@@ -100,10 +105,31 @@ def generic_dual(a, x, n, p):
     return mat_mul(mat_mul(w_long(n, p).lists(), cramer_inv(mat_transpose(m))), wn1)
 
 
+def torus(a, n, dual):
+    """The diagonal _gl_buckets scales by at a, as a scaled row:
+    diag(a, ..., a, 1) on the dual side and diag(a, 1, ..., 1) on the
+    plain side."""
+    count = n - 1 if dual else 1
+    return [a.numerator] * count + [a.denominator] * (n - count), a.denominator
+
+
 def dual_rows(a, x, n):
-    """The rows _gl_buckets values at the dual point (a, x): those of a
-    above the bottom row of x."""
-    return _gl_dual_top(a, n) + [_gl_dual_bottom(x)]
+    """The rows of the dual point (a, x), a times the integrand: the rows
+    _gl_dual_rows writes at a = 1 times the dual torus of a."""
+    diag, den = torus(a, n, True)
+    return [([v * e for v in nums], d * den) for (nums, d), e in zip(_gl_dual_rows(x), diag)]
+
+
+def parts_at(a, x, n, p, dual):
+    """The value _gl_buckets gives the point (a, x): the factors of the
+    rows at a = 1, made once per x (gl_coset), scaled by the torus of a."""
+    rows = _gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1)
+    return _gl_whittaker_parts(gl_coset(rows, p), torus(a, n, dual), p, n)
+
+
+def parts_of_rows(rows, p, n):
+    """The value of g, given by its scaled rows, as 1 g."""
+    return _gl_whittaker_parts(gl_coset(rows, p), ([1] * n, 1), p, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,10 +175,11 @@ def window_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(window_points())
 def test_evaluator_matches_whittaker_eval_on_the_windows(point):
-    """The points _gl_buckets evaluates: diag(a, I_(n-1)) on the plain
-    side, and on the dual side dual_rows(a, x, n), a times the
-    integrand, whose kernel value must be the oracle's W at the integrand
-    itself.  The oracle runs the package's solver, so the kernel is also
+    """The points _gl_buckets evaluates, valued as it values them (the
+    factors at a = 1 scaled by the torus of a), and as the full rows:
+    diag(a, I_(n-1)) on the plain side, and on the dual side
+    dual_rows(a, x, n), a times the integrand, whose kernel value must be
+    the oracle's W at the integrand itself.  The oracle runs the package's solver, so the kernel is also
     checked against W(g g_chi^r) = zeta^r W(g) for every r: the solver
     runs at another j at each r, so a wrong wrapped entry cannot agree
     with every translate."""
@@ -165,11 +192,13 @@ def test_evaluator_matches_whittaker_eval_on_the_windows(point):
         rows = scaled(integrand)
     zeta = C.root_of_unity(n, e)
     g = GroupMatrix.make(integrand, p)
-    got = kernel_value(p, zeta, _gl_whittaker_parts(rows, p, n))
+    parts = parts_at(a, x, n, p, dual)
+    assert parts == parts_of_rows(rows, p, n)
+    got = kernel_value(p, zeta, parts)
     assert got == whittaker_eval(WhittakerSpec(p, "GL", n, zeta), g)
     for r in range(1, n):
         g = g * g_chi_gl(n, p)
-        assert kernel_value(p, zeta, _gl_whittaker_parts(scaled(g.rows), p, n)) == ExactScalar.from_coeff(p, zeta**r) * got
+        assert kernel_value(p, zeta, parts_of_rows(scaled(g.rows), p, n)) == ExactScalar.from_coeff(p, zeta**r) * got
 
 
 @settings(max_examples=100, deadline=None)
@@ -197,7 +226,7 @@ def test_evaluator_matches_whittaker_eval_on_the_support(n, p, integral, seed, d
         g = g * g_chi_gl(n, p)
     k = random_gl_iplus(rng, n, p)
     g = g * k
-    parts = _gl_whittaker_parts(scaled(g.rows), p, n)
+    parts = parts_of_rows(scaled(g.rows), p, n)
     assert parts is not None and parts[0] == j
     zeta = primitive_root_of_unity(n, data)
     spec = WhittakerSpec(p, "GL", n, zeta)
@@ -237,9 +266,9 @@ def test_gl_buckets_are_pinned(n, p, digest):
 def pointwise_side(n, p, side):
     """(buckets, record) of one JPSS side by a point loop of its own: the
     full rows of every point (a, x), in the enumeration's loop order, each
-    valued by one coset_decompose_gl call on those rows alone, with no
-    step made ahead; the values summed per (j, tame class of a) point by
-    point, keyed by the least a of the class."""
+    factored on its own and valued with no torus (parts_of_rows); the
+    values summed per (j, tame class of a) point by point, keyed by the
+    least a of the class."""
     a_weight, as_ = _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")
     x_weight, xs = _y_windows(p, LEVEL, 0, "brute-force")
     rank = 0 if side == "plain" else n - 2
@@ -251,7 +280,7 @@ def pointwise_side(n, p, side):
                 rows = scaled([[a if r == c == 0 else Fraction(r == c) for c in range(n)] for r in range(n)])
             else:
                 rows = dual_rows(a, x, n)
-            parts = _gl_whittaker_parts(rows, p, n)
+            parts = parts_of_rows(rows, p, n)
             if parts is None:
                 continue
             record[(a, x)] = parts, a_shell or any(s for _, s in combo)
@@ -265,10 +294,12 @@ def pointwise_side(n, p, side):
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (4, 3), (3, 5)])
 def test_the_bottom_step_made_once_per_x_changes_no_point(n, p):
     """_gl_buckets makes the solver's bottom step once per x (once per side
-    on the plain side, whose bottom row is the unit row for every a) and
-    hands it to the one solver call of each point.  Each side's buckets
-    and record, the record's order included, are those of pointwise_side,
-    which hands the solver nothing but the rows."""
+    on the plain side, whose bottom row is the unit row for every a): the
+    one j and z that the bottom row names, which a leaves alone, and the
+    factors at that j of the rows at a = 1 (gl_coset).  Each point scales
+    them by the torus of its a.  Each side's buckets and record, the
+    record's order included, are those of pointwise_side, which factors
+    the full rows of every point."""
     for side in SIDES:
         buckets, record = _gl_buckets(n, p, LEVEL, CUTOFF, side)
         want_buckets, want_record = pointwise_side(n, p, side)
@@ -302,29 +333,35 @@ def test_jpss_support_lemma(n, p):
 
 
 def test_gl_enumeration_inverts_nothing(count_calls):
-    """mat_inv, coset_decompose_gl, its elimination and the row map of the
-    elimination counted at every name the package binds them to, over the
-    enumeration of both sides at (n, p) = (3, 5).  Each of the 12,600 solver
-    calls runs one elimination, at the one j whose bottom row can lie in
-    I+; trying j = 0, 1, ... in turn ran 25,000, one for each j with a
-    nonzero z up to the first that factors.  The solver rotates and scales
-    a row only when the elimination reaches it: the 12,825 rows above the
-    bottom rows that pass.  The bottom row of g depends on x alone (the
-    unit row on the plain side), so its step, the one j, p z and the
-    mapped bottom row, is made once per inner point and handed to the
-    solver: 125 bottom rows on the dual side and 1 on the plain side, and
-    12,951 row maps in all.  Mapping every point's bottom row in the
-    solver made 12,600 + 12,825 = 25,425, the j loop mapped 37,825, and
-    forming each g g_chi^(-j) / z in full would scale 3 rows for each of
-    its 25,000 eliminations, 75,000.  Every bottom row here passes, so
-    each solver call still runs its one elimination."""
-    calls = count_calls("mat_inv", "coset_decompose_gl", "eliminate_u_iplus", "row_times_g_chi_gl_inv")
+    """mat_inv, coset_decompose_gl, the factorization, the row map of the
+    factorization and the row test counted at every name the package
+    binds them to, over the enumeration of both sides at (n, p) = (3, 5).
+    Each of the 12,600 points is one solver call, and 130 find factors.
+    The integrand at (a, x) is a torus element of a times the rows at
+    a = 1, so each x is factored once, at the one j whose bottom row can
+    lie in I+: 125 x on the dual side and 1 on the plain side, 126
+    factorizations and 3 * 126 = 378 rows mapped, with no row test.  The
+    100 x on the shell, whose -x_0 has the least valuation in the bottom
+    row (1, 0, -x_0), leave a zero pivot, which rejects all 100 a of each
+    without a test.  The other 2,600 points test rows of k scaled by the
+    torus of a, bottom-up: 2,500 dual points test 2 rows and their 125
+    found points 1 more, and the 100 plain points test all 3, 5,425 in
+    all.  The count was re-pinned when the factorization moved out of the
+    point loop: each solver call ran its own elimination, 12,600 of them,
+    and mapped 12,951 rows (12,825 above the bottom rows, and one bottom
+    row per x with its j made ahead); before that, mapping each point's
+    bottom row made 25,425, trying j = 0, 1, ... in turn 25,000
+    eliminations and 37,825 row maps, and forming each g g_chi^(-j) / z
+    in full 75,000."""
+    calls = count_calls("mat_inv", "coset_decompose_gl", "factor_u_k", "row_times_g_chi_gl_inv", "row_in_iplus")
     for side in SIDES:
         _gl_buckets(3, 5, LEVEL, CUTOFF, side)
     assert calls["coset_decompose_gl"] == 12_600
     assert calls["coset_decompose_gl.found"] == 130
-    assert calls["eliminate_u_iplus"] == 12_600
-    assert calls["row_times_g_chi_gl_inv"] == 12_825 + 125 + 1 == 12_951
+    assert calls["factor_u_k"] == 125 + 1 == 126
+    assert calls["factor_u_k.found"] == 25 + 1
+    assert calls["row_times_g_chi_gl_inv"] == 3 * 126 == 378
+    assert calls["row_in_iplus"] == 2 * 2_500 + 125 + 3 * 100 == 5_425
     # the factorization inverts nothing, and the factors are returned as
     # computed, with no g_chi^(-1) pulled through them
     assert calls["mat_inv"] == 0

@@ -24,6 +24,7 @@ from ssgamma.integrals import (
     predicted_gamma_so,
     scan_support,
 )
+from ssgamma.matrices import gl_coset
 from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
@@ -410,6 +411,20 @@ def test_jpss_n3():
     assert res.matches
 
 
+@pytest.mark.parametrize("n,p", [(4, 3), (3, 5)])
+def test_jpss_matches_closed_form_at_n_4_and_p_5(n, p):
+    """The brute-force JPSS gamma at (n, p) = (4, 3) and (3, 5), N = 2,
+    V = 1, equals tau(-1)^(n-1) tau(pi) zeta q^(1/2-s) at every n-th root
+    of unity zeta, every tame exponent j, and tau(pi) in {1, -2/3}.  Both
+    sides are built once; each cell is a bucket sum."""
+    for k in range(n):
+        zeta = C.root_of_unity(n, k)
+        for j in range(p - 1):
+            for value in (1, Fraction(-2, 3)):
+                res = jpss_gl_gamma(n, tau_pi(p, j, value), zeta, level=2, cutoff=1)
+                assert res.matches and res.computed == res.predicted, (k, j, value)
+
+
 def test_match_so_gl_symbolic_and_computed():
     p = 3
     tau = tau_pi(p, 1, -1)
@@ -533,17 +548,29 @@ def entry(rows, r, c):
     return Fraction(nums[c], den)
 
 
+def phi_point(cosets, tori):
+    """(z, y) of a Phi point, read off the SO evaluator's arguments: z is
+    the d of the torus h(d) at i = 0, and the rows at (1, y) are lower
+    unitriangular on Phi, so they are their own k at i = 0, with -y_k in
+    their bottom row, left of the corner."""
+    (diag, den), k = tori[0], cosets[0][1]
+    n = len(diag)
+    return Fraction(diag[0], den), tuple(-entry(k, n - 1, n - 2 - i) for i in range((n - 3) // 2))
+
+
 def shell_nonzero_evaluator(monkeypatch, cutoff):
     """Replace the SO evaluator (with a fresh bucket cache) by one that is
-    also nonzero at the Phi points with v_p(z) > V; returns its call log."""
+    also nonzero at the Phi points with v_p(z) > V; returns the z of its
+    calls."""
     real = integrals._so_whittaker_parts
     calls = []
 
-    def fake(g, p, ell, t):
-        calls.append(g)
-        if rational_valuation(entry(g, 0, 0), p) > cutoff:
+    def fake(cosets, tori, p, ell, t):
+        z = phi_point(cosets, tori)[0]
+        calls.append(z)
+        if rational_valuation(z, p) > cutoff:
             return (0, 0, 0)
-        return real(g, p, ell, t)
+        return real(cosets, tori, p, ell, t)
 
     monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
@@ -570,7 +597,7 @@ def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
     depth = traceback_depth(err.value)
     # the loop goes on past the shell point and values each z once, so
     # the record scan_support reads is complete
-    assert [entry(g, 0, 0) for g in calls] == [z for z, _ in zs]
+    assert calls == [z for z, _ in zs]
     # the error is memoized: the second call does not enumerate again
     enumerated = len(calls)
     with pytest.raises(BoundaryNonvanishing) as again:
@@ -597,7 +624,7 @@ def test_scan_support_rejects_an_unknown_side(side):
 
 def test_jpss_raises_on_a_nonzero_shell_point(monkeypatch):
     p, cutoff = 3, 1
-    monkeypatch.setattr(integrals, "_gl_whittaker_parts", lambda rows, prime, n, bottom=None: (0, 0, 0))
+    monkeypatch.setattr(integrals, "_gl_whittaker_parts", lambda coset, diag, prime, n: (0, 0, 0))
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     first = Fraction(p) ** (-cutoff - 1)  # the first a of the plain side
     message = f"nonzero JPSS plain integrand at the padding shell: a={first}, x=()"
@@ -612,11 +639,11 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
     p, level, cutoff = 3, 2, 1
     real = integrals._so_whittaker_parts
 
-    def fake(g, prime, ell, t):
-        z, y = entry(g, 0, 0), -entry(g, 4, 3)  # the Phi entries of z and y_0 at n = 5
+    def fake(cosets, tori, prime, ell, t):
+        z, (y,) = phi_point(cosets, tori)
         if abs(rational_valuation(z, p)) <= cutoff and rational_valuation(y, p) < -cutoff:
             return (0, 0, 0)
-        return real(g, prime, ell, t)
+        return real(cosets, tori, prime, ell, t)
 
     monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
@@ -650,10 +677,10 @@ def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypat
     y0 = integrals._y_windows(p, level, cutoff, "brute-force")[1][0][0]
     real = integrals._so_whittaker_parts
 
-    def fake(g, prime, ell, t):
-        if (entry(g, 0, 0), -entry(g, 4, 3)) == (z0, y0):  # the Phi entries of z and y_0 at n = 5
+    def fake(cosets, tori, prime, ell, t):
+        if phi_point(cosets, tori) == (z0, (y0,)):
             return (0, 0, 0)
-        return real(g, prime, ell, t)
+        return real(cosets, tori, prime, ell, t)
 
     monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
     cfg = IntegralConfig(p, ell, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
@@ -675,15 +702,20 @@ def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypat
 
 def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatch):
     """At n = 3, a dual point whose a is inside the window and whose x is
-    on the p^-1 shell; every other point, plain side included, vanishes."""
+    on the p^-1 shell; every other point, plain side included, vanishes.
+    The fake reads a off the torus, a in its first entry on both sides.
+    A dual x is on the shell exactly when -x_0 has the least valuation in
+    the bottom row (1, 0, -x_0) of the rows at a = 1, and then they leave
+    a zero pivot at j = 0, so gl_coset is None there and nowhere else,
+    the plain side's identity included."""
     p, level, cutoff = 3, 2, 1
+    xs = integrals._y_windows(p, level, 0, "brute-force")[1]
+    assert [gl_coset(integrals._gl_dual_rows((x,)), p) is None for x, _ in xs] == [shell for _, shell in xs]
+    assert gl_coset(integrals._unit_rows(3, range(3), 1), p) is not None
 
-    def fake(rows, prime, n, bottom=None):
-        if entry(rows, -1, 0) == 0:  # the plain side: bottom row (0, 0, 1)
-            return None
-        # the dual rows are a times the integrand: a on the superdiagonal, bottom row (1, 0, -x_0)
-        a, x = entry(rows, 0, 1), -entry(rows, -1, 2)
-        if abs(rational_valuation(a, p)) <= cutoff and rational_valuation(x, p) < 0:
+    def fake(coset, diag, prime, n):
+        a = Fraction(diag[0][0], diag[1])
+        if abs(rational_valuation(a, p)) <= cutoff and coset is None:
             return (0, 0, 0)
         return None
 

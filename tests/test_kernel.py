@@ -74,7 +74,6 @@ from ssgamma.integrals import (
     _chi_arg,
     _enumerate,
     _so_rows,
-    _so_y,
     _point_counts,
     _so_buckets,
     _so_whittaker_parts,
@@ -85,7 +84,7 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import F0, F1
+from ssgamma.matrices import F0, F1, so_cosets, so_torus
 from ssgamma.scalars import ExactScalar
 
 SIDES = ("phi", "phi_star")
@@ -142,19 +141,29 @@ def generic_matrix(p, ell, side, z, y):
     return g
 
 
-def builder(side):
-    """(z, l) -> (y -> the rows of the side's integrand at (z, y)), each y
-    prepared as the enumeration prepares it (_so_y)."""
-
-    def build(z, ell):
-        rows = _so_rows(z, ell, side)
-        return lambda y: rows(_so_y(y))
-
-    return build
+def torus(side, z, n):
+    """so_torus of the d with integrand(z, y) = _so_rows(y, side) h(d):
+    z on Phi and 1/z on Phi*, where the columns of z and 1/z swap."""
+    return so_torus(F1 / z if side == "phi_star" else z, n)
 
 
 def integrand(side, z, y, ell):
-    return builder(side)(z, ell)(y)
+    """The scaled rows of the side's integrand at (z, y): the rows
+    _so_rows writes at (1, y), times the torus of z."""
+    diag, dd = torus(side, z, 2 * ell + 1)[0]
+    return [([x * e for x, e in zip(nums, diag)], den * dd) for nums, den in _so_rows(tuple(y), side)]
+
+
+def parts_at(side, z, y, p, t):
+    """The value _so_buckets gives the point (z, y): the factors of the
+    rows at (1, y), made once per y (so_cosets), scaled by the torus of z."""
+    ell = len(y) + 1
+    return _so_whittaker_parts(so_cosets(_so_rows(tuple(y), side), p), torus(side, z, 2 * ell + 1), p, ell, t)
+
+
+def parts_of_rows(rows, p, ell, t):
+    """The value of g, given by its scaled rows, as g h(1)."""
+    return _so_whittaker_parts(so_cosets(rows, p), so_torus(F1, 2 * ell + 1), p, ell, t)
 
 
 def box_parts(g, p, ell, t):
@@ -185,7 +194,10 @@ def kernel_value(p, zeta, parts):
 @given(points())
 def test_sparse_builders_equal_generic_product(point):
     """The row builders, which write the few entries off the identity in
-    closed form, against the named-element product."""
+    closed form at (1, y), times the torus of z, against the named-element
+    product at (z, y): the integrand is the rows at (1, y) times h(z) on
+    Phi and h(1/z) on Phi*, the identity behind the enumeration's one
+    factorization per y."""
     p, ell, side, z, y, _ = point
     g = integrand(side, z, y, ell)
     assert tuple(map(tuple, unscaled(g))) == generic_matrix(p, ell, side, z, y).rows
@@ -198,7 +210,8 @@ def test_evaluator_matches_whittaker_eval(point, zsign, data):
     zeta = C.one() if zsign == 1 else -C.one()
     t = affine_t(data.draw, p, ell)
     g = integrand(side, z, y, ell)
-    parts = _so_whittaker_parts(g, p, ell, t)
+    parts = parts_at(side, z, y, p, t)
+    assert parts == parts_of_rows(g, p, ell, t)
     if inside:  # a box test decides the support, and the solver agrees with it
         box = box_parts(unscaled(g), p, ell, t)
         assert box is not None and parts is not None
@@ -230,7 +243,7 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral,
     g = u * g_chi_so(ell, p) if i else u
     k = random_so_iplus(rng, ell, p)
     g = g * k
-    parts = _so_whittaker_parts(scaled(g.rows), p, ell, t)
+    parts = parts_of_rows(scaled(g.rows), p, ell, t)
     assert parts is not None and parts[0] == i
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix(g.rows, p, "SO_odd"))
@@ -294,7 +307,7 @@ def nonzero_points(p, ell, level, mode, side):
     out = []
     for z, _ in zs:
         for y in itertools.product([c for c, _ in ys], repeat=ell - 1):
-            parts = _so_whittaker_parts(integrand(side, z, y, ell), p, ell, (1,) * (ell + 1))
+            parts = parts_at(side, z, y, p, (1,) * (ell + 1))
             if parts is not None:
                 w = zw
                 for _ in y:
@@ -428,21 +441,21 @@ def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
     assert seen == len(SIDES) * p ** ((level - 1) * ell)
 
 
-def inner_points(ys, rank):
+def inner_points(ys, rank, side, p):
     """The inner points _enumerate makes of the SO y window reps ys once
-    per side: (y, whether it lies on the padding shell, _so_y(y))."""
+    per side: (y, whether it lies on the padding shell, the factors of
+    the rows at (1, y))."""
     points = []
     for combo in itertools.product(ys, repeat=rank):
         y = tuple(c for c, _ in combo)
-        points.append((y, any(s for _, s in combo), _so_y(y)))
+        points.append((y, any(s for _, s in combo), so_cosets(_so_rows(y, side), p)))
     return points
 
 
 def point_loop(z, on_shell, points, side, p, ell, t):
     """The shared point loop at z, with the SO value _so_buckets gives it."""
-
-    rows = _so_rows(z, ell, side)
-    return _point_counts(z, on_shell, points, lambda point: _so_whittaker_parts(rows(point), p, ell, t), {})
+    tori = torus(side, z, 2 * ell + 1)
+    return _point_counts(z, on_shell, points, lambda cosets: _so_whittaker_parts(cosets, tori, p, ell, t), {})
 
 
 def loop_points(p, ell, side, t, level, sample=None):
@@ -454,11 +467,11 @@ def loop_points(p, ell, side, t, level, sample=None):
     zs, ys = unfolded(p, level, side)[1], unfolded(p, level)[1]
     assert len(zs) == len(ys) == p ** (level - 1)
     z0 = _z_windows(p, level, 1, "support-aware", side)[1][0][0]
-    base = _so_whittaker_parts(integrand(side, z0, (F0,) * (ell - 1), ell), p, ell, t)
+    base = parts_at(side, z0, (F0,) * (ell - 1), p, t)
     assert base is not None, (p, ell, side)
     if sample:
         zs = random.Random(sample[0]).sample(zs, sample[1])
-    points = inner_points(ys, ell - 1)
+    points = inner_points(ys, ell - 1, side, p)
     for z, on_shell in zs:
         assert point_loop(z, on_shell, points, side, p, ell, t) == {base: len(ys) ** (ell - 1)}, (p, ell, side, z)
     return len(zs) * len(ys) ** (ell - 1)
@@ -564,31 +577,48 @@ def test_stress_sizes_meet_the_closed_forms(p, ell):
 
 @pytest.mark.parametrize("case", ["phi", "phi_star", "any-N", "brute-force"])
 def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
-    """coset_decompose, its row map by g_chi and the elimination's row test
-    counted at every name the package binds them to.  This guard was
-    test_support_aware_enumeration_tests_coordinates_not_points while it
-    counted the box tests of a factored count, and
+    """coset_decompose, the factorization, its row map by g_chi and the
+    row test counted at every name the package binds them to.  This guard
+    was test_support_aware_enumeration_tests_coordinates_not_points while
+    it counted the box tests of a factored count, and
     test_support_aware_enumeration_values_one_point_per_z while only the
     y window was one class and the solver valued each z at y = 0.  Each
     support-aware window is now one class, so the solver values one point
     a side, (z0, 0).
+
+    The integrand at (z, y) is the rows at (1, y) times a torus element
+    of z, so each y is factored once per side at both coset indices
+    (so_cosets: factor_u_k of m and of m g_chi, with all of m's rows
+    mapped), with no row test, and each point tests the rows of k scaled
+    by its torus, bottom-up (coset_decompose).  A zero pivot rejects every
+    z of that y without a test.  The row-map and row-test counts were
+    re-pinned when the factorization moved out of the point loop: before,
+    each point ran a lazy elimination that mapped and tested one row at a
+    time (on Phi* the bottom row of g(z0, 0) was tested and failed at
+    i = 0; it is now a zero pivot of m, tested by no point).
+
     Support-aware, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1):
     one coset_decompose call, which finds factors, where valuing each z
-    made 25 and every point 25 * 25**2 = 15,625.  On Phi the point
-    factors at i = 0, which maps no row and tests its 7 rows; on Phi* the
-    bottom row fails at i = 0, and i = 1 maps and tests all 7 rows, so 7
-    rows are mapped and 8 tested.  At any N: at (3, 2, N, 1), N = 3 and
-    N = 6 each make one call a side, and give equal buckets.
+    made 25 and every point 25 * 25**2 = 15,625.  The one y maps its 7
+    rows for i = 1; on Phi, m g_chi has a zero pivot and m factors, and
+    the point tests its 7 rows at i = 0; on Phi* m has the zero pivot and
+    the point tests 7 rows at i = 1.  At any N: at (3, 2, N, 1), N = 3
+    and N = 6 each make one call a side, and give equal buckets.
+
     Brute-force, over _so_buckets on both sides at (3, 2, 2, 1): the point
     loop makes one coset_decompose call per point, 2 * 30 * 81 = 4,860,
     and 18 of them find factors, the points of the support.  A box test
     ahead of the solver would take those 18 points from it, leaving 4,842
-    calls with none found.  The solver maps a row by g_chi only when the
-    elimination reaches it: 9 points factor at i = 0, and of the 4,851
-    that try i = 1, 9 factor (5 rows each) and 4,842 fail at the bottom
-    row, so 4,887 rows are mapped.  Mapping all of g g_chi first would
-    map 5 * 4,851 = 24,255."""
-    calls = count_calls("coset_decompose", "row_times_g_chi_so", "row_in_iplus")
+    calls with none found.  Each of the 2 * 81 y is factored at both
+    coset indices, 324 factorizations, and half of them have a zero
+    pivot: m g_chi on Phi, and m on Phi*, whose bottom row has 0 in the
+    corner.  So each point tests one coset, and all but the 18 that
+    factor fail at the bottom row: 4,860 + 18 * 4 = 4,932 row tests, and
+    5 * 162 = 810 rows mapped.  Before the factorization moved out of the
+    point loop, each point built its rows and ran an elimination per coset
+    index: 4,887 rows mapped, and mapping all of g g_chi first would have
+    mapped 5 * 4,851 = 24,255."""
+    calls = count_calls("coset_decompose", "factor_u_k", "row_times_g_chi_so", "row_in_iplus")
     if case == "brute-force":
         p, ell, level = 3, 2, 2
         for side in SIDES:
@@ -598,7 +628,10 @@ def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
         assert len(SIDES) * z_count * y_count ** (ell - 1) == 4_860
         assert calls["coset_decompose"] == 4_860
         assert calls["coset_decompose.found"] == 18
-        assert calls["row_times_g_chi_so"] == 4_842 + 9 * 5 == 4_887
+        assert calls["factor_u_k"] == len(SIDES) * y_count * 2 == 324
+        assert calls["factor_u_k.found"] == 162
+        assert calls["row_in_iplus"] == 4_860 + 18 * 4 == 4_932
+        assert calls["row_times_g_chi_so"] == 5 * 162 == 810
         return
     if case == "any-N":
         p, ell = 3, 2
@@ -614,12 +647,9 @@ def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
     _so_buckets(p, ell, level, 1, "support-aware", case, (F1,) * (ell + 1))
     n = 2 * ell + 1
     assert calls["coset_decompose"] == calls["coset_decompose.found"] == 1
-    if case == "phi":
-        assert calls["row_times_g_chi_so"] == 0
-        assert calls["row_in_iplus"] == n == 7
-    else:
-        assert calls["row_times_g_chi_so"] == n == 7
-        assert calls["row_in_iplus"] == 1 + n == 8
+    assert calls["factor_u_k"] == 2 and calls["factor_u_k.found"] == 1
+    assert calls["row_times_g_chi_so"] == n == 7
+    assert calls["row_in_iplus"] == n == 7
 
 
 def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):
@@ -634,11 +664,10 @@ def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):
     t = (F1,) * (ell + 1)
     want = {}
     for side in SIDES:
-        build = builder(side)
         zs = _z_windows(p, level, 1, "brute-force", side)[1]
         ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
         want[side] = [
-            _so_whittaker_parts(build(z, ell)(y), p, ell, t) is not None
+            parts_at(side, z, y, p, t) is not None
             for z, _ in zs
             for y in itertools.product(ys, repeat=ell - 1)
         ]

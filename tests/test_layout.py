@@ -120,7 +120,8 @@ def test_the_oracle_whittaker_eval_names_no_package_solver():
     names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
     assert {"reference_coset_decompose", "reference_coset_decompose_gl"} <= names
     assert sorted(names & {"coset_decompose", "coset_decompose_gl"}) == []
-    assert sorted(imported_names(ORACLES) & {"coset_decompose", "coset_decompose_gl", "eliminate_u_iplus"}) == []
+    package_solvers = {"coset_decompose", "coset_decompose_gl", "factor_u_k", "so_cosets", "gl_coset"}
+    assert sorted(imported_names(ORACLES) & package_solvers) == []
 
 
 def imported_names(path):

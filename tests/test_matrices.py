@@ -39,20 +39,48 @@ from oracles import (
     w_element,
     xbar,
 )
-from ssgamma import matrices
-from ssgamma.integrals import _gl_dual_bottom, _gl_dual_top, _so_rows, _so_y, _y_windows, _z_windows
+from ssgamma import integrals, matrices
+from ssgamma.integrals import _gl_buckets, _gl_dual_rows, _so_buckets, _so_rows, _y_windows, _z_windows
 from ssgamma.matrices import (
+    F1,
     SingularMatrix,
-    _gl_bottom_step,
     _solve_row,
+    _torus_k,
     coset_decompose,
     coset_decompose_gl,
-    eliminate_u_iplus,
+    factor_u_k,
+    gl_coset,
     mat_inv,
     row_in_iplus,
     row_times_g_chi_gl_inv,
     row_times_g_chi_so,
+    so_cosets,
+    so_torus,
 )
+
+
+def ones(n):
+    """The diagonal of the identity, as a scaled row."""
+    return [1] * n, 1
+
+
+def eliminate(rows, p):
+    """The U * I+ factorization of the matrix m of the scaled rows: the
+    factors of m (factor_u_k) with every row of k tested, (u, k), or None
+    when m is outside U * I+."""
+    factors = factor_u_k(rows)
+    k = None if factors is None else _torus_k(factors[1], ones(len(rows)), p, False)
+    return None if k is None else (factors[0], k)
+
+
+def so_solve(rows, p):
+    """coset_decompose of g, given by its scaled rows, as g = g h(1)."""
+    return coset_decompose(so_cosets(rows, p), so_torus(F1, len(rows)), p)
+
+
+def gl_solve(rows, p):
+    """coset_decompose_gl of g, given by its scaled rows, as g = 1 g."""
+    return coset_decompose_gl(gl_coset(rows, p), ones(len(rows)), p)
 
 
 def test_g_chi_so_is_involution():
@@ -137,7 +165,7 @@ def test_eliminate_u_iplus_direct():
     u = random_so_unipotent(rng, ell, p, integral=False)
     k = random_so_iplus(rng, ell, p)
     m = u * k
-    res = eliminate_u_iplus(reversed(scaled(m.rows)), len(m.rows), p)
+    res = eliminate(scaled(m.rows), p)
     assert res is not None
     u2, k2 = res
     assert in_iplus(unscaled(k2), p)
@@ -152,7 +180,7 @@ def test_coset_roundtrip_random(ell, p):
         i = rng.randrange(2)
         k = random_so_iplus(rng, ell, p)
         g = u * (gchi if i else GroupMatrix.make([[1 if a == b else 0 for b in range(2 * ell + 1)] for a in range(2 * ell + 1)], p, "SO_odd")) * k
-        res = coset_decompose(scaled(g.rows), p)
+        res = so_solve(scaled(g.rows), p)
         assert res is not None
         assert res[1] == i
         assert recompose(res, gchi).rows == g.rows
@@ -166,7 +194,7 @@ def test_coset_decompose_rejects_outside():
     # a torus element with nonunit diagonal lies in no U g_chi^i I+ coset
     p = 3
     h = embed_j(torus_so2(Fraction(p * p), p), 1)
-    assert coset_decompose(scaled(h.rows), p) is None
+    assert so_solve(scaled(h.rows), p) is None
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 3), (3, 7)])
@@ -188,7 +216,7 @@ def test_gl_coset_roundtrip(n, p):
             gj = gj * gchi
         k = random_gl_iplus(rng, n, p)
         g = u * gj * z * k
-        res = coset_decompose_gl(scaled(g.rows), p)
+        res = gl_solve(scaled(g.rows), p)
         assert res is not None
         u2, j2, z2, k2 = res
         assert j2 == j
@@ -349,7 +377,7 @@ def assert_u_iplus_factors(m, res, p):
 def test_u_iplus_factors_of_any_matrix(case, factors):
     """Whatever denominators, of either sign, the rows are written over."""
     p, m = case
-    res = eliminate_u_iplus(reversed(rescaled(scaled(m), factors)), len(m), p)
+    res = eliminate(rescaled(scaled(m), factors), p)
     if res is not None:
         assert_u_iplus_factors(m, res, p)
 
@@ -360,7 +388,7 @@ def test_u_times_iplus_always_factors(p, n, rng, data):
     entry = st.builds(lambda a, e: Fraction(a, p**e), st.integers(-2 * p, 2 * p), st.integers(0, 2))
     u0 = [[Fraction(i == j) if i >= j else data.draw(entry) for j in range(n)] for i in range(n)]
     m = mat_mul(u0, random_gl_iplus(rng, n, p).lists())
-    res = eliminate_u_iplus(reversed(scaled(m)), n, p)
+    res = eliminate(scaled(m), p)
     assert res is not None
     assert_u_iplus_factors(m, res, p)
 
@@ -393,16 +421,17 @@ def test_so_column_map_is_the_product_with_g_chi(case):
     assert unscaled([row_times_g_chi_so(row, p) for row in scaled(g)]) == want
 
 
-# --- the lazy solvers against the elimination on the fully formed matrix ------
+# --- the solvers, which map one row at a time, against the elimination on ------
+# --- the fully formed product ------------------------------------------------
 
 
 def eager_coset_decompose(g, p):
     """coset_decompose with every g g_chi^(-i) formed in full by an oracle
-    product before the elimination reads it."""
+    product before it is factored."""
     n = len(g)
     gchi = g_chi_so(n // 2, p).lists()
     for i in (0, 1):
-        res = eliminate_u_iplus(reversed(scaled(mat_mul(g, gchi) if i else g)), n, p)
+        res = eliminate(scaled(mat_mul(g, gchi) if i else g), p)
         if res is not None:
             return res[0], i, res[1]
     return None
@@ -410,14 +439,14 @@ def eager_coset_decompose(g, p):
 
 def eager_coset_decompose_gl(g, p):
     """coset_decompose_gl with every g g_chi^(-j) / z formed in full by
-    oracle products before the elimination reads it."""
+    oracle products before it is factored."""
     n = len(g)
     inv = g_chi_gl(n, p).inv().lists()
     m = g
     for j in range(n):
         z = m[n - 1][n - 1]
         if z:
-            res = eliminate_u_iplus(reversed(scaled([[x / z for x in row] for row in m])), n, p)
+            res = eliminate(scaled([[x / z for x in row] for row in m]), p)
             if res is not None:
                 return res[0], j, z, res[1]
         m = mat_mul(m, inv)
@@ -463,7 +492,7 @@ def gl_cases(draw):
 @given(so_cases())
 def test_lazy_so_solver_matches_the_eager_elimination(case):
     p, g, inside = case
-    res = coset_decompose(scaled(g), p)
+    res = so_solve(scaled(g), p)
     assert res == eager_coset_decompose(g, p)
     assert res is not None or not inside
 
@@ -472,7 +501,7 @@ def test_lazy_so_solver_matches_the_eager_elimination(case):
 @given(gl_cases())
 def test_lazy_gl_solver_matches_the_eager_elimination(case):
     p, g, inside = case
-    res = coset_decompose_gl(scaled(g), p)
+    res = gl_solve(scaled(g), p)
     assert res == eager_coset_decompose_gl(g, p)
     assert res is not None or not inside
 
@@ -500,8 +529,8 @@ def gl_bottom_row_cases(draw):
 def test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it(case):
     """The j whose g g_chi_gl^(-j), scaled by its bottom-right entry z,
     has its bottom row in I+, found by oracle products over every j, are
-    exactly the j at which coset_decompose_gl maps rows: one j for a
-    nonzero bottom row, none for a zero one."""
+    exactly the j at which gl_coset maps rows: one j for a nonzero bottom
+    row, none for a zero one."""
     p, g = case
     n = len(g)
     inv = g_chi_gl(n, p).inv().lists()
@@ -519,7 +548,7 @@ def test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it(case):
         return row_times_g_chi_gl_inv(row, j, *scale)
 
     with mock.patch.object(matrices, "row_times_g_chi_gl_inv", recording):
-        res = coset_decompose_gl(scaled(g), p)
+        res = gl_solve(scaled(g), p)
     assert passing == mapped
     assert len(passing) == (1 if any(g[n - 1]) else 0)
     assert res is None or {res[1]} == passing
@@ -555,9 +584,9 @@ def test_so_kernel_matches_the_fraction_reference(case, factors):
     row written over a denominator of either sign."""
     p, g = case
     rows = rescaled(scaled(g), factors)
-    assert coset_decompose(rows, p) == reference_factors(reference_coset_decompose(g, p))
+    assert so_solve(rows, p) == reference_factors(reference_coset_decompose(g, p))
     n = len(g)
-    assert eliminate_u_iplus(reversed(rows), n, p) == reference_factors(reference_eliminate_u_iplus(reversed(g), n, p))
+    assert eliminate(rows, p) == reference_factors(reference_eliminate_u_iplus(reversed(g), n, p))
 
 
 @settings(max_examples=300, deadline=None)
@@ -565,54 +594,110 @@ def test_so_kernel_matches_the_fraction_reference(case, factors):
 def test_gl_kernel_matches_the_fraction_reference(case, factors):
     p, g = case
     rows = rescaled(scaled(g), factors)
-    assert coset_decompose_gl(rows, p) == reference_factors(reference_coset_decompose_gl(g, p))
+    assert gl_solve(rows, p) == reference_factors(reference_coset_decompose_gl(g, p))
+
+
+def torus_entries(p, near_one):
+    """Nonzero entries 1 + p c, which keep a product in its coset and move
+    every off-diagonal entry of D u D^(-1), or a p^e, a a small int prime
+    to p or not, e in -2..2."""
+    if near_one:
+        return st.builds(lambda c: Fraction(1 + p * c), st.integers(-p, p))
+    return st.builds(lambda a, e: Fraction(a) * Fraction(p) ** e, st.integers(1, 3 * p), st.integers(-2, 2))
+
+
+def diagonal(entries):
+    """The diagonal matrix with those Fraction entries."""
+    return [[x if r == c else Fraction(0) for c in range(len(entries))] for r, x in enumerate(entries)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(gl_bottom_row_cases(), near_products(gl_cases())), st.lists(row_factors, min_size=5, max_size=5))
-def test_the_bottom_step_made_ahead_changes_no_factor(case, factors):
-    """coset_decompose_gl handed its bottom step made ahead, as _gl_buckets
-    makes it once per x (_gl_bottom_step of the bottom row alone), gives
-    the factors it computes from the rows alone, and those of the
-    Fraction reference: on tied and all-zero bottom rows, on near
-    products just inside or outside their coset, and over denominators
-    of either sign.  The step is None exactly at an all-zero bottom row,
-    where the solver fails: on any other the one j puts the bottom row in
-    I+ (its diagonal is 1 and the rest lies in p), so a bottom row fails
-    the test only when it has no j."""
-    p, g = case
-    rows = rescaled(scaled(g), factors)
-    step = _gl_bottom_step(rows[-1], p)
-    assert (step is None) == (not any(g[-1]))
-    want = reference_factors(reference_coset_decompose_gl(g, p))
-    assert coset_decompose_gl(rows, p, step) == coset_decompose_gl(rows, p) == want
+@given(
+    st.one_of(near_products(so_cases()), near_products(gl_cases()), gl_bottom_row_cases()),
+    st.lists(row_factors, min_size=7, max_size=7),
+    st.data(),
+)
+def test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m(case, factors, data):
+    """m is factored once, and the factors of m D and D m, D diagonal, are
+    those of m with k scaled by D: m D = u (k D) and D m = (D u D^(-1))
+    (D k).  Each against the Fraction reference on the product formed
+    by oracle products: the elimination (factor_u_k, then _torus_k) of
+    m D for any D; the SO solver on m h(d), h(d) = diag(d, 1, ..., 1,
+    1/d), at both coset indices (so_cosets of m, so_torus of d); and the
+    GL solver on D m for D with last entry 1 (gl_coset of m).  On tied
+    and zero bottom rows, near products just inside or outside their
+    coset, and rows over denominators of either sign."""
+    p, m = case
+    n = len(m)
+    rows = rescaled(scaled(m), factors)
+    entries = torus_entries(p, data.draw(st.booleans()))
+    d = [data.draw(entries) for _ in range(n)]
+    res = factor_u_k(rows)
+    k = None if res is None else _torus_k(res[1], scaled([d])[0], p, False)
+    want = reference_eliminate_u_iplus(reversed(mat_mul(m, diagonal(d))), n, p)
+    assert (None if k is None else (res[0], k)) == reference_factors(want)
+    if n % 2 and n > 1:
+        h = [d[0]] + [F1] * (n - 2) + [1 / d[0]]
+        got = coset_decompose(so_cosets(rows, p), so_torus(d[0], n), p)
+        assert got == reference_factors(reference_coset_decompose(mat_mul(m, diagonal(h)), p))
+    d[-1] = F1
+    got = coset_decompose_gl(gl_coset(rows, p), scaled([d])[0], p)
+    assert got == reference_factors(reference_coset_decompose_gl(mat_mul(diagonal(d), m), p))
 
 
-def test_kernels_match_the_fraction_reference_on_the_brute_force_windows():
-    """Every point of the brute-force windows at SO (p, l, N, V) =
-    (3, 2, 2, 1), both sides, and of both JPSS sides at (n, p) = (3, 3),
-    N = 2, V = 1: the rows the integrand builders write, factored by the
-    integer kernel and, read as Fractions, by the reference."""
+def recorded(monkeypatch, name):
+    """The results of every call of the solver integrals binds as name,
+    in call order, while the enumeration runs."""
+    results = []
+    solver = getattr(integrals, name)
+
+    def recording(*args):
+        results.append(solver(*args))
+        return results[-1]
+
+    monkeypatch.setattr(integrals, name, recording)
+    return results
+
+
+def test_kernels_match_the_fraction_reference_on_the_brute_force_windows(monkeypatch):
+    """The enumeration's own verdict and factors at every point of the
+    brute-force windows at SO (p, l, N, V) = (3, 2, 2, 1), both sides, and
+    of both JPSS sides at (n, p) = (3, 3), N = 2, V = 1, recorded in loop
+    order as the enumeration values them (each inner point factored once,
+    each point its factors scaled by its torus), against the Fraction
+    reference on the point's integrand: the rows at the unit outer point
+    times h(z) on Phi, h(1/z) on Phi*, diag(a, ..., a, 1) on the JPSS dual
+    side and diag(a, 1, 1) on the plain side, formed by oracle products."""
     p, ell, level = 3, 2, 2
+    n = 2 * ell + 1
     ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
     found = 0
     for side in ("phi", "phi_star"):
-        for z, _ in _z_windows(p, level, 1, "brute-force", side)[1]:
-            rows = _so_rows(z, ell, side)
-            for y in itertools.product(ys, repeat=ell - 1):
-                g = rows(_so_y(y))
-                res = coset_decompose(g, p)
-                assert res == reference_factors(reference_coset_decompose(unscaled(g), p)), (side, z, y)
-                found += res is not None
+        results = recorded(monkeypatch, "coset_decompose")
+        _so_buckets(p, ell, level, 1, "brute-force", side, (F1,) * (ell + 1))
+        zs = _z_windows(p, level, 1, "brute-force", side)[1]
+        points = [(z, y) for z, _ in zs for y in itertools.product(ys, repeat=ell - 1)]
+        assert len(results) == len(points) == 30 * 81
+        for (z, y), res in zip(points, results):
+            d = 1 / z if side == "phi_star" else z
+            g = mat_mul(unscaled(_so_rows(y, side)), diagonal([d] + [F1] * (n - 2) + [1 / d]))
+            assert res == reference_factors(reference_coset_decompose(g, p)), (side, z, y)
+            found += res is not None
     assert found == 18
     n = 3
     xs = [c for c, _ in _y_windows(p, level, 0, "brute-force")[1]]
     found = 0
-    for a, _ in _z_windows(p, level, 1, "brute-force", "phi")[1]:
-        plain = scaled([[a if r == c == 0 else Fraction(r == c) for c in range(n)] for r in range(n)])
-        top = _gl_dual_top(a, n)
-        for rows in [plain] + [top + [_gl_dual_bottom(x)] for x in itertools.product(xs, repeat=n - 2)]:
-            res = coset_decompose_gl(rows, p)
-            assert res == reference_factors(reference_coset_decompose_gl(unscaled(rows), p)), (a, rows)
+    for side in ("plain", "dual"):
+        results = recorded(monkeypatch, "coset_decompose_gl")
+        _gl_buckets(n, p, level, 1, side)
+        inner = list(itertools.product(xs, repeat=n - 2)) if side == "dual" else [()]
+        points = [(a, x) for a, _ in _z_windows(p, level, 1, "brute-force", "phi")[1] for x in inner]
+        assert len(results) == len(points)
+        for (a, x), res in zip(points, results):
+            if side == "dual":
+                g = mat_mul(diagonal([a] * (n - 1) + [F1]), unscaled(_gl_dual_rows(x)))
+            else:
+                g = diagonal([a] + [F1] * (n - 1))
+            assert res == reference_factors(reference_coset_decompose_gl(g, p)), (side, a, x)
             found += res is not None
     assert found == 3 + 3 * 9
