@@ -31,7 +31,8 @@ scaled by the point's torus element and read as plain ints (i, m, a),
 meaning zeta^i * zeta_(p^m)^a.  The record holds every nonzero point
 the point loop valued.  An SO side is one enumeration, z outer and y
 inner at rank l - 1 (_so_buckets), valued by the coset solver in both
-modes.
+modes.  Both SO sides value one integrand, Phi: Phi*(z, y) g_chi =
+Phi(p z, -y), so W(Phi*(z, y)) = zeta W(Phi(p z, -y)) (_so_buckets).
 The modes differ only in their windows: W(g k) = W(g) chi(k) for k in
 I+ makes W constant on each support-aware class, so that mode values
 one point a side, (z0, 0), at any N (_so_buckets has the argument).  A
@@ -56,7 +57,7 @@ from math import lcm
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
 from .padic import is_int, is_odd_prime, rational_valuation
-from .matrices import coset_decompose, coset_decompose_gl, gl_coset, so_cosets, so_torus
+from .matrices import coset_decompose, coset_decompose_gl, factor_u_k, gl_coset, so_torus
 from .characters import (
     TameCharacter,
     psi_exponent,
@@ -194,48 +195,37 @@ class GammaResult:
 # integrand rows and the per-point Whittaker evaluator
 #
 # Every integrand is a fixed matrix m of its inner point (y or x) times a
-# diagonal torus element D of its outer point (z or a): m D on SO and
-# D m on the JPSS sides.  The builders write m in closed form as the
-# solver's scaled rows (nums, den), entries nums[c] / den (matrices.py),
-# and the solver factors m once per inner point (so_cosets, gl_coset).
-# A point is those factors and the diagonal of D, made once per outer
-# point, and the coset solver values it by testing the rows of k scaled
-# by D, so a point makes no Fraction unless it factors.
+# diagonal torus element D of its outer point (z or a): m D on SO (Phi*
+# times g_chi, see _so_buckets) and D m on the JPSS sides.  The builders
+# write m in closed form as the solver's scaled rows (nums, den), entries
+# nums[c] / den (matrices.py), and the solver factors m once per inner
+# point (factor_u_k, gl_coset).  A point is those factors and the
+# diagonal of D, made once per outer point, and the coset solver values
+# it by testing the rows of k scaled by D, so a point makes no Fraction
+# unless it factors.
 
 
-def _unit_rows(n, rows, x):
-    """The scaled rows with x on the diagonal at each index of rows and 0
-    elsewhere, over 1."""
-    return [([0] * r + [x] + [0] * (n - 1 - r), 1) for r in rows]
+def _unit_rows(n, rows):
+    """The scaled rows of the identity at each index of rows, over 1."""
+    return [([0] * r + [1] + [0] * (n - 1 - r), 1) for r in rows]
 
 
-def _so_rows(y, side):
-    """The rows of the side's integrand at (1, y), y = (y_0, ..., y_(l-2)),
-    in closed form.
-
-    On Phi it is x_bar(y) j(h(z)): z and 1/z at the ends of the diagonal,
-    y z below z and -y reversed left of 1/z.  On Phi* it is c_hat x_bar(y)
-    j(h(z)) delta_o omega'.  c_hat negates the middle rows other than row
-    l, delta_o negates column l and omega' swaps the outer columns.  So
-    the middle diagonal is -1, z and 1/z move to the outer corners, y z
-    to the last column negated (rows 1..l-1), and -y stays (no y is in
-    row l or column l).  z lies only in the columns of z and 1/z, so the
-    integrand at (z, y) is these rows times h(z) = diag(z, 1, ..., 1, 1/z)
-    on Phi, and times h(1/z) on Phi*, where the two columns swap."""
+def _so_rows(y):
+    """The rows of Phi's integrand x_bar(y) j(h(z)) at (1, y), y = (y_0,
+    ..., y_(l-2)), in closed form: ones on the diagonal, y below the 1 in
+    column 0 and -y reversed left of the corner.  The integrand at (z, y)
+    is these rows times h(z) = diag(z, 1, ..., 1, 1/z)."""
     ell = len(y) + 1
     n = 2 * ell + 1
-    # the sign of rows 1..n-2, and the columns of z and of 1/z
-    s, cz, ci = (-1, n - 1, 0) if side == "phi_star" else (1, 0, n - 1)
     lcd = lcm(*(c.denominator for c in y))
-    rows = [([int(c == cz) for c in range(n)], 1)]
-    last = [0] * n
-    last[ci] = lcd
+    rows = _unit_rows(n, [0])
+    last = [0] * (n - 1) + [lcd]
     for i, c in enumerate(y):
         row = [0] * n
-        row[cz], row[1 + i] = s * c.numerator, s * c.denominator
+        row[0], row[1 + i] = c.numerator, c.denominator
         rows.append((row, c.denominator))
         last[n - 2 - i] = -c.numerator * (lcd // c.denominator)
-    return rows + _unit_rows(n, range(ell, n - 1), s) + [(last, lcd)]
+    return rows + _unit_rows(n, range(ell, n - 1)) + [(last, lcd)]
 
 
 def _gl_dual_rows(x):
@@ -268,8 +258,10 @@ def _chi_arg(k, t, ell, p):
     ends, k[0][1] and k[2l-1][0] / p.  The t that _check_t accepts have
     t_(l+1) = t_1 mod p, so the two arguments differ by an element of p,
     and psi_exponent reads x only mod p: every (i, m, a) stored is the
-    same whichever of k and g_chi k g_chi it is read off.  On a unit upper
-    triangular u, whose corner entry is 0, it reads psi_U(u)."""
+    same whichever of k and g_chi k g_chi it is read off.  So with
+    Phi*(z, y) g_chi = Phi(p z, -y) = u k, W(Phi*(z, y)) = zeta psi_U(u)
+    chi(k) = zeta W(Phi(p z, -y)).  On a unit upper triangular u, whose
+    corner entry is 0, it reads psi_U(u)."""
     s = 0
     for a in range(ell):
         nums, den = k[a]
@@ -281,21 +273,20 @@ def _chi_arg(k, t, ell, p):
     return s
 
 
-def _so_whittaker_parts(cosets, tori, p, ell, t):
-    """(i, m, a) with W(g) = zeta^i * zeta_(p^m)^a, or None off the support.
+def _so_whittaker_parts(factors, diag, i, p, ell, t):
+    """(i, m, a) with W(g) = zeta^i * zeta_(p^m)^a, or None off the support,
+    for g with g g_chi^(-i) = m h(d), given as factor_u_k(m) and
+    so_torus(d, 2l + 1).  The zeta power i is kept separate so one
+    enumeration serves every central sign.
 
-    g = m h(d) is given as so_cosets(m) and so_torus(d, 2l + 1).  The
-    zeta power i is kept separate so one enumeration serves every central
-    sign; zeta_(p^m)^a is psi_U(u) * chi(k').
-
-    coset_decompose factors g g_chi^(-i) = u k.  So g = u k g_chi^i =
-    u g_chi^i k' with k' = g_chi^(-i) k g_chi^i, and W(g) = psi_U(u)
-    zeta^i chi(k').  At both i, _chi_arg reads chi(k') off k, and
-    psi_U(u) off u (see _chi_arg), so k' is never formed."""
-    res = coset_decompose(cosets, tori, p)
+    coset_decompose factors g g_chi^(-i) = u k.  So g = u g_chi^i k' with
+    k' = g_chi^(-i) k g_chi^i, and W(g) = psi_U(u) zeta^i chi(k').
+    _chi_arg reads chi(k') off k, and psi_U(u) off u, so k' is never
+    formed."""
+    res = coset_decompose(factors, diag, p)
     if res is None:
         return None
-    u, i, k = res
+    u, k = res
     return (i,) + psi_exponent(_chi_arg(u, t, ell, p) + _chi_arg(k, t, ell, p), p)
 
 
@@ -454,35 +445,38 @@ def _so_buckets(p, ell, level, cutoff, mode, side, t):
     weighted sum of W over the y domain and the z of one tame class (see
     the comment above _BUCKETS), and the point loop's record of nonzero
     points.  Every point is valued by the coset solver
-    (_so_whittaker_parts), in both modes.  The integrand at (z, y) is
-    the rows at (1, y) (_so_rows) times h(z) on Phi and h(1/z) on Phi*,
-    so each y is factored once, at both coset indices, and each point
-    tests the rows of k scaled by the torus of its z.
+    (_so_whittaker_parts), in both modes.  Both sides value Phi.  With
+    m(y) and m*(y) the rows of Phi and Phi* at (1, y) (_so_rows writes
+    m), Phi(z, y) = m(y) h(z), Phi*(z, y) = m*(y) h(1/z) and m*(y) g_chi
+    = m(-y) h(p), so, as g_chi h(d) g_chi = h(1/d), Phi*(z, y) g_chi =
+    Phi(p z, -y).  The corner of u k is that of k, in 1 + p for k in I+,
+    and Phi g_chi and Phi* have 0 there: a Phi point has i = 0 and a Phi*
+    point i = 1, with W(Phi*(z, y)) = zeta W(Phi(p z, -y)) (_chi_arg).
+    So each y is factored once, as m(y) or m(-y), and each point tests
+    the rows of k scaled by h(z) or h(p z).
 
     Each support-aware window is one class, valued at one point, since W
-    is constant on both classes.  Write z = z0 w with w in 1 + p.  Then
-    x_bar(y) j(h(z)) = j(h(z0)) k with k = j(h(w)) k_y, j(h(w)) =
-    diag(w, 1, ..., 1, 1/w) and k_y = 1 + sum_k y_k z (E_(1+k,0) -
-    E_(n-1,n-2-k)).  On Phi, z is in 1 + p and y_k in p, so both factors
-    are in I+.  On Phi*, the right factor delta_o omega' conjugates
-    j(h(w)) to diag(1/w, ..., w), and k_y to the entries (1+k, n-1) and
-    (0, n-2-k), above the diagonal, where y_k z in o is enough.  chi reads
-    no diagonal entry and none of k_y's (none is (a, a+1) with a < l, nor
-    (2l-1, 0)), so W(g(z, y)) = W(g(z0, 0)) chi(k) = W(g(z0, 0)).  The
-    brute-force windows reach z and y outside these classes."""
+    is constant on both classes.  On Phi, with z in 1 + p and each y_k in
+    p, x_bar(y) j(h(z)) = j(h(z)) k_y with k_y = 1 + sum_k y_k z
+    (E_(1+k,0) - E_(n-1,n-2-k)), both in I+.  chi reads no diagonal entry
+    and none of k_y's (none is (a, a+1) with a < l, nor (2l-1, 0)), so
+    W(g(z, y)) = W(g(1, 0)).  (p z, -y) maps the Phi* class, z in
+    p^(-1) (1 + p) and y_k in p, onto the Phi class, so W is constant
+    there too.  The brute-force windows reach z and y outside them."""
 
     star = side == "phi_star"
+    i = 1 if star else 0
 
     def value(z):
-        tori = so_torus(F1 / z if star else z, 2 * ell + 1)
-        return lambda cosets: _so_whittaker_parts(cosets, tori, p, ell, t)
+        diag = so_torus(p * z if star else z, 2 * ell + 1)
+        return lambda factors: _so_whittaker_parts(factors, diag, i, p, ell, t)
 
     return _enumerate(
         p,
         _z_windows(p, level, cutoff, mode, side),
         _y_windows(p, level, cutoff, mode),
         ell - 1,
-        lambda y: so_cosets(_so_rows(y, side), p),
+        lambda y: factor_u_k(_so_rows(tuple(-c for c in y) if star else y)),
         value,
         f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
     )
@@ -633,7 +627,7 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
         _z_windows(p, level, cutoff, "brute-force", "phi"),
         _y_windows(p, level, 0, "brute-force"),
         n - 2 if dual else 0,
-        lambda x: gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1), p),
+        lambda x: gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n)), p),
         value,
         f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}",
     )

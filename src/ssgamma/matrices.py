@@ -1,11 +1,11 @@
 """Matrices over Q_p as scaled integer rows: the I+ row test, right
-multiplication by the normalizers g_chi as a map on one row, the one
-exact factorization, and the double-coset solvers behind the explicit
+multiplication by g_chi_gl^(-j) as a map on one row, the one exact
+factorization, and the double-coset solvers behind the explicit
 Whittaker functions.
 
 A scaled row is a pair (nums, den), a list of ints and a nonzero int,
 with entries nums[c] / den.  The solvers take the rows of g in this form
-and work on the integers alone: the row maps and the factorization scale
+and work on the integers alone: the row map and the factorization scale
 numerators and denominators, and the I+ test is a set of congruences.
 The factors come back as scaled rows, each reduced (the gcd of its
 numerators and den is 1, and den > 0), the one such form of a row; the
@@ -14,15 +14,21 @@ evaluators of integrals.py make Fractions of the entries they read.
 Both coset solvers rest on one factorization, factor_u_k: the unique
 m = u k with u unit upper triangular and k lower triangular, built by
 back-substitution from the bottom row up, with no I+ test.  Every
-integrand of integrals.py is a fixed matrix m of its inner point times
-a diagonal torus element D of its outer point: g = m D on SO and g = D m
-on the JPSS sides.  The factors of g are then those of m with k scaled
-by D: m D = u (k D) and D m = (D u D^(-1)) (D k).  So m is factored once
-(so_cosets at both coset indices, gl_coset at the one j its bottom row
-names), and each point tests the rows of the scaled k, bottom-up, with
-the one I+ test (_torus_k).  Most points of a brute-force domain fail at
-the bottom row, so they cost one scaled row.  A zero pivot of m rejects
-every D at once.
+integrand of integrals.py, times g_chi^(-i) at its one coset index i,
+is a fixed matrix m of its inner point times a diagonal torus element D
+of its outer point: m D on SO and D m on the JPSS sides.  The factors
+are then those of m with k scaled by D: m D = u (k D) and D m =
+(D u D^(-1)) (D k).  So m is factored once (on GL at the one j its
+bottom row names, gl_coset), and each point tests the rows of the
+scaled k, bottom-up, with the one I+ test (_torus_k).  Most points of a
+brute-force domain fail at the bottom row, so they cost one scaled row.
+A zero pivot of m rejects every D at once.
+
+On SO, with h(d) = diag(d, 1, ..., 1, 1/d), Phi(z, y) = m(y) h(z) and
+Phi*(z, y) g_chi = Phi(p z, -y), so no row is mapped by g_chi.  The
+corner of u k, that of k, is in 1 + p for k in I+, and Phi g_chi and
+Phi* have 0 there: a Phi point lies only in U I+ and a Phi* point only
+in U g_chi I+ (integrals._so_buckets).
 
 Each solver returns the factors of g g_chi^(-i) = u k (SO) or
 g g_chi^(-j) = z u k (GL).  Since g_chi normalizes I+, g is then
@@ -120,15 +126,7 @@ def row_in_iplus(r, row, p) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# right multiplication by g_chi, one scaled row at a time
-
-
-def row_times_g_chi_so(row, p):
-    """A row of m g_chi_so (= m g_chi_so^(-1)), from that row of m: entry
-    1 <- p * entry N, entry N <- entry 1 / p, the middle entries negated,
-    all over den * p."""
-    nums, den = row
-    return [p * p * nums[-1], *[-p * x for x in nums[1:-1]], nums[0]], den * p
+# right multiplication by g_chi_gl^(-j), one scaled row at a time
 
 
 def row_times_g_chi_gl_inv(row, j, pn, pd, p):
@@ -212,45 +210,30 @@ def _torus_k(k, diag, p, left):
     return [_reduced(*row) for row in reversed(out)]
 
 
-def so_cosets(rows, p):
-    """The factors (factor_u_k) of m g_chi^(-i) for i = 0, 1, m given by
-    its scaled rows.  g_chi is an involution, so a row of m g_chi^(-1) =
-    m g_chi is a column map of that row of m (row_times_g_chi_so)."""
-    return [factor_u_k(rows), factor_u_k([row_times_g_chi_so(row, p) for row in rows])]
-
-
 def so_torus(d, n):
-    """The diagonals of h(d) = diag(d, 1, ..., 1, 1/d) in SO_n and of
-    g_chi h(d) g_chi = h(1/d), as scaled rows over one denominator:
-    coset_decompose's torus at i = 0 and i = 1 for g = m h(d)."""
+    """The diagonal of h(d) = diag(d, 1, ..., 1, 1/d) in SO_n, as a scaled
+    row over one denominator."""
     dn, dd = d.numerator, d.denominator
-    diag = [dn * dn] + [dn * dd] * (n - 2) + [dd * dd]
-    return (diag, dn * dd), (diag[::-1], dn * dd)
+    return [dn * dn] + [dn * dd] * (n - 2) + [dd * dd], dn * dd
 
 
-def coset_decompose(cosets, tori, p):
-    """Factor g = m h(d) in SO_(2l+1) as g g_chi^(-i) = u k: i in {0, 1},
-    u unit upper triangular and k lower triangular in I+.  Returns
-    (u, i, k) with u and k as lists of reduced scaled rows, or None when
-    g lies in neither double coset U g_chi^i I+.
+def coset_decompose(factors, diag, p):
+    """Factor g = m h(d) in SO_(2l+1) as g = u k: u unit upper triangular
+    and k lower triangular in I+.  Returns (u, k) as lists of reduced
+    scaled rows, or None when g is not in U I+.
 
-    cosets is so_cosets(m) and tori is so_torus(d, 2l + 1).  Since g_chi
-    normalizes I+, U g_chi^i I+ = U I+ g_chi^i, so g lies in it iff
-    g g_chi^(-i) is in U I+.  That is m g_chi^(-i) D_i, with D_i =
-    g_chi^i h(d) g_chi^(-i) the torus tori[i], and with m g_chi^(-i) =
-    u k it is u (k D_i): by uniqueness its factors, so g is in the coset
-    iff every row of k D_i is in I+ (_torus_k).  Then g = u g_chi^i k'
-    with k' = g_chi^(-i) k g_chi^i in I+.  The factors lie in SO:
-    g -> g* = J tg^(-1) J fixes SO, sends unit upper triangular to unit
-    upper triangular and lower triangular to lower triangular.  So for
-    g g_chi^i in SO, its factors u* k* are again its factorization, and by
-    uniqueness u* = u and k* = k."""
-    for i, (factors, diag) in enumerate(zip(cosets, tori)):
-        if factors is not None:
-            k = _torus_k(factors[1], diag, p, False)
-            if k is not None:
-                return factors[0], i, k
-    return None
+    factors is factor_u_k(m), None at a zero pivot, and diag is
+    so_torus(d, 2l + 1).  With m = u k, g = u (k h(d)), by uniqueness its
+    factors, so g is in U I+ iff every row of k h(d) is in I+ (_torus_k).
+    Its callers pass the integrand times g_chi^(-i) as g, i its one coset
+    index.  The factors lie in SO: g -> g* = J tg^(-1) J fixes SO, sends
+    unit upper triangular to unit upper triangular and lower triangular to
+    lower triangular.  So for g in SO, its factors u* k* are again its
+    factorization, and by uniqueness u* = u and k* = k."""
+    if factors is None:
+        return None
+    k = _torus_k(factors[1], diag, p, False)
+    return None if k is None else (factors[0], k)
 
 
 def gl_coset(rows, p):

@@ -230,8 +230,8 @@ MUTANTS = (
     Mutant(
         "the dual side's factors made at the first x only",
         INTEGRALS,
-        "        lambda x: gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1), p),\n",
-        '        lambda x, memo={}: memo.setdefault("coset", gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1), p)),\n',
+        "        lambda x: gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n)), p),\n",
+        '        lambda x, memo={}: memo.setdefault("coset", gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n)), p)),\n',
         (
             "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
             "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
@@ -240,18 +240,18 @@ MUTANTS = (
     Mutant(
         "the plain side's factors used on the dual side",
         INTEGRALS,
-        "gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1), p)",
-        "gl_coset(_unit_rows(n, range(n), 1), p)",
+        "gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n)), p)",
+        "gl_coset(_unit_rows(n, range(n)), p)",
         (
             "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
             "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
         ),
     ),
-    # the torus identity: each inner point factored once, k scaled by D
+    # Phi* valued as Phi at (p z, -y), at the coset index 1
     Mutant(
-        "d and 1/d swapped on Phi*",
+        "Phi* valued at z instead of p z",
         INTEGRALS,
-        "so_torus(F1 / z if star else z,",
+        "so_torus(p * z if star else z,",
         "so_torus(z if star else z,",
         (
             "tests/test_integrals.py::test_phi_star_value",
@@ -259,6 +259,25 @@ MUTANTS = (
             "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
         ),
     ),
+    Mutant(
+        "Phi* valued at +y",
+        INTEGRALS,
+        "factor_u_k(_so_rows(tuple(-c for c in y) if star else y))",
+        "factor_u_k(_so_rows(y))",
+        ("tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",),
+    ),
+    Mutant(
+        "Phi* tagged zeta^0",
+        INTEGRALS,
+        "    i = 1 if star else 0\n",
+        "    i = 0\n",
+        (
+            "tests/test_integrals.py::test_phi_star_value",
+            "tests/test_integrals.py::test_gamma_trivial_tau",
+            "tests/test_kernel.py::test_so_buckets_are_pinned[5-3-None-phi_star-726f88a12d53fd7450175b7cc79ca714b0a9ac39fb6c2ad08559b284bcb3e326]",
+        ),
+    ),
+    # the torus identity: each inner point factored once, k scaled by D
     Mutant(
         "the dual u[r][n-1] left unscaled by a",
         MATRICES,
@@ -272,8 +291,9 @@ MUTANTS = (
         "        if not nums[r]:\n            return None\n",
         "",
         (
-            "tests/test_kernel.py::test_support_aware_enumeration_values_one_point_per_side[brute-force]",
             "tests/test_gl.py::test_gl_enumeration_inverts_nothing",
+            "tests/test_acceptance.py::test_coset_roundtrip_hundred_products",
+            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
         ),
     ),
     Mutant(
@@ -284,7 +304,7 @@ MUTANTS = (
         (
             "tests/test_matrices.py::test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m",
             "tests/test_gl.py::test_jpss_support_lemma[3-3]",
-            "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-brute-force]",
+            "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
         ),
     ),
     Mutant(
@@ -355,17 +375,7 @@ MUTANTS = (
         "        for x in nums[r + 1 : r + 1]:\n",
         ("tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",),
     ),
-    # the SO row map, the elimination and the integrand rows
-    Mutant(
-        "the g_chi row map multiplies entry 1 by p where it divides",
-        MATRICES,
-        ", nums[0]], den * p",
-        ", p * p * nums[0]], den * p",
-        (
-            "tests/test_matrices.py::test_so_column_map_is_the_product_with_g_chi",
-            "tests/test_matrices.py::test_coset_roundtrip_random[2-5]",
-        ),
-    ),
+    # the elimination
     Mutant(
         "a scaled row of k outside I+ kept",
         MATRICES,
@@ -439,23 +449,6 @@ MUTANTS = (
         (
             "tests/test_matrices.py::test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it",
             "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
-        ),
-    ),
-    Mutant(
-        "the Phi* y z entries not negated",
-        INTEGRALS,
-        "row[cz], row[1 + i] = s * c.numerator,",
-        "row[cz], row[1 + i] = c.numerator,",
-        ("tests/test_kernel.py::test_sparse_builders_equal_generic_product",),
-    ),
-    Mutant(
-        "the Phi* middle diagonal +1",
-        INTEGRALS,
-        "_unit_rows(n, range(ell, n - 1), s)",
-        "_unit_rows(n, range(ell, n - 1), 1)",
-        (
-            "tests/test_kernel.py::test_sparse_builders_equal_generic_product",
-            "tests/test_kernel.py::test_convolution_matches_point_loop_on_the_grid[3-2-phi_star]",
         ),
     ),
     # the tame-class merge, the sections and the sign

@@ -28,8 +28,9 @@ defined here is defined again in src/.
     from the brute-force window (unfold_class).
   * The named group elements whose product the integrand row
     builders of integrals.py are checked against: c_hat, delta_o,
-    omega_prime, w_element, w_long, embed_j, xbar and torus_so2, and
-    b_element, whose n = 1 case gives the dual section's b_1^* = -1.
+    omega_prime, w_element, w_long, embed_j, xbar and torus_so2, the
+    SO integrands they make (generic_matrix), and b_element, whose
+    n = 1 case gives the dual section's b_1^* = -1.
   * Samplers of U_SO and of I+ in SO_(2l+1) and GL_n, the root elements
     they multiply, and the torus element normalizing the affine
     character (orbit_conjugator).
@@ -654,6 +655,15 @@ def xbar(y, ell: int, prime: int, verify: bool = False) -> GroupMatrix:
     for k in range(1, ell):
         rows[size - 1][ell + 1 + k - 1] = -y[ell - k - 1]
     return GroupMatrix.make(rows, prime, "SO_odd", verify=verify)
+
+
+def generic_matrix(p, ell, side, z, y):
+    """The SO integrand at (z, y) as a product of named elements: x_bar(y)
+    j(h(z)) for Phi; c_hat x_bar(y) j(h(z)) delta_o omega' for Phi*."""
+    g = xbar(y, ell, p) * embed_j(torus_so2(z, p), ell)
+    if side == "phi_star":
+        g = c_hat(1, ell, p) * g * delta_o(ell, p) * omega_prime(1, ell, p)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from oracles import (
     random_so_iplus,
     random_so_unipotent,
     recompose,
+    reference_coset_decompose,
     scaled,
     so_check,
     unscaled,
@@ -40,7 +41,7 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import F1, coset_decompose, so_cosets, so_torus
+from ssgamma.matrices import F1, coset_decompose, factor_u_k, so_torus
 from ssgamma.parameter import param_summary
 from ssgamma.scalars import ExactScalar
 
@@ -161,6 +162,13 @@ def test_affine_character_conjugation_invariance(ell, p):
 
 
 def test_coset_roundtrip_hundred_products():
+    """The one-coset solver on g g_chi^(-i) = g g_chi^i, formed by an oracle
+    product, for g = u g_chi^i k; at the other index it finds no factors,
+    and the reference chooses i."""
+
+    def solve(g):
+        return coset_decompose(factor_u_k(scaled(g.rows)), so_torus(F1, g.size), p)
+
     rng = random.Random(2024)
     cases = [(1, 3), (2, 5), (3, 3), (2, 7)]
     done = 0
@@ -171,10 +179,11 @@ def test_coset_roundtrip_hundred_products():
         i = rng.randrange(2)
         k = random_so_iplus(rng, ell, p)
         g = u * gchi * k if i else u * k
-        res = coset_decompose(so_cosets(scaled(g.rows), p), so_torus(F1, g.size), p)
-        assert res is not None and res[1] == i
-        assert recompose(res, gchi).rows == g.rows
-        u2, k2 = (GroupMatrix.make(unscaled(x), p, "SO_odd", verify=False) for x in (res[0], res[2]))
+        res = solve(g * gchi if i else g)
+        assert res is not None and solve(g if i else g * gchi) is None
+        assert reference_coset_decompose(g.rows, p)[1] == i
+        assert recompose((res[0], i, res[1]), gchi).rows == g.rows
+        u2, k2 = (GroupMatrix.make(unscaled(x), p, "SO_odd", verify=False) for x in res)
         assert so_check(u2) and in_iplus(k2.rows, p)
         assert so_check(k2)
         done += 1

@@ -123,7 +123,7 @@ def dual_rows(a, x, n):
 def parts_at(a, x, n, p, dual):
     """The value _gl_buckets gives the point (a, x): the factors of the
     rows at a = 1, made once per x (gl_coset), scaled by the torus of a."""
-    rows = _gl_dual_rows(x) if dual else _unit_rows(n, range(n), 1)
+    rows = _gl_dual_rows(x) if dual else _unit_rows(n, range(n))
     return _gl_whittaker_parts(gl_coset(rows, p), torus(a, n, dual), p, n)
 
 

@@ -548,14 +548,14 @@ def entry(rows, r, c):
     return Fraction(nums[c], den)
 
 
-def phi_point(cosets, tori):
+def phi_point(factors, diag):
     """(z, y) of a Phi point, read off the SO evaluator's arguments: z is
-    the d of the torus h(d) at i = 0, and the rows at (1, y) are lower
-    unitriangular on Phi, so they are their own k at i = 0, with -y_k in
-    their bottom row, left of the corner."""
-    (diag, den), k = tori[0], cosets[0][1]
-    n = len(diag)
-    return Fraction(diag[0], den), tuple(-entry(k, n - 1, n - 2 - i) for i in range((n - 3) // 2))
+    the d of the torus h(d), and the rows at (1, y) are lower
+    unitriangular, so they are their own k, with -y_k in their bottom
+    row, left of the corner."""
+    (entries, den), k = diag, factors[1]
+    n = len(entries)
+    return Fraction(entries[0], den), tuple(-entry(k, n - 1, n - 2 - i) for i in range((n - 3) // 2))
 
 
 def shell_nonzero_evaluator(monkeypatch, cutoff):
@@ -565,12 +565,12 @@ def shell_nonzero_evaluator(monkeypatch, cutoff):
     real = integrals._so_whittaker_parts
     calls = []
 
-    def fake(cosets, tori, p, ell, t):
-        z = phi_point(cosets, tori)[0]
+    def fake(factors, diag, i, p, ell, t):
+        z = phi_point(factors, diag)[0]
         calls.append(z)
         if rational_valuation(z, p) > cutoff:
             return (0, 0, 0)
-        return real(cosets, tori, p, ell, t)
+        return real(factors, diag, i, p, ell, t)
 
     monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
@@ -639,11 +639,11 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
     p, level, cutoff = 3, 2, 1
     real = integrals._so_whittaker_parts
 
-    def fake(cosets, tori, prime, ell, t):
-        z, (y,) = phi_point(cosets, tori)
+    def fake(factors, diag, i, prime, ell, t):
+        z, (y,) = phi_point(factors, diag)
         if abs(rational_valuation(z, p)) <= cutoff and rational_valuation(y, p) < -cutoff:
             return (0, 0, 0)
-        return real(cosets, tori, prime, ell, t)
+        return real(factors, diag, i, prime, ell, t)
 
     monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
@@ -677,10 +677,10 @@ def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypat
     y0 = integrals._y_windows(p, level, cutoff, "brute-force")[1][0][0]
     real = integrals._so_whittaker_parts
 
-    def fake(cosets, tori, prime, ell, t):
-        if phi_point(cosets, tori) == (z0, (y0,)):
+    def fake(factors, diag, i, prime, ell, t):
+        if phi_point(factors, diag) == (z0, (y0,)):
             return (0, 0, 0)
-        return real(cosets, tori, prime, ell, t)
+        return real(factors, diag, i, prime, ell, t)
 
     monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
     cfg = IntegralConfig(p, ell, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
@@ -711,7 +711,7 @@ def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatc
     p, level, cutoff = 3, 2, 1
     xs = integrals._y_windows(p, level, 0, "brute-force")[1]
     assert [gl_coset(integrals._gl_dual_rows((x,)), p) is None for x, _ in xs] == [shell for _, shell in xs]
-    assert gl_coset(integrals._unit_rows(3, range(3), 1), p) is not None
+    assert gl_coset(integrals._unit_rows(3, range(3)), p) is not None
 
     def fake(coset, diag, prime, n):
         a = Fraction(diag[0][0], diag[1])

@@ -1,9 +1,13 @@
 """Oracle property tests for the SO enumeration kernel.
 
-The kernel writes the rows of each integrand matrix in closed form and
-reads its Whittaker value off the coset solver's factors.  These tests
-check both against the generic code in tests/oracles.py: the row
-builders against the named-element product, and the evaluator against
+The kernel writes the rows of the Phi integrand in closed form and reads
+its Whittaker value off the coset solver's factors; it values Phi* as
+Phi at (p z, -y), times zeta, since Phi*(z, y) g_chi = Phi(p z, -y).
+That lemma, and that a Phi point lies only in the coset U I+ and a Phi*
+point only in U g_chi I+, are checked with oracle products alone, beside
+negative controls (z for p z, +y for -y).  The other tests check the
+kernel against the generic code in tests/oracles.py: the row builder
+against the named-element product, and the evaluator against
 whittaker_eval, which forms k' and chi(k') by products.  On the support
 the evaluator is also checked against a box reader made of oracle
 products alone (the oracle's in_iplus, the g_chi_so product and
@@ -14,9 +18,9 @@ rebuilt point by point from the (weight, [(rep, on_shell)]) windows,
 each support-aware class unfolded from the brute-force window
 (unfold_class), with the oracle's section_eval, with no buckets, no
 shared loop, no bucket sum and no merge over tame classes; and the merge
-itself, which _enumerate makes as each outer point's counts arrive, on
-a synthetic outer window that spans several tame classes and is walked
-in any order (on the real domains only one class per side is nonzero).
+itself, which _enumerate makes as each outer point's counts arrive, on a
+synthetic outer window that spans several tame classes and is walked in
+any order (on the real domains only one class per side is nonzero).
 
 The last tests check that each support-aware window is one class,
 valued at one point, (z0, 0) (_so_buckets).  Its lemma, g(z, y) =
@@ -50,21 +54,17 @@ from oracles import (
     _psi_u,
     affine_chi,
     b_element,
-    c_hat,
-    delta_o,
-    embed_j,
     g_chi_so,
+    generic_matrix,
     in_iplus,
-    omega_prime,
     random_so_iplus,
     random_so_unipotent,
+    reference_row_times_g_chi_so,
     scaled,
     section_eval,
-    torus_so2,
     unfold_class,
     unscaled,
     whittaker_eval,
-    xbar,
 )
 from ssgamma import integrals
 from ssgamma.characters import PSI_MAX_POWER, TameCharacter, psi_exponent, tame_class, tame_eval
@@ -84,7 +84,7 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import F0, F1, so_cosets, so_torus
+from ssgamma.matrices import F0, F1, factor_u_k, so_torus
 from ssgamma.scalars import ExactScalar
 
 SIDES = ("phi", "phi_star")
@@ -133,37 +133,39 @@ def points(draw):
     return p, ell, side, z, tuple(y), kind == "inside"
 
 
-def generic_matrix(p, ell, side, z, y):
-    """x_bar(y) j(h(z)) for Phi; c_hat x_bar(y) j(h(z)) delta_o omega' for Phi*."""
-    g = xbar(y, ell, p) * embed_j(torus_so2(z, p), ell)
+def phi_point(side, z, y, p):
+    """(d, y', i): the side's point (z, y) is valued as Phi at (d, y')
+    times zeta^i, since Phi*(z, y) g_chi = Phi(p z, -y)."""
     if side == "phi_star":
-        g = c_hat(1, ell, p) * g * delta_o(ell, p) * omega_prime(1, ell, p)
-    return g
+        return p * z, tuple(-c for c in y), 1
+    return z, tuple(y), 0
 
 
-def torus(side, z, n):
-    """so_torus of the d with integrand(z, y) = _so_rows(y, side) h(d):
-    z on Phi and 1/z on Phi*, where the columns of z and 1/z swap."""
-    return so_torus(F1 / z if side == "phi_star" else z, n)
-
-
-def integrand(side, z, y, ell):
-    """The scaled rows of the side's integrand at (z, y): the rows
-    _so_rows writes at (1, y), times the torus of z."""
-    diag, dd = torus(side, z, 2 * ell + 1)[0]
-    return [([x * e for x, e in zip(nums, diag)], den * dd) for nums, den in _so_rows(tuple(y), side)]
+def integrand(side, z, y, ell, p):
+    """The side's integrand at (z, y) as Fraction rows: the rows _so_rows
+    writes at (1, y') times h(d), with (d, y', i) = phi_point(side, z,
+    y, p), then times g_chi^i by the oracle's row map (g_chi^(-1) =
+    g_chi)."""
+    d, y, i = phi_point(side, z, y, p)
+    diag, dd = so_torus(d, 2 * ell + 1)
+    rows = unscaled([([x * e for x, e in zip(nums, diag)], den * dd) for nums, den in _so_rows(y)])
+    return [reference_row_times_g_chi_so(row, p) for row in rows] if i else rows
 
 
 def parts_at(side, z, y, p, t):
     """The value _so_buckets gives the point (z, y): the factors of the
-    rows at (1, y), made once per y (so_cosets), scaled by the torus of z."""
+    rows at (1, y'), made once per y, scaled by h(d), tagged zeta^i."""
+    d, y, i = phi_point(side, z, y, p)
     ell = len(y) + 1
-    return _so_whittaker_parts(so_cosets(_so_rows(tuple(y), side), p), torus(side, z, 2 * ell + 1), p, ell, t)
+    return _so_whittaker_parts(factor_u_k(_so_rows(y)), so_torus(d, 2 * ell + 1), i, p, ell, t)
 
 
-def parts_of_rows(rows, p, ell, t):
-    """The value of g, given by its scaled rows, as g h(1)."""
-    return _so_whittaker_parts(so_cosets(rows, p), so_torus(F1, 2 * ell + 1), p, ell, t)
+def parts_of_rows(g, i, p, ell, t):
+    """The value of g, given by its Fraction rows, in the coset
+    U g_chi^i I+: the one-coset solver on g g_chi^(-i), formed by the
+    oracle's row map, as that times h(1); None off that coset."""
+    rows = [reference_row_times_g_chi_so(row, p) for row in g] if i else g
+    return _so_whittaker_parts(factor_u_k(scaled(rows)), so_torus(F1, len(g)), i, p, ell, t)
 
 
 def box_parts(g, p, ell, t):
@@ -193,14 +195,36 @@ def kernel_value(p, zeta, parts):
 @settings(max_examples=150, deadline=None)
 @given(points())
 def test_sparse_builders_equal_generic_product(point):
-    """The row builders, which write the few entries off the identity in
-    closed form at (1, y), times the torus of z, against the named-element
-    product at (z, y): the integrand is the rows at (1, y) times h(z) on
-    Phi and h(1/z) on Phi*, the identity behind the enumeration's one
-    factorization per y."""
+    """The row builder, which writes the few entries off the identity in
+    closed form at (1, y), times h(z), against the named-element product
+    at (z, y): Phi(z, y) is the rows at (1, y) times h(z), the identity
+    behind the enumeration's one factorization per y; and Phi*(z, y) is
+    Phi(p z, -y) times g_chi."""
     p, ell, side, z, y, _ = point
-    g = integrand(side, z, y, ell)
-    assert tuple(map(tuple, unscaled(g))) == generic_matrix(p, ell, side, z, y).rows
+    assert tuple(map(tuple, integrand(side, z, y, ell, p))) == generic_matrix(p, ell, side, z, y).rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(points())
+def test_phi_star_is_phi_at_p_z_and_minus_y(point):
+    """The lemma behind the one SO integrand, with oracle products alone:
+    Phi*(z, y) g_chi = Phi(p z, -y).  And each side lies in one coset:
+    the bottom row of u k is that of k, whose corner is in 1 + p for k in
+    I+, while Phi(z, y) g_chi and Phi*(z, y) have 0 there, so a Phi point
+    is never in U g_chi I+ and a Phi* point never in U I+.  The negative
+    controls, z in place of p z and +y in place of -y (at y != 0), give
+    other matrices."""
+    p, ell, _, z, y, _ = point
+    n = 2 * ell + 1
+    gchi = g_chi_so(ell, p)
+    star = generic_matrix(p, ell, "phi_star", z, y)
+    minus = tuple(-c for c in y)
+    assert (star * gchi).rows == generic_matrix(p, ell, "phi", p * z, minus).rows
+    assert (generic_matrix(p, ell, "phi", z, y) * gchi).rows[n - 1][n - 1] == 0
+    assert star.rows[n - 1][n - 1] == 0
+    assert (star * gchi).rows != generic_matrix(p, ell, "phi", z, minus).rows
+    if any(y):
+        assert (star * gchi).rows != generic_matrix(p, ell, "phi", p * z, y).rows
 
 
 @settings(max_examples=120, deadline=None)
@@ -209,15 +233,17 @@ def test_evaluator_matches_whittaker_eval(point, zsign, data):
     p, ell, side, z, y, inside = point
     zeta = C.one() if zsign == 1 else -C.one()
     t = affine_t(data.draw, p, ell)
-    g = integrand(side, z, y, ell)
+    g = generic_matrix(p, ell, side, z, y).lists()
     parts = parts_at(side, z, y, p, t)
-    assert parts == parts_of_rows(g, p, ell, t)
+    i = phi_point(side, z, y, p)[2]
+    assert parts == parts_of_rows(g, i, p, ell, t)
+    assert parts_of_rows(g, 1 - i, p, ell, t) is None  # each side lies in one coset
     if inside:  # a box test decides the support, and the solver agrees with it
-        box = box_parts(unscaled(g), p, ell, t)
+        box = box_parts(g, p, ell, t)
         assert box is not None and parts is not None
         assert box == (parts[0], C(p ** parts[1], {parts[2]: 1}))
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
-    assert kernel_value(p, zeta, parts) == whittaker_eval(spec, generic_matrix(p, ell, side, z, y))
+    assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix.make(g, p, verify=False))
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,9 +258,10 @@ def test_evaluator_matches_whittaker_eval(point, zsign, data):
 def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral, zsign, seed, data):
     """Points u g_chi^i k with general values of chi.  An integral u keeps
     g (i = 0) or g g_chi (i = 1) in I+, so a box test decides the point;
-    a non-integral u misses both boxes and the coset solver decides it.
-    W(g) = zeta^i psi_U(u) chi(k) is also read off the sampled factors
-    directly, so a solver that returned wrong factors would fail."""
+    a non-integral u misses both boxes and the coset solver decides it,
+    at i, and finds no factors at 1 - i.  W(g) = zeta^i psi_U(u) chi(k)
+    is also read off the sampled factors directly, so a solver that
+    returned wrong factors would fail."""
     ell, p = case
     rng = random.Random(seed)
     zeta = C.one() if zsign == 1 else -C.one()
@@ -243,8 +270,9 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral,
     g = u * g_chi_so(ell, p) if i else u
     k = random_so_iplus(rng, ell, p)
     g = g * k
-    parts = parts_of_rows(scaled(g.rows), p, ell, t)
+    parts = parts_of_rows(g.lists(), i, p, ell, t)
     assert parts is not None and parts[0] == i
+    assert parts_of_rows(g.lists(), 1 - i, p, ell, t) is None
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix(g.rows, p, "SO_odd"))
     direct = zeta**i * _psi_u(spec, u) * affine_chi(k, t=t, flavor="SO")
@@ -444,18 +472,19 @@ def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
 def inner_points(ys, rank, side, p):
     """The inner points _enumerate makes of the SO y window reps ys once
     per side: (y, whether it lies on the padding shell, the factors of
-    the rows at (1, y))."""
+    the rows at (1, y'), y' = y on Phi and -y on Phi*)."""
     points = []
     for combo in itertools.product(ys, repeat=rank):
         y = tuple(c for c, _ in combo)
-        points.append((y, any(s for _, s in combo), so_cosets(_so_rows(y, side), p)))
+        points.append((y, any(s for _, s in combo), factor_u_k(_so_rows(phi_point(side, F1, y, p)[1]))))
     return points
 
 
 def point_loop(z, on_shell, points, side, p, ell, t):
     """The shared point loop at z, with the SO value _so_buckets gives it."""
-    tori = torus(side, z, 2 * ell + 1)
-    return _point_counts(z, on_shell, points, lambda cosets: _so_whittaker_parts(cosets, tori, p, ell, t), {})
+    d, _, i = phi_point(side, z, (), p)
+    diag = so_torus(d, 2 * ell + 1)
+    return _point_counts(z, on_shell, points, lambda factors: _so_whittaker_parts(factors, diag, i, p, ell, t), {})
 
 
 def loop_points(p, ell, side, t, level, sample=None):
@@ -577,48 +606,44 @@ def test_stress_sizes_meet_the_closed_forms(p, ell):
 
 @pytest.mark.parametrize("case", ["phi", "phi_star", "any-N", "brute-force"])
 def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
-    """coset_decompose, the factorization, its row map by g_chi and the
-    row test counted at every name the package binds them to.  This guard
-    was test_support_aware_enumeration_tests_coordinates_not_points while
-    it counted the box tests of a factored count, and
+    """coset_decompose, the factorization, the one g_chi row map (the GL
+    one) and the row test counted at every name the package binds them
+    to.  This guard was test_support_aware_enumeration_tests_coordinates_not_points
+    while it counted the box tests of a factored count, and
     test_support_aware_enumeration_values_one_point_per_z while only the
     y window was one class and the solver valued each z at y = 0.  Each
     support-aware window is now one class, so the solver values one point
     a side, (z0, 0).
 
-    The integrand at (z, y) is the rows at (1, y) times a torus element
-    of z, so each y is factored once per side at both coset indices
-    (so_cosets: factor_u_k of m and of m g_chi, with all of m's rows
-    mapped), with no row test, and each point tests the rows of k scaled
-    by its torus, bottom-up (coset_decompose).  A zero pivot rejects every
-    z of that y without a test.  The row-map and row-test counts were
-    re-pinned when the factorization moved out of the point loop: before,
-    each point ran a lazy elimination that mapped and tested one row at a
-    time (on Phi* the bottom row of g(z0, 0) was tested and failed at
-    i = 0; it is now a zero pivot of m, tested by no point).
+    Both sides value Phi: Phi(z, y) is the rows m(y) at (1, y) times
+    h(z), and Phi*(z, y) g_chi = Phi(p z, -y).  So each y is factored
+    once per side, as m(y) on Phi and m(-y) on Phi* (factor_u_k, with no
+    row test and no row map), and each point tests the rows of k scaled
+    by h(z) or h(p z), bottom-up (coset_decompose).  m(y) is lower
+    unitriangular, so every factorization is found.  The counts were
+    re-pinned when Phi* became Phi at (p z, -y): before, each y was
+    factored at both coset indices, m and m g_chi, with all of m's rows
+    mapped by g_chi for i = 1, and half of those factorizations stopped
+    at a zero pivot in the corner (m g_chi on Phi, and Phi*'s own m).
 
     Support-aware, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1):
     one coset_decompose call, which finds factors, where valuing each z
-    made 25 and every point 25 * 25**2 = 15,625.  The one y maps its 7
-    rows for i = 1; on Phi, m g_chi has a zero pivot and m factors, and
-    the point tests its 7 rows at i = 0; on Phi* m has the zero pivot and
-    the point tests 7 rows at i = 1.  At any N: at (3, 2, N, 1), N = 3
-    and N = 6 each make one call a side, and give equal buckets.
+    made 25 and every point 25 * 25**2 = 15,625.  The one y is factored
+    once, and the point tests its 7 rows, on either side; two
+    factorizations and 7 row maps before.  At any N: at (3, 2, N, 1),
+    N = 3 and N = 6 each make one call a side, and give equal buckets.
 
     Brute-force, over _so_buckets on both sides at (3, 2, 2, 1): the point
     loop makes one coset_decompose call per point, 2 * 30 * 81 = 4,860,
     and 18 of them find factors, the points of the support.  A box test
     ahead of the solver would take those 18 points from it, leaving 4,842
-    calls with none found.  Each of the 2 * 81 y is factored at both
-    coset indices, 324 factorizations, and half of them have a zero
-    pivot: m g_chi on Phi, and m on Phi*, whose bottom row has 0 in the
-    corner.  So each point tests one coset, and all but the 18 that
-    factor fail at the bottom row: 4,860 + 18 * 4 = 4,932 row tests, and
-    5 * 162 = 810 rows mapped.  Before the factorization moved out of the
-    point loop, each point built its rows and ran an elimination per coset
-    index: 4,887 rows mapped, and mapping all of g g_chi first would have
-    mapped 5 * 4,851 = 24,255."""
-    calls = count_calls("coset_decompose", "factor_u_k", "row_times_g_chi_so", "row_in_iplus")
+    calls with none found.  Each of the 2 * 81 y is factored once, 162
+    factorizations, all found (324 with 162 found, and 810 rows mapped,
+    before).  All but the 18 points that factor fail at the bottom row:
+    4,860 + 18 * 4 = 4,932 row tests.  Before the factorization moved out
+    of the point loop, each point built its rows and ran an elimination
+    per coset index, mapping 4,887 rows."""
+    calls = count_calls("coset_decompose", "factor_u_k", "row_times_g_chi_gl_inv", "row_in_iplus")
     if case == "brute-force":
         p, ell, level = 3, 2, 2
         for side in SIDES:
@@ -628,10 +653,9 @@ def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
         assert len(SIDES) * z_count * y_count ** (ell - 1) == 4_860
         assert calls["coset_decompose"] == 4_860
         assert calls["coset_decompose.found"] == 18
-        assert calls["factor_u_k"] == len(SIDES) * y_count * 2 == 324
-        assert calls["factor_u_k.found"] == 162
+        assert calls["factor_u_k"] == calls["factor_u_k.found"] == len(SIDES) * y_count == 162
         assert calls["row_in_iplus"] == 4_860 + 18 * 4 == 4_932
-        assert calls["row_times_g_chi_so"] == 5 * 162 == 810
+        assert calls["row_times_g_chi_gl_inv"] == 0
         return
     if case == "any-N":
         p, ell = 3, 2
@@ -647,8 +671,8 @@ def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
     _so_buckets(p, ell, level, 1, "support-aware", case, (F1,) * (ell + 1))
     n = 2 * ell + 1
     assert calls["coset_decompose"] == calls["coset_decompose.found"] == 1
-    assert calls["factor_u_k"] == 2 and calls["factor_u_k.found"] == 1
-    assert calls["row_times_g_chi_so"] == n == 7
+    assert calls["factor_u_k"] == calls["factor_u_k.found"] == 1
+    assert calls["row_times_g_chi_gl_inv"] == 0
     assert calls["row_in_iplus"] == n == 7
 
 

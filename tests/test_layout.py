@@ -19,7 +19,8 @@ ssgamma`.
 
 tests/mutants.py patches the package by exact text, so each of its
 mutants is checked here to still apply: its old text occurs exactly
-once in its file.  That check reads the files and starts no process.
+once in its file, and each test id it names is a test function of the
+file it names.  That check reads the files and starts no process.
 
 Code that only tests reach is either an oracle, kept in tests/oracles.py
 on purpose, or dead.  test_every_package_function_is_reached runs small
@@ -120,7 +121,7 @@ def test_the_oracle_whittaker_eval_names_no_package_solver():
     names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
     assert {"reference_coset_decompose", "reference_coset_decompose_gl"} <= names
     assert sorted(names & {"coset_decompose", "coset_decompose_gl"}) == []
-    package_solvers = {"coset_decompose", "coset_decompose_gl", "factor_u_k", "so_cosets", "gl_coset"}
+    package_solvers = {"coset_decompose", "coset_decompose_gl", "factor_u_k", "gl_coset"}
     assert sorted(imported_names(ORACLES) & package_solvers) == []
 
 
@@ -132,19 +133,32 @@ def imported_names(path):
 def test_i_plus_tests_stay_out_of_integrals_and_the_oracle():
     """integrals.py values every point with the coset solver, whose
     elimination runs the one I+ row test: an import of an I+ test or of
-    the g_chi row map there would be a box test beside the solver.  The
+    a g_chi row map there would be a box test beside the solver.  The
     oracle's in_iplus is read off valuations, so that the package's row
     test is checked against a test that shares no code with it."""
-    assert sorted(imported_names(PACKAGE / "integrals.py") & {"in_iplus", "row_in_iplus", "row_times_g_chi_so"}) == []
+    assert sorted(imported_names(PACKAGE / "integrals.py") & {"in_iplus", "row_in_iplus", "row_times_g_chi_gl_inv"}) == []
     assert sorted(imported_names(ORACLES) & {"in_iplus", "row_in_iplus"}) == []
 
 
 def test_every_mutant_still_applies():
     """A mutant whose old text moved, or occurs twice, would test nothing,
-    or the wrong place; each names at least one test that must catch it."""
+    or the wrong place; each names at least one test that must catch it.
+    A test id that names no test function of its file (a [param] suffix
+    aside), say after a rename, would otherwise show only as "broken" in
+    a full run of tests/mutants.py."""
     assert [m.name for m in mutants.MUTANTS if mutants.occurrences(m) != 1] == []
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     assert all(m.tests and m.old != m.new for m in mutants.MUTANTS)
+    functions = {}
+    unknown = []
+    for test_id in sorted({t for m in mutants.MUTANTS for t in m.tests}):
+        path, _, name = test_id.partition("::")
+        if path not in functions:
+            tree = parse(ROOT / path) if (ROOT / path).is_file() else ast.Module(body=[], type_ignores=[])
+            functions[path] = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        if name.split("[")[0] not in functions[path]:
+            unknown.append(test_id)
+    assert unknown == []
 
 
 def test_package_imports_no_heavy_dependency():

@@ -17,6 +17,7 @@ from oracles import (
     embed_j,
     g_chi_gl,
     g_chi_so,
+    generic_matrix,
     in_iplus,
     mat_det,
     mat_identity,
@@ -40,7 +41,7 @@ from oracles import (
     xbar,
 )
 from ssgamma import integrals, matrices
-from ssgamma.integrals import _gl_buckets, _gl_dual_rows, _so_buckets, _so_rows, _y_windows, _z_windows
+from ssgamma.integrals import _gl_buckets, _gl_dual_rows, _so_buckets, _y_windows, _z_windows
 from ssgamma.matrices import (
     F1,
     SingularMatrix,
@@ -53,8 +54,6 @@ from ssgamma.matrices import (
     mat_inv,
     row_in_iplus,
     row_times_g_chi_gl_inv,
-    row_times_g_chi_so,
-    so_cosets,
     so_torus,
 )
 
@@ -73,9 +72,24 @@ def eliminate(rows, p):
     return None if k is None else (factors[0], k)
 
 
-def so_solve(rows, p):
-    """coset_decompose of g, given by its scaled rows, as g = g h(1)."""
-    return coset_decompose(so_cosets(rows, p), so_torus(F1, len(rows)), p)
+def coset_solve(g, i, p, factors=None):
+    """coset_decompose of g g_chi^(-i) = g g_chi^i, g given by its Fraction
+    rows, as that times h(1): the product formed by the oracle's row map,
+    written over the denominators factors when given; (u, k) or None."""
+    rows = scaled([reference_row_times_g_chi_so(row, p) for row in g] if i else g)
+    if factors:
+        rows = rescaled(rows, factors)
+    return coset_decompose(factor_u_k(rows), so_torus(F1, len(g)), p)
+
+
+def so_solve(g, p, factors=None):
+    """(u, i, k) with g g_chi^(-i) = u k, or None: the one-coset solver
+    at i = 0, then at i = 1 (coset_solve)."""
+    for i in (0, 1):
+        res = coset_solve(g, i, p, factors)
+        if res is not None:
+            return res[0], i, res[1]
+    return None
 
 
 def gl_solve(rows, p):
@@ -180,11 +194,12 @@ def test_coset_roundtrip_random(ell, p):
         i = rng.randrange(2)
         k = random_so_iplus(rng, ell, p)
         g = u * (gchi if i else GroupMatrix.make([[1 if a == b else 0 for b in range(2 * ell + 1)] for a in range(2 * ell + 1)], p, "SO_odd")) * k
-        res = so_solve(scaled(g.rows), p)
+        res = coset_solve(g.lists(), i, p)
         assert res is not None
-        assert res[1] == i
-        assert recompose(res, gchi).rows == g.rows
-        u2, k2 = (GroupMatrix.make(unscaled(x), p, "SO_odd", verify=False) for x in (res[0], res[2]))
+        assert coset_solve(g.lists(), 1 - i, p) is None
+        assert reference_coset_decompose(g.rows, p)[1] == i
+        assert recompose((res[0], i, res[1]), gchi).rows == g.rows
+        u2, k2 = (GroupMatrix.make(unscaled(x), p, "SO_odd", verify=False) for x in res)
         assert in_iplus(k2.rows, p)
         # the unique factors of an SO element are fixed by g -> g*
         assert so_check(u2) and so_check(k2)
@@ -194,7 +209,7 @@ def test_coset_decompose_rejects_outside():
     # a torus element with nonunit diagonal lies in no U g_chi^i I+ coset
     p = 3
     h = embed_j(torus_so2(Fraction(p * p), p), 1)
-    assert so_solve(scaled(h.rows), p) is None
+    assert so_solve(h.lists(), p) is None
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 3), (3, 7)])
@@ -418,7 +433,6 @@ def test_so_column_map_is_the_product_with_g_chi(case):
     p, g = case
     want = mat_mul(g, g_chi_so(len(g) // 2, p).lists())
     assert [reference_row_times_g_chi_so(row, p) for row in g] == want
-    assert unscaled([row_times_g_chi_so(row, p) for row in scaled(g)]) == want
 
 
 # --- the solvers, which map one row at a time, against the elimination on ------
@@ -426,8 +440,8 @@ def test_so_column_map_is_the_product_with_g_chi(case):
 
 
 def eager_coset_decompose(g, p):
-    """coset_decompose with every g g_chi^(-i) formed in full by an oracle
-    product before it is factored."""
+    """so_solve with every g g_chi^(-i) formed by the oracle's matrix
+    product, factored and tested by the elimination (eliminate)."""
     n = len(g)
     gchi = g_chi_so(n // 2, p).lists()
     for i in (0, 1):
@@ -492,7 +506,7 @@ def gl_cases(draw):
 @given(so_cases())
 def test_lazy_so_solver_matches_the_eager_elimination(case):
     p, g, inside = case
-    res = so_solve(scaled(g), p)
+    res = so_solve(g, p)
     assert res == eager_coset_decompose(g, p)
     assert res is not None or not inside
 
@@ -584,7 +598,7 @@ def test_so_kernel_matches_the_fraction_reference(case, factors):
     row written over a denominator of either sign."""
     p, g = case
     rows = rescaled(scaled(g), factors)
-    assert so_solve(rows, p) == reference_factors(reference_coset_decompose(g, p))
+    assert so_solve(g, p, factors) == reference_factors(reference_coset_decompose(g, p))
     n = len(g)
     assert eliminate(rows, p) == reference_factors(reference_eliminate_u_iplus(reversed(g), n, p))
 
@@ -622,9 +636,10 @@ def test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m(case, facto
     those of m with k scaled by D: m D = u (k D) and D m = (D u D^(-1))
     (D k).  Each against the Fraction reference on the product formed
     by oracle products: the elimination (factor_u_k, then _torus_k) of
-    m D for any D; the SO solver on m h(d), h(d) = diag(d, 1, ..., 1,
-    1/d), at both coset indices (so_cosets of m, so_torus of d); and the
-    GL solver on D m for D with last entry 1 (gl_coset of m).  On tied
+    m D for any D; the SO solver on g = m h(d), h(d) = diag(d, 1, ..., 1,
+    1/d), at both coset indices: factor_u_k of m with so_torus of d, and
+    of m g_chi with so_torus of 1/d, since g g_chi = m g_chi h(1/d); and
+    the GL solver on D m for D with last entry 1 (gl_coset of m).  On tied
     and zero bottom rows, near products just inside or outside their
     coset, and rows over denominators of either sign."""
     p, m = case
@@ -638,8 +653,10 @@ def test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m(case, facto
     assert (None if k is None else (res[0], k)) == reference_factors(want)
     if n % 2 and n > 1:
         h = [d[0]] + [F1] * (n - 2) + [1 / d[0]]
-        got = coset_decompose(so_cosets(rows, p), so_torus(d[0], n), p)
-        assert got == reference_factors(reference_coset_decompose(mat_mul(m, diagonal(h)), p))
+        m_chi = [reference_row_times_g_chi_so(row, p) for row in m]
+        got = [coset_decompose(factor_u_k(rescaled(scaled(x), factors)), so_torus(e, n), p) for x, e in ((m, d[0]), (m_chi, 1 / d[0]))]
+        want = reference_factors(reference_coset_decompose(mat_mul(m, diagonal(h)), p))
+        assert got == [None if want is None or want[1] != i else (want[0], want[2]) for i in (0, 1)]
     d[-1] = F1
     got = coset_decompose_gl(gl_coset(rows, p), scaled([d])[0], p)
     assert got == reference_factors(reference_coset_decompose_gl(mat_mul(diagonal(d), m), p))
@@ -665,11 +682,12 @@ def test_kernels_match_the_fraction_reference_on_the_brute_force_windows(monkeyp
     of both JPSS sides at (n, p) = (3, 3), N = 2, V = 1, recorded in loop
     order as the enumeration values them (each inner point factored once,
     each point its factors scaled by its torus), against the Fraction
-    reference on the point's integrand: the rows at the unit outer point
-    times h(z) on Phi, h(1/z) on Phi*, diag(a, ..., a, 1) on the JPSS dual
-    side and diag(a, 1, 1) on the plain side, formed by oracle products."""
+    reference on the point's integrand, formed by oracle products: the
+    product of named elements on SO, where the reference finds i = 0 at
+    every Phi point and i = 1 at every Phi* point; the rows at a = 1
+    times diag(a, ..., a, 1) on the JPSS dual side and diag(a, 1, 1) on
+    the plain side."""
     p, ell, level = 3, 2, 2
-    n = 2 * ell + 1
     ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
     found = 0
     for side in ("phi", "phi_star"):
@@ -679,9 +697,9 @@ def test_kernels_match_the_fraction_reference_on_the_brute_force_windows(monkeyp
         points = [(z, y) for z, _ in zs for y in itertools.product(ys, repeat=ell - 1)]
         assert len(results) == len(points) == 30 * 81
         for (z, y), res in zip(points, results):
-            d = 1 / z if side == "phi_star" else z
-            g = mat_mul(unscaled(_so_rows(y, side)), diagonal([d] + [F1] * (n - 2) + [1 / d]))
-            assert res == reference_factors(reference_coset_decompose(g, p)), (side, z, y)
+            want = reference_factors(reference_coset_decompose(generic_matrix(p, ell, side, z, y).rows, p))
+            assert res == (None if want is None else (want[0], want[2])), (side, z, y)
+            assert want is None or want[1] == (side == "phi_star"), (side, z, y)
             found += res is not None
     assert found == 18
     n = 3
