@@ -1,8 +1,8 @@
 """Characters of Q_p: the additive character psi and the tame characters.
 
-The Whittaker functions they induce are read in integrals.py as plain
-ints, through psi_exponent; the generic Whittaker function the tests
-check those against is in tests/oracles.py.
+On every integrand of integrals.py psi and the affine character read
+only zeros, so no value there reads psi; psi_eval serves the generic
+Whittaker function of tests/oracles.py.
 
 Conventions recorded here (and echoed in CLI output metadata):
   * psi(x) = e^(2 pi i frac(x/p)) -- trivial on p, nontrivial on o,

@@ -24,21 +24,36 @@ the values over the rank-fold product of an inner window, whose points
 it makes once per side with their share of the work, adding the
 counts straight into the bucket (i, x0) of the point's tame class, x0
 the least point of the class (the comment above _BUCKETS has why that
-merge is exact).  Each integrand is a matrix of the inner point times a
-torus element of the outer point, so an inner point's share is the
-coset solver's factors of that matrix, and a value is those factors
-scaled by the point's torus element and read as plain ints (i, m, a),
-meaning zeta^i * zeta_(p^m)^a.  The record holds every nonzero point
-the point loop valued.  An SO side is one enumeration, z outer and y
-inner at rank l - 1 (_so_buckets), valued by the coset solver in both
-modes.  Both SO sides value one integrand, Phi: Phi*(z, y) g_chi =
-Phi(p z, -y), so W(Phi*(z, y)) = zeta W(Phi(p z, -y)) (_so_buckets).
-The modes differ only in their windows: W(g k) = W(g) chi(k) for k in
-I+ makes W constant on each support-aware class, so that mode values
-one point a side, (z0, 0), at any N (_so_buckets has the argument).  A
-JPSS side (_gl_buckets) has a over the brute-force multiplicative
-window and x over the brute-force y window at V = 0: the plain side at
-rank 0, the dual side at rank n - 2.
+merge is exact).  A value is plain ints (i, m, a), meaning
+zeta^i * zeta_(p^m)^a, and the record holds every nonzero point the
+point loop valued.  An SO side is one enumeration, z outer and y inner
+at rank l - 1 (_so_buckets), and the modes differ only in their
+windows.  A JPSS side (_gl_buckets) has a over the brute-force
+multiplicative window and x over the brute-force y window at V = 0:
+the plain side at rank 0, the dual side at rank n - 2.
+
+The lemma: every value is zeta^i times "the rows lie in I+".  Each
+integrand, at its one coset index i, is a lower-triangular matrix of
+its inner point times a diagonal torus element of its outer point:
+  * Phi(z, y) = m(y) h(z), m(y) the lower unitriangular rows at (1, y)
+    (_so_rows) and h(d) = diag(d, 1, ..., 1, 1/d), at i = 0; and
+    Phi*(z, y) g_chi = m(-y) h(p z), at i = 1, since m*(y) g_chi =
+    m(-y) h(p) and g_chi h(d) g_chi = h(1/d);
+  * the JPSS plain side is diag(a, 1, ..., 1), at j = 0, and the dual
+    side, a times its integrand, is D k g_chi / p with D =
+    diag(a, ..., a, 1) and k the rows _gl_dual_rows writes, at j = 1.
+A lower-triangular g = k is its own factorization u k with u = 1, so
+psi_U(u) = 1, and chi reads only k's superdiagonal and its entry
+k[2l-1][0] (k[n-1][0] on GL), all 0 here: W is zeta^i when every row
+lies in I+ and 0 otherwise.  No point lies in another coset.  The
+corner of u k is that of k, in 1 + p for k in I+, and Phi g_chi and
+Phi* have 0 there.  A dual x with an x_i outside o names a j != 1,
+where the bottom-right block of rows and columns 1..n-1 of the
+integrand times g_chi^(-j) is singular, and a point of U g_chi^j Z I+
+has a unit minor there; so _gl_buckets rejects such an x before any a,
+by the bottom row of k, the one row D leaves alone.  W(Phi*(z, y)) =
+zeta W(Phi(p z, -y)) needs chi(g_chi k g_chi) = chi(k), which is what
+_check_t's t_(l+1) = t_1 mod p gives; no value reads t otherwise.
 
 Every zeta integral is then one bucket sum (_bucket_sum) of
 part * zeta^i * f_s(x0) over the buckets of one side, with one section
@@ -57,13 +72,8 @@ from math import lcm
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
 from .padic import is_int, is_odd_prime, rational_valuation
-from .matrices import coset_decompose, coset_decompose_gl, factor_u_k, gl_coset, so_torus
-from .characters import (
-    TameCharacter,
-    psi_exponent,
-    tame_class,
-    tame_eval,
-)
+from .matrices import coset_decompose, coset_decompose_gl, so_torus
+from .characters import TameCharacter, tame_class, tame_eval
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -143,7 +153,8 @@ def _check_t(t, ell: int, p: int) -> tuple:
     otherwise a tuple or list of l + 1 ints or Fractions.  Each must be a
     p-adic unit: that is what makes the affine character generic.  And
     t_(l+1) = t_1 mod p: only then does the fixed g_chi normalize chi, so
-    that W is defined (see _chi_arg)."""
+    that W is defined.  No value reads t otherwise (the module docstring
+    has the lemma)."""
     if t is None:
         return (F1,) * (ell + 1)
     if not isinstance(t, (tuple, list)):
@@ -192,17 +203,15 @@ class GammaResult:
 
 
 # ---------------------------------------------------------------------------
-# integrand rows and the per-point Whittaker evaluator
+# integrand rows
 #
-# Every integrand is a fixed matrix m of its inner point (y or x) times a
-# diagonal torus element D of its outer point (z or a): m D on SO (Phi*
-# times g_chi, see _so_buckets) and D m on the JPSS sides.  The builders
-# write m in closed form as the solver's scaled rows (nums, den), entries
-# nums[c] / den (matrices.py), and the solver factors m once per inner
-# point (factor_u_k, gl_coset).  A point is those factors and the
-# diagonal of D, made once per outer point, and the coset solver values
-# it by testing the rows of k scaled by D, so a point makes no Fraction
-# unless it factors.
+# Every integrand is a fixed lower-triangular matrix of its inner point
+# (y or x) times a diagonal torus element D of its outer point (z or a):
+# m D on SO and D k on the JPSS sides (the module docstring).  The
+# builders write those rows in closed form as scaled rows (nums, den),
+# entries nums[c] / den (matrices.py), once per inner point, and each
+# point tests them times its D, made once per outer point
+# (coset_decompose, coset_decompose_gl).
 
 
 def _unit_rows(n, rows):
@@ -228,66 +237,22 @@ def _so_rows(y):
     return rows + _unit_rows(n, range(ell, n - 1)) + [(last, lcd)]
 
 
-def _gl_dual_rows(x):
-    """The rows of the JPSS dual integrand w_long (t m)^(-1) w_(n,1) at
-    a = 1, n = len(x) + 2, in closed form.
+def _gl_dual_rows(x, p):
+    """The rows k of the JPSS dual integrand at j = 1, n = len(x) + 2, in
+    closed form: p e_r for r < n - 1, then (0, -p x_(n-3), ..., -p x_0, 1).
 
-    m is the identity with column 1 replaced by (a, x_0, ..., x_(n-3), 0).
-    (t m)^(-1) is the identity with row 1 replaced by
-    (1/a, -x_0/a, ..., -x_(n-3)/a, 0); w_long reverses the rows and
-    w_(n,1) = diag(1, w_(n-1)) reverses columns 2..n.  So rows 1..n-1
-    of the integrand have a one on the superdiagonal, and its bottom row
-    is (1/a, 0, -x_(n-3)/a, ..., -x_0/a).  The central character is
-    trivial, so W takes the same value at a times the integrand, and
-    that is diag(a, ..., a, 1) times these rows (_gl_buckets)."""
+    The integrand is w_long (t m)^(-1) w_(n,1), m the identity with column
+    1 replaced by (a, x_0, ..., x_(n-3), 0).  At a = 1 its rows 0..n-2
+    have a one on the superdiagonal and its bottom row is (1, 0, -x_(n-3),
+    ..., -x_0).  g_chi_gl sends e_(c+1) to e_c and e_1 to p e_N, so times
+    p g_chi^(-1) each entry moves one place left, the one that wraps round
+    unscaled and the others times p: that is k.  The central character is
+    trivial, so W takes the same value at a times the integrand, which is
+    diag(a, ..., a, 1) k g_chi / p (_gl_buckets)."""
     n = len(x) + 2
     lcd = lcm(*(c.denominator for c in x))
-    bottom = [lcd, 0] + [-c.numerator * (lcd // c.denominator) for c in reversed(x)]
-    return [([0] * (r + 1) + [1] + [0] * (n - 2 - r), 1) for r in range(n - 1)] + [(bottom, lcd)]
-
-
-def _chi_arg(k, t, ell, p):
-    """x with chi(k) = psi(x) for k in I+, given by its scaled rows: the
-    weighted simple affine entries.  Zero entries are skipped, and only
-    the entries read become Fractions; on the integrands chi reads only
-    zeros.
-
-    It reads chi(g_chi k g_chi) off k too.  For k in I+ and SO, the
-    argument of g_chi k g_chi is, up to p, that of k with the weights t_1
-    and t_(l+1) swapped on the two integral entries chi reads at its
-    ends, k[0][1] and k[2l-1][0] / p.  The t that _check_t accepts have
-    t_(l+1) = t_1 mod p, so the two arguments differ by an element of p,
-    and psi_exponent reads x only mod p: every (i, m, a) stored is the
-    same whichever of k and g_chi k g_chi it is read off.  So with
-    Phi*(z, y) g_chi = Phi(p z, -y) = u k, W(Phi*(z, y)) = zeta psi_U(u)
-    chi(k) = zeta W(Phi(p z, -y)).  On a unit upper triangular u, whose
-    corner entry is 0, it reads psi_U(u)."""
-    s = 0
-    for a in range(ell):
-        nums, den = k[a]
-        if nums[a + 1]:
-            s += t[a] * Fraction(nums[a + 1], den)
-    nums, den = k[2 * ell - 1]
-    if nums[0]:
-        s += t[ell] * Fraction(nums[0], den * p)
-    return s
-
-
-def _so_whittaker_parts(factors, diag, i, p, ell, t):
-    """(i, m, a) with W(g) = zeta^i * zeta_(p^m)^a, or None off the support,
-    for g with g g_chi^(-i) = m h(d), given as factor_u_k(m) and
-    so_torus(d, 2l + 1).  The zeta power i is kept separate so one
-    enumeration serves every central sign.
-
-    coset_decompose factors g g_chi^(-i) = u k.  So g = u g_chi^i k' with
-    k' = g_chi^(-i) k g_chi^i, and W(g) = psi_U(u) zeta^i chi(k').
-    _chi_arg reads chi(k') off k, and psi_U(u) off u, so k' is never
-    formed."""
-    res = coset_decompose(factors, diag, p)
-    if res is None:
-        return None
-    u, k = res
-    return (i,) + psi_exponent(_chi_arg(u, t, ell, p) + _chi_arg(k, t, ell, p), p)
+    bottom = [0] + [-p * c.numerator * (lcd // c.denominator) for c in reversed(x)] + [lcd]
+    return [([0] * r + [p] + [0] * (n - 1 - r), 1) for r in range(n - 1)] + [(bottom, lcd)]
 
 
 # ---------------------------------------------------------------------------
@@ -440,43 +405,38 @@ def _point_counts(x, on_shell, points, value, record):
     return counts
 
 
-def _so_buckets(p, ell, level, cutoff, mode, side, t):
+def _so_buckets(p, ell, level, cutoff, mode, side):
     """(buckets, record) of one SO side, by _enumerate: (i, z0) -> the
     weighted sum of W over the y domain and the z of one tame class (see
     the comment above _BUCKETS), and the point loop's record of nonzero
-    points.  Every point is valued by the coset solver
-    (_so_whittaker_parts), in both modes.  Both sides value Phi.  With
-    m(y) and m*(y) the rows of Phi and Phi* at (1, y) (_so_rows writes
-    m), Phi(z, y) = m(y) h(z), Phi*(z, y) = m*(y) h(1/z) and m*(y) g_chi
-    = m(-y) h(p), so, as g_chi h(d) g_chi = h(1/d), Phi*(z, y) g_chi =
-    Phi(p z, -y).  The corner of u k is that of k, in 1 + p for k in I+,
-    and Phi g_chi and Phi* have 0 there: a Phi point has i = 0 and a Phi*
-    point i = 1, with W(Phi*(z, y)) = zeta W(Phi(p z, -y)) (_chi_arg).
-    So each y is factored once, as m(y) or m(-y), and each point tests
-    the rows of k scaled by h(z) or h(p z).
+    points.  By the lemma (module docstring) a Phi point (z, y) has the
+    value (0, 0, 0) when every row of m(y) h(z) lies in I+, and a Phi*
+    point (1, 0, 0) when every row of m(-y) h(p z) does; None otherwise.
+    So each y is written once, as m(y) or m(-y) (_so_rows), and each
+    point tests those rows times its torus (coset_decompose), in both
+    modes.  No value reads t, so one entry serves every t.
 
     Each support-aware window is one class, valued at one point, since W
     is constant on both classes.  On Phi, with z in 1 + p and each y_k in
-    p, x_bar(y) j(h(z)) = j(h(z)) k_y with k_y = 1 + sum_k y_k z
-    (E_(1+k,0) - E_(n-1,n-2-k)), both in I+.  chi reads no diagonal entry
-    and none of k_y's (none is (a, a+1) with a < l, nor (2l-1, 0)), so
-    W(g(z, y)) = W(g(1, 0)).  (p z, -y) maps the Phi* class, z in
-    p^(-1) (1 + p) and y_k in p, onto the Phi class, so W is constant
-    there too.  The brute-force windows reach z and y outside them."""
+    p, every row of m(y) h(z) is in I+: row 0 is z e_0, row 1 + k has
+    y_k z below the diagonal, and the bottom row -y left of 1/z.  The
+    map (z, y) -> (p z, -y) takes the Phi* class, z in p^(-1) (1 + p)
+    and y_k in p, onto the Phi class.  The brute-force windows reach z
+    and y outside them."""
 
     star = side == "phi_star"
-    i = 1 if star else 0
+    parts = (1 if star else 0, 0, 0)
 
     def value(z):
         diag = so_torus(p * z if star else z, 2 * ell + 1)
-        return lambda factors: _so_whittaker_parts(factors, diag, i, p, ell, t)
+        return lambda rows: None if coset_decompose(rows, diag, p) is None else parts
 
     return _enumerate(
         p,
         _z_windows(p, level, cutoff, mode, side),
         _y_windows(p, level, cutoff, mode),
         ell - 1,
-        lambda y: factor_u_k(_so_rows(tuple(-c for c in y) if star else y)),
+        lambda y: _so_rows(tuple(-c for c in y) if star else y),
         value,
         f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
     )
@@ -507,7 +467,7 @@ def _bucket_sum(buckets, p: int, zeta, section) -> ExactScalar:
 def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
     if not isinstance(cfg, IntegralConfig):
         raise IntegralError(f"cfg must be an IntegralConfig, got {cfg!r}")
-    buckets = _buckets(_so_buckets, cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side, cfg.t)
+    buckets = _buckets(_so_buckets, cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side)
     star = side == "phi_star"  # Phi* reads b_1^* z^(-1) = -1/z
     return _bucket_sum(buckets, cfg.prime, cfg.zeta, lambda z: _section(cfg.tau, FM1 / z if star else z, 1, 1))
 
@@ -571,28 +531,6 @@ def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> Exact
     )
 
 
-def _gl_whittaker_parts(coset, diag, p, n):
-    """(j, m, a) with W(g) = zeta^j * zeta_(p^m)^a for GL_n, or None off
-    the support.  g = D m is given as gl_coset(m) and the diagonal of D,
-    whose last entry is 1.
-
-    coset_decompose_gl factors g g_chi^(-j) = z u k, so g = z u g_chi^j k'
-    with k' = g_chi^(-j) k g_chi^j, and W(g) = psi_U(u) zeta^j chi(k'):
-    the central character is trivial, so z adds nothing.  chi reads the
-    superdiagonal of k' and its corner over pi, all with weight t = 1, and
-    chi(k') = chi(k), as on SO (see _chi_arg): k -> g_chi^(-1) k g_chi
-    moves k[r][r+1] to (r+1, r+2), k[n-1][0] / p to (0, 1) and
-    k[n-2][n-1] to the corner over pi, a cyclic permutation of the n
-    entries chi sums.  So zeta_(p^m)^a is psi of the superdiagonals of u
-    and k plus k[n-1][0] / p, read off the scaled rows as returned."""
-    res = coset_decompose_gl(coset, diag, p)
-    if res is None:
-        return None
-    u, j, _, k = res
-    arg = sum(Fraction(m[a][0][a + 1], m[a][1]) for m in (u, k) for a in range(n - 1))
-    return (j,) + psi_exponent(arg + Fraction(k[n - 1][0][0], k[n - 1][1] * p), p)
-
-
 def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
     """(buckets, record) of one JPSS side, by _enumerate: (j, a0) -> the
     weighted values summed over x and over the a of tame_class(a0) (the
@@ -602,32 +540,34 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
     a runs over the brute-force z window.  The plain side, at rank 0,
     evaluates W(diag(a, I_(n-1))), and the dual side, at rank n - 2,
     W(w_long t(m)^(-1) w_(n,1)) with m = 1 + (a - 1) E_00 +
-    sum x_r E_(1+r,0), which, times the central element a, is
-    diag(a, ..., a, 1) times the rows _gl_dual_rows writes down at a = 1
-    (no inversion).  Each coordinate of x runs over the brute-force y
+    sum x_r E_(1+r,0).  Each coordinate of x runs over the brute-force y
     window at V = 0: o mod p^N (vol(o) = q^(1/2)) plus the p^(-1)
     padding shell.
 
-    So on both sides the integrand (times a) is a torus element D of a,
-    with last entry 1, times a matrix of x alone: diag(a, ..., a, 1)
-    times those rows, and diag(a, 1, ..., 1) times the identity on the
-    plain side.  Each x is factored once (gl_coset: the one j and z its
-    bottom row names, and the factors at that j), and each point tests
-    the rows of k scaled by the D of its a, in one coset_decompose_gl
-    call."""
+    By the lemma (module docstring) a point is D k, D = diag(a, 1, ...,
+    1) and k the identity on the plain side, value (0, 0, 0), and D =
+    diag(a, ..., a, 1) and k the rows _gl_dual_rows writes on the dual
+    side, value (1, 0, 0), when every row of D k lies in I+; None
+    otherwise.  The rows of k that D leaves alone are tested once per x
+    (coset_decompose_gl at d = 1), so a dual x with an x_i outside o is
+    rejected before any a, and each point tests the rows D scales by a."""
     dual = side == "dual"
     count = n - 1 if dual else 1  # the entries of D that are a
+    parts = (1 if dual else 0, 0, 0)
+
+    def prepare(x):
+        rows = _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))
+        return None if coset_decompose_gl(rows, F1, p, count) is None else rows[:count]
 
     def value(a):
-        diag = [a.numerator] * count + [a.denominator] * (n - count), a.denominator
-        return lambda coset: _gl_whittaker_parts(coset, diag, p, n)
+        return lambda rows: None if rows is None or coset_decompose_gl(rows, a, p) is None else parts
 
     return _enumerate(
         p,
         _z_windows(p, level, cutoff, "brute-force", "phi"),
         _y_windows(p, level, 0, "brute-force"),
         n - 2 if dual else 0,
-        lambda x: gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n)), p),
+        prepare,
         value,
         f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}",
     )
@@ -718,7 +658,7 @@ def scan_support(
     once per window.
 
     The nonzero points are read off the record of the brute-force
-    enumeration of the same (p, l, N, V, side, t), which values each
+    enumeration of the same (p, l, N, V, side), which values each
     point once: the record is stored with the buckets of the brute-force
     phi_eval or phi_star_eval, and built here on a miss.  A nonzero
     point on the padding shell is reported here, since the record is
@@ -727,9 +667,9 @@ def scan_support(
     check_domain(ell, level, cutoff)
     if side not in ("phi", "phi_star"):
         raise IntegralError(f"side must be phi or phi_star, got {side!r}")
-    t = _check_t(t, ell, p)
+    _check_t(t, ell, p)  # a checked input, which no value reads
     nonzero_at: dict = {}  # z -> the y of its nonzero points
-    for z, y in _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side, t)[1]:
+    for z, y in _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side)[1]:
         nonzero_at.setdefault(z, set()).add(y)
     z_class = tame_class(_z_windows(p, level, cutoff, "support-aware", side)[1][0][0], p)
     y0 = _y_windows(p, level, cutoff, "support-aware")[1][0][0]

@@ -115,8 +115,8 @@ MUTANTS = (
     Mutant(
         "the scan builds its own uncached entry",
         INTEGRALS,
-        '    for z, y in _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side, t)[1]:\n',
-        '    for z, y in _so_buckets(p, ell, level, cutoff, "brute-force", side, t)[1]:\n',
+        '    for z, y in _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side)[1]:\n',
+        '    for z, y in _so_buckets(p, ell, level, cutoff, "brute-force", side)[1]:\n',
         ("tests/test_kernel.py::test_support_scan_reads_the_brute_force_record",),
     ),
     Mutant(
@@ -228,26 +228,50 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the dual side's factors made at the first x only",
+        "the dual side's rows made at the first x only",
         INTEGRALS,
-        "        lambda x: gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n)), p),\n",
-        '        lambda x, memo={}: memo.setdefault("coset", gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n)), p)),\n',
+        "        rows = _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))\n",
+        '        rows = prepare.__dict__.setdefault("rows", _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n)))\n',
         (
             "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
             "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
         ),
     ),
     Mutant(
-        "the plain side's factors used on the dual side",
+        "the plain side's rows used on the dual side",
         INTEGRALS,
-        "gl_coset(_gl_dual_rows(x) if dual else _unit_rows(n, range(n)), p)",
-        "gl_coset(_unit_rows(n, range(n)), p)",
+        "_gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))\n",
+        "_unit_rows(n, range(n))\n",
         (
             "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
             "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
         ),
     ),
-    # Phi* valued as Phi at (p z, -y), at the coset index 1
+    Mutant(
+        "a dual x of valuation -1 accepted",
+        INTEGRALS,
+        "        return None if coset_decompose_gl(rows, F1, p, count) is None else rows[:count]\n",
+        "        return rows[:count]\n",
+        (
+            "tests/test_gl.py::test_jpss_support_lemma[3-3]",
+            "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
+            "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
+        ),
+    ),
+    Mutant(
+        "the dual rows written at j = 0",
+        INTEGRALS,
+        "    bottom = [0] + [-p * c.numerator * (lcd // c.denominator) for c in reversed(x)] + [lcd]\n"
+        "    return [([0] * r + [p] + [0] * (n - 1 - r), 1) for r in range(n - 1)] + [(bottom, lcd)]\n",
+        "    bottom = [lcd, 0] + [-c.numerator * (lcd // c.denominator) for c in reversed(x)]\n"
+        "    return [([0] * (r + 1) + [1] + [0] * (n - 2 - r), 1) for r in range(n - 1)] + [(bottom, lcd)]\n",
+        (
+            "tests/test_gl.py::test_dual_rows_equal_the_generic_product",
+            "tests/test_gl.py::test_jpss_support_lemma[3-3]",
+            "tests/test_integrals.py::test_jpss_n3",
+        ),
+    ),
+    # Phi* valued as Phi at (p z, -y), tagged zeta^1, and the SO row test
     Mutant(
         "Phi* valued at z instead of p z",
         INTEGRALS,
@@ -262,63 +286,36 @@ MUTANTS = (
     Mutant(
         "Phi* valued at +y",
         INTEGRALS,
-        "factor_u_k(_so_rows(tuple(-c for c in y) if star else y))",
-        "factor_u_k(_so_rows(y))",
+        "        lambda y: _so_rows(tuple(-c for c in y) if star else y),\n",
+        "        lambda y: _so_rows(y),\n",
+        # no value changes: y_k z is in p exactly when -y_k z is, so only the
+        # rows the row test returns show it
         ("tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",),
     ),
     Mutant(
-        "Phi* tagged zeta^0",
+        "the SO rows tested without the torus",
+        MATRICES,
+        "        row = [x * e for x, e in zip(nums, dn)], den * dd\n",
+        "        row = nums, den\n",
+        # the support-aware pins pass: their one point has the torus h(1)
+        (
+            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
+            "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
+            "tests/test_kernel.py::test_evaluator_matches_whittaker_eval",
+        ),
+    ),
+    Mutant(
+        "Phi* tagged (0, 0, 0)",
         INTEGRALS,
-        "    i = 1 if star else 0\n",
-        "    i = 0\n",
+        "    parts = (1 if star else 0, 0, 0)\n",
+        "    parts = (0, 0, 0)\n",
         (
             "tests/test_integrals.py::test_phi_star_value",
             "tests/test_integrals.py::test_gamma_trivial_tau",
             "tests/test_kernel.py::test_so_buckets_are_pinned[5-3-None-phi_star-726f88a12d53fd7450175b7cc79ca714b0a9ac39fb6c2ad08559b284bcb3e326]",
         ),
     ),
-    # the torus identity: each inner point factored once, k scaled by D
-    Mutant(
-        "the dual u[r][n-1] left unscaled by a",
-        MATRICES,
-        "    u = [_reduced([x * e * (m // f) for x, f in zip(nums, dn)], den * m) for (nums, den), e in zip(u, dn)]\n",
-        "",
-        ("tests/test_matrices.py::test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m",),
-    ),
-    Mutant(
-        "a zero pivot not rejected",
-        MATRICES,
-        "        if not nums[r]:\n            return None\n",
-        "",
-        (
-            "tests/test_gl.py::test_gl_enumeration_inverts_nothing",
-            "tests/test_acceptance.py::test_coset_roundtrip_hundred_products",
-            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
-        ),
-    ),
-    Mutant(
-        "k scaled by the torus on the wrong side",
-        MATRICES,
-        "for x in nums] if left else",
-        "for x in nums] if not left else",
-        (
-            "tests/test_matrices.py::test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m",
-            "tests/test_gl.py::test_jpss_support_lemma[3-3]",
-            "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
-        ),
-    ),
-    Mutant(
-        "the wrapped GL entries divided by z alone",
-        MATRICES,
-        "[x * pd for x in nums[:j]]",
-        "[x * ppd for x in nums[:j]]",
-        (
-            "tests/test_gl.py::test_evaluator_matches_whittaker_eval_on_the_support",
-            "tests/test_gl.py::test_evaluator_matches_whittaker_eval_on_the_windows",
-            "tests/test_matrices.py::test_gl_rotation_is_the_product_with_the_inverse",
-        ),
-    ),
-    # the affine character and its g_chi invariance
+    # the affine character's g_chi invariance
     Mutant(
         "t_(l+1) = t_1 mod p no longer checked",
         INTEGRALS,
@@ -329,24 +326,7 @@ MUTANTS = (
             "tests/test_integrals.py::test_t_off_the_family_is_rejected[5-t1]",
         ),
     ),
-    Mutant(
-        "chi's corner term dropped",
-        INTEGRALS,
-        "        s += t[ell] * Fraction(nums[0], den * p)\n",
-        "        pass\n",
-        (
-            "tests/test_kernel.py::test_evaluator_matches_whittaker_eval_on_the_double_coset",
-            "tests/test_kernel.py::test_chi_readers_read_the_affine_character",
-        ),
-    ),
-    Mutant(
-        "psi_U(u) dropped from the SO value",
-        INTEGRALS,
-        "psi_exponent(_chi_arg(u, t, ell, p) + _chi_arg(k, t, ell, p), p)",
-        "psi_exponent(_chi_arg(k, t, ell, p), p)",
-        ("tests/test_kernel.py::test_evaluator_matches_whittaker_eval_on_the_double_coset",),
-    ),
-    # the I+ test
+    # the I+ test, and the row tests that run it
     Mutant(
         "the diagonal only integral, not in 1 + p",
         MATRICES,
@@ -356,6 +336,7 @@ MUTANTS = (
             "tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",
             "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
             "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
+            "tests/test_kernel.py::test_evaluator_matches_whittaker_eval",
         ),
     ),
     Mutant(
@@ -375,80 +356,25 @@ MUTANTS = (
         "        for x in nums[r + 1 : r + 1]:\n",
         ("tests/test_matrices.py::test_in_iplus_is_the_valuation_definition",),
     ),
-    # the elimination
     Mutant(
-        "a scaled row of k outside I+ kept",
+        "an SO row outside I+ kept",
         MATRICES,
-        "        if not row_in_iplus(r, row, p):\n            return None\n",
-        "",
+        "        row = [x * e for x, e in zip(nums, dn)], den * dd\n        if not row_in_iplus(r, row, p):\n            return None\n",
+        "        row = [x * e for x, e in zip(nums, dn)], den * dd\n",
         (
             "tests/test_matrices.py::test_coset_decompose_rejects_outside",
-            "tests/test_matrices.py::test_u_iplus_factors_of_any_matrix",
-            "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
-        ),
-    ),
-    # the integer kernel
-    Mutant(
-        "den not multiplied by d when a column is cleared",
-        MATRICES,
-        "                den *= d\n",
-        "",
-        (
-            "tests/test_matrices.py::test_u_times_iplus_always_factors",
             "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
+            "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
+        ),
+    ),
+    Mutant(
+        "a GL row outside I+ kept",
+        MATRICES,
+        "        row = [x * dn for x in nums], den * dd\n        if not row_in_iplus(r, row, p):\n            return None\n",
+        "        row = [x * dn for x in nums], den * dd\n",
+        (
             "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
-        ),
-    ),
-    Mutant(
-        "the sign of den not normalized when a row is reduced",
-        MATRICES,
-        "    if den < 0:\n        g = -g\n",
-        "",
-        (
-            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
-            "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
-            "tests/test_matrices.py::test_u_iplus_factors_of_any_matrix",
-        ),
-    ),
-    Mutant(
-        "the GL map missing the factor p on the entries that do not wrap",
-        MATRICES,
-        "    ppd = p * pd\n",
-        "    ppd = pd\n",
-        (
-            "tests/test_matrices.py::test_gl_rotation_is_the_product_with_the_inverse",
-            "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
-            "tests/test_gl.py::test_evaluator_matches_whittaker_eval_on_the_support",
-        ),
-    ),
-    Mutant(
-        "u's numerators not rescaled when a later column is cleared",
-        MATRICES,
-        "[a * d for a in unums]",
-        "unums",
-        (
-            "tests/test_matrices.py::test_u_times_iplus_always_factors",
-            "tests/test_matrices.py::test_so_kernel_matches_the_fraction_reference",
-        ),
-    ),
-    Mutant(
-        "the scaled rows of k left unreduced",
-        MATRICES,
-        "    return [_reduced(*row) for row in reversed(out)]\n",
-        "    return out[::-1]\n",
-        (
-            "tests/test_matrices.py::test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m",
-            "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
-        ),
-    ),
-    Mutant(
-        "the GL solver's j read off the rightmost least valuation",
-        MATRICES,
-        "            if least is None or v < least:\n",
-        "            if least is None or v <= least:\n",
-        (
-            "tests/test_matrices.py::test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it",
-            "tests/test_matrices.py::test_gl_kernel_matches_the_fraction_reference",
+            "tests/test_gl.py::test_jpss_support_lemma[3-3]",
         ),
     ),
     # the tame-class merge, the sections and the sign

@@ -18,10 +18,10 @@ defined here is defined again in src/.
     package, with k conjugated back by g_chi^i here, read through psi_U
     and the affine generic character affine_chi; and recompose, which
     forms u k g_chi^i from the SO factors.
-  * Scaled rows, the integer form the solvers take and return (scaled,
-    unscaled), and the Fraction elimination, row maps and solvers the
-    integer kernel replaced (reference_*), the reference it is checked
-    against.
+  * Scaled rows, the integer form of the package's row builders and row
+    tests (scaled, unscaled), and the Fraction factorization into
+    U g_chi^i I+ (the reference_* elimination, row maps and solvers), the
+    one general solver: the package values each integrand by a row test.
   * The section f_s (section_eval) and the intertwining operator at
     n = 1 (intertwine_M).
   * The class a one-class support-aware window stands for, unfolded
@@ -29,8 +29,9 @@ defined here is defined again in src/.
   * The named group elements whose product the integrand row
     builders of integrals.py are checked against: c_hat, delta_o,
     omega_prime, w_element, w_long, embed_j, xbar and torus_so2, the
-    SO integrands they make (generic_matrix), and b_element, whose
-    n = 1 case gives the dual section's b_1^* = -1.
+    SO integrands they make (generic_matrix), the JPSS dual integrand
+    (jpss_dual_integrand), and b_element, whose n = 1 case gives the
+    dual section's b_1^* = -1.
   * Samplers of U_SO and of I+ in SO_(2l+1) and GL_n, the root elements
     they multiply, and the torus element normalizing the affine
     character (orbit_conjugator).
@@ -205,16 +206,15 @@ def in_iplus(rows, p) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# scaled rows, and the Fraction elimination the integer kernel replaced
+# scaled rows, and the Fraction factorization into U g_chi^i I+
 #
-# The package's solvers take and return scaled rows (nums, den), entries
-# nums[c] / den.  scaled writes Fraction rows in the one reduced form
-# (den the least common denominator of the row, so den > 0 and the gcd of
-# nums and den is 1), which is the form the solvers return; unscaled
-# reads rows back as Fractions.  The reference_* functions below are the
-# package's Fraction elimination, row maps and solvers as they were before
-# the integer kernel, kept as the reference it is checked against: they
-# take and return Fraction rows.
+# The package's row builders and row tests use scaled rows (nums, den),
+# entries nums[c] / den.  scaled writes Fraction rows in the one reduced
+# form (den the least common denominator of the row, so den > 0 and the
+# gcd of nums and den is 1); unscaled reads rows back as Fractions.  The
+# reference_* functions below factor any matrix, on Fraction rows: the
+# general solver behind whittaker_eval, which the package no longer
+# needs, since every integrand is lower triangular at its one coset.
 
 
 def scaled(rows):
@@ -454,8 +454,8 @@ def whittaker_eval(spec: WhittakerSpec, g: GroupMatrix) -> ExactScalar:
 
 
 def recompose(factors, g_chi: GroupMatrix) -> GroupMatrix:
-    """u k g_chi^i from the factors (u, i, k) of coset_decompose, which
-    satisfy g g_chi^(-i) = u k, as the scaled rows it returns."""
+    """u k g_chi^i from the factors (u, i, k) of reference_coset_decompose,
+    which satisfy g g_chi^(-i) = u k, with u and k as scaled rows."""
     u, i, k = factors
     out = GroupMatrix.make(mat_mul(unscaled(u), unscaled(k)), g_chi.prime, g_chi.ambient, verify=False)
     return out * g_chi if i else out
@@ -655,6 +655,19 @@ def xbar(y, ell: int, prime: int, verify: bool = False) -> GroupMatrix:
     for k in range(1, ell):
         rows[size - 1][ell + 1 + k - 1] = -y[ell - k - 1]
     return GroupMatrix.make(rows, prime, "SO_odd", verify=verify)
+
+
+def jpss_dual_integrand(a, x, n, p):
+    """The JPSS dual integrand w_long (t m)^(-1) w_(n,1) by inversion and
+    products, with m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0) and
+    w_(n,1) = diag(1, w_(n-1))."""
+    m = mat_identity(n)
+    m[0][0] = Fraction(a)
+    for r, xv in enumerate(x):
+        m[1 + r][0] = xv
+    wn1 = [[Fraction(c == 0) for c in range(n)]]
+    wn1 += [[Fraction(c == n - r) for c in range(n)] for r in range(1, n)]
+    return mat_mul(mat_mul(w_long(n, p).lists(), cramer_inv(mat_transpose(m))), wn1)
 
 
 def generic_matrix(p, ell, side, z, y):

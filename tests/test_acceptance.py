@@ -25,6 +25,7 @@ from oracles import (
     random_so_unipotent,
     recompose,
     reference_coset_decompose,
+    reference_eliminate_u_iplus,
     scaled,
     so_check,
     unscaled,
@@ -41,7 +42,6 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import F1, coset_decompose, factor_u_k, so_torus
 from ssgamma.parameter import param_summary
 from ssgamma.scalars import ExactScalar
 
@@ -162,12 +162,13 @@ def test_affine_character_conjugation_invariance(ell, p):
 
 
 def test_coset_roundtrip_hundred_products():
-    """The one-coset solver on g g_chi^(-i) = g g_chi^i, formed by an oracle
-    product, for g = u g_chi^i k; at the other index it finds no factors,
-    and the reference chooses i."""
+    """The oracle's U * I+ elimination on g g_chi^(-i) = g g_chi^i, formed
+    by an oracle product, for g = u g_chi^i k; at the other index it
+    finds no factors, and the oracle's SO solver chooses i."""
 
     def solve(g):
-        return coset_decompose(factor_u_k(scaled(g.rows)), so_torus(F1, g.size), p)
+        res = reference_eliminate_u_iplus(reversed(g.rows), g.size, p)
+        return None if res is None else tuple(map(scaled, res))
 
     rng = random.Random(2024)
     cases = [(1, 3), (2, 5), (3, 3), (2, 7)]

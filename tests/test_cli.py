@@ -199,7 +199,7 @@ def test_empty_table_list_is_a_config_error(capsys, p, ell):
 
 
 def test_gamma_so_brute_reports_a_nonzero_shell_point(capsys, monkeypatch):
-    monkeypatch.setattr(integrals, "_so_whittaker_parts", lambda factors, diag, i, p, ell, t: (i, 0, 0))
+    monkeypatch.setattr(integrals, "coset_decompose", lambda rows, diag, p: rows)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     code, out = run(capsys, "gamma-so", "--p", "3", "--ell", "1", "--zeta", "1", "--mode", "brute")
     assert code == EXIT_MISMATCH

@@ -5,35 +5,37 @@ single point loop and tame-class merge of integrals.py, and one
 (buckets, record) entry of the one bucket store, as each SO side is.  a
 runs over the brute-force multiplicative window _z_windows and each x
 coordinate over _y_windows at V = 0 (o mod p^N plus the p^(-1) shell).
-The plain side runs at rank 0 and the dual side at rank n - 2; both
-read W(g) through _gl_whittaker_parts as the plain ints
-(j, m, a) = zeta^j zeta_(p^m)^a.  The dual side's
-argument w_long (t m)^(-1) w_(n,1), times the central element a, is
-diag(a, ..., a, 1) times its rows at a = 1, written down in closed form
-(_gl_dual_rows); the plain side's is diag(a, 1, ..., 1).  Each x is
-factored once (gl_coset, which rotates columns instead of multiplying by
-g_chi^(-1)), and coset_decompose_gl scales k by the torus of each a.
+The plain side runs at rank 0 and the dual side at rank n - 2, and a
+point's value is the plain ints (j, m, a) = zeta^j zeta_(p^m)^a.  By the
+lemma of integrals.py a point is D k at its one coset index j, with k
+lower triangular, and its value is (j, 0, 0) when every row of D k lies
+in I+: D = diag(a, 1, ..., 1) and k = 1 at j = 0 on the plain side, and
+on the dual side D = diag(a, ..., a, 1) and k the rows _gl_dual_rows
+writes in closed form at j = 1, since a times the integrand is
+D k g_chi / p.  The rows of k that D leaves alone are tested once per x.
 
 The first test checks the closed form against a times the generic
 product with the oracle's inverse, which shares none of its path.  The
-next two check the evaluator against the generic Whittaker function of
-tests/oracles.py, on window points (the dual side's value on a times
-the integrand against the oracle's on the integrand itself, so the
-trivial central character is checked too) and on points u g_chi^j k of
-the support.  The oracle runs the package's solver, so each also checks
-what that solver cannot share: on window points W(g g_chi^r) =
-zeta^r W(g) for every r, and on the support zeta^j psi_U(u) chi(k) read
-off the sampled factors, which calls no solver.  The buckets of both sides,
-keyed (side, j, a0) as one dict, are pinned by sha256 digests of their
-records, taken from the implementation that built every argument and
-every rotation by generic inversion and products, and summed every
-point's value as an ExactScalar.  The support lemma of both sides is
-read off their records of nonzero points, and the enumeration, which
-factors each x once and scales k by the torus of each a, is checked
-against a point loop that solves the full rows of every point.  The last
-test counts calls, so that a per-point inversion, or a factorization per
-point, cannot come back unseen: the solver hands back the factors it
-computes, and the enumeration inverts nothing.
+next ones check the engine against the generic Whittaker function of
+tests/oracles.py, which factors with its own Fraction solvers: on
+random window points (the dual side's value on a times the integrand
+against the oracle's on the integrand itself, so the trivial central
+character is checked too, and W(g g_chi^r) = zeta^r W(g) for every r),
+and at every window point at (n, p) = (3, 3) and (4, 3).  There the lemma
+is checked with oracle products alone: W is zeta^j times the oracle's
+in_iplus of the integrand at its index; and its j != 1 half: a dual
+point whose bottom row names another j lies in no double coset, since
+a bottom-right minor vanishes.  whittaker_eval itself is checked on
+sampled u g_chi^j k against the value read off the sampled factors.
+The buckets of both sides, keyed (side, j, a0) as one dict, are pinned
+by sha256 digests of their records, taken from the implementation that
+built every argument and every rotation by generic inversion and
+products, and summed every point's value as an ExactScalar.  The
+support lemma of both sides is read off their records of nonzero
+points, and the enumeration, which tests the rows D leaves alone once
+per x, is checked against a point loop that tests every row of every
+point.  The last test counts calls, so that a per-point inversion, or a
+per-point test of a row that a leaves alone, cannot come back unseen.
 """
 
 import hashlib
@@ -41,6 +43,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -51,15 +54,15 @@ from oracles import (
     WhittakerSpec,
     _psi_u,
     affine_chi,
-    cramer_inv,
     g_chi_gl,
+    in_iplus,
+    jpss_dual_integrand,
+    mat_det,
     mat_identity,
     mat_mul,
-    mat_transpose,
     random_gl_iplus,
-    scaled,
+    reference_coset_decompose_gl,
     unscaled,
-    w_long,
     whittaker_eval,
 )
 from ssgamma.characters import tame_class
@@ -68,12 +71,11 @@ from ssgamma.integrals import (
     _entry,
     _gl_buckets,
     _gl_dual_rows,
-    _gl_whittaker_parts,
     _unit_rows,
     _y_windows,
     _z_windows,
 )
-from ssgamma.matrices import gl_coset
+from ssgamma.matrices import F1, coset_decompose_gl
 from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
@@ -93,52 +95,54 @@ def x_window(p):
     return st.one_of(st.integers(0, p**LEVEL - 1).map(Fraction), shell.map(lambda u: Fraction(u, p)))
 
 
-def generic_dual(a, x, n, p):
-    """w_long (t m)^(-1) w_(n,1) by inversion and products, with
-    m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0) and w_(n,1) = diag(1, w_(n-1))."""
-    m = mat_identity(n)
-    m[0][0] = a
-    for r, xv in enumerate(x):
-        m[1 + r][0] = xv
-    wn1 = [[Fraction(c == 0) for c in range(n)]]
-    wn1 += [[Fraction(c == n - r) for c in range(n)] for r in range(1, n)]
-    return mat_mul(mat_mul(w_long(n, p).lists(), cramer_inv(mat_transpose(m))), wn1)
+def dual_rows(a, x, p):
+    """The rows of D k at the dual point (a, x): the rows _gl_dual_rows
+    writes, times diag(a, ..., a, 1)."""
+    rows = _gl_dual_rows(x, p)
+    return [([v * a.numerator for v in nums], d * a.denominator) for nums, d in rows[:-1]] + rows[-1:]
 
 
-def torus(a, n, dual):
-    """The diagonal _gl_buckets scales by at a, as a scaled row:
-    diag(a, ..., a, 1) on the dual side and diag(a, 1, ..., 1) on the
-    plain side."""
-    count = n - 1 if dual else 1
-    return [a.numerator] * count + [a.denominator] * (n - count), a.denominator
-
-
-def dual_rows(a, x, n):
-    """The rows of the dual point (a, x), a times the integrand: the rows
-    _gl_dual_rows writes at a = 1 times the dual torus of a."""
-    diag, den = torus(a, n, True)
-    return [([v * e for v in nums], d * den) for (nums, d), e in zip(_gl_dual_rows(x), diag)]
+def at_index(a, x, n, p, dual):
+    """The integrand at the point (a, x), times a on the dual side, times
+    g_chi^(-j) / z at its index j, by oracle products: diag(a, 1, ..., 1)
+    on the plain side (j = 0, z = 1), a times the dual integrand times
+    g_chi^(-1) p on the dual side (j = 1, z = 1/p)."""
+    if not dual:
+        g = mat_identity(n)
+        g[0][0] = a
+        return g
+    g = mat_mul([[a * v for v in row] for row in jpss_dual_integrand(a, x, n, p)], g_chi_gl(n, p).inv().lists())
+    return [[p * v for v in row] for row in g]
 
 
 def parts_at(a, x, n, p, dual):
-    """The value _gl_buckets gives the point (a, x): the factors of the
-    rows at a = 1, made once per x (gl_coset), scaled by the torus of a."""
-    rows = _gl_dual_rows(x) if dual else _unit_rows(n, range(n))
-    return _gl_whittaker_parts(gl_coset(rows, p), torus(a, n, dual), p, n)
+    """The value _gl_buckets gives the point (a, x): (j, 0, 0) when the
+    rows of k that D leaves alone pass the row test at d = 1, made once
+    per x, and those it scales pass at d = a; None otherwise."""
+    rows = _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))
+    count = n - 1 if dual else 1
+    if coset_decompose_gl(rows, F1, p, count) is None or coset_decompose_gl(rows[:count], a, p) is None:
+        return None
+    return int(dual), 0, 0
 
 
-def parts_of_rows(rows, p, n):
-    """The value of g, given by its scaled rows, as 1 g."""
-    return _gl_whittaker_parts(gl_coset(rows, p), ([1] * n, 1), p, n)
+def recorded_parts(a, x, n, p, side):
+    """The value the enumeration records at the point (a, x) of its
+    window, None where it records nothing."""
+    got = _entry(_gl_buckets, n, p, LEVEL, CUTOFF, side)[1].get((a, x))
+    return None if got is None else got[0]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from((2, 3, 4)), st.sampled_from((3, 5, 7)), st.data())
 def test_dual_rows_equal_the_generic_product(n, p, data):
+    """D k is a times the integrand times g_chi^(-1) p: the rows at j = 1
+    in closed form, against the generic product with the oracle's
+    inverse.  The central character is trivial, so a times the integrand
+    has its value."""
     a = data.draw(a_window(p))
     x = tuple(data.draw(x_window(p)) for _ in range(n - 2))
-    # a times the integrand: the central character is trivial
-    assert unscaled(dual_rows(a, x, n)) == [[a * v for v in row] for row in generic_dual(a, x, n, p)]
+    assert unscaled(dual_rows(a, x, p)) == at_index(a, x, n, p, True)
 
 
 def primitive_root_of_unity(n, data):
@@ -164,10 +168,9 @@ def window_points(draw):
     return n, p, dual, a, x, e
 
 
-# dual points of the support, a in p^(-1)(1 + p) and x in o: the solver
-# runs at j = 1 with p z = 1, and the bottom row's 1 wraps round onto the
-# diagonal, so that one wrapped entry decides the verdict; at g g_chi^(n-1)
-# the solver runs at j = 0, where no entry wraps
+# dual points of the support, a in p^(-1)(1 + p) and x in o, where the
+# one row of k that a leaves alone is the bottom row, whose 1 sits on the
+# diagonal only at j = 1
 @example((2, 3, True, Fraction(4, 3), (), 1))
 @example((3, 5, True, Fraction(11, 5), (Fraction(7),), 2))
 @example((4, 3, True, Fraction(7, 3), (Fraction(0), Fraction(8)), 3))
@@ -176,29 +179,122 @@ def window_points(draw):
 @given(window_points())
 def test_evaluator_matches_whittaker_eval_on_the_windows(point):
     """The points _gl_buckets evaluates, valued as it values them (the
-    factors at a = 1 scaled by the torus of a), and as the full rows:
-    diag(a, I_(n-1)) on the plain side, and on the dual side
-    dual_rows(a, x, n), a times the integrand, whose kernel value must be
-    the oracle's W at the integrand itself.  The oracle runs the package's solver, so the kernel is also
-    checked against W(g g_chi^r) = zeta^r W(g) for every r: the solver
-    runs at another j at each r, so a wrong wrapped entry cannot agree
-    with every translate."""
+    value its record holds), against the oracle's W at the integrand
+    itself: diag(a, I_(n-1)) on the plain side, and on the dual side the
+    integrand whose a-multiple the engine values.  And the oracle's own
+    W(g g_chi^r) = zeta^r W(g) for every r: its solver runs at another j
+    at each r."""
     n, p, dual, a, x, e = point
     if dual:
-        rows, integrand = dual_rows(a, x, n), generic_dual(a, x, n, p)
+        integrand = jpss_dual_integrand(a, x, n, p)
     else:
         integrand = mat_identity(n)
         integrand[0][0] = a
-        rows = scaled(integrand)
     zeta = C.root_of_unity(n, e)
+    spec = WhittakerSpec(p, "GL", n, zeta)
     g = GroupMatrix.make(integrand, p)
-    parts = parts_at(a, x, n, p, dual)
-    assert parts == parts_of_rows(rows, p, n)
-    got = kernel_value(p, zeta, parts)
-    assert got == whittaker_eval(WhittakerSpec(p, "GL", n, zeta), g)
+    got = kernel_value(p, zeta, parts_at(a, x, n, p, dual))
+    assert got == whittaker_eval(spec, g)
     for r in range(1, n):
         g = g * g_chi_gl(n, p)
-        assert kernel_value(p, zeta, parts_of_rows(scaled(g.rows), p, n)) == ExactScalar.from_coeff(p, zeta**r) * got
+        assert whittaker_eval(spec, g) == ExactScalar.from_coeff(p, zeta**r) * got
+
+
+WINDOWS = [(3, 3), (4, 3)]
+
+
+@lru_cache(maxsize=None)
+def window_values(n, p, side):
+    """(a, x, g, W) at every point of side's window at (n, p), in loop
+    order: g the point's integrand at its index (at_index) and W the
+    oracle's whittaker_eval of a times the integrand on the dual side, of
+    diag(a, 1, ..., 1) on the plain side, at a primitive n-th root of
+    unity.  The dual integrand, and it times g_chi^(-1) p, are formed once
+    per x at a = 1, and a times the integrand is diag(a, ..., a, 1) times
+    it at a = 1: the identity test_dual_rows_equal_the_generic_product
+    checks."""
+    dual = side == "dual"
+    spec = WhittakerSpec(p, "GL", n, C.root_of_unity(n, 1))
+    gchi_inv = g_chi_gl(n, p).inv().lists()
+    xs = [c for c, _ in _y_windows(p, LEVEL, 0, "brute-force")[1]]
+    inner = list(itertools.product(xs, repeat=n - 2)) if dual else [()]
+    base = {}
+    for x in inner if dual else ():
+        m = jpss_dual_integrand(F1, x, n, p)
+        base[x] = m, [[p * v for v in row] for row in mat_mul(m, gchi_inv)]
+
+    def times_d(a, rows):
+        return [[a * v for v in row] for row in rows[:-1]] + rows[-1:]
+
+    out = []
+    for a, _ in _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")[1]:
+        for x in inner:
+            if dual:
+                w, g = (times_d(a, rows) for rows in base[x])
+            else:
+                w = g = at_index(a, x, n, p, False)
+            out.append((a, x, g, whittaker_eval(spec, GroupMatrix(tuple(map(tuple, w)), p, "GL"))))
+    return out
+
+
+def test_evaluator_matches_whittaker_eval_on_the_support():
+    """The engine against the oracle at every point of both sides'
+    windows at (n, p) = (3, 3) and (4, 3), N = 2, V = 1: the value the
+    enumeration records (none where it records nothing), read as zeta^j,
+    is whittaker_eval of the point.  This test sampled u g_chi^j k with
+    general u while the engine had a general solver;
+    test_whittaker_eval_reads_the_sampled_factors keeps that sampling on
+    the oracle."""
+    for n, p in WINDOWS:
+        zeta = C.root_of_unity(n, 1)
+        for side in SIDES:
+            points = window_values(n, p, side)
+            for a, x, _, want in points:
+                assert kernel_value(p, zeta, recorded_parts(a, x, n, p, side)) == want, (n, side, a, x)
+            # a in one class of p^(N-1) units, each x_i in o mod p^N on the dual side
+            found = p ** (LEVEL - 1) * (p ** (LEVEL * (n - 2)) if side == "dual" else 1)
+            assert sum(not want.is_zero() for *_, want in points) == found
+            assert len(_entry(_gl_buckets, n, p, LEVEL, CUTOFF, side)[1]) == found
+
+
+@pytest.mark.parametrize("n,p", WINDOWS)
+def test_w_is_zeta_j_times_the_row_test_of_the_integrand(n, p):
+    """The lemma behind the engine's row test, with oracle products alone,
+    at every point of both sides' windows: W is zeta^j times whether the
+    integrand at its index j (at_index) lies in I+, j = 0 on the plain
+    side and 1 on the dual side."""
+    zeta = C.root_of_unity(n, 1)
+    for side in SIDES:
+        j = int(side == "dual")
+        for a, x, g, want in window_values(n, p, side):
+            assert want == kernel_value(p, zeta, (j, 0, 0) if in_iplus(g, p) else None), (side, a, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.sampled_from((3, 5, 7)), st.data())
+def test_the_dual_integrand_meets_no_coset_off_j_1(n, p, data):
+    """The j != 1 half of the lemma, with oracle products alone.  For
+    g = a times the dual integrand and every j != 1, the bottom-right
+    block (rows and columns 1..n-1) of g g_chi^(-j) has determinant 0:
+    column 1 of g is nonzero in row 0 alone, and g_chi^(-j) moves it into
+    the block.  A point of U g_chi^j Z I+ has g g_chi^(-j) = z u k, whose
+    block has the unit determinant z^(n-1) det k[1:, 1:].  So only j = 1
+    is left, which the bottom row of k at j = 1 decides: a point whose x
+    has an x_i outside o lies in no coset.  As a negative control, at
+    j = 1, with a in p^(-1) (1 + p) and every x_i in o, the block of
+    g g_chi^(-1) / z, z = 1/p, has a unit determinant."""
+    a = data.draw(a_window(p))
+    x = tuple(data.draw(x_window(p)) for _ in range(n - 2))
+    inv = g_chi_gl(n, p).inv().lists()
+    m = [[a * v for v in row] for row in jpss_dual_integrand(a, x, n, p)]
+    for j in range(n):
+        if j != 1:
+            assert mat_det([row[1:] for row in m[1:]]) == 0, j
+        m = mat_mul(m, inv)
+    a = Fraction(1 + p * data.draw(st.integers(-p, p)), p)
+    x = tuple(Fraction(data.draw(st.integers(-p * p, p * p))) for _ in range(n - 2))
+    det = mat_det([row[1:] for row in at_index(a, x, n, p, True)[1:]])
+    assert det and rational_valuation(det, p) == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,11 +305,12 @@ def test_evaluator_matches_whittaker_eval_on_the_windows(point):
     st.integers(0, 2**32),
     st.data(),
 )
-def test_evaluator_matches_whittaker_eval_on_the_support(n, p, integral, seed, data):
-    """Points u g_chi^j k with u upper unipotent (with entries in p^(-1)
-    unless integral) and k in I+, so W takes general values there.
-    W(g) = zeta^j psi_U(u) chi(k) is also read off the sampled factors
-    directly, so a solver that returned wrong factors would fail."""
+def test_whittaker_eval_reads_the_sampled_factors(n, p, integral, seed, data):
+    """The oracle on points u g_chi^j k with u upper unipotent (with
+    entries in p^(-1) unless integral) and k in I+, so W takes general
+    values there, which no integrand reaches: whittaker_eval is
+    zeta^j psi_U(u) chi(k) read off the sampled factors, and its solver
+    picks the index j."""
     rng = random.Random(seed)
     j = data.draw(st.integers(0, n - 1))
     u = mat_identity(n)
@@ -226,13 +323,11 @@ def test_evaluator_matches_whittaker_eval_on_the_support(n, p, integral, seed, d
         g = g * g_chi_gl(n, p)
     k = random_gl_iplus(rng, n, p)
     g = g * k
-    parts = parts_of_rows(scaled(g.rows), p, n)
-    assert parts is not None and parts[0] == j
+    assert reference_coset_decompose_gl(g.rows, p)[1] == j
     zeta = primitive_root_of_unity(n, data)
     spec = WhittakerSpec(p, "GL", n, zeta)
-    assert kernel_value(p, zeta, parts) == whittaker_eval(spec, g)
     direct = zeta**j * _psi_u(spec, u) * affine_chi(k, t=spec.t, flavor="GL")
-    assert kernel_value(p, zeta, parts) == ExactScalar.from_coeff(p, direct)
+    assert whittaker_eval(spec, g) == ExactScalar.from_coeff(p, direct)
 
 
 SIDES = ("plain", "dual")
@@ -264,11 +359,11 @@ def test_gl_buckets_are_pinned(n, p, digest):
 
 
 def pointwise_side(n, p, side):
-    """(buckets, record) of one JPSS side by a point loop of its own: the
-    full rows of every point (a, x), in the enumeration's loop order, each
-    factored on its own and valued with no torus (parts_of_rows); the
-    values summed per (j, tame class of a) point by point, keyed by the
-    least a of the class."""
+    """(buckets, record) of one JPSS side by a point loop of its own: every
+    row of D k at every point (a, x), in the enumeration's loop order,
+    tested at once (coset_decompose_gl at d = 1), value (j, 0, 0) when
+    they all pass; the values summed per (j, tame class of a) point by
+    point, keyed by the least a of the class."""
     a_weight, as_ = _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")
     x_weight, xs = _y_windows(p, LEVEL, 0, "brute-force")
     rank = 0 if side == "plain" else n - 2
@@ -277,12 +372,12 @@ def pointwise_side(n, p, side):
         for combo in itertools.product(xs, repeat=rank):
             x = tuple(c for c, _ in combo)
             if side == "plain":
-                rows = scaled([[a if r == c == 0 else Fraction(r == c) for c in range(n)] for r in range(n)])
+                rows = [([a.numerator if r == c == 0 else a.denominator * (r == c) for c in range(n)], a.denominator) for r in range(n)]
             else:
-                rows = dual_rows(a, x, n)
-            parts = parts_of_rows(rows, p, n)
-            if parts is None:
+                rows = dual_rows(a, x, p)
+            if coset_decompose_gl(rows, F1, p) is None:
                 continue
+            parts = (int(side == "dual"), 0, 0)
             record[(a, x)] = parts, a_shell or any(s for _, s in combo)
             j, m, e = parts
             least, total = sums.get((j,) + tame_class(a, p), (a, C.zero()))
@@ -293,13 +388,12 @@ def pointwise_side(n, p, side):
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (4, 3), (3, 5)])
 def test_the_bottom_step_made_once_per_x_changes_no_point(n, p):
-    """_gl_buckets makes the solver's bottom step once per x (once per side
-    on the plain side, whose bottom row is the unit row for every a): the
-    one j and z that the bottom row names, which a leaves alone, and the
-    factors at that j of the rows at a = 1 (gl_coset).  Each point scales
-    them by the torus of its a.  Each side's buckets and record, the
-    record's order included, are those of pointwise_side, which factors
-    the full rows of every point."""
+    """_gl_buckets tests the rows of k that D leaves alone once per x (once
+    per side on the plain side, whose k is the identity for every a): the
+    bottom row on the dual side, rows 1..n-1 on the plain side.  Each
+    point tests the rows D scales by its a.  Each side's buckets and
+    record, the record's order included, are those of pointwise_side,
+    which tests every row of every point."""
     for side in SIDES:
         buckets, record = _gl_buckets(n, p, LEVEL, CUTOFF, side)
         want_buckets, want_record = pointwise_side(n, p, side)
@@ -333,35 +427,34 @@ def test_jpss_support_lemma(n, p):
 
 
 def test_gl_enumeration_inverts_nothing(count_calls):
-    """mat_inv, coset_decompose_gl, the factorization, the row map of the
-    factorization and the row test counted at every name the package
-    binds them to, over the enumeration of both sides at (n, p) = (3, 5).
-    Each of the 12,600 points is one solver call, and 130 find factors.
-    The integrand at (a, x) is a torus element of a times the rows at
-    a = 1, so each x is factored once, at the one j whose bottom row can
-    lie in I+: 125 x on the dual side and 1 on the plain side, 126
-    factorizations and 3 * 126 = 378 rows mapped, with no row test.  The
-    100 x on the shell, whose -x_0 has the least valuation in the bottom
-    row (1, 0, -x_0), leave a zero pivot, which rejects all 100 a of each
-    without a test.  The other 2,600 points test rows of k scaled by the
-    torus of a, bottom-up: 2,500 dual points test 2 rows and their 125
-    found points 1 more, and the 100 plain points test all 3, 5,425 in
-    all.  The count was re-pinned when the factorization moved out of the
-    point loop: each solver call ran its own elimination, 12,600 of them,
-    and mapped 12,951 rows (12,825 above the bottom rows, and one bottom
-    row per x with its j made ahead); before that, mapping each point's
-    bottom row made 25,425, trying j = 0, 1, ... in turn 25,000
-    eliminations and 37,825 row maps, and forming each g g_chi^(-j) / z
-    in full 75,000."""
-    calls = count_calls("mat_inv", "coset_decompose_gl", "factor_u_k", "row_times_g_chi_gl_inv", "row_in_iplus")
+    """mat_inv, coset_decompose_gl and the row test counted at every name
+    the package binds them to, over the enumeration of both sides at
+    (n, p) = (3, 5).  Each x is prepared once, 125 on the dual side and 1
+    on the plain side, by one coset_decompose_gl call at d = 1 on the rows
+    of k that D leaves alone: the dual bottom row (125 row tests), which
+    passes for the 25 x in o and fails for the 100 x on the shell, and
+    the plain rows 1 and 2 (2 row tests).  Each point of an accepted x is
+    one more call: 25 * 100 dual points and 100 plain points, 2,600, of
+    which 130 pass; a rejected x's 100 points make none.  So 126 + 2,600
+    = 2,726 calls, 26 + 130 = 156 passing.  The dual points test the rows
+    a scales bottom-up, a p e_1 and then a p e_0, the second only at the
+    125 passing points (2,625 tests), and the plain points test a e_0
+    (100 tests): 125 + 2 + 2,625 + 100 = 2,852 row tests.
+
+    The count was re-pinned when the factorization went.  It then read
+    12,600 calls (one per point, a rejected x's included), 130 found;
+    126 factorizations, 26 found, at the one j each x's bottom row named;
+    378 rows mapped by g_chi^(-j); and 5,425 row tests, 2,700 of them of
+    a bottom row that a leaves alone.  Before that, each solver call ran
+    its own elimination, 12,600 of them, and mapped 12,951 rows; mapping
+    each point's bottom row made 25,425, trying j = 0, 1, ... in turn
+    25,000 eliminations and 37,825 row maps, and forming each
+    g g_chi^(-j) / z in full 75,000."""
+    calls = count_calls("mat_inv", "coset_decompose_gl", "row_in_iplus")
     for side in SIDES:
         _gl_buckets(3, 5, LEVEL, CUTOFF, side)
-    assert calls["coset_decompose_gl"] == 12_600
-    assert calls["coset_decompose_gl.found"] == 130
-    assert calls["factor_u_k"] == 125 + 1 == 126
-    assert calls["factor_u_k.found"] == 25 + 1
-    assert calls["row_times_g_chi_gl_inv"] == 3 * 126 == 378
-    assert calls["row_in_iplus"] == 2 * 2_500 + 125 + 3 * 100 == 5_425
-    # the factorization inverts nothing, and the factors are returned as
-    # computed, with no g_chi^(-1) pulled through them
+    assert calls["coset_decompose_gl"] == 126 + 25 * 100 + 100 == 2_726
+    assert calls["coset_decompose_gl.found"] == 26 + 130 == 156
+    assert calls["row_in_iplus"] == 125 + 2 + 2 * 125 + 2_375 + 100 == 2_852
+    # nothing is inverted or factored
     assert calls["mat_inv"] == 0

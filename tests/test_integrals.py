@@ -24,7 +24,7 @@ from ssgamma.integrals import (
     predicted_gamma_so,
     scan_support,
 )
-from ssgamma.matrices import gl_coset
+from ssgamma.matrices import F1
 from ssgamma.padic import rational_valuation
 from ssgamma.scalars import ExactScalar
 
@@ -78,7 +78,7 @@ def test_b1_star_is_minus_one(p):
         assert integrals._section(tau, -1 / z, 1, 1) == ES(p, 1, v, v) * tame_eval(tau, b / z)
     # and phi_star_eval takes the section there, at each bucket's z
     want = ExactScalar.zero(p)
-    buckets, _ = integrals._so_buckets(p, 1, cfg.level, cfg.cutoff, cfg.mode, "phi_star", cfg.t)
+    buckets, _ = integrals._so_buckets(p, 1, cfg.level, cfg.cutoff, cfg.mode, "phi_star")
     for (_, z), part in buckets.items():
         v = rational_valuation(1 / z, p)
         want = want + part * ES(p, 1, v, v) * tame_eval(tau, b / z)
@@ -543,36 +543,35 @@ def test_scan_support_detects_wrong_predicate(monkeypatch):
 
 
 def entry(rows, r, c):
-    """Entry (r, c) of the evaluators' scaled rows, as a Fraction."""
+    """Entry (r, c) of the row builders' scaled rows, as a Fraction."""
     nums, den = rows[r]
     return Fraction(nums[c], den)
 
 
-def phi_point(factors, diag):
-    """(z, y) of a Phi point, read off the SO evaluator's arguments: z is
-    the d of the torus h(d), and the rows at (1, y) are lower
-    unitriangular, so they are their own k, with -y_k in their bottom
-    row, left of the corner."""
-    (entries, den), k = diag, factors[1]
+def phi_point(rows, diag):
+    """(z, y) of a Phi point, read off the SO row test's arguments: z is
+    the d of the torus h(d), and the rows at (1, y) have -y_k in their
+    bottom row, left of the corner."""
+    (entries, den) = diag
     n = len(entries)
-    return Fraction(entries[0], den), tuple(-entry(k, n - 1, n - 2 - i) for i in range((n - 3) // 2))
+    return Fraction(entries[0], den), tuple(-entry(rows, n - 1, n - 2 - i) for i in range((n - 3) // 2))
 
 
 def shell_nonzero_evaluator(monkeypatch, cutoff):
-    """Replace the SO evaluator (with a fresh bucket cache) by one that is
-    also nonzero at the Phi points with v_p(z) > V; returns the z of its
+    """Replace the SO row test (with a fresh bucket cache) by one that
+    also passes at the Phi points with v_p(z) > V; returns the z of its
     calls."""
-    real = integrals._so_whittaker_parts
+    real = integrals.coset_decompose
     calls = []
 
-    def fake(factors, diag, i, p, ell, t):
-        z = phi_point(factors, diag)[0]
+    def fake(rows, diag, p):
+        z = phi_point(rows, diag)[0]
         calls.append(z)
         if rational_valuation(z, p) > cutoff:
-            return (0, 0, 0)
-        return real(factors, diag, i, p, ell, t)
+            return rows
+        return real(rows, diag, p)
 
-    monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
+    monkeypatch.setattr(integrals, "coset_decompose", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     return calls
 
@@ -624,7 +623,7 @@ def test_scan_support_rejects_an_unknown_side(side):
 
 def test_jpss_raises_on_a_nonzero_shell_point(monkeypatch):
     p, cutoff = 3, 1
-    monkeypatch.setattr(integrals, "_gl_whittaker_parts", lambda coset, diag, prime, n: (0, 0, 0))
+    monkeypatch.setattr(integrals, "coset_decompose_gl", lambda rows, d, prime, first=0: rows)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     first = Fraction(p) ** (-cutoff - 1)  # the first a of the plain side
     message = f"nonzero JPSS plain integrand at the padding shell: a={first}, x=()"
@@ -637,15 +636,15 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
     """At l = 2, a Phi point whose z is inside the window and whose y is on
     the p^-(V+1) shell: the loop must check the inner coordinate too."""
     p, level, cutoff = 3, 2, 1
-    real = integrals._so_whittaker_parts
+    real = integrals.coset_decompose
 
-    def fake(factors, diag, i, prime, ell, t):
-        z, (y,) = phi_point(factors, diag)
+    def fake(rows, diag, prime):
+        z, (y,) = phi_point(rows, diag)
         if abs(rational_valuation(z, p)) <= cutoff and rational_valuation(y, p) < -cutoff:
-            return (0, 0, 0)
-        return real(factors, diag, i, prime, ell, t)
+            return rows
+        return real(rows, diag, prime)
 
-    monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
+    monkeypatch.setattr(integrals, "coset_decompose", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     z = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if not shell)
     y = next(y for y, shell in integrals._y_windows(p, level, cutoff, "brute-force")[1] if shell)
@@ -675,14 +674,14 @@ def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypat
     assert scan_support(p, ell, "phi", level=level, cutoff=cutoff)[1] is True  # the real record, cached
     z0 = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if shell)
     y0 = integrals._y_windows(p, level, cutoff, "brute-force")[1][0][0]
-    real = integrals._so_whittaker_parts
+    real = integrals.coset_decompose
 
-    def fake(factors, diag, i, prime, ell, t):
-        if phi_point(factors, diag) == (z0, (y0,)):
-            return (0, 0, 0)
-        return real(factors, diag, i, prime, ell, t)
+    def fake(rows, diag, prime):
+        if phi_point(rows, diag) == (z0, (y0,)):
+            return rows
+        return real(rows, diag, prime)
 
-    monkeypatch.setattr(integrals, "_so_whittaker_parts", fake)
+    monkeypatch.setattr(integrals, "coset_decompose", fake)
     cfg = IntegralConfig(p, ell, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
     message = f"nonzero phi integrand at the padding shell: z={z0}, y={(y0,)}"
     for scan_first in (True, False):
@@ -703,23 +702,23 @@ def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypat
 def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatch):
     """At n = 3, a dual point whose a is inside the window and whose x is
     on the p^-1 shell; every other point, plain side included, vanishes.
-    The fake reads a off the torus, a in its first entry on both sides.
-    A dual x is on the shell exactly when -x_0 has the least valuation in
-    the bottom row (1, 0, -x_0) of the rows at a = 1, and then they leave
-    a zero pivot at j = 0, so gl_coset is None there and nowhere else,
-    the plain side's identity included."""
+    A dual x is on the shell exactly when the bottom row (0, -p x_0, 1) of
+    its rows at j = 1 leaves I+, so the row test made once per x, at
+    d = 1, fails there and nowhere else, the plain side's identity
+    included.  The fake accepts exactly the x the real test rejects, and
+    then passes every point whose a is inside the window."""
     p, level, cutoff = 3, 2, 1
     xs = integrals._y_windows(p, level, 0, "brute-force")[1]
-    assert [gl_coset(integrals._gl_dual_rows((x,)), p) is None for x, _ in xs] == [shell for _, shell in xs]
-    assert gl_coset(integrals._unit_rows(3, range(3)), p) is not None
+    real = integrals.coset_decompose_gl
+    assert [real(integrals._gl_dual_rows((x,), p), F1, p, 2) is None for x, _ in xs] == [shell for _, shell in xs]
+    assert real(integrals._unit_rows(3, range(3)), F1, p, 1) is not None
 
-    def fake(coset, diag, prime, n):
-        a = Fraction(diag[0][0], diag[1])
-        if abs(rational_valuation(a, p)) <= cutoff and coset is None:
-            return (0, 0, 0)
-        return None
+    def fake(rows, d, prime, first=0):
+        if first:  # the test made once per x
+            return rows if real(rows, d, prime, first) is None else None
+        return rows if abs(rational_valuation(d, p)) <= cutoff else None
 
-    monkeypatch.setattr(integrals, "_gl_whittaker_parts", fake)
+    monkeypatch.setattr(integrals, "coset_decompose_gl", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     a = next(a for a, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if not shell)
     x = next(x for x, shell in integrals._y_windows(p, level, 0, "brute-force")[1] if shell)

@@ -1,21 +1,28 @@
 """Oracle property tests for the SO enumeration kernel.
 
-The kernel writes the rows of the Phi integrand in closed form and reads
-its Whittaker value off the coset solver's factors; it values Phi* as
-Phi at (p z, -y), times zeta, since Phi*(z, y) g_chi = Phi(p z, -y).
-That lemma, and that a Phi point lies only in the coset U I+ and a Phi*
-point only in U g_chi I+, are checked with oracle products alone, beside
-negative controls (z for p z, +y for -y).  The other tests check the
-kernel against the generic code in tests/oracles.py: the row builder
-against the named-element product, and the evaluator against
-whittaker_eval, which forms k' and chi(k') by products.  On the support
-the evaluator is also checked against a box reader made of oracle
-products alone (the oracle's in_iplus, the g_chi_so product and
-affine_chi), which shares no code with the solver, and everywhere
-against zeta^i psi_U(u) chi(k) read off the sampled u, i and k, with no
-solver at all.  The next tests check the bucket assembly: Phi and Phi*
-rebuilt point by point from the (weight, [(rep, on_shell)]) windows,
-each support-aware class unfolded from the brute-force window
+The kernel writes the rows of the Phi integrand in closed form and
+values a point by a row test: (i, 0, 0) when every row of m(y') h(d)
+lies in I+, with (d, y', i) = (z, y, 0) on Phi and (p z, -y, 1) on
+Phi*, since Phi*(z, y) g_chi = Phi(p z, -y).  That identity, and that a
+Phi point lies only in the coset U I+ and a Phi* point only in
+U g_chi I+, are checked with oracle products alone, beside negative
+controls (z for p z, +y for -y).  So is the lemma the row test rests on:
+the oracle's whittaker_eval of the named-element product is zeta^i times
+the oracle's in_iplus of the integrand at its index, at every point of
+the brute-force windows at (3, 2, 2, 1) and at random points and t.  The
+other tests check the kernel against the generic code in
+tests/oracles.py: the row builder against the named-element product,
+and the engine's values against whittaker_eval, which factors with the
+oracle's own Fraction solvers and forms k' and chi(k') by products, at
+random points and at every window point; on the support also against a
+box reader made of oracle products alone (in_iplus, the g_chi_so
+product and affine_chi).  whittaker_eval itself is checked on sampled
+u g_chi^i k, with general psi_U(u) and chi(k), against the value read
+off the sampled factors, and the g_chi invariance of chi that makes
+W(Phi*(z, y)) = zeta W(Phi(p z, -y)) hold is checked on the oracle's
+chi.  The next tests check the bucket assembly: Phi and Phi* rebuilt
+point by point from the (weight, [(rep, on_shell)]) windows, each
+support-aware class unfolded from the brute-force window
 (unfold_class), with the oracle's section_eval, with no buckets, no
 shared loop, no bucket sum and no merge over tame classes; and the merge
 itself, which _enumerate makes as each outer point's counts arrive, on a
@@ -29,13 +36,13 @@ alone at every point of both unfolded classes of five small (p, l) at
 random t, beside negative controls: a y_k of valuation 0, or a unit w
 outside 1 + p in z = z0 w, leaves I+.  The one point loop of
 integrals.py (_point_counts, the loop _enumerate runs for the SO and the
-JPSS buckets alike), run over the unfolded y class with the SO value
-from the solver, gives each z of the unfolded z class the count
-{value at (z0, 0): |Y|^(l-1)}: on the grid's domains, at (7, 3) on
-sampled z and at random t.  The SO buckets are pinned by sha256 digests
-of their records.  A count guard fails if the support-aware enumeration
-values more than one point a side, at any N, or if the brute-force
-point loop tests a box ahead of the solver.
+JPSS buckets alike), run over the unfolded y class with the SO row test,
+gives each z of the unfolded z class the count {value at (z0, 0):
+|Y|^(l-1)}: on the grid's domains, at (7, 3) on sampled z and at random
+t.  The SO buckets are pinned by sha256 digests of their records.  A
+count guard fails if the support-aware enumeration values more than one
+point a side, at any N, or if the brute-force point loop tests a box
+ahead of the row test.
 """
 
 import hashlib
@@ -43,9 +50,10 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     GroupMatrix,
@@ -59,24 +67,23 @@ from oracles import (
     in_iplus,
     random_so_iplus,
     random_so_unipotent,
+    reference_coset_decompose,
     reference_row_times_g_chi_so,
-    scaled,
     section_eval,
     unfold_class,
     unscaled,
     whittaker_eval,
 )
 from ssgamma import integrals
-from ssgamma.characters import PSI_MAX_POWER, TameCharacter, psi_exponent, tame_class, tame_eval
+from ssgamma.characters import PSI_MAX_POWER, TameCharacter, tame_class, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
-    _chi_arg,
+    _entry,
     _enumerate,
     _so_rows,
     _point_counts,
     _so_buckets,
-    _so_whittaker_parts,
     _y_windows,
     _z_windows,
     gamma_so,
@@ -84,7 +91,7 @@ from ssgamma.integrals import (
     phi_star_eval,
     scan_support,
 )
-from ssgamma.matrices import F0, F1, factor_u_k, so_torus
+from ssgamma.matrices import F0, F1, coset_decompose, so_torus
 from ssgamma.scalars import ExactScalar
 
 SIDES = ("phi", "phi_star")
@@ -152,20 +159,13 @@ def integrand(side, z, y, ell, p):
     return [reference_row_times_g_chi_so(row, p) for row in rows] if i else rows
 
 
-def parts_at(side, z, y, p, t):
-    """The value _so_buckets gives the point (z, y): the factors of the
-    rows at (1, y'), made once per y, scaled by h(d), tagged zeta^i."""
+def parts_at(side, z, y, p):
+    """The value _so_buckets gives the point (z, y): (i, 0, 0) when the
+    rows at (1, y'), made once per y, times h(d) pass the row test, and
+    None otherwise."""
     d, y, i = phi_point(side, z, y, p)
-    ell = len(y) + 1
-    return _so_whittaker_parts(factor_u_k(_so_rows(y)), so_torus(d, 2 * ell + 1), i, p, ell, t)
-
-
-def parts_of_rows(g, i, p, ell, t):
-    """The value of g, given by its Fraction rows, in the coset
-    U g_chi^i I+: the one-coset solver on g g_chi^(-i), formed by the
-    oracle's row map, as that times h(1); None off that coset."""
-    rows = [reference_row_times_g_chi_so(row, p) for row in g] if i else g
-    return _so_whittaker_parts(factor_u_k(scaled(rows)), so_torus(F1, len(g)), i, p, ell, t)
+    rows = coset_decompose(_so_rows(y), so_torus(d, 2 * len(y) + 3), p)
+    return None if rows is None else (i, 0, 0)
 
 
 def box_parts(g, p, ell, t):
@@ -227,23 +227,108 @@ def test_phi_star_is_phi_at_p_z_and_minus_y(point):
         assert (star * gchi).rows != generic_matrix(p, ell, "phi", p * z, y).rows
 
 
+@st.composite
+def points_at_t(draw):
+    """(point, t): a point of points() and affine weights t drawn from the
+    family at its (p, l)."""
+    point = draw(points())
+    return point, affine_t(draw, point[0], point[1])
+
+
+# a unit z outside 1 + p with every y_k in p, on Phi, and its Phi* twin
+# (p z = 2): only the diagonal's 1 + p condition puts these off the
+# support
+@example(((3, 2, "phi", Fraction(2), (Fraction(3),), False), (F1,) * 3), 1)
+@example(((3, 2, "phi_star", Fraction(2, 3), (Fraction(-3),), False), (F1,) * 3), -1)
 @settings(max_examples=120, deadline=None)
-@given(points(), st.sampled_from((1, -1)), st.data())
-def test_evaluator_matches_whittaker_eval(point, zsign, data):
-    p, ell, side, z, y, inside = point
+@given(points_at_t(), st.sampled_from((1, -1)))
+def test_evaluator_matches_whittaker_eval(case, zsign):
+    """The engine's value of a point, read as zeta^i, against the
+    oracle's whittaker_eval of the named-element product, at t drawn
+    from the family.  On the support a box test of oracle products
+    decides the point too, and agrees."""
+    (p, ell, side, z, y, inside), t = case
     zeta = C.one() if zsign == 1 else -C.one()
-    t = affine_t(data.draw, p, ell)
     g = generic_matrix(p, ell, side, z, y).lists()
-    parts = parts_at(side, z, y, p, t)
-    i = phi_point(side, z, y, p)[2]
-    assert parts == parts_of_rows(g, i, p, ell, t)
-    assert parts_of_rows(g, 1 - i, p, ell, t) is None  # each side lies in one coset
-    if inside:  # a box test decides the support, and the solver agrees with it
+    parts = parts_at(side, z, y, p)
+    if inside:  # a box test decides the support, and the row test agrees with it
         box = box_parts(g, p, ell, t)
         assert box is not None and parts is not None
         assert box == (parts[0], C(p ** parts[1], {parts[2]: 1}))
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix.make(g, p, verify=False))
+
+
+# the brute-force windows the engine and the lemma are checked on point
+# by point, and t in the family at that (p, l)
+WINDOW = (3, 2, 2, 1)
+T_WINDOW = (Fraction(2), Fraction(4), Fraction(5))
+
+
+@lru_cache(maxsize=None)
+def window_values(side):
+    """(z, y, g, W) at every point of the brute-force window WINDOW of
+    side, in loop order: g the named-element product and W the oracle's
+    whittaker_eval of it at zeta = -1 and t = T_WINDOW."""
+    p, ell, level, cutoff = WINDOW
+    spec = WhittakerSpec(p, "SO", ell, -C.one(), T_WINDOW)
+    ys = [c for c, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
+    out = []
+    for z, _ in _z_windows(p, level, cutoff, "brute-force", side)[1]:
+        for y in itertools.product(ys, repeat=ell - 1):
+            g = generic_matrix(p, ell, side, z, y)
+            out.append((z, y, g, whittaker_eval(spec, g)))
+    return out
+
+
+def test_evaluator_matches_whittaker_eval_on_the_double_coset():
+    """The engine against the oracle at every point of the brute-force
+    windows at (p, l, N, V) = (3, 2, 2, 1), both sides: the value the
+    enumeration records (none where it records nothing), read as zeta^i
+    at zeta = -1, is whittaker_eval of the named-element product, at t in
+    the family.  This test sampled u g_chi^i k with general u while the
+    engine had a general solver; test_whittaker_eval_reads_the_sampled_factors
+    keeps that sampling on the oracle."""
+    p, ell, level, cutoff = WINDOW
+    for side in SIDES:
+        record = _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side)[1]
+        points = window_values(side)
+        assert len(points) == 30 * 81
+        for z, y, _, want in points:
+            got = record.get((z, y))
+            assert kernel_value(p, -C.one(), None if got is None else got[0]) == want, (side, z, y)
+        assert sum(not want.is_zero() for *_, want in points) == len(record) == 9
+
+
+def test_w_is_zeta_i_times_the_row_test_of_the_integrand():
+    """The lemma behind the engine's row test, with oracle products alone,
+    at every point of the brute-force windows at (3, 2, 2, 1): W of the
+    named-element product is zeta^i times whether the integrand at its
+    index lies in I+, Phi(z, y) at i = 0 and Phi*(z, y) g_chi at i = 1.
+    Off the support both are 0; on it W is zeta^i, psi_U(u) and chi(k)
+    both 1."""
+    p, ell, _, _ = WINDOW
+    zeta = -C.one()
+    for side in SIDES:
+        i = int(side == "phi_star")
+        for z, y, g, want in window_values(side):
+            g = g * g_chi_so(ell, p) if i else g
+            assert want == kernel_value(p, zeta, (i, 0, 0) if in_iplus(g.rows, p) else None), (side, z, y)
+
+
+@settings(max_examples=120, deadline=None)
+@given(points_at_t(), st.sampled_from((1, -1)))
+def test_w_is_zeta_i_times_the_row_test_at_random_points(case, zsign):
+    """The lemma at the points of points(), at t drawn from the family."""
+    (p, ell, side, z, y, inside), t = case
+    zeta = C.one() if zsign == 1 else -C.one()
+    i = int(side == "phi_star")
+    g = generic_matrix(p, ell, side, z, y)
+    g = g * g_chi_so(ell, p) if i else g
+    want = kernel_value(p, zeta, (i, 0, 0) if in_iplus(g.rows, p) else None)
+    spec = WhittakerSpec(p, "SO", ell, zeta, t)
+    assert whittaker_eval(spec, generic_matrix(p, ell, side, z, y)) == want
+    assert not inside or not want.is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,13 +340,12 @@ def test_evaluator_matches_whittaker_eval(point, zsign, data):
     st.integers(0, 2**32),
     st.data(),
 )
-def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral, zsign, seed, data):
-    """Points u g_chi^i k with general values of chi.  An integral u keeps
-    g (i = 0) or g g_chi (i = 1) in I+, so a box test decides the point;
-    a non-integral u misses both boxes and the coset solver decides it,
-    at i, and finds no factors at 1 - i.  W(g) = zeta^i psi_U(u) chi(k)
-    is also read off the sampled factors directly, so a solver that
-    returned wrong factors would fail."""
+def test_whittaker_eval_reads_the_sampled_factors(case, i, integral, zsign, seed, data):
+    """The oracle on points u g_chi^i k with general values of psi_U and
+    chi, which no integrand reaches: whittaker_eval is zeta^i psi_U(u)
+    chi(k) read off the sampled factors, and its solver picks the index
+    i.  An integral u keeps g (i = 0) or g g_chi (i = 1) in I+; a
+    non-integral u misses both boxes."""
     ell, p = case
     rng = random.Random(seed)
     zeta = C.one() if zsign == 1 else -C.one()
@@ -270,37 +354,32 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset(case, i, integral,
     g = u * g_chi_so(ell, p) if i else u
     k = random_so_iplus(rng, ell, p)
     g = g * k
-    parts = parts_of_rows(g.lists(), i, p, ell, t)
-    assert parts is not None and parts[0] == i
-    assert parts_of_rows(g.lists(), 1 - i, p, ell, t) is None
+    assert reference_coset_decompose(g.rows, p)[1] == i
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
-    assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix(g.rows, p, "SO_odd"))
     direct = zeta**i * _psi_u(spec, u) * affine_chi(k, t=t, flavor="SO")
-    assert kernel_value(p, zeta, parts) == ExactScalar.from_coeff(p, direct)
+    assert whittaker_eval(spec, GroupMatrix(g.rows, p, "SO_odd")) == ExactScalar.from_coeff(p, direct)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(1, 3), (2, 5), (3, 3), (3, 7)]), st.integers(0, 2**32), st.data())
 def test_chi_readers_read_the_affine_character(case, seed, data):
-    """_chi_arg reads chi(k) off k in I+, and off g_chi k g_chi as well,
-    for t in the family t_(l+1) = t_1 mod p.  k is a random element of
-    I+, not triangular, so it fills entries that neither an integrand nor
-    the solver's k ever does: on those every argument read is 0.  Off the
-    family the two reads differ at some k, which is why _check_t rejects
-    such a t."""
+    """The oracle's chi, read off k in I+ and off g_chi k g_chi, agrees
+    for t in the family t_(l+1) = t_1 mod p: that is what makes
+    W(Phi*(z, y)) = zeta W(Phi(p z, -y)), and the chi that whittaker_eval
+    reads at either coset index well defined.  k is a random element of
+    I+, not triangular, so it fills the entries chi reads, which are 0
+    on every integrand.  Off the family the two reads differ at some k,
+    which is why _check_t rejects such a t."""
     ell, p = case
     t = affine_t(data.draw, p, ell)
     rng = random.Random(seed)
     k = random_so_iplus(rng, ell, p)
     gchi = g_chi_so(ell, p)
-    want = affine_chi(k, t=t, flavor="SO")
-    for g in (k, gchi * k * gchi):
-        m, a = psi_exponent(_chi_arg(scaled(g.rows), t, ell, p), p)
-        assert C(p**m, {a: 1}) == want
+    assert affine_chi(gchi * k * gchi, t=t, flavor="SO") == affine_chi(k, t=t, flavor="SO")
     off = t[:ell] + (2 * t[0],)  # a unit, and 2 t_1 != t_1 mod p
 
     def reads(g):
-        return psi_exponent(_chi_arg(scaled(g.rows), off, ell, p), p)
+        return affine_chi(g, t=off, flavor="SO")
 
     samples = (random_so_iplus(rng, ell, p) for _ in range(40))
     assert any(reads(k) != reads(gchi * k * gchi) for k in samples)
@@ -335,7 +414,7 @@ def nonzero_points(p, ell, level, mode, side):
     out = []
     for z, _ in zs:
         for y in itertools.product([c for c, _ in ys], repeat=ell - 1):
-            parts = parts_at(side, z, y, p, (1,) * (ell + 1))
+            parts = parts_at(side, z, y, p)
             if parts is not None:
                 w = zw
                 for _ in y:
@@ -471,20 +550,20 @@ def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
 
 def inner_points(ys, rank, side, p):
     """The inner points _enumerate makes of the SO y window reps ys once
-    per side: (y, whether it lies on the padding shell, the factors of
-    the rows at (1, y'), y' = y on Phi and -y on Phi*)."""
+    per side: (y, whether it lies on the padding shell, the rows at
+    (1, y'), y' = y on Phi and -y on Phi*)."""
     points = []
     for combo in itertools.product(ys, repeat=rank):
         y = tuple(c for c, _ in combo)
-        points.append((y, any(s for _, s in combo), factor_u_k(_so_rows(phi_point(side, F1, y, p)[1]))))
+        points.append((y, any(s for _, s in combo), _so_rows(phi_point(side, F1, y, p)[1])))
     return points
 
 
-def point_loop(z, on_shell, points, side, p, ell, t):
+def point_loop(z, on_shell, points, side, p, ell):
     """The shared point loop at z, with the SO value _so_buckets gives it."""
     d, _, i = phi_point(side, z, (), p)
     diag = so_torus(d, 2 * ell + 1)
-    return _point_counts(z, on_shell, points, lambda factors: _so_whittaker_parts(factors, diag, i, p, ell, t), {})
+    return _point_counts(z, on_shell, points, lambda rows: None if coset_decompose(rows, diag, p) is None else (i, 0, 0), {})
 
 
 def loop_points(p, ell, side, t, level, sample=None):
@@ -492,17 +571,21 @@ def loop_points(p, ell, side, t, level, sample=None):
     unfolded from the brute-force window (or of a seeded sample of them,
     sample = (seed, count)), the point loop over the unfolded (l-1)-fold
     y class values every point as the one point _so_buckets values,
-    (z0, 0), so its counts are {value at (z0, 0): |Y|^(l-1)}."""
+    (z0, 0), so its counts are {value at (z0, 0): |Y|^(l-1)}.  That value
+    is the oracle's W at (z0, 0) at the affine weights t, read as zeta^i
+    at zeta = -1."""
     zs, ys = unfolded(p, level, side)[1], unfolded(p, level)[1]
     assert len(zs) == len(ys) == p ** (level - 1)
     z0 = _z_windows(p, level, 1, "support-aware", side)[1][0][0]
-    base = parts_at(side, z0, (F0,) * (ell - 1), p, t)
+    base = parts_at(side, z0, (F0,) * (ell - 1), p)
     assert base is not None, (p, ell, side)
+    spec = WhittakerSpec(p, "SO", ell, -C.one(), t)
+    assert kernel_value(p, -C.one(), base) == whittaker_eval(spec, generic_matrix(p, ell, side, z0, (F0,) * (ell - 1)))
     if sample:
         zs = random.Random(sample[0]).sample(zs, sample[1])
     points = inner_points(ys, ell - 1, side, p)
     for z, on_shell in zs:
-        assert point_loop(z, on_shell, points, side, p, ell, t) == {base: len(ys) ** (ell - 1)}, (p, ell, side, z)
+        assert point_loop(z, on_shell, points, side, p, ell) == {base: len(ys) ** (ell - 1)}, (p, ell, side, z)
     return len(zs) * len(ys) ** (ell - 1)
 
 
@@ -589,8 +672,8 @@ def test_so_buckets_are_pinned(p, ell, t, side, digest):
     (13,3), (7,4), (5,4) and (3,5) while every coordinate value was still
     tested.  Valuing each support-aware window as one class, at one
     point, leaves every one of them as it was."""
-    cfg = IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=3, cutoff=1, t=t)
-    assert so_bucket_digest(_so_buckets(p, ell, 3, 1, "support-aware", side, cfg.t)[0]) == digest
+    IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=3, cutoff=1, t=t)  # t is checked; no bucket reads it
+    assert so_bucket_digest(_so_buckets(p, ell, 3, 1, "support-aware", side)[0]) == digest
 
 
 @pytest.mark.parametrize("p,ell", [(11, 3), (13, 3), (7, 4), (5, 4), (3, 5)])
@@ -606,56 +689,51 @@ def test_stress_sizes_meet_the_closed_forms(p, ell):
 
 @pytest.mark.parametrize("case", ["phi", "phi_star", "any-N", "brute-force"])
 def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
-    """coset_decompose, the factorization, the one g_chi row map (the GL
-    one) and the row test counted at every name the package binds them
-    to.  This guard was test_support_aware_enumeration_tests_coordinates_not_points
-    while it counted the box tests of a factored count, and
+    """coset_decompose and the row test counted at every name the package
+    binds them to.  This guard was
+    test_support_aware_enumeration_tests_coordinates_not_points while it
+    counted the box tests of a factored count, and
     test_support_aware_enumeration_values_one_point_per_z while only the
     y window was one class and the solver valued each z at y = 0.  Each
-    support-aware window is now one class, so the solver values one point
-    a side, (z0, 0).
+    support-aware window is now one class, so one point a side is
+    valued, (z0, 0).
 
     Both sides value Phi: Phi(z, y) is the rows m(y) at (1, y) times
-    h(z), and Phi*(z, y) g_chi = Phi(p z, -y).  So each y is factored
-    once per side, as m(y) on Phi and m(-y) on Phi* (factor_u_k, with no
-    row test and no row map), and each point tests the rows of k scaled
-    by h(z) or h(p z), bottom-up (coset_decompose).  m(y) is lower
-    unitriangular, so every factorization is found.  The counts were
-    re-pinned when Phi* became Phi at (p z, -y): before, each y was
-    factored at both coset indices, m and m g_chi, with all of m's rows
-    mapped by g_chi for i = 1, and half of those factorizations stopped
-    at a zero pivot in the corner (m g_chi on Phi, and Phi*'s own m).
+    h(z), and Phi*(z, y) g_chi = Phi(p z, -y).  So each y is written once
+    per side, as m(y) on Phi and m(-y) on Phi*, and each point tests
+    those rows times h(z) or h(p z), bottom-up (coset_decompose).  The
+    counts were re-pinned when the factorization went: m(y) is lower
+    unitriangular, so each y's factorization (2 * 81 = 162 at (3, 2, 2,
+    1), one a side support-aware) was m(y) itself, and is no longer made;
+    the calls and row tests below did not move.  Before that, when Phi*
+    became Phi at (p z, -y), each y was factored at both coset indices,
+    with all of m's rows mapped by g_chi for i = 1.
 
     Support-aware, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1):
-    one coset_decompose call, which finds factors, where valuing each z
-    made 25 and every point 25 * 25**2 = 15,625.  The one y is factored
-    once, and the point tests its 7 rows, on either side; two
-    factorizations and 7 row maps before.  At any N: at (3, 2, N, 1),
-    N = 3 and N = 6 each make one call a side, and give equal buckets.
+    one coset_decompose call, which passes, where valuing each z made 25
+    and every point 25 * 25**2 = 15,625; it tests the point's 7 rows, on
+    either side.  At any N: at (3, 2, N, 1), N = 3 and N = 6 each make
+    one call a side, and give equal buckets.
 
     Brute-force, over _so_buckets on both sides at (3, 2, 2, 1): the point
     loop makes one coset_decompose call per point, 2 * 30 * 81 = 4,860,
-    and 18 of them find factors, the points of the support.  A box test
-    ahead of the solver would take those 18 points from it, leaving 4,842
-    calls with none found.  Each of the 2 * 81 y is factored once, 162
-    factorizations, all found (324 with 162 found, and 810 rows mapped,
-    before).  All but the 18 points that factor fail at the bottom row:
+    and 18 of them pass, the points of the support.  A box test ahead of
+    the row test would take those 18 points from it, leaving 4,842 calls
+    with none passing.  All but those 18 points fail at the bottom row:
     4,860 + 18 * 4 = 4,932 row tests.  Before the factorization moved out
     of the point loop, each point built its rows and ran an elimination
     per coset index, mapping 4,887 rows."""
-    calls = count_calls("coset_decompose", "factor_u_k", "row_times_g_chi_gl_inv", "row_in_iplus")
+    calls = count_calls("coset_decompose", "row_in_iplus")
     if case == "brute-force":
         p, ell, level = 3, 2, 2
         for side in SIDES:
-            _so_buckets(p, ell, level, 1, "brute-force", side, (F1,) * (ell + 1))
+            _so_buckets(p, ell, level, 1, "brute-force", side)
         z_count = 5 * (p - 1) * p ** (level - 1)  # valuations -2..2, unit classes mod p^N
         y_count = p * p ** (level + 1)  # p^(N+V) classes and (p-1) p^(N+V) on the shell
         assert len(SIDES) * z_count * y_count ** (ell - 1) == 4_860
         assert calls["coset_decompose"] == 4_860
         assert calls["coset_decompose.found"] == 18
-        assert calls["factor_u_k"] == calls["factor_u_k.found"] == len(SIDES) * y_count == 162
         assert calls["row_in_iplus"] == 4_860 + 18 * 4 == 4_932
-        assert calls["row_times_g_chi_gl_inv"] == 0
         return
     if case == "any-N":
         p, ell = 3, 2
@@ -663,35 +741,32 @@ def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
             buckets = []
             for level in (3, 6):
                 before = calls["coset_decompose"]
-                buckets.append(_so_buckets(p, ell, level, 1, "support-aware", side, (F1,) * (ell + 1))[0])
+                buckets.append(_so_buckets(p, ell, level, 1, "support-aware", side)[0])
                 assert calls["coset_decompose"] - before == 1, (side, level)
             assert buckets[0] == buckets[1], side
         return
     p, ell, level = 5, 3, 3
-    _so_buckets(p, ell, level, 1, "support-aware", case, (F1,) * (ell + 1))
+    _so_buckets(p, ell, level, 1, "support-aware", case)
     n = 2 * ell + 1
     assert calls["coset_decompose"] == calls["coset_decompose.found"] == 1
-    assert calls["factor_u_k"] == calls["factor_u_k.found"] == 1
-    assert calls["row_times_g_chi_gl_inv"] == 0
     assert calls["row_in_iplus"] == n == 7
 
 
 def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):
     """scan_support values no point itself: it reads the nonzero points
     off the record that the brute-force enumeration of the same
-    (p, l, N, V, side, t) keeps beside its buckets, and builds that entry
-    on a miss.  At (3, 2, 2, 1) a lone scan makes the enumeration's
-    2,430 coset_decompose calls a side, a scan after the brute-force
-    build makes none, and so does a build after a scan.  In every order
-    each point's verdict is the solver's, taken point by point here."""
+    (p, l, N, V, side) keeps beside its buckets, and builds that entry on
+    a miss.  At (3, 2, 2, 1) a lone scan makes the enumeration's 2,430
+    coset_decompose calls a side, a scan after the brute-force build
+    makes none, and so does a build after a scan.  In every order each
+    point's verdict is the row test's, taken point by point here."""
     p, ell, level = 3, 2, 2
-    t = (F1,) * (ell + 1)
     want = {}
     for side in SIDES:
         zs = _z_windows(p, level, 1, "brute-force", side)[1]
         ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
         want[side] = [
-            parts_at(side, z, y, p, t) is not None
+            parts_at(side, z, y, p) is not None
             for z, _ in zs
             for y in itertools.product(ys, repeat=ell - 1)
         ]

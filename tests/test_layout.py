@@ -6,14 +6,15 @@ An oracle that imported a private helper could quietly share the fast
 path it is meant to check, and a copy of an oracle in src/ would be a
 second production path.  Both are read off the source with ast, so the
 check does not depend on what an import happens to execute.  So is
-scan_support, which must name neither the evaluator nor the solver: it
-reads the brute-force enumeration's record and values no point itself.
-So are the imports of the I+ tests: integrals.py imports none, so no
-box test runs beside the coset solver, and oracles.py imports neither,
-so its in_iplus stays apart from the package's row test.  So is the
-oracle whittaker_eval, which must name neither package solver, and
-oracles.py imports neither: it factors with the oracle's own Fraction
-solvers, so a solver bug cannot hide in both sides of a comparison.
+scan_support, which must name neither the row builder nor the row test:
+it reads the brute-force enumeration's record and values no point
+itself.  So are the imports of the I+ tests: integrals.py imports none,
+so no box test runs beside the per-point row tests of matrices.py, and
+oracles.py imports neither, so its in_iplus stays apart from the
+package's row test.  So is the oracle whittaker_eval, which must name
+neither package row test, and oracles.py imports neither: it factors
+with the oracle's own Fraction solvers, so a bug cannot hide in both
+sides of a comparison.
 sympy is a test-side oracle only: importing it took most of `import
 ssgamma`.
 
@@ -101,7 +102,7 @@ def test_no_oracle_name_is_defined_in_the_package():
 def test_scan_support_values_no_point_itself():
     """scan_support reads the nonzero points off the record of the
     brute-force enumeration (_so_buckets).  A reference in it to the
-    evaluator or the coset solver would be a second point loop."""
+    row builder or the row test would be a second point loop."""
     tree = parse(PACKAGE / "integrals.py")
     scan = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "scan_support")
     names = set()
@@ -111,7 +112,7 @@ def test_scan_support_values_no_point_itself():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert "_so_buckets" in names
-    assert sorted(names & {"_so_whittaker_parts", "coset_decompose"}) == []
+    assert sorted(names & {"_so_rows", "coset_decompose"}) == []
 
 
 def test_the_oracle_whittaker_eval_names_no_package_solver():
@@ -121,8 +122,7 @@ def test_the_oracle_whittaker_eval_names_no_package_solver():
     names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
     assert {"reference_coset_decompose", "reference_coset_decompose_gl"} <= names
     assert sorted(names & {"coset_decompose", "coset_decompose_gl"}) == []
-    package_solvers = {"coset_decompose", "coset_decompose_gl", "factor_u_k", "gl_coset"}
-    assert sorted(imported_names(ORACLES) & package_solvers) == []
+    assert sorted(imported_names(ORACLES) & {"coset_decompose", "coset_decompose_gl"}) == []
 
 
 def imported_names(path):
@@ -131,12 +131,13 @@ def imported_names(path):
 
 
 def test_i_plus_tests_stay_out_of_integrals_and_the_oracle():
-    """integrals.py values every point with the coset solver, whose
-    elimination runs the one I+ row test: an import of an I+ test or of
-    a g_chi row map there would be a box test beside the solver.  The
-    oracle's in_iplus is read off valuations, so that the package's row
-    test is checked against a test that shares no code with it."""
-    assert sorted(imported_names(PACKAGE / "integrals.py") & {"in_iplus", "row_in_iplus", "row_times_g_chi_gl_inv"}) == []
+    """integrals.py values every point with the per-point row tests of
+    matrices.py (coset_decompose, coset_decompose_gl), which run the one
+    I+ row test: an import of an I+ test there would be a box test beside
+    them.  The oracle's in_iplus is read off valuations, so that the
+    package's row test is checked against a test that shares no code
+    with it."""
+    assert sorted(imported_names(PACKAGE / "integrals.py") & {"in_iplus", "row_in_iplus"}) == []
     assert sorted(imported_names(ORACLES) & {"in_iplus", "row_in_iplus"}) == []
 
 
@@ -235,6 +236,8 @@ print(json.dumps(sorted(called)))
 REACH_ALLOWED = {
     # a bench tracer target, and the psi tests/oracles.py evaluates
     "characters.psi_eval",
+    # only psi_eval, a bench tracer target, calls it
+    "characters.psi_exponent",
     # a bench tracer target
     "matrices.mat_inv",
     # the rest of the ring interface of the two scalar types

@@ -19,6 +19,7 @@ from oracles import (
     g_chi_so,
     generic_matrix,
     in_iplus,
+    jpss_dual_integrand,
     mat_det,
     mat_identity,
     mat_mul,
@@ -40,61 +41,25 @@ from oracles import (
     w_element,
     xbar,
 )
-from ssgamma import integrals, matrices
-from ssgamma.integrals import _gl_buckets, _gl_dual_rows, _so_buckets, _y_windows, _z_windows
+import oracles
+from ssgamma import integrals
+from ssgamma.integrals import _gl_buckets, _so_buckets, _y_windows, _z_windows
 from ssgamma.matrices import (
     F1,
     SingularMatrix,
     _solve_row,
-    _torus_k,
     coset_decompose,
     coset_decompose_gl,
-    factor_u_k,
-    gl_coset,
     mat_inv,
     row_in_iplus,
-    row_times_g_chi_gl_inv,
     so_torus,
 )
 
 
-def ones(n):
-    """The diagonal of the identity, as a scaled row."""
-    return [1] * n, 1
-
-
-def eliminate(rows, p):
-    """The U * I+ factorization of the matrix m of the scaled rows: the
-    factors of m (factor_u_k) with every row of k tested, (u, k), or None
-    when m is outside U * I+."""
-    factors = factor_u_k(rows)
-    k = None if factors is None else _torus_k(factors[1], ones(len(rows)), p, False)
-    return None if k is None else (factors[0], k)
-
-
-def coset_solve(g, i, p, factors=None):
-    """coset_decompose of g g_chi^(-i) = g g_chi^i, g given by its Fraction
-    rows, as that times h(1): the product formed by the oracle's row map,
-    written over the denominators factors when given; (u, k) or None."""
-    rows = scaled([reference_row_times_g_chi_so(row, p) for row in g] if i else g)
-    if factors:
-        rows = rescaled(rows, factors)
-    return coset_decompose(factor_u_k(rows), so_torus(F1, len(g)), p)
-
-
-def so_solve(g, p, factors=None):
-    """(u, i, k) with g g_chi^(-i) = u k, or None: the one-coset solver
-    at i = 0, then at i = 1 (coset_solve)."""
-    for i in (0, 1):
-        res = coset_solve(g, i, p, factors)
-        if res is not None:
-            return res[0], i, res[1]
-    return None
-
-
-def gl_solve(rows, p):
-    """coset_decompose_gl of g, given by its scaled rows, as g = 1 g."""
-    return coset_decompose_gl(gl_coset(rows, p), ones(len(rows)), p)
+def eliminate(m, p):
+    """The U * I+ factorization of the Fraction matrix m by the oracle's
+    elimination: (u, k), or None when m is outside U * I+."""
+    return reference_eliminate_u_iplus(reversed(m), len(m), p)
 
 
 def test_g_chi_so_is_involution():
@@ -179,10 +144,11 @@ def test_eliminate_u_iplus_direct():
     u = random_so_unipotent(rng, ell, p, integral=False)
     k = random_so_iplus(rng, ell, p)
     m = u * k
-    res = eliminate(scaled(m.rows), p)
+    res = eliminate(m.rows, p)
     assert res is not None
     u2, k2 = res
-    assert in_iplus(unscaled(k2), p)
+    assert in_iplus(k2, p)
+    assert mat_mul(u2, k2) == m.lists()
 
 
 @pytest.mark.parametrize("ell,p", [(1, 3), (2, 5), (3, 3)])
@@ -194,22 +160,29 @@ def test_coset_roundtrip_random(ell, p):
         i = rng.randrange(2)
         k = random_so_iplus(rng, ell, p)
         g = u * (gchi if i else GroupMatrix.make([[1 if a == b else 0 for b in range(2 * ell + 1)] for a in range(2 * ell + 1)], p, "SO_odd")) * k
-        res = coset_solve(g.lists(), i, p)
-        assert res is not None
-        assert coset_solve(g.lists(), 1 - i, p) is None
-        assert reference_coset_decompose(g.rows, p)[1] == i
-        assert recompose((res[0], i, res[1]), gchi).rows == g.rows
-        u2, k2 = (GroupMatrix.make(unscaled(x), p, "SO_odd", verify=False) for x in res)
+        u2, i2, k2 = reference_coset_decompose(g.rows, p)
+        assert i2 == i
+        # at the other index the elimination finds no factors
+        assert eliminate(g.lists() if i else (g * gchi).lists(), p) is None
+        assert recompose((scaled(u2), i, scaled(k2)), gchi).rows == g.rows
+        u2, k2 = (GroupMatrix.make(x, p, "SO_odd", verify=False) for x in (u2, k2))
         assert in_iplus(k2.rows, p)
         # the unique factors of an SO element are fixed by g -> g*
         assert so_check(u2) and so_check(k2)
 
 
 def test_coset_decompose_rejects_outside():
-    # a torus element with nonunit diagonal lies in no U g_chi^i I+ coset
+    """A torus element h(d) with nonunit d lies in no U g_chi^i I+ coset,
+    and the SO row test rejects it as the identity times h(d); at d in
+    1 + p it passes, with the rows of h(d)."""
     p = 3
     h = embed_j(torus_so2(Fraction(p * p), p), 1)
-    assert so_solve(h.lists(), p) is None
+    assert reference_coset_decompose(h.rows, p) is None
+    eye = scaled(mat_identity(3))
+    assert coset_decompose(eye, so_torus(Fraction(p * p), 3), p) is None
+    assert coset_decompose(eye, so_torus(Fraction(1, p), 3), p) is None
+    d = Fraction(1 + p)
+    assert unscaled(coset_decompose(eye, so_torus(d, 3), p)) == embed_j(torus_so2(d, p), 1).lists()
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 3), (3, 7)])
@@ -231,15 +204,15 @@ def test_gl_coset_roundtrip(n, p):
             gj = gj * gchi
         k = random_gl_iplus(rng, n, p)
         g = u * gj * z * k
-        res = gl_solve(scaled(g.rows), p)
+        res = reference_coset_decompose_gl(g.rows, p)
         assert res is not None
         u2, j2, z2, k2 = res
         assert j2 == j
         # g g_chi^(-j) = z u k, so g = z u k g_chi^j
         zmat = GroupMatrix.make([[z2 if a == b else 0 for b in range(n)] for a in range(n)], p)
-        k2 = GroupMatrix.make(unscaled(k2), p)
+        k2 = GroupMatrix.make(k2, p)
         assert in_iplus(k2.rows, p)
-        rec = zmat * GroupMatrix.make(unscaled(u2), p) * k2
+        rec = zmat * GroupMatrix.make(u2, p) * k2
         for _ in range(j2):
             rec = rec * gchi
         assert rec.rows == g.rows
@@ -373,14 +346,16 @@ def test_singular_input_raises(case, scale):
         _solve_row(a, [Fraction(1)] * n)
 
 
-# --- the U * I+ factorization -------------------------------------------------
+# --- the U * I+ factorization of the oracle ---------------------------------
+#
+# The package factors nothing: whittaker_eval's Fraction solvers in
+# tests/oracles.py are the one general factorization, checked here.
 
 
 def assert_u_iplus_factors(m, res, p):
     """u unit upper triangular, k lower triangular with every row in I+,
-    and u k = m, each returned in the one reduced scaled form."""
-    assert [scaled(unscaled(f)) for f in res] == list(res)
-    u, k = map(unscaled, res)
+    and u k = m."""
+    u, k = res
     n = len(m)
     assert all(u[i][j] == (i == j) for i in range(n) for j in range(i + 1))
     assert all(k[i][j] == 0 for i in range(n) for j in range(i + 1, n))
@@ -388,11 +363,10 @@ def assert_u_iplus_factors(m, res, p):
     assert mat_mul(u, k) == m
 
 
-@given(padic_matrices(), st.lists(row_factors, min_size=4, max_size=4))
-def test_u_iplus_factors_of_any_matrix(case, factors):
-    """Whatever denominators, of either sign, the rows are written over."""
+@given(padic_matrices())
+def test_u_iplus_factors_of_any_matrix(case):
     p, m = case
-    res = eliminate(rescaled(scaled(m), factors), p)
+    res = eliminate(m, p)
     if res is not None:
         assert_u_iplus_factors(m, res, p)
 
@@ -403,7 +377,7 @@ def test_u_times_iplus_always_factors(p, n, rng, data):
     entry = st.builds(lambda a, e: Fraction(a, p**e), st.integers(-2 * p, 2 * p), st.integers(0, 2))
     u0 = [[Fraction(i == j) if i >= j else data.draw(entry) for j in range(n)] for i in range(n)]
     m = mat_mul(u0, random_gl_iplus(rng, n, p).lists())
-    res = eliminate(scaled(m), p)
+    res = eliminate(m, p)
     assert res is not None
     assert_u_iplus_factors(m, res, p)
 
@@ -422,8 +396,6 @@ def test_gl_rotation_is_the_product_with_the_inverse(case, z):
         # row by row, m g_chi_gl^(-j) / z
         want = [[x / z for x in row] for row in product]
         assert [reference_row_times_g_chi_gl_inv(row, j, z, pz) for row in m] == want
-        mapped = [row_times_g_chi_gl_inv(row, j, pz.numerator, pz.denominator, p) for row in scaled(m)]
-        assert unscaled(mapped) == want
         product = mat_mul(product, inv)
 
 
@@ -435,32 +407,32 @@ def test_so_column_map_is_the_product_with_g_chi(case):
     assert [reference_row_times_g_chi_so(row, p) for row in g] == want
 
 
-# --- the solvers, which map one row at a time, against the elimination on ------
-# --- the fully formed product ------------------------------------------------
+# --- the oracle's solvers, which map one row at a time, against the ----------
+# --- elimination on the fully formed product ----------------------------------
 
 
 def eager_coset_decompose(g, p):
-    """so_solve with every g g_chi^(-i) formed by the oracle's matrix
-    product, factored and tested by the elimination (eliminate)."""
+    """reference_coset_decompose with every g g_chi^(-i) formed by the
+    oracle's matrix product before it is factored."""
     n = len(g)
     gchi = g_chi_so(n // 2, p).lists()
     for i in (0, 1):
-        res = eliminate(scaled(mat_mul(g, gchi) if i else g), p)
+        res = eliminate(mat_mul(g, gchi) if i else g, p)
         if res is not None:
             return res[0], i, res[1]
     return None
 
 
 def eager_coset_decompose_gl(g, p):
-    """coset_decompose_gl with every g g_chi^(-j) / z formed in full by
-    oracle products before it is factored."""
+    """reference_coset_decompose_gl with every g g_chi^(-j) / z formed in
+    full by oracle products before it is factored."""
     n = len(g)
     inv = g_chi_gl(n, p).inv().lists()
     m = g
     for j in range(n):
         z = m[n - 1][n - 1]
         if z:
-            res = eliminate(scaled([[x / z for x in row] for row in m]), p)
+            res = eliminate([[x / z for x in row] for row in m], p)
             if res is not None:
                 return res[0], j, z, res[1]
         m = mat_mul(m, inv)
@@ -506,7 +478,7 @@ def gl_cases(draw):
 @given(so_cases())
 def test_lazy_so_solver_matches_the_eager_elimination(case):
     p, g, inside = case
-    res = so_solve(g, p)
+    res = reference_coset_decompose(g, p)
     assert res == eager_coset_decompose(g, p)
     assert res is not None or not inside
 
@@ -515,7 +487,7 @@ def test_lazy_so_solver_matches_the_eager_elimination(case):
 @given(gl_cases())
 def test_lazy_gl_solver_matches_the_eager_elimination(case):
     p, g, inside = case
-    res = gl_solve(scaled(g), p)
+    res = reference_coset_decompose_gl(g, p)
     assert res == eager_coset_decompose_gl(g, p)
     assert res is not None or not inside
 
@@ -543,8 +515,8 @@ def gl_bottom_row_cases(draw):
 def test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it(case):
     """The j whose g g_chi_gl^(-j), scaled by its bottom-right entry z,
     has its bottom row in I+, found by oracle products over every j, are
-    exactly the j at which gl_coset maps rows: one j for a nonzero bottom
-    row, none for a zero one."""
+    exactly the j at which the oracle's GL solver maps rows: one j for a
+    nonzero bottom row, none for a zero one."""
     p, g = case
     n = len(g)
     inv = g_chi_gl(n, p).inv().lists()
@@ -556,25 +528,20 @@ def test_one_j_passes_the_bottom_row_and_the_solver_runs_at_it(case):
             passing.add(j)
         m = mat_mul(m, inv)
     mapped = set()
+    row_map = oracles.reference_row_times_g_chi_gl_inv
 
     def recording(row, j, *scale):
         mapped.add(j)
-        return row_times_g_chi_gl_inv(row, j, *scale)
+        return row_map(row, j, *scale)
 
-    with mock.patch.object(matrices, "row_times_g_chi_gl_inv", recording):
-        res = gl_solve(scaled(g), p)
+    with mock.patch.object(oracles, "reference_row_times_g_chi_gl_inv", recording):
+        res = reference_coset_decompose_gl(g, p)
     assert passing == mapped
     assert len(passing) == (1 if any(g[n - 1]) else 0)
     assert res is None or {res[1]} == passing
 
 
-# --- the integer kernel against the Fraction elimination it replaced ----------
-
-
-def reference_factors(res):
-    """The Fraction reference's factors in the reduced scaled form the
-    integer kernel returns them in; i, j and z as they are."""
-    return None if res is None else tuple(scaled(x) if isinstance(x, list) else x for x in res)
+# --- the package's row tests against the oracle's in_iplus --------------------
 
 
 @st.composite
@@ -590,25 +557,12 @@ def near_products(draw, cases):
     return p, rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(near_products(so_cases()), st.lists(row_factors, min_size=7, max_size=7))
-def test_so_kernel_matches_the_fraction_reference(case, factors):
-    """The same verdict and == factors as the Fraction elimination, on
-    random matrices, random and nearly random u g_chi^i k in SO, each
-    row written over a denominator of either sign."""
-    p, g = case
-    rows = rescaled(scaled(g), factors)
-    assert so_solve(g, p, factors) == reference_factors(reference_coset_decompose(g, p))
-    n = len(g)
-    assert eliminate(rows, p) == reference_factors(reference_eliminate_u_iplus(reversed(g), n, p))
-
-
-@settings(max_examples=300, deadline=None)
-@given(near_products(gl_cases()), st.lists(row_factors, min_size=4, max_size=4))
-def test_gl_kernel_matches_the_fraction_reference(case, factors):
-    p, g = case
-    rows = rescaled(scaled(g), factors)
-    assert gl_solve(rows, p) == reference_factors(reference_coset_decompose_gl(g, p))
+@st.composite
+def lower_triangular(draw, cases):
+    """(p, rows): a case of cases with every entry above the diagonal
+    zeroed, the shape of every integrand at its one coset."""
+    p, rows = draw(cases)
+    return p, [[x if c <= r else Fraction(0) for c, x in enumerate(row)] for r, row in enumerate(rows)]
 
 
 def torus_entries(p, near_one):
@@ -625,97 +579,153 @@ def diagonal(entries):
     return [[x if r == c else Fraction(0) for c in range(len(entries))] for r, x in enumerate(entries)]
 
 
+def odd_cases():
+    """Matrices of odd size, any and lower triangular, near the SO
+    products and near I+."""
+    near = near_products(so_cases())
+    return st.one_of(near, lower_triangular(near), lower_triangular(padic_matrices(sizes=st.sampled_from((3, 5)))))
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(near_products(so_cases()), near_products(gl_cases()), gl_bottom_row_cases()),
-    st.lists(row_factors, min_size=7, max_size=7),
-    st.data(),
-)
-def test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m(case, factors, data):
-    """m is factored once, and the factors of m D and D m, D diagonal, are
-    those of m with k scaled by D: m D = u (k D) and D m = (D u D^(-1))
-    (D k).  Each against the Fraction reference on the product formed
-    by oracle products: the elimination (factor_u_k, then _torus_k) of
-    m D for any D; the SO solver on g = m h(d), h(d) = diag(d, 1, ..., 1,
-    1/d), at both coset indices: factor_u_k of m with so_torus of d, and
-    of m g_chi with so_torus of 1/d, since g g_chi = m g_chi h(1/d); and
-    the GL solver on D m for D with last entry 1 (gl_coset of m).  On tied
-    and zero bottom rows, near products just inside or outside their
-    coset, and rows over denominators of either sign."""
+@given(odd_cases(), st.lists(row_factors, min_size=7, max_size=7), st.data())
+def test_so_kernel_matches_the_fraction_reference(case, factors, data):
+    """The SO row test coset_decompose(rows of m, so_torus(d, n), p)
+    against the oracle on m h(d), formed by oracle products: the rows of
+    m h(d) when in_iplus holds, None otherwise.  On random matrices, near
+    products u g_chi^i k and lower-triangular matrices, each row written
+    over a denominator of either sign, with d near 1 or arbitrary."""
     p, m = case
     n = len(m)
-    rows = rescaled(scaled(m), factors)
+    d = data.draw(torus_entries(p, data.draw(st.booleans())))
+    g = mat_mul(m, diagonal([d] + [F1] * (n - 2) + [1 / d]))
+    res = coset_decompose(rescaled(scaled(m), factors), so_torus(d, n), p)
+    assert (None if res is None else unscaled(res)) == (g if in_iplus(g, p) else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(near_products(gl_cases()), lower_triangular(padic_matrices())),
+    st.lists(row_factors, min_size=4, max_size=4),
+    st.data(),
+)
+def test_gl_kernel_matches_the_fraction_reference(case, factors, data):
+    """The GL row test coset_decompose_gl(rows of k, d, p, first) against
+    the oracle: the rows first.. of d k when each is in I+ (the oracle's
+    in_iplus of the identity with those rows put in), None otherwise."""
+    p, k = case
+    n = len(k)
+    d = data.draw(torus_entries(p, data.draw(st.booleans())))
+    first = data.draw(st.integers(0, n - 1))
+    want = [[d * x for x in row] for row in k]
+    inside = in_iplus(mat_identity(n)[:first] + want[first:], p)
+    res = coset_decompose_gl(rescaled(scaled(k), factors), d, p, first)
+    assert (None if res is None else unscaled(res)) == (want[first:] if inside else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lower_triangular(st.one_of(near_products(so_cases()), near_products(gl_cases()), gl_bottom_row_cases(), padic_matrices())),
+    st.data(),
+)
+def test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m(case, data):
+    """The lemma's linear algebra: a lower-triangular g is its own
+    U * I+ factorization, u = 1 and k = g, when g is in I+, and lies
+    outside U * I+ otherwise.  So for m lower triangular and D diagonal,
+    the oracle's elimination of m D and of D m, formed by oracle products,
+    gives (1, m D) and (1, D m) exactly when in_iplus holds.  The
+    package's row tests agree, as the enumeration runs them: on m h(d)
+    for odd sizes (coset_decompose), and on D m for D = diag(d, ..., d,
+    1, ..., 1), testing the rows D leaves alone at d = 1 first
+    (coset_decompose_gl), as _gl_buckets does."""
+    p, m = case
+    n = len(m)
     entries = torus_entries(p, data.draw(st.booleans()))
     d = [data.draw(entries) for _ in range(n)]
-    res = factor_u_k(rows)
-    k = None if res is None else _torus_k(res[1], scaled([d])[0], p, False)
-    want = reference_eliminate_u_iplus(reversed(mat_mul(m, diagonal(d))), n, p)
-    assert (None if k is None else (res[0], k)) == reference_factors(want)
+    for g in (mat_mul(m, diagonal(d)), mat_mul(diagonal(d), m)):
+        assert eliminate(g, p) == ((mat_identity(n), g) if in_iplus(g, p) else None)
+    rows = scaled(m)
     if n % 2 and n > 1:
-        h = [d[0]] + [F1] * (n - 2) + [1 / d[0]]
-        m_chi = [reference_row_times_g_chi_so(row, p) for row in m]
-        got = [coset_decompose(factor_u_k(rescaled(scaled(x), factors)), so_torus(e, n), p) for x, e in ((m, d[0]), (m_chi, 1 / d[0]))]
-        want = reference_factors(reference_coset_decompose(mat_mul(m, diagonal(h)), p))
-        assert got == [None if want is None or want[1] != i else (want[0], want[2]) for i in (0, 1)]
-    d[-1] = F1
-    got = coset_decompose_gl(gl_coset(rows, p), scaled([d])[0], p)
-    assert got == reference_factors(reference_coset_decompose_gl(mat_mul(diagonal(d), m), p))
+        g = mat_mul(m, diagonal([d[0]] + [F1] * (n - 2) + [1 / d[0]]))
+        res = coset_decompose(rows, so_torus(d[0], n), p)
+        assert (None if res is None else unscaled(res)) == (g if eliminate(g, p) else None)
+    count = data.draw(st.integers(1, n))
+    g = mat_mul(diagonal([d[0]] * count + [F1] * (n - count)), m)
+    res = None if coset_decompose_gl(rows, F1, p, count) is None else coset_decompose_gl(rows[:count], d[0], p)
+    assert (None if res is None else unscaled(res)) == (g[:count] if eliminate(g, p) else None)
 
 
 def recorded(monkeypatch, name):
-    """The results of every call of the solver integrals binds as name,
-    in call order, while the enumeration runs."""
-    results = []
-    solver = getattr(integrals, name)
+    """(args, result) of every call of the row test integrals binds as
+    name, in call order, while the enumeration runs."""
+    calls = []
+    test = getattr(integrals, name)
 
     def recording(*args):
-        results.append(solver(*args))
-        return results[-1]
+        calls.append((args, test(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(integrals, name, recording)
-    return results
+    return calls
 
 
 def test_kernels_match_the_fraction_reference_on_the_brute_force_windows(monkeypatch):
-    """The enumeration's own verdict and factors at every point of the
-    brute-force windows at SO (p, l, N, V) = (3, 2, 2, 1), both sides, and
-    of both JPSS sides at (n, p) = (3, 3), N = 2, V = 1, recorded in loop
-    order as the enumeration values them (each inner point factored once,
-    each point its factors scaled by its torus), against the Fraction
-    reference on the point's integrand, formed by oracle products: the
-    product of named elements on SO, where the reference finds i = 0 at
-    every Phi point and i = 1 at every Phi* point; the rows at a = 1
-    times diag(a, ..., a, 1) on the JPSS dual side and diag(a, 1, 1) on
-    the plain side."""
+    """The enumeration's own row tests at every point of the brute-force
+    windows at SO (p, l, N, V) = (3, 2, 2, 1), both sides, and of both
+    JPSS sides at (n, p) = (3, 3), N = 2, V = 1, recorded in loop order
+    as the enumeration runs them, against the Fraction reference on the
+    point's integrand, formed by oracle products: the product of named
+    elements on SO, where the reference finds i = 0 at every Phi point
+    and i = 1 at every Phi* point; a times the dual integrand, and
+    diag(a, 1, 1) on the plain side.  Wherever the reference finds
+    factors, u = 1 and the rows the row test returns are its k (on the
+    JPSS sides the rows of k that a scales), so nothing but a row test is
+    needed; wherever it finds none, the row test fails.  A dual x that
+    the enumeration rejects before any a (its bottom row of k fails, at
+    d = 1) has no point in any coset."""
     p, ell, level = 3, 2, 2
     ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
     found = 0
     for side in ("phi", "phi_star"):
-        results = recorded(monkeypatch, "coset_decompose")
-        _so_buckets(p, ell, level, 1, "brute-force", side, (F1,) * (ell + 1))
+        calls = recorded(monkeypatch, "coset_decompose")
+        _so_buckets(p, ell, level, 1, "brute-force", side)
         zs = _z_windows(p, level, 1, "brute-force", side)[1]
         points = [(z, y) for z, _ in zs for y in itertools.product(ys, repeat=ell - 1)]
-        assert len(results) == len(points) == 30 * 81
-        for (z, y), res in zip(points, results):
-            want = reference_factors(reference_coset_decompose(generic_matrix(p, ell, side, z, y).rows, p))
-            assert res == (None if want is None else (want[0], want[2])), (side, z, y)
-            assert want is None or want[1] == (side == "phi_star"), (side, z, y)
-            found += res is not None
+        assert len(calls) == len(points) == 30 * 81
+        for (z, y), (_, res) in zip(points, calls):
+            want = reference_coset_decompose(generic_matrix(p, ell, side, z, y).rows, p)
+            assert (res is None) == (want is None), (side, z, y)
+            if want is not None:
+                u, i, k = want
+                assert (u, i, unscaled(res)) == (mat_identity(2 * ell + 1), int(side == "phi_star"), k), (side, z, y)
+                found += 1
     assert found == 18
     n = 3
     xs = [c for c, _ in _y_windows(p, level, 0, "brute-force")[1]]
     found = 0
     for side in ("plain", "dual"):
-        results = recorded(monkeypatch, "coset_decompose_gl")
+        calls = recorded(monkeypatch, "coset_decompose_gl")
         _gl_buckets(n, p, level, 1, side)
         inner = list(itertools.product(xs, repeat=n - 2)) if side == "dual" else [()]
-        points = [(a, x) for a, _ in _z_windows(p, level, 1, "brute-force", "phi")[1] for x in inner]
-        assert len(results) == len(points)
-        for (a, x), res in zip(points, results):
-            if side == "dual":
-                g = mat_mul(diagonal([a] * (n - 1) + [F1]), unscaled(_gl_dual_rows(x)))
-            else:
-                g = diagonal([a] + [F1] * (n - 1))
-            assert res == reference_factors(reference_coset_decompose_gl(g, p)), (side, a, x)
-            found += res is not None
+        count = n - 1 if side == "dual" else 1
+        prepared = calls[: len(inner)]
+        assert all(args[1:] == (F1, p, count) for args, _ in prepared)
+        accepted = {x for x, (_, res) in zip(inner, prepared) if res is not None}
+        points = iter(calls[len(inner) :])
+        for a, _ in _z_windows(p, level, 1, "brute-force", "phi")[1]:
+            for x in inner:
+                if side == "dual":
+                    g = [[a * v for v in row] for row in jpss_dual_integrand(a, x, n, p)]
+                else:
+                    g = diagonal([a] + [F1] * (n - 1))
+                want = reference_coset_decompose_gl(g, p)
+                if x not in accepted:
+                    assert want is None, (side, a, x)
+                    continue
+                (rows, d, *_), res = next(points)
+                assert d == a and (res is None) == (want is None), (side, a, x)
+                if want is not None:
+                    u, j, _, k = want
+                    assert (u, j, unscaled(res)) == (mat_identity(n), int(side == "dual"), k[:count]), (side, a, x)
+                    found += 1
+        assert next(points, None) is None
     assert found == 3 + 3 * 9
