@@ -20,20 +20,19 @@ scan_support checks against the brute-force enumeration.
 Every side (Phi, Phi*, and the JPSS plain and dual sides) is one entry
 of one store, _BUCKETS: the (buckets, record) pair of one enumeration,
 _enumerate.  It walks an outer window and, at each outer point, counts
-the values over the rank-fold product of an inner window, whose points
-it makes once per side with their share of the work, adding the
-counts straight into the bucket (i, x0) of the point's tame class, x0
-the least point of the class (the comment above _BUCKETS has why that
-merge is exact).  A value is plain ints (i, m, a), meaning
-zeta^i * zeta_(p^m)^a, and the record holds every nonzero point the
-point loop valued.  An SO side is one enumeration, z outer and y inner
-at rank l - 1 (_so_buckets), and the modes differ only in their
+the points of the rank-fold product of an inner window that pass the
+side's row test, over the inner points it makes once per side with
+their share of the work, and adds the count straight into the bucket
+x0 of the point's tame class, x0 the least point of the class (the
+comment above _BUCKETS has why that merge is exact).  The record holds
+every point that passed.  An SO side is one enumeration, z outer and y
+inner at rank l - 1 (_so_buckets), and the modes differ only in their
 windows.  A JPSS side (_gl_buckets) has a over the brute-force
 multiplicative window and x over the brute-force y window at V = 0:
 the plain side at rank 0, the dual side at rank n - 2.
 
-The lemma: every value is zeta^i times "the rows lie in I+".  Each
-integrand, at its one coset index i, is a lower-triangular matrix of
+The lemma: W is zeta^i times "the rows lie in I+", i fixed by the side.
+Each integrand, at its one coset index i, is a lower-triangular matrix of
 its inner point times a diagonal torus element of its outer point:
   * Phi(z, y) = m(y) h(z), m(y) the lower unitriangular rows at (1, y)
     (_so_rows) and h(d) = diag(d, 1, ..., 1, 1/d), at i = 0; and
@@ -55,8 +54,8 @@ by the bottom row of k, the one row D leaves alone.  W(Phi*(z, y)) =
 zeta W(Phi(p z, -y)) needs chi(g_chi k g_chi) = chi(k), which is what
 _check_t's t_(l+1) = t_1 mod p gives; no value reads t otherwise.
 
-Every zeta integral is then one bucket sum (_bucket_sum) of
-part * zeta^i * f_s(x0) over the buckets of one side, with one section
+Every zeta integral is then zeta^i times one bucket sum (_bucket_sum)
+of part * f_s(x0) over the buckets of one side, with one section
 f_s = tau(x) q^(h v/2) (q^-s)^(k v), v = v_p(x) (_section): Phi at
 (tau, z, 1, 1), Phi* at (tau, -1/z, 1, 1), the JPSS plain side at
 (tau, a, n - 1, 1) and the JPSS dual side at (tau^-1, a, n - 3, -1).
@@ -258,25 +257,22 @@ def _gl_dual_rows(x, p):
 # ---------------------------------------------------------------------------
 # domain enumeration and the bucket store
 #
-# Buckets collect, per zeta-power i and tame class of the outer point x,
-# the full sum of measure-weighted values over the inner domain and over
-# the x of that class.  They are independent of zeta and tau, so one
-# enumeration serves the whole (zeta, tau) grid.  Merging the x of a
+# Buckets collect, per tame class of the outer point x, the measure
+# weight times the number of points that pass the side's row test, over
+# the inner domain and over the x of that class; the side's zeta^i is
+# applied to its bucket sum.  They are independent of zeta and tau, so
+# one enumeration serves the whole (zeta, tau) grid.  Merging the x of a
 # class is exact because tau is tame: each section reads x only through
 # tame_class(x) = (v_p(x), unit residue mod p), |x| through v and tau
 # through (v, r) (Phi* reads -1/z, whose class the class of z fixes), so
 # sum_x part(x) f_s(x) = f_s(x0) sum_x part(x) for any x0 of the class.
-# A bucket is keyed by (i, x0), x0 the least x of its class, and each
-# x's counts join their bucket as they arrive.  A bucket's .order and
-# .coeffs do not depend on the order in which the (m, a) counts are
-# added: the order is the lcm of the p^m of the nonzero counts, and each
-# coefficient is a sum of positive counts.  Term order in .coeffs
-# reaches no record, repr or equality, which all go through sorted or
-# reduced forms.
+# A bucket is keyed by x0, the least x of its class, and each x's count
+# joins its bucket as it arrives; a sum of int counts does not depend on
+# their order.
 #
-# The point loop also records each nonzero point it values, with its
-# value, and the record is stored beside the buckets: it is at most the
-# support in the window, 9 points a side at (p, l, N, V) = (3, 2, 2, 1).
+# The point loop also records each point that passes, and the record is
+# stored beside the buckets: it is at most the support in the window, 9
+# points a side at (p, l, N, V) = (3, 2, 2, 1).
 # scan_support reads it instead of valuing the points again.  A nonzero
 # point on the padding shell does not stop the loop, so the record is
 # complete whatever the loop meets; the buckets are then the
@@ -342,23 +338,22 @@ def _z_windows(p, level, cutoff, mode, side):
     ]
 
 
-def _enumerate(p, outer, inner, rank, prepare, value, shell):
+def _enumerate(p, outer, inner, rank, prepare, test, shell):
     """(buckets, record): the one enumeration behind every side.  The
-    buckets map (i, x0) to the weighted sum of the point values over
-    the rank-fold product of the inner window and the x of one tame
-    class, x0 the least x of the class.
+    buckets map x0 to the weight times the number of points that pass,
+    over the rank-fold product of the inner window and the x of one tame
+    class, x0 the least x of the class; a class with no such point has
+    no bucket.
 
     outer and inner are (weight, [(rep, on_shell)]) windows.  The inner
     points are made once per side: each y of the rank-fold product of
     the inner representatives, whether it lies on the padding shell, and
-    prepare(y), the work that depends on y alone.  value(x), entered once
-    per outer point, is the function of prepare(y) that gives the value
-    of the point (x, y) as (i, m, a), or None where it vanishes.  At
-    each x of the outer window the point loop (_point_counts) takes the
-    histogram of values over the inner points.  Each count c of
-    (i, m, a) adds c * zeta_(p^m)^a, at order p^m (the exact order of the
-    value), to the bucket (i, tame_class(x)) as it arrives.  The record maps
-    each nonzero point of the point loop, (x, y), to its value and
+    prepare(y), the work that depends on y alone; a y whose prepare(y) is
+    None has no point that passes, and leaves the walk.  test(x), entered
+    once per outer point, is the predicate on prepare(y) that the point
+    (x, y) passes.  At each x of the outer window the point loop counts
+    the inner points that pass, and adds the count to the bucket of
+    tame_class(x).  The record maps each point that passes, (x, y), to
     whether it lies on the padding shell, in loop order.  When one does,
     the buckets are the BoundaryNonvanishing with the text shell,
     formatted with the first such point; the record is complete either
@@ -367,54 +362,40 @@ def _enumerate(p, outer, inner, rank, prepare, value, shell):
     points = []
     for combo in itertools.product(ys, repeat=rank):
         y = tuple(c for c, _ in combo)
-        points.append((y, any(s for _, s in combo), prepare(y)))
-    sums: dict = {}  # (i, v, r) -> [least x of the class, unweighted sum of the values]
+        prepared = prepare(y)
+        if prepared is not None:
+            points.append((y, any(s for _, s in combo), prepared))
+    sums: dict = {}  # tame class -> [least x of the class, points that pass]
     record: dict = {}
     for x, on_shell in xs:
-        counts = _point_counts(x, on_shell, points, value(x), record)
-        cls = tame_class(x, p)
-        for (i, m, a), count in counts.items():
-            key = (i, *cls)
-            term = CyclotomicNumber(p**m, {a: count})
-            hit = sums.get(key)
-            if hit is None:
-                sums[key] = [x, term]
-            else:
-                hit[0] = min(hit[0], x)
-                hit[1] = hit[1] + term
-    first = next((point for point, (_, on) in record.items() if on), None)
+        passes = test(x)
+        count = 0
+        for y, y_on_shell, prepared in points:
+            if passes(prepared):
+                record[(x, y)] = on_shell or y_on_shell
+                count += 1
+        if count:
+            hit = sums.setdefault(tame_class(x, p), [x, 0])
+            hit[0] = min(hit[0], x)
+            hit[1] += count
+    first = next((point for point, on in record.items() if on), None)
     if first is not None:
         return BoundaryNonvanishing(shell.format(*first)), record
     weight = x_weight * y_weight**rank
-    buckets = {(key[0], x0): weight * ExactScalar.from_coeff(p, c) for key, (x0, c) in sums.items()}
-    return buckets, record
-
-
-def _point_counts(x, on_shell, points, value, record):
-    """(i, m, a) -> the number of points (x, y) with that value, over the
-    inner points (y, y on the padding shell, prepared y) of _enumerate,
-    point by point, each valued by value(prepared y).  Each nonzero
-    point goes into record as (x, y) -> ((i, m, a), whether it lies on
-    the padding shell)."""
-    counts: dict = {}
-    for y, y_on_shell, point in points:
-        parts = value(point)
-        if parts is not None:
-            record[(x, y)] = parts, on_shell or y_on_shell
-            counts[parts] = counts.get(parts, 0) + 1
-    return counts
+    return {x0: weight * ExactScalar.from_coeff(p, count) for x0, count in sums.values()}, record
 
 
 def _so_buckets(p, ell, level, cutoff, mode, side):
-    """(buckets, record) of one SO side, by _enumerate: (i, z0) -> the
-    weighted sum of W over the y domain and the z of one tame class (see
-    the comment above _BUCKETS), and the point loop's record of nonzero
-    points.  By the lemma (module docstring) a Phi point (z, y) has the
-    value (0, 0, 0) when every row of m(y) h(z) lies in I+, and a Phi*
-    point (1, 0, 0) when every row of m(-y) h(p z) does; None otherwise.
-    So each y is written once, as m(y) or m(-y) (_so_rows), and each
-    point tests those rows times its torus (coset_decompose), in both
-    modes.  No value reads t, so one entry serves every t.
+    """(buckets, record) of one SO side, by _enumerate: z0 -> the
+    weighted count of the points where W != 0, over the y domain and the
+    z of one tame class (see the comment above _BUCKETS), and the point
+    loop's record of those points.  By the lemma (module docstring) W at
+    a Phi point (z, y) is 1 when every row of m(y) h(z) lies in I+, and
+    at a Phi* point zeta when every row of m(-y) h(p z) does; 0
+    otherwise.  So each y is written once, as m(y) or m(-y) (_so_rows),
+    and each point tests those rows times its torus (coset_decompose),
+    in both modes; _assemble applies Phi*'s zeta.  No value reads t, so
+    one entry serves every t.
 
     Each support-aware window is one class, valued at one point, since W
     is constant on both classes.  On Phi, with z in 1 + p and each y_k in
@@ -425,11 +406,10 @@ def _so_buckets(p, ell, level, cutoff, mode, side):
     and y outside them."""
 
     star = side == "phi_star"
-    parts = (1 if star else 0, 0, 0)
 
-    def value(z):
+    def test(z):
         diag = so_torus(p * z if star else z, 2 * ell + 1)
-        return lambda rows: None if coset_decompose(rows, diag, p) is None else parts
+        return lambda rows: coset_decompose(rows, diag, p) is not None
 
     return _enumerate(
         p,
@@ -437,7 +417,7 @@ def _so_buckets(p, ell, level, cutoff, mode, side):
         _y_windows(p, level, cutoff, mode),
         ell - 1,
         lambda y: _so_rows(tuple(-c for c in y) if star else y),
-        value,
+        test,
         f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
     )
 
@@ -455,12 +435,12 @@ def _section(tau: TameCharacter, x, h: int, k: int) -> ExactScalar:
     return ExactScalar.from_coeff(p, F1, q_half=h * v, s_power=k * v) * tame_eval(tau, x)
 
 
-def _bucket_sum(buckets, p: int, zeta, section) -> ExactScalar:
-    """sum part * zeta^i * section(x0) over the buckets (i, x0) of one
-    side, in key order: a zeta integral from its buckets."""
+def _bucket_sum(buckets, p: int, section) -> ExactScalar:
+    """sum part * section(x0) over the buckets x0 of one side, in key
+    order: a zeta integral from its buckets, before the side's zeta^i."""
     total = ExactScalar.zero(p)
-    for (i, x0), part in sorted(buckets.items()):
-        total = total + part * ExactScalar.from_coeff(p, zeta**i) * section(x0)
+    for x0, part in sorted(buckets.items()):
+        total = total + part * section(x0)
     return total
 
 
@@ -468,8 +448,9 @@ def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
     if not isinstance(cfg, IntegralConfig):
         raise IntegralError(f"cfg must be an IntegralConfig, got {cfg!r}")
     buckets = _buckets(_so_buckets, cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side)
-    star = side == "phi_star"  # Phi* reads b_1^* z^(-1) = -1/z
-    return _bucket_sum(buckets, cfg.prime, cfg.zeta, lambda z: _section(cfg.tau, FM1 / z if star else z, 1, 1))
+    star = side == "phi_star"  # Phi* reads b_1^* z^(-1) = -1/z, and its W is zeta^1
+    total = _bucket_sum(buckets, cfg.prime, lambda z: _section(cfg.tau, FM1 / z if star else z, 1, 1))
+    return total * cfg.zeta if star else total
 
 
 def phi_eval(cfg: IntegralConfig) -> ExactScalar:
@@ -532,10 +513,10 @@ def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> Exact
 
 
 def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
-    """(buckets, record) of one JPSS side, by _enumerate: (j, a0) -> the
-    weighted values summed over x and over the a of tame_class(a0) (the
-    sections read a only through that class), and the point loop's
-    record of nonzero points.
+    """(buckets, record) of one JPSS side, by _enumerate: a0 -> the
+    weighted count of the points where W != 0, over x and over the a of
+    tame_class(a0) (the sections read a only through that class), and
+    the point loop's record of those points.
 
     a runs over the brute-force z window.  The plain side, at rank 0,
     evaluates W(diag(a, I_(n-1))), and the dual side, at rank n - 2,
@@ -545,22 +526,22 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
     padding shell.
 
     By the lemma (module docstring) a point is D k, D = diag(a, 1, ...,
-    1) and k the identity on the plain side, value (0, 0, 0), and D =
+    1) and k the identity on the plain side, where W is 1, and D =
     diag(a, ..., a, 1) and k the rows _gl_dual_rows writes on the dual
-    side, value (1, 0, 0), when every row of D k lies in I+; None
-    otherwise.  The rows of k that D leaves alone are tested once per x
-    (coset_decompose_gl at d = 1), so a dual x with an x_i outside o is
-    rejected before any a, and each point tests the rows D scales by a."""
+    side, where W is zeta (jpss_gl_gamma applies it), when every row of
+    D k lies in I+; W is 0 otherwise.  The rows of k that D leaves alone
+    are tested once per x (coset_decompose_gl at d = 1), so a dual x with
+    an x_i outside o leaves the walk before any a, and each point tests
+    the rows D scales by a."""
     dual = side == "dual"
     count = n - 1 if dual else 1  # the entries of D that are a
-    parts = (1 if dual else 0, 0, 0)
 
     def prepare(x):
         rows = _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))
         return None if coset_decompose_gl(rows, F1, p, count) is None else rows[:count]
 
-    def value(a):
-        return lambda rows: None if rows is None or coset_decompose_gl(rows, a, p) is None else parts
+    def test(a):
+        return lambda rows: coset_decompose_gl(rows, a, p) is not None
 
     return _enumerate(
         p,
@@ -568,7 +549,7 @@ def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
         _y_windows(p, level, 0, "brute-force"),
         n - 2 if dual else 0,
         prepare,
-        value,
+        test,
         f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}",
     )
 
@@ -593,8 +574,8 @@ def jpss_gl_gamma(
     # plain first, so that a plain shell error is raised ahead of a dual one
     plain, dual = (_buckets(_gl_buckets, n, p, level, cutoff, side) for side in ("plain", "dual"))
     tau_inv = tau.inverse()
-    plain = _bucket_sum(plain, p, zeta, lambda a: _section(tau, a, n - 1, 1))
-    dual = _bucket_sum(dual, p, zeta, lambda a: _section(tau_inv, a, n - 3, -1))
+    plain = _bucket_sum(plain, p, lambda a: _section(tau, a, n - 1, 1))
+    dual = _bucket_sum(dual, p, lambda a: _section(tau_inv, a, n - 3, -1)) * zeta  # W is zeta^1 there
     if plain.is_zero():
         raise ZeroDenominator("JPSS plain integral vanished")
     computed = tame_eval(tau, -1) ** (n - 1) * dual / plain

@@ -35,8 +35,6 @@ class ZeroDivisor(ScalarError):
 def _content(c: CyclotomicNumber) -> Fraction:
     """gcd of the canonical coefficients: positive rational, 0 for zero."""
     red = [x for x in c.reduced() if x]
-    if not red:
-        return Fraction(0)
     num = 0
     den = 1
     for x in red:

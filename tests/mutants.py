@@ -57,18 +57,18 @@ MUTANTS = (
     Mutant(
         "enumeration stops after the first outer point with a shell point",
         INTEGRALS,
-        "        counts = _point_counts(x, on_shell, points, value(x), record)\n",
-        "        counts = _point_counts(x, on_shell, points, value(x), record)\n"
-        "        if any(on for _, on in record.values()):\n"
-        "            break\n",
+        "        passes = test(x)\n",
+        "        if any(record.values()):\n"
+        "            break\n"
+        "        passes = test(x)\n",
         ("tests/test_integrals.py::test_brute_force_raises_on_a_nonzero_shell_point",),
     ),
     Mutant(
         "shell points left out of the record",
         INTEGRALS,
-        "            record[(x, y)] = parts, on_shell or y_on_shell\n",
-        "            if not (on_shell or y_on_shell):\n"
-        "                record[(x, y)] = parts, False\n",
+        "                record[(x, y)] = on_shell or y_on_shell\n",
+        "                if not (on_shell or y_on_shell):\n"
+        "                    record[(x, y)] = False\n",
         (
             "tests/test_integrals.py::test_brute_force_raises_on_a_nonzero_shell_point",
             "tests/test_integrals.py::test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan",
@@ -77,11 +77,22 @@ MUTANTS = (
     Mutant(
         "the error names the last shell point",
         INTEGRALS,
-        "    first = next((point for point, (_, on) in record.items() if on), None)\n",
-        "    first = next((point for point, (_, on) in reversed(record.items()) if on), None)\n",
+        "    first = next((point for point, on in record.items() if on), None)\n",
+        "    first = next((point for point, on in reversed(record.items()) if on), None)\n",
         (
             "tests/test_integrals.py::test_brute_force_raises_on_a_nonzero_shell_point",
             "tests/test_integrals.py::test_jpss_raises_on_a_nonzero_shell_point",
+        ),
+    ),
+    Mutant(
+        "a rejected inner point kept in the walk",
+        INTEGRALS,
+        "        if prepared is not None:\n",
+        "        if True:\n",
+        (
+            "tests/test_kernel.py::test_the_walk_skips_rejected_inner_points",
+            "tests/test_gl.py::test_gl_enumeration_inverts_nothing",
+            "tests/test_gl.py::test_jpss_support_lemma[3-3]",
         ),
     ),
     Mutant(
@@ -211,8 +222,10 @@ MUTANTS = (
         INTEGRALS,
         'for side in ("plain", "dual"))\n',
         'for side in ("dual", "plain"))\n',
+        # no real JPSS gamma shows it: each side is one tame class, and the
+        # swapped sections' q-powers undo the swapped weights
         (
-            "tests/test_integrals.py::test_jpss_n3",
+            "tests/test_integrals.py::test_jpss_reads_each_side_from_its_own_entry",
             "tests/test_integrals.py::test_jpss_raises_on_a_nonzero_shell_point",
         ),
     ),
@@ -271,7 +284,7 @@ MUTANTS = (
             "tests/test_integrals.py::test_jpss_n3",
         ),
     ),
-    # Phi* valued as Phi at (p z, -y), tagged zeta^1, and the SO row test
+    # Phi* valued as Phi at (p z, -y), assembled times zeta^1, and the SO row test
     Mutant(
         "Phi* valued at z instead of p z",
         INTEGRALS,
@@ -305,14 +318,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "Phi* tagged (0, 0, 0)",
+        "Phi* assembled without zeta",
         INTEGRALS,
-        "    parts = (1 if star else 0, 0, 0)\n",
-        "    parts = (0, 0, 0)\n",
+        "    return total * cfg.zeta if star else total\n",
+        "    return total\n",
         (
             "tests/test_integrals.py::test_phi_star_value",
             "tests/test_integrals.py::test_gamma_trivial_tau",
-            "tests/test_kernel.py::test_so_buckets_are_pinned[5-3-None-phi_star-726f88a12d53fd7450175b7cc79ca714b0a9ac39fb6c2ad08559b284bcb3e326]",
+            "tests/test_integrals.py::test_b1_star_is_minus_one[3]",
+            "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-1-support-aware]",
+        ),
+    ),
+    Mutant(
+        "zeta applied to the plain side, not the dual",
+        INTEGRALS,
+        "    plain = _bucket_sum(plain, p, lambda a: _section(tau, a, n - 1, 1))\n"
+        "    dual = _bucket_sum(dual, p, lambda a: _section(tau_inv, a, n - 3, -1)) * zeta  # W is zeta^1 there\n",
+        "    plain = _bucket_sum(plain, p, lambda a: _section(tau, a, n - 1, 1)) * zeta\n"
+        "    dual = _bucket_sum(dual, p, lambda a: _section(tau_inv, a, n - 3, -1))\n",
+        # zeta = 1 / zeta at n = 2, so only n >= 3 shows it
+        (
+            "tests/test_integrals.py::test_jpss_n3",
+            "tests/test_integrals.py::test_jpss_reads_each_side_from_its_own_entry",
+            "tests/test_integrals.py::test_jpss_matches_closed_form_at_n_4_and_p_5[4-3]",
         ),
     ),
     # the affine character's g_chi invariance
@@ -381,8 +409,8 @@ MUTANTS = (
     Mutant(
         "a bucket keyed by the last x of its class",
         INTEGRALS,
-        "                hit[0] = min(hit[0], x)\n",
-        "                hit[0] = x\n",
+        "            hit[0] = min(hit[0], x)\n",
+        "            hit[0] = x\n",
         (
             "tests/test_kernel.py::test_tame_class_merge_keeps_every_tame_sum",
             "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",

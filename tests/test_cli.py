@@ -121,6 +121,34 @@ def test_table_prints_the_sign_of_every_rational_gamma(capsys):
         assert (row["gamma_so"], row["gamma_gl_closed"]) == (expected, expected), row
 
 
+def test_table_reports_a_failing_cell(capsys, monkeypatch):
+    """A cell whose computation raises keeps its row, with match false,
+    empty gammas and the error text, and the table exits 1.  No valid
+    table input makes a cell fail, so the error is put in here."""
+    real = cli.gamma_so
+
+    def gamma_so(cfg):
+        if cfg.tau.unit_exponent == 1:
+            raise integrals.ZeroDenominator("Phi vanished")
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "gamma_so", gamma_so)
+    code, out = run(capsys, "table", "--p", "3", "--ell", "1")
+    assert code == EXIT_MISMATCH
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 8
+    for row in rows:
+        failed = row["tau_j"] == "1"
+        assert row["match"] == ("false" if failed else "true"), row
+        assert row["error"] == ("Phi vanished" if failed else ""), row
+        assert (row["gamma_so"] == "") == failed, row
+
+
+def test_scalar_str_renders_zero():
+    # no CLI command renders a zero scalar: Phi = 0 raises, and gamma is a monomial
+    assert cli.scalar_str(ExactScalar.zero(3)) == "0"
+
+
 def test_param_output(capsys):
     code, out = run(capsys, "param", "--p", "5", "--ell", "2", "--zeta", "-1")
     assert code == EXIT_OK

@@ -5,11 +5,12 @@ single point loop and tame-class merge of integrals.py, and one
 (buckets, record) entry of the one bucket store, as each SO side is.  a
 runs over the brute-force multiplicative window _z_windows and each x
 coordinate over _y_windows at V = 0 (o mod p^N plus the p^(-1) shell).
-The plain side runs at rank 0 and the dual side at rank n - 2, and a
-point's value is the plain ints (j, m, a) = zeta^j zeta_(p^m)^a.  By the
+The plain side runs at rank 0 and the dual side at rank n - 2.  By the
 lemma of integrals.py a point is D k at its one coset index j, with k
-lower triangular, and its value is (j, 0, 0) when every row of D k lies
-in I+: D = diag(a, 1, ..., 1) and k = 1 at j = 0 on the plain side, and
+lower triangular, and W there is zeta^j when every row of D k lies in
+I+, and 0 otherwise.  The enumeration counts the points that pass, and
+jpss_gl_gamma applies the side's zeta^j to its bucket sum.
+D = diag(a, 1, ..., 1) and k = 1 at j = 0 on the plain side, and
 on the dual side D = diag(a, ..., a, 1) and k the rows _gl_dual_rows
 writes in closed form at j = 1, since a times the integrand is
 D k g_chi / p.  The rows of k that D leaves alone are tested once per x.
@@ -27,8 +28,8 @@ in_iplus of the integrand at its index; and its j != 1 half: a dual
 point whose bottom row names another j lies in no double coset, since
 a bottom-right minor vanishes.  whittaker_eval itself is checked on
 sampled u g_chi^j k against the value read off the sampled factors.
-The buckets of both sides, keyed (side, j, a0) as one dict, are pinned
-by sha256 digests of their records, taken from the implementation that
+The buckets of both sides, keyed (side, j, a0) as one dict with j the
+side's zeta power, are pinned by sha256 digests of their records, taken from the implementation that
 built every argument and every rotation by generic inversion and
 products, and summed every point's value as an ExactScalar.  The
 support lemma of both sides is read off their records of nonzero
@@ -115,22 +116,18 @@ def at_index(a, x, n, p, dual):
     return [[p * v for v in row] for row in g]
 
 
-def parts_at(a, x, n, p, dual):
-    """The value _gl_buckets gives the point (a, x): (j, 0, 0) when the
-    rows of k that D leaves alone pass the row test at d = 1, made once
-    per x, and those it scales pass at d = a; None otherwise."""
+def passes_at(a, x, n, p, dual):
+    """Whether _gl_buckets finds the point (a, x): whether the rows of k
+    that D leaves alone pass the row test at d = 1, made once per x, and
+    those it scales pass at d = a."""
     rows = _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))
     count = n - 1 if dual else 1
-    if coset_decompose_gl(rows, F1, p, count) is None or coset_decompose_gl(rows[:count], a, p) is None:
-        return None
-    return int(dual), 0, 0
+    return coset_decompose_gl(rows, F1, p, count) is not None and coset_decompose_gl(rows[:count], a, p) is not None
 
 
-def recorded_parts(a, x, n, p, side):
-    """The value the enumeration records at the point (a, x) of its
-    window, None where it records nothing."""
-    got = _entry(_gl_buckets, n, p, LEVEL, CUTOFF, side)[1].get((a, x))
-    return None if got is None else got[0]
+def recorded(a, x, n, p, side):
+    """Whether the enumeration records the point (a, x) of its window."""
+    return (a, x) in _entry(_gl_buckets, n, p, LEVEL, CUTOFF, side)[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,12 +146,10 @@ def primitive_root_of_unity(n, data):
     return C.root_of_unity(n, data.draw(st.sampled_from([k for k in range(1, n) if gcd(k, n) == 1])))
 
 
-def kernel_value(p, zeta, parts):
-    """The evaluator's (j, m, a) read as zeta^j zeta_(p^m)^a."""
-    if parts is None:
-        return ExactScalar.zero(p)
-    j, m, a = parts
-    return ExactScalar.from_coeff(p, zeta**j * C(p**m, {a: 1}))
+def kernel_value(p, zeta, j, found):
+    """The engine's value of a point of a side at zeta power j: zeta^j
+    when the point passes its row test (found), 0 otherwise."""
+    return ExactScalar.from_coeff(p, zeta**j) if found else ExactScalar.zero(p)
 
 
 @st.composite
@@ -178,8 +173,8 @@ def window_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(window_points())
 def test_evaluator_matches_whittaker_eval_on_the_windows(point):
-    """The points _gl_buckets evaluates, valued as it values them (the
-    value its record holds), against the oracle's W at the integrand
+    """The points _gl_buckets evaluates, valued as it values them (zeta^j
+    where its row test passes, 0 elsewhere), against the oracle's W at the integrand
     itself: diag(a, I_(n-1)) on the plain side, and on the dual side the
     integrand whose a-multiple the engine values.  And the oracle's own
     W(g g_chi^r) = zeta^r W(g) for every r: its solver runs at another j
@@ -193,7 +188,7 @@ def test_evaluator_matches_whittaker_eval_on_the_windows(point):
     zeta = C.root_of_unity(n, e)
     spec = WhittakerSpec(p, "GL", n, zeta)
     g = GroupMatrix.make(integrand, p)
-    got = kernel_value(p, zeta, parts_at(a, x, n, p, dual))
+    got = kernel_value(p, zeta, int(dual), passes_at(a, x, n, p, dual))
     assert got == whittaker_eval(spec, g)
     for r in range(1, n):
         g = g * g_chi_gl(n, p)
@@ -239,18 +234,19 @@ def window_values(n, p, side):
 
 def test_evaluator_matches_whittaker_eval_on_the_support():
     """The engine against the oracle at every point of both sides'
-    windows at (n, p) = (3, 3) and (4, 3), N = 2, V = 1: the value the
-    enumeration records (none where it records nothing), read as zeta^j,
-    is whittaker_eval of the point.  This test sampled u g_chi^j k with
+    windows at (n, p) = (3, 3) and (4, 3), N = 2, V = 1: zeta^j where the
+    enumeration records the point, and 0 where it records nothing, is
+    whittaker_eval of the point.  This test sampled u g_chi^j k with
     general u while the engine had a general solver;
     test_whittaker_eval_reads_the_sampled_factors keeps that sampling on
     the oracle."""
     for n, p in WINDOWS:
         zeta = C.root_of_unity(n, 1)
         for side in SIDES:
+            j = int(side == "dual")
             points = window_values(n, p, side)
             for a, x, _, want in points:
-                assert kernel_value(p, zeta, recorded_parts(a, x, n, p, side)) == want, (n, side, a, x)
+                assert kernel_value(p, zeta, j, recorded(a, x, n, p, side)) == want, (n, side, a, x)
             # a in one class of p^(N-1) units, each x_i in o mod p^N on the dual side
             found = p ** (LEVEL - 1) * (p ** (LEVEL * (n - 2)) if side == "dual" else 1)
             assert sum(not want.is_zero() for *_, want in points) == found
@@ -267,7 +263,7 @@ def test_w_is_zeta_j_times_the_row_test_of_the_integrand(n, p):
     for side in SIDES:
         j = int(side == "dual")
         for a, x, g, want in window_values(n, p, side):
-            assert want == kernel_value(p, zeta, (j, 0, 0) if in_iplus(g, p) else None), (side, a, x)
+            assert want == kernel_value(p, zeta, j, in_iplus(g, p)), (side, a, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,9 +330,12 @@ SIDES = ("plain", "dual")
 
 
 def bucket_digest(buckets):
+    """The digest of the buckets of both sides, one dict keyed (side, a0),
+    each keyed by (side, j, a0) with j the side's zeta power, as they were
+    keyed when the digests were taken."""
     records = [
-        [side, j, str(a), part.to_records()]
-        for (side, j, a), part in sorted(buckets.items(), key=lambda kv: kv[0])
+        [side, int(side == "dual"), str(a), part.to_records()]
+        for (side, a), part in sorted(buckets.items(), key=lambda kv: kv[0])
     ]
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
 
@@ -354,16 +353,17 @@ def test_gl_buckets_are_pinned(n, p, digest):
     # _gl_buckets is the enumeration itself, one side a call; the store
     # sits in front of it.  The digests were taken of both sides in one
     # dict keyed (side, j, a0).
-    both = {(side,) + key: part for side in SIDES for key, part in _gl_buckets(n, p, LEVEL, CUTOFF, side)[0].items()}
+    both = {(side, a0): part for side in SIDES for a0, part in _gl_buckets(n, p, LEVEL, CUTOFF, side)[0].items()}
     assert bucket_digest(both) == digest
 
 
 def pointwise_side(n, p, side):
     """(buckets, record) of one JPSS side by a point loop of its own: every
     row of D k at every point (a, x), in the enumeration's loop order,
-    tested at once (coset_decompose_gl at d = 1), value (j, 0, 0) when
-    they all pass; the values summed per (j, tame class of a) point by
-    point, keyed by the least a of the class."""
+    tested at once (coset_decompose_gl at d = 1); the points where they
+    all pass counted per tame class of a point by point, keyed by the
+    least a of the class, and recorded with whether they lie on the
+    padding shell."""
     a_weight, as_ = _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")
     x_weight, xs = _y_windows(p, LEVEL, 0, "brute-force")
     rank = 0 if side == "plain" else n - 2
@@ -377,13 +377,11 @@ def pointwise_side(n, p, side):
                 rows = dual_rows(a, x, p)
             if coset_decompose_gl(rows, F1, p) is None:
                 continue
-            parts = (int(side == "dual"), 0, 0)
-            record[(a, x)] = parts, a_shell or any(s for _, s in combo)
-            j, m, e = parts
-            least, total = sums.get((j,) + tame_class(a, p), (a, C.zero()))
-            sums[(j,) + tame_class(a, p)] = min(least, a), total + C(p**m, {e: 1})
+            record[(a, x)] = a_shell or any(s for _, s in combo)
+            least, total = sums.get(tame_class(a, p), (a, 0))
+            sums[tame_class(a, p)] = min(least, a), total + 1
     weight = a_weight * x_weight**rank
-    return {(key[0], a0): weight * ExactScalar.from_coeff(p, c) for key, (a0, c) in sums.items()}, record
+    return {a0: weight * ExactScalar.from_coeff(p, c) for a0, c in sums.values()}, record
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (4, 3), (3, 5)])
@@ -408,18 +406,17 @@ def test_the_bottom_step_made_once_per_x_changes_no_point(n, p):
 def test_jpss_support_lemma(n, p):
     """The JPSS support at N = 2, V = 1, read off the record of nonzero
     points of each side's store entry: W(diag(a, I)) != 0 exactly at
-    a in 1 + p, with value (j, m, a) = (0, 0, 0), and on the dual side
-    exactly at a in p^(-1)(1 + p) with every x_i in o, off the shell,
-    with value (1, 0, 0).  The windows run over the whole brute-force
+    a in 1 + p, and on the dual side exactly at a in p^(-1)(1 + p) with
+    every x_i in o, each off the shell.  The windows run over the whole brute-force
     domain, padding shells included."""
     as_ = [a for a, _ in _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")[1]]
     xs = [x for x, shell in _y_windows(p, LEVEL, 0, "brute-force")[1] if not shell]
     assert all(rational_valuation(x, p) >= 0 for x in xs)
     _, plain = _entry(_gl_buckets, n, p, LEVEL, CUTOFF, "plain")
-    assert plain == {(a, ()): ((0, 0, 0), False) for a in as_ if rational_valuation(a - 1, p) >= 1}
+    assert plain == {(a, ()): False for a in as_ if rational_valuation(a - 1, p) >= 1}
     _, dual = _entry(_gl_buckets, n, p, LEVEL, CUTOFF, "dual")
     assert dual == {
-        (a, x): ((1, 0, 0), False)
+        (a, x): False
         for a in as_
         if rational_valuation(p * a - 1, p) >= 1
         for x in itertools.product(xs, repeat=n - 2)
@@ -435,7 +432,8 @@ def test_gl_enumeration_inverts_nothing(count_calls):
     passes for the 25 x in o and fails for the 100 x on the shell, and
     the plain rows 1 and 2 (2 row tests).  Each point of an accepted x is
     one more call: 25 * 100 dual points and 100 plain points, 2,600, of
-    which 130 pass; a rejected x's 100 points make none.  So 126 + 2,600
+    which 130 pass; a rejected x leaves the walk, so its 100 points make
+    none.  So 126 + 2,600
     = 2,726 calls, 26 + 130 = 156 passing.  The dual points test the rows
     a scales bottom-up, a p e_1 and then a p e_0, the second only at the
     125 passing points (2,625 tests), and the plain points test a e_0

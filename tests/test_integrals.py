@@ -72,17 +72,17 @@ def test_b1_star_is_minus_one(p):
     b = b_element(1, p).star().rows[0][0]
     assert b == -1
     tau = tau_pi(p, 1, -1)
-    cfg = IntegralConfig(p, 1, C.one(), tau)
+    cfg = IntegralConfig(p, 1, -C.one(), tau)
     for z in (Fraction(1), Fraction(p), Fraction(2, p)):
         v = rational_valuation(1 / z, p)
         assert integrals._section(tau, -1 / z, 1, 1) == ES(p, 1, v, v) * tame_eval(tau, b / z)
-    # and phi_star_eval takes the section there, at each bucket's z
+    # and phi_star_eval takes the section there, at each bucket's z, times Phi*'s zeta^1
     want = ExactScalar.zero(p)
     buckets, _ = integrals._so_buckets(p, 1, cfg.level, cfg.cutoff, cfg.mode, "phi_star")
-    for (_, z), part in buckets.items():
+    for z, part in buckets.items():
         v = rational_valuation(1 / z, p)
         want = want + part * ES(p, 1, v, v) * tame_eval(tau, b / z)
-    assert phi_star_eval(cfg) == want
+    assert phi_star_eval(cfg) == -want
 
 
 def test_intertwine_identity_at_rank_one():
@@ -425,6 +425,26 @@ def test_jpss_matches_closed_form_at_n_4_and_p_5(n, p):
                 assert res.matches and res.computed == res.predicted, (k, j, value)
 
 
+def test_jpss_reads_each_side_from_its_own_entry(monkeypatch):
+    """jpss_gl_gamma reads the plain integral off the plain entry of the
+    store and the dual one off the dual entry, and applies zeta to the
+    dual side.  On the real domains a swap of the two entries changes no
+    gamma: each side is one tame class, and the dual weight over the
+    plain one is q^((n-2)/2), which the two sections' q-powers undo.  So
+    the entries here are synthetic, with counts 2 (plain, at a0 = 1) and
+    5 (dual, at a0 = 1/p).  At n = 3 the plain section is 1 at a = 1 and
+    the dual one tau^(-1)(1/p) q^-s = tau(pi) q^-s at a = 1/p, so
+    gamma = tau(-1)^2 zeta (5 tau(pi) q^-s) / 2."""
+    n, p = 3, 5
+    monkeypatch.setattr(integrals, "_BUCKETS", {})
+    for side, a0, count in (("plain", F1, 2), ("dual", Fraction(1, p), 5)):
+        integrals._BUCKETS[(integrals._gl_buckets, n, p, 2, 1, side)] = {a0: ExactScalar.from_coeff(p, count)}, {}
+    tau = tau_pi(p, 1, Fraction(-2, 3))
+    zeta = C.root_of_unity(3, 1)
+    got = jpss_gl_gamma(n, tau, zeta, level=2, cutoff=1).computed
+    assert got == ExactScalar.from_coeff(p, Fraction(5, 2) * Fraction(-2, 3) * zeta, s_power=1)
+
+
 def test_match_so_gl_symbolic_and_computed():
     p = 3
     tau = tau_pi(p, 1, -1)
@@ -432,6 +452,17 @@ def test_match_so_gl_symbolic_and_computed():
     assert match_so_gl(2, tau, C.one())
     cfg = IntegralConfig(p, 1, -C.one(), tau, level=2, cutoff=1)
     assert match_so_gl(1, tau, -C.one(), cfg=cfg)
+
+
+def test_match_so_gl_is_false_when_the_closed_forms_differ(monkeypatch):
+    """The closed forms agree at every input, so a GL closed form that
+    differs is put in here; match_so_gl then says False before it computes
+    anything."""
+    closed = integrals.gamma_gl_closed
+    monkeypatch.setattr(integrals, "gamma_gl_closed", lambda n, tau, zeta: -closed(n, tau, zeta))
+    monkeypatch.setattr(integrals, "gamma_so", None)  # not reached
+    tau = tau_pi(3, 1, -1)
+    assert match_so_gl(1, tau, -C.one(), cfg=IntegralConfig(3, 1, -C.one(), tau, level=2, cutoff=1)) is False
 
 
 def test_match_so_gl_rejects_a_config_that_contradicts_its_arguments():

@@ -1,9 +1,11 @@
 """Oracle property tests for the SO enumeration kernel.
 
 The kernel writes the rows of the Phi integrand in closed form and
-values a point by a row test: (i, 0, 0) when every row of m(y') h(d)
-lies in I+, with (d, y', i) = (z, y, 0) on Phi and (p z, -y, 1) on
-Phi*, since Phi*(z, y) g_chi = Phi(p z, -y).  That identity, and that a
+values a point by a row test: W is zeta^i when every row of m(y') h(d)
+lies in I+, and 0 otherwise, with (d, y', i) = (z, y, 0) on Phi and
+(p z, -y, 1) on Phi*, since Phi*(z, y) g_chi = Phi(p z, -y).  The
+enumeration counts the points that pass, and the side applies its
+zeta^i to its bucket sum.  That identity, and that a
 Phi point lies only in the coset U I+ and a Phi* point only in
 U g_chi I+, are checked with oracle products alone, beside negative
 controls (z for p z, +y for -y).  So is the lemma the row test rests on:
@@ -25,9 +27,11 @@ point by point from the (weight, [(rep, on_shell)]) windows, each
 support-aware class unfolded from the brute-force window
 (unfold_class), with the oracle's section_eval, with no buckets, no
 shared loop, no bucket sum and no merge over tame classes; and the merge
-itself, which _enumerate makes as each outer point's counts arrive, on a
+itself, which _enumerate makes as each outer point's count arrives, on a
 synthetic outer window that spans several tame classes and is walked in
-any order (on the real domains only one class per side is nonzero).
+any order (on the real domains only one class per side is nonzero).  A
+synthetic inner window checks that an inner point whose preparation is
+None leaves the walk: the predicate never sees it.
 
 The last tests check that each support-aware window is one class,
 valued at one point, (z0, 0) (_so_buckets).  Its lemma, g(z, y) =
@@ -35,10 +39,10 @@ g(z0, 0) k with k in I+ and chi(k) = 1, is checked with oracle products
 alone at every point of both unfolded classes of five small (p, l) at
 random t, beside negative controls: a y_k of valuation 0, or a unit w
 outside 1 + p in z = z0 w, leaves I+.  The one point loop of
-integrals.py (_point_counts, the loop _enumerate runs for the SO and the
-JPSS buckets alike), run over the unfolded y class with the SO row test,
-gives each z of the unfolded z class the count {value at (z0, 0):
-|Y|^(l-1)}: on the grid's domains, at (7, 3) on sampled z and at random
+integrals.py, _enumerate, which the SO and the JPSS buckets alike run,
+walked over the unfolded z and y classes with the SO row test, finds
+every point, as the one point (z0, 0) is found, and counts them all in
+one bucket: on the grid's domains, at (7, 3) on sampled z and at random
 t.  The SO buckets are pinned by sha256 digests of their records.  A
 count guard fails if the support-aware enumeration values more than one
 point a side, at any N, or if the brute-force point loop tests a box
@@ -75,14 +79,13 @@ from oracles import (
     whittaker_eval,
 )
 from ssgamma import integrals
-from ssgamma.characters import PSI_MAX_POWER, TameCharacter, tame_class, tame_eval
+from ssgamma.characters import TameCharacter, tame_class, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
     _entry,
     _enumerate,
     _so_rows,
-    _point_counts,
     _so_buckets,
     _y_windows,
     _z_windows,
@@ -159,13 +162,11 @@ def integrand(side, z, y, ell, p):
     return [reference_row_times_g_chi_so(row, p) for row in rows] if i else rows
 
 
-def parts_at(side, z, y, p):
-    """The value _so_buckets gives the point (z, y): (i, 0, 0) when the
-    rows at (1, y'), made once per y, times h(d) pass the row test, and
-    None otherwise."""
-    d, y, i = phi_point(side, z, y, p)
-    rows = coset_decompose(_so_rows(y), so_torus(d, 2 * len(y) + 3), p)
-    return None if rows is None else (i, 0, 0)
+def passes_at(side, z, y, p):
+    """Whether _so_buckets finds the point (z, y): whether the rows at
+    (1, y'), made once per y, times h(d) pass the row test."""
+    d, y, _ = phi_point(side, z, y, p)
+    return coset_decompose(_so_rows(y), so_torus(d, 2 * len(y) + 3), p) is not None
 
 
 def box_parts(g, p, ell, t):
@@ -183,13 +184,10 @@ def box_parts(g, p, ell, t):
     return None
 
 
-def kernel_value(p, zeta, parts):
-    """The evaluator's (i, m, a) read as zeta^i zeta_(p^m)^a."""
-    if parts is None:
-        return ExactScalar.zero(p)
-    i, m, a = parts
-    assert 0 <= m <= PSI_MAX_POWER and 0 <= a < p**m
-    return ExactScalar.from_coeff(p, zeta**i * C(p**m, {a: 1}))
+def kernel_value(p, zeta, i, found):
+    """The engine's value of a point of a side at zeta power i: zeta^i
+    when the point passes its row test (found), 0 otherwise."""
+    return ExactScalar.from_coeff(p, zeta**i) if found else ExactScalar.zero(p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -250,13 +248,12 @@ def test_evaluator_matches_whittaker_eval(case, zsign):
     (p, ell, side, z, y, inside), t = case
     zeta = C.one() if zsign == 1 else -C.one()
     g = generic_matrix(p, ell, side, z, y).lists()
-    parts = parts_at(side, z, y, p)
+    i = phi_point(side, z, y, p)[2]
+    found = passes_at(side, z, y, p)
     if inside:  # a box test decides the support, and the row test agrees with it
-        box = box_parts(g, p, ell, t)
-        assert box is not None and parts is not None
-        assert box == (parts[0], C(p ** parts[1], {parts[2]: 1}))
+        assert found and box_parts(g, p, ell, t) == (i, C.one())
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
-    assert kernel_value(p, zeta, parts) == whittaker_eval(spec, GroupMatrix.make(g, p, verify=False))
+    assert kernel_value(p, zeta, i, found) == whittaker_eval(spec, GroupMatrix.make(g, p, verify=False))
 
 
 # the brute-force windows the engine and the lemma are checked on point
@@ -283,20 +280,20 @@ def window_values(side):
 
 def test_evaluator_matches_whittaker_eval_on_the_double_coset():
     """The engine against the oracle at every point of the brute-force
-    windows at (p, l, N, V) = (3, 2, 2, 1), both sides: the value the
-    enumeration records (none where it records nothing), read as zeta^i
-    at zeta = -1, is whittaker_eval of the named-element product, at t in
-    the family.  This test sampled u g_chi^i k with general u while the
+    windows at (p, l, N, V) = (3, 2, 2, 1), both sides: zeta^i at
+    zeta = -1 where the enumeration records the point, and 0 where it
+    records nothing, is whittaker_eval of the named-element product, at t
+    in the family.  This test sampled u g_chi^i k with general u while the
     engine had a general solver; test_whittaker_eval_reads_the_sampled_factors
     keeps that sampling on the oracle."""
     p, ell, level, cutoff = WINDOW
     for side in SIDES:
+        i = int(side == "phi_star")
         record = _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side)[1]
         points = window_values(side)
         assert len(points) == 30 * 81
         for z, y, _, want in points:
-            got = record.get((z, y))
-            assert kernel_value(p, -C.one(), None if got is None else got[0]) == want, (side, z, y)
+            assert kernel_value(p, -C.one(), i, (z, y) in record) == want, (side, z, y)
         assert sum(not want.is_zero() for *_, want in points) == len(record) == 9
 
 
@@ -313,7 +310,7 @@ def test_w_is_zeta_i_times_the_row_test_of_the_integrand():
         i = int(side == "phi_star")
         for z, y, g, want in window_values(side):
             g = g * g_chi_so(ell, p) if i else g
-            assert want == kernel_value(p, zeta, (i, 0, 0) if in_iplus(g.rows, p) else None), (side, z, y)
+            assert want == kernel_value(p, zeta, i, in_iplus(g.rows, p)), (side, z, y)
 
 
 @settings(max_examples=120, deadline=None)
@@ -325,7 +322,7 @@ def test_w_is_zeta_i_times_the_row_test_at_random_points(case, zsign):
     i = int(side == "phi_star")
     g = generic_matrix(p, ell, side, z, y)
     g = g * g_chi_so(ell, p) if i else g
-    want = kernel_value(p, zeta, (i, 0, 0) if in_iplus(g.rows, p) else None)
+    want = kernel_value(p, zeta, i, in_iplus(g.rows, p))
     spec = WhittakerSpec(p, "SO", ell, zeta, t)
     assert whittaker_eval(spec, generic_matrix(p, ell, side, z, y)) == want
     assert not inside or not want.is_zero()
@@ -401,7 +398,7 @@ def unfolded(p, level, side=None):
 
 
 def nonzero_points(p, ell, level, mode, side):
-    """(z, weight, parts) for every point of the domain with W != 0; the
+    """(z, weight) for every point of the domain with W != 0; the
     weight is the product of the point's own window weights, the z
     window's and one y window's per coordinate.  A support-aware domain
     is walked point by point over its classes unfolded.  In both modes
@@ -414,29 +411,30 @@ def nonzero_points(p, ell, level, mode, side):
     out = []
     for z, _ in zs:
         for y in itertools.product([c for c, _ in ys], repeat=ell - 1):
-            parts = parts_at(side, z, y, p)
-            if parts is not None:
+            if passes_at(side, z, y, p):
                 w = zw
                 for _ in y:
                     w = w * yw
-                out.append((z, w, parts))
+                out.append((z, w))
     assert len(out) == p ** ((level - 1) * ell)
     return out
 
 
 def pointwise_integral(cfg, side, points):
     """Phi or Phi* summed point by point: each nonzero point contributes
-    its own window weights times zeta^i zeta_(p^m)^a times f_s(z), with
-    f_s from section_eval.  No buckets and no merge over tame classes."""
+    its own window weights times zeta^i times f_s(z), i = 0 on Phi and 1
+    on Phi*, with f_s from section_eval.  No buckets and no merge over
+    tame classes."""
     p = cfg.prime
+    i = int(side == "phi_star")
     sec = SectionSpec(cfg.tau)
     b = Fraction(-1)  # b_1^* at n = 1
     assert b_element(1, p).star().rows == ((b,),)
     total = ExactScalar.zero(p)
-    for z, w, parts in points:
+    for z, w in points:
         # f_s(h, 1) for Phi, M(tau, s) f_s(h^(-1), b_1^*) for Phi*
         fs = section_eval(sec, z, 1) if side == "phi" else section_eval(sec, 1 / z, b)
-        total = total + w * kernel_value(p, cfg.zeta, parts) * fs
+        total = total + w * kernel_value(p, cfg.zeta, i, True) * fs
     return total
 
 
@@ -471,9 +469,10 @@ def test_bucket_assembly_matches_pointwise_sum(p, ell, mode):
 def test_tame_class_merge_keeps_every_tame_sum(p, data):
     """_enumerate merges the x of a tame class as their counts arrive: on
     a synthetic outer window spread over several classes, with several x
-    in a class, and walked in any order, at rank 0, each bucket is keyed
-    by (i, the least x of its class), and sum part(x) zeta^i tau(x) is
-    the point sum, for every tame tau."""
+    in a class, and walked in any order, at rank 0, with the x that pass
+    drawn, each bucket is keyed by the least x of its class that passes,
+    and sum part(x0) tau(x0) over the buckets is the sum of tau(x) over
+    the x that pass, for every tame tau."""
     # six tame classes (v, r), v in -1..1 and r in 1..2, so that classes repeat
     member = st.builds(
         lambda v, r, c, e: Fraction(p) ** v * Fraction(r + p * c, 1 + p * e),
@@ -483,27 +482,58 @@ def test_tame_class_merge_keeps_every_tame_sum(p, data):
         st.integers(0, 3),
     )
     xs = data.draw(st.permutations(data.draw(st.lists(member, min_size=1, max_size=12, unique=True))))
-    parts = st.none() | st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 8))  # (i, m, a)
-    values = {x: data.draw(parts) for x in xs}
+    found = {x: data.draw(st.booleans()) for x in xs}
     one = ExactScalar.one(p)
     outer, inner = (one, [(x, False) for x in xs]), (one, [(F0, False)])
-    buckets, _ = _enumerate(p, outer, inner, 0, tuple, lambda x: lambda y: values[x], "no shell here: x={}, y={}")
-    classes: dict = {}  # (i, v, r) -> the x of that zeta-power and tame class
-    for x, value in values.items():
-        if value is not None:
-            classes.setdefault((value[0],) + tame_class(x, p), []).append(x)
-    assert sorted(buckets) == sorted((key[0], min(members)) for key, members in classes.items())
-    zeta = -C.one()
+    buckets, _ = _enumerate(p, outer, inner, 0, tuple, lambda x: lambda y: found[x], "no shell here: x={}, y={}")
+    classes: dict = {}  # (v, r) -> the x of that tame class that pass
+    for x in xs:
+        if found[x]:
+            classes.setdefault(tame_class(x, p), []).append(x)
+    assert sorted(buckets) == sorted(min(members) for members in classes.values())
     tau = TameCharacter(p, data.draw(st.integers(0, p - 2)), ExactScalar.from_coeff(p, data.draw(units(p))))
     merged = ExactScalar.zero(p)
-    for (i, x0), part in buckets.items():
-        merged = merged + part * ExactScalar.from_coeff(p, zeta**i) * tame_eval(tau, x0)
+    for x0, part in buckets.items():
+        merged = merged + part * tame_eval(tau, x0)
     points = ExactScalar.zero(p)
-    for x, value in values.items():
-        if value is not None:
-            i, m, a = value
-            points = points + ExactScalar.from_coeff(p, C(p**m, {a: 1}) * zeta**i) * tame_eval(tau, x)
+    for x in xs:
+        if found[x]:
+            points = points + tame_eval(tau, x)
     assert merged == points
+
+
+def test_the_walk_skips_rejected_inner_points():
+    """An inner point whose preparation is None leaves the walk.  On a
+    synthetic window at rank 2, inner reps 0..3 with 3 on the padding
+    shell, the y with a coordinate 3 are rejected, 7 of the 16.  The
+    predicate raises on None; it is made once per outer point and called
+    once per accepted inner point at each.  A point (x, y) passes when
+    y_0 < x.  The record and the buckets are those of the accepted points
+    alone, and a rejected y on the shell raises nothing."""
+    p = 3
+    xs = [Fraction(1), Fraction(2), Fraction(4), Fraction(1, 3)]  # 1 and 4 share a tame class
+    half = ExactScalar.from_coeff(p, Fraction(1, 2))
+    inner = (half, [(Fraction(c), c == 3) for c in range(4)])
+    calls = {"test": 0, "predicate": 0}
+
+    def test(x):
+        calls["test"] += 1
+
+        def passes(y):
+            if y is None:
+                raise AssertionError("a rejected inner point reached the predicate")
+            calls["predicate"] += 1
+            return y[0] < x
+
+        return passes
+
+    outer = (ExactScalar.one(p), [(x, False) for x in xs])
+    buckets, record = _enumerate(p, outer, inner, 2, lambda y: None if 3 in y else y, test, "x={}, y={}")
+    accepted = [tuple(map(Fraction, y)) for y in itertools.product(range(3), repeat=2)]
+    assert calls == {"test": len(xs), "predicate": len(xs) * len(accepted)} == {"test": 4, "predicate": 36}
+    assert list(record.items()) == [((x, y), False) for x in xs for y in accepted if y[0] < x]
+    # 3 + 9 points at 1 and 4, 6 at 2 and 3 at 1/3, each of weight (1/2)^2
+    assert buckets == {xs[0]: half * half * 12, xs[1]: half * half * 6, xs[3]: half * half * 3}
 
 
 # --- each support-aware window is one class, valued at one point ---------------
@@ -548,45 +578,45 @@ def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
     assert seen == len(SIDES) * p ** ((level - 1) * ell)
 
 
-def inner_points(ys, rank, side, p):
-    """The inner points _enumerate makes of the SO y window reps ys once
-    per side: (y, whether it lies on the padding shell, the rows at
-    (1, y'), y' = y on Phi and -y on Phi*)."""
-    points = []
-    for combo in itertools.product(ys, repeat=rank):
-        y = tuple(c for c, _ in combo)
-        points.append((y, any(s for _, s in combo), _so_rows(phi_point(side, F1, y, p)[1])))
-    return points
+def so_walk(p, ell, side, zs, ys):
+    """_enumerate over the outer window zs and the inner window ys, with
+    the SO row test _so_buckets gives it: the rows at (1, y'), y' = y on
+    Phi and -y on Phi*, made once per y, times h(z) or h(p z)."""
+    one = ExactScalar.one(p)
 
+    def test(z):
+        diag = so_torus(phi_point(side, z, (), p)[0], 2 * ell + 1)
+        return lambda rows: coset_decompose(rows, diag, p) is not None
 
-def point_loop(z, on_shell, points, side, p, ell):
-    """The shared point loop at z, with the SO value _so_buckets gives it."""
-    d, _, i = phi_point(side, z, (), p)
-    diag = so_torus(d, 2 * ell + 1)
-    return _point_counts(z, on_shell, points, lambda rows: None if coset_decompose(rows, diag, p) is None else (i, 0, 0), {})
+    def prepare(y):
+        return _so_rows(phi_point(side, F1, y, p)[1])
+
+    return _enumerate(p, (one, zs), (one, ys), ell - 1, prepare, test, "shell: z={}, y={}")
 
 
 def loop_points(p, ell, side, t, level, sample=None):
-    """The number of points valued.  Per z of the support-aware z class
-    unfolded from the brute-force window (or of a seeded sample of them,
-    sample = (seed, count)), the point loop over the unfolded (l-1)-fold
-    y class values every point as the one point _so_buckets values,
-    (z0, 0), so its counts are {value at (z0, 0): |Y|^(l-1)}.  That value
-    is the oracle's W at (z0, 0) at the affine weights t, read as zeta^i
-    at zeta = -1."""
+    """The number of points valued.  The walk (so_walk) over the
+    support-aware z class unfolded from the brute-force window (or a
+    seeded sample of its z, sample = (seed, count)) and the unfolded
+    (l-1)-fold y class finds every point, as the one point _so_buckets
+    values, (z0, 0), is found: its record is every point, in loop order,
+    and its one bucket, at the least z, counts them all.  W at (z0, 0),
+    the oracle's at the affine weights t, is zeta^i at zeta = -1."""
     zs, ys = unfolded(p, level, side)[1], unfolded(p, level)[1]
     assert len(zs) == len(ys) == p ** (level - 1)
     z0 = _z_windows(p, level, 1, "support-aware", side)[1][0][0]
-    base = parts_at(side, z0, (F0,) * (ell - 1), p)
-    assert base is not None, (p, ell, side)
+    zero = (F0,) * (ell - 1)
+    assert passes_at(side, z0, zero, p), (p, ell, side)
     spec = WhittakerSpec(p, "SO", ell, -C.one(), t)
-    assert kernel_value(p, -C.one(), base) == whittaker_eval(spec, generic_matrix(p, ell, side, z0, (F0,) * (ell - 1)))
+    want = kernel_value(p, -C.one(), phi_point(side, z0, zero, p)[2], True)
+    assert want == whittaker_eval(spec, generic_matrix(p, ell, side, z0, zero))
     if sample:
         zs = random.Random(sample[0]).sample(zs, sample[1])
-    points = inner_points(ys, ell - 1, side, p)
-    for z, on_shell in zs:
-        assert point_loop(z, on_shell, points, side, p, ell) == {base: len(ys) ** (ell - 1)}, (p, ell, side, z)
-    return len(zs) * len(ys) ** (ell - 1)
+    buckets, record = so_walk(p, ell, side, zs, ys)
+    points = [(z, y) for z, _ in zs for y in itertools.product([c for c, _ in ys], repeat=ell - 1)]
+    assert list(record.items()) == [(point, False) for point in points], (p, ell, side)
+    assert buckets == {min(z for z, _ in zs): ExactScalar.from_coeff(p, len(points))}, (p, ell, side)
+    return len(points)
 
 
 GRID_SUPPORT = [(p, ell) for p in (3, 5, 7) for ell in (1, 2, 3) if (p, ell) != (7, 3)] + [(3, 4)]
@@ -637,8 +667,11 @@ def test_no_matrix_passes_both_boxes(p, ell, seed):
     assert in_iplus(k.rows, p) and not in_iplus((gchi * k).rows, p)
 
 
-def so_bucket_digest(buckets):
-    records = [[i, str(z), part.to_records()] for (i, z), part in sorted(buckets.items(), key=lambda kv: kv[0])]
+def so_bucket_digest(buckets, side):
+    """The digest of the buckets of side, each keyed by the side's zeta
+    power and its z, as they were keyed when the digests were taken."""
+    i = int(side == "phi_star")
+    records = [[i, str(z), part.to_records()] for z, part in sorted(buckets.items(), key=lambda kv: kv[0])]
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
 
 
@@ -673,7 +706,7 @@ def test_so_buckets_are_pinned(p, ell, t, side, digest):
     tested.  Valuing each support-aware window as one class, at one
     point, leaves every one of them as it was."""
     IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=3, cutoff=1, t=t)  # t is checked; no bucket reads it
-    assert so_bucket_digest(_so_buckets(p, ell, 3, 1, "support-aware", side)[0]) == digest
+    assert so_bucket_digest(_so_buckets(p, ell, 3, 1, "support-aware", side)[0], side) == digest
 
 
 @pytest.mark.parametrize("p,ell", [(11, 3), (13, 3), (7, 4), (5, 4), (3, 5)])
@@ -766,7 +799,7 @@ def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):
         zs = _z_windows(p, level, 1, "brute-force", side)[1]
         ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
         want[side] = [
-            parts_at(side, z, y, p) is not None
+            passes_at(side, z, y, p)
             for z, _ in zs
             for y in itertools.product(ys, repeat=ell - 1)
         ]

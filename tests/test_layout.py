@@ -24,10 +24,15 @@ once in its file, and each test id it names is a test function of the
 file it names.  That check reads the files and starts no process.
 
 Code that only tests reach is either an oracle, kept in tests/oracles.py
-on purpose, or dead.  test_every_package_function_is_reached runs small
-instances of the CLI commands and library entry points under
-sys.setprofile and fails on a package function none of them calls,
-unless REACH_ALLOWED names it with a reason.
+on purpose, or dead.  One run of small instances of the CLI commands and
+library entry points under sys.settrace (REACH_RUN) records the package
+functions they call and the lines they execute.
+test_every_package_function_is_reached fails on a package function none
+of them calls, unless REACH_ALLOWED names it with a reason.
+test_every_package_statement_is_executed fails on a statement of a
+called function that none of them executes, unless LINES_ALLOWED names
+it with a reason; raise statements are left out, as are module-level
+and class-body lines, which run on import.
 """
 
 import ast
@@ -35,6 +40,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import mutants
@@ -186,24 +192,37 @@ def test_no_package_file_imports_sympy():
 
 # Run in a fresh interpreter, so no earlier test has warmed a cache or
 # called a function.  Prints the (file, first line) of every code object
-# of the package that received a call.
+# of the package that received a call, and the (file, line) of every
+# line of the package that ran.  JPSS results are rendered as the bench
+# renders them, and gamma-so writes one --output file to a temporary
+# directory.
 REACH_RUN = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, tempfile
 from pathlib import Path
 
 import ssgamma
 from ssgamma import cli
 from ssgamma.characters import TameCharacter
 from ssgamma.cyclotomic import CyclotomicNumber
-from ssgamma.integrals import IntegralConfig, jpss_gl_gamma, match_so_gl
+from ssgamma.integrals import IntegralConfig, gamma_so, jpss_gl_gamma, match_so_gl
 from ssgamma.scalars import ExactScalar
 
+package = str(Path(ssgamma.__file__).resolve().parent)
 codes = set()
+lines = set()
 
 
-def profile(frame, event, arg):
-    if event == "call":
-        codes.add(frame.f_code)
+def local(frame, event, arg):
+    if event == "line":
+        lines.add((frame.f_code.co_filename, frame.f_lineno))
+    return local
+
+
+def trace(frame, event, arg):
+    if not frame.f_code.co_filename.startswith(package):
+        return None
+    codes.add(frame.f_code)
+    return local
 
 
 tau = TameCharacter(3, 1, ExactScalar.from_coeff(3, -1))
@@ -211,11 +230,14 @@ tau = TameCharacter(3, 1, ExactScalar.from_coeff(3, -1))
 # elimination that one-term inverses skip
 tau_two_terms = TameCharacter(3, 1, ExactScalar.from_coeff(3, CyclotomicNumber(3, {0: 1, 1: 1})))
 minus_one = CyclotomicNumber.from_rational(-1)
-sys.setprofile(profile)
+out_dir = tempfile.TemporaryDirectory()
+os.environ["SSGAMMA_OUTPUT_DIR"] = out_dir.name
+sys.settrace(trace)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in (
         ["gamma-so", "--p", "3", "--ell", "2", "--zeta", "-1", "--tau-j", "1", "--tau-pi", "-1"],
         ["gamma-so", "--p", "3", "--ell", "2", "--zeta", "1", "--mode", "brute"],
+        ["gamma-so", "--p", "3", "--ell", "1", "--zeta", "1", "--output", "gamma.json"],
         ["table", "--p", "3", "--ell", "1,2"],
         ["scan-support", "--p", "3", "--ell", "2", "--side", "phi"],
         ["scan-support", "--p", "3", "--ell", "2", "--side", "phi-star"],
@@ -223,14 +245,33 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         ["param", "--p", "5", "--ell", "2", "--zeta", "2"],  # a config error, exit 3
     ):
         cli.main(argv)
-    jpss_gl_gamma(3, tau, CyclotomicNumber.root_of_unity(3, 1), level=2, cutoff=1)
-    jpss_gl_gamma(2, tau_two_terms, minus_one, level=2, cutoff=1)
+    for res in (
+        jpss_gl_gamma(3, tau, CyclotomicNumber.root_of_unity(3, 1), level=2, cutoff=1),
+        jpss_gl_gamma(2, tau_two_terms, minus_one, level=2, cutoff=1),
+    ):
+        cli.scalar_str(res.computed), res.computed.to_records()
+    match_so_gl(1, tau, minus_one)
     match_so_gl(1, tau, minus_one, cfg=IntegralConfig(3, 1, minus_one, tau, level=2, cutoff=1))
-sys.setprofile(None)
-package = Path(ssgamma.__file__).resolve().parent
-called = {(Path(c.co_filename).name, c.co_firstlineno) for c in codes if Path(c.co_filename).resolve().parent == package}
-print(json.dumps(sorted(called)))
+    # the default tau(pi) = 1, and affine parameters t in the family
+    gamma_so(IntegralConfig(3, 1, minus_one, TameCharacter(3, 0), level=2, cutoff=1, t=(1, 4)))
+sys.settrace(None)
+out_dir.cleanup()
+called = {(Path(c.co_filename).name, c.co_firstlineno) for c in codes}
+ran = {(Path(name).name, line) for name, line in lines}
+print(json.dumps({"called": sorted(called), "lines": sorted(ran)}))
 """
+
+
+@lru_cache(maxsize=None)
+def reach_run():
+    """(called, lines) of one run of REACH_RUN: the (file name, first
+    line) of each package function it called, and the (file name, line)
+    of each package line it ran."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", REACH_RUN], env=env, capture_output=True, text=True, check=True)
+    doc = json.loads(out.stdout)
+    return {tuple(key) for key in doc["called"]}, {tuple(key) for key in doc["lines"]}
+
 
 # Package functions no entry point above calls, each kept for a reason.
 REACH_ALLOWED = {
@@ -241,6 +282,7 @@ REACH_ALLOWED = {
     # a bench tracer target
     "matrices.mat_inv",
     # the rest of the ring interface of the two scalar types
+    "cyclotomic.CyclotomicNumber.__add__",
     "cyclotomic.CyclotomicNumber.__neg__",
     "cyclotomic.CyclotomicNumber.__repr__",
     "cyclotomic.CyclotomicNumber.__rsub__",
@@ -249,6 +291,34 @@ REACH_ALLOWED = {
     "scalars.ExactScalar.__neg__",
     "scalars.ExactScalar.__repr__",
     "scalars.ExactScalar.__sub__",
+}
+
+# Statements of called package functions that no entry point above
+# executes, each kept for a reason: ring interface, or the test that
+# keeps it (an error or mismatch path that no valid input takes).  An
+# entry (function, text fragment) covers each unexecuted statement of
+# the function whose first line holds the fragment, or that sits in a
+# block (an except clause included) whose first line does.
+RING = "ring interface"
+LINES_ALLOWED = {
+    ("cli.cmd_gamma_so", "except BoundaryNonvanishing"): "test_cli.py::test_gamma_so_brute_reports_a_nonzero_shell_point",
+    ("cli.cmd_table", "except IntegralError"): "test_cli.py::test_table_reports_a_failing_cell",
+    ("cli.cmd_table", "if not match:"): "test_cli.py::test_table_reports_a_failing_cell",
+    ("cli.main", "except (IntegralError"): "test_cli.py::test_library_errors_exit_2_without_a_traceback",
+    ("cli.scalar_str", 'return "0"'): "test_cli.py::test_scalar_str_renders_zero",
+    ("integrals._enumerate", "return BoundaryNonvanishing"): "test_integrals.py::test_brute_force_raises_on_a_nonzero_shell_point",
+    ("integrals.match_so_gl", "return False"): "test_integrals.py::test_match_so_gl_is_false_when_the_closed_forms_differ",
+    ("integrals.scan_support", "verdict = False"): "test_integrals.py::test_scan_support_detects_wrong_predicate",
+    ("matrices.row_in_iplus", "if x % q:"): "test_matrices.py::test_in_iplus_is_the_valuation_definition",
+    ("cyclotomic.CyclotomicNumber.__pow__", "if n < 0:"): RING,
+    ("cyclotomic.CyclotomicNumber.__pow__", "if n == 1:"): RING,
+    ("cyclotomic.CyclotomicNumber.__eq__", "other = CyclotomicNumber.from_rational(other)"): RING,
+    ("cyclotomic.CyclotomicNumber.__eq__", "return NotImplemented"): RING,
+    ("scalars.ExactScalar.__init__", "if prev is not None:"): RING,
+    ("scalars.ExactScalar.__init__", "for key in merged:"): RING,
+    ("scalars.ExactScalar.__eq__", "other = self._coerce(other)"): RING,
+    ("scalars.ExactScalar.__eq__", "return NotImplemented"): RING,
+    ("scalars.ExactScalar.__eq__", "return False"): RING,
 }
 
 
@@ -274,14 +344,75 @@ def package_functions():
     return out
 
 
+def package_statements():
+    """[(file name, own lines, "module.qualname", heads)] for every
+    statement in the body of a package function, but raise and try
+    statements, docstrings, and nested defs, whose bodies are walked as
+    functions of their own.  The own lines of a statement are those
+    before its body, all of them for a simple statement; heads holds the
+    first line of the statement and of each block around it in its
+    function, an except clause's included."""
+    out = []
+
+    def walk(body, path, text, qual, heads):
+        for node in body:
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+                continue  # a docstring
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(node.body, path, text, f"{qual}.<locals>.{node.name}", [])
+                continue
+            here = heads + [text[node.lineno - 1].strip()]
+            nested = getattr(node, "body", None)
+            end = nested[0].lineno - 1 if isinstance(nested, list) and nested else node.end_lineno
+            if not isinstance(node, (ast.Raise, ast.Try)):
+                out.append((path.name, range(node.lineno, end + 1), qual, here))
+            for field in ("body", "orelse", "finalbody"):
+                walk(getattr(node, field, None) or [], path, text, qual, here)
+            for handler in getattr(node, "handlers", None) or []:
+                walk(handler.body, path, text, qual, here + [text[handler.lineno - 1].strip()])
+
+    def visit(node, path, text, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, text, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child.body, path, text, f"{path.stem}.{prefix}{child.name}", [])
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(parse(path), path, path.read_text().splitlines(), "")
+    return out
+
+
 def test_every_package_function_is_reached():
-    """About 4 s on a 2-core machine; the profiler makes the entry points
-    about four times slower."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-c", REACH_RUN], env=env, capture_output=True, text=True, check=True)
-    called = {tuple(key) for key in json.loads(out.stdout)}
+    called, _ = reach_run()
     functions = package_functions()
     unreached = {name for key, name in functions.items() if key not in called}
     assert sorted(unreached - REACH_ALLOWED) == []
     # an allowed name that is now reached, or gone, leaves the list
     assert sorted(REACH_ALLOWED - unreached) == []
+
+
+def test_every_package_statement_is_executed():
+    """A failure lists each statement no entry point executes as
+    "file:line function: its first line".  Either an entry point should
+    run it (a REACH_RUN input that production meets), or it is dead and
+    goes, or LINES_ALLOWED names it with its reason.  The one REACH_RUN
+    takes about 0.25 s on a 2-core machine; the line tracer makes the
+    entry points about twice as slow."""
+    _, lines = reach_run()
+    used = set()
+    unexplained = []
+    for name, own, qual, heads in package_statements():
+        if qual in REACH_ALLOWED or any((name, line) in lines for line in own):
+            continue
+        keys = {key for key in LINES_ALLOWED if key[0] == qual and any(key[1] in head for head in heads)}
+        used |= keys
+        if not keys:
+            unexplained.append(f"{name}:{own[0]} {qual}: {heads[-1]}")
+    assert unexplained == []
+    # an entry whose statements now run, or are gone, leaves the list
+    assert sorted(set(LINES_ALLOWED) - used) == []
+    # and each test named as a reason is a test function of its file
+    for reason in sorted(set(LINES_ALLOWED.values()) - {RING}):
+        path, _, name = reason.partition("::")
+        assert name in {node.name for node in parse(ROOT / "tests" / path).body if isinstance(node, ast.FunctionDef)}, reason
