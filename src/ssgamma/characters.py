@@ -13,13 +13,12 @@ Conventions recorded here (and echoed in CLI output metadata):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
-from .padic import is_int, is_odd_prime, rational_valuation
+from .padic import Record, is_int, is_odd_prime, rational_valuation
 
 
 class CharacterError(Exception):
@@ -90,26 +89,26 @@ def _index_table(p: int) -> dict:
     return tab
 
 
-@dataclass(frozen=True)
-class TameCharacter:
+class TameCharacter(Record):
     """Tame character of Q_p^x: units via zeta_(p-1)^(j * ind_g), plus a
     free monomial value at the uniformizer."""
 
-    prime: int
-    unit_exponent: int  # j in 0..p-2
-    value_at_uniformizer: ExactScalar = None
+    __slots__ = ("prime", "unit_exponent", "value_at_uniformizer")  # unit_exponent is j in 0..p-2
 
-    def __post_init__(self):
-        if not is_odd_prime(self.prime):
-            raise CharacterError(f"p must be an odd prime, got {self.prime}")
-        if not is_int(self.unit_exponent) or not 0 <= self.unit_exponent <= self.prime - 2:
-            raise CharacterError(f"unit exponent must lie in 0..{self.prime - 2}, got {self.unit_exponent!r}")
-        if self.value_at_uniformizer is None:
-            object.__setattr__(self, "value_at_uniformizer", ExactScalar.one(self.prime))
-        if not isinstance(self.value_at_uniformizer, ExactScalar) or self.value_at_uniformizer.prime != self.prime:
-            raise CharacterError(f"value at the uniformizer must be an ExactScalar over {self.prime}")
-        if not self.value_at_uniformizer.is_monomial():
+    def __init__(self, prime: int, unit_exponent: int, value_at_uniformizer: ExactScalar = None):
+        if not is_odd_prime(prime):
+            raise CharacterError(f"p must be an odd prime, got {prime}")
+        if not is_int(unit_exponent) or not 0 <= unit_exponent <= prime - 2:
+            raise CharacterError(f"unit exponent must lie in 0..{prime - 2}, got {unit_exponent!r}")
+        if value_at_uniformizer is None:
+            value_at_uniformizer = ExactScalar.one(prime)
+        if not isinstance(value_at_uniformizer, ExactScalar) or value_at_uniformizer.prime != prime:
+            raise CharacterError(f"value at the uniformizer must be an ExactScalar over {prime}")
+        if not value_at_uniformizer.is_monomial():
             raise CharacterError("value at the uniformizer must be a monomial")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "unit_exponent", unit_exponent)
+        object.__setattr__(self, "value_at_uniformizer", value_at_uniformizer)
 
     def unit_value(self, residue: int) -> CyclotomicNumber:
         p, j = self.prime, self.unit_exponent

@@ -64,13 +64,12 @@ f_s = tau(x) q^(h v/2) (q^-s)^(k v), v = v_p(x) (_section): Phi at
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import CyclotomicNumber
 from .scalars import ExactScalar
-from .padic import is_int, is_odd_prime, rational_valuation
+from .padic import Record, is_int, is_odd_prime, rational_valuation
 from .matrices import coset_decompose, coset_decompose_gl, so_torus
 from .characters import TameCharacter, tame_class, tame_eval
 
@@ -170,35 +169,36 @@ def _check_t(t, ell: int, p: int) -> tuple:
     return t
 
 
-@dataclass(frozen=True)
-class IntegralConfig:
-    prime: int
-    ell: int
-    zeta: CyclotomicNumber
-    tau: TameCharacter
-    level: int = 3  # N
-    cutoff: int = 1  # V
-    mode: str = "support-aware"
-    t: tuple = None
+class IntegralConfig(Record):
+    __slots__ = ("prime", "ell", "zeta", "tau", "level", "cutoff", "mode", "t")  # level is N, cutoff V
 
-    def __post_init__(self):
-        check_prime(self.prime)
-        _check_tau(self.tau)
-        if self.tau.prime != self.prime:
-            raise IntegralError(f"tau is a character of Q_{self.tau.prime}, not of Q_{self.prime}")
-        check_domain(self.ell, self.level, self.cutoff)
-        check_sign(self.zeta)
-        if self.mode not in ("support-aware", "brute-force"):
+    def __init__(self, prime, ell, zeta, tau, level=3, cutoff=1, mode="support-aware", t=None):
+        check_prime(prime)
+        _check_tau(tau)
+        if tau.prime != prime:
+            raise IntegralError(f"tau is a character of Q_{tau.prime}, not of Q_{prime}")
+        check_domain(ell, level, cutoff)
+        check_sign(zeta)
+        if mode not in ("support-aware", "brute-force"):
             raise IntegralError("mode must be support-aware or brute-force")
-        object.__setattr__(self, "t", _check_t(self.t, self.ell, self.prime))
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "t", _check_t(t, ell, prime))
 
 
-@dataclass(frozen=True)
-class GammaResult:
-    computed: ExactScalar
-    predicted: ExactScalar
-    matches: bool
-    metadata: dict = field(default_factory=dict, compare=False)
+class GammaResult(Record, compared=("computed", "predicted", "matches")):
+    __slots__ = ("computed", "predicted", "matches", "metadata")
+
+    def __init__(self, computed: ExactScalar, predicted: ExactScalar, matches: bool, metadata: dict = None):
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "matches", matches)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +610,14 @@ def match_so_gl(ell: int, tau: TameCharacter, zeta: CyclotomicNumber, cfg: Integ
 # support scans
 
 
-@dataclass(frozen=True)
-class SupportPoint:
-    z: Fraction
-    y: tuple
-    nonzero: bool
-    predicted: bool
+class SupportPoint(Record):
+    __slots__ = ("z", "y", "nonzero", "predicted")
+
+    def __init__(self, z: Fraction, y: tuple, nonzero: bool, predicted: bool):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "nonzero", nonzero)
+        object.__setattr__(self, "predicted", predicted)
 
 
 def scan_support(

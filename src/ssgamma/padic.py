@@ -1,4 +1,4 @@
-"""The p-adic valuation of a rational number.
+"""The p-adic valuation of a rational number, and the base of the records.
 
 Elements of Q_p are plain Fractions throughout the package; the prime
 travels beside them.  The uniformizer is p itself and the residue field
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 INF = math.inf
 
@@ -41,3 +42,33 @@ def rational_valuation(x: Fraction, p: int):
         d //= p
         v -= 1
     return v
+
+
+class Record:
+    """A frozen record over __slots__; == and hash read the `compared` fields, all by default."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compared=None):
+        cls._key = attrgetter(*(compared or cls.__slots__))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a record equals itself, as it did compared field by field; the shortcut keeps tau == tau fast
+        return other is self or self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)

@@ -11,10 +11,9 @@ stays an opaque token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .padic import is_int, is_odd_prime, rational_valuation
+from .padic import Record, is_int, is_odd_prime, rational_valuation
 
 
 class ParameterError(Exception):
@@ -52,13 +51,15 @@ def kappa_units(x, p: int) -> int:
     return legendre(res, p)
 
 
-@dataclass(frozen=True)
-class ParamData:
-    ell: int
-    prime: int
-    depth: Fraction
-    kappa_table: tuple  # kappa on 1..p-1
-    depth_check: dict = field(compare=False)
+class ParamData(Record, compared=("ell", "prime", "depth", "kappa_table")):
+    __slots__ = ("ell", "prime", "depth", "kappa_table", "depth_check")  # kappa_table: kappa on 1..p-1
+
+    def __init__(self, ell: int, prime: int, depth: Fraction, kappa_table: tuple, depth_check: dict):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "kappa_table", kappa_table)
+        object.__setattr__(self, "depth_check", depth_check)
 
     @property
     def degree(self):

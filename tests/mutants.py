@@ -39,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 INTEGRALS = "src/ssgamma/integrals.py"
 MATRICES = "src/ssgamma/matrices.py"
+PADIC = "src/ssgamma/padic.py"
+RECORDS = "tests/test_records.py::test_records_keep_the_frozen_dataclass_interface"
 TIMEOUT = 600  # seconds for one mutant's tests
 WORKERS = 2  # mutants run at once, each in its own copy
 
@@ -447,6 +449,31 @@ MUTANTS = (
             "tests/test_integrals.py::test_an_int_zeta_is_the_sign_it_names[minus_one_at_order_4]",
             "tests/test_integrals.py::test_an_int_zeta_is_the_sign_it_names[one_at_order_6]",
         ),
+    ),
+    # the records
+    Mutant(
+        "GammaResult equality reads metadata",
+        INTEGRALS,
+        'class GammaResult(Record, compared=("computed", "predicted", "matches")):\n',
+        "class GammaResult(Record):\n",
+        (RECORDS,),
+    ),
+    Mutant(
+        "a record field can be assigned after construction",
+        PADIC,
+        "    def __setattr__(self, name, *value):\n",
+        "    def __setattr__(self, name, *value):\n"
+        "        if value and name in self.__slots__:\n"
+        "            return object.__setattr__(self, name, *value)\n",
+        (RECORDS,),
+    ),
+    Mutant(
+        "IntegralConfig stores t as given, not through _check_t",
+        INTEGRALS,
+        '        object.__setattr__(self, "t", _check_t(t, ell, prime))\n',
+        "        _check_t(t, ell, prime)\n"
+        '        object.__setattr__(self, "t", t)\n',
+        (RECORDS,),
     ),
 )
 

@@ -35,6 +35,7 @@ from ssgamma.characters import TameCharacter, tame_eval
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     IntegralConfig,
+    gamma_gl_closed,
     gamma_so,
     jpss_gl_gamma,
     match_so_gl,
@@ -151,6 +152,19 @@ def test_so_gl_gamma_identification():
                 assert match_so_gl(ell, tau, zeta, cfg=cfg)
 
 
+def test_so_gl_identification_computed_at_l_2():
+    """The computed SO(5) gamma equals the computed JPSS GL(4) gamma on
+    every cell at p in {3, 5}, N = 2, V = 1: zeta = +-1, every j and
+    tau(pi) in {1, -2/3}, 24 cells."""
+    for p in (3, 5):
+        for zeta in (C.one(), -C.one()):
+            for j in range(p - 1):
+                for tau_pi in (1, Fraction(-2, 3)):
+                    tau = TameCharacter(p, j, ES(p, tau_pi))
+                    cfg = IntegralConfig(p, 2, zeta, tau, level=2, cutoff=1)
+                    assert match_so_gl(2, tau, zeta, cfg=cfg), (p, zeta, j, tau_pi)
+
+
 @pytest.mark.parametrize("ell,p", [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (2, 7), (3, 5), (3, 7)])
 def test_affine_character_conjugation_invariance(ell, p):
     rng = random.Random(1000 * ell + p)
@@ -234,6 +248,22 @@ def test_truncation_stabilization_brute_force_at_l_2():
                 )
                 assert phi_eval(a) == phi_eval(b) == phi_eval(c)
                 assert phi_star_eval(a) == phi_star_eval(b) == phi_star_eval(c)
+
+
+def test_jpss_truncation_stabilization():
+    """The brute-force JPSS gamma does not move as the window grows: at
+    (N, V) = (2, 1), (2, 2) and (3, 1), for (n, p) = (4, 3), (2, 5) and
+    (2, 7), every cell equals gamma_gl_closed, at every zeta with
+    zeta^n = 1, every j and tau(pi) in {1, -2/3}: 168 cells."""
+    for n, p in ((4, 3), (2, 5), (2, 7)):
+        for level, cutoff in ((2, 1), (2, 2), (3, 1)):
+            for k in range(n):
+                zeta = C.root_of_unity(n, k)
+                for j in range(p - 1):
+                    for tau_pi in (1, Fraction(-2, 3)):
+                        tau = TameCharacter(p, j, ES(p, tau_pi))
+                        res = jpss_gl_gamma(n, tau, zeta, level=level, cutoff=cutoff)
+                        assert res.computed == gamma_gl_closed(n, tau, zeta), (n, p, level, cutoff, k, j, tau_pi)
 
 
 def test_depth_bookkeeping():

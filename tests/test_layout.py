@@ -16,7 +16,8 @@ neither package row test, and oracles.py imports neither: it factors
 with the oracle's own Fraction solvers, so a bug cannot hide in both
 sides of a comparison.
 sympy is a test-side oracle only: importing it took most of `import
-ssgamma`.
+ssgamma`.  Nor is dataclasses imported, which loads inspect with it: the
+records are plain classes over padic.Record.
 
 tests/mutants.py patches the package by exact text, so each of its
 mutants is checked here to still apply: its old text occurs exactly
@@ -169,7 +170,8 @@ def test_every_mutant_still_applies():
 
 
 def test_package_imports_no_heavy_dependency():
-    code = "import sys, ssgamma, ssgamma.cli; print(sorted({'sympy', 'mpmath', 'numpy'} & set(sys.modules)))"
+    heavy = "{'sympy', 'mpmath', 'numpy', 'dataclasses', 'inspect'}"
+    code = f"import sys, ssgamma, ssgamma.cli; print(sorted({heavy} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -291,6 +293,13 @@ REACH_ALLOWED = {
     "scalars.ExactScalar.__neg__",
     "scalars.ExactScalar.__repr__",
     "scalars.ExactScalar.__sub__",
+    # the record interface, pinned by test_records.py::test_records_keep_the_frozen_dataclass_interface
+    "padic.Record.__hash__",
+    "padic.Record.__reduce__",
+    "padic.Record.__repr__",
+    "padic.Record.__setattr__",
+    # runs on import, as each record class is made, before any entry point
+    "padic.Record.__init_subclass__",
 }
 
 # Statements of called package functions that no entry point above
@@ -310,6 +319,7 @@ LINES_ALLOWED = {
     ("integrals.match_so_gl", "return False"): "test_integrals.py::test_match_so_gl_is_false_when_the_closed_forms_differ",
     ("integrals.scan_support", "verdict = False"): "test_integrals.py::test_scan_support_detects_wrong_predicate",
     ("matrices.row_in_iplus", "if x % q:"): "test_matrices.py::test_in_iplus_is_the_valuation_definition",
+    ("padic.Record.__eq__", "return NotImplemented"): "test_records.py::test_records_keep_the_frozen_dataclass_interface",
     ("cyclotomic.CyclotomicNumber.__pow__", "if n < 0:"): RING,
     ("cyclotomic.CyclotomicNumber.__pow__", "if n == 1:"): RING,
     ("cyclotomic.CyclotomicNumber.__eq__", "other = CyclotomicNumber.from_rational(other)"): RING,
