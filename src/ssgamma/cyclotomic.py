@@ -7,8 +7,8 @@ polynomial only when equality, serialization or inversion is needed.
 This keeps the hot path (multiplying by roots of unity, summing many
 character values) cheap while equality stays exactly decidable.
 
-Inversion solves a linear system over Q in that basis, with the one
-exact elimination the package has (matrices._solve_row).
+Inversion divides the product of the other Galois conjugates by the
+norm, a rational.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-from .matrices import _solve_row
 
 
 @lru_cache(maxsize=None)
@@ -192,22 +190,23 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """The c = sum_j c_j zeta^j (j < phi(m)) with self * c = 1: the row
-        c with c . B = (1, 0, ..., 0), where row j of B is the reduced form
-        of self * zeta^j, solved by the shared exact elimination.  One term
-        c * zeta^e needs none: the solution is c^(-1) * zeta^(-e), canonical."""
+        """The c = sum_j c_j zeta^j (j < phi(m)) with self * c = 1, stored
+        canonical.  One term c * zeta^e gives c^(-1) * zeta^(-e).  Otherwise
+        c^(-1) = P / N(c): P the product of the conjugates sigma_k(c)
+        (zeta -> zeta^k) over the k prime to m other than 1, and the norm
+        N(c) = c P, a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         m = self.order
         if len(self.coeffs) == 1:
             ((e, c),) = self.coeffs.items()
             return CyclotomicNumber(m, dict(enumerate(CyclotomicNumber(m, {-e: 1 / c}).reduced())))
-        rows = [
-            CyclotomicNumber(m, {e + j: c for e, c in self.coeffs.items()}).reduced()
-            for j in range(len(self.reduced()))
-        ]
-        one = [Fraction(1)] + [Fraction(0)] * (len(rows) - 1)
-        return CyclotomicNumber(m, dict(enumerate(_solve_row(rows, one))))
+        conj = CyclotomicNumber.one(m)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = conj * CyclotomicNumber(m, {e * k: c for e, c in self.coeffs.items()})
+        norm = (self * conj).reduced()[0]
+        return CyclotomicNumber(m, {j: c / norm for j, c in enumerate(conj.reduced())})
 
     def __pow__(self, n: int):
         if n < 0:

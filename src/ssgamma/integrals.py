@@ -13,23 +13,25 @@ Two evaluation modes:
 A window (_z_windows, _y_windows) is one measure weight, that of every
 class off the padding shell, and the class representatives, each marked
 on or off the shell.  A support-aware window is one class with its own
-measure, z0 (1 + p) or p, and states the SO support lemma: off those
+measure, p^(-i) (1 + p) or p, and states the SO support lemma: off those
 classes the integrand vanishes on the brute-force window, which
 scan_support checks against the brute-force enumeration.
 
-Every side (Phi, Phi*, and the JPSS plain and dual sides) is one entry
-of one store, _BUCKETS: the (buckets, record) pair of one enumeration,
-_enumerate.  It walks an outer window and, at each outer point, counts
-the points of the rank-fold product of an inner window that pass the
-side's row test, over the inner points it makes once per side with
-their share of the work, and adds the count straight into the bucket
-x0 of the point's tame class, x0 the least point of the class (the
-comment above _BUCKETS has why that merge is exact).  The record holds
-every point that passed.  An SO side is one enumeration, z outer and y
-inner at rank l - 1 (_so_buckets), and the modes differ only in their
-windows.  A JPSS side (_gl_buckets) has a over the brute-force
-multiplicative window and x over the brute-force y window at V = 0:
-the plain side at rank 0, the dual side at rank n - 2.
+Every side (Phi, Phi*, and the JPSS plain and dual sides) is one row of
+one table, _SIDES: its coset index i, its integrand family and the text
+of its BoundaryNonvanishing.  One builder, _side_buckets, makes the
+(buckets, record) pair of any side by the one enumeration, _enumerate,
+kept as one entry of one store, _BUCKETS.  _enumerate walks an outer
+window and, at each outer point, counts the points of the rank-fold
+product of an inner window that pass the side's row test, over the inner
+points it makes once per side with their share of the work, and adds
+the count straight into the bucket x0 of the point's tame class, x0 the
+least point of the class (the comment above _BUCKETS has why that merge
+is exact).  The record holds every point that passed.  The outer point
+(z or a) runs over _z_windows and the inner point (y or x) over
+_y_windows: at V on SO, at rank l - 1, where the modes differ only in
+their windows; at V = 0 on JPSS, which is brute-force only, at rank 0 on
+the plain side and n - 2 on the dual side.
 
 The lemma: W is zeta^i times "the rows lie in I+", i fixed by the side.
 Each integrand, at its one coset index i, is a lower-triangular matrix of
@@ -49,15 +51,15 @@ corner of u k is that of k, in 1 + p for k in I+, and Phi g_chi and
 Phi* have 0 there.  A dual x with an x_i outside o names a j != 1,
 where the bottom-right block of rows and columns 1..n-1 of the
 integrand times g_chi^(-j) is singular, and a point of U g_chi^j Z I+
-has a unit minor there; so _gl_buckets rejects such an x before any a,
+has a unit minor there; so _side_buckets rejects such an x before any a,
 by the bottom row of k, the one row D leaves alone.  W(Phi*(z, y)) =
 zeta W(Phi(p z, -y)) needs chi(g_chi k g_chi) = chi(k), which is what
 _check_t's t_(l+1) = t_1 mod p gives; no value reads t otherwise.
 
-Every zeta integral is then zeta^i times one bucket sum (_bucket_sum)
-of part * f_s(x0) over the buckets of one side, with one section
-f_s = tau(x) q^(h v/2) (q^-s)^(k v), v = v_p(x) (_section): Phi at
-(tau, z, 1, 1), Phi* at (tau, -1/z, 1, 1), the JPSS plain side at
+Every zeta integral (_integral) is then zeta^i times one bucket sum
+(_bucket_sum) of part * f_s(x0) over the buckets of one side, with one
+section f_s = tau(x) q^(h v/2) (q^-s)^(k v), v = v_p(x) (_section): Phi
+at (tau, z, 1, 1), Phi* at (tau, -1/z, 1, 1), the JPSS plain side at
 (tau, a, n - 1, 1) and the JPSS dual side at (tau^-1, a, n - 3, -1).
 """
 
@@ -207,7 +209,7 @@ class GammaResult(Record, compared=("computed", "predicted", "matches")):
 # Every integrand is a fixed lower-triangular matrix of its inner point
 # (y or x) times a diagonal torus element D of its outer point (z or a):
 # m D on SO and D k on the JPSS sides (the module docstring).  The
-# builders write those rows in closed form as scaled rows (nums, den),
+# builder writes those rows in closed form as scaled rows (nums, den),
 # entries nums[c] / den (matrices.py), once per inner point, and each
 # point tests them times its D, made once per outer point
 # (coset_decompose, coset_decompose_gl).
@@ -247,7 +249,7 @@ def _gl_dual_rows(x, p):
     p g_chi^(-1) each entry moves one place left, the one that wraps round
     unscaled and the others times p: that is k.  The central character is
     trivial, so W takes the same value at a times the integrand, which is
-    diag(a, ..., a, 1) k g_chi / p (_gl_buckets)."""
+    diag(a, ..., a, 1) k g_chi / p (_side_buckets)."""
     n = len(x) + 2
     lcd = lcm(*(c.denominator for c in x))
     bottom = [0] + [-p * c.numerator * (lcd // c.denominator) for c in reversed(x)] + [lcd]
@@ -279,9 +281,9 @@ def _gl_dual_rows(x, p):
 # BoundaryNonvanishing that names the first such point in loop order.
 #
 # _BUCKETS holds one (buckets, record) entry per side, keyed by its
-# builder (_so_buckets or _gl_buckets) and the builder's arguments.
-# scan_support reads the entry (_entry); every other reader reads the
-# buckets, which raise when they are a BoundaryNonvanishing (_buckets).
+# builder, _side_buckets, and the builder's arguments.  scan_support
+# reads the entry (_entry); every other reader reads the buckets, which
+# raise when they are a BoundaryNonvanishing (_buckets).
 
 _BUCKETS: dict = {}
 
@@ -309,7 +311,7 @@ def _buckets(build, *args):
 def _y_windows(p, level, cutoff, mode):
     """(weight, [(y rep, on_shell)]) for one y coordinate.  Support-aware
     it is one class, p, of measure vol(p) = q^(-1/2), valued at 0 (see
-    _so_buckets).  Brute-force the classes are the cosets of p^N in
+    _side_buckets).  Brute-force the classes are the cosets of p^N in
     p^-V o, plus the p^-(V+1) padding shell, each of measure vol(o) / p^N."""
     if mode == "support-aware":
         return ExactScalar.from_coeff(p, F1, q_half=-1), [(F0, False)]
@@ -321,14 +323,15 @@ def _y_windows(p, level, cutoff, mode):
     return weight, reps
 
 
-def _z_windows(p, level, cutoff, mode, side):
-    """(weight, [(z rep, on_shell)]) for the multiplicative domain.
-    Support-aware it is one class, z0 (1 + p), of measure vol(1 + p) =
-    1/(q - 1), valued at z0 = 1 on Phi and 1/p on Phi* (z^(-1) in
-    pi (1 + p); see _so_buckets).  Brute-force the classes are the cosets
-    of 1 + p^N at valuations -V-1 .. V+1, the outer two the padding shell."""
+def _z_windows(p, level, cutoff, mode, i):
+    """(weight, [(z rep, on_shell)]) for the multiplicative domain of a
+    side at coset index i.  Support-aware it is one class, p^(-i) (1 + p),
+    of measure vol(1 + p) = 1/(q - 1), valued at z0 = p^(-i) (see
+    _side_buckets); it is also the JPSS support in a.  Brute-force the
+    classes are the cosets of 1 + p^N at valuations -V-1 .. V+1, the
+    outer two the padding shell."""
     if mode == "support-aware":
-        return ExactScalar.from_coeff(p, Fraction(1, p - 1)), [(Fraction(1, p) if side == "phi_star" else F1, False)]
+        return ExactScalar.from_coeff(p, Fraction(1, p - 1)), [(Fraction(1, p**i), False)]
     weight = ExactScalar.from_coeff(p, Fraction(1, (p - 1) * p ** (level - 1)))
     return weight, [
         (Fraction(p) ** v * a, abs(v) > cutoff)
@@ -385,41 +388,76 @@ def _enumerate(p, outer, inner, rank, prepare, test, shell):
     return {x0: weight * ExactScalar.from_coeff(p, count) for x0, count in sums.values()}, record
 
 
-def _so_buckets(p, ell, level, cutoff, mode, side):
-    """(buckets, record) of one SO side, by _enumerate: z0 -> the
-    weighted count of the points where W != 0, over the y domain and the
-    z of one tame class (see the comment above _BUCKETS), and the point
-    loop's record of those points.  By the lemma (module docstring) W at
-    a Phi point (z, y) is 1 when every row of m(y) h(z) lies in I+, and
-    at a Phi* point zeta when every row of m(-y) h(p z) does; 0
-    otherwise.  So each y is written once, as m(y) or m(-y) (_so_rows),
-    and each point tests those rows times its torus (coset_decompose),
-    in both modes; _assemble applies Phi*'s zeta.  No value reads t, so
-    one entry serves every t.
+# Every side is one row of _SIDES: side -> (i, family, shell), W = zeta^i
+# on the side's points that pass.  The family is "SO", the integrand
+# m((-1)^i y) h(p^i z) (_so_rows), or "JPSS", D k with k the identity at
+# i = 0 and the dual rows (_gl_dual_rows) at i = 1; shell is the text of
+# the BoundaryNonvanishing of a nonzero point on the padding shell.
 
-    Each support-aware window is one class, valued at one point, since W
-    is constant on both classes.  On Phi, with z in 1 + p and each y_k in
-    p, every row of m(y) h(z) is in I+: row 0 is z e_0, row 1 + k has
-    y_k z below the diagonal, and the bottom row -y left of 1/z.  The
-    map (z, y) -> (p z, -y) takes the Phi* class, z in p^(-1) (1 + p)
-    and y_k in p, onto the Phi class.  The brute-force windows reach z
-    and y outside them."""
+_SIDES = {
+    "phi": (0, "SO", "nonzero phi integrand at the padding shell: z={}, y={}"),
+    "phi_star": (1, "SO", "nonzero phi_star integrand at the padding shell: z={}, y={}"),
+    "plain": (0, "JPSS", "nonzero JPSS plain integrand at the padding shell: a={}, x={}"),
+    "dual": (1, "JPSS", "nonzero JPSS dual integrand at the padding shell: a={}, x={}"),
+}
 
-    star = side == "phi_star"
 
-    def test(z):
-        diag = so_torus(p * z if star else z, 2 * ell + 1)
-        return lambda rows: coset_decompose(rows, diag, p) is not None
+def _side_buckets(side, p, n, level, cutoff, mode):
+    """(buckets, record) of one side of _SIDES on n x n matrices (n =
+    2l + 1 on SO), by _enumerate: x0 -> the weighted count of the points
+    where W != 0, over the inner domain and the outer points of one tame
+    class (see the comment above _BUCKETS), and the point loop's record
+    of those points.  By the lemma (module docstring) W at a point is
+    zeta^i when every row of its integrand lies in I+, and 0 otherwise;
+    _integral applies the zeta^i.  No value reads t, so one entry serves
+    every t.
 
-    return _enumerate(
-        p,
-        _z_windows(p, level, cutoff, mode, side),
-        _y_windows(p, level, cutoff, mode),
-        ell - 1,
-        lambda y: _so_rows(tuple(-c for c in y) if star else y),
-        test,
-        f"nonzero {side} integrand at the padding shell: z={{}}, y={{}}",
-    )
+    SO: z outer and y inner, at rank l - 1 over the y window at V.  Each
+    y is written once, as m(y) on Phi and m(-y) on Phi* (_so_rows), and
+    each point tests those rows times its torus h(p^i z)
+    (coset_decompose), in both modes.  Each support-aware window is one
+    class, valued at one point, since W is constant on both classes.  On
+    Phi, with z in 1 + p and each y_k in p, every row of m(y) h(z) is in
+    I+: row 0 is z e_0, row 1 + k has y_k z below the diagonal, and the
+    bottom row -y left of 1/z.  The map (z, y) -> (p z, -y) takes the
+    Phi* class, z in p^(-1) (1 + p) and y_k in p, onto the Phi class.
+    The brute-force windows reach z and y outside them.
+
+    JPSS: a outer and x inner, over the y window at V = 0: o mod p^N
+    (vol(o) = q^(1/2)) plus the p^(-1) padding shell.  The plain side
+    evaluates W(diag(a, I_(n-1))), and the dual side W(w_long t(m)^(-1)
+    w_(n,1)) with m = 1 + (a - 1) E_00 + sum x_r E_(1+r,0).  A point is
+    D k: D = diag(a, 1, ..., 1) and k = 1 on the plain side, D =
+    diag(a, ..., a, 1) and k the rows _gl_dual_rows writes on the dual
+    side.  The rank is the number of entries of D that are a, less one.
+    The rows of k that D leaves alone are tested once per x
+    (coset_decompose_gl at d = 1), so a dual x with an x_i outside o
+    leaves the walk before any a, and each point tests the rows D scales
+    by a.  jpss_gl_gamma builds these sides brute-force only."""
+    i, family, shell = _SIDES[side]
+    if family == "SO":
+        rank, inner_cutoff = (n - 3) // 2, cutoff
+
+        def prepare(y):
+            return _so_rows(tuple(-c for c in y) if i else y)
+
+        def test(z):
+            diag = so_torus(p**i * z, n)
+            return lambda rows: coset_decompose(rows, diag, p) is not None
+
+    else:
+        count = n - 1 if i else 1  # the entries of D that are a
+        rank, inner_cutoff = count - 1, 0
+
+        def prepare(x):
+            rows = _gl_dual_rows(x, p) if i else _unit_rows(n, range(n))
+            return None if coset_decompose_gl(rows, F1, p, count) is None else rows[:count]
+
+        def test(a):
+            return lambda rows: coset_decompose_gl(rows, a, p) is not None
+
+    windows = _z_windows(p, level, cutoff, mode, i), _y_windows(p, level, inner_cutoff, mode)
+    return _enumerate(p, *windows, rank, prepare, test, shell)
 
 
 def _section(tau: TameCharacter, x, h: int, k: int) -> ExactScalar:
@@ -444,23 +482,37 @@ def _bucket_sum(buckets, p: int, section) -> ExactScalar:
     return total
 
 
-def _assemble(cfg: IntegralConfig, side: str) -> ExactScalar:
+def _integral(side, tau, zeta, n, level, cutoff, mode) -> ExactScalar:
+    """The zeta integral of one side of _SIDES: zeta^i times the sum of
+    its buckets against its section (_section), (tau, z or -1/z, 1, 1) on
+    SO, since Phi* reads b_1^* z^(-1) = -1/z, and (tau^(+-1), a,
+    n - 1 - 2i, 1 - 2i) on JPSS."""
+    i, family, _ = _SIDES[side]
+    p = tau.prime
+    buckets = _buckets(_side_buckets, side, p, n, level, cutoff, mode)
+    if family == "SO":
+        total = _bucket_sum(buckets, p, lambda z: _section(tau, FM1 / z if i else z, 1, 1))
+    else:
+        tau_i = tau.inverse() if i else tau
+        total = _bucket_sum(buckets, p, lambda a: _section(tau_i, a, n - 1 - 2 * i, 1 - 2 * i))
+    return total * zeta if i else total
+
+
+def _check_cfg(cfg) -> None:
     if not isinstance(cfg, IntegralConfig):
         raise IntegralError(f"cfg must be an IntegralConfig, got {cfg!r}")
-    buckets = _buckets(_so_buckets, cfg.prime, cfg.ell, cfg.level, cfg.cutoff, cfg.mode, side)
-    star = side == "phi_star"  # Phi* reads b_1^* z^(-1) = -1/z, and its W is zeta^1
-    total = _bucket_sum(buckets, cfg.prime, lambda z: _section(cfg.tau, FM1 / z if star else z, 1, 1))
-    return total * cfg.zeta if star else total
 
 
 def phi_eval(cfg: IntegralConfig) -> ExactScalar:
     """Phi(W, f_s) as an exact finite sum."""
-    return _assemble(cfg, "phi")
+    _check_cfg(cfg)
+    return _integral("phi", cfg.tau, cfg.zeta, 2 * cfg.ell + 1, cfg.level, cfg.cutoff, cfg.mode)
 
 
 def phi_star_eval(cfg: IntegralConfig) -> ExactScalar:
     """Phi*(W, f_s); the second-exterior-power gamma prefactor is 1 here."""
-    return _assemble(cfg, "phi_star")
+    _check_cfg(cfg)
+    return _integral("phi_star", cfg.tau, cfg.zeta, 2 * cfg.ell + 1, cfg.level, cfg.cutoff, cfg.mode)
 
 
 def predicted_gamma_so(tau: TameCharacter, zeta: CyclotomicNumber) -> ExactScalar:
@@ -512,48 +564,6 @@ def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> Exact
     )
 
 
-def _gl_buckets(n: int, p: int, level: int, cutoff: int, side: str):
-    """(buckets, record) of one JPSS side, by _enumerate: a0 -> the
-    weighted count of the points where W != 0, over x and over the a of
-    tame_class(a0) (the sections read a only through that class), and
-    the point loop's record of those points.
-
-    a runs over the brute-force z window.  The plain side, at rank 0,
-    evaluates W(diag(a, I_(n-1))), and the dual side, at rank n - 2,
-    W(w_long t(m)^(-1) w_(n,1)) with m = 1 + (a - 1) E_00 +
-    sum x_r E_(1+r,0).  Each coordinate of x runs over the brute-force y
-    window at V = 0: o mod p^N (vol(o) = q^(1/2)) plus the p^(-1)
-    padding shell.
-
-    By the lemma (module docstring) a point is D k, D = diag(a, 1, ...,
-    1) and k the identity on the plain side, where W is 1, and D =
-    diag(a, ..., a, 1) and k the rows _gl_dual_rows writes on the dual
-    side, where W is zeta (jpss_gl_gamma applies it), when every row of
-    D k lies in I+; W is 0 otherwise.  The rows of k that D leaves alone
-    are tested once per x (coset_decompose_gl at d = 1), so a dual x with
-    an x_i outside o leaves the walk before any a, and each point tests
-    the rows D scales by a."""
-    dual = side == "dual"
-    count = n - 1 if dual else 1  # the entries of D that are a
-
-    def prepare(x):
-        rows = _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))
-        return None if coset_decompose_gl(rows, F1, p, count) is None else rows[:count]
-
-    def test(a):
-        return lambda rows: coset_decompose_gl(rows, a, p) is not None
-
-    return _enumerate(
-        p,
-        _z_windows(p, level, cutoff, "brute-force", "phi"),
-        _y_windows(p, level, 0, "brute-force"),
-        n - 2 if dual else 0,
-        prepare,
-        test,
-        f"nonzero JPSS {side} integrand at the padding shell: a={{}}, x={{}}",
-    )
-
-
 def jpss_gl_gamma(
     n: int,
     tau: TameCharacter,
@@ -568,18 +578,14 @@ def jpss_gl_gamma(
     if n < 2:
         raise Unsupported("need n >= 2")
     _check_tau(tau)
-    p = tau.prime
     check_domain(n - 1, level, cutoff)  # the x window is the SO y window of rank n - 1
     predicted = gamma_gl_closed(n, tau, zeta)  # checks zeta^n = 1 before any enumeration
     # plain first, so that a plain shell error is raised ahead of a dual one
-    plain, dual = (_buckets(_gl_buckets, n, p, level, cutoff, side) for side in ("plain", "dual"))
-    tau_inv = tau.inverse()
-    plain = _bucket_sum(plain, p, lambda a: _section(tau, a, n - 1, 1))
-    dual = _bucket_sum(dual, p, lambda a: _section(tau_inv, a, n - 3, -1)) * zeta  # W is zeta^1 there
+    plain, dual = (_integral(side, tau, zeta, n, level, cutoff, "brute-force") for side in ("plain", "dual"))
     if plain.is_zero():
         raise ZeroDenominator("JPSS plain integral vanished")
     computed = tame_eval(tau, -1) ** (n - 1) * dual / plain
-    meta = {"p": p, "n": n, "level": level, "cutoff": cutoff}
+    meta = {"p": tau.prime, "n": n, "level": level, "cutoff": cutoff}
     return GammaResult(computed, predicted, computed == predicted, meta)
 
 
@@ -648,19 +654,20 @@ def scan_support(
     complete even where the buckets are a BoundaryNonvanishing."""
     check_prime(p)
     check_domain(ell, level, cutoff)
-    if side not in ("phi", "phi_star"):
+    if side not in _SIDES or _SIDES[side][1] != "SO":
         raise IntegralError(f"side must be phi or phi_star, got {side!r}")
     _check_t(t, ell, p)  # a checked input, which no value reads
+    i = _SIDES[side][0]
     nonzero_at: dict = {}  # z -> the y of its nonzero points
-    for z, y in _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side)[1]:
+    for z, y in _entry(_side_buckets, side, p, 2 * ell + 1, level, cutoff, "brute-force")[1]:
         nonzero_at.setdefault(z, set()).add(y)
-    z_class = tame_class(_z_windows(p, level, cutoff, "support-aware", side)[1][0][0], p)
+    z_class = tame_class(_z_windows(p, level, cutoff, "support-aware", i)[1][0][0], p)
     y0 = _y_windows(p, level, cutoff, "support-aware")[1][0][0]
     ys = [y for y, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
     ys_in = [all(c) for c in itertools.product([rational_valuation(y - y0, p) >= 1 for y in ys], repeat=ell - 1)]
     points = []
     verdict = True
-    for z, _ in _z_windows(p, level, cutoff, "brute-force", side)[1]:
+    for z, _ in _z_windows(p, level, cutoff, "brute-force", i)[1]:
         here = nonzero_at.get(z, ())
         z_in = tame_class(z, p) == z_class
         for y, y_in in zip(itertools.product(ys, repeat=ell - 1), ys_in):

@@ -1,5 +1,6 @@
 """Matrices over Q_p as scaled integer rows: the I+ row test and the
-per-point row tests of the integrands, plus the one exact linear solver.
+per-point row tests of the integrands, plus mat_inv, the one exact linear
+solver, which bench/tracer.py wraps.
 
 A scaled row is a pair (nums, den), a list of ints and a nonzero int,
 with entries nums[c] / den.  The I+ test is a set of congruences on the
@@ -60,14 +61,6 @@ def mat_inv(a):
     m = [list(row) + [F1 if c == r else F0 for c in range(n)] for r, row in enumerate(a)]
     _gauss_jordan(m, n)
     return [row[n:] for row in m]
-
-
-def _solve_row(bmat, v):
-    """The row c with c . B = v, exactly (the system B^T c^T = v^T)."""
-    n = len(bmat)
-    m = [[bmat[r][c] for r in range(n)] + [v[c]] for c in range(n)]
-    _gauss_jordan(m, n)
-    return [row[n] for row in m]
 
 
 def row_in_iplus(r, row, p) -> bool:

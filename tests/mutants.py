@@ -128,8 +128,8 @@ MUTANTS = (
     Mutant(
         "the scan builds its own uncached entry",
         INTEGRALS,
-        '    for z, y in _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side)[1]:\n',
-        '    for z, y in _so_buckets(p, ell, level, cutoff, "brute-force", side)[1]:\n',
+        '    for z, y in _entry(_side_buckets, side, p, 2 * ell + 1, level, cutoff, "brute-force")[1]:\n',
+        '    for z, y in _side_buckets(side, p, 2 * ell + 1, level, cutoff, "brute-force")[1]:\n',
         ("tests/test_kernel.py::test_support_scan_reads_the_brute_force_record",),
     ),
     Mutant(
@@ -156,8 +156,8 @@ MUTANTS = (
     Mutant(
         "support-aware z window off by one class",
         INTEGRALS,
-        'if side == "phi_star" else F1, False)]',
-        'if side == "phi_star" else F1 + 1, False)]',
+        "[(Fraction(1, p**i), False)]",
+        "[(Fraction(1, p**i) + 1, False)]",  # Phi*'s z0 stays in its tame class
         (
             "tests/test_integrals.py::test_scan_support_matches_predicate[phi]",
             "tests/test_padic.py::test_repset_units_example",
@@ -167,8 +167,8 @@ MUTANTS = (
     Mutant(
         "Phi*'s base point 1 instead of 1/p",
         INTEGRALS,
-        '[(Fraction(1, p) if side == "phi_star" else F1, False)]',
-        '[(F1 if side == "phi_star" else F1, False)]',
+        "[(Fraction(1, p**i), False)]",
+        "[(F1, False)]",
         (
             "tests/test_integrals.py::test_scan_support_matches_predicate[phi_star]",
             "tests/test_integrals.py::test_phi_star_value",
@@ -234,8 +234,10 @@ MUTANTS = (
     Mutant(
         "the dual torus with a in its first entry only",
         INTEGRALS,
-        "    count = n - 1 if dual else 1  # the entries of D that are a\n",
-        "    count = 1  # the entries of D that are a\n",
+        "        count = n - 1 if i else 1  # the entries of D that are a\n"
+        "        rank, inner_cutoff = count - 1, 0\n",
+        "        count = 1  # the entries of D that are a\n"
+        "        rank, inner_cutoff = n - 2 if i else 0, 0\n",
         (
             "tests/test_gl.py::test_jpss_support_lemma[3-3]",
             "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-3]",
@@ -245,8 +247,8 @@ MUTANTS = (
     Mutant(
         "the dual side's rows made at the first x only",
         INTEGRALS,
-        "        rows = _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))\n",
-        '        rows = prepare.__dict__.setdefault("rows", _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n)))\n',
+        "            rows = _gl_dual_rows(x, p) if i else _unit_rows(n, range(n))\n",
+        '            rows = prepare.__dict__.setdefault("rows", _gl_dual_rows(x, p) if i else _unit_rows(n, range(n)))\n',
         (
             "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
             "tests/test_gl.py::test_gl_buckets_are_pinned[3-5-240ec5d98bb77f8f93ed17dd3e5c43cad6e1009e48d73ae2ee335ddc721c013c]",
@@ -255,7 +257,7 @@ MUTANTS = (
     Mutant(
         "the plain side's rows used on the dual side",
         INTEGRALS,
-        "_gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))\n",
+        "_gl_dual_rows(x, p) if i else _unit_rows(n, range(n))\n",
         "_unit_rows(n, range(n))\n",
         (
             "tests/test_gl.py::test_the_bottom_step_made_once_per_x_changes_no_point[3-5]",
@@ -286,12 +288,35 @@ MUTANTS = (
             "tests/test_integrals.py::test_jpss_n3",
         ),
     ),
+    # the table of sides
+    Mutant(
+        "Phi* at coset index 0 in _SIDES",
+        INTEGRALS,
+        '    "phi_star": (1, "SO",',
+        '    "phi_star": (0, "SO",',
+        (
+            "tests/test_integrals.py::test_phi_star_value",
+            "tests/test_integrals.py::test_gamma_trivial_tau",
+            "tests/test_kernel.py::test_so_buckets_are_pinned[5-3-None-phi_star-726f88a12d53fd7450175b7cc79ca714b0a9ac39fb6c2ad08559b284bcb3e326]",
+        ),
+    ),
+    Mutant(
+        "the JPSS inner window at the domain's V",
+        INTEGRALS,
+        "        rank, inner_cutoff = count - 1, 0\n",
+        "        rank, inner_cutoff = count - 1, cutoff\n",
+        # no bucket or record changes: an x outside o is rejected before any a
+        (
+            "tests/test_gl.py::test_gl_enumeration_inverts_nothing",
+            "tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",
+        ),
+    ),
     # Phi* valued as Phi at (p z, -y), assembled times zeta^1, and the SO row test
     Mutant(
         "Phi* valued at z instead of p z",
         INTEGRALS,
-        "so_torus(p * z if star else z,",
-        "so_torus(z if star else z,",
+        "so_torus(p**i * z, n)",
+        "so_torus(z, n)",
         (
             "tests/test_integrals.py::test_phi_star_value",
             "tests/test_kernel.py::test_so_buckets_are_pinned[5-3-None-phi_star-726f88a12d53fd7450175b7cc79ca714b0a9ac39fb6c2ad08559b284bcb3e326]",
@@ -301,8 +326,8 @@ MUTANTS = (
     Mutant(
         "Phi* valued at +y",
         INTEGRALS,
-        "        lambda y: _so_rows(tuple(-c for c in y) if star else y),\n",
-        "        lambda y: _so_rows(y),\n",
+        "            return _so_rows(tuple(-c for c in y) if i else y)\n",
+        "            return _so_rows(y)\n",
         # no value changes: y_k z is in p exactly when -y_k z is, so only the
         # rows the row test returns show it
         ("tests/test_matrices.py::test_kernels_match_the_fraction_reference_on_the_brute_force_windows",),
@@ -322,7 +347,7 @@ MUTANTS = (
     Mutant(
         "Phi* assembled without zeta",
         INTEGRALS,
-        "    return total * cfg.zeta if star else total\n",
+        "    return total * zeta if i else total\n",
         "    return total\n",
         (
             "tests/test_integrals.py::test_phi_star_value",
@@ -334,11 +359,9 @@ MUTANTS = (
     Mutant(
         "zeta applied to the plain side, not the dual",
         INTEGRALS,
-        "    plain = _bucket_sum(plain, p, lambda a: _section(tau, a, n - 1, 1))\n"
-        "    dual = _bucket_sum(dual, p, lambda a: _section(tau_inv, a, n - 3, -1)) * zeta  # W is zeta^1 there\n",
-        "    plain = _bucket_sum(plain, p, lambda a: _section(tau, a, n - 1, 1)) * zeta\n"
-        "    dual = _bucket_sum(dual, p, lambda a: _section(tau_inv, a, n - 3, -1))\n",
-        # zeta = 1 / zeta at n = 2, so only n >= 3 shows it
+        "    return total * zeta if i else total\n",
+        "    return total if i else total * zeta\n",
+        # zeta = 1 / zeta at n = 2 and on SO, so only n >= 3 shows it
         (
             "tests/test_integrals.py::test_jpss_n3",
             "tests/test_integrals.py::test_jpss_reads_each_side_from_its_own_entry",
@@ -421,8 +444,8 @@ MUTANTS = (
     Mutant(
         "the Phi* section taken at 1/z, as if b_1^* were 1",
         INTEGRALS,
-        "FM1 / z if star else z",
-        "F1 / z if star else z",
+        "FM1 / z if i else z",
+        "F1 / z if i else z",
         (
             "tests/test_integrals.py::test_b1_star_is_minus_one[3]",
             "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-brute-force]",
@@ -431,8 +454,8 @@ MUTANTS = (
     Mutant(
         "the JPSS dual section at q^((n-1) v/2)",
         INTEGRALS,
-        "_section(tau_inv, a, n - 3, -1)",
-        "_section(tau_inv, a, n - 1, -1)",
+        "_section(tau_i, a, n - 1 - 2 * i, 1 - 2 * i)",
+        "_section(tau_i, a, n - 1, 1 - 2 * i)",
         (
             "tests/test_integrals.py::test_jpss_matches_closed_form",
             "tests/test_integrals.py::test_jpss_n3",

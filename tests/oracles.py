@@ -9,7 +9,8 @@ defined here is defined again in src/.
     its group, verified on request), the products, transpose, the
     involution g -> g*, the determinant by its own forward elimination
     and the inverse by cofactors (cramer_inv), so nothing here runs the
-    package's Gauss-Jordan, the I+ test in_iplus, read off valuations
+    package's Gauss-Jordan, a Gauss-Jordan of its own (solve_row), the
+    reference for CyclotomicNumber.inverse, the I+ test in_iplus, read off valuations
     (the package has only its row test, inside the elimination), the SO
     test so_check, and the normalizers g_chi_so and g_chi_gl.
   * The generic Whittaker function (whittaker_eval): the factors of the
@@ -128,6 +129,24 @@ def cramer_inv(a):
         return [row[:c] + row[c + 1 :] for i, row in enumerate(a) if i != r]
 
     return [[(-1) ** (r + c) * mat_det(minor(c, r)) / det for c in range(n)] for r in range(n)]
+
+
+def solve_row(bmat, v):
+    """The row c with c . B = v, by Gauss-Jordan elimination of the system
+    B^T c^T = v^T; raises NotInGroup when B is singular."""
+    n = len(bmat)
+    m = [[bmat[r][c] for r in range(n)] + [v[c]] for c in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            raise NotInGroup("matrix is singular")
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n] for row in m]
 
 
 def mat_star(a):

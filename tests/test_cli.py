@@ -89,7 +89,7 @@ def test_scan_support_negative_control(capsys, monkeypatch):
     # support-aware window: the scan must report the mismatch
     real = integrals._z_windows
     monkeypatch.setattr(
-        integrals, "_z_windows", lambda p, level, cutoff, mode, side: real(p, level, cutoff, mode, "phi")
+        integrals, "_z_windows", lambda p, level, cutoff, mode, i: real(p, level, cutoff, mode, 0)
     )
     code, out = run(capsys, "scan-support", "--p", "3", "--ell", "1", "--side", "phi-star")
     assert code == EXIT_MISMATCH

@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import solve_row
 from ssgamma.cyclotomic import CyclotomicNumber as C
-from ssgamma.matrices import _solve_row
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -70,11 +70,19 @@ def sparse_elements(draw):
 @settings(max_examples=100, deadline=None)
 @given(sparse_elements())
 def test_inverse_of_sparse_elements(x):
+    """The inverse, by the norm for several terms, stores what the
+    elimination stores: the solution of sum_j c_j reduced(x zeta^j) = 1
+    by the oracle's solve_row, with the same coefficients in the same key
+    order."""
     inv = x.inverse()
-    phi = totient(x.order)
+    m = x.order
+    phi = totient(m)
     assert x * inv == C.one()
-    assert inv.order == x.order
+    assert inv.order == m
     assert all(0 <= e < phi for e in inv.coeffs)
+    rows = [C(m, {e + j: c for e, c in x.coeffs.items()}).reduced() for j in range(phi)]
+    solved = solve_row(rows, [Fraction(1)] + [Fraction(0)] * (phi - 1))
+    assert list(inv.coeffs.items()) == list(C(m, dict(enumerate(solved))).coeffs.items())
 
 
 @given(st.integers(1, 30), rationals.filter(bool))
@@ -140,7 +148,7 @@ def test_a_one_term_inverse_stores_the_elimination(data):
     e = data.draw(st.integers(phi, phi + 2 * m))
     c = data.draw(rationals.filter(bool))
     rows = [C(m, {e + j: c}).reduced() for j in range(phi)]
-    solved = _solve_row(rows, [Fraction(1)] + [Fraction(0)] * (phi - 1))
+    solved = solve_row(rows, [Fraction(1)] + [Fraction(0)] * (phi - 1))
     want = C(m, dict(enumerate(solved)))
     got = C(m, {e: c}).inverse()
     assert (got.order, got.coeffs) == (want.order, want.coeffs)

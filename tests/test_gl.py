@@ -1,11 +1,12 @@
-"""The JPSS GL(n) x GL(1) enumeration, integrals._gl_buckets.
+"""The JPSS GL(n) x GL(1) sides, "plain" and "dual", of integrals._SIDES.
 
-The enumeration is the SO one: each side is one call of _enumerate, the
-single point loop and tame-class merge of integrals.py, and one
-(buckets, record) entry of the one bucket store, as each SO side is.  a
-runs over the brute-force multiplicative window _z_windows and each x
-coordinate over _y_windows at V = 0 (o mod p^N plus the p^(-1) shell).
-The plain side runs at rank 0 and the dual side at rank n - 2.  By the
+The enumeration is the SO one: each side is a row of _SIDES, built by
+the one builder _side_buckets through _enumerate, the single point loop
+and tame-class merge of integrals.py, and kept as one (buckets, record)
+entry of the one bucket store, as each SO side is.  a runs over the
+brute-force multiplicative window _z_windows and each x coordinate over
+_y_windows at V = 0 (o mod p^N plus the p^(-1) shell).  The plain side
+runs at rank 0 and the dual side at rank n - 2.  By the
 lemma of integrals.py a point is D k at its one coset index j, with k
 lower triangular, and W there is zeta^j when every row of D k lies in
 I+, and 0 otherwise.  The enumeration counts the points that pass, and
@@ -69,9 +70,10 @@ from oracles import (
 from ssgamma.characters import tame_class
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
+    _SIDES,
     _entry,
-    _gl_buckets,
     _gl_dual_rows,
+    _side_buckets,
     _unit_rows,
     _y_windows,
     _z_windows,
@@ -84,14 +86,14 @@ LEVEL, CUTOFF = 2, 1
 
 
 def a_window(p):
-    """The a of _gl_buckets: p^v u, |v| <= V + 1 (the padding shell
+    """The a of a JPSS side of _side_buckets: p^v u, |v| <= V + 1 (the padding shell
     included), u a unit mod p^N."""
     units = st.integers(1, p**LEVEL - 1).filter(lambda u: u % p)
     return st.builds(lambda v, u: Fraction(p) ** v * u, st.integers(-CUTOFF - 1, CUTOFF + 1), units)
 
 
 def x_window(p):
-    """The x coordinates of _gl_buckets: o mod p^N, and the p^(-1) shell."""
+    """The x coordinates of a JPSS side of _side_buckets: o mod p^N, and the p^(-1) shell."""
     shell = st.integers(1, p ** (LEVEL + 1) - 1).filter(lambda u: u % p)
     return st.one_of(st.integers(0, p**LEVEL - 1).map(Fraction), shell.map(lambda u: Fraction(u, p)))
 
@@ -117,7 +119,7 @@ def at_index(a, x, n, p, dual):
 
 
 def passes_at(a, x, n, p, dual):
-    """Whether _gl_buckets finds the point (a, x): whether the rows of k
+    """Whether _side_buckets finds the point (a, x): whether the rows of k
     that D leaves alone pass the row test at d = 1, made once per x, and
     those it scales pass at d = a."""
     rows = _gl_dual_rows(x, p) if dual else _unit_rows(n, range(n))
@@ -127,7 +129,7 @@ def passes_at(a, x, n, p, dual):
 
 def recorded(a, x, n, p, side):
     """Whether the enumeration records the point (a, x) of its window."""
-    return (a, x) in _entry(_gl_buckets, n, p, LEVEL, CUTOFF, side)[1]
+    return (a, x) in _entry(_side_buckets, side, p, n, LEVEL, CUTOFF, "brute-force")[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +156,7 @@ def kernel_value(p, zeta, j, found):
 
 @st.composite
 def window_points(draw):
-    """(n, p, dual, a, x, e): a point _gl_buckets evaluates, x = () on the
+    """(n, p, dual, a, x, e): a point _side_buckets evaluates, x = () on the
     plain side, and the primitive n-th root of unity zeta_n^e."""
     n, p, dual = draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from((3, 5, 7))), draw(st.booleans())
     a = draw(a_window(p))
@@ -173,7 +175,7 @@ def window_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(window_points())
 def test_evaluator_matches_whittaker_eval_on_the_windows(point):
-    """The points _gl_buckets evaluates, valued as it values them (zeta^j
+    """The points _side_buckets evaluates, valued as it values them (zeta^j
     where its row test passes, 0 elsewhere), against the oracle's W at the integrand
     itself: diag(a, I_(n-1)) on the plain side, and on the dual side the
     integrand whose a-multiple the engine values.  And the oracle's own
@@ -222,7 +224,7 @@ def window_values(n, p, side):
         return [[a * v for v in row] for row in rows[:-1]] + rows[-1:]
 
     out = []
-    for a, _ in _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")[1]:
+    for a, _ in _z_windows(p, LEVEL, CUTOFF, "brute-force", 0)[1]:
         for x in inner:
             if dual:
                 w, g = (times_d(a, rows) for rows in base[x])
@@ -250,7 +252,7 @@ def test_evaluator_matches_whittaker_eval_on_the_support():
             # a in one class of p^(N-1) units, each x_i in o mod p^N on the dual side
             found = p ** (LEVEL - 1) * (p ** (LEVEL * (n - 2)) if side == "dual" else 1)
             assert sum(not want.is_zero() for *_, want in points) == found
-            assert len(_entry(_gl_buckets, n, p, LEVEL, CUTOFF, side)[1]) == found
+            assert len(_entry(_side_buckets, side, p, n, LEVEL, CUTOFF, "brute-force")[1]) == found
 
 
 @pytest.mark.parametrize("n,p", WINDOWS)
@@ -350,10 +352,14 @@ def bucket_digest(buckets):
     ],
 )
 def test_gl_buckets_are_pinned(n, p, digest):
-    # _gl_buckets is the enumeration itself, one side a call; the store
+    # _side_buckets is the enumeration itself, one side a call; the store
     # sits in front of it.  The digests were taken of both sides in one
     # dict keyed (side, j, a0).
-    both = {(side, a0): part for side in SIDES for a0, part in _gl_buckets(n, p, LEVEL, CUTOFF, side)[0].items()}
+    both = {
+        (side, a0): part
+        for side in SIDES
+        for a0, part in _side_buckets(side, p, n, LEVEL, CUTOFF, "brute-force")[0].items()
+    }
     assert bucket_digest(both) == digest
 
 
@@ -364,7 +370,7 @@ def pointwise_side(n, p, side):
     all pass counted per tame class of a point by point, keyed by the
     least a of the class, and recorded with whether they lie on the
     padding shell."""
-    a_weight, as_ = _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")
+    a_weight, as_ = _z_windows(p, LEVEL, CUTOFF, "brute-force", 0)
     x_weight, xs = _y_windows(p, LEVEL, 0, "brute-force")
     rank = 0 if side == "plain" else n - 2
     record, sums = {}, {}
@@ -386,14 +392,14 @@ def pointwise_side(n, p, side):
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (4, 3), (3, 5)])
 def test_the_bottom_step_made_once_per_x_changes_no_point(n, p):
-    """_gl_buckets tests the rows of k that D leaves alone once per x (once
+    """_side_buckets tests the rows of k that D leaves alone once per x (once
     per side on the plain side, whose k is the identity for every a): the
     bottom row on the dual side, rows 1..n-1 on the plain side.  Each
     point tests the rows D scales by its a.  Each side's buckets and
     record, the record's order included, are those of pointwise_side,
     which tests every row of every point."""
     for side in SIDES:
-        buckets, record = _gl_buckets(n, p, LEVEL, CUTOFF, side)
+        buckets, record = _side_buckets(side, p, n, LEVEL, CUTOFF, "brute-force")
         want_buckets, want_record = pointwise_side(n, p, side)
         assert list(record.items()) == list(want_record.items()), side
         assert buckets == want_buckets, side
@@ -407,20 +413,25 @@ def test_jpss_support_lemma(n, p):
     """The JPSS support at N = 2, V = 1, read off the record of nonzero
     points of each side's store entry: W(diag(a, I)) != 0 exactly at
     a in 1 + p, and on the dual side exactly at a in p^(-1)(1 + p) with
-    every x_i in o, each off the shell.  The windows run over the whole brute-force
-    domain, padding shells included."""
-    as_ = [a for a, _ in _z_windows(p, LEVEL, CUTOFF, "brute-force", "phi")[1]]
+    every x_i in o, each off the shell.  The windows run over the whole
+    brute-force domain, padding shells included.  On each side the
+    support in a is the tame class of the one point of the support-aware
+    z window at the side's coset index i, p^(-i) (1 + p)."""
+    as_ = [a for a, _ in _z_windows(p, LEVEL, CUTOFF, "brute-force", 0)[1]]
     xs = [x for x, shell in _y_windows(p, LEVEL, 0, "brute-force")[1] if not shell]
     assert all(rational_valuation(x, p) >= 0 for x in xs)
-    _, plain = _entry(_gl_buckets, n, p, LEVEL, CUTOFF, "plain")
+    _, plain = _entry(_side_buckets, "plain", p, n, LEVEL, CUTOFF, "brute-force")
     assert plain == {(a, ()): False for a in as_ if rational_valuation(a - 1, p) >= 1}
-    _, dual = _entry(_gl_buckets, n, p, LEVEL, CUTOFF, "dual")
+    _, dual = _entry(_side_buckets, "dual", p, n, LEVEL, CUTOFF, "brute-force")
     assert dual == {
         (a, x): False
         for a in as_
         if rational_valuation(p * a - 1, p) >= 1
         for x in itertools.product(xs, repeat=n - 2)
     }
+    for side, record in (("plain", plain), ("dual", dual)):
+        a0 = _z_windows(p, LEVEL, CUTOFF, "support-aware", _SIDES[side][0])[1][0][0]
+        assert {a for a, _ in record} == {a for a in as_ if tame_class(a, p) == tame_class(a0, p)}, side
 
 
 def test_gl_enumeration_inverts_nothing(count_calls):
@@ -450,7 +461,7 @@ def test_gl_enumeration_inverts_nothing(count_calls):
     g g_chi^(-j) / z in full 75,000."""
     calls = count_calls("mat_inv", "coset_decompose_gl", "row_in_iplus")
     for side in SIDES:
-        _gl_buckets(3, 5, LEVEL, CUTOFF, side)
+        _side_buckets(side, 5, 3, LEVEL, CUTOFF, "brute-force")
     assert calls["coset_decompose_gl"] == 126 + 25 * 100 + 100 == 2_726
     assert calls["coset_decompose_gl.found"] == 26 + 130 == 156
     assert calls["row_in_iplus"] == 125 + 2 + 2 * 125 + 2_375 + 100 == 2_852

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import SectionSpec, b_element, intertwine_M, section_eval
-from ssgamma import cyclotomic, integrals, matrices
+from ssgamma import cyclotomic, integrals
 from ssgamma.characters import CharacterError, TameCharacter, tame_eval
 from ssgamma.cli import scalar_str
 from ssgamma.cyclotomic import CyclotomicNumber as C
@@ -78,7 +78,7 @@ def test_b1_star_is_minus_one(p):
         assert integrals._section(tau, -1 / z, 1, 1) == ES(p, 1, v, v) * tame_eval(tau, b / z)
     # and phi_star_eval takes the section there, at each bucket's z, times Phi*'s zeta^1
     want = ExactScalar.zero(p)
-    buckets, _ = integrals._so_buckets(p, 1, cfg.level, cfg.cutoff, cfg.mode, "phi_star")
+    buckets, _ = integrals._side_buckets("phi_star", p, 3, cfg.level, cfg.cutoff, cfg.mode)
     for z, part in buckets.items():
         v = rational_valuation(1 / z, p)
         want = want + part * ES(p, 1, v, v) * tame_eval(tau, b / z)
@@ -150,21 +150,27 @@ def test_a_warm_cell_makes_almost_no_reductions_and_no_elimination(monkeypatch, 
     """A warm cell multiplies and adds values that are almost all one term
     c * zeta^e, and divides by the rational Phi.  Before the monomial fast
     paths of the ring, each of these cells made 26 to 28 polynomial
-    remainders and one Gauss-Jordan elimination.  Counts, not timings:
+    remainders and one Gauss-Jordan elimination, the inverse of a value
+    of several terms, which the norm now gives.  Counts, not timings:
     they repeat exactly."""
     cfg = IntegralConfig(p, ell, -C.one(), TameCharacter(p, 1, ES(p, coeff, 1)))
     gamma_so(cfg)  # the cold call builds the buckets
-    calls = {"_poly_rem": 0, "_gauss_jordan": 0}
-    for module, name in ((cyclotomic, "_poly_rem"), (matrices, "_gauss_jordan")):
+    calls = {"_poly_rem": 0, "inverse of several terms": 0}
+    poly_rem, inverse = cyclotomic._poly_rem, C.inverse
 
-        def counted(*args, name=name, original=getattr(module, name)):
-            calls[name] += 1
-            return original(*args)
+    def counted_rem(*args):
+        calls["_poly_rem"] += 1
+        return poly_rem(*args)
 
-        monkeypatch.setattr(module, name, counted)
+    def counted_inverse(x):
+        calls["inverse of several terms"] += len(x.coeffs) > 1
+        return inverse(x)
+
+    monkeypatch.setattr(cyclotomic, "_poly_rem", counted_rem)
+    monkeypatch.setattr(C, "inverse", counted_inverse)
     assert gamma_so(cfg).matches
     assert calls["_poly_rem"] <= 2
-    assert calls["_gauss_jordan"] == 0
+    assert calls["inverse of several terms"] == 0
 
 
 def test_brute_force_agrees():
@@ -438,7 +444,8 @@ def test_jpss_reads_each_side_from_its_own_entry(monkeypatch):
     n, p = 3, 5
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     for side, a0, count in (("plain", F1, 2), ("dual", Fraction(1, p), 5)):
-        integrals._BUCKETS[(integrals._gl_buckets, n, p, 2, 1, side)] = {a0: ExactScalar.from_coeff(p, count)}, {}
+        key = (integrals._side_buckets, side, p, n, 2, 1, "brute-force")
+        integrals._BUCKETS[key] = {a0: ExactScalar.from_coeff(p, count)}, {}
     tau = tau_pi(p, 1, Fraction(-2, 3))
     zeta = C.root_of_unity(3, 1)
     got = jpss_gl_gamma(n, tau, zeta, level=2, cutoff=1).computed
@@ -564,7 +571,7 @@ def test_scan_support_detects_wrong_predicate(monkeypatch):
     p = 3
     real = integrals._z_windows
     monkeypatch.setattr(
-        integrals, "_z_windows", lambda prime, level, cutoff, mode, side: real(prime, level, cutoff, mode, "phi_star")
+        integrals, "_z_windows", lambda prime, level, cutoff, mode, i: real(prime, level, cutoff, mode, 1)
     )
     _, verdict = scan_support(p, 1, "phi", level=2, cutoff=1)
     assert not verdict
@@ -618,7 +625,7 @@ def test_brute_force_raises_on_a_nonzero_shell_point(monkeypatch):
     p, level, cutoff = 3, 2, 1
     calls = shell_nonzero_evaluator(monkeypatch, cutoff)
     cfg = IntegralConfig(p, 1, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
-    _, zs = integrals._z_windows(p, level, cutoff, "brute-force", "phi")
+    _, zs = integrals._z_windows(p, level, cutoff, "brute-force", 0)
     first = next(z for z, shell in zs if shell and rational_valuation(z, p) > 0)
     message = f"nonzero phi integrand at the padding shell: z={first}, y=()"
     with pytest.raises(BoundaryNonvanishing) as err:
@@ -677,7 +684,7 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
 
     monkeypatch.setattr(integrals, "coset_decompose", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
-    z = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if not shell)
+    z = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", 0)[1] if not shell)
     y = next(y for y, shell in integrals._y_windows(p, level, cutoff, "brute-force")[1] if shell)
     cfg = IntegralConfig(p, 2, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
     with pytest.raises(BoundaryNonvanishing) as err:
@@ -685,7 +692,7 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
     assert str(err.value) == f"nonzero phi integrand at the padding shell: z={z}, y={(y,)}"
     # the scan reads the record the failed evaluation left, which holds
     # every such point, several at each z
-    zs = integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1]
+    zs = integrals._z_windows(p, level, cutoff, "brute-force", 0)[1]
     ys = integrals._y_windows(p, level, cutoff, "brute-force")[1]
     points, verdict = scan_support(p, 2, "phi", level=level, cutoff=cutoff)
     assert verdict is False
@@ -703,7 +710,7 @@ def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypat
     built first, is not read once the cache is replaced."""
     p, ell, level, cutoff = 3, 2, 2, 1
     assert scan_support(p, ell, "phi", level=level, cutoff=cutoff)[1] is True  # the real record, cached
-    z0 = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if shell)
+    z0 = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", 0)[1] if shell)
     y0 = integrals._y_windows(p, level, cutoff, "brute-force")[1][0][0]
     real = integrals.coset_decompose
 
@@ -751,7 +758,7 @@ def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatc
 
     monkeypatch.setattr(integrals, "coset_decompose_gl", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
-    a = next(a for a, shell in integrals._z_windows(p, level, cutoff, "brute-force", "phi")[1] if not shell)
+    a = next(a for a, shell in integrals._z_windows(p, level, cutoff, "brute-force", 0)[1] if not shell)
     x = next(x for x, shell in integrals._y_windows(p, level, 0, "brute-force")[1] if shell)
     with pytest.raises(BoundaryNonvanishing) as err:
         jpss_gl_gamma(3, trivial_tau(p), C.one(), level=level, cutoff=cutoff)

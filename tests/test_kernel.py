@@ -34,7 +34,7 @@ synthetic inner window checks that an inner point whose preparation is
 None leaves the walk: the predicate never sees it.
 
 The last tests check that each support-aware window is one class,
-valued at one point, (z0, 0) (_so_buckets).  Its lemma, g(z, y) =
+valued at one point, (z0, 0) (_side_buckets).  Its lemma, g(z, y) =
 g(z0, 0) k with k in I+ and chi(k) = 1, is checked with oracle products
 alone at every point of both unfolded classes of five small (p, l) at
 random t, beside negative controls: a y_k of valuation 0, or a unit w
@@ -85,8 +85,9 @@ from ssgamma.integrals import (
     IntegralConfig,
     _entry,
     _enumerate,
+    _SIDES,
+    _side_buckets,
     _so_rows,
-    _so_buckets,
     _y_windows,
     _z_windows,
     gamma_so,
@@ -163,7 +164,7 @@ def integrand(side, z, y, ell, p):
 
 
 def passes_at(side, z, y, p):
-    """Whether _so_buckets finds the point (z, y): whether the rows at
+    """Whether _side_buckets finds the point (z, y): whether the rows at
     (1, y'), made once per y, times h(d) pass the row test."""
     d, y, _ = phi_point(side, z, y, p)
     return coset_decompose(_so_rows(y), so_torus(d, 2 * len(y) + 3), p) is not None
@@ -271,7 +272,7 @@ def window_values(side):
     spec = WhittakerSpec(p, "SO", ell, -C.one(), T_WINDOW)
     ys = [c for c, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
     out = []
-    for z, _ in _z_windows(p, level, cutoff, "brute-force", side)[1]:
+    for z, _ in _z_windows(p, level, cutoff, "brute-force", _SIDES[side][0])[1]:
         for y in itertools.product(ys, repeat=ell - 1):
             g = generic_matrix(p, ell, side, z, y)
             out.append((z, y, g, whittaker_eval(spec, g)))
@@ -289,7 +290,7 @@ def test_evaluator_matches_whittaker_eval_on_the_double_coset():
     p, ell, level, cutoff = WINDOW
     for side in SIDES:
         i = int(side == "phi_star")
-        record = _entry(_so_buckets, p, ell, level, cutoff, "brute-force", side)[1]
+        record = _entry(_side_buckets, side, p, 2 * ell + 1, level, cutoff, "brute-force")[1]
         points = window_values(side)
         assert len(points) == 30 * 81
         for z, y, _, want in points:
@@ -393,7 +394,7 @@ def unfolded(p, level, side=None):
     if side is None:
         windows = (_y_windows(p, level, 1, mode) for mode in modes)
     else:
-        windows = (_z_windows(p, level, 1, mode, side) for mode in modes)
+        windows = (_z_windows(p, level, 1, mode, _SIDES[side][0]) for mode in modes)
     return unfold_class(p, *windows, side is not None)
 
 
@@ -407,7 +408,7 @@ def nonzero_points(p, ell, level, mode, side):
     if mode == "support-aware":
         (zw, zs), (yw, ys) = unfolded(p, level, side), unfolded(p, level)
     else:
-        (zw, zs), (yw, ys) = _z_windows(p, level, 1, mode, side), _y_windows(p, level, 1, mode)
+        (zw, zs), (yw, ys) = _z_windows(p, level, 1, mode, _SIDES[side][0]), _y_windows(p, level, 1, mode)
     out = []
     for z, _ in zs:
         for y in itertools.product([c for c, _ in ys], repeat=ell - 1):
@@ -546,7 +547,7 @@ FOLD_CASES = [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2)]
 @given(st.data())
 def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
     """The lemma behind the one-point support-aware windows in
-    _so_buckets, in z as well as y, with oracle products alone: at every
+    _side_buckets, in z as well as y, with oracle products alone: at every
     point (z, y) of the z and y classes unfolded from the brute-force
     windows at N = 2, on both sides, k = g(z0, 0)^(-1) g(z, y) lies in I+
     and chi(k) = 1 at t drawn from the family, so W(g(z, y)) =
@@ -562,7 +563,7 @@ def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
     zero = (F0,) * (ell - 1)
     seen = 0
     for side in SIDES:
-        z0 = _z_windows(p, level, 1, "support-aware", side)[1][0][0]
+        z0 = _z_windows(p, level, 1, "support-aware", _SIDES[side][0])[1][0][0]
         base_inv = generic_matrix(p, ell, side, z0, zero).inv()
         for w in range(2, p):
             assert not in_iplus((base_inv * generic_matrix(p, ell, side, z0 * w, zero)).rows, p), (side, w)
@@ -580,7 +581,7 @@ def test_w_is_constant_in_y_on_the_support_aware_windows(p, ell, data):
 
 def so_walk(p, ell, side, zs, ys):
     """_enumerate over the outer window zs and the inner window ys, with
-    the SO row test _so_buckets gives it: the rows at (1, y'), y' = y on
+    the SO row test _side_buckets gives it: the rows at (1, y'), y' = y on
     Phi and -y on Phi*, made once per y, times h(z) or h(p z)."""
     one = ExactScalar.one(p)
 
@@ -598,13 +599,13 @@ def loop_points(p, ell, side, t, level, sample=None):
     """The number of points valued.  The walk (so_walk) over the
     support-aware z class unfolded from the brute-force window (or a
     seeded sample of its z, sample = (seed, count)) and the unfolded
-    (l-1)-fold y class finds every point, as the one point _so_buckets
+    (l-1)-fold y class finds every point, as the one point _side_buckets
     values, (z0, 0), is found: its record is every point, in loop order,
     and its one bucket, at the least z, counts them all.  W at (z0, 0),
     the oracle's at the affine weights t, is zeta^i at zeta = -1."""
     zs, ys = unfolded(p, level, side)[1], unfolded(p, level)[1]
     assert len(zs) == len(ys) == p ** (level - 1)
-    z0 = _z_windows(p, level, 1, "support-aware", side)[1][0][0]
+    z0 = _z_windows(p, level, 1, "support-aware", _SIDES[side][0])[1][0][0]
     zero = (F0,) * (ell - 1)
     assert passes_at(side, z0, zero, p), (p, ell, side)
     spec = WhittakerSpec(p, "SO", ell, -C.one(), t)
@@ -706,7 +707,7 @@ def test_so_buckets_are_pinned(p, ell, t, side, digest):
     tested.  Valuing each support-aware window as one class, at one
     point, leaves every one of them as it was."""
     IntegralConfig(p, ell, C.one(), TameCharacter(p, 0), level=3, cutoff=1, t=t)  # t is checked; no bucket reads it
-    assert so_bucket_digest(_so_buckets(p, ell, 3, 1, "support-aware", side)[0], side) == digest
+    assert so_bucket_digest(_side_buckets(side, p, 2 * ell + 1, 3, 1, "support-aware")[0], side) == digest
 
 
 @pytest.mark.parametrize("p,ell", [(11, 3), (13, 3), (7, 4), (5, 4), (3, 5)])
@@ -742,13 +743,13 @@ def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
     became Phi at (p z, -y), each y was factored at both coset indices,
     with all of m's rows mapped by g_chi for i = 1.
 
-    Support-aware, over one _so_buckets at (p, l, N, V) = (5, 3, 3, 1):
+    Support-aware, over one _side_buckets at (p, l, N, V) = (5, 3, 3, 1):
     one coset_decompose call, which passes, where valuing each z made 25
     and every point 25 * 25**2 = 15,625; it tests the point's 7 rows, on
     either side.  At any N: at (3, 2, N, 1), N = 3 and N = 6 each make
     one call a side, and give equal buckets.
 
-    Brute-force, over _so_buckets on both sides at (3, 2, 2, 1): the point
+    Brute-force, over _side_buckets on both sides at (3, 2, 2, 1): the point
     loop makes one coset_decompose call per point, 2 * 30 * 81 = 4,860,
     and 18 of them pass, the points of the support.  A box test ahead of
     the row test would take those 18 points from it, leaving 4,842 calls
@@ -760,7 +761,7 @@ def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
     if case == "brute-force":
         p, ell, level = 3, 2, 2
         for side in SIDES:
-            _so_buckets(p, ell, level, 1, "brute-force", side)
+            _side_buckets(side, p, 2 * ell + 1, level, 1, "brute-force")
         z_count = 5 * (p - 1) * p ** (level - 1)  # valuations -2..2, unit classes mod p^N
         y_count = p * p ** (level + 1)  # p^(N+V) classes and (p-1) p^(N+V) on the shell
         assert len(SIDES) * z_count * y_count ** (ell - 1) == 4_860
@@ -774,12 +775,12 @@ def test_support_aware_enumeration_values_one_point_per_side(case, count_calls):
             buckets = []
             for level in (3, 6):
                 before = calls["coset_decompose"]
-                buckets.append(_so_buckets(p, ell, level, 1, "support-aware", side)[0])
+                buckets.append(_side_buckets(side, p, 2 * ell + 1, level, 1, "support-aware")[0])
                 assert calls["coset_decompose"] - before == 1, (side, level)
             assert buckets[0] == buckets[1], side
         return
     p, ell, level = 5, 3, 3
-    _so_buckets(p, ell, level, 1, "support-aware", case)
+    _side_buckets(case, p, 2 * ell + 1, level, 1, "support-aware")
     n = 2 * ell + 1
     assert calls["coset_decompose"] == calls["coset_decompose.found"] == 1
     assert calls["row_in_iplus"] == n == 7
@@ -796,7 +797,7 @@ def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):
     p, ell, level = 3, 2, 2
     want = {}
     for side in SIDES:
-        zs = _z_windows(p, level, 1, "brute-force", side)[1]
+        zs = _z_windows(p, level, 1, "brute-force", _SIDES[side][0])[1]
         ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
         want[side] = [
             passes_at(side, z, y, p)

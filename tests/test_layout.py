@@ -14,7 +14,9 @@ oracles.py imports neither, so its in_iplus stays apart from the
 package's row test.  So is the oracle whittaker_eval, which must name
 neither package row test, and oracles.py imports neither: it factors
 with the oracle's own Fraction solvers, so a bug cannot hide in both
-sides of a comparison.
+sides of a comparison.  So is the one builder: _enumerate has one call
+site, in _side_buckets, and the table of sides, _SIDES, holds exactly
+the side names the entry points pass.
 sympy is a test-side oracle only: importing it took most of `import
 ssgamma`.  Nor is dataclasses imported, which loads inspect with it: the
 records are plain classes over padic.Record.
@@ -108,7 +110,7 @@ def test_no_oracle_name_is_defined_in_the_package():
 
 def test_scan_support_values_no_point_itself():
     """scan_support reads the nonzero points off the record of the
-    brute-force enumeration (_so_buckets).  A reference in it to the
+    brute-force enumeration (_side_buckets).  A reference in it to the
     row builder or the row test would be a second point loop."""
     tree = parse(PACKAGE / "integrals.py")
     scan = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "scan_support")
@@ -118,8 +120,42 @@ def test_scan_support_values_no_point_itself():
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    assert "_so_buckets" in names
+    assert "_side_buckets" in names
     assert sorted(names & {"_so_rows", "coset_decompose"}) == []
+
+
+def test_one_builder_enumerates_every_side():
+    """_enumerate has one call site in src/, in the one builder
+    _side_buckets, and the keys of the table of sides, _SIDES, are the
+    four side names that the public entry points of integrals.py pass to
+    _integral: a side added or dropped in one place and not the other
+    fails here."""
+    sites = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_enumerate"
+    ]
+    assert len(sites) == 1
+    tree = parse(PACKAGE / "integrals.py")
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builder = defs["_side_buckets"]
+    assert sites[0][0] == "integrals.py" and builder.lineno <= sites[0][1] <= builder.end_lineno
+    table = next(node for node in tree.body if isinstance(node, ast.Assign) and node.targets[0].id == "_SIDES")
+    passed = set()
+    for name, fn in defs.items():
+        if name.startswith("_"):
+            continue
+        bound = {
+            node.target.id: {elt.value for elt in node.iter.elts}
+            for node in ast.walk(fn)
+            if isinstance(node, ast.comprehension) and isinstance(node.iter, ast.Tuple)
+        }
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_integral":
+                side = node.args[0]
+                passed |= {side.value} if isinstance(side, ast.Constant) else bound[side.id]
+    assert {key.value for key in table.value.keys} == passed == {"phi", "phi_star", "plain", "dual"}
 
 
 def test_the_oracle_whittaker_eval_names_no_package_solver():
@@ -283,6 +319,8 @@ REACH_ALLOWED = {
     "characters.psi_exponent",
     # a bench tracer target
     "matrices.mat_inv",
+    # only mat_inv, a bench tracer target, calls it
+    "matrices._gauss_jordan",
     # the rest of the ring interface of the two scalar types
     "cyclotomic.CyclotomicNumber.__add__",
     "cyclotomic.CyclotomicNumber.__neg__",

@@ -43,11 +43,10 @@ from oracles import (
 )
 import oracles
 from ssgamma import integrals
-from ssgamma.integrals import _gl_buckets, _so_buckets, _y_windows, _z_windows
+from ssgamma.integrals import _SIDES, _side_buckets, _y_windows, _z_windows
 from ssgamma.matrices import (
     F1,
     SingularMatrix,
-    _solve_row,
     coset_decompose,
     coset_decompose_gl,
     mat_inv,
@@ -326,7 +325,7 @@ def test_elimination_inverse_solve_and_det(case, data):
     assert product(mat_inv(a), a) == identity
     assert product(cramer_inv(a), a) == identity
     v = [Fraction(data.draw(st.integers(-9, 9)), p ** data.draw(st.integers(0, 2))) for _ in range(n)]
-    c = _solve_row(a, v)
+    c = oracles.solve_row(a, v)
     assert product([c], a) == [v]
 
 
@@ -342,8 +341,8 @@ def test_singular_input_raises(case, scale):
         mat_inv(a)
     with pytest.raises(NotInGroup):
         cramer_inv(a)
-    with pytest.raises(SingularMatrix):
-        _solve_row(a, [Fraction(1)] * n)
+    with pytest.raises(NotInGroup):
+        oracles.solve_row(a, [Fraction(1)] * n)
 
 
 # --- the U * I+ factorization of the oracle ---------------------------------
@@ -636,7 +635,7 @@ def test_the_factors_of_m_scaled_by_a_torus_are_those_of_m_d_and_d_m(case, data)
     package's row tests agree, as the enumeration runs them: on m h(d)
     for odd sizes (coset_decompose), and on D m for D = diag(d, ..., d,
     1, ..., 1), testing the rows D leaves alone at d = 1 first
-    (coset_decompose_gl), as _gl_buckets does."""
+    (coset_decompose_gl), as _side_buckets does."""
     p, m = case
     n = len(m)
     entries = torus_entries(p, data.draw(st.booleans()))
@@ -687,8 +686,8 @@ def test_kernels_match_the_fraction_reference_on_the_brute_force_windows(monkeyp
     found = 0
     for side in ("phi", "phi_star"):
         calls = recorded(monkeypatch, "coset_decompose")
-        _so_buckets(p, ell, level, 1, "brute-force", side)
-        zs = _z_windows(p, level, 1, "brute-force", side)[1]
+        _side_buckets(side, p, 2 * ell + 1, level, 1, "brute-force")
+        zs = _z_windows(p, level, 1, "brute-force", _SIDES[side][0])[1]
         points = [(z, y) for z, _ in zs for y in itertools.product(ys, repeat=ell - 1)]
         assert len(calls) == len(points) == 30 * 81
         for (z, y), (_, res) in zip(points, calls):
@@ -704,14 +703,14 @@ def test_kernels_match_the_fraction_reference_on_the_brute_force_windows(monkeyp
     found = 0
     for side in ("plain", "dual"):
         calls = recorded(monkeypatch, "coset_decompose_gl")
-        _gl_buckets(n, p, level, 1, side)
+        _side_buckets(side, p, n, level, 1, "brute-force")
         inner = list(itertools.product(xs, repeat=n - 2)) if side == "dual" else [()]
         count = n - 1 if side == "dual" else 1
         prepared = calls[: len(inner)]
         assert all(args[1:] == (F1, p, count) for args, _ in prepared)
         accepted = {x for x, (_, res) in zip(inner, prepared) if res is not None}
         points = iter(calls[len(inner) :])
-        for a, _ in _z_windows(p, level, 1, "brute-force", "phi")[1]:
+        for a, _ in _z_windows(p, level, 1, "brute-force", 0)[1]:
             for x in inner:
                 if side == "dual":
                     g = [[a * v for v in row] for row in jpss_dual_integrand(a, x, n, p)]

@@ -89,23 +89,23 @@ def window_volume(window, keep=lambda x, shell: not shell):
 def test_repset_units_example():
     # the one class 1 + p at p = 3 covers the classes of 1 + p^2 with
     # representatives {1, 4, 7}
-    sa = _z_windows(3, 2, 1, "support-aware", "phi")
+    sa = _z_windows(3, 2, 1, "support-aware", 0)
     assert sa[1] == [(1, False)]
-    _, zs = unfold_class(3, sa, _z_windows(3, 2, 1, "brute-force", "phi"), True)
+    _, zs = unfold_class(3, sa, _z_windows(3, 2, 1, "brute-force", 0), True)
     assert sorted(z for z, _ in zs) == [1, 4, 7]
 
 
 def test_repset_volumes():
     p = 3
     ys = _y_windows(p, 2, 1, "brute-force")
-    zs = _z_windows(p, 2, 1, "brute-force", "phi")
+    zs = _z_windows(p, 2, 1, "brute-force", 0)
     # vol(o) = q^(1/2) and vol(p) = q^(-1/2), read off the reps of the y window
     assert window_volume(ys, lambda y, shell: rational_valuation(y, p) >= 0) == ES(p, 1, 1)
     assert window_volume(ys, lambda y, shell: rational_valuation(y, p) >= 1) == ES(p, 1, -1)
     assert window_volume(_y_windows(p, 2, 1, "support-aware")) == ES(p, 1, -1)
     # vol(o^x) = 1 and vol(1 + p) = 1/(q - 1)
     assert window_volume(zs, lambda z, shell: rational_valuation(z, p) == 0) == ExactScalar.one(p)
-    assert window_volume(_z_windows(p, 2, 1, "support-aware", "phi")) == ES(p, Fraction(1, p - 1))
+    assert window_volume(_z_windows(p, 2, 1, "support-aware", 0)) == ES(p, Fraction(1, p - 1))
 
 
 def assert_one_class(p, level, one_class, brute_force, multiplicative):
@@ -131,13 +131,13 @@ def test_repset_weights_sum_to_volume():
         sa_ys = _y_windows(p, level, cutoff, "support-aware")
         assert window_volume(sa_ys) == ES(p, 1, -1)
         assert_one_class(p, level, sa_ys, ys, False)
-        for side in ("phi", "phi_star"):
-            zs = _z_windows(p, level, cutoff, "brute-force", side)
+        for i in (0, 1):
+            zs = _z_windows(p, level, cutoff, "brute-force", i)
             # one unit of volume per valuation -V-1 .. V+1
             assert window_volume(zs, lambda z, shell: True) == ES(p, 2 * cutoff + 3)
             for z, shell in zs[1]:
                 assert shell == (abs(rational_valuation(z, p)) > cutoff)
-            sa = _z_windows(p, level, cutoff, "support-aware", side)
+            sa = _z_windows(p, level, cutoff, "support-aware", i)
             assert window_volume(sa) == ES(p, Fraction(1, p - 1))
             assert_one_class(p, level, sa, zs, True)
 
@@ -145,7 +145,7 @@ def test_repset_weights_sum_to_volume():
 def test_repset_counts():
     p, level, cutoff = 5, 2, 1
     yw = _y_windows(p, level, cutoff, "brute-force")
-    zw = _z_windows(p, level, cutoff, "brute-force", "phi")
+    zw = _z_windows(p, level, cutoff, "brute-force", 0)
     ys, zs = yw[1], zw[1]
     assert sum(1 for y, _ in ys if rational_valuation(y, p) >= 0) == 25  # o mod p^2
     assert sum(1 for y, shell in ys if not shell) == p ** (level + cutoff)
@@ -154,4 +154,4 @@ def test_repset_counts():
     assert len(zs) == (2 * cutoff + 3) * 20
     # the one support-aware class of each covers p^(N-1) of them
     assert len(unfold_class(p, _y_windows(p, level, cutoff, "support-aware"), yw, False)[1]) == p ** (level - 1)
-    assert len(unfold_class(p, _z_windows(p, level, cutoff, "support-aware", "phi"), zw, True)[1]) == p ** (level - 1)
+    assert len(unfold_class(p, _z_windows(p, level, cutoff, "support-aware", 0), zw, True)[1]) == p ** (level - 1)
