@@ -115,11 +115,6 @@ class TameCharacter(Record):
         e = _index_table(p)[residue % p]
         return CyclotomicNumber.root_of_unity(p - 1, j * e)
 
-    def inverse(self) -> "TameCharacter":
-        p = self.prime
-        inv_pi = ExactScalar.one(p) / self.value_at_uniformizer
-        return TameCharacter(p, (-self.unit_exponent) % (p - 1), inv_pi)
-
 
 def tame_class(x, p: int) -> tuple:
     """(v, r) with v = v_p(x) and r the residue mod p of the unit x / p^v.

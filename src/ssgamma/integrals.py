@@ -29,9 +29,10 @@ the count straight into the bucket x0 of the point's tame class, x0 the
 least point of the class (the comment above _BUCKETS has why that merge
 is exact).  The record holds every point that passed.  The outer point
 (z or a) runs over _z_windows and the inner point (y or x) over
-_y_windows: at V on SO, at rank l - 1, where the modes differ only in
-their windows; at V = 0 on JPSS, which is brute-force only, at rank 0 on
-the plain side and n - 2 on the dual side.
+_y_windows: at V on SO, at rank l - 1, and at V = 0 on JPSS, at rank 0
+on the plain side and n - 2 on the dual side.  The modes differ only in
+their windows; each side's support-aware inner class, p on SO and o on
+JPSS, is named in _SIDES.
 
 The lemma: W is zeta^i times "the rows lie in I+", i fixed by the side.
 Each integrand, at its one coset index i, is a lower-triangular matrix of
@@ -58,9 +59,10 @@ _check_t's t_(l+1) = t_1 mod p gives; no value reads t otherwise.
 
 Every zeta integral (_integral) is then zeta^i times one bucket sum
 (_bucket_sum) of part * f_s(x0) over the buckets of one side, with one
-section f_s = tau(x) q^(h v/2) (q^-s)^(k v), v = v_p(x) (_section): Phi
-at (tau, z, 1, 1), Phi* at (tau, -1/z, 1, 1), the JPSS plain side at
-(tau, a, n - 1, 1) and the JPSS dual side at (tau^-1, a, n - 3, -1).
+section f_s = tau(x) q^(h v/2) (q^-s)^v, v = v_p(x) (_section), read at
+a point of the outer class: Phi at (z, 1), Phi* at (-1/z, 1), the JPSS
+plain side at (a, n - 1) and the JPSS dual side at (1/a, 3 - n), since
+tau^(-1)(a) = tau(1/a).  Every section reads tau itself.
 """
 
 from __future__ import annotations
@@ -266,8 +268,9 @@ def _gl_dual_rows(x, p):
 # one enumeration serves the whole (zeta, tau) grid.  Merging the x of a
 # class is exact because tau is tame: each section reads x only through
 # tame_class(x) = (v_p(x), unit residue mod p), |x| through v and tau
-# through (v, r) (Phi* reads -1/z, whose class the class of z fixes), so
-# sum_x part(x) f_s(x) = f_s(x0) sum_x part(x) for any x0 of the class.
+# through (v, r) (Phi* reads -1/z and the JPSS dual side 1/a, whose
+# classes the class of z or a fixes), so sum_x part(x) f_s(x) = f_s(x0)
+# sum_x part(x) for any x0 of the class.
 # A bucket is keyed by x0, the least x of its class, and each x's count
 # joins its bucket as it arrives; a sum of int counts does not depend on
 # their order.
@@ -308,13 +311,15 @@ def _buckets(build, *args):
     return buckets
 
 
-def _y_windows(p, level, cutoff, mode):
+def _y_windows(p, level, cutoff, mode, e):
     """(weight, [(y rep, on_shell)]) for one y coordinate.  Support-aware
-    it is one class, p, of measure vol(p) = q^(-1/2), valued at 0 (see
-    _side_buckets).  Brute-force the classes are the cosets of p^N in
-    p^-V o, plus the p^-(V+1) padding shell, each of measure vol(o) / p^N."""
+    it is one class, p^e, of measure vol(p^e) = q^(1/2 - e), valued at 0
+    (see _side_buckets): p on SO (e = 1) and o on JPSS (e = 0), the
+    side's e in _SIDES.  Brute-force the classes are the cosets of p^N in
+    p^-V o, plus the p^-(V+1) padding shell, each of measure vol(o) / p^N;
+    they do not read e."""
     if mode == "support-aware":
-        return ExactScalar.from_coeff(p, F1, q_half=-1), [(F0, False)]
+        return ExactScalar.from_coeff(p, F1, q_half=1 - 2 * e), [(F0, False)]
     weight = ExactScalar.from_coeff(p, Fraction(1, p**level), q_half=1)
     den = p**cutoff
     count = p ** (level + cutoff)
@@ -388,17 +393,19 @@ def _enumerate(p, outer, inner, rank, prepare, test, shell):
     return {x0: weight * ExactScalar.from_coeff(p, count) for x0, count in sums.values()}, record
 
 
-# Every side is one row of _SIDES: side -> (i, family, shell), W = zeta^i
-# on the side's points that pass.  The family is "SO", the integrand
-# m((-1)^i y) h(p^i z) (_so_rows), or "JPSS", D k with k the identity at
-# i = 0 and the dual rows (_gl_dual_rows) at i = 1; shell is the text of
-# the BoundaryNonvanishing of a nonzero point on the padding shell.
+# Every side is one row of _SIDES: side -> (i, family, e, shell), W =
+# zeta^i on the side's points that pass.  The family is "SO", the
+# integrand m((-1)^i y) h(p^i z) (_so_rows), or "JPSS", D k with k the
+# identity at i = 0 and the dual rows (_gl_dual_rows) at i = 1; e names
+# the support-aware class p^e of each inner coordinate (_y_windows), p
+# for y on SO and o for x on JPSS; shell is the text of the
+# BoundaryNonvanishing of a nonzero point on the padding shell.
 
 _SIDES = {
-    "phi": (0, "SO", "nonzero phi integrand at the padding shell: z={}, y={}"),
-    "phi_star": (1, "SO", "nonzero phi_star integrand at the padding shell: z={}, y={}"),
-    "plain": (0, "JPSS", "nonzero JPSS plain integrand at the padding shell: a={}, x={}"),
-    "dual": (1, "JPSS", "nonzero JPSS dual integrand at the padding shell: a={}, x={}"),
+    "phi": (0, "SO", 1, "nonzero phi integrand at the padding shell: z={}, y={}"),
+    "phi_star": (1, "SO", 1, "nonzero phi_star integrand at the padding shell: z={}, y={}"),
+    "plain": (0, "JPSS", 0, "nonzero JPSS plain integrand at the padding shell: a={}, x={}"),
+    "dual": (1, "JPSS", 0, "nonzero JPSS dual integrand at the padding shell: a={}, x={}"),
 }
 
 
@@ -433,8 +440,11 @@ def _side_buckets(side, p, n, level, cutoff, mode):
     The rows of k that D leaves alone are tested once per x
     (coset_decompose_gl at d = 1), so a dual x with an x_i outside o
     leaves the walk before any a, and each point tests the rows D scales
-    by a.  jpss_gl_gamma builds these sides brute-force only."""
-    i, family, shell = _SIDES[side]
+    by a.  Support-aware, the x window is the one class o, of weight
+    vol(o) = q^(1/2) a coordinate, valued at 0: the support is the a
+    class times o^(n-2) (test_gl.py::test_jpss_support_lemma), so one
+    point values it.  jpss_gl_gamma builds these sides brute-force only."""
+    i, family, e, shell = _SIDES[side]
     if family == "SO":
         rank, inner_cutoff = (n - 3) // 2, cutoff
 
@@ -456,21 +466,23 @@ def _side_buckets(side, p, n, level, cutoff, mode):
         def test(a):
             return lambda rows: coset_decompose_gl(rows, a, p) is not None
 
-    windows = _z_windows(p, level, cutoff, mode, i), _y_windows(p, level, inner_cutoff, mode)
+    windows = _z_windows(p, level, cutoff, mode, i), _y_windows(p, level, inner_cutoff, mode, e)
     return _enumerate(p, *windows, rank, prepare, test, shell)
 
 
-def _section(tau: TameCharacter, x, h: int, k: int) -> ExactScalar:
-    """tau(x) q^(h v/2) (q^-s)^(k v) with v = v_p(x): the section f_s of
-    every zeta integral here, a function of tame_class(x).  f_s(h, 1) =
-    |z|^(s-1/2) tau(z) is (tau, z, 1, 1), and M(tau,s) f_s(h^(-1), b_1^*)
-    = |z^(-1)|^(s-1/2) tau(b_1^* z^(-1)) is (tau, -1/z, 1, 1), since
-    b_1^* = J t(b_1)^(-1) J = -1 for b_1 = (-1) is fixed.  The JPSS plain
-    side tau(a) |a|^(s - (n-1)/2) is (tau, a, n - 1, 1), and the dual side
-    tau^(-1)(a) |a|^((1-s) - (n-1)/2) is (tau^(-1), a, n - 3, -1)."""
+def _section(tau: TameCharacter, x, h: int) -> ExactScalar:
+    """tau(x) q^(h v/2) (q^-s)^v with v = v_p(x): the section f_s of every
+    zeta integral here, a function of tame_class(x).  f_s(h, 1) =
+    |z|^(s-1/2) tau(z) is (tau, z, 1), and M(tau,s) f_s(h^(-1), b_1^*) =
+    |z^(-1)|^(s-1/2) tau(b_1^* z^(-1)) is (tau, -1/z, 1), since b_1^* =
+    J t(b_1)^(-1) J = -1 for b_1 = (-1) is fixed.  The JPSS plain side
+    tau(a) |a|^(s - (n-1)/2) is (tau, a, n - 1).  The dual side
+    tau^(-1)(a) |a|^((1-s) - (n-1)/2) is (tau, 1/a, 3 - n): tau^(-1)(a) =
+    tau(1/a), and with v = v_p(1/a) = -v_p(a), |a|^((1-s) - (n-1)/2) =
+    q^(v (3-n)/2) (q^-s)^v."""
     p = tau.prime
     v = rational_valuation(x, p)
-    return ExactScalar.from_coeff(p, F1, q_half=h * v, s_power=k * v) * tame_eval(tau, x)
+    return ExactScalar.from_coeff(p, F1, q_half=h * v, s_power=v) * tame_eval(tau, x)
 
 
 def _bucket_sum(buckets, p: int, section) -> ExactScalar:
@@ -484,17 +496,17 @@ def _bucket_sum(buckets, p: int, section) -> ExactScalar:
 
 def _integral(side, tau, zeta, n, level, cutoff, mode) -> ExactScalar:
     """The zeta integral of one side of _SIDES: zeta^i times the sum of
-    its buckets against its section (_section), (tau, z or -1/z, 1, 1) on
-    SO, since Phi* reads b_1^* z^(-1) = -1/z, and (tau^(+-1), a,
-    n - 1 - 2i, 1 - 2i) on JPSS."""
-    i, family, _ = _SIDES[side]
+    its buckets against its section (_section), all at tau itself: (tau,
+    z or -1/z, 1) on SO, since Phi* reads b_1^* z^(-1) = -1/z, and (tau,
+    a, n - 1) on the JPSS plain side and (tau, 1/a, 3 - n) on the dual
+    side, since tau^(-1)(a) = tau(1/a)."""
+    i, family, _, _ = _SIDES[side]
     p = tau.prime
     buckets = _buckets(_side_buckets, side, p, n, level, cutoff, mode)
     if family == "SO":
-        total = _bucket_sum(buckets, p, lambda z: _section(tau, FM1 / z if i else z, 1, 1))
+        total = _bucket_sum(buckets, p, lambda z: _section(tau, FM1 / z if i else z, 1))
     else:
-        tau_i = tau.inverse() if i else tau
-        total = _bucket_sum(buckets, p, lambda a: _section(tau_i, a, n - 1 - 2 * i, 1 - 2 * i))
+        total = _bucket_sum(buckets, p, lambda a: _section(tau, F1 / a if i else a, 3 - n if i else n - 1))
     return total * zeta if i else total
 
 
@@ -548,6 +560,13 @@ def gamma_so(cfg: IntegralConfig) -> GammaResult:
 # GL side
 
 
+def _gl_closed(n: int, tau: TameCharacter, zeta) -> tuple:
+    """(sign, sign tau(pi) zeta q^(1/2-s)) with sign = tau(-1)^(n-1): the
+    closed form, and the sign that the computed JPSS gamma takes too."""
+    sign = tame_eval(tau, -1) ** (n - 1)
+    return sign, sign * tau.value_at_uniformizer * ExactScalar.from_coeff(tau.prime, zeta, q_half=1, s_power=1)
+
+
 def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> ExactScalar:
     """tau(-1)^(n-1) tau(pi) zeta q^(1/2-s) (trivial central character)."""
     if not is_int(n):
@@ -556,12 +575,7 @@ def gamma_gl_closed(n: int, tau: TameCharacter, zeta: CyclotomicNumber) -> Exact
         raise Unsupported(f"need n >= 1, got {n}")
     _check_tau(tau)
     _check_gl_root(zeta, n)
-    p = tau.prime
-    return (
-        tame_eval(tau, -1) ** (n - 1)
-        * tau.value_at_uniformizer
-        * ExactScalar.from_coeff(p, zeta, q_half=1, s_power=1)
-    )
+    return _gl_closed(n, tau, zeta)[1]
 
 
 def jpss_gl_gamma(
@@ -572,19 +586,21 @@ def jpss_gl_gamma(
     cutoff: int = 1,
 ) -> GammaResult:
     """Independent GL_n x GL_1 gamma: dual zeta integral over plain one,
-    times tau(-1)^(n-1); compared against the closed form."""
+    times tau(-1)^(n-1); compared against the closed form, which takes
+    the same sign, computed once."""
     if not is_int(n):
         raise Unsupported(f"n must be an int, got {n!r}")
     if n < 2:
         raise Unsupported("need n >= 2")
     _check_tau(tau)
     check_domain(n - 1, level, cutoff)  # the x window is the SO y window of rank n - 1
-    predicted = gamma_gl_closed(n, tau, zeta)  # checks zeta^n = 1 before any enumeration
+    _check_gl_root(zeta, n)  # before any enumeration
+    sign, predicted = _gl_closed(n, tau, zeta)
     # plain first, so that a plain shell error is raised ahead of a dual one
     plain, dual = (_integral(side, tau, zeta, n, level, cutoff, "brute-force") for side in ("plain", "dual"))
     if plain.is_zero():
         raise ZeroDenominator("JPSS plain integral vanished")
-    computed = tame_eval(tau, -1) ** (n - 1) * dual / plain
+    computed = sign * dual / plain
     meta = {"p": tau.prime, "n": n, "level": level, "cutoff": cutoff}
     return GammaResult(computed, predicted, computed == predicted, meta)
 
@@ -642,7 +658,7 @@ def scan_support(
     The lemma is stated once, as the support-aware windows: a point is
     predicted nonzero when z is in the class z0 (1 + p) of the side's z
     window, tame_class(z) = tame_class(z0), and every y_k in the class
-    y0 + p = p of the y window, so the scan checks the very classes the
+    y0 + p^e = p of the y window, so the scan checks the very classes the
     fast path values.  Each representative's membership is worked out
     once per window.
 
@@ -657,14 +673,14 @@ def scan_support(
     if side not in _SIDES or _SIDES[side][1] != "SO":
         raise IntegralError(f"side must be phi or phi_star, got {side!r}")
     _check_t(t, ell, p)  # a checked input, which no value reads
-    i = _SIDES[side][0]
+    i, _, e, _ = _SIDES[side]
     nonzero_at: dict = {}  # z -> the y of its nonzero points
     for z, y in _entry(_side_buckets, side, p, 2 * ell + 1, level, cutoff, "brute-force")[1]:
         nonzero_at.setdefault(z, set()).add(y)
     z_class = tame_class(_z_windows(p, level, cutoff, "support-aware", i)[1][0][0], p)
-    y0 = _y_windows(p, level, cutoff, "support-aware")[1][0][0]
-    ys = [y for y, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
-    ys_in = [all(c) for c in itertools.product([rational_valuation(y - y0, p) >= 1 for y in ys], repeat=ell - 1)]
+    y0 = _y_windows(p, level, cutoff, "support-aware", e)[1][0][0]
+    ys = [y for y, _ in _y_windows(p, level, cutoff, "brute-force", e)[1]]
+    ys_in = [all(c) for c in itertools.product([rational_valuation(y - y0, p) >= e for y in ys], repeat=ell - 1)]
     points = []
     verdict = True
     for z, _ in _z_windows(p, level, cutoff, "brute-force", i)[1]:

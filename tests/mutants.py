@@ -199,7 +199,7 @@ MUTANTS = (
     Mutant(
         "the folded y class weighed as one window class",
         INTEGRALS,
-        "        return ExactScalar.from_coeff(p, F1, q_half=-1), [(F0, False)]\n",
+        "        return ExactScalar.from_coeff(p, F1, q_half=1 - 2 * e), [(F0, False)]\n",
         "        return ExactScalar.from_coeff(p, Fraction(1, p**level), q_half=1), [(F0, False)]\n",
         (
             "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-support-aware]",
@@ -210,8 +210,8 @@ MUTANTS = (
     Mutant(
         "the y window folded in brute-force mode as well",
         INTEGRALS,
-        '    if mode == "support-aware":\n        return ExactScalar.from_coeff(p, F1, q_half=-1)',
-        "    if True:\n        return ExactScalar.from_coeff(p, F1, q_half=-1)",
+        '    if mode == "support-aware":\n        return ExactScalar.from_coeff(p, F1, q_half=1 - 2 * e)',
+        "    if True:\n        return ExactScalar.from_coeff(p, F1, q_half=1 - 2 * e)",
         (
             "tests/test_kernel.py::test_bucket_assembly_matches_pointwise_sum[3-2-brute-force]",
             "tests/test_kernel.py::test_support_aware_enumeration_values_one_point_per_side[brute-force]",
@@ -298,6 +298,18 @@ MUTANTS = (
             "tests/test_integrals.py::test_phi_star_value",
             "tests/test_integrals.py::test_gamma_trivial_tau",
             "tests/test_kernel.py::test_so_buckets_are_pinned[5-3-None-phi_star-726f88a12d53fd7450175b7cc79ca714b0a9ac39fb6c2ad08559b284bcb3e326]",
+        ),
+    ),
+    Mutant(
+        "x class weighed as the SO y class p",
+        INTEGRALS,
+        '    "dual": (1, "JPSS", 0, ',
+        '    "dual": (1, "JPSS", 1, ',
+        # brute-force reads no e, so only the support-aware buckets and the
+        # lemma's x class show it; the plain side, at rank 0, has no x
+        (
+            "tests/test_gl.py::test_support_aware_jpss_buckets_equal_the_brute_force_buckets",
+            "tests/test_gl.py::test_jpss_support_lemma[3-3]",
         ),
     ),
     Mutant(
@@ -454,12 +466,25 @@ MUTANTS = (
     Mutant(
         "the JPSS dual section at q^((n-1) v/2)",
         INTEGRALS,
-        "_section(tau_i, a, n - 1 - 2 * i, 1 - 2 * i)",
-        "_section(tau_i, a, n - 1, 1 - 2 * i)",
+        "3 - n if i else n - 1",
+        "n - 1",
+        # 3 - n = n - 1 at n = 2, so only n >= 3 shows it
+        (
+            "tests/test_integrals.py::test_jpss_n3",
+            "tests/test_integrals.py::test_jpss_matches_closed_form_at_n_4_and_p_5[4-3]",
+            "tests/test_gl.py::test_rendered_jpss_gammas_are_pinned",
+        ),
+    ),
+    Mutant(
+        "dual section read at a, not 1/a",
+        INTEGRALS,
+        "F1 / a if i else a",
+        "a",
         (
             "tests/test_integrals.py::test_jpss_matches_closed_form",
             "tests/test_integrals.py::test_jpss_n3",
             "tests/test_integrals.py::test_match_so_gl_symbolic_and_computed",
+            "tests/test_gl.py::test_rendered_jpss_gammas_are_pinned",
         ),
     ),
     Mutant(

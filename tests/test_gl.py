@@ -67,7 +67,8 @@ from oracles import (
     unscaled,
     whittaker_eval,
 )
-from ssgamma.characters import tame_class
+from ssgamma.characters import TameCharacter, tame_class
+from ssgamma.cli import scalar_str
 from ssgamma.cyclotomic import CyclotomicNumber as C
 from ssgamma.integrals import (
     _SIDES,
@@ -77,6 +78,7 @@ from ssgamma.integrals import (
     _unit_rows,
     _y_windows,
     _z_windows,
+    jpss_gl_gamma,
 )
 from ssgamma.matrices import F1, coset_decompose_gl
 from ssgamma.padic import rational_valuation
@@ -213,7 +215,7 @@ def window_values(n, p, side):
     dual = side == "dual"
     spec = WhittakerSpec(p, "GL", n, C.root_of_unity(n, 1))
     gchi_inv = g_chi_gl(n, p).inv().lists()
-    xs = [c for c, _ in _y_windows(p, LEVEL, 0, "brute-force")[1]]
+    xs = [c for c, _ in _y_windows(p, LEVEL, 0, "brute-force", 0)[1]]
     inner = list(itertools.product(xs, repeat=n - 2)) if dual else [()]
     base = {}
     for x in inner if dual else ():
@@ -371,7 +373,7 @@ def pointwise_side(n, p, side):
     least a of the class, and recorded with whether they lie on the
     padding shell."""
     a_weight, as_ = _z_windows(p, LEVEL, CUTOFF, "brute-force", 0)
-    x_weight, xs = _y_windows(p, LEVEL, 0, "brute-force")
+    x_weight, xs = _y_windows(p, LEVEL, 0, "brute-force", 0)
     rank = 0 if side == "plain" else n - 2
     record, sums = {}, {}
     for a, a_shell in as_:
@@ -416,22 +418,80 @@ def test_jpss_support_lemma(n, p):
     every x_i in o, each off the shell.  The windows run over the whole
     brute-force domain, padding shells included.  On each side the
     support in a is the tame class of the one point of the support-aware
-    z window at the side's coset index i, p^(-i) (1 + p)."""
+    z window at the side's coset index i, p^(-i) (1 + p), and on the dual
+    side the support in each x_i is the class x0 + p^e of the one point
+    of the support-aware x window at the side's e in _SIDES, o."""
     as_ = [a for a, _ in _z_windows(p, LEVEL, CUTOFF, "brute-force", 0)[1]]
-    xs = [x for x, shell in _y_windows(p, LEVEL, 0, "brute-force")[1] if not shell]
+    xs = [x for x, shell in _y_windows(p, LEVEL, 0, "brute-force", 0)[1] if not shell]
     assert all(rational_valuation(x, p) >= 0 for x in xs)
     _, plain = _entry(_side_buckets, "plain", p, n, LEVEL, CUTOFF, "brute-force")
     assert plain == {(a, ()): False for a in as_ if rational_valuation(a - 1, p) >= 1}
     _, dual = _entry(_side_buckets, "dual", p, n, LEVEL, CUTOFF, "brute-force")
+    e = _SIDES["dual"][2]
+    x0 = _y_windows(p, LEVEL, 0, "support-aware", e)[1][0][0]
+    xs_in = [x for x, _ in _y_windows(p, LEVEL, 0, "brute-force", e)[1] if rational_valuation(x - x0, p) >= e]
+    assert xs_in == xs
     assert dual == {
         (a, x): False
         for a in as_
         if rational_valuation(p * a - 1, p) >= 1
-        for x in itertools.product(xs, repeat=n - 2)
+        for x in itertools.product(xs_in, repeat=n - 2)
     }
     for side, record in (("plain", plain), ("dual", dual)):
         a0 = _z_windows(p, LEVEL, CUTOFF, "support-aware", _SIDES[side][0])[1][0][0]
         assert {a for a, _ in record} == {a for a in as_ if tame_class(a, p) == tame_class(a0, p)}, side
+
+
+# the 42 JPSS sides of the support-aware check: both sides of each (n, p, N, V)
+SUPPORT_AWARE_SIZES = [
+    *((n, p, level, cutoff) for n in (2, 3) for p in (3, 5, 7) for level, cutoff in ((2, 1), (3, 1), (2, 2))),
+    (4, 3, 2, 1),
+    (4, 3, 2, 2),
+    (4, 5, 2, 1),
+]
+
+
+def test_support_aware_jpss_buckets_equal_the_brute_force_buckets():
+    """Support-aware, each JPSS side is one point: a0 = p^(-i) of the class
+    p^(-i) (1 + p) (weight vol(1 + p) = 1/(q - 1)) and x = 0 of the class
+    o in each of its n - 2 dual coordinates (weight vol(o) = q^(1/2) a
+    coordinate).  Its buckets equal the brute-force ones, key, value and
+    stored form, at both sides of 21 truncations: (n, p) in {2, 3} x
+    {3, 5, 7} at (N, V) = (2, 1), (3, 1) and (2, 2), (4, 3) at (2, 1) and
+    (2, 2), and (4, 5) at (2, 1).  With the x class weighed as the SO y
+    class p, weight q^(-1/2) a coordinate, the dual bucket at (3, 3, 2, 1)
+    read 1/2 q^(-1/2) where brute-force reads 1/2 q^(1/2)."""
+    assert len(SUPPORT_AWARE_SIZES) * len(SIDES) == 42
+    for n, p, level, cutoff in SUPPORT_AWARE_SIZES:
+        for side in SIDES:
+            fast = _entry(_side_buckets, side, p, n, level, cutoff, "support-aware")[0]
+            brute = _entry(_side_buckets, side, p, n, level, cutoff, "brute-force")[0]
+            assert fast == brute, (n, p, level, cutoff, side)
+            assert {a: part.to_records() for a, part in fast.items()} == {
+                a: part.to_records() for a, part in brute.items()
+            }, (n, p, level, cutoff, side)
+
+
+def test_rendered_jpss_gammas_are_pinned():
+    """The CLI text and records of the computed and the closed-form JPSS
+    gamma at 336 cells: (n, p) in {2, 3} x {3, 5, 7}, (4, 3) and (4, 5),
+    N = 2, V = 1, every n-th root of unity zeta, every j and tau(pi) in
+    {1, -2/3, 5/7, 9}.  The digest was taken when the dual side read
+    tau^(-1) at a and each gamma made its own tau(-1)^(n-1): reading tau
+    at 1/a and sharing the sign keeps every stored form."""
+    rows = []
+    for n, p in [(n, p) for n in (2, 3) for p in (3, 5, 7)] + [(4, 3), (4, 5)]:
+        for k in range(n):
+            for j in range(p - 1):
+                for value in (1, Fraction(-2, 3), Fraction(5, 7), 9):
+                    tau = TameCharacter(p, j, ExactScalar.from_coeff(p, value))
+                    res = jpss_gl_gamma(n, tau, C.root_of_unity(n, k), level=LEVEL, cutoff=CUTOFF)
+                    assert res.matches
+                    gammas = res.computed, res.predicted
+                    rows.append([[scalar_str(x), x.to_records()] for x in gammas])
+    assert len(rows) == 336
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "60faaf0796856c6f5fff3c36fe73f79fc345591aa3ee89a4ff4fddd9fc04935b"
 
 
 def test_gl_enumeration_inverts_nothing(count_calls):

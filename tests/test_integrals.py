@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -75,7 +76,7 @@ def test_b1_star_is_minus_one(p):
     cfg = IntegralConfig(p, 1, -C.one(), tau)
     for z in (Fraction(1), Fraction(p), Fraction(2, p)):
         v = rational_valuation(1 / z, p)
-        assert integrals._section(tau, -1 / z, 1, 1) == ES(p, 1, v, v) * tame_eval(tau, b / z)
+        assert integrals._section(tau, -1 / z, 1) == ES(p, 1, v, v) * tame_eval(tau, b / z)
     # and phi_star_eval takes the section there, at each bucket's z, times Phi*'s zeta^1
     want = ExactScalar.zero(p)
     buckets, _ = integrals._side_buckets("phi_star", p, 3, cfg.level, cfg.cutoff, cfg.mode)
@@ -171,6 +172,43 @@ def test_a_warm_cell_makes_almost_no_reductions_and_no_elimination(monkeypatch, 
     assert gamma_so(cfg).matches
     assert calls["_poly_rem"] <= 2
     assert calls["inverse of several terms"] == 0
+
+
+def test_a_warm_jpss_cell_reads_tau_itself(monkeypatch):
+    """A warm jpss_gl_gamma(3, tau, zeta_3, 2, 1) reads each section at tau
+    itself, the dual one at 1/a, and makes tau(-1)^(n-1) once for both
+    gammas: 1 ExactScalar division (dual over plain) with its 1
+    CyclotomicNumber inverse, no TameCharacter, 3 tame_eval calls (the
+    sign and one section a side) and 11 ExactScalar products.  When the
+    dual side read the inverse character at a and each gamma made its own
+    sign, the cell made 3, 3, 1, 4 and 13: tau(pi)^(-1) and the dual
+    section's tau^(-1)(pi)^(-1) were one division each.  Counts, not
+    timings: they repeat exactly."""
+    p = 5
+    tau = TameCharacter(p, 1, ES(p, Fraction(-2, 3)))
+    zeta = C.root_of_unity(3, 1)
+    jpss_gl_gamma(3, tau, zeta, level=2, cutoff=1)  # the cold call builds the buckets
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    targets = [
+        (ExactScalar, "__truediv__"),
+        (C, "inverse"),
+        (TameCharacter, "__init__"),
+        (integrals, "tame_eval"),
+        (ExactScalar, "__mul__"),
+        (ExactScalar, "__rmul__"),
+    ]
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    assert jpss_gl_gamma(3, tau, zeta, level=2, cutoff=1).matches
+    assert [calls[name] for _, name in targets] == [1, 1, 0, 3, 11, 0]
 
 
 def test_brute_force_agrees():
@@ -685,7 +723,7 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
     monkeypatch.setattr(integrals, "coset_decompose", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     z = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", 0)[1] if not shell)
-    y = next(y for y, shell in integrals._y_windows(p, level, cutoff, "brute-force")[1] if shell)
+    y = next(y for y, shell in integrals._y_windows(p, level, cutoff, "brute-force", 1)[1] if shell)
     cfg = IntegralConfig(p, 2, C.one(), trivial_tau(p), level=level, cutoff=cutoff, mode="brute-force")
     with pytest.raises(BoundaryNonvanishing) as err:
         phi_eval(cfg)
@@ -693,7 +731,7 @@ def test_brute_force_raises_on_a_nonzero_point_with_only_y_on_the_shell(monkeypa
     # the scan reads the record the failed evaluation left, which holds
     # every such point, several at each z
     zs = integrals._z_windows(p, level, cutoff, "brute-force", 0)[1]
-    ys = integrals._y_windows(p, level, cutoff, "brute-force")[1]
+    ys = integrals._y_windows(p, level, cutoff, "brute-force", 1)[1]
     points, verdict = scan_support(p, 2, "phi", level=level, cutoff=cutoff)
     assert verdict is False
     assert [(pt.z, pt.y) for pt in points if pt.nonzero != pt.predicted] == [
@@ -711,7 +749,7 @@ def test_a_nonzero_shell_point_reaches_both_the_evaluator_and_the_scan(monkeypat
     p, ell, level, cutoff = 3, 2, 2, 1
     assert scan_support(p, ell, "phi", level=level, cutoff=cutoff)[1] is True  # the real record, cached
     z0 = next(z for z, shell in integrals._z_windows(p, level, cutoff, "brute-force", 0)[1] if shell)
-    y0 = integrals._y_windows(p, level, cutoff, "brute-force")[1][0][0]
+    y0 = integrals._y_windows(p, level, cutoff, "brute-force", 1)[1][0][0]
     real = integrals.coset_decompose
 
     def fake(rows, diag, prime):
@@ -746,7 +784,7 @@ def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatc
     included.  The fake accepts exactly the x the real test rejects, and
     then passes every point whose a is inside the window."""
     p, level, cutoff = 3, 2, 1
-    xs = integrals._y_windows(p, level, 0, "brute-force")[1]
+    xs = integrals._y_windows(p, level, 0, "brute-force", 0)[1]
     real = integrals.coset_decompose_gl
     assert [real(integrals._gl_dual_rows((x,), p), F1, p, 2) is None for x, _ in xs] == [shell for _, shell in xs]
     assert real(integrals._unit_rows(3, range(3)), F1, p, 1) is not None
@@ -759,7 +797,7 @@ def test_jpss_raises_on_a_nonzero_dual_point_with_only_x_on_the_shell(monkeypatc
     monkeypatch.setattr(integrals, "coset_decompose_gl", fake)
     monkeypatch.setattr(integrals, "_BUCKETS", {})
     a = next(a for a, shell in integrals._z_windows(p, level, cutoff, "brute-force", 0)[1] if not shell)
-    x = next(x for x, shell in integrals._y_windows(p, level, 0, "brute-force")[1] if shell)
+    x = next(x for x, shell in integrals._y_windows(p, level, 0, "brute-force", 0)[1] if shell)
     with pytest.raises(BoundaryNonvanishing) as err:
         jpss_gl_gamma(3, trivial_tau(p), C.one(), level=level, cutoff=cutoff)
     assert str(err.value) == f"nonzero JPSS dual integrand at the padding shell: a={a}, x={(x,)}"

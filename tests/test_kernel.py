@@ -270,7 +270,7 @@ def window_values(side):
     whittaker_eval of it at zeta = -1 and t = T_WINDOW."""
     p, ell, level, cutoff = WINDOW
     spec = WhittakerSpec(p, "SO", ell, -C.one(), T_WINDOW)
-    ys = [c for c, _ in _y_windows(p, level, cutoff, "brute-force")[1]]
+    ys = [c for c, _ in _y_windows(p, level, cutoff, "brute-force", 1)[1]]
     out = []
     for z, _ in _z_windows(p, level, cutoff, "brute-force", _SIDES[side][0])[1]:
         for y in itertools.product(ys, repeat=ell - 1):
@@ -392,7 +392,7 @@ def unfolded(p, level, side=None):
     window (unfold_class): (its weight, its representatives)."""
     modes = ("support-aware", "brute-force")
     if side is None:
-        windows = (_y_windows(p, level, 1, mode) for mode in modes)
+        windows = (_y_windows(p, level, 1, mode, 1) for mode in modes)
     else:
         windows = (_z_windows(p, level, 1, mode, _SIDES[side][0]) for mode in modes)
     return unfold_class(p, *windows, side is not None)
@@ -408,7 +408,7 @@ def nonzero_points(p, ell, level, mode, side):
     if mode == "support-aware":
         (zw, zs), (yw, ys) = unfolded(p, level, side), unfolded(p, level)
     else:
-        (zw, zs), (yw, ys) = _z_windows(p, level, 1, mode, _SIDES[side][0]), _y_windows(p, level, 1, mode)
+        (zw, zs), (yw, ys) = _z_windows(p, level, 1, mode, _SIDES[side][0]), _y_windows(p, level, 1, mode, 1)
     out = []
     for z, _ in zs:
         for y in itertools.product([c for c, _ in ys], repeat=ell - 1):
@@ -798,7 +798,7 @@ def test_support_scan_reads_the_brute_force_record(count_calls, monkeypatch):
     want = {}
     for side in SIDES:
         zs = _z_windows(p, level, 1, "brute-force", _SIDES[side][0])[1]
-        ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
+        ys = [c for c, _ in _y_windows(p, level, 1, "brute-force", 1)[1]]
         want[side] = [
             passes_at(side, z, y, p)
             for z, _ in zs

@@ -682,7 +682,7 @@ def test_kernels_match_the_fraction_reference_on_the_brute_force_windows(monkeyp
     the enumeration rejects before any a (its bottom row of k fails, at
     d = 1) has no point in any coset."""
     p, ell, level = 3, 2, 2
-    ys = [c for c, _ in _y_windows(p, level, 1, "brute-force")[1]]
+    ys = [c for c, _ in _y_windows(p, level, 1, "brute-force", 1)[1]]
     found = 0
     for side in ("phi", "phi_star"):
         calls = recorded(monkeypatch, "coset_decompose")
@@ -699,7 +699,7 @@ def test_kernels_match_the_fraction_reference_on_the_brute_force_windows(monkeyp
                 found += 1
     assert found == 18
     n = 3
-    xs = [c for c, _ in _y_windows(p, level, 0, "brute-force")[1]]
+    xs = [c for c, _ in _y_windows(p, level, 0, "brute-force", 0)[1]]
     found = 0
     for side in ("plain", "dual"):
         calls = recorded(monkeypatch, "coset_decompose_gl")

@@ -97,12 +97,12 @@ def test_repset_units_example():
 
 def test_repset_volumes():
     p = 3
-    ys = _y_windows(p, 2, 1, "brute-force")
+    ys = _y_windows(p, 2, 1, "brute-force", 1)
     zs = _z_windows(p, 2, 1, "brute-force", 0)
     # vol(o) = q^(1/2) and vol(p) = q^(-1/2), read off the reps of the y window
     assert window_volume(ys, lambda y, shell: rational_valuation(y, p) >= 0) == ES(p, 1, 1)
     assert window_volume(ys, lambda y, shell: rational_valuation(y, p) >= 1) == ES(p, 1, -1)
-    assert window_volume(_y_windows(p, 2, 1, "support-aware")) == ES(p, 1, -1)
+    assert window_volume(_y_windows(p, 2, 1, "support-aware", 1)) == ES(p, 1, -1)
     # vol(o^x) = 1 and vol(1 + p) = 1/(q - 1)
     assert window_volume(zs, lambda z, shell: rational_valuation(z, p) == 0) == ExactScalar.one(p)
     assert window_volume(_z_windows(p, 2, 1, "support-aware", 0)) == ES(p, Fraction(1, p - 1))
@@ -123,12 +123,12 @@ def assert_one_class(p, level, one_class, brute_force, multiplicative):
 
 def test_repset_weights_sum_to_volume():
     for p, level, cutoff in itertools.product((3, 5, 7), (2, 3), (1, 2)):
-        ys = _y_windows(p, level, cutoff, "brute-force")
+        ys = _y_windows(p, level, cutoff, "brute-force", 1)
         # p^(-V) o, and the padding shell of valuation exactly -(V+1)
         assert window_volume(ys) == ES(p, 1, 1 + 2 * cutoff)
         for y, shell in ys[1]:
             assert (rational_valuation(y, p) == -cutoff - 1) if shell else (rational_valuation(y, p) >= -cutoff)
-        sa_ys = _y_windows(p, level, cutoff, "support-aware")
+        sa_ys = _y_windows(p, level, cutoff, "support-aware", 1)
         assert window_volume(sa_ys) == ES(p, 1, -1)
         assert_one_class(p, level, sa_ys, ys, False)
         for i in (0, 1):
@@ -144,7 +144,7 @@ def test_repset_weights_sum_to_volume():
 
 def test_repset_counts():
     p, level, cutoff = 5, 2, 1
-    yw = _y_windows(p, level, cutoff, "brute-force")
+    yw = _y_windows(p, level, cutoff, "brute-force", 1)
     zw = _z_windows(p, level, cutoff, "brute-force", 0)
     ys, zs = yw[1], zw[1]
     assert sum(1 for y, _ in ys if rational_valuation(y, p) >= 0) == 25  # o mod p^2
@@ -153,5 +153,5 @@ def test_repset_counts():
     assert sum(1 for z, _ in zs if rational_valuation(z, p) == 0) == 20  # o^x mod 1 + p^2
     assert len(zs) == (2 * cutoff + 3) * 20
     # the one support-aware class of each covers p^(N-1) of them
-    assert len(unfold_class(p, _y_windows(p, level, cutoff, "support-aware"), yw, False)[1]) == p ** (level - 1)
+    assert len(unfold_class(p, _y_windows(p, level, cutoff, "support-aware", 1), yw, False)[1]) == p ** (level - 1)
     assert len(unfold_class(p, _z_windows(p, level, cutoff, "support-aware", 0), zw, True)[1]) == p ** (level - 1)
